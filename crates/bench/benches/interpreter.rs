@@ -9,12 +9,54 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hvft_guest::{build_image, callstorm_source, dhrystone_source, KernelConfig};
 use hvft_hypervisor::bare::BareHost;
 use hvft_hypervisor::cost::CostModel;
+use hvft_machine::mem::PAGE_SIZE;
+use hvft_machine::statehash::{vm_state_hash, vm_state_hash_from_scratch};
 use hvft_machine::tlb::{pte, Tlb, TlbAccess, TlbReplacement};
 use hvft_machine::ExecTier;
 use hvft_net::channel::Channel;
 use hvft_net::link::LinkSpec;
 use hvft_sim::time::SimTime;
 use std::hint::black_box;
+
+/// The epoch-boundary digest of a booted 256 KiB guest: every page
+/// hashed (what the first boundary after a boot or restore pays),
+/// nothing dirty (the fold alone), and 1 and 13 pages written since the
+/// last call — 13 is what `repl-mem` dirties per 4096-instruction epoch.
+fn bench_statehash(c: &mut Criterion) {
+    let image = build_image(&KernelConfig::default(), &dhrystone_source(100, 0)).unwrap();
+    let mut host = BareHost::new(
+        &image,
+        CostModel::hp9000_720(),
+        hvft_guest::layout::RAM_BYTES,
+        16,
+        0,
+    );
+    host.run(100_000_000);
+    let mut g = c.benchmark_group("statehash");
+    g.throughput(Throughput::Bytes(hvft_guest::layout::RAM_BYTES as u64));
+    g.bench_function("cold_256k", |b| {
+        b.iter(|| black_box(vm_state_hash_from_scratch(&host.cpu, black_box(&host.mem))))
+    });
+    g.finish();
+    // The warm rows read a few pages, not all of RAM: no byte rate.
+    let mut g = c.benchmark_group("statehash");
+    g.bench_function("warm_clean", |b| {
+        b.iter(|| black_box(vm_state_hash(&host.cpu, black_box(&host.mem))))
+    });
+    for dirty in [1u32, 13] {
+        let mut fill = 0u8;
+        g.bench_function(format!("warm_dirty_{dirty}_pages"), |b| {
+            b.iter(|| {
+                fill = fill.wrapping_add(1);
+                for page in 0..dirty {
+                    host.mem.write_u8((40 + page) * PAGE_SIZE, fill).unwrap();
+                }
+                black_box(vm_state_hash(&host.cpu, &host.mem))
+            })
+        });
+    }
+    g.finish();
+}
 
 fn bench_interpreter(c: &mut Criterion) {
     let image = build_image(&KernelConfig::default(), &dhrystone_source(5_000, 0)).unwrap();
@@ -98,8 +140,9 @@ fn bench_interpreter(c: &mut Criterion) {
     }
     g.annotate("cross_page_superblocks", cs.cross_page_superblocks as f64);
     g.finish();
-    // Machine-readable record (ns/insn, insns/sec, before/after) for
-    // the CI artifact; written at the workspace root.
+    // Machine-readable record (ns/insn, insns/sec, before/after, and
+    // the statehash rows recorded before this group ran) for the CI
+    // artifact; written at the workspace root.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interpreter.json");
     c.save_json(out)
         .unwrap_or_else(|e| panic!("writing {out}: {e}"));
@@ -154,6 +197,7 @@ fn bench_tlb(c: &mut Criterion) {
 
 criterion_group!(
     benches,
+    bench_statehash,
     bench_interpreter,
     bench_assembler,
     bench_channel,

@@ -905,6 +905,22 @@ impl FtSystem {
         self.hosts[host].guest.mem.read_u32(paddr).unwrap_or(0)
     }
 
+    /// Overwrites a word of one host's guest memory behind the
+    /// protocol's back — fault injection for tests of the lockstep
+    /// oracle, which must report the replica as diverged at its next
+    /// epoch boundary.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `paddr` is not a word of guest RAM.
+    pub fn corrupt_guest_mem_u32(&mut self, host: usize, paddr: u32, value: u32) {
+        self.hosts[host]
+            .guest
+            .mem
+            .write_u32(paddr, value)
+            .expect("corruption target must be guest RAM");
+    }
+
     // -----------------------------------------------------------------
     // Engine-effect execution
     // -----------------------------------------------------------------

@@ -126,6 +126,10 @@ pub struct DiskSnapshot {
 ///    fires — applies the effect (subject to injected faults) and returns
 ///    the [`DiskStatus`] to post with the interrupt.
 pub struct Disk {
+    /// The medium up to the highest block ever written. Blocks beyond it
+    /// still hold their initial zeros and are not materialised: most
+    /// systems own a disk their guest never writes, and a run should
+    /// not pay for (or zero) a megabyte it does not touch.
     blocks: Vec<u8>,
     num_blocks: u32,
     read_time: SimDuration,
@@ -142,7 +146,7 @@ impl Disk {
     /// service times (read 24.2 ms, write 26 ms) and no transient faults.
     pub fn new(num_blocks: u32, seed: u64) -> Self {
         Disk {
-            blocks: vec![0; num_blocks as usize * BLOCK_SIZE],
+            blocks: Vec::new(),
             num_blocks,
             read_time: SimDuration::from_micros_f64(24_200.0),
             write_time: SimDuration::from_micros_f64(26_000.0),
@@ -311,13 +315,21 @@ impl Disk {
     }
 
     fn store(&mut self, block: u32, data: &[u8]) {
+        assert!(block < self.num_blocks, "block {block} is off the medium");
         let at = block as usize * BLOCK_SIZE;
+        if self.blocks.len() < at + BLOCK_SIZE {
+            self.blocks.resize(at + BLOCK_SIZE, 0);
+        }
         self.blocks[at..at + BLOCK_SIZE].copy_from_slice(data);
     }
 
     fn fetch(&self, block: u32) -> &[u8] {
+        static NEVER_WRITTEN: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
+        assert!(block < self.num_blocks, "block {block} is off the medium");
         let at = block as usize * BLOCK_SIZE;
-        &self.blocks[at..at + BLOCK_SIZE]
+        self.blocks
+            .get(at..at + BLOCK_SIZE)
+            .unwrap_or(&NEVER_WRITTEN)
     }
 
     /// Direct medium access for test setup and verification (not part of
@@ -356,12 +368,12 @@ impl Disk {
     /// in-flight operation and the fault-injection RNG stream, so
     /// post-restore outcomes match the uninterrupted run exactly.
     pub fn restore(&mut self, snap: &DiskSnapshot) {
-        self.blocks = snap.blocks.clone();
+        self.blocks.clone_from(&snap.blocks);
         self.num_blocks = snap.num_blocks;
         self.read_time = snap.read_time;
         self.write_time = snap.write_time;
         self.pending = snap.pending.clone();
-        self.log = snap.log.clone();
+        self.log.clone_from(&snap.log);
         self.rng = snap.rng.clone();
         self.fault_prob = snap.fault_prob;
         self.force_uncertain = snap.force_uncertain;

@@ -246,7 +246,10 @@ impl HvGuest {
         self.cpu.retired() - self.epoch_start_retired
     }
 
-    /// Hash of the virtual-machine state (for lockstep checking).
+    /// Digest of the virtual-machine state (for lockstep checking):
+    /// [`vm_state_hash`] of this guest's CPU and memory. Rehashes only
+    /// the pages written since the previous call, so calling it at every
+    /// epoch boundary costs in proportion to what the epoch dirtied.
     pub fn state_hash(&self) -> u64 {
         vm_state_hash(&self.cpu, &self.mem)
     }
@@ -261,8 +264,9 @@ impl HvGuest {
     }
 
     /// Captures the guest's canonical state. The machine's derived
-    /// caches (decoded blocks, JIT superblocks, TLB front array) are
-    /// excluded by construction; see [`hvft_machine::snapshot`].
+    /// caches (decoded blocks, JIT superblocks, TLB front array, page
+    /// digests) are excluded by construction; see
+    /// [`hvft_machine::snapshot`].
     pub fn snapshot(&self) -> HvGuestSnapshot {
         HvGuestSnapshot {
             cpu: self.cpu.snapshot(),

@@ -40,6 +40,6 @@ pub use exec::{ExecStats, ExecTier};
 pub use mem::{MemFault, Memory, IO_BASE, IO_SIZE, PAGE_SHIFT, PAGE_SIZE};
 pub use psw::Psw;
 pub use snapshot::{CpuSnapshot, MemSnapshot, TlbSnapshot};
-pub use statehash::{register_state_hash, vm_state_hash, Fnv64};
+pub use statehash::{vm_state_hash, vm_state_hash_from_scratch};
 pub use tlb::{pte, Tlb, TlbAccess, TlbEntry, TlbReplacement, TlbResult};
 pub use trap::{irq, Trap};

@@ -6,6 +6,8 @@
 //! embedder (the bare machine routes them to devices, the hypervisor
 //! intercepts them — paper §3.2, Environment Instruction Assumption).
 
+use std::cell::Cell;
+
 /// Base physical address of the memory-mapped I/O window.
 pub const IO_BASE: u32 = 0xF000_0000;
 /// Size of the I/O window in bytes.
@@ -15,6 +17,20 @@ pub const IO_SIZE: u32 = 0x0001_0000;
 pub const PAGE_SIZE: u32 = 4096;
 /// log2 of [`PAGE_SIZE`].
 pub const PAGE_SHIFT: u32 = 12;
+
+/// A page digest together with the write generation its page had when
+/// the digest was computed.
+#[derive(Clone, Copy)]
+struct CachedDigest {
+    gen: u64,
+    digest: u64,
+}
+
+/// Generations count up from zero, so no page ever reaches this one.
+const STALE: CachedDigest = CachedDigest {
+    gen: u64::MAX,
+    digest: 0,
+};
 
 /// Classification of a physical address.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -42,10 +58,26 @@ pub enum AddrKind {
 pub struct Memory {
     ram: Vec<u8>,
     /// Per-page write generation, bumped on every RAM write (CPU store,
-    /// program load, or device DMA). The block cache compares a cached
-    /// block's recorded generation against the current one to detect
-    /// self-modifying code without any registration protocol.
+    /// program load, device DMA, [`Memory::reset`]). It is the one
+    /// signal two consumers share, so the store path pays for it once:
+    ///
+    /// - *self-modifying code*: the block and superblock caches compare
+    ///   a cached block's recorded generation against the current one,
+    ///   without any registration protocol;
+    /// - *dirty pages*: the state digest below recomputes exactly the
+    ///   pages whose generation moved since they were last hashed.
     page_gens: Vec<u64>,
+    /// Cached per-page digests for the VM-state hash
+    /// ([`crate::statehash`]). Entry `p` is valid iff its recorded
+    /// generation equals `page_gens[p]`: within one `Memory` a
+    /// generation only ever moves forward and moves on every write, so
+    /// an equal generation means unchanged bytes. That inference does
+    /// **not** survive [`Memory::restore`], which installs foreign bytes
+    /// *and* foreign generations — the cache is dropped there. Derived
+    /// state like the block caches: never snapshotted, never on the
+    /// wire, and invisible in the digest's value. Filled through `&self`
+    /// (a `Memory` is moved between threads, never shared).
+    digests: Vec<Cell<CachedDigest>>,
 }
 
 /// A physical access that cannot be satisfied by RAM.
@@ -74,9 +106,11 @@ impl Memory {
             (bytes as u64) <= u64::from(IO_BASE),
             "RAM of {bytes} bytes would overlap the I/O window at {IO_BASE:#x}"
         );
+        let pages = bytes.div_ceil(PAGE_SIZE as usize);
         Memory {
             ram: vec![0; bytes],
-            page_gens: vec![0; bytes.div_ceil(PAGE_SIZE as usize)],
+            page_gens: vec![0; pages],
+            digests: vec![Cell::new(STALE); pages],
         }
     }
 
@@ -200,9 +234,43 @@ impl Memory {
         &self.ram[i..i + len]
     }
 
-    /// Raw view of all RAM (used by the state hasher).
-    pub fn raw(&self) -> &[u8] {
-        &self.ram
+    /// Number of pages of RAM (the last one may be partial).
+    pub(crate) fn page_count(&self) -> usize {
+        self.page_gens.len()
+    }
+
+    /// The bytes of page `page`.
+    pub(crate) fn page_bytes(&self, page: usize) -> &[u8] {
+        let start = page << PAGE_SHIFT;
+        let end = self.ram.len().min(start + PAGE_SIZE as usize);
+        &self.ram[start..end]
+    }
+
+    /// Digest of page `page`'s bytes, recomputed only if the page was
+    /// written since it was last asked for.
+    pub(crate) fn page_digest(&self, page: usize) -> u64 {
+        let gen = self.page_gens[page];
+        let slot = &self.digests[page];
+        let cached = slot.get();
+        if cached.gen == gen {
+            return cached.digest;
+        }
+        let digest = crate::statehash::page_digest(self.page_bytes(page));
+        slot.set(CachedDigest { gen, digest });
+        digest
+    }
+
+    /// Index of the first physical page whose contents differ between
+    /// `self` and `other`, judged by the same per-page digests the
+    /// VM-state hash folds — so when two state hashes disagree this
+    /// names the page responsible (or `None`: the registers are). A
+    /// page only one of the memories has counts as differing.
+    pub fn first_differing_page(&self, other: &Memory) -> Option<u32> {
+        let shared = self.page_count().min(other.page_count());
+        (0..shared)
+            .find(|&p| self.page_digest(p) != other.page_digest(p))
+            .or((self.page_count() != other.page_count()).then_some(shared))
+            .map(|p| p as u32)
     }
 
     /// Captures RAM and the per-page write generations for a
@@ -214,13 +282,19 @@ impl Memory {
         }
     }
 
-    /// Restores state captured by [`Memory::snapshot`]. Generations are
-    /// restored verbatim: block/superblock caches are rebuilt empty
-    /// after a restore, so they can only record generations at or after
-    /// the captured values and SMC detection stays sound.
+    /// Restores state captured by [`Memory::snapshot`], copying into
+    /// the existing buffers. Generations are restored verbatim:
+    /// block/superblock caches are rebuilt empty after a restore, so
+    /// they can only record generations at or after the captured values
+    /// and SMC detection stays sound. The digest cache is dropped for
+    /// the same reason: the snapshot may come from another `Memory`
+    /// (a donor replica) whose page reached the same generation with
+    /// different bytes.
     pub fn restore(&mut self, snap: &crate::snapshot::MemSnapshot) {
-        self.ram = snap.ram.clone();
-        self.page_gens = snap.page_gens.clone();
+        self.ram.clone_from(&snap.ram);
+        self.page_gens.clone_from(&snap.page_gens);
+        self.digests.clear();
+        self.digests.resize(self.page_gens.len(), Cell::new(STALE));
     }
 }
 

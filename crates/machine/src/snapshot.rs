@@ -13,12 +13,16 @@
 //!   ([`TlbSnapshot`]).
 //!
 //! **Derived** state is deliberately absent: the decoded-block arena,
-//! the JIT superblock cache and the TLB front cache are all rebuilt
-//! from scratch after a restore. They are pure accelerations of the
-//! canonical state, so dropping them changes *when* recompilation
-//! happens but never *what* the machine computes — the snapshot
-//! proptests (`tests/proptest_snapshot.rs`) pin this down across all
-//! three execution tiers. Per-tier retirement attribution in
+//! the JIT superblock cache, the TLB front cache and `Memory`'s
+//! per-page state-digest cache are all rebuilt from scratch after a
+//! restore. They are pure accelerations of the canonical state, so
+//! dropping them changes *when* recompilation (or rehashing) happens
+//! but never *what* the machine computes or what
+//! [`vm_state_hash`](crate::statehash::vm_state_hash) returns — the
+//! snapshot proptests (`tests/proptest_snapshot.rs`) pin this down
+//! across all three execution tiers. The digest cache *must* go: it is
+//! keyed by write generation, and a restore installs another machine's
+//! generations along with its bytes. Per-tier retirement attribution in
 //! [`ExecStats`] is carried through so reports stay continuous, even
 //! though the caches behind it are not.
 //!
@@ -87,7 +91,8 @@ impl CpuSnapshot {
 
 /// Physical memory: RAM bytes plus the per-page write generations,
 /// preserved verbatim so SMC detection resumes exactly where it left
-/// off.
+/// off. The state-digest cache keyed by those generations is derived
+/// and not captured.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MemSnapshot {
     pub(crate) ram: Vec<u8>,

@@ -317,7 +317,7 @@ impl Tlb {
     /// cleared — both are derived, so subsequent lookups, fills and
     /// evictions behave bit-identically to the captured TLB.
     pub fn restore_state(&mut self, snap: &crate::snapshot::TlbSnapshot) {
-        self.entries = snap.entries.clone();
+        self.entries.clone_from(&snap.entries);
         self.index.clear();
         for (slot, entry) in self.entries.iter().enumerate() {
             if let Some(e) = entry {

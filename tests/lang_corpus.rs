@@ -19,12 +19,14 @@
 //! re-assembled, pinning the assemble → disassemble fixpoint on whole
 //! bootable images, kernel included.
 
+mod common;
+
+use common::same_vm_state;
 use hvft::guest::layout::RAM_BYTES;
 use hvft::guest::{build_image, CompiledWorkload, Workload};
 use hvft::hypervisor::bare::{BareExit, BareHost};
 use hvft::hypervisor::cost::CostModel;
 use hvft::machine::exec::ExecTier;
-use hvft::machine::statehash::vm_state_hash;
 use hvft_isa::asm::assemble;
 use hvft_isa::disasm::to_source;
 
@@ -122,7 +124,7 @@ fn corpus_replays_identically_across_tiers_and_oracles() {
         let image = build_image(&workload.kernel(), &workload.user_source())
             .unwrap_or_else(|e| panic!("{name}: image does not build: {e}"));
 
-        let mut outcomes = Vec::new();
+        let (mut outcomes, mut hosts) = (Vec::new(), Vec::new());
         for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
             let mut host = BareHost::new(&image, CostModel::functional(), RAM_BYTES, 32, 7);
             host.set_exec_tier(tier);
@@ -139,21 +141,27 @@ fn corpus_replays_identically_across_tiers_and_oracles() {
                 r.time,
                 r.diags,
                 host.console.output_string(),
-                vm_state_hash(&host.cpu, &host.mem),
             ));
+            hosts.push(host);
         }
-        let (_, exit, _, _, diags, console, _) = outcomes[0].clone();
-        for o in &outcomes[1..] {
+        let (_, exit, _, _, diags, console) = outcomes[0].clone();
+        for (o, host) in outcomes.iter().zip(&hosts).skip(1) {
             assert_eq!(
-                (&o.1, &o.2, &o.3, &o.4, &o.5, &o.6),
+                (&o.1, &o.2, &o.3, &o.4, &o.5),
                 (
                     &outcomes[0].1,
                     &outcomes[0].2,
                     &outcomes[0].3,
                     &outcomes[0].4,
-                    &outcomes[0].5,
-                    &outcomes[0].6
+                    &outcomes[0].5
                 ),
+                "{name}: {} diverged from {}",
+                o.0,
+                outcomes[0].0
+            );
+            assert_eq!(
+                same_vm_state((&host.cpu, &host.mem), (&hosts[0].cpu, &hosts[0].mem)),
+                Ok(()),
                 "{name}: {} diverged from {}",
                 o.0,
                 outcomes[0].0

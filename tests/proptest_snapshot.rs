@@ -27,6 +27,9 @@
 
 #![recursion_limit = "256"]
 
+mod common;
+
+use common::same_vm_state;
 use hvft::guest::workload::Dhrystone;
 use hvft::hypervisor::cost::CostModel;
 use hvft::hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
@@ -37,7 +40,6 @@ use hvft::isa::reg::Reg;
 use hvft::machine::cpu::{Cpu, Exit};
 use hvft::machine::exec::ExecTier;
 use hvft::machine::mem::Memory;
-use hvft::machine::statehash::vm_state_hash;
 use hvft::machine::tlb::TlbReplacement;
 use hvft::machine::LoadProgram;
 use hvft::net::link::LinkSpec;
@@ -157,8 +159,8 @@ proptest! {
         rest_mem.restore(&mem_snap);
         prop_assert_eq!(rest.exec_tier(), tier, "tier travels with the snapshot");
         prop_assert_eq!(
-            vm_state_hash(&rest, &rest_mem),
-            vm_state_hash(&donor, &donor_mem),
+            same_vm_state((&rest, &rest_mem), (&donor, &donor_mem)),
+            Ok(()),
             "restored state must hash identically to the donor at capture"
         );
 
@@ -171,8 +173,8 @@ proptest! {
             prop_assert_eq!(donor.retired(), rest.retired());
             prop_assert_eq!(donor.pc, rest.pc);
             prop_assert_eq!(
-                vm_state_hash(&donor, &donor_mem),
-                vm_state_hash(&rest, &rest_mem),
+                same_vm_state((&donor, &donor_mem), (&rest, &rest_mem)),
+                Ok(()),
                 "states diverged at {} retired", donor.retired()
             );
             if done_d {
@@ -272,8 +274,8 @@ fn snapshot_with_hot_cross_page_superblocks_restores_bit_identically() {
         rest_mem.restore(&mem_snap);
         assert_eq!(rest.exec_tier(), tier);
         assert_eq!(
-            vm_state_hash(&rest, &rest_mem),
-            vm_state_hash(&donor, &donor_mem)
+            same_vm_state((&rest, &rest_mem), (&donor, &donor_mem)),
+            Ok(())
         );
         loop {
             let done_d = run_budget(&mut donor, &mut donor_mem, 500);
@@ -282,8 +284,8 @@ fn snapshot_with_hot_cross_page_superblocks_restores_bit_identically() {
             assert_eq!(donor.retired(), rest.retired(), "{tier}");
             assert_eq!(donor.pc, rest.pc, "{tier}");
             assert_eq!(
-                vm_state_hash(&donor, &donor_mem),
-                vm_state_hash(&rest, &rest_mem),
+                same_vm_state((&donor, &donor_mem), (&rest, &rest_mem)),
+                Ok(()),
                 "{tier}: states diverged at {} retired",
                 donor.retired()
             );
@@ -339,6 +341,17 @@ fn tlb_replacement_stream_continues_after_restore() {
 // Hypervisor level: HvGuest round trip
 // ---------------------------------------------------------------------
 
+/// Runs `g` up to (not past) its next epoch boundary.
+fn run_to_boundary(g: &mut HvGuest) {
+    loop {
+        match g.run(SimDuration::from_millis(10)) {
+            HvEvent::EpochEnd => break,
+            HvEvent::BudgetExhausted => {}
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+}
+
 #[test]
 fn hvguest_snapshot_round_trip_is_exact() {
     let workload = Dhrystone {
@@ -373,13 +386,6 @@ fn hvguest_snapshot_round_trip_is_exact() {
 
     // Both must reach the next epoch boundary at the same instant with
     // the same state.
-    let run_to_boundary = |g: &mut HvGuest| loop {
-        match g.run(SimDuration::from_millis(10)) {
-            HvEvent::EpochEnd => break,
-            HvEvent::BudgetExhausted => {}
-            other => panic!("unexpected event {other:?}"),
-        }
-    };
     run_to_boundary(&mut donor);
     run_to_boundary(&mut rest);
     assert_eq!(rest.state_hash(), donor.state_hash());
@@ -608,5 +614,177 @@ fn reintegration_is_execution_tier_invariant() {
         assert_eq!(r.failovers[0].epoch, base.failovers[0].epoch, "{tier}");
         assert_eq!(r.failovers[1].epoch, base.failovers[1].epoch, "{tier}");
         assert_eq!(r.completion_time, base.completion_time, "{tier}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The incremental state digest: the two traps
+// ---------------------------------------------------------------------
+//
+// `Memory` caches per-page digests against the per-page write
+// generations. Trap 1: a restore installs a donor's bytes *and* its
+// generations, so "same generation" must not be read as "same bytes"
+// across it. Trap 2: an oracle that only looks at pages the guest wrote
+// would miss a corrupted page the guest never touches.
+
+/// A page no Dhrystone guest writes: it does no disk I/O.
+const QUIET_WORD: u32 = hvft::guest::layout::DMA_BUF + 0x100;
+
+/// Trap 1 through `HvGuest::restore`: A and B reach the same boundary,
+/// each takes one store of a different value to the same page (equal
+/// generations, different bytes), both are hashed so both caches are
+/// warm, and B is restored onto A.
+#[test]
+fn hvguest_restore_drops_digests_cached_under_equal_generations() {
+    let workload = Dhrystone {
+        iters: 5_000,
+        syscall_every: 7,
+        ..Default::default()
+    };
+    let image = hvft::guest::workload::Workload::image(&workload).expect("image");
+    for tier in TIERS {
+        let mk = || {
+            let config = HvConfig {
+                exec_tier: tier,
+                ..HvConfig::default()
+            };
+            let mut g = HvGuest::new(&image, CostModel::functional(), config);
+            for _ in 0..3 {
+                run_to_boundary(&mut g);
+                g.state_hash();
+                g.begin_epoch();
+            }
+            g
+        };
+        let (mut a, mut b) = (mk(), mk());
+        assert_eq!(a.state_hash(), b.state_hash(), "{tier}");
+        a.mem.write_u32(QUIET_WORD, 0x1111_1111).unwrap();
+        b.mem.write_u32(QUIET_WORD, 0x2222_2222).unwrap();
+        assert_eq!(a.mem.page_gen(QUIET_WORD), b.mem.page_gen(QUIET_WORD));
+        let (before_a, hash_b) = (a.state_hash(), b.state_hash());
+        assert_ne!(before_a, hash_b, "{tier}");
+
+        a.restore(&b.snapshot());
+        assert_eq!(
+            a.state_hash(),
+            hash_b,
+            "{tier}: restored guest must hash as its donor"
+        );
+        assert_eq!(
+            same_vm_state((&a.cpu, &a.mem), (&b.cpu, &b.mem)),
+            Ok(()),
+            "{tier}"
+        );
+    }
+}
+
+/// Records the last epoch boundary the backup (replica 1) announced.
+struct BackupBoundary(std::rc::Rc<std::cell::Cell<Option<u64>>>);
+
+impl hvft_core::observer::Observer for BackupBoundary {
+    fn epoch_boundary(&mut self, replica: usize, epoch: u64, _at: SimTime) {
+        if replica == 1 {
+            self.0.set(Some(epoch));
+        }
+    }
+}
+
+/// Trap 2: one word of the backup's RAM is corrupted mid-run, in a page
+/// the guest does not write. The divergence must be reported at the
+/// backup's very next boundary (and at every one after it).
+#[test]
+fn lockstep_oracle_catches_corruption_in_a_page_the_guest_never_writes() {
+    for tier in TIERS {
+        let scenario = Scenario::builder()
+            .workload(Dhrystone {
+                iters: 20_000,
+                syscall_every: 9,
+                ..Default::default()
+            })
+            .backups(1)
+            .functional_cost()
+            .exec_tier(tier)
+            .build()
+            .expect("valid scenario");
+        assert!(scenario.run().lockstep_clean, "{tier}: undisturbed run");
+
+        let seen = std::rc::Rc::new(std::cell::Cell::new(None));
+        let mut runner = scenario.runner();
+        runner.add_observer(Box::new(BackupBoundary(seen.clone())));
+        let ft = runner.ft_mut().expect("replicated driver");
+        while seen.get().is_none_or(|e| e < 10) {
+            assert!(ft.step().is_none(), "{tier}: run ended before the fault");
+        }
+        let last = seen.get().expect("checked above");
+        assert_eq!(ft.guest_mem_u32(1, QUIET_WORD), 0, "{tier}: page is quiet");
+        ft.corrupt_guest_mem_u32(1, QUIET_WORD, 0xDEAD_BEEF);
+        let result = ft.run();
+
+        assert_eq!(
+            ft.guest_mem_u32(0, QUIET_WORD),
+            0,
+            "{tier}: page stayed quiet"
+        );
+        let divergences = result.lockstep.divergences();
+        assert!(!divergences.is_empty(), "{tier}: corruption went unnoticed");
+        assert_eq!(
+            divergences[0].epoch,
+            last + 1,
+            "{tier}: must be caught at the very next boundary"
+        );
+        assert_eq!(
+            divergences.len() as u64,
+            result.lockstep.compared() - (last + 1),
+            "{tier}: and at every boundary compared after it"
+        );
+    }
+}
+
+/// Trap 1 through a full rejoin. Replica 2 and the other two replicas
+/// each take one store of a *different* value to the same quiet page —
+/// equal generations, different bytes — and all of them hash it at
+/// several boundaries (replica 2 is reported diverged, as it should
+/// be). Replica 2 then failstops and is reintegrated from the primary's
+/// snapshot: from that boundary on it must hash exactly like its donor.
+#[test]
+fn rejoin_drops_digests_cached_under_equal_generations() {
+    let reference = rejoin_reference();
+    let at = |frac: u64| SimTime::from_nanos(reference.total_ns * frac / 1000);
+    for tier in TIERS {
+        let scenario = rejoin_base()
+            .exec_tier(tier)
+            .fail_replica_at(at(300), 2)
+            .rejoin_replica_at(at(400), 2)
+            .build()
+            .expect("valid scenario");
+        let mut runner = scenario.runner();
+        let ft = runner.ft_mut().expect("replicated driver");
+        while ft.next_action_time().expect("mid-run") < at(150) {
+            assert!(ft.step().is_none(), "{tier}: run ended before the fault");
+        }
+        ft.corrupt_guest_mem_u32(0, QUIET_WORD, 0x2222_2222);
+        ft.corrupt_guest_mem_u32(1, QUIET_WORD, 0x2222_2222);
+        ft.corrupt_guest_mem_u32(2, QUIET_WORD, 0x1111_1111);
+        let result = ft.run();
+
+        assert_eq!(result.reintegrations.len(), 1, "{tier}");
+        let rejoined_at = result.reintegrations[0].epoch;
+        let divergences = result.lockstep.divergences();
+        assert!(
+            !divergences.is_empty(),
+            "{tier}: replica 2 hashed its own bytes before it died"
+        );
+        for d in divergences {
+            assert!(
+                d.epoch < rejoined_at && (d.replica_a == 2 || d.replica_b == 2),
+                "{tier}: divergence after reintegration at epoch {rejoined_at}: {d:?}"
+            );
+        }
+        assert!(
+            result.replica_stats[2].epochs > rejoined_at + 5,
+            "{tier}: the rejoiner must have been compared again after its restore"
+        );
+        assert_eq!(ft.guest_mem_u32(2, QUIET_WORD), 0x2222_2222, "{tier}");
+        assert_eq!(result.console_output, reference.console, "{tier}");
     }
 }

@@ -26,6 +26,9 @@
 //! block the engines have already cached (and, for the jit, a compiled
 //! superblock mid-hot-loop) must behave exactly like the interpreter.
 
+mod common;
+
+use common::same_vm_state;
 use hvft::guest::layout::RAM_BYTES;
 use hvft::guest::{
     build_image, dhrystone_source, hello_source, io_bench_source, mixed_source, IoMode,
@@ -39,7 +42,6 @@ use hvft::isa::reg::Reg;
 use hvft::machine::cpu::{Cpu, Exit};
 use hvft::machine::exec::ExecTier;
 use hvft::machine::mem::Memory;
-use hvft::machine::statehash::vm_state_hash;
 use hvft::machine::tlb::TlbReplacement;
 use hvft_core::scenario::{RunReport, Scenario, ScenarioBuilder};
 use hvft_sim::time::SimTime;
@@ -89,8 +91,8 @@ fn assert_bare_equivalent(
                 "{name}/{tier}: simulated time diverged at limit {limit}"
             );
             assert_eq!(
-                vm_state_hash(&host.cpu, &host.mem),
-                vm_state_hash(&stepped.cpu, &stepped.mem),
+                same_vm_state((&host.cpu, &host.mem), (&stepped.cpu, &stepped.mem)),
+                Ok(()),
                 "{name}/{tier}: state hashes diverged at {} retired",
                 ra.retired
             );
@@ -215,8 +217,8 @@ fn self_modifying_guest_invalidates_the_block_cache() {
         assert_eq!(ra.exit, rb.exit, "{tier}");
         assert_eq!(ra.retired, rb.retired, "{tier}");
         assert_eq!(
-            vm_state_hash(&host_a.cpu, &host_a.mem),
-            vm_state_hash(&host_b.cpu, &host_b.mem),
+            same_vm_state((&host_a.cpu, &host_a.mem), (&host_b.cpu, &host_b.mem)),
+            Ok(()),
             "self-modifying code must behave identically on every engine ({tier})"
         );
         // 5 passes: 1 original (+1), 4 patched (+100 each).
@@ -277,8 +279,8 @@ fn patching_a_compiled_superblock_invalidates_and_recompiles() {
     assert_eq!(rj.exit, rs.exit);
     assert_eq!(rj.retired, rs.retired);
     assert_eq!(
-        vm_state_hash(&host_j.cpu, &host_j.mem),
-        vm_state_hash(&host_s.cpu, &host_s.mem),
+        same_vm_state((&host_j.cpu, &host_j.mem), (&host_s.cpu, &host_s.mem)),
+        Ok(()),
         "a patched superblock must replay exactly like the interpreter"
     );
     // Calls with r22 = 60..=30 add 1 (31 calls); r22 = 29..=1 add 100.
@@ -350,8 +352,8 @@ fn patching_the_second_page_of_a_cross_page_superblock_invalidates_it() {
     assert_eq!(rj.exit, rs.exit);
     assert_eq!(rj.retired, rs.retired);
     assert_eq!(
-        vm_state_hash(&host_j.cpu, &host_j.mem),
-        vm_state_hash(&host_s.cpu, &host_s.mem),
+        same_vm_state((&host_j.cpu, &host_j.mem), (&host_s.cpu, &host_s.mem)),
+        Ok(()),
         "a cross-page superblock stale on its second page must replay \
          exactly like the interpreter"
     );
@@ -424,8 +426,8 @@ fn a_store_from_inside_a_cross_page_superblock_kills_its_own_trace() {
     assert_eq!(rj.exit, rs.exit);
     assert_eq!(rj.retired, rs.retired);
     assert_eq!(
-        vm_state_hash(&host_j.cpu, &host_j.mem),
-        vm_state_hash(&host_s.cpu, &host_s.mem),
+        same_vm_state((&host_j.cpu, &host_j.mem), (&host_s.cpu, &host_s.mem)),
+        Ok(()),
         "a trace that patches its own second page must replay exactly \
          like the interpreter"
     );
@@ -844,8 +846,8 @@ proptest! {
             prop_assert_eq!(cpu_a.retired(), cpu_b.retired(), "{}", tier);
             prop_assert_eq!(cpu_a.pc, cpu_b.pc, "{}", tier);
             prop_assert_eq!(
-                vm_state_hash(&cpu_a, &mem_a),
-                vm_state_hash(&cpu_b, &mem_b),
+                same_vm_state((&cpu_a, &mem_a), (&cpu_b, &mem_b)),
+                Ok(()),
                 "final states diverged ({})",
                 tier
             );
@@ -895,12 +897,12 @@ proptest! {
             cpu_jit.set_ctl(hvft::isa::reg::ControlReg::Rctr, epoch_len);
         }
         prop_assert_eq!(
-            vm_state_hash(&cpu_blk, &mem_blk),
-            vm_state_hash(&cpu_b, &mem_b)
+            same_vm_state((&cpu_blk, &mem_blk), (&cpu_b, &mem_b)),
+            Ok(())
         );
         prop_assert_eq!(
-            vm_state_hash(&cpu_jit, &mem_jit),
-            vm_state_hash(&cpu_b, &mem_b)
+            same_vm_state((&cpu_jit, &mem_jit), (&cpu_b, &mem_b)),
+            Ok(())
         );
     }
 
@@ -966,8 +968,8 @@ tail:
             prop_assert_eq!(&log_a, &log_b, "event sequences diverged ({})", tier);
             prop_assert_eq!(cpu_a.retired(), cpu_b.retired(), "{}", tier);
             prop_assert_eq!(
-                vm_state_hash(&cpu_a, &mem_a),
-                vm_state_hash(&cpu_b, &mem_b),
+                same_vm_state((&cpu_a, &mem_a), (&cpu_b, &mem_b)),
+                Ok(()),
                 "final states diverged ({})",
                 tier
             );
