@@ -25,60 +25,17 @@ use crate::lockstep::LockstepChecker;
 use crate::messages::Message;
 use crate::observer::Observer;
 use crate::protocol::{apply_to_guest, Effect, ReplicaEngine};
+use crate::report::{ExitStatus, RunReport};
 use crate::system::FailoverInfo;
+use hvft_devices::console::Console;
 use hvft_hypervisor::cost::CostModel;
-use hvft_hypervisor::hvguest::{HvConfig, HvEvent, HvGuest, HvStats};
+use hvft_hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
 use hvft_isa::program::Program;
 use hvft_machine::mem::IO_BASE;
-use hvft_net::transport::{InstantLink, Transport};
+use hvft_net::transport::InstantLink;
 use hvft_sim::sched::Component;
 use hvft_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
-
-/// Why a chain run ended.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ChainEnd {
-    /// The workload exited with this code on the acting primary.
-    Exit {
-        /// Guest exit code.
-        code: u32,
-    },
-    /// More processors failed than the chain tolerates (> t).
-    Exhausted,
-    /// Replicas diverged at an epoch boundary (protocol violation).
-    Diverged {
-        /// The epoch at whose boundary hashes differed.
-        epoch: u64,
-    },
-    /// The epoch budget ran out (guard).
-    EpochLimit,
-}
-
-/// Result of a chain run.
-#[derive(Clone, Debug)]
-pub struct ChainResult {
-    /// Outcome.
-    pub end: ChainEnd,
-    /// Epochs executed.
-    pub epochs: u64,
-    /// Number of primaries that failstopped during the run.
-    pub failures: usize,
-    /// Console bytes, tagged with the replica that (as acting primary)
-    /// emitted them.
-    pub console: Vec<(usize, u8)>,
-    /// Cross-replica state-hash comparisons performed.
-    pub comparisons: u64,
-    /// Every promotion in order: the epoch it happened at, with `at`
-    /// carrying the promoted replica's accumulated guest time (the
-    /// chain is round-synchronous and has no global clock).
-    pub promotions: Vec<FailoverInfo>,
-    /// Simulated guest time accumulated by the acting primary (zero if
-    /// the chain was exhausted).
-    pub completion_time: SimDuration,
-    /// Hypervisor statistics per replica, in chain order (default for
-    /// failstopped replicas).
-    pub replica_stats: Vec<HvStats>,
-}
 
 /// One chain member: a hypervised guest plus its protocol engine.
 struct Replica {
@@ -92,11 +49,15 @@ pub struct TChain {
     /// Index of the acting primary (first live replica).
     head: usize,
     epoch: u64,
-    console: Vec<(usize, u8)>,
+    /// The environment's console; each byte is stamped with the emitting
+    /// replica and its accumulated guest time (the chain is
+    /// round-synchronous and has no global clock).
+    console: Console,
     lockstep: LockstepChecker,
     /// `links[&(i, j)]` carries messages from replica `i` to `j`.
     links: BTreeMap<(usize, usize), InstantLink<Message>>,
-    /// Epoch of each promotion, in promotion order.
+    /// Every promotion in order: the epoch it happened at, with `at`
+    /// carrying the promoted replica's accumulated guest time.
     promotions: Vec<FailoverInfo>,
     /// Run observers (see [`crate::observer::Observer`]); hook sites
     /// are the chain's round boundaries and promotions.
@@ -151,7 +112,7 @@ impl TChain {
             replicas,
             head: 0,
             epoch: 0,
-            console: Vec::new(),
+            console: Console::new(),
             lockstep: LockstepChecker::new(),
             links,
             promotions: Vec::new(),
@@ -195,8 +156,6 @@ impl TChain {
                 let promoted = self.replicas[next].as_mut().expect("next is live");
                 promoted.engine.promote_running(survivors);
                 let info = FailoverInfo {
-                    // The chain is round-synchronous: promotion "time"
-                    // is the promoted replica's accumulated guest time.
                     at: SimTime::ZERO + promoted.guest.elapsed(),
                     epoch: self.epoch,
                     uncertain_synthesized: false,
@@ -219,8 +178,7 @@ impl TChain {
             match effect {
                 Effect::Send { to, msg } => {
                     if let Some(link) = self.links.get_mut(&(i, to)) {
-                        let bytes = msg.wire_bytes();
-                        let _ = link.send(SimTime::ZERO, bytes, msg);
+                        link.send(msg);
                     }
                 }
                 Effect::SynthesizeUncertain | Effect::ResumeHeldIo => {
@@ -245,7 +203,7 @@ impl TChain {
                 let Some(msg) = self
                     .links
                     .get_mut(&(from, to))
-                    .and_then(|l| l.pop_ready(SimTime::ZERO))
+                    .and_then(InstantLink::pop_ready)
                 else {
                     continue;
                 };
@@ -265,7 +223,7 @@ impl TChain {
     /// Runs every live replica through one epoch (or to workload exit).
     ///
     /// Returns `Some(end)` when the run is over.
-    fn step_epoch(&mut self, budget: SimDuration) -> Option<ChainEnd> {
+    fn step_epoch(&mut self, budget: SimDuration) -> Option<ExitStatus> {
         let mut exit_code: Option<u32> = None;
         let head = self.head;
         let mut at_boundary: Vec<usize> = Vec::new();
@@ -295,7 +253,8 @@ impl TChain {
                         if is_primary
                             && paddr.wrapping_sub(IO_BASE) == hvft_devices::mmio::CONSOLE_REG_TX
                         {
-                            self.console.push((i, value as u8));
+                            let at = SimTime::ZERO + replica.guest.elapsed();
+                            self.console.write(at, i as u8, value as u8);
                         }
                         replica.guest.finish_mmio_write();
                     }
@@ -308,8 +267,9 @@ impl TChain {
                         }
                     }
                     HvEvent::Halted => break,
-                    HvEvent::BudgetExhausted => return Some(ChainEnd::EpochLimit),
-                    HvEvent::Idle => return Some(ChainEnd::EpochLimit),
+                    HvEvent::BudgetExhausted | HvEvent::Idle => {
+                        return Some(ExitStatus::EpochLimit)
+                    }
                 }
             }
         }
@@ -326,10 +286,10 @@ impl TChain {
         }
         self.epoch += 1;
         if !self.lockstep.is_clean() {
-            return Some(ChainEnd::Diverged { epoch: self.epoch });
+            return Some(ExitStatus::Diverged(self.epoch));
         }
         if let Some(code) = exit_code {
-            return Some(ChainEnd::Exit { code });
+            return Some(ExitStatus::Exit(code));
         }
         // Boundary processing through the engines: the primary issues
         // [Tme]/[end], backups wait for them; the instant links resolve
@@ -359,38 +319,46 @@ impl TChain {
     /// Runs to completion, failstopping the acting primary at each epoch
     /// number listed in `failures_at` (ascending).
     ///
+    /// The chain has no timed network and no disk, so the report's
+    /// message, latency and disk fields stay empty; a failover's `at`
+    /// and the completion time are the acting primary's accumulated
+    /// guest time (zero if the chain was exhausted). Like
+    /// [`crate::system::FtSystem::step`], the report is yielded once.
+    ///
     /// The loop itself is the shared scheduler kernel's: the chain is
     /// one [`hvft_sim::sched::Component`] whose clock is its round
     /// number, advanced one round per scheduling decision.
-    pub fn run(&mut self, failures_at: &[u64], max_epochs: u64) -> ChainResult {
+    pub fn run(&mut self, failures_at: &[u64], max_epochs: u64) -> RunReport {
         let mut rounds = ChainRounds {
             chain: self,
-            failures_at: failures_at.to_vec(),
-            next_failure: 0,
-            failures: 0,
+            failures_at,
             max_epochs,
             budget: SimDuration::from_secs(10),
         };
         hvft_sim::sched::run_solo(&mut rounds)
     }
 
-    fn result(&self, end: ChainEnd, failures: usize) -> ChainResult {
-        ChainResult {
-            end,
+    fn report(&mut self, exit: ExitStatus) -> RunReport {
+        let completion_time = self.replicas[self.head]
+            .as_ref()
+            .map_or(SimDuration::ZERO, |r| r.guest.elapsed());
+        let replica_stats: Vec<_> = self
+            .replicas
+            .iter()
+            .map(|r| r.as_ref().map(|r| *r.guest.stats()).unwrap_or_default())
+            .collect();
+        let divergences = self.lockstep.take_divergences();
+        RunReport {
+            console: self.console.output(),
+            console_hosts: self.console.hosts_seen(),
             epochs: self.epoch,
-            failures,
-            console: self.console.clone(),
-            comparisons: self.lockstep.compared(),
-            promotions: self.promotions.clone(),
-            completion_time: self.replicas[self.head]
-                .as_ref()
-                .map(|r| r.guest.elapsed())
-                .unwrap_or(SimDuration::ZERO),
-            replica_stats: self
-                .replicas
-                .iter()
-                .map(|r| r.as_ref().map(|r| *r.guest.stats()).unwrap_or_default())
-                .collect(),
+            failovers: std::mem::take(&mut self.promotions),
+            primary_stats: replica_stats.last().copied().unwrap_or_default(),
+            replica_stats,
+            lockstep_compared: self.lockstep.compared(),
+            lockstep_clean: divergences.is_empty(),
+            divergences,
+            ..RunReport::new(exit, completion_time)
         }
     }
 }
@@ -400,36 +368,34 @@ impl TChain {
 /// each `advance` injects due failstops and executes one epoch round.
 struct ChainRounds<'a> {
     chain: &'a mut TChain,
-    failures_at: Vec<u64>,
-    next_failure: usize,
-    failures: usize,
+    /// Epochs still to failstop the acting primary at, ascending.
+    failures_at: &'a [u64],
     max_epochs: u64,
     budget: SimDuration,
 }
 
 impl Component for ChainRounds<'_> {
-    type Output = ChainResult;
+    type Output = RunReport;
 
     fn next_action_time(&self) -> Option<SimTime> {
         Some(SimTime::from_nanos(self.chain.epoch))
     }
 
-    fn advance(&mut self) -> Option<ChainResult> {
+    fn advance(&mut self) -> Option<RunReport> {
         if self.chain.epoch >= self.max_epochs {
-            return Some(self.chain.result(ChainEnd::EpochLimit, self.failures));
+            return Some(self.chain.report(ExitStatus::EpochLimit));
         }
-        if let Some(&at) = self.failures_at.get(self.next_failure) {
+        if let Some((&at, rest)) = self.failures_at.split_first() {
             if self.chain.epoch >= at {
-                self.next_failure += 1;
-                self.failures += 1;
+                self.failures_at = rest;
                 if !self.chain.fail_primary() {
-                    return Some(self.chain.result(ChainEnd::Exhausted, self.failures));
+                    return Some(self.chain.report(ExitStatus::Exhausted));
                 }
             }
         }
         self.chain
             .step_epoch(self.budget)
-            .map(|end| self.chain.result(end, self.failures))
+            .map(|exit| self.chain.report(exit))
     }
 }
 
@@ -463,21 +429,23 @@ mod tests {
 
     fn reference_code() -> u32 {
         let mut c = chain(1);
-        match c.run(&[], 100_000).end {
-            ChainEnd::Exit { code } => code,
-            other => panic!("{other:?}"),
-        }
+        let exit = c.run(&[], 100_000).exit;
+        exit.code().unwrap_or_else(|| panic!("{exit:?}"))
     }
 
     #[test]
     fn failure_free_chain_stays_in_lockstep() {
         let mut c = chain(3);
         let r = c.run(&[], 100_000);
-        assert!(matches!(r.end, ChainEnd::Exit { .. }), "{:?}", r.end);
+        assert!(r.exit.is_clean_exit(), "{:?}", r.exit);
         assert_eq!(c.live(), 4);
-        assert_eq!(r.failures, 0);
+        assert!(r.failovers.is_empty());
         // Every boundary compared all four replicas.
-        assert!(r.comparisons >= 3 * (r.epochs - 1), "{:?}", r.comparisons);
+        assert!(
+            r.lockstep_compared >= 3 * (r.epochs - 1),
+            "{:?}",
+            r.lockstep_compared
+        );
     }
 
     #[test]
@@ -488,16 +456,12 @@ mod tests {
             // Fail one primary every 3 epochs, t times.
             let fails: Vec<u64> = (1..=t as u64).map(|k| k * 3).collect();
             let r = c.run(&fails, 100_000);
-            match r.end {
-                ChainEnd::Exit { code: got } => {
-                    assert_eq!(
-                        got, code,
-                        "t={t}: survivor must produce the reference result"
-                    )
-                }
-                other => panic!("t={t}: {other:?}"),
-            }
-            assert_eq!(r.failures, t);
+            assert_eq!(
+                r.exit,
+                ExitStatus::Exit(code),
+                "t={t}: survivor must produce the reference result"
+            );
+            assert_eq!(r.failovers.len(), t);
             assert_eq!(c.live(), 1, "t={t}: exactly the survivor remains");
         }
     }
@@ -512,10 +476,9 @@ mod tests {
         let run = |variant| {
             let mut c = TChain::build(&img, 2, CostModel::functional(), hv, variant);
             let r = c.run(&[4], 100_000);
-            match r.end {
-                ChainEnd::Exit { code } => (code, r.epochs),
-                other => panic!("{variant:?}: {other:?}"),
-            }
+            let code = r.exit.code();
+            assert!(code.is_some(), "{variant:?}: {:?}", r.exit);
+            (code, r.epochs)
         };
         assert_eq!(run(ProtocolVariant::Old), run(ProtocolVariant::New));
     }
@@ -524,8 +487,12 @@ mod tests {
     fn t_plus_one_failures_exhaust_the_chain() {
         let mut c = chain(2);
         let r = c.run(&[1, 2, 3], 100_000);
-        assert_eq!(r.end, ChainEnd::Exhausted);
-        assert_eq!(r.failures, 3);
+        assert_eq!(r.exit, ExitStatus::Exhausted);
+        assert_eq!(
+            r.failovers.len(),
+            2,
+            "only two replicas were left to promote"
+        );
         assert_eq!(c.live(), 0);
     }
 
@@ -543,14 +510,17 @@ mod tests {
         };
         let mut c = TChain::build(&img, 2, CostModel::functional(), hv, ProtocolVariant::Old);
         let r = c.run(&[2, 4], 100_000);
-        assert!(matches!(r.end, ChainEnd::Exit { code: 42 }), "{:?}", r.end);
+        assert_eq!(r.exit, ExitStatus::Exit(42));
         // Emitting replica indices never decrease (one-way promotions).
-        let emitters: Vec<usize> = r.console.iter().map(|&(i, _)| i).collect();
+        let emitters: Vec<u8> = c.console.events().iter().map(|e| e.host).collect();
         assert!(emitters.windows(2).all(|w| w[0] <= w[1]), "{emitters:?}");
         // Bytes remain an in-order subsequence of the message.
-        let bytes: Vec<u8> = r.console.iter().map(|&(_, b)| b).collect();
         let mut it = b"abcdefghij".iter();
-        assert!(bytes.iter().all(|b| it.any(|m| m == b)), "{bytes:?}");
+        assert!(
+            r.console.iter().all(|b| it.any(|m| m == b)),
+            "{:?}",
+            r.console
+        );
     }
 
     #[test]
@@ -570,10 +540,11 @@ mod tests {
         );
         let r = c.run(&[], 100_000);
         assert!(
-            matches!(r.end, ChainEnd::Diverged { .. }),
+            matches!(r.exit, ExitStatus::Diverged(_)) && !r.lockstep_clean,
             "unmanaged random TLBs must diverge somewhere in the chain: {:?}",
-            r.end
+            r.exit
         );
+        assert!(!r.divergences.is_empty(), "the report names the pair");
     }
 
     #[test]

@@ -62,7 +62,7 @@
 //! ```
 //! use hvft_core::cluster::{FtCluster, Parallelism};
 //! use hvft_core::config::FtConfig;
-//! use hvft_core::system::RunEnd;
+//! use hvft_core::scenario::ExitStatus;
 //! use hvft_guest::{build_image, hello_source, KernelConfig};
 //! use hvft_net::link::LinkSpec;
 //! use hvft_sim::time::SimDuration;
@@ -81,12 +81,13 @@
 //! }
 //! let results = cluster.run_with(Parallelism::Threads(2));
 //! for r in &results {
-//!     assert!(matches!(r.outcome, RunEnd::Exit { code: 42 }));
+//!     assert_eq!(r.exit, ExitStatus::Exit(42));
 //! }
 //! ```
 
 use crate::config::FtConfig;
-use crate::system::{FtRunResult, FtSystem, StepPlan, SystemCheckpoint, WireFrame};
+use crate::report::RunReport;
+use crate::system::{FtSystem, StepPlan, SystemCheckpoint, WireFrame};
 use hvft_hypervisor::hvguest::{HvEvent, HvGuest};
 use hvft_isa::program::Program;
 use hvft_net::lan::{Lan, LanStats};
@@ -201,7 +202,7 @@ impl FtCluster {
     }
 
     /// Direct access to shard `sys` (failure scheduling, disk
-    /// pre-filling, tracing).
+    /// pre-filling, observers).
     ///
     /// # Panics
     ///
@@ -278,7 +279,7 @@ impl FtCluster {
     /// # Panics
     ///
     /// Panics if the cluster has no systems.
-    pub fn run(&mut self) -> Vec<FtRunResult> {
+    pub fn run(&mut self) -> Vec<RunReport> {
         self.run_with(Parallelism::Sequential)
     }
 
@@ -290,7 +291,7 @@ impl FtCluster {
     /// # Panics
     ///
     /// Panics if the cluster has no systems.
-    pub fn run_with(&mut self, parallelism: Parallelism) -> Vec<FtRunResult> {
+    pub fn run_with(&mut self, parallelism: Parallelism) -> Vec<RunReport> {
         assert!(!self.sched.is_empty(), "empty cluster");
         let pool = match parallelism {
             Parallelism::Sequential | Parallelism::Threads(0) => None,
@@ -308,7 +309,7 @@ impl FtCluster {
     /// slice in the wave to the pool, if any), then commit actions
     /// strictly in the kernel's global `(time, shard)` pick order —
     /// and, within a shard's wave, in plan order.
-    fn coordinate(&mut self, pool: Option<&'static WorkPool>) -> Vec<FtRunResult> {
+    fn coordinate(&mut self, pool: Option<&'static WorkPool>) -> Vec<RunReport> {
         let n = self.sched.len();
         let mut plans: Vec<Option<StepPlan>> = vec![None; n];
         // Completed off-thread slices' hypervisor events, banked per
@@ -416,7 +417,7 @@ struct SliceDone {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::RunEnd;
+    use crate::report::ExitStatus;
     use hvft_guest::{build_image, dhrystone_source, hello_source, KernelConfig};
     use hvft_hypervisor::cost::CostModel;
     use hvft_sim::time::{SimDuration, SimTime};
@@ -430,21 +431,21 @@ mod tests {
 
     /// Everything a run report contains that a schedule change could
     /// possibly disturb.
-    fn fingerprint(results: &[FtRunResult]) -> Vec<String> {
+    fn fingerprint(results: &[RunReport]) -> Vec<String> {
         results
             .iter()
             .map(|r| {
                 format!(
                     "{:?}|{}|{:?}|{:?}|{:?}|{}|{}|{:?}|{}",
-                    r.outcome,
+                    r.exit,
                     r.completion_time,
-                    r.console_output,
+                    r.console,
                     r.failovers,
                     r.messages_per_replica,
                     r.frames_retransmitted,
                     r.frames_suppressed,
                     r.op_latencies,
-                    r.lockstep.compared(),
+                    r.lockstep_compared,
                 )
             })
             .collect()
@@ -460,12 +461,12 @@ mod tests {
         cluster.add_system(&hello, fast());
         let results = cluster.run();
         assert_eq!(results.len(), 3);
-        assert!(matches!(results[0].outcome, RunEnd::Exit { code: 42 }));
-        assert!(matches!(results[1].outcome, RunEnd::Exit { .. }));
-        assert_eq!(results[0].console_output, b"a\n");
-        assert_eq!(results[2].console_output, b"a\n");
+        assert_eq!(results[0].exit, ExitStatus::Exit(42));
+        assert!(results[1].exit.is_clean_exit());
+        assert_eq!(results[0].console, b"a\n");
+        assert_eq!(results[2].console, b"a\n");
         for r in &results {
-            assert!(r.lockstep.is_clean());
+            assert!(r.lockstep_clean);
         }
     }
 

@@ -52,10 +52,11 @@ pub mod lockstep;
 pub mod messages;
 pub mod observer;
 pub mod protocol;
+mod report;
 pub mod scenario;
 pub mod system;
 
-pub use chain::{ChainEnd, ChainResult, TChain};
+pub use chain::TChain;
 pub use cluster::{FtCluster, Parallelism};
 pub use config::{FailureSpec, FtConfig, ProtocolVariant};
 pub use lockstep::{Divergence, LockstepChecker};
@@ -65,4 +66,4 @@ pub use protocol::{Effect, IoGate, Promotion, ReplicaEngine, ReplicaId};
 pub use scenario::{
     ClusterScenario, ConfigError, Driver, ExitStatus, RunReport, Runner, Scenario, ScenarioBuilder,
 };
-pub use system::{FailoverInfo, FtRunResult, FtSystem, RunEnd, WireFrame};
+pub use system::{FailoverInfo, FtSystem, WireFrame};

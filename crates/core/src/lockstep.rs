@@ -113,6 +113,12 @@ impl LockstepChecker {
         &self.divergences
     }
 
+    /// Moves the recorded divergences out (into the run report),
+    /// leaving the checker with none.
+    pub(crate) fn take_divergences(&mut self) -> Vec<Divergence> {
+        std::mem::take(&mut self.divergences)
+    }
+
     /// Whether every comparison matched.
     pub fn is_clean(&self) -> bool {
         self.divergences.is_empty()

@@ -4,9 +4,13 @@
 //! The drivers used to grow a bespoke counter for each question anyone
 //! asked of a run ("how many frames were re-sent?", "when did the
 //! failover land?"). An [`Observer`] inverts that: the driver announces
-//! each protocol-level event — epoch boundaries, failovers, message
-//! sends/drops/retransmissions, interrupt deliveries — and whoever
-//! needs a statistic accumulates it outside the driver.
+//! each protocol-level event — epoch boundaries, processor failstops
+//! and repairs ([`Observer::replica_failstopped`],
+//! [`Observer::replica_repaired`]), failovers, snapshots and
+//! reintegrations, message sends/drops/retransmissions, interrupt
+//! deliveries — and whoever needs a statistic or a timeline accumulates
+//! it outside the driver. This is the only observability channel: there
+//! is no separate trace sink.
 //!
 //! Hooks fire only on the *driver's* event paths (a few per epoch),
 //! never inside the interpreter's per-instruction fast path, and each
@@ -101,9 +105,20 @@ pub trait Observer {
     /// synthesized uncertain completion).
     fn interrupt_delivered(&mut self, _replica: usize, _irq_bits: u32, _at: SimTime) {}
 
+    /// A processor failstopped — the acting primary or a backup, by the
+    /// failure schedule. Nothing further leaves it; if it was the acting
+    /// primary, a [`Observer::failover`] follows once a backup's
+    /// detector times out.
+    fn replica_failstopped(&mut self, _replica: usize, _at: SimTime) {}
+
+    /// A failstopped processor was repaired and is back on the LAN,
+    /// awaiting a state transfer ([`Observer::snapshot_taken`], then
+    /// [`Observer::replica_reintegrated`]).
+    fn replica_repaired(&mut self, _replica: usize, _at: SimTime) {}
+
     /// The acting primary captured a whole-replica snapshot at the
-    /// boundary of `epoch` and began streaming it to a repaired
-    /// replica; `bytes` is the modelled size of the transfer.
+    /// boundary of `epoch` — to stream it to a repaired replica, or for
+    /// a scheduled checkpoint; `bytes` is its modelled size.
     fn snapshot_taken(&mut self, _replica: usize, _epoch: u64, _bytes: u64, _at: SimTime) {}
 
     /// A repaired replica finished restoring a state transfer and
@@ -145,6 +160,10 @@ pub struct RunStats {
     pub failovers: u64,
     /// Interrupts delivered into guests.
     pub interrupts_delivered: u64,
+    /// Processors failstopped by the failure schedule.
+    pub failstops: u64,
+    /// Failstopped processors repaired and put back on the LAN.
+    pub repairs: u64,
     /// Whole-replica snapshots captured for reintegration transfers.
     pub snapshots_taken: u64,
     /// Repaired replicas readmitted as live backups.
@@ -196,6 +215,14 @@ impl Observer for RunStats {
 
     fn interrupt_delivered(&mut self, _replica: usize, _irq_bits: u32, _at: SimTime) {
         self.interrupts_delivered += 1;
+    }
+
+    fn replica_failstopped(&mut self, _replica: usize, _at: SimTime) {
+        self.failstops += 1;
+    }
+
+    fn replica_repaired(&mut self, _replica: usize, _at: SimTime) {
+        self.repairs += 1;
     }
 
     fn snapshot_taken(&mut self, _replica: usize, _epoch: u64, _bytes: u64, _at: SimTime) {

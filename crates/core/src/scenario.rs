@@ -61,26 +61,25 @@
 //! assert!(report.exit.is_clean_exit());
 //! ```
 
-use crate::chain::{ChainEnd, TChain};
+use crate::chain::TChain;
 use crate::cluster::FtCluster;
 use crate::config::{FailureSpec, FtConfig, ProtocolVariant};
 use crate::observer::Observer;
-use crate::system::{FailoverInfo, FtRunResult, FtSystem, ReintegrationInfo, RunEnd};
-use hvft_devices::disk::DiskLogEntry;
+use crate::system::FtSystem;
 use hvft_guest::workload::{by_name, UnknownWorkload, Workload};
 use hvft_hypervisor::bare::{BareExit, BareHost};
 use hvft_hypervisor::cost::CostModel;
 use hvft_hypervisor::hvguest::{HvConfig, HvStats};
 use hvft_isa::program::Program;
 use hvft_net::link::LinkSpec;
-use hvft_sim::stats::DurationHistogram;
 use hvft_sim::time::{SimDuration, SimTime};
 use std::fmt;
 
-// The knobs a builder user names directly, re-exported so scenario
-// call sites need only this module.
+// The knobs a builder user names directly and the result every run
+// yields, re-exported so scenario call sites need only this module.
 pub use crate::cluster::Parallelism;
 pub use crate::config::ProtocolVariant as Protocol;
+pub use crate::report::{ExitStatus, RunReport};
 pub use hvft_machine::{ExecStats, ExecTier};
 
 /// Upper bound on the configurable disk size. The simulated medium is
@@ -134,14 +133,6 @@ pub enum ConfigError {
     EmptyDisk,
     /// A zero-length epoch never reaches a boundary.
     ZeroEpochLen,
-    /// [`ScenarioBuilder::block_exec`] and [`ScenarioBuilder::exec_tier`]
-    /// were both called and disagree about the engine.
-    ExecTierConflict {
-        /// What `block_exec(..)` asked for.
-        block_exec: bool,
-        /// What `exec_tier(..)` asked for.
-        tier: ExecTier,
-    },
     /// An option was combined with a driver that cannot honour it (the
     /// payload says which and why).
     DriverMismatch(&'static str),
@@ -183,11 +174,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::EmptyDisk => write!(f, "a disk needs at least one block"),
             ConfigError::ZeroEpochLen => write!(f, "epoch length must be at least 1 instruction"),
-            ConfigError::ExecTierConflict { block_exec, tier } => write!(
-                f,
-                "block_exec({block_exec}) and exec_tier({tier}) disagree: drop \
-                 the legacy block_exec(..) call and keep exec_tier(..)"
-            ),
             ConfigError::DriverMismatch(why) => write!(f, "driver mismatch: {why}"),
         }
     }
@@ -211,111 +197,6 @@ pub enum Driver {
     Chain,
 }
 
-/// How a scenario's workload ended, uniform across drivers.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ExitStatus {
-    /// The workload called `SYS_EXIT` with this code (checksum).
-    Exit(u32),
-    /// The guest halted without a clean exit (kernel fatal path, or a
-    /// bare guest with no wake-up source).
-    Fatal(Option<u32>),
-    /// The per-guest instruction limit tripped.
-    InsnLimit,
-    /// More processors failed than the chain tolerates.
-    Exhausted,
-    /// Replicas diverged at this epoch boundary (protocol violation).
-    Diverged(u64),
-    /// The chain's epoch budget ran out.
-    EpochLimit,
-}
-
-impl ExitStatus {
-    /// Whether the workload finished with a clean `SYS_EXIT`.
-    pub fn is_clean_exit(&self) -> bool {
-        matches!(self, ExitStatus::Exit(_))
-    }
-
-    /// The exit code, if the workload exited cleanly.
-    pub fn code(&self) -> Option<u32> {
-        match self {
-            ExitStatus::Exit(c) => Some(*c),
-            _ => None,
-        }
-    }
-}
-
-/// The uniform result of running any scenario under any driver.
-///
-/// Fields a driver cannot measure are empty/zero and documented per
-/// driver on [`Runner::run`].
-#[derive(Clone, Debug)]
-pub struct RunReport {
-    /// `workload@driver` label, for logs and bench records.
-    pub label: String,
-    /// How the workload ended.
-    pub exit: ExitStatus,
-    /// Simulated completion time on the acting primary's clock (the
-    /// paper's `N′`; the bare driver's `N`).
-    pub completion_time: SimDuration,
-    /// Bytes the environment's console received, in order.
-    pub console: Vec<u8>,
-    /// Replicas that wrote to the console, in order of first write
-    /// (more than one entry only across a failover).
-    pub console_hosts: Vec<u8>,
-    /// Epochs completed at the acting primary.
-    pub epochs: u64,
-    /// Guest instructions retired at the acting primary.
-    pub retired: u64,
-    /// Every failover, in promotion order.
-    pub failovers: Vec<FailoverInfo>,
-    /// Acting primary's hypervisor statistics.
-    pub primary_stats: HvStats,
-    /// Hypervisor statistics per replica, in chain order.
-    pub replica_stats: Vec<HvStats>,
-    /// Frames sent per replica (incl. retransmissions and acks).
-    pub messages_per_replica: Vec<u64>,
-    /// Data frames re-sent by the reliable layer.
-    pub frames_retransmitted: u64,
-    /// Duplicate frames suppressed by receivers.
-    pub frames_suppressed: u64,
-    /// Every completed backup reintegration, in completion order
-    /// (replicated driver only).
-    pub reintegrations: Vec<ReintegrationInfo>,
-    /// Modelled bytes of completed reintegration state transfers.
-    pub state_transfer_bytes: u64,
-    /// Epoch-boundary state-hash comparisons performed.
-    pub lockstep_compared: u64,
-    /// Whether every compared boundary hashed identically.
-    pub lockstep_clean: bool,
-    /// The disk's environment-visible operation log.
-    pub disk_log: Vec<DiskLogEntry>,
-    /// Disk-driver retries recorded by the guest kernel.
-    pub guest_retries: u32,
-    /// Guest-visible latency of each completed disk operation.
-    pub op_latencies: Vec<SimDuration>,
-    /// The same latencies as a histogram (1 ms buckets — the paper's
-    /// operations sit around 26 ms).
-    pub op_latency_hist: DurationHistogram,
-}
-
-impl RunReport {
-    /// The acting primary's execution-tier breakdown: instructions
-    /// retired per engine, superblocks compiled, jit invalidations.
-    /// Per-replica breakdowns live in each
-    /// [`replica_stats`](RunReport::replica_stats) entry.
-    pub fn exec_stats(&self) -> ExecStats {
-        self.primary_stats.exec
-    }
-}
-
-fn latency_hist(samples: &[SimDuration]) -> DurationHistogram {
-    let mut h = DurationHistogram::new(SimDuration::from_millis(1), 64);
-    for &d in samples {
-        h.record(d);
-    }
-    h
-}
-
 /// What the builder was given as the guest.
 enum WorkloadSpec {
     Named(String),
@@ -336,8 +217,6 @@ pub struct ScenarioBuilder {
     chain_failures_at: Vec<u64>,
     max_epochs: u64,
     parallelism: Parallelism,
-    block_exec_asked: Option<bool>,
-    exec_tier_asked: Option<ExecTier>,
 }
 
 impl Default for ScenarioBuilder {
@@ -353,8 +232,6 @@ impl Default for ScenarioBuilder {
             chain_failures_at: Vec::new(),
             max_epochs: 1_000_000,
             parallelism: Parallelism::Sequential,
-            block_exec_asked: None,
-            exec_tier_asked: None,
         }
     }
 }
@@ -542,27 +419,11 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Legacy two-way engine switch: whether guests use the
-    /// predecoded-block fast path (default true; disabling single-steps
-    /// — observably identical, and the knob lets differential tests
-    /// prove that). Combining it with a disagreeing
-    /// [`ScenarioBuilder::exec_tier`] is a [`ConfigError`].
-    pub fn block_exec(mut self, enabled: bool) -> Self {
-        self.block_exec_asked = Some(enabled);
-        self.cfg.hv.exec_tier = if enabled {
-            ExecTier::Block
-        } else {
-            ExecTier::Step
-        };
-        self
-    }
-
     /// Selects the execution engine for every guest — the single-step
     /// reference interpreter, predecoded blocks (the default) or the
     /// threaded-code jit. All tiers are observably identical; see the
     /// three-way differential oracle in `tests/proptest_step_vs_block.rs`.
     pub fn exec_tier(mut self, tier: ExecTier) -> Self {
-        self.exec_tier_asked = Some(tier);
         self.cfg.hv.exec_tier = tier;
         self
     }
@@ -625,16 +486,6 @@ impl ScenarioBuilder {
         };
         if self.cfg.hv.epoch_len == 0 {
             return Err(ConfigError::ZeroEpochLen);
-        }
-        if let (Some(block_exec), Some(tier)) = (self.block_exec_asked, self.exec_tier_asked) {
-            let implied = if block_exec {
-                ExecTier::Block
-            } else {
-                ExecTier::Step
-            };
-            if tier != implied {
-                return Err(ConfigError::ExecTierConflict { block_exec, tier });
-            }
         }
         if self.cfg.disk_blocks == 0 {
             return Err(ConfigError::EmptyDisk);
@@ -795,7 +646,7 @@ impl Scenario {
 
     /// Instantiates the driver. Use this instead of [`Scenario::run`]
     /// to attach [`Observer`]s or to touch the underlying system
-    /// (pre-filling disk blocks, enabling the tracer) before running.
+    /// (pre-filling disk blocks, scheduling checkpoints) before running.
     pub fn runner(&self) -> Runner {
         match self.driver {
             Driver::Bare => {
@@ -815,15 +666,7 @@ impl Scenario {
             }
             Driver::Replicated => {
                 let mut system = FtSystem::from_config(&self.image, self.cfg);
-                for &at in &self.extra_primary_failures {
-                    system.schedule_failure(at);
-                }
-                for &(at, replica) in &self.replica_failures {
-                    system.schedule_replica_failure(at, replica);
-                }
-                for &(at, replica) in &self.rejoins {
-                    system.schedule_rejoin(at, replica);
-                }
+                self.schedule_faults(&mut system);
                 Runner::Replicated {
                     system,
                     label: self.label.clone(),
@@ -841,6 +684,20 @@ impl Scenario {
                 max_epochs: self.max_epochs,
                 label: self.label.clone(),
             },
+        }
+    }
+
+    /// Puts this scenario's failure and rejoin schedule on a freshly
+    /// built replicated system.
+    fn schedule_faults(&self, system: &mut FtSystem) {
+        for &at in &self.extra_primary_failures {
+            system.schedule_failure(at);
+        }
+        for &(at, replica) in &self.replica_failures {
+            system.schedule_replica_failure(at, replica);
+        }
+        for &(at, replica) in &self.rejoins {
+            system.schedule_rejoin(at, replica);
         }
     }
 
@@ -907,7 +764,7 @@ impl Runner {
     }
 
     /// The underlying [`FtSystem`], when the driver is replicated
-    /// (disk pre-filling, tracer access, extra failure scheduling).
+    /// (disk pre-filling, checkpoints, extra failure scheduling).
     pub fn ft_mut(&mut self) -> Option<&mut FtSystem> {
         match self {
             Runner::Replicated { system, .. } => Some(system),
@@ -939,129 +796,45 @@ impl Runner {
     /// fields empty, failover `at` is the promoted replica's guest
     /// time).
     pub fn run(&mut self) -> RunReport {
-        match self {
+        let (mut report, label) = match self {
             Runner::Bare {
                 host,
                 max_insns,
                 label,
             } => {
                 let r = host.run(*max_insns);
-                RunReport {
-                    label: label.clone(),
-                    exit: match r.exit {
-                        BareExit::Halted { code: Some(c) } => ExitStatus::Exit(c),
-                        BareExit::Halted { code: None } | BareExit::Stuck => {
-                            ExitStatus::Fatal(None)
-                        }
-                        BareExit::InstructionLimit => ExitStatus::InsnLimit,
-                    },
-                    completion_time: r.time,
+                let exit = match r.exit {
+                    BareExit::Halted { code: Some(c) } => ExitStatus::Exit(c),
+                    BareExit::Halted { code: None } | BareExit::Stuck => ExitStatus::Fatal(None),
+                    BareExit::InstructionLimit => ExitStatus::InsnLimit,
+                };
+                let report = RunReport {
                     console: host.console.output(),
                     console_hosts: host.console.hosts_seen(),
-                    epochs: 0,
                     retired: r.retired,
-                    failovers: Vec::new(),
                     primary_stats: HvStats {
                         exec: host.exec_stats(),
                         ..HvStats::default()
                     },
-                    replica_stats: Vec::new(),
-                    messages_per_replica: Vec::new(),
-                    frames_retransmitted: 0,
-                    frames_suppressed: 0,
-                    reintegrations: Vec::new(),
-                    state_transfer_bytes: 0,
-                    lockstep_compared: 0,
-                    lockstep_clean: true,
                     disk_log: host.disk.log().to_vec(),
                     guest_retries: host
                         .mem
                         .read_u32(hvft_guest::layout::kdata::RETRIES)
                         .unwrap_or(0),
-                    op_latencies: Vec::new(),
-                    op_latency_hist: latency_hist(&[]),
-                }
+                    ..RunReport::new(exit, r.time)
+                };
+                (report, label)
             }
-            Runner::Replicated { system, label } => {
-                let r = system.run();
-                report_from_ft(label.clone(), r, system.primary_retired())
-            }
+            Runner::Replicated { system, label } => (system.run(), label),
             Runner::Chain {
                 chain,
                 failures_at,
                 max_epochs,
                 label,
-            } => {
-                let r = chain.run(failures_at, *max_epochs);
-                RunReport {
-                    label: label.clone(),
-                    exit: match r.end {
-                        ChainEnd::Exit { code } => ExitStatus::Exit(code),
-                        ChainEnd::Exhausted => ExitStatus::Exhausted,
-                        ChainEnd::Diverged { epoch } => ExitStatus::Diverged(epoch),
-                        ChainEnd::EpochLimit => ExitStatus::EpochLimit,
-                    },
-                    completion_time: r.completion_time,
-                    console: r.console.iter().map(|&(_, b)| b).collect(),
-                    console_hosts: {
-                        let mut hosts: Vec<u8> = Vec::new();
-                        for &(i, _) in &r.console {
-                            if !hosts.contains(&(i as u8)) {
-                                hosts.push(i as u8);
-                            }
-                        }
-                        hosts
-                    },
-                    epochs: r.epochs,
-                    retired: 0,
-                    failovers: r.promotions,
-                    primary_stats: r.replica_stats.last().copied().unwrap_or_default(),
-                    replica_stats: r.replica_stats,
-                    messages_per_replica: Vec::new(),
-                    frames_retransmitted: 0,
-                    frames_suppressed: 0,
-                    reintegrations: Vec::new(),
-                    state_transfer_bytes: 0,
-                    lockstep_compared: r.comparisons,
-                    lockstep_clean: !matches!(r.end, ChainEnd::Diverged { .. }),
-                    disk_log: Vec::new(),
-                    guest_retries: 0,
-                    op_latencies: Vec::new(),
-                    op_latency_hist: latency_hist(&[]),
-                }
-            }
-        }
-    }
-}
-
-/// Folds an [`FtRunResult`] into the uniform report shape.
-fn report_from_ft(label: String, r: FtRunResult, retired: u64) -> RunReport {
-    RunReport {
-        label,
-        exit: match r.outcome {
-            RunEnd::Exit { code } => ExitStatus::Exit(code),
-            RunEnd::Fatal { code } => ExitStatus::Fatal(code),
-            RunEnd::InsnLimit => ExitStatus::InsnLimit,
-        },
-        completion_time: r.completion_time,
-        console: r.console_output,
-        console_hosts: r.console_hosts,
-        epochs: r.primary_stats.epochs,
-        retired,
-        failovers: r.failovers,
-        primary_stats: r.primary_stats,
-        replica_stats: r.replica_stats,
-        messages_per_replica: r.messages_per_replica,
-        frames_retransmitted: r.frames_retransmitted,
-        frames_suppressed: r.frames_suppressed,
-        reintegrations: r.reintegrations,
-        state_transfer_bytes: r.state_transfer_bytes,
-        lockstep_compared: r.lockstep.compared(),
-        lockstep_clean: r.lockstep.is_clean(),
-        disk_log: r.disk_log,
-        guest_retries: r.guest_retries,
-        op_latency_hist: latency_hist(&r.op_latencies),
-        op_latencies: r.op_latencies,
+            } => (chain.run(failures_at, *max_epochs), label),
+        };
+        report.label.clone_from(label);
+        report
     }
 }
 
@@ -1193,26 +966,12 @@ impl ClusterScenario {
         let mut cluster = FtCluster::new(self.link, self.seed);
         for shard in &self.shards {
             let i = cluster.add_system(&shard.image, shard.cfg);
-            let sys = cluster.system_mut(i);
-            for &at in &shard.extra_primary_failures {
-                sys.schedule_failure(at);
-            }
-            for &(at, replica) in &shard.replica_failures {
-                sys.schedule_replica_failure(at, replica);
-            }
-            for &(at, replica) in &shard.rejoins {
-                sys.schedule_rejoin(at, replica);
-            }
+            shard.schedule_faults(cluster.system_mut(i));
         }
-        let results = cluster.run_with(self.effective_parallelism());
-        let reports = results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                let retired = cluster.system_mut(i).primary_retired();
-                report_from_ft(self.shards[i].label.clone(), r, retired)
-            })
-            .collect();
+        let mut reports = cluster.run_with(self.effective_parallelism());
+        for (report, shard) in reports.iter_mut().zip(&self.shards) {
+            report.label.clone_from(&shard.label);
+        }
         (reports, cluster.lan_stats())
     }
 }
@@ -1341,36 +1100,6 @@ mod tests {
             assert!(x.superblocks_compiled > 0, "{who}: no superblocks compiled");
             assert!(x.jit_retired > 0, "{who}: nothing retired in superblocks");
         }
-    }
-
-    #[test]
-    fn conflicting_engine_knobs_are_a_structured_error() {
-        let err = Scenario::builder()
-            .workload(tiny_dhry())
-            .block_exec(false)
-            .exec_tier(ExecTier::Jit)
-            .build()
-            .unwrap_err();
-        assert_eq!(
-            err,
-            ConfigError::ExecTierConflict {
-                block_exec: false,
-                tier: ExecTier::Jit
-            }
-        );
-        // Agreement (redundant calls) is fine, in either order.
-        assert!(Scenario::builder()
-            .workload(tiny_dhry())
-            .exec_tier(ExecTier::Step)
-            .block_exec(false)
-            .build()
-            .is_ok());
-        assert!(Scenario::builder()
-            .workload(tiny_dhry())
-            .block_exec(true)
-            .exec_tier(ExecTier::Block)
-            .build()
-            .is_ok());
     }
 
     #[test]

@@ -33,10 +33,11 @@ use crate::lockstep::LockstepChecker;
 use crate::messages::{DiskCompletion, ForwardedInterrupt, Message, ReplicaState};
 use crate::observer::{DropReason, Observer, RunStats};
 use crate::protocol::{apply_to_guest, Effect, IoGate, ReplicaEngine};
+use crate::report::{ExitStatus, RunReport};
 use hvft_devices::console::Console;
-use hvft_devices::disk::{Disk, DiskCommand, DiskLogEntry, DiskStatus, BLOCK_SIZE};
+use hvft_devices::disk::{Disk, DiskCommand, DiskStatus, BLOCK_SIZE};
 use hvft_devices::mmio;
-use hvft_hypervisor::hvguest::{HvEvent, HvGuest, HvStats};
+use hvft_hypervisor::hvguest::{HvEvent, HvGuest};
 use hvft_isa::program::Program;
 use hvft_machine::mem::IO_BASE;
 use hvft_machine::trap::irq;
@@ -46,7 +47,6 @@ use hvft_net::lan::Lan;
 use hvft_net::reliable::{Frame, RecvWindow, SendWindow};
 use hvft_sim::sched::{self, Agenda, Component};
 use hvft_sim::time::{SimDuration, SimTime};
-use hvft_sim::trace::{TraceCategory, Tracer};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
@@ -58,23 +58,6 @@ use std::rc::Rc;
 /// unsequenced `Data` frames and never generate `Ack` frames, so the
 /// wire timing is identical to raw [`Message`] channels.
 pub type WireFrame = Frame<Message>;
-
-/// How a host's run ended.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RunEnd {
-    /// The workload called `SYS_EXIT`.
-    Exit {
-        /// The code (checksum) passed by the guest.
-        code: u32,
-    },
-    /// The guest halted without an exit diagnostic (kernel fatal path).
-    Fatal {
-        /// Fatal code from the kernel, if any was diagnosed.
-        code: Option<u32>,
-    },
-    /// The per-guest instruction limit tripped.
-    InsnLimit,
-}
 
 /// An I/O the revised protocol is holding until acknowledgments
 /// complete (§4.3).
@@ -90,10 +73,10 @@ enum Life {
     /// Participating in the protocol.
     Active,
     /// Finished as acting primary: the run is over.
-    Done(RunEnd),
+    Done(ExitStatus),
     /// The guest finished the workload while still an unpromoted backup
     /// (its exit was suppressed); it waits to learn the primary's fate.
-    BackupDone(RunEnd),
+    BackupDone(ExitStatus),
     /// Failstopped.
     Dead,
     /// Repaired and back on the LAN, awaiting a state transfer from
@@ -281,50 +264,6 @@ pub struct SystemCheckpoint {
     /// The canonical state, identical in kind to a reintegration
     /// transfer: guest snapshot plus driver-level device shadows.
     pub state: ReplicaState,
-}
-
-/// The outcome of a system run.
-#[derive(Clone, Debug)]
-pub struct FtRunResult {
-    /// How the acting primary's workload ended.
-    pub outcome: RunEnd,
-    /// Completion time on the acting primary's clock — the `N′` of the
-    /// paper's normalized performance.
-    pub completion_time: SimDuration,
-    /// Every failover of the run, in promotion order (cascading
-    /// failures produce one entry per promotion).
-    pub failovers: Vec<FailoverInfo>,
-    /// Epoch-boundary state-hash comparison results.
-    pub lockstep: LockstepChecker,
-    /// Bytes the environment's console received, in order.
-    pub console_output: Vec<u8>,
-    /// Hosts that wrote to the console, in order of first write.
-    pub console_hosts: Vec<u8>,
-    /// The disk's environment-visible operation log.
-    pub disk_log: Vec<DiskLogEntry>,
-    /// Acting primary's hypervisor statistics.
-    pub primary_stats: HvStats,
-    /// Hypervisor statistics of every replica, in chain order.
-    pub replica_stats: Vec<HvStats>,
-    /// Guest-visible latency of each completed disk operation at the
-    /// acting primary (GO to interrupt delivery).
-    pub op_latencies: Vec<SimDuration>,
-    /// Driver retries recorded by the guest kernel (uncertain outcomes).
-    pub guest_retries: u32,
-    /// Frames sent by each replica, in chain order (includes
-    /// retransmissions and link-level acks when the reliable layer is
-    /// enabled).
-    pub messages_per_replica: Vec<u64>,
-    /// Data frames re-sent by the ack/retransmission layer (zero when
-    /// [`crate::config::FtConfig::retransmit`] is `None`).
-    pub frames_retransmitted: u64,
-    /// Duplicate or out-of-order frames suppressed by receivers (zero
-    /// without the reliable layer).
-    pub frames_suppressed: u64,
-    /// Every completed backup reintegration, in completion order.
-    pub reintegrations: Vec<ReintegrationInfo>,
-    /// Modelled bytes of completed reintegration state transfers.
-    pub state_transfer_bytes: u64,
 }
 
 /// The coordination medium: either a private full mesh of
@@ -587,7 +526,6 @@ pub struct FtSystem {
     lockstep: LockstepChecker,
     /// Index of the host currently acting as primary.
     acting_primary: usize,
-    tracer: Tracer,
     /// Run observers (see [`crate::observer::Observer`]). Every hook
     /// site lives on a driver event path (never the interpreter's
     /// per-instruction fast path) behind an is-empty check, so an
@@ -755,7 +693,6 @@ impl FtSystem {
             failovers: Vec::new(),
             lockstep: LockstepChecker::new(),
             acting_primary: 0,
-            tracer: Tracer::new(4096),
             observers: Vec::new(),
             stats: RunStats::new(n),
         }
@@ -806,11 +743,6 @@ impl FtSystem {
             };
             self.notify(|o| o.message_dropped(from, to, at, reason));
         }
-    }
-
-    /// Guest instructions the acting primary has retired.
-    pub fn primary_retired(&self) -> u64 {
-        self.hosts[self.acting_primary].guest.cpu.retired()
     }
 
     /// Number of replicas (1 primary + `t` backups).
@@ -887,14 +819,6 @@ impl FtSystem {
         &self.checkpoints
     }
 
-    /// Access to the protocol-event tracer (disabled by default; enable
-    /// with [`Tracer::set_enabled`] before [`FtSystem::run`]). Records
-    /// failure injection, failover/promotion, P7 synthesis, and lockstep
-    /// divergence — the low-frequency events worth a timeline.
-    pub fn tracer_mut(&mut self) -> &mut Tracer {
-        &mut self.tracer
-    }
-
     /// Shared-disk access for test setup (pre-filling blocks).
     pub fn disk_mut(&mut self) -> &mut Disk {
         &mut self.disk
@@ -949,21 +873,27 @@ impl FtSystem {
     }
 
     fn transmit(&mut self, from: usize, to: usize, msg: Message) {
-        let bytes = msg.wire_bytes();
-        let mut now = self.hosts[from].now;
         // Bounded NIC-queue backpressure: when enabled, a sender whose
         // outbound queue is more than the bound ahead of its clock
         // blocks until the queue drains to the bound — the §4.3 (New)
         // streaming primary can no longer run arbitrarily ahead of a
-        // saturated medium. Protocol data only; acks, retransmissions
-        // and heartbeats are the NIC's own (tiny) control traffic.
+        // saturated medium. Protocol data only; acks, retransmissions,
+        // heartbeats and state-transfer chunks are the NIC's own
+        // control traffic.
         if let Some(bound) = self.cfg.nic_queue_bound {
             let queue_head = self.net.busy_until_of(from, to);
-            if queue_head > now + bound {
-                now = queue_head - bound;
-                self.hosts[from].now = now;
+            if queue_head > self.hosts[from].now + bound {
+                self.hosts[from].now = queue_head - bound;
             }
         }
+        self.transmit_unclamped(from, to, msg);
+    }
+
+    /// The wire mechanics of sending `msg` at the sender's clock,
+    /// without the NIC-queue clamp.
+    fn transmit_unclamped(&mut self, from: usize, to: usize, msg: Message) {
+        let bytes = msg.wire_bytes();
+        let now = self.hosts[from].now;
         self.note_outbound(from, to, now);
         let accepted = match &mut self.rel {
             // Reliable mode: stamp a link-level sequence number, retain
@@ -975,13 +905,6 @@ impl FtSystem {
                 let frame = window.wrap(bytes, msg);
                 let wire = frame.wire_bytes(bytes);
                 let (tx_end, accepted) = self.net.send(now, from, to, wire, frame);
-                let window = self
-                    .rel
-                    .as_mut()
-                    .expect("rel unchanged")
-                    .send
-                    .get_mut(&(from, to))
-                    .expect("send window");
                 window.arm(tx_end);
                 accepted
             }
@@ -1239,16 +1162,7 @@ impl FtSystem {
         let epoch = self.hosts[i].guest.epoch();
         if self.cfg.lockstep_check {
             let hash = self.hosts[i].guest.state_hash();
-            let before = self.lockstep.divergences().len();
             self.lockstep.record(i, epoch, hash);
-            if self.lockstep.divergences().len() > before {
-                self.tracer.emit(
-                    self.hosts[i].now,
-                    TraceCategory::Protocol,
-                    Some(i as u8),
-                    format!("LOCKSTEP DIVERGENCE at epoch {epoch}"),
-                );
-            }
         }
         self.hosts[i].charge(self.cfg.cost.hv_epoch_cpu);
         let at = self.hosts[i].now;
@@ -1430,20 +1344,6 @@ impl FtSystem {
             d.heard(now);
             self.detectors[s] = Some(d);
         }
-        self.tracer.emit(
-            now,
-            TraceCategory::Failure,
-            Some(i as u8),
-            format!(
-                "P6: backup promoted at end of epoch {}{}",
-                promo.epoch,
-                if promo.uncertain_synthesized {
-                    "; P7 synthesized an uncertain interrupt"
-                } else {
-                    ""
-                }
-            ),
-        );
         let info = FailoverInfo {
             at: now,
             epoch: promo.epoch,
@@ -1529,12 +1429,7 @@ impl FtSystem {
         }
         self.hosts[victim].now = self.hosts[victim].now.max(at);
         self.hosts[victim].life = Life::Dead;
-        self.tracer.emit(
-            at,
-            TraceCategory::Failure,
-            Some(victim as u8),
-            "primary processor failstopped".to_owned(),
-        );
+        self.notify(|o| o.replica_failstopped(victim, at));
         // In-flight messages still arrive (the backup "detects the
         // primary's failure only after receiving the last message
         // sent"), but nothing further leaves the dead processor, and
@@ -1586,12 +1481,7 @@ impl FtSystem {
         self.hosts[victim].now = self.hosts[victim].now.max(at);
         self.hosts[victim].life = Life::Dead;
         self.detectors[victim] = None;
-        self.tracer.emit(
-            at,
-            TraceCategory::Failure,
-            Some(victim as u8),
-            "backup processor failstopped".to_owned(),
-        );
+        self.notify(|o| o.replica_failstopped(victim, at));
         self.net.sever_all_of(victim);
         self.disarm_windows_of(victim);
         // The acting primary detects the backup's silence (modelled at
@@ -1631,12 +1521,7 @@ impl FtSystem {
         h.inflight = None;
         h.disk_status_reg = mmio::disk_status::IDLE;
         self.pending_rejoins.push(victim);
-        self.tracer.emit(
-            at,
-            TraceCategory::Failure,
-            Some(victim as u8),
-            "repaired processor back on the LAN; awaiting state transfer".to_owned(),
-        );
+        self.notify(|o| o.replica_repaired(victim, at));
     }
 
     /// Replaces the link-layer state of every directed link touching a
@@ -1677,12 +1562,6 @@ impl FtSystem {
             let state = self.capture_replica_state(i);
             let bytes = state.guest.wire_bytes();
             self.notify(|o| o.snapshot_taken(i, epoch, bytes, now));
-            self.tracer.emit(
-                now,
-                TraceCategory::Protocol,
-                Some(i as u8),
-                format!("checkpoint at end of epoch {epoch} ({bytes} bytes of canonical state)"),
-            );
             self.checkpoints.push(SystemCheckpoint {
                 requested,
                 at: now,
@@ -1716,14 +1595,6 @@ impl FtSystem {
         self.transfer = Some((victim, epoch));
         let at = self.hosts[i].now;
         self.notify(|o| o.snapshot_taken(i, epoch, total_bytes, at));
-        self.tracer.emit(
-            at,
-            TraceCategory::Failure,
-            Some(i as u8),
-            format!(
-                "snapshot at end of epoch {epoch}: streaming {total_bytes} bytes to replica {victim}"
-            ),
-        );
         const CHUNK: u64 = 8192;
         let total = total_bytes.div_ceil(CHUNK).max(1) as u32;
         let state = Rc::new(state);
@@ -1737,7 +1608,10 @@ impl FtSystem {
             // simulation ships structure once, the link model charges
             // per-chunk bytes.
             let payload = (index + 1 == total).then(|| Rc::clone(&state));
-            self.transmit_chunk(
+            // Unclamped: the transfer is controller-driven background
+            // traffic that occupies the wire but must not stall the
+            // primary's guest, exactly like retransmissions.
+            self.transmit_unclamped(
                 i,
                 victim,
                 Message::StateChunk {
@@ -1772,42 +1646,6 @@ impl FtSystem {
                 (cmd_value, io.dma_addr)
             }),
         }
-    }
-
-    /// Transmits one state-transfer chunk: the wire mechanics of
-    /// [`FtSystem::transmit`] minus the NIC-queue clamp — the transfer
-    /// is controller-driven background traffic that occupies the wire
-    /// but must not stall the primary's guest, exactly like
-    /// retransmissions.
-    fn transmit_chunk(&mut self, from: usize, to: usize, msg: Message) {
-        let bytes = msg.wire_bytes();
-        let now = self.hosts[from].now;
-        self.note_outbound(from, to, now);
-        let accepted = match &mut self.rel {
-            Some(rel) => {
-                let window = rel.send.get_mut(&(from, to)).expect("send window");
-                let frame = window.wrap(bytes, msg);
-                let wire = frame.wire_bytes(bytes);
-                let (tx_end, accepted) = self.net.send(now, from, to, wire, frame);
-                self.rel
-                    .as_mut()
-                    .expect("rel unchanged")
-                    .send
-                    .get_mut(&(from, to))
-                    .expect("send window")
-                    .arm(tx_end);
-                accepted
-            }
-            None => {
-                let frame = Frame::Data {
-                    seq: 0,
-                    payload: msg,
-                };
-                let wire = frame.wire_bytes(bytes);
-                self.net.send(now, from, to, wire, frame).1
-            }
-        };
-        self.note_offered(from, to, bytes, now, accepted);
     }
 
     /// A state-transfer chunk reached a rejoining replica. Chunks from
@@ -1895,14 +1733,6 @@ impl FtSystem {
             bytes,
         };
         self.reintegrations.push(info);
-        self.tracer.emit(
-            at,
-            TraceCategory::Failure,
-            Some(victim as u8),
-            format!(
-                "reintegrated as live backup at end of epoch {epoch} ({bytes} bytes transferred)"
-            ),
-        );
         self.notify(|o| o.replica_reintegrated(victim, epoch, bytes, at));
     }
 
@@ -1920,9 +1750,9 @@ impl FtSystem {
             HvEvent::Diag { value, code } => {
                 self.hosts[i].diags.push((value, code));
                 let end = if code == hvft_guest::layout::diag::EXIT {
-                    Some(RunEnd::Exit { code: value })
+                    Some(ExitStatus::Exit(value))
                 } else if code == hvft_guest::layout::diag::FATAL {
-                    Some(RunEnd::Fatal { code: Some(value) })
+                    Some(ExitStatus::Fatal(Some(value)))
                 } else {
                     None
                 };
@@ -1937,16 +1767,12 @@ impl FtSystem {
                     .rev()
                     .find(|(_, c)| *c == hvft_guest::layout::diag::EXIT)
                     .map(|(v, _)| *v);
-                let end = match code {
-                    Some(c) => RunEnd::Exit { code: c },
-                    None => RunEnd::Fatal { code: None },
-                };
-                self.finish_host(i, end);
+                self.finish_host(i, code.map_or(ExitStatus::Fatal(None), ExitStatus::Exit));
             }
             HvEvent::Idle => {
                 // Our guests spin rather than idle; treat as a fatal
                 // condition so tests catch unexpected kernels.
-                self.finish_host(i, RunEnd::Fatal { code: None });
+                self.finish_host(i, ExitStatus::Fatal(None));
             }
         }
     }
@@ -1954,7 +1780,7 @@ impl FtSystem {
     /// Marks a host's workload as finished. At the acting primary this
     /// ends the run; at an unpromoted backup the (suppressed) exit parks
     /// the host until it learns the primary's fate.
-    fn finish_host(&mut self, i: usize, end: RunEnd) {
+    fn finish_host(&mut self, i: usize, end: ExitStatus) {
         if self.hosts[i].engine.is_primary() {
             self.hosts[i].life = Life::Done(end);
         } else {
@@ -2058,7 +1884,7 @@ impl FtSystem {
 
     /// Runs the system until the acting primary's workload completes —
     /// the degenerate one-component schedule of the shared kernel.
-    pub fn run(&mut self) -> FtRunResult {
+    pub fn run(&mut self) -> RunReport {
         sched::run_solo(self)
     }
 
@@ -2097,7 +1923,7 @@ impl FtSystem {
         // longer runnable on the second look).
         for i in 0..self.hosts.len() {
             if self.hosts[i].runnable() && self.hosts[i].guest.cpu.retired() >= self.cfg.max_insns {
-                self.hosts[i].life = Life::Done(RunEnd::InsnLimit);
+                self.hosts[i].life = Life::Done(ExitStatus::InsnLimit);
                 if i != self.acting_primary {
                     let effects = self.hosts[self.acting_primary].engine.remove_peer(i);
                     self.process_effects(self.acting_primary, effects);
@@ -2207,21 +2033,70 @@ impl FtSystem {
         self.hosts[host].guest.attach(guest);
     }
 
-    /// Produces the final result after a [`StepPlan::Finished`] plan.
-    pub(crate) fn finish_run(&mut self) -> FtRunResult {
-        let end = match self.hosts[self.acting_primary].life {
+    /// Produces the run's report after a [`StepPlan::Finished`] plan.
+    ///
+    /// The report is *moved* out of the system, not copied: the failover
+    /// and reintegration lists, the lockstep divergences and the
+    /// operation latencies are taken, so a second call reports them
+    /// empty. The console and the disk log are copied — both devices
+    /// stay inspectable (e.g. [`FtSystem::disk_mut`]) after the run.
+    pub(crate) fn finish_run(&mut self) -> RunReport {
+        let ap = self.acting_primary;
+        let exit = match self.hosts[ap].life {
             Life::Done(e) => e,
-            _ => RunEnd::Fatal { code: None },
+            _ => ExitStatus::Fatal(None),
         };
-        self.result(end)
+        // Latencies the guest observed while a host was (or became) the
+        // acting primary, in chain order.
+        let mut op_latencies = std::mem::take(&mut self.hosts[0].op_latencies);
+        for host in &mut self.hosts[1..] {
+            if host.promoted {
+                op_latencies.append(&mut host.op_latencies);
+            }
+        }
+        let divergences = self.lockstep.take_divergences();
+        let primary = &self.hosts[ap].guest;
+        // Wire counters come from the default RunStats observer — the
+        // same hooks any user observer sees.
+        let mut report = RunReport {
+            console: self.console.output(),
+            console_hosts: self.console.hosts_seen(),
+            epochs: primary.stats().epochs,
+            retired: primary.cpu.retired(),
+            failovers: std::mem::take(&mut self.failovers),
+            primary_stats: *primary.stats(),
+            replica_stats: self.hosts.iter().map(|h| *h.guest.stats()).collect(),
+            messages_per_replica: self.stats.frames_per_replica.clone(),
+            frames_retransmitted: self.stats.frames_retransmitted,
+            frames_suppressed: self.stats.frames_suppressed,
+            reintegrations: std::mem::take(&mut self.reintegrations),
+            state_transfer_bytes: self.stats.state_transfer_bytes,
+            lockstep_compared: self.lockstep.compared(),
+            lockstep_clean: divergences.is_empty(),
+            divergences,
+            disk_log: self.disk.log().to_vec(),
+            guest_retries: primary
+                .mem
+                .read_u32(hvft_guest::layout::kdata::RETRIES)
+                .unwrap_or(0),
+            ..RunReport::new(exit, self.hosts[ap].now - SimTime::ZERO)
+        };
+        for &d in &op_latencies {
+            report.op_latency_hist.record(d);
+        }
+        report.op_latencies = op_latencies;
+        report
     }
 
     /// Advances the system by one scheduling decision — one event, or
-    /// one conservative slice of one guest — and returns the final
-    /// result once the run is over. [`FtSystem::run`] is exactly this
+    /// one wave of conservative guest slices — and returns the run's
+    /// report once the run is over. [`FtSystem::run`] is exactly this
     /// in a loop; a cluster driver interleaves `step` calls across
     /// systems sharing a medium.
-    pub fn step(&mut self) -> Option<FtRunResult> {
+    ///
+    /// The report is yielded **once**: its lists are moved out of the
+    /// system, so stepping a finished system again reports them empty.
+    pub fn step(&mut self) -> Option<RunReport> {
         match self.plan() {
             StepPlan::Finished => Some(self.finish_run()),
             StepPlan::Event => {
@@ -2241,58 +2116,19 @@ impl FtSystem {
             }
         }
     }
-
-    fn result(&mut self, outcome: RunEnd) -> FtRunResult {
-        let ap = self.acting_primary;
-        let retries_addr = hvft_guest::layout::kdata::RETRIES;
-        // Wire counters come from the default RunStats observer — the
-        // same hooks any user observer sees — not from channel-layer
-        // internals (the bespoke-counter plumbing this subsumed).
-        let messages_per_replica = self.stats.frames_per_replica.clone();
-        let (frames_retransmitted, frames_suppressed) = (
-            self.stats.frames_retransmitted,
-            self.stats.frames_suppressed,
-        );
-        FtRunResult {
-            outcome,
-            completion_time: self.hosts[ap].now - SimTime::ZERO,
-            failovers: self.failovers.clone(),
-            lockstep: self.lockstep.clone(),
-            console_output: self.console.output(),
-            console_hosts: self.console.hosts_seen(),
-            disk_log: self.disk.log().to_vec(),
-            primary_stats: *self.hosts[ap].guest.stats(),
-            replica_stats: self.hosts.iter().map(|h| *h.guest.stats()).collect(),
-            op_latencies: {
-                let mut v = self.hosts[0].op_latencies.clone();
-                for host in &self.hosts[1..] {
-                    if host.promoted {
-                        v.extend_from_slice(&host.op_latencies);
-                    }
-                }
-                v
-            },
-            guest_retries: self.hosts[ap].guest.mem.read_u32(retries_addr).unwrap_or(0),
-            messages_per_replica,
-            frames_retransmitted,
-            frames_suppressed,
-            reintegrations: self.reintegrations.clone(),
-            state_transfer_bytes: self.stats.state_transfer_bytes,
-        }
-    }
 }
 
 /// [`FtSystem`] as a kernel [`Component`]: [`FtSystem::run`] is the
 /// one-component schedule, and [`crate::cluster::FtCluster`] registers
 /// many of these on one [`hvft_sim::sched::Scheduler`].
 impl Component for FtSystem {
-    type Output = FtRunResult;
+    type Output = RunReport;
 
     fn next_action_time(&self) -> Option<SimTime> {
         FtSystem::next_action_time(self)
     }
 
-    fn advance(&mut self) -> Option<FtRunResult> {
+    fn advance(&mut self) -> Option<RunReport> {
         self.step()
     }
 }

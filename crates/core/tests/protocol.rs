@@ -364,35 +364,46 @@ fn failure_before_any_epoch_promotes_backup_from_start() {
 }
 
 #[test]
-fn tracer_records_failover_timeline() {
+fn observer_records_failover_timeline() {
+    use hvft_core::observer::Observer;
+    use hvft_core::system::FailoverInfo;
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    #[derive(Debug, PartialEq)]
+    enum Mark {
+        Failstopped(usize, SimTime),
+        Failover(FailoverInfo),
+    }
+    struct Timeline(Rc<RefCell<Vec<Mark>>>);
+    impl Observer for Timeline {
+        fn replica_failstopped(&mut self, replica: usize, at: SimTime) {
+            self.0.borrow_mut().push(Mark::Failstopped(replica, at));
+        }
+        fn failover(&mut self, info: &FailoverInfo) {
+            self.0.borrow_mut().push(Mark::Failover(*info));
+        }
+    }
+
     let image = io_image(3, IoMode::Write);
     let total = fast(&image).build().unwrap().run().completion_time;
+    let fail_at = SimTime::from_nanos(total.as_nanos() / 2);
 
-    let scenario = fast(&image)
-        .fail_primary_at(SimTime::from_nanos(total.as_nanos() / 2))
-        .build()
-        .unwrap();
+    let scenario = fast(&image).fail_primary_at(fail_at).build().unwrap();
+    let marks = Rc::new(RefCell::new(Vec::new()));
     let mut runner = scenario.runner();
-    runner
-        .ft_mut()
-        .expect("replicated driver")
-        .tracer_mut()
-        .set_enabled(true);
+    runner.add_observer(Box::new(Timeline(Rc::clone(&marks))));
     let r = runner.run();
-    assert!(!r.failovers.is_empty());
-    let lines = runner
-        .ft_mut()
-        .expect("replicated driver")
-        .tracer_mut()
-        .render();
-    assert!(
-        lines.iter().any(|l| l.contains("failstopped")),
-        "trace must record the failure: {lines:?}"
-    );
-    assert!(
-        lines.iter().any(|l| l.contains("P6: backup promoted")),
-        "trace must record the promotion: {lines:?}"
-    );
+
+    let marks = marks.borrow();
+    let [Mark::Failstopped(0, t1), Mark::Failover(info)] = marks[..] else {
+        panic!("expected the primary's failstop, then one promotion: {marks:?}");
+    };
+    assert_eq!(t1, fail_at, "the failstop fires at its scheduled instant");
+    assert!(info.at > t1, "detection takes time: {info:?} vs {t1}");
+    assert_eq!(r.failovers, [info], "the hook sees the report's record");
+    let stats = runner.ft_mut().expect("replicated driver").run_stats();
+    assert_eq!((stats.failstops, stats.failovers), (1, 1));
 }
 
 #[test]

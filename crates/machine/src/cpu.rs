@@ -228,21 +228,6 @@ impl Cpu {
         self.exec.tier
     }
 
-    /// Legacy two-way switch: `true` selects [`ExecTier::Block`],
-    /// `false` the single-step reference tier.
-    pub fn set_block_execution(&mut self, enabled: bool) {
-        self.exec.tier = if enabled {
-            ExecTier::Block
-        } else {
-            ExecTier::Step
-        };
-    }
-
-    /// Whether a batching engine (block or jit) is enabled.
-    pub fn block_execution(&self) -> bool {
-        self.exec.tier != ExecTier::Step
-    }
-
     /// Block-cache behaviour counters.
     pub fn block_cache_stats(&self) -> BlockCacheStats {
         self.exec.blocks.stats()
@@ -601,16 +586,11 @@ impl Cpu {
             };
             match d.jit.probe(fetch_pa, self, mem, &mut d.stats) {
                 Lookup::Compiled(first) => {
-                    // Clamp so the recovery counter can only expire
-                    // *between* instructions, exactly where the
-                    // per-step path traps — internal superblock loop
-                    // iterations and chained superblocks spend this
-                    // budget like any other op, so the dispatcher
-                    // re-checks at the exact retirement count.
-                    let mut budget = goal - self.retired;
-                    if self.psw.recovery {
-                        budget = budget.min(u64::from(self.ctl(ControlReg::Rctr)));
-                    }
+                    // Internal superblock loop iterations and chained
+                    // superblocks spend this budget like any other op,
+                    // so the dispatcher re-checks at the exact
+                    // retirement count.
+                    let budget = self.batch_limit(goal);
                     let (executed, exit) = d.jit.run_chain(first, self, mem, budget, &mut d.stats);
                     d.stats.jit_retired += executed;
                     if let Some(e) = exit {
@@ -645,14 +625,8 @@ impl Cpu {
             // raises the exact trap.
             return Some(self.step(mem));
         };
-        // Clamp so the recovery counter can only expire *between*
-        // instructions, exactly where the per-step path traps.
         let len = block.insns.len();
-        let mut n = (goal - self.retired).min(len as u64);
-        if self.psw.recovery {
-            n = n.min(u64::from(self.ctl(ControlReg::Rctr)));
-        }
-        let n = n as usize;
+        let n = self.batch_limit(goal).min(len as u64) as usize;
         // Only a block's final instruction can be a terminator, so
         // the straight-line prefix is terminator-free — and since
         // every privileged instruction is a terminator, it is also
@@ -823,25 +797,33 @@ impl Cpu {
         }
     }
 
-    /// Folds a batch of `done` straight-line retirements into the
-    /// architectural state: pc, retired count, and the recovery
-    /// counter. `done` never exceeds the block-entry clamp, so the
-    /// recovery counter cannot underflow.
+    /// The retirement clamp every batching engine enters a batch with:
+    /// how many instructions may retire before the dispatcher must look
+    /// again — the distance to `goal`, and under a live recovery counter
+    /// no further than its expiry, so the counter can only expire
+    /// *between* instructions, exactly where the per-step path traps.
     #[inline]
-    fn sync_batch(&mut self, base_pc: u32, done: usize) {
-        self.pc = base_pc.wrapping_add(done as u32 * 4);
-        self.retired += done as u64;
-        if self.psw.recovery && done > 0 {
-            let rctr = self.ctl(ControlReg::Rctr);
-            self.set_ctl(ControlReg::Rctr, rctr - done as u32);
+    fn batch_limit(&self, goal: u64) -> u64 {
+        let to_goal = goal - self.retired;
+        if self.psw.recovery {
+            to_goal.min(u64::from(self.ctl(ControlReg::Rctr)))
+        } else {
+            to_goal
         }
     }
 
-    /// Folds `done` retirements from a superblock run into the
-    /// architectural state (retired count and recovery counter); the
-    /// PC is set by the superblock's exit path, which may have jumped,
-    /// so it cannot be derived from a base the way [`Cpu::sync_batch`]
-    /// does. `done` never exceeds the superblock-entry clamp, so the
+    /// Folds a batch of `done` straight-line retirements into the
+    /// architectural state: the PC follows from the block's base, the
+    /// rest is [`Cpu::sync_retire`].
+    #[inline]
+    fn sync_batch(&mut self, base_pc: u32, done: usize) {
+        self.pc = base_pc.wrapping_add(done as u32 * 4);
+        self.sync_retire(done as u64);
+    }
+
+    /// Folds `done` retirements into the retired count and the recovery
+    /// counter (a superblock's exit path sets the PC itself — it may
+    /// have jumped). `done` never exceeds [`Cpu::batch_limit`], so the
     /// recovery counter cannot underflow.
     #[inline]
     pub(crate) fn sync_retire(&mut self, done: u64) {
@@ -1452,16 +1434,16 @@ mod tests {
             imm: 99,
         })
         .unwrap();
-        let run_with = |block_exec: bool| {
+        let run_with = |tier: ExecTier| {
             let (mut cpu, mut mem) = setup(src);
             mem.write_u32(256, patched).unwrap();
-            cpu.set_block_execution(block_exec);
+            cpu.set_exec_tier(tier);
             let e = cpu.run(&mut mem, 1000);
             assert_eq!(e, Exit::Halt);
             (cpu.reg(Reg::of(6)), cpu.retired())
         };
-        let (blocked, retired_b) = run_with(true);
-        let (stepped, retired_s) = run_with(false);
+        let (blocked, retired_b) = run_with(ExecTier::Block);
+        let (stepped, retired_s) = run_with(ExecTier::Step);
         assert_eq!(blocked, 99, "patched instruction must be executed");
         assert_eq!(blocked, stepped);
         assert_eq!(retired_b, retired_s);

@@ -16,6 +16,9 @@
 //! - [`lan`] — a shared-medium [`lan::Lan`] multiplexing many directed
 //!   links over one [`link::LinkSpec`], with bandwidth contention and
 //!   per-link loss/sever injection.
+//!
+//! [`transport::InstantLink`] is the untimed medium of the
+//! round-synchronous chain driver.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,4 +35,4 @@ pub use detector::FailureDetector;
 pub use lan::{Lan, LanStats, NodeId};
 pub use link::LinkSpec;
 pub use reliable::{Frame, Outgoing, RecvWindow, SendWindow};
-pub use transport::{InstantLink, Transport};
+pub use transport::InstantLink;

@@ -1,92 +1,32 @@
-//! The transport interface shared by every replica-coordination medium.
+//! The round-synchronous chain's abstract coordination medium.
 //!
-//! The protocol engines in `hvft-core` are transport-agnostic: the same
-//! P1–P7 rule logic drives the realistic DES (whose [`Channel`] models a
-//! 10 Mbps Ethernet with occupancy and propagation) and the round-
-//! synchronous t-fault chain (whose [`InstantLink`] abstracts messages
-//! to their information content). [`Transport`] is the small interface
-//! both provide: FIFO delivery of typed messages with a delivery
-//! timestamp and a conservative lookahead.
+//! The protocol engines in `hvft-core` are medium-agnostic: the same
+//! P1–P7 rule logic drives the realistic DES (whose
+//! [`crate::channel::Channel`]s and [`crate::lan::Lan`] model occupancy
+//! and propagation) and the t-fault chain, whose [`InstantLink`] reduces
+//! messages to their information content.
 
-use crate::channel::Channel;
-use hvft_sim::time::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
-/// A unidirectional FIFO message transport.
-///
-/// Implementations must deliver messages in send order and never before
-/// the send time; [`Transport::lookahead`] bounds how soon after a send
-/// a delivery can occur (the conservative-DES horizon).
+/// The t-fault chain's abstract link: FIFO, lossless, and instantaneous
+/// (the chain is round-synchronous, so "instantaneous" means "within
+/// the same round").
 ///
 /// # Examples
 ///
-/// Code written against the trait runs over any medium:
-///
 /// ```
-/// use hvft_net::channel::Channel;
-/// use hvft_net::link::LinkSpec;
-/// use hvft_net::transport::{InstantLink, Transport};
-/// use hvft_sim::time::SimTime;
+/// use hvft_net::transport::InstantLink;
 ///
-/// fn round_trip<T: Transport<u8>>(t: &mut T) -> Option<u8> {
-///     let at = t.send(SimTime::ZERO, 1, 7)?;
-///     t.pop_ready(at)
-/// }
-/// assert_eq!(round_trip(&mut InstantLink::new()), Some(7));
-/// let mut ch = Channel::new(LinkSpec::ethernet_10mbps(), 0);
-/// assert_eq!(round_trip(&mut ch), Some(7));
+/// let mut link = InstantLink::new();
+/// assert!(link.send(7));
+/// link.sever();
+/// assert!(!link.send(8), "a severed link accepts nothing");
+/// assert_eq!(link.pop_ready(), Some(7), "in-flight messages still arrive");
+/// assert_eq!(link.pop_ready(), None);
 /// ```
-pub trait Transport<M> {
-    /// Offers `msg` (`bytes` payload bytes) for transmission at `now`.
-    /// Returns the delivery time, or `None` if the transport dropped it
-    /// (loss, severed link).
-    fn send(&mut self, now: SimTime, bytes: usize, msg: M) -> Option<SimTime>;
-
-    /// Time the next queued message becomes deliverable, if any.
-    fn next_delivery(&self) -> Option<SimTime>;
-
-    /// Pops the next message once its delivery time has arrived.
-    fn pop_ready(&mut self, now: SimTime) -> Option<M>;
-
-    /// The earliest a message sent *now* could arrive.
-    fn lookahead(&self) -> SimDuration;
-
-    /// Permanently stops accepting new messages; in-flight messages are
-    /// still delivered (a crashed sender's last words arrive).
-    fn sever(&mut self);
-}
-
-impl<M> Transport<M> for Channel<M> {
-    fn send(&mut self, now: SimTime, bytes: usize, msg: M) -> Option<SimTime> {
-        Channel::send(self, now, bytes, msg)
-    }
-
-    fn next_delivery(&self) -> Option<SimTime> {
-        Channel::next_delivery(self)
-    }
-
-    fn pop_ready(&mut self, now: SimTime) -> Option<M> {
-        Channel::pop_ready(self, now)
-    }
-
-    fn lookahead(&self) -> SimDuration {
-        Channel::lookahead(self)
-    }
-
-    fn sever(&mut self) {
-        Channel::sever(self)
-    }
-}
-
-/// The t-fault chain's abstract link: FIFO, lossless, and instantaneous.
-///
-/// Messages are delivered at the send time (the chain is round-
-/// synchronous, so "instantaneous" means "within the same round"). The
-/// lookahead is one nanosecond — a transport cannot predict the future.
 pub struct InstantLink<M> {
-    queue: VecDeque<(SimTime, M)>,
+    queue: VecDeque<M>,
     severed: bool,
-    sent: u64,
 }
 
 impl<M> InstantLink<M> {
@@ -95,18 +35,27 @@ impl<M> InstantLink<M> {
         InstantLink {
             queue: VecDeque::new(),
             severed: false,
-            sent: 0,
         }
     }
 
-    /// Messages accepted over the link's lifetime.
-    pub fn sent(&self) -> u64 {
-        self.sent
+    /// Offers `msg` for delivery; returns whether the link accepted it
+    /// (a severed link drops everything).
+    pub fn send(&mut self, msg: M) -> bool {
+        if !self.severed {
+            self.queue.push_back(msg);
+        }
+        !self.severed
     }
 
-    /// Number of messages queued for delivery.
-    pub fn in_flight(&self) -> usize {
-        self.queue.len()
+    /// Pops the oldest undelivered message.
+    pub fn pop_ready(&mut self) -> Option<M> {
+        self.queue.pop_front()
+    }
+
+    /// Permanently stops accepting new messages; in-flight messages are
+    /// still delivered (a crashed sender's last words arrive).
+    pub fn sever(&mut self) {
+        self.severed = true;
     }
 }
 
@@ -116,87 +65,28 @@ impl<M> Default for InstantLink<M> {
     }
 }
 
-impl<M> Transport<M> for InstantLink<M> {
-    fn send(&mut self, now: SimTime, _bytes: usize, msg: M) -> Option<SimTime> {
-        if self.severed {
-            return None;
-        }
-        self.sent += 1;
-        self.queue.push_back((now, msg));
-        Some(now)
-    }
-
-    fn next_delivery(&self) -> Option<SimTime> {
-        self.queue.front().map(|(t, _)| *t)
-    }
-
-    fn pop_ready(&mut self, now: SimTime) -> Option<M> {
-        match self.queue.front() {
-            Some((t, _)) if *t <= now => self.queue.pop_front().map(|(_, m)| m),
-            _ => None,
-        }
-    }
-
-    fn lookahead(&self) -> SimDuration {
-        SimDuration::from_nanos(1)
-    }
-
-    fn sever(&mut self) {
-        self.severed = true;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::link::LinkSpec;
-
-    fn drain<M, T: Transport<M>>(t: &mut T, now: SimTime) -> Vec<M> {
-        let mut out = Vec::new();
-        while let Some(m) = t.pop_ready(now) {
-            out.push(m);
-        }
-        out
-    }
 
     #[test]
     fn instant_link_is_fifo_and_immediate() {
         let mut l: InstantLink<u32> = InstantLink::new();
-        let now = SimTime::from_nanos(5);
-        assert_eq!(l.send(now, 100, 1), Some(now));
-        assert_eq!(l.send(now, 1, 2), Some(now));
-        assert_eq!(l.next_delivery(), Some(now));
-        assert_eq!(drain(&mut l, now), vec![1, 2]);
-        assert_eq!(l.sent(), 2);
+        assert!(l.send(1));
+        assert!(l.send(2));
+        assert_eq!(l.pop_ready(), Some(1));
+        assert_eq!(l.pop_ready(), Some(2));
+        assert_eq!(l.pop_ready(), None);
     }
 
     #[test]
     fn instant_link_severs_like_a_channel() {
         let mut l: InstantLink<u8> = InstantLink::new();
-        let now = SimTime::ZERO;
-        l.send(now, 1, 7);
+        l.send(7);
         l.sever();
-        assert_eq!(l.send(now, 1, 8), None);
+        assert!(!l.send(8));
         // The in-flight message still arrives.
-        assert_eq!(drain(&mut l, now), vec![7]);
-    }
-
-    #[test]
-    fn channel_satisfies_the_same_interface() {
-        fn exercise<T: Transport<u8>>(t: &mut T) -> Option<SimTime> {
-            t.send(SimTime::ZERO, 16, 9)
-        }
-        let mut ch: Channel<u8> = Channel::new(LinkSpec::ethernet_10mbps(), 0);
-        let d = exercise(&mut ch).expect("lossless channel delivers");
-        assert!(d >= SimTime::ZERO + Transport::<u8>::lookahead(&ch));
-        assert_eq!(ch.pop_ready(d), Some(9));
-    }
-
-    #[test]
-    fn lookahead_is_always_positive() {
-        let l: InstantLink<u8> = InstantLink::new();
-        assert!(Transport::<u8>::lookahead(&l) > SimDuration::ZERO);
-        let ch: Channel<u8> = Channel::new(LinkSpec::instant(), 0);
-        assert!(Transport::<u8>::lookahead(&ch) > SimDuration::ZERO);
+        assert_eq!(l.pop_ready(), Some(7));
+        assert_eq!(l.pop_ready(), None);
     }
 }

@@ -4,7 +4,6 @@
 //!
 //! - [`time`]: integer-nanosecond simulated time ([`time::SimTime`],
 //!   [`time::SimDuration`]) in which all of the paper's constants are exact;
-//! - [`event`]: a deterministic event queue with FIFO tie-breaking;
 //! - [`sched`]: the shared scheduler kernel — a deterministic
 //!   [`sched::Scheduler`] over [`sched::Component`]s with FIFO
 //!   tie-breaking, the [`sched::Agenda`] event-source arbiter, and the
@@ -16,10 +15,8 @@
 //! - [`rng`]: seeded, fork-able pseudo-randomness so "non-deterministic"
 //!   hardware behaviour (TLB replacement, transient device faults) is
 //!   reproducible;
-//! - [`stats`]: Welford accumulators and histograms for the measurement
-//!   harnesses (the paper reports means and coefficients of variation over
-//!   20 runs);
-//! - [`trace`]: a bounded structured trace sink.
+//! - [`stats`]: the fixed-bucket [`stats::DurationHistogram`] behind the
+//!   run report's operation-latency profile.
 //!
 //! The *shape* of every co-simulation loop lives here in [`sched`]; the
 //! drivers in `hvft-core` supply what only they know — the event sources
@@ -29,18 +26,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod pool;
 pub mod rng;
 pub mod sched;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
-pub use event::{EventId, EventQueue};
 pub use pool::{PoolStats, WorkPool};
 pub use rng::SimRng;
 pub use sched::{Agenda, Component, Scheduler};
-pub use stats::{DurationHistogram, RunningStats};
+pub use stats::DurationHistogram;
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceCategory, TraceRecord, Tracer};

@@ -1,125 +1,7 @@
-//! Statistics accumulators used by the measurement harnesses.
-//!
-//! The paper reports averages over 20 runs with coefficients of variation,
-//! so the harness needs streaming mean/variance (Welford) and simple
-//! histograms for interrupt-delay distributions.
+//! The fixed-bucket duration histogram the run report profiles guest
+//! operation latencies with.
 
 use crate::time::SimDuration;
-
-/// Streaming mean/variance accumulator (Welford's algorithm).
-///
-/// # Examples
-///
-/// ```
-/// use hvft_sim::stats::RunningStats;
-///
-/// let mut s = RunningStats::new();
-/// for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-///     s.push(x);
-/// }
-/// assert!((s.mean() - 5.0).abs() < 1e-12);
-/// assert!((s.population_stddev() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct RunningStats {
-    n: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl RunningStats {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        RunningStats {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds a sample.
-    pub fn push(&mut self, x: f64) {
-        self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Adds a duration sample in microseconds.
-    pub fn push_duration(&mut self, d: SimDuration) {
-        self.push(d.as_micros_f64());
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Sample mean (0 if empty).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance (0 if fewer than 1 sample).
-    pub fn population_variance(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.m2 / self.n as f64
-        }
-    }
-
-    /// Sample variance with Bessel's correction (0 if fewer than 2 samples).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn population_stddev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_stddev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
-    /// Coefficient of variation (sample stddev / mean), as the paper reports.
-    ///
-    /// Returns 0 when the mean is 0.
-    pub fn coefficient_of_variation(&self) -> f64 {
-        let m = self.mean();
-        if m == 0.0 {
-            0.0
-        } else {
-            self.sample_stddev() / m
-        }
-    }
-
-    /// Smallest sample (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-}
 
 /// Fixed-bucket histogram over durations, for interrupt-delay profiles.
 #[derive(Clone, Debug)]
@@ -200,47 +82,6 @@ impl DurationHistogram {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn empty_stats() {
-        let s = RunningStats::new();
-        assert_eq!(s.count(), 0);
-        assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.coefficient_of_variation(), 0.0);
-    }
-
-    #[test]
-    fn single_sample() {
-        let mut s = RunningStats::new();
-        s.push(3.5);
-        assert_eq!(s.mean(), 3.5);
-        assert_eq!(s.sample_variance(), 0.0);
-        assert_eq!(s.min(), 3.5);
-        assert_eq!(s.max(), 3.5);
-    }
-
-    #[test]
-    fn welford_matches_naive() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0 + 5.0).collect();
-        let mut s = RunningStats::new();
-        for &x in &xs {
-            s.push(x);
-        }
-        let mean = xs.iter().sum::<f64>() / xs.len() as f64;
-        let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (xs.len() - 1) as f64;
-        assert!((s.mean() - mean).abs() < 1e-9);
-        assert!((s.sample_variance() - var).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cov_is_relative() {
-        let mut s = RunningStats::new();
-        for x in [99.9, 100.0, 100.1] {
-            s.push(x);
-        }
-        assert!(s.coefficient_of_variation() < 0.002);
-    }
 
     #[test]
     fn histogram_buckets() {

@@ -17,8 +17,8 @@
 //! | [`guest`] | `hvft-guest` | the mini guest OS and workloads |
 //! | [`lang`] | `hvft-lang` | the hvft-lang workload compiler, reference interpreter, and random-program generator |
 //! | [`devices`] | `hvft-devices` | shared disk (IO1/IO2), console |
-//! | [`net`] | `hvft-net` | the [`net::transport::Transport`] interface with its two media — timed FIFO channels and the chain's instant links — plus link models, the failure detector, the [`net::reliable`] ack/retransmission layer, and the shared-medium [`net::lan::Lan`] |
-//! | [`sim`] | `hvft-sim` | simulated time, events, RNG, stats |
+//! | [`net`] | `hvft-net` | link models, timed FIFO channels and the shared-medium [`net::lan::Lan`], the chain's [`net::transport::InstantLink`], the failure detector, and the [`net::reliable`] ack/retransmission layer |
+//! | [`sim`] | `hvft-sim` | time, scheduler kernel, pool, RNG, histogram |
 //! | [`model`] | `hvft-model` | the paper's analytic NP models |
 //!
 //! # Quickstart

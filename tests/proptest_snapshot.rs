@@ -586,7 +586,7 @@ proptest! {
 fn reintegration_is_execution_tier_invariant() {
     let reference = rejoin_reference();
     let run = |tier: ExecTier| {
-        rejoin_schedule(
+        let scenario = rejoin_schedule(
             rejoin_base().exec_tier(tier),
             reference.total_ns,
             150,
@@ -595,14 +595,44 @@ fn reintegration_is_execution_tier_invariant() {
             150,
         )
         .build()
-        .unwrap()
-        .run()
+        .unwrap();
+        let marks = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let mut runner = scenario.runner();
+        runner.add_observer(Box::new(Timeline(marks.clone())));
+        let report = runner.run();
+        let stats = runner.ft_mut().expect("replicated driver").run_stats();
+        assert_eq!(
+            (stats.failstops, stats.repairs, stats.reintegrations),
+            (3, 1, 1),
+            "{tier}: RunStats counts every processor event"
+        );
+        (report, marks.take())
     };
-    let base = run(ExecTier::Step);
+    let (base, base_marks) = run(ExecTier::Step);
     assert_rejoin_arc(&base, "step");
+    // The whole arc as one observer timeline: the backup dies, is
+    // repaired, reintegrates, and only then do the two primaries fall.
+    use Mark::*;
+    assert_eq!(
+        base_marks.iter().map(|&(m, _)| m).collect::<Vec<_>>(),
+        [
+            Failstopped(2),
+            Repaired(2),
+            Reintegrated(2),
+            Failstopped(0),
+            Failover,
+            Failstopped(1),
+            Failover
+        ]
+    );
+    assert!(
+        base_marks.windows(2).all(|w| w[0].1 <= w[1].1),
+        "hooks fire in simulated-time order: {base_marks:?}"
+    );
     for tier in [ExecTier::Block, ExecTier::Jit] {
-        let r = run(tier);
+        let (r, marks) = run(tier);
         assert_rejoin_arc(&r, &format!("{tier}"));
+        assert_eq!(marks, base_marks, "{tier}: observer timeline");
         assert_eq!(
             r.reintegrations[0].epoch, base.reintegrations[0].epoch,
             "{tier}: reintegration epoch"
@@ -614,6 +644,35 @@ fn reintegration_is_execution_tier_invariant() {
         assert_eq!(r.failovers[0].epoch, base.failovers[0].epoch, "{tier}");
         assert_eq!(r.failovers[1].epoch, base.failovers[1].epoch, "{tier}");
         assert_eq!(r.completion_time, base.completion_time, "{tier}");
+    }
+}
+
+/// The processor-level events of a run, as the [`Observer`] hooks
+/// announce them.
+///
+/// [`Observer`]: hvft_core::observer::Observer
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Mark {
+    Failstopped(usize),
+    Repaired(usize),
+    Reintegrated(usize),
+    Failover,
+}
+
+struct Timeline(std::rc::Rc<std::cell::RefCell<Vec<(Mark, SimTime)>>>);
+
+impl hvft_core::observer::Observer for Timeline {
+    fn replica_failstopped(&mut self, replica: usize, at: SimTime) {
+        self.0.borrow_mut().push((Mark::Failstopped(replica), at));
+    }
+    fn replica_repaired(&mut self, replica: usize, at: SimTime) {
+        self.0.borrow_mut().push((Mark::Repaired(replica), at));
+    }
+    fn replica_reintegrated(&mut self, replica: usize, _epoch: u64, _bytes: u64, at: SimTime) {
+        self.0.borrow_mut().push((Mark::Reintegrated(replica), at));
+    }
+    fn failover(&mut self, info: &hvft_core::system::FailoverInfo) {
+        self.0.borrow_mut().push((Mark::Failover, info.at));
     }
 }
 
@@ -678,13 +737,16 @@ fn hvguest_restore_drops_digests_cached_under_equal_generations() {
     }
 }
 
-/// Records the last epoch boundary the backup (replica 1) announced.
-struct BackupBoundary(std::rc::Rc<std::cell::Cell<Option<u64>>>);
+/// Records the last epoch boundary one replica announced.
+struct LastBoundary {
+    replica: usize,
+    seen: std::rc::Rc<std::cell::Cell<Option<u64>>>,
+}
 
-impl hvft_core::observer::Observer for BackupBoundary {
+impl hvft_core::observer::Observer for LastBoundary {
     fn epoch_boundary(&mut self, replica: usize, epoch: u64, _at: SimTime) {
-        if replica == 1 {
-            self.0.set(Some(epoch));
+        if replica == self.replica {
+            self.seen.set(Some(epoch));
         }
     }
 }
@@ -710,7 +772,10 @@ fn lockstep_oracle_catches_corruption_in_a_page_the_guest_never_writes() {
 
         let seen = std::rc::Rc::new(std::cell::Cell::new(None));
         let mut runner = scenario.runner();
-        runner.add_observer(Box::new(BackupBoundary(seen.clone())));
+        runner.add_observer(Box::new(LastBoundary {
+            replica: 1,
+            seen: seen.clone(),
+        }));
         let ft = runner.ft_mut().expect("replicated driver");
         while seen.get().is_none_or(|e| e < 10) {
             assert!(ft.step().is_none(), "{tier}: run ended before the fault");
@@ -725,16 +790,19 @@ fn lockstep_oracle_catches_corruption_in_a_page_the_guest_never_writes() {
             0,
             "{tier}: page stayed quiet"
         );
-        let divergences = result.lockstep.divergences();
-        assert!(!divergences.is_empty(), "{tier}: corruption went unnoticed");
+        let divergences = &result.divergences;
+        assert!(
+            !result.lockstep_clean && !divergences.is_empty(),
+            "{tier}: corruption went unnoticed"
+        );
         assert_eq!(
-            divergences[0].epoch,
-            last + 1,
-            "{tier}: must be caught at the very next boundary"
+            (divergences[0].epoch, divergences[0].replica_b),
+            (last + 1, 1),
+            "{tier}: the report must name the backup's very next boundary"
         );
         assert_eq!(
             divergences.len() as u64,
-            result.lockstep.compared() - (last + 1),
+            result.lockstep_compared - (last + 1),
             "{tier}: and at every boundary compared after it"
         );
     }
@@ -757,11 +825,17 @@ fn rejoin_drops_digests_cached_under_equal_generations() {
             .rejoin_replica_at(at(400), 2)
             .build()
             .expect("valid scenario");
+        let seen = std::rc::Rc::new(std::cell::Cell::new(None));
         let mut runner = scenario.runner();
+        runner.add_observer(Box::new(LastBoundary {
+            replica: 2,
+            seen: seen.clone(),
+        }));
         let ft = runner.ft_mut().expect("replicated driver");
         while ft.next_action_time().expect("mid-run") < at(150) {
             assert!(ft.step().is_none(), "{tier}: run ended before the fault");
         }
+        let last = seen.get().expect("replica 2 ran before the fault");
         ft.corrupt_guest_mem_u32(0, QUIET_WORD, 0x2222_2222);
         ft.corrupt_guest_mem_u32(1, QUIET_WORD, 0x2222_2222);
         ft.corrupt_guest_mem_u32(2, QUIET_WORD, 0x1111_1111);
@@ -769,10 +843,15 @@ fn rejoin_drops_digests_cached_under_equal_generations() {
 
         assert_eq!(result.reintegrations.len(), 1, "{tier}");
         let rejoined_at = result.reintegrations[0].epoch;
-        let divergences = result.lockstep.divergences();
+        let divergences = &result.divergences;
         assert!(
-            !divergences.is_empty(),
+            !result.lockstep_clean && !divergences.is_empty(),
             "{tier}: replica 2 hashed its own bytes before it died"
+        );
+        assert_eq!(
+            divergences[0].epoch,
+            last + 1,
+            "{tier}: the report must name replica 2's very next boundary"
         );
         for d in divergences {
             assert!(
@@ -785,6 +864,6 @@ fn rejoin_drops_digests_cached_under_equal_generations() {
             "{tier}: the rejoiner must have been compared again after its restore"
         );
         assert_eq!(ft.guest_mem_u32(2, QUIET_WORD), 0x2222_2222, "{tier}");
-        assert_eq!(result.console_output, reference.console, "{tier}");
+        assert_eq!(result.console, reference.console, "{tier}");
     }
 }

@@ -6,7 +6,6 @@
 use hvft::core::scenario::{
     ClusterScenario, ConfigError, Parallelism, Scenario, ScenarioBuilder, MAX_DISK_BLOCKS,
 };
-use hvft::machine::ExecTier;
 use hvft::net::link::LinkSpec;
 use hvft::sim::time::{SimDuration, SimTime};
 
@@ -25,7 +24,6 @@ fn variant(e: &ConfigError) -> &'static str {
         ConfigError::EmptyDisk => "EmptyDisk",
         ConfigError::ZeroEpochLen => "ZeroEpochLen",
         ConfigError::DriverMismatch(_) => "DriverMismatch",
-        ConfigError::ExecTierConflict { .. } => "ExecTierConflict",
     }
 }
 
@@ -118,16 +116,6 @@ fn every_invalid_combination_yields_its_config_error() {
             "worker threads on the chain driver",
             wl().chain().parallelism(Parallelism::Threads(2)),
             "DriverMismatch",
-        ),
-        (
-            "legacy block_exec(false) against exec_tier(Jit)",
-            wl().block_exec(false).exec_tier(ExecTier::Jit),
-            "ExecTierConflict",
-        ),
-        (
-            "legacy block_exec(true) against exec_tier(Step)",
-            wl().exec_tier(ExecTier::Step).block_exec(true),
-            "ExecTierConflict",
         ),
         (
             "rejoin schedule without the reliable layer",
