@@ -9,14 +9,111 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hvft_guest::{build_image, callstorm_source, dhrystone_source, KernelConfig};
 use hvft_hypervisor::bare::BareHost;
 use hvft_hypervisor::cost::CostModel;
-use hvft_machine::mem::PAGE_SIZE;
+use hvft_hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
+use hvft_isa::asm::assemble;
+use hvft_machine::cpu::{Cpu, Exit, LoadProgram};
+use hvft_machine::mem::{Memory, PAGE_SIZE};
 use hvft_machine::statehash::{vm_state_hash, vm_state_hash_from_scratch};
 use hvft_machine::tlb::{pte, Tlb, TlbAccess, TlbReplacement};
+use hvft_machine::trap::Trap;
 use hvft_machine::ExecTier;
 use hvft_net::channel::Channel;
 use hvft_net::link::LinkSpec;
+use hvft_sim::time::SimDuration;
 use hvft_sim::time::SimTime;
 use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+const TIERS: [ExecTier; 3] = [ExecTier::Step, ExecTier::Block, ExecTier::Jit];
+
+/// The cost of leaving and re-entering `Cpu::run` — what a
+/// trap-and-emulate hypervisor pays for every privileged instruction of
+/// its guest, before it has emulated anything. `immediate`: the pc sits
+/// on a privileged instruction at privilege 1, so every `run` exits at
+/// once. `one_insn`: `addi; mfctl; jal` in a loop with the `mfctl`
+/// skipped by the embedder, so every entry dispatches and retires real
+/// work (two instructions) before it traps. Both per round trip.
+fn bench_exit_roundtrip(c: &mut Criterion) {
+    const TRIPS: u64 = 100_000;
+    let prog = assemble("l: addi r4, r4, 1\n mfctl r5, traparg\n jal r0, l\n").unwrap();
+    let mut g = c.benchmark_group("exit_roundtrip");
+    g.throughput(Throughput::Elements(TRIPS));
+    for (shape, entry_pc, skip) in [("immediate", 4, false), ("one_insn", 0, true)] {
+        for tier in TIERS {
+            let mut mem = Memory::new(PAGE_SIZE as usize);
+            let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+            prog.load_into_cpu(&mut cpu, &mut mem);
+            cpu.set_exec_tier(tier);
+            cpu.pc = entry_pc;
+            cpu.psw.cpl = 1;
+            assert!(matches!(
+                cpu.run(&mut mem, 1_000),
+                Exit::Trap(Trap::PrivilegedOp { .. })
+            ));
+            assert_eq!(cpu.pc, 4, "parked on the mfctl");
+            g.bench_function(format!("{tier}/{shape}"), |b| {
+                b.iter(|| {
+                    for _ in 0..TRIPS {
+                        black_box(cpu.run(black_box(&mut mem), 1_000));
+                        if skip {
+                            cpu.retire_skip();
+                        }
+                    }
+                })
+            });
+        }
+    }
+    g.finish();
+}
+
+/// Host time of one whole hypervised run of `image`, and the number of
+/// traps it reflected into the guest kernel (its `gate`s).
+fn timed_hv_run(image: &hvft_isa::program::Program, tier: ExecTier) -> (Duration, u64) {
+    let config = HvConfig {
+        exec_tier: tier,
+        ..HvConfig::default()
+    };
+    let start = Instant::now();
+    let mut guest = HvGuest::new(image, CostModel::functional(), config);
+    loop {
+        match guest.run(SimDuration::from_secs(10)) {
+            HvEvent::EpochEnd => guest.begin_epoch(),
+            HvEvent::Diag { code: 1, .. } => break,
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+    (start.elapsed(), guest.stats().reflected)
+}
+
+/// What one guest syscall costs the host under the hypervisor, per
+/// replica: a `gate` reflected into the guest kernel, the seven
+/// privileged instructions of its handler simulated one by one, eight
+/// `Cpu::run` entries in all. Measured as a difference — dhrystone with
+/// a `SYS_GETTIME` in every iteration minus the same iterations with
+/// none — divided by the syscalls that makes.
+fn bench_syscall_roundtrip(c: &mut Criterion) {
+    const ITERS: u32 = 50_000;
+    let kernel = KernelConfig::default();
+    let every = build_image(&kernel, &dhrystone_source(ITERS, 1)).unwrap();
+    let never = build_image(&kernel, &dhrystone_source(ITERS, 0)).unwrap();
+    for tier in TIERS {
+        let syscalls = timed_hv_run(&every, tier).1 - timed_hv_run(&never, tier).1;
+        let mut g = c.benchmark_group("hvguest");
+        g.throughput(Throughput::Elements(syscalls));
+        g.bench_function(format!("syscall_roundtrip/{tier}"), |b| {
+            b.iter_custom(|iters| {
+                let mut with = Duration::ZERO;
+                let mut without = Duration::ZERO;
+                for _ in 0..iters {
+                    with += timed_hv_run(&every, tier).0;
+                    without += timed_hv_run(&never, tier).0;
+                }
+                with.saturating_sub(without)
+            })
+        });
+        g.finish();
+    }
+}
 
 /// The epoch-boundary digest of a booted 256 KiB guest: every page
 /// hashed (what the first boundary after a boot or restore pays),
@@ -141,8 +238,9 @@ fn bench_interpreter(c: &mut Criterion) {
     g.annotate("cross_page_superblocks", cs.cross_page_superblocks as f64);
     g.finish();
     // Machine-readable record (ns/insn, insns/sec, before/after, and
-    // the statehash rows recorded before this group ran) for the CI
-    // artifact; written at the workspace root.
+    // the statehash, exit_roundtrip and hvguest rows recorded before
+    // this group ran) for the CI artifact; written at the workspace
+    // root.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interpreter.json");
     c.save_json(out)
         .unwrap_or_else(|e| panic!("writing {out}: {e}"));
@@ -198,6 +296,8 @@ fn bench_tlb(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_statehash,
+    bench_exit_roundtrip,
+    bench_syscall_roundtrip,
     bench_interpreter,
     bench_assembler,
     bench_channel,

@@ -347,13 +347,20 @@ impl HvGuest {
     /// Runs the guest until a hypervisor-level event occurs or `budget`
     /// simulated time has been consumed (measured from this call).
     ///
-    /// Execution goes through the predecoded-block engine
-    /// ([`Cpu::run`]) with the instruction budget set to exactly the
-    /// count the per-step path would retire before exhausting the time
-    /// budget, so pause points (and therefore the conservative
-    /// co-simulation's horizons) are unchanged.
+    /// Execution goes through [`Cpu::run`] with the instruction budget
+    /// set to exactly the count the per-step path would retire before
+    /// exhausting the time budget, so pause points (and therefore the
+    /// conservative co-simulation's horizons) are unchanged.
     pub fn run(&mut self, budget: SimDuration) -> HvEvent {
-        let deadline = self.elapsed + budget;
+        let event = self.run_to_event(self.elapsed + budget);
+        // The loop below turns once per privileged instruction of the
+        // guest kernel — eight times per syscall — and nothing reads
+        // the CPU's counters in between, so they are copied once.
+        self.stats.exec = self.cpu.exec_stats();
+        event
+    }
+
+    fn run_to_event(&mut self, deadline: SimDuration) -> HvEvent {
         loop {
             if self.elapsed >= deadline {
                 return HvEvent::BudgetExhausted;
@@ -367,7 +374,6 @@ impl HvGuest {
             };
             let retired_before = self.cpu.retired();
             let exit = self.cpu.run(&mut self.mem, max_insns);
-            self.stats.exec = self.cpu.exec_stats();
             // Charge instruction time by retirement delta; this covers
             // plain retirement, gate/brk (which retire inside a Trap
             // exit) and instructions retired by privileged simulation.

@@ -40,10 +40,14 @@
 //! # Self-modifying code
 //!
 //! Staleness therefore has exactly one source: the backing RAM changing
-//! (guest stores or device DMA). [`crate::mem::Memory`] bumps a
-//! per-page write generation on every write; a block records its page's
-//! generation at decode time and is rebuilt when they differ. Two
-//! checks make this exact:
+//! (guest stores or device DMA) *under a decoded word*. Every word the
+//! decoder reads is registered with [`Memory::note_decoded`], and
+//! [`crate::mem::Memory`] bumps the page's **code generation**
+//! ([`Memory::code_gen`]) on exactly the writes that overlap registered
+//! bytes; a block records its page's code generation at decode time and
+//! is rebuilt when they differ. A store to data that merely shares the
+//! page (a kernel's save slots beside its trap vectors) leaves every
+//! block valid. Two checks make this exact:
 //!
 //! - on block entry, the cache compares generations and rebuilds on
 //!   mismatch (cross-block patching, DMA into code pages);
@@ -52,6 +56,10 @@
 //!   predecoded tail on mismatch (a block that patches *itself* ahead
 //!   of its own program counter re-fetches the patched words exactly
 //!   like the per-step path would).
+//!
+//! The registered extent includes the word that *ended* the block (a
+//! terminator, or a word that did not decode): patching it changes
+//! where the block ends.
 
 use crate::hash::IntBuildHasher;
 use crate::mem::{MemFault, Memory, PAGE_SIZE};
@@ -76,7 +84,8 @@ pub struct DecodedBlock {
     pub insns: Box<[Instruction]>,
     /// The raw instruction words, parallel to `insns`.
     pub words: Box<[u32]>,
-    /// Write generation of the backing page when the block was decoded.
+    /// Code generation ([`Memory::code_gen`]) of the backing page when
+    /// the block was decoded.
     pub gen: u64,
 }
 
@@ -160,7 +169,7 @@ impl BlockCache {
     /// per-step path, which raises the exact trap.
     #[inline]
     pub fn get_or_build(&mut self, paddr: u32, mem: &Memory) -> Option<&DecodedBlock> {
-        let gen = mem.page_gen(paddr);
+        let gen = mem.code_gen(paddr);
         let fidx = ((paddr >> 2) as usize) & (FRONT_SLOTS - 1);
         let (tag, idx) = self.front[fidx];
         if tag == paddr && self.arena[idx as usize].gen == gen {
@@ -177,9 +186,6 @@ impl BlockCache {
         fidx: usize,
         mem: &Memory,
     ) -> Option<&DecodedBlock> {
-        if self.arena.len() >= MAX_BLOCKS {
-            self.clear();
-        }
         let idx = match self.map.get(&paddr) {
             Some(&idx) => {
                 let b = &self.arena[idx as usize];
@@ -205,6 +211,9 @@ impl BlockCache {
             None => {
                 self.stats.misses += 1;
                 let block = build_block(paddr, gen, mem)?;
+                if self.arena.len() >= MAX_BLOCKS {
+                    self.clear();
+                }
                 let idx = self.arena.len() as u32;
                 self.arena.push(block);
                 self.map.insert(paddr, idx);
@@ -218,7 +227,9 @@ impl BlockCache {
 
 /// Decodes the block starting at `paddr`: consecutive words up to and
 /// including the first terminator, stopping early at the page boundary
-/// or at the first unreadable/undecodable word.
+/// or at the first unreadable/undecodable word. `gen` must be the
+/// page's code generation read *before* this call; every word read is
+/// registered so a later write to it moves that generation.
 fn build_block(paddr: u32, gen: u64, mem: &Memory) -> Option<DecodedBlock> {
     // u64 arithmetic: the page-end bound must not overflow for fetches
     // in the last page of the 32-bit physical space.
@@ -231,6 +242,7 @@ fn build_block(paddr: u32, gen: u64, mem: &Memory) -> Option<DecodedBlock> {
             Ok(w) => w,
             Err(MemFault::Io { .. } | MemFault::Unmapped { .. }) => break,
         };
+        mem.note_decoded(pa as u32);
         let insn = match decode(word) {
             Ok(i) => i,
             Err(_) => break,
@@ -351,5 +363,93 @@ mod tests {
             "cache must stay bounded, has {}",
             cache.len()
         );
+    }
+
+    #[test]
+    fn stores_beside_a_cached_block_leave_it_valid() {
+        // A kernel-like page: a block at 0x100..0x10C, data around it.
+        let mut mem = mem_with(".org 0x100\ns: addi r4, r0, 1\n addi r5, r0, 2\n halt\n nop");
+        let mut cache = BlockCache::new();
+        assert_eq!(
+            cache.get_or_build(0x100, &mem).expect("block").insns.len(),
+            3
+        );
+        mem.write_u32(0x0FC, 7).unwrap(); // ends where the block starts
+        mem.write_u32(0x10C, 7).unwrap(); // starts where the block ended
+        mem.write_u8(0x0FF, 7).unwrap();
+        mem.write_u32(0x400, 7).unwrap();
+        let _ = cache.get_or_build(0x100, &mem).expect("block");
+        assert_eq!(
+            cache.stats(),
+            BlockCacheStats {
+                hits: 1,
+                misses: 1,
+                invalidations: 0
+            }
+        );
+    }
+
+    #[test]
+    fn stores_at_either_edge_of_a_cached_block_invalidate_it() {
+        let halt = hvft_isa::codec::encode(Instruction::Halt).unwrap();
+        type Write = fn(&mut Memory, u32);
+        let edges: [(&str, Write); 4] = [
+            ("first word", |m, w| m.write_u32(0x100, w).unwrap()),
+            ("last word (the terminator)", |m, w| {
+                m.write_u32(0x108, w).unwrap()
+            }),
+            ("last byte", |m, _| m.write_u8(0x10B, 0).unwrap()),
+            ("bulk write over the tail", |m, w| {
+                m.write_bytes(0x106, &[&w.to_le_bytes()[..], &[0; 8]].concat())
+            }),
+        ];
+        for (what, write) in edges {
+            let mut mem = mem_with(".org 0x100\ns: addi r4, r0, 1\n addi r5, r0, 2\n halt");
+            let mut cache = BlockCache::new();
+            let _ = cache.get_or_build(0x100, &mem).expect("block");
+            write(&mut mem, halt);
+            let _ = cache.get_or_build(0x100, &mem);
+            assert_eq!(cache.stats().invalidations, 1, "{what}");
+        }
+    }
+
+    #[test]
+    fn patching_the_word_that_ended_a_block_rebuilds_it_longer() {
+        // The block stops at an undecodable word; that word is part of
+        // what the block depends on.
+        let mut mem = mem_with("s: addi r4, r0, 1\n .word 0\n halt");
+        let mut cache = BlockCache::new();
+        assert_eq!(cache.get_or_build(0, &mem).expect("block").insns.len(), 1);
+        let nop = hvft_isa::codec::encode(Instruction::Nop).unwrap();
+        mem.write_u32(4, nop).unwrap();
+        assert_eq!(cache.get_or_build(0, &mem).expect("block").insns.len(), 3);
+        assert_eq!(cache.stats().invalidations, 1);
+    }
+
+    #[test]
+    fn a_full_cache_still_serves_what_it_holds() {
+        // Fill to the cap with one-instruction blocks; the front table
+        // has 128 slots, so the first block's slot was long since taken
+        // by a colliding address. Re-probing it misses the front table,
+        // hits the map, and must not flush 8192 blocks on the way.
+        let mut mem = Memory::new(MAX_BLOCKS * 4);
+        let jal = hvft_isa::codec::encode(Instruction::Jal {
+            rd: hvft_isa::reg::Reg::ZERO,
+            offset: 4,
+        })
+        .unwrap();
+        for i in 0..MAX_BLOCKS as u32 {
+            mem.write_u32(i * 4, jal).unwrap();
+        }
+        let mut cache = BlockCache::new();
+        for i in 0..MAX_BLOCKS as u32 {
+            let _ = cache.get_or_build(i * 4, &mem).expect("block");
+        }
+        assert_eq!(cache.len(), MAX_BLOCKS);
+        let hits = cache.stats().hits;
+        let _ = cache.get_or_build(0, &mem).expect("block");
+        assert_eq!(cache.len(), MAX_BLOCKS, "a hit must not clear the cache");
+        assert_eq!(cache.stats().hits, hits + 1);
+        assert_eq!(cache.stats().misses, MAX_BLOCKS as u64);
     }
 }

@@ -181,8 +181,12 @@ pub struct Cpu {
     pub tlb: Tlb,
     retired: u64,
     /// Execution-tier dispatcher backing [`Cpu::run`]: the selected
-    /// [`ExecTier`] plus the block and superblock caches.
-    exec: ExecDispatcher,
+    /// [`ExecTier`] plus the block and superblock caches. Boxed and
+    /// optional so `run` can lift it out for the duration of a call —
+    /// one pointer out, one pointer back — and borrow blocks from its
+    /// caches while `execute` borrows the rest of the CPU. `None` only
+    /// inside `run`.
+    exec: Option<Box<ExecDispatcher>>,
 }
 
 /// Extension trait so programs can be loaded straight into a CPU+memory
@@ -211,8 +215,14 @@ impl Cpu {
             ctl: [0; NUM_CTL],
             tlb: Tlb::new(tlb_slots, policy, tlb_seed),
             retired: 0,
-            exec: ExecDispatcher::default(),
+            exec: Some(Box::default()),
         }
+    }
+
+    fn exec(&self) -> &ExecDispatcher {
+        self.exec
+            .as_deref()
+            .expect("dispatcher is home outside run")
     }
 
     /// Selects the execution engine behind [`Cpu::run`]. All tiers are
@@ -220,22 +230,25 @@ impl Cpu {
     /// with the same machine state; the knob exists for differential
     /// testing and performance work.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
-        self.exec.tier = tier;
+        self.exec
+            .as_deref_mut()
+            .expect("dispatcher is home outside run")
+            .tier = tier;
     }
 
     /// The execution tier [`Cpu::run`] currently uses.
     pub fn exec_tier(&self) -> ExecTier {
-        self.exec.tier
+        self.exec().tier
     }
 
     /// Block-cache behaviour counters.
     pub fn block_cache_stats(&self) -> BlockCacheStats {
-        self.exec.blocks.stats()
+        self.exec().blocks.stats()
     }
 
     /// Per-tier execution counters since reset.
     pub fn exec_stats(&self) -> ExecStats {
-        self.exec.stats
+        self.exec().stats
     }
 
     /// Reads a general-purpose register (`r0` reads as zero).
@@ -297,8 +310,8 @@ impl Cpu {
             psw: self.psw,
             ctl: self.ctl,
             retired: self.retired,
-            tier: self.exec.tier,
-            exec_stats: self.exec.stats,
+            tier: self.exec().tier,
+            exec_stats: self.exec().stats,
             tlb: self.tlb.snapshot_state(),
         }
     }
@@ -314,9 +327,11 @@ impl Cpu {
         self.ctl = snap.ctl;
         self.retired = snap.retired;
         self.tlb.restore_state(&snap.tlb);
-        self.exec = ExecDispatcher::default();
-        self.exec.tier = snap.tier;
-        self.exec.stats = snap.exec_stats;
+        self.exec = Some(Box::new(ExecDispatcher {
+            tier: snap.tier,
+            stats: snap.exec_stats,
+            ..ExecDispatcher::default()
+        }));
     }
 
     // -----------------------------------------------------------------
@@ -503,10 +518,12 @@ impl Cpu {
     /// interrupt-delivery point.
     pub fn run(&mut self, mem: &mut Memory, max_insns: u64) -> Exit {
         let goal = self.retired.saturating_add(max_insns);
-        // Move the dispatcher out of `self` so blocks can be borrowed
-        // from its caches while `execute` borrows `self` — no
-        // refcounting or copying on the hot path.
-        let mut d = std::mem::take(&mut self.exec);
+        // Lift the dispatcher out of `self` so blocks can be borrowed
+        // from its caches while `execute` borrows `self`. Embedders
+        // re-enter here after every trap they emulate, so this must
+        // stay a pointer move: no allocation, no cache is copied.
+        let mut exec = self.exec.take().expect("dispatcher is home outside run");
+        let d = &mut *exec;
         let before = self.retired;
         let exit = match d.tier {
             ExecTier::Step => {
@@ -525,9 +542,9 @@ impl Cpu {
                 d.stats.block_retired += self.retired - before;
                 e
             }
-            ExecTier::Jit => self.run_tiered(&mut d, mem, goal),
+            ExecTier::Jit => self.run_tiered(d, mem, goal),
         };
-        self.exec = d;
+        self.exec = Some(exec);
         exit
     }
 
@@ -679,10 +696,11 @@ impl Cpu {
                     disp,
                 } => match self.access_store(width, rs, base, disp, mem) {
                     Ok(()) => {
-                        // The store may have patched this block's
-                        // own page ahead of the program counter;
-                        // abandon the predecoded tail and re-fetch.
-                        if mem.page_gen(block_page_addr) != block_gen {
+                        // The store may have patched decoded words of
+                        // this block's own page ahead of the program
+                        // counter; abandon the predecoded tail and
+                        // re-fetch.
+                        if mem.code_gen(block_page_addr) != block_gen {
                             self.sync_batch(base_pc, done + 1);
                             return None;
                         }
@@ -762,7 +780,11 @@ impl Cpu {
     /// Store counterpart of [`Cpu::access_load`], equally shared by
     /// all engines. `Ok(())` means the store hit RAM; `Err` is the
     /// exit to surface. Retirement is the caller's job.
-    #[inline]
+    ///
+    /// Forced inline: with `Memory`'s write accounting inside it the
+    /// body is past the inliner's own threshold, and a call per store
+    /// costs the block tier ≈ 6 % on dhrystone.
+    #[inline(always)]
     pub(crate) fn access_store(
         &mut self,
         width: MemWidth,

@@ -106,10 +106,12 @@ pub struct ExecStats {
 }
 
 /// Dispatcher state owned by the CPU: the selected tier plus the caches
-/// of both batching engines. Kept in one struct so
-/// [`Cpu::run`](crate::cpu::Cpu::run) can move it out of the CPU
-/// wholesale while executing (blocks are borrowed from the caches while
-/// `execute` borrows the CPU).
+/// of both batching engines. Kept in one boxed struct so
+/// [`Cpu::run`](crate::cpu::Cpu::run) can lift it out of the CPU by
+/// pointer while executing (blocks are borrowed from the caches while
+/// `execute` borrows the CPU) and put it back on the way out — an
+/// embedder that emulates a trap and re-enters pays no allocation and
+/// no copy for it.
 #[derive(Debug, Default)]
 pub struct ExecDispatcher {
     pub(crate) tier: ExecTier,

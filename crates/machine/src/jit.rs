@@ -30,10 +30,10 @@
 //! target lies in another page (up to `MAX_TRACE_PAGES` per trace)
 //! extends the trace when that page translates executably *right
 //! now*, and the trace records the secondary page as a
-//! `(entry-relative virtual base, physical page, write generation)`
+//! `(entry-relative virtual base, physical page, code generation)`
 //! dependency. Every entry path — the dispatcher probe, the front
 //! table, and `JitCache::peek` during chaining — re-validates *all*
-//! recorded pages: generations must be unwritten and each secondary
+//! recorded pages: code generations must be unmoved and each secondary
 //! virtual page must still translate to the recorded physical page
 //! (via side-effect-free TLB peeks, so validation frequency never
 //! perturbs snapshotted accounting). Straight-line flow still stops
@@ -70,12 +70,19 @@
 //!   per-step path with the PC on the faulting instruction and no
 //!   retirement, by routing loads and stores through the same
 //!   `access_load`/`access_store` helpers the other engines use;
-//! - **self-modifying code**: a superblock records the write
-//!   generation of *every* constituent page at compile time; the
-//!   dispatcher refuses stale entries, and every compiled store
-//!   re-checks all of the superblock's pages so a trace that patches
-//!   any page it was compiled from — its own or a cross-page callee's
-//!   — abandons its compiled tail exactly like the block engine does;
+//! - **self-modifying code**: the compiler registers every word it
+//!   reads — the one that ended the trace included — with
+//!   [`Memory::note_decoded`], and a superblock records the *code*
+//!   generation ([`Memory::code_gen`]) of every constituent page at
+//!   compile time. `Memory` moves a page's code generation on exactly
+//!   the writes that overlap registered bytes, so a store into code
+//!   kills the traces compiled from that page while a store to data
+//!   sharing the page (the guest kernel's `r0`-relative save slots sit
+//!   beside its trap vectors) kills nothing. The dispatcher refuses
+//!   stale entries, and every compiled store re-checks all of the
+//!   superblock's pages so a trace that patches any page it was
+//!   compiled from — its own or a cross-page callee's — abandons its
+//!   compiled tail exactly like the block engine does;
 //! - **cross-page entry validation**: a secondary page's translation
 //!   is re-checked against the recorded physical page on every entry,
 //!   so a TLB remap, purge or privilege change makes the trace
@@ -205,7 +212,7 @@ struct PageDep {
     voff: u32,
     /// Physical page the virtual page translated to at compile time.
     ppage: u32,
-    /// Write generation of that physical page at compile time.
+    /// Code generation of that physical page at compile time.
     gen: u64,
 }
 
@@ -253,7 +260,7 @@ pub(crate) struct SuperBlock {
     ops: Box<[Op]>,
     /// Page-aligned physical address of the entry page.
     page_addr: u32,
-    /// Write generation of the entry page at compile time.
+    /// Code generation of the entry page at compile time.
     gen: u64,
     /// Physical address of the entry instruction — the cache key this
     /// superblock was compiled for (return-slot identity checks
@@ -276,7 +283,9 @@ pub(crate) struct SuperBlock {
 
 impl SuperBlock {
     /// Empty marker for an address that does not compile (until its
-    /// page changes again): the block engine owns it.
+    /// word changes): the block engine owns it. `compile` registered
+    /// the word when it read and rejected it, so `gen` moves when it is
+    /// overwritten.
     fn marker(paddr: u32, gen: u64) -> SuperBlock {
         SuperBlock {
             ops: Box::new([]),
@@ -289,16 +298,16 @@ impl SuperBlock {
         }
     }
 
-    /// True when any constituent page has been written since compile
-    /// time (SMC or DMA): the compiled trace may no longer match
-    /// memory.
+    /// True when decoded bytes of any constituent page have been
+    /// written since compile time (SMC or DMA): the compiled trace may
+    /// no longer match memory.
     #[inline]
     fn pages_stale(&self, mem: &Memory) -> bool {
-        mem.page_gen(self.page_addr) != self.gen
+        mem.code_gen(self.page_addr) != self.gen
             || self
                 .extra_pages
                 .iter()
-                .any(|d| mem.page_gen(d.ppage) != d.gen)
+                .any(|d| mem.code_gen(d.ppage) != d.gen)
     }
 
     /// Full entry validation for an entry at virtual PC `vpc`: every
@@ -439,7 +448,10 @@ fn build_op(off: u32, index_of: &HashMap<u32, u32, IntBuildHasher>, insn: Instru
 /// Compiles the superblock (trace) starting at physical address
 /// `paddr` with the entry's virtual PC `entry_vpc` (they must agree in
 /// their in-page offset — translation preserves it), or `None` when no
-/// compilable instruction starts there. `cpu` supplies the *current*
+/// compilable instruction starts there. `gen` is the entry page's code
+/// generation; every word read — the one that ends the trace included —
+/// is registered with `mem` so a later write to it moves the generation
+/// of its page. `cpu` supplies the *current*
 /// translation state: a `jal` whose target lies in another page
 /// extends the trace only when that page translates executably right
 /// now, and the page is recorded as a dependency every entry
@@ -481,6 +493,7 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
         let Ok(word) = mem.read_u32(pa) else {
             break;
         };
+        mem.note_decoded(pa);
         let Ok(insn) = decode(word) else {
             break;
         };
@@ -557,7 +570,7 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
         .map(|&(voff, ppage)| PageDep {
             voff,
             ppage,
-            gen: mem.page_gen(ppage),
+            gen: mem.code_gen(ppage),
         })
         .collect();
     Some(SuperBlock {
@@ -829,13 +842,16 @@ impl JitCache {
                     // (PSW key + TLB content generation keep the
                     // recorded physical entry current), and a fresh
                     // superblock still compiled for that exact entry
-                    // — the same `valid_at` predicate every other
+                    // — the same `resolve` predicate every other
                     // entry path uses.
                     let slot = sb.ret_slot.get();
                     if slot.vpc == target
                         && slot.psw_key == psw_key(cpu)
                         && slot.tlb_gen == cpu.tlb.content_gen()
-                        && self.valid_at(slot.idx, slot.paddr, target, cpu, mem)
+                        && matches!(
+                            self.resolve(slot.idx, slot.paddr, target, cpu, mem),
+                            Some(Lookup::Compiled(_))
+                        )
                     {
                         stats.ret_cache_hits += 1;
                         sb = self.get(slot.idx);
@@ -919,7 +935,10 @@ pub(crate) enum Lookup {
 
 /// The superblock cache: physical fetch address → compiled superblock,
 /// with an execution-count heat table driving promotion and a
-/// direct-mapped front table short-circuiting the map on hot hits.
+/// direct-mapped front table short-circuiting the map on hot hits —
+/// including the hot *misses*: the address of a privileged instruction
+/// holds an empty-ops marker, and under a hypervisor every one of them
+/// is an exit that re-enters the dispatcher right there.
 #[derive(Debug, Default)]
 pub(crate) struct JitCache {
     arena: Vec<SuperBlock>,
@@ -954,17 +973,36 @@ impl JitCache {
         &self.arena[idx as usize]
     }
 
-    /// The one entry predicate: true when arena index `idx` holds a
-    /// compiled, fresh superblock whose entry is exactly `paddr`,
-    /// entered at virtual PC `vpc`. Shared by the front table, the map
-    /// path, [`Self::peek`] and the inline return cache, so no entry
-    /// path can skip a page-generation or translation check.
+    /// The one entry predicate: what arena index `idx` knows about an
+    /// entry at physical address `paddr` and virtual PC `vpc` — a
+    /// compiled superblock to execute, an address known not to compile
+    /// ([`Lookup::Cold`]), or `None` when the slot is for another
+    /// address or no longer trustworthy (a recorded page's code was
+    /// written, or a secondary page translates elsewhere). Shared by
+    /// the front table, the map path, [`Self::peek`] and the inline
+    /// return cache, so no entry path can skip a code-generation or
+    /// translation check.
     #[inline]
-    fn valid_at(&self, idx: u32, paddr: u32, vpc: u32, cpu: &Cpu, mem: &Memory) -> bool {
-        match self.arena.get(idx as usize) {
-            Some(sb) => sb.entry_paddr == paddr && !sb.ops.is_empty() && sb.fresh(vpc, cpu, mem),
-            None => false,
+    fn resolve(&self, idx: u32, paddr: u32, vpc: u32, cpu: &Cpu, mem: &Memory) -> Option<Lookup> {
+        let sb = self.arena.get(idx as usize)?;
+        if sb.entry_paddr != paddr {
+            return None;
         }
+        if sb.ops.is_empty() {
+            (!sb.pages_stale(mem)).then_some(Lookup::Cold)
+        } else {
+            sb.fresh(vpc, cpu, mem).then_some(Lookup::Compiled(idx))
+        }
+    }
+
+    /// The front table's answer for `paddr`, if its slot holds one.
+    #[inline]
+    fn front_hit(&self, paddr: u32, vpc: u32, cpu: &Cpu, mem: &Memory) -> Option<Lookup> {
+        let (tag, idx) = self.front.as_ref()?[front_slot(paddr)];
+        if tag != paddr {
+            return None;
+        }
+        self.resolve(idx, paddr, vpc, cpu, mem)
     }
 
     /// Read-only lookup for superblock chaining: the compiled, fresh
@@ -979,21 +1017,19 @@ impl JitCache {
     #[inline]
     pub(crate) fn peek(&self, paddr: u32, cpu: &Cpu, mem: &Memory) -> Option<u32> {
         let vpc = cpu.pc;
-        let fidx = ((paddr >> 2) as usize) & (FRONT_SLOTS - 1);
-        if let Some(front) = &self.front {
-            let (tag, idx) = front[fidx];
-            if tag == paddr && self.valid_at(idx, paddr, vpc, cpu, mem) {
-                return Some(idx);
-            }
+        let hit = self
+            .front_hit(paddr, vpc, cpu, mem)
+            .or_else(|| self.resolve(*self.map.get(&paddr)?, paddr, vpc, cpu, mem))?;
+        match hit {
+            Lookup::Compiled(idx) => Some(idx),
+            Lookup::Cold => None,
         }
-        let idx = *self.map.get(&paddr)?;
-        self.valid_at(idx, paddr, vpc, cpu, mem).then_some(idx)
     }
 
     /// Looks up the superblock starting at physical address `paddr`
     /// (the translation of the CPU's current PC), compiling it if the
     /// address just crossed the promotion threshold, recompiling if
-    /// any constituent page changed.
+    /// code of any constituent page changed.
     #[inline]
     pub(crate) fn probe(
         &mut self,
@@ -1002,68 +1038,45 @@ impl JitCache {
         mem: &Memory,
         stats: &mut ExecStats,
     ) -> Lookup {
-        let fidx = ((paddr >> 2) as usize) & (FRONT_SLOTS - 1);
-        if let Some(front) = &self.front {
-            let (tag, idx) = front[fidx];
-            if tag == paddr && self.valid_at(idx, paddr, cpu.pc, cpu, mem) {
-                return Lookup::Compiled(idx);
-            }
+        match self.front_hit(paddr, cpu.pc, cpu, mem) {
+            Some(hit) => hit,
+            None => self.probe_slow(paddr, cpu, mem, stats),
         }
-        self.probe_slow(paddr, fidx, cpu, mem, stats)
     }
 
-    fn probe_slow(
-        &mut self,
-        paddr: u32,
-        fidx: usize,
-        cpu: &Cpu,
-        mem: &Memory,
-        stats: &mut ExecStats,
-    ) -> Lookup {
-        let gen = mem.page_gen(paddr);
+    fn probe_slow(&mut self, paddr: u32, cpu: &Cpu, mem: &Memory, stats: &mut ExecStats) -> Lookup {
+        let gen = mem.code_gen(paddr);
         if let Some(&idx) = self.map.get(&paddr) {
             let sb = &self.arena[idx as usize];
             if sb.pages_stale(mem) {
-                // Self-modifying code or DMA over a constituent page:
-                // this address is known-hot, recompile in place. An
-                // empty-ops marker records an address that no longer
-                // compiles (until the page changes again).
+                // Self-modifying code or DMA over decoded bytes of a
+                // constituent page: this address is known-hot,
+                // recompile in place. An empty-ops marker records an
+                // address that no longer compiles (until its word
+                // changes again).
                 stats.jit_invalidations += 1;
-                if mem.page_gen(sb.page_addr) == sb.gen {
+                if mem.code_gen(sb.page_addr) == sb.gen {
                     // The entry page is intact: only a *secondary*
                     // page of a cross-page trace was written.
                     stats.jit_invalidations_secondary += 1;
                 }
-                let replacement = match compile(paddr, cpu.pc, gen, cpu, mem) {
-                    Some(sb) => {
-                        stats.superblocks_compiled += 1;
-                        if !sb.extra_pages.is_empty() {
-                            stats.cross_page_superblocks += 1;
-                        }
-                        sb
-                    }
-                    None => SuperBlock::marker(paddr, gen),
-                };
-                self.arena[idx as usize] = replacement;
-                self.front_mut()[fidx] = (FRONT_EMPTY, 0);
+                self.arena[idx as usize] = compile_or_marker(paddr, gen, cpu, mem, stats);
             }
-            let sb = &self.arena[idx as usize];
-            if sb.ops.is_empty() {
-                return Lookup::Cold;
-            }
-            if !sb.fresh(cpu.pc, cpu, mem) {
-                // Every page is unwritten, but a secondary virtual
-                // page no longer translates to the page the trace was
-                // compiled from (a remap, a purge, or a privilege
-                // change). The code itself is intact, so keep the
-                // trace — the mapping usually comes back — and let
+            return match self.resolve(idx, paddr, cpu.pc, cpu, mem) {
+                Some(hit) => {
+                    self.front_mut()[front_slot(paddr)] = (paddr, idx);
+                    hit
+                }
+                // Every page's code is unwritten, but a secondary
+                // virtual page no longer translates to the page the
+                // trace was compiled from (a remap, a purge, or a
+                // privilege change). The code itself is intact, so keep
+                // the trace — the mapping usually comes back — and let
                 // the block engine own this entry meanwhile; it takes
                 // the exact fault, if any, where the per-step path
                 // would.
-                return Lookup::Cold;
-            }
-            self.front_mut()[fidx] = (paddr, idx);
-            return Lookup::Compiled(idx);
+                None => Lookup::Cold,
+            };
         }
         // Cold address: count the execution, promote when hot.
         if self.heat.len() >= MAX_HEAT_ENTRIES {
@@ -1075,31 +1088,50 @@ impl JitCache {
             return Lookup::Cold;
         }
         self.heat.remove(&paddr);
-        let sb = match compile(paddr, cpu.pc, gen, cpu, mem) {
-            Some(sb) => {
-                stats.superblocks_compiled += 1;
-                if !sb.extra_pages.is_empty() {
-                    stats.cross_page_superblocks += 1;
-                }
-                sb
-            }
-            // Uncompilable start (privileged or undecodable first
-            // word): cache an empty marker so the block engine owns
-            // this address without re-attempting compilation.
-            None => SuperBlock::marker(paddr, gen),
-        };
+        // An uncompilable start (privileged or undecodable first word)
+        // caches a marker, so the block engine owns the address without
+        // compilation being re-attempted.
+        let sb = compile_or_marker(paddr, gen, cpu, mem, stats);
         if self.arena.len() >= MAX_SUPERBLOCKS {
             self.clear();
         }
         let idx = self.arena.len() as u32;
-        let empty = sb.ops.is_empty();
+        let hit = if sb.ops.is_empty() {
+            Lookup::Cold
+        } else {
+            Lookup::Compiled(idx)
+        };
         self.arena.push(sb);
         self.map.insert(paddr, idx);
-        if empty {
-            return Lookup::Cold;
+        self.front_mut()[front_slot(paddr)] = (paddr, idx);
+        hit
+    }
+}
+
+/// Front-table slot of a physical fetch address.
+#[inline]
+fn front_slot(paddr: u32) -> usize {
+    ((paddr >> 2) as usize) & (FRONT_SLOTS - 1)
+}
+
+/// Compiles the trace at `paddr` (entered at the CPU's current PC) and
+/// counts it, or builds the marker for an address that does not compile.
+fn compile_or_marker(
+    paddr: u32,
+    gen: u64,
+    cpu: &Cpu,
+    mem: &Memory,
+    stats: &mut ExecStats,
+) -> SuperBlock {
+    match compile(paddr, cpu.pc, gen, cpu, mem) {
+        Some(sb) => {
+            stats.superblocks_compiled += 1;
+            if !sb.extra_pages.is_empty() {
+                stats.cross_page_superblocks += 1;
+            }
+            sb
         }
-        self.front_mut()[fidx] = (paddr, idx);
-        Lookup::Compiled(idx)
+        None => SuperBlock::marker(paddr, gen),
     }
 }
 
@@ -1128,7 +1160,7 @@ mod tests {
     }
 
     fn compile_at(paddr: u32, mem: &Memory) -> Option<SuperBlock> {
-        compile(paddr, paddr, mem.page_gen(paddr), &cpu_at(paddr), mem)
+        compile(paddr, paddr, mem.code_gen(paddr), &cpu_at(paddr), mem)
     }
 
     #[test]
@@ -1226,7 +1258,7 @@ mod tests {
         assert_eq!(sb.extra_pages.len(), 1);
         assert_eq!(sb.extra_pages[0].ppage, PAGE_SIZE);
         assert_eq!(sb.extra_pages[0].voff, PAGE_SIZE);
-        assert_eq!(sb.extra_pages[0].gen, mem.page_gen(PAGE_SIZE));
+        assert_eq!(sb.extra_pages[0].gen, mem.code_gen(PAGE_SIZE));
     }
 
     #[test]
@@ -1377,5 +1409,138 @@ mod tests {
             }
         }
         assert!(cache.map.len() <= MAX_SUPERBLOCKS);
+    }
+
+    /// Probes `paddr` until it is promoted; returns the final answer.
+    fn heat_up(cache: &mut JitCache, paddr: u32, mem: &Memory, stats: &mut ExecStats) -> Lookup {
+        for _ in 0..PROMOTE_THRESHOLD - 1 {
+            assert!(matches!(
+                cache.probe(paddr, &cpu_at(paddr), mem, stats),
+                Lookup::Cold
+            ));
+        }
+        cache.probe(paddr, &cpu_at(paddr), mem, stats)
+    }
+
+    #[test]
+    fn data_stores_in_a_code_page_leave_compiled_traces_alone() {
+        // Kernel-like page 0: a vector at 0x100 that jumps to a handler
+        // at 0x200, save slots at 0x400. The trace is [jal, addi, sw]
+        // and ends at the privileged rfi.
+        let mut mem = mem_with(
+            ".org 0x100
+            vec: jal r0, handler
+            .org 0x200
+            handler:
+                addi r4, r4, 1
+                sw   r4, 0x400(r0)
+                rfi",
+        );
+        let mut cache = JitCache::default();
+        let mut stats = ExecStats::default();
+        let Lookup::Compiled(idx) = heat_up(&mut cache, 0x100, &mem, &mut stats) else {
+            panic!("hot vector must compile");
+        };
+        assert_eq!(cache.get(idx).len(), 3);
+        // The handler's own save slot, and the words either side of
+        // the page's decoded extent 0x100..0x20C (one interval per
+        // page: the gap between vector and handler lies inside it).
+        for pa in [0x400, 0x0FC, 0x20C] {
+            mem.write_u32(pa, 0xDEAD).unwrap();
+        }
+        assert!(matches!(
+            cache.probe(0x100, &cpu_at(0x100), &mem, &mut stats),
+            Lookup::Compiled(i) if i == idx
+        ));
+        assert_eq!(
+            (stats.superblocks_compiled, stats.jit_invalidations),
+            (1, 0)
+        );
+    }
+
+    #[test]
+    fn stores_at_the_edges_of_a_trace_invalidate_it() {
+        let src = ".org 0x100
+            vec: jal r0, handler
+            .org 0x200
+            handler:
+                addi r4, r4, 1
+                sw   r4, 0x400(r0)
+                rfi";
+        let nop = hvft_isa::codec::encode(Instruction::Nop).unwrap();
+        // (what, address, ops after recompiling).
+        for (what, pa, len) in [
+            ("the entry word", 0x100, 1),
+            ("the trace's last op", 0x204, 3),
+            // The rfi is not in the trace, but it is why the trace
+            // ends there: a nop in its place makes the trace longer.
+            ("the word that ended the trace", 0x208, 4),
+        ] {
+            let mut mem = mem_with(src);
+            let mut cache = JitCache::default();
+            let mut stats = ExecStats::default();
+            assert!(matches!(
+                heat_up(&mut cache, 0x100, &mem, &mut stats),
+                Lookup::Compiled(_)
+            ));
+            mem.write_u32(pa, nop).unwrap();
+            match cache.probe(0x100, &cpu_at(0x100), &mem, &mut stats) {
+                Lookup::Compiled(idx) => assert_eq!(cache.get(idx).len(), len, "{what}"),
+                Lookup::Cold => panic!("{what}: hot address must recompile"),
+            }
+            assert_eq!(stats.jit_invalidations, 1, "{what}");
+        }
+        // A byte store to the last byte of the last decoded word.
+        let mut mem = mem_with(src);
+        let mut cache = JitCache::default();
+        let mut stats = ExecStats::default();
+        let _ = heat_up(&mut cache, 0x100, &mem, &mut stats);
+        mem.write_u8(0x20B, 0xFF).unwrap();
+        let _ = cache.probe(0x100, &cpu_at(0x100), &mem, &mut stats);
+        assert_eq!(stats.jit_invalidations, 1);
+        mem.write_u8(0x20C, 0xFF).unwrap();
+        let _ = cache.probe(0x100, &cpu_at(0x100), &mem, &mut stats);
+        assert_eq!(stats.jit_invalidations, 1, "0x20C was never decoded");
+    }
+
+    #[test]
+    fn a_marker_answers_from_the_front_table_until_its_word_changes() {
+        // `mfctl` is privileged: its address never compiles.
+        let mut mem = mem_with(".org 0x100\ns: mfctl r4, traparg\n jal r0, s");
+        let mut cache = JitCache::default();
+        let mut stats = ExecStats::default();
+        assert!(matches!(
+            heat_up(&mut cache, 0x100, &mem, &mut stats),
+            Lookup::Cold
+        ));
+        let cpu = cpu_at(0x100);
+        assert!(
+            matches!(
+                cache.front_hit(0x100, 0x100, &cpu, &mem),
+                Some(Lookup::Cold)
+            ),
+            "the marker must sit on the front table"
+        );
+        assert_eq!(cache.peek(0x100, &cpu, &mem), None, "chaining stops at it");
+        // Data beside it changes nothing…
+        mem.write_u32(0x0FC, 1).unwrap();
+        mem.write_u32(0x400, 1).unwrap();
+        assert!(matches!(
+            cache.front_hit(0x100, 0x100, &cpu, &mem),
+            Some(Lookup::Cold)
+        ));
+        // …but once the word itself is overwritten the marker is stale,
+        // and the (known-hot) address compiles.
+        let nop = hvft_isa::codec::encode(Instruction::Nop).unwrap();
+        mem.write_u32(0x100, nop).unwrap();
+        assert!(cache.front_hit(0x100, 0x100, &cpu, &mem).is_none());
+        match cache.probe(0x100, &cpu, &mem, &mut stats) {
+            Lookup::Compiled(idx) => assert_eq!(cache.get(idx).len(), 2),
+            Lookup::Cold => panic!("the patched address compiles"),
+        }
+        assert_eq!(
+            (stats.superblocks_compiled, stats.jit_invalidations),
+            (1, 1)
+        );
     }
 }

@@ -32,6 +32,37 @@ const STALE: CachedDigest = CachedDigest {
     digest: 0,
 };
 
+/// What the code caches need to know about one page: how often bytes
+/// they decoded were overwritten, and which bytes those are.
+#[derive(Clone)]
+struct CodePage {
+    /// Bumped by every write that overlaps `[lo, hi)`.
+    gen: u64,
+    /// Physical address of the first decoded byte (`u32::MAX`: none).
+    lo: Cell<u32>,
+    /// One past the physical address of the last decoded byte (`0`:
+    /// none, so one compare rejects a write to a page without code).
+    hi: Cell<u32>,
+}
+
+impl CodePage {
+    fn no_code() -> CodePage {
+        CodePage {
+            gen: 0,
+            lo: Cell::new(u32::MAX),
+            hi: Cell::new(0),
+        }
+    }
+
+    /// Forgets the extent and kills every block cached under it.
+    fn invalidate(&mut self) {
+        *self = CodePage {
+            gen: self.gen + 1,
+            ..CodePage::no_code()
+        };
+    }
+}
+
 /// Classification of a physical address.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AddrKind {
@@ -57,16 +88,41 @@ pub enum AddrKind {
 #[derive(Clone)]
 pub struct Memory {
     ram: Vec<u8>,
-    /// Per-page write generation, bumped on every RAM write (CPU store,
-    /// program load, device DMA, [`Memory::reset`]). It is the one
-    /// signal two consumers share, so the store path pays for it once:
+    /// Per-page write generation, bumped on **every** RAM write (CPU
+    /// store, program load, device DMA, [`Memory::reset`]). This is the
+    /// *dirty-page* signal: the state digest below recomputes exactly
+    /// the pages whose generation moved since they were last hashed,
+    /// and the generations travel in [`MemSnapshot`] and on the wire.
+    /// The code caches do **not** read it — a guest kernel that keeps
+    /// data beside code in one page (ours does: the trap vectors and
+    /// the `r0`-relative save slots share page 0) would recompile on
+    /// every store.
     ///
-    /// - *self-modifying code*: the block and superblock caches compare
-    ///   a cached block's recorded generation against the current one,
-    ///   without any registration protocol;
-    /// - *dirty pages*: the state digest below recomputes exactly the
-    ///   pages whose generation moved since they were last hashed.
+    /// [`MemSnapshot`]: crate::snapshot::MemSnapshot
     page_gens: Vec<u64>,
+    /// Per-page *code* generation and decoded-byte extent, read only by
+    /// the block and superblock caches ([`Memory::code_gen`]): a cached
+    /// block records its pages' code generations when it is decoded and
+    /// is stale once any of them moved. A write bumps the counter
+    /// **iff it overlaps bytes that were decoded into a cached block or
+    /// trace** — the page's `[lo, hi)` extent, which the decoders grow
+    /// through [`Memory::note_decoded`] for every word they read
+    /// (the word that ended a block included: patching it would make
+    /// the block longer). The extent is empty for a page nothing was
+    /// decoded from, so a store there pays one load and one compare,
+    /// and it only ever grows, so it covers every block still cached,
+    /// whenever that block was built.
+    ///
+    /// Derived state, like the digest cache: not snapshotted, not
+    /// hashed, not on the wire, and — since it follows what the
+    /// selected tier happened to decode — not tier-invariant.
+    /// [`Memory::reset`] and [`Memory::restore`] replace the bytes
+    /// wholesale, so they empty every extent and bump every counter
+    /// (a cache that outlived them finds all of its blocks stale and
+    /// re-registers what it rebuilds). `Clone` copies both: the clone
+    /// holds the same bytes, so the same cached code is valid against
+    /// it, and writes to it are judged by the same extents.
+    code: Vec<CodePage>,
     /// Cached per-page digests for the VM-state hash
     /// ([`crate::statehash`]). Entry `p` is valid iff its recorded
     /// generation equals `page_gens[p]`: within one `Memory` a
@@ -110,12 +166,13 @@ impl Memory {
         Memory {
             ram: vec![0; bytes],
             page_gens: vec![0; pages],
+            code: vec![CodePage::no_code(); pages],
             digests: vec![Cell::new(STALE); pages],
         }
     }
 
-    /// Write generation of the page containing `paddr`. Returns 0 for
-    /// addresses outside RAM (no blocks are ever cached there).
+    /// Write generation of the page containing `paddr`: moves on every
+    /// write to the page. Returns 0 for addresses outside RAM.
     pub fn page_gen(&self, paddr: u32) -> u64 {
         self.page_gens
             .get((paddr >> PAGE_SHIFT) as usize)
@@ -123,20 +180,61 @@ impl Memory {
             .unwrap_or(0)
     }
 
+    /// Code generation of the page containing `paddr`: moves when a
+    /// write overlaps bytes of the page that were passed to
+    /// [`Memory::note_decoded`]. The block and superblock caches record
+    /// it *before* decoding and compare it on every entry. Returns 0
+    /// for addresses outside RAM (no blocks are ever cached there).
     #[inline]
-    fn touch(&mut self, paddr: u32) {
-        if let Some(g) = self.page_gens.get_mut((paddr >> PAGE_SHIFT) as usize) {
-            *g += 1;
+    pub fn code_gen(&self, paddr: u32) -> u64 {
+        self.code
+            .get((paddr >> PAGE_SHIFT) as usize)
+            .map_or(0, |c| c.gen)
+    }
+
+    /// Registers the instruction word at `paddr` (4-aligned, so it lies
+    /// in one page) as decoded into a cached block or trace: from now
+    /// on a write that overlaps it moves its page's
+    /// [`code_gen`](Memory::code_gen). A no-op outside RAM.
+    #[inline]
+    pub fn note_decoded(&self, paddr: u32) {
+        if let Some(c) = self.code.get((paddr >> PAGE_SHIFT) as usize) {
+            c.lo.set(c.lo.get().min(paddr));
+            c.hi.set(c.hi.get().max(paddr + 4));
         }
     }
 
-    /// Zeroes all RAM in place (keeping the allocation) and bumps every
-    /// page generation so cached blocks over the old contents die.
+    /// Accounts a write of `len` bytes at `paddr`, all within one page
+    /// of RAM (the callers bounds-check first).
+    #[inline]
+    fn touch(&mut self, paddr: u32, len: u32) {
+        let page = (paddr >> PAGE_SHIFT) as usize;
+        self.page_gens[page] += 1;
+        let code = &mut self.code[page];
+        if paddr < code.hi.get() && paddr + len > code.lo.get() {
+            code.gen += 1;
+        }
+    }
+
+    /// Accounts a word write that crosses into the next page: each page
+    /// is judged by the bytes that landed on it. Only an unaligned
+    /// write can — the CPU checks alignment, embedders may not.
+    #[cold]
+    fn touch_straddling_word(&mut self, paddr: u32) {
+        let next_page = (paddr | (PAGE_SIZE - 1)) + 1;
+        self.touch(paddr, next_page - paddr);
+        self.touch(next_page, paddr + 4 - next_page);
+    }
+
+    /// Zeroes all RAM in place (keeping the allocation), bumps every
+    /// page generation and kills every cached block over the old
+    /// contents.
     pub fn reset(&mut self) {
         self.ram.fill(0);
         for g in &mut self.page_gens {
             *g += 1;
         }
+        self.code.iter_mut().for_each(CodePage::invalidate);
     }
 
     /// RAM size in bytes.
@@ -181,11 +279,10 @@ impl Memory {
     pub fn write_u32(&mut self, paddr: u32, value: u32) -> Result<(), MemFault> {
         let i = self.check(paddr, 4)?;
         self.ram[i..i + 4].copy_from_slice(&value.to_le_bytes());
-        self.touch(paddr);
-        // An unaligned word may straddle a page boundary (the CPU checks
-        // alignment, but embedders may not).
-        if paddr >> PAGE_SHIFT != (paddr + 3) >> PAGE_SHIFT {
-            self.touch(paddr + 3);
+        if paddr & (PAGE_SIZE - 1) <= PAGE_SIZE - 4 {
+            self.touch(paddr, 4);
+        } else {
+            self.touch_straddling_word(paddr);
         }
         Ok(())
     }
@@ -202,7 +299,7 @@ impl Memory {
     pub fn write_u8(&mut self, paddr: u32, value: u8) -> Result<(), MemFault> {
         let i = self.check(paddr, 1)?;
         self.ram[i] = value;
-        self.touch(paddr);
+        self.touch(paddr, 1);
         Ok(())
     }
 
@@ -217,10 +314,13 @@ impl Memory {
         }
         let i = paddr as usize;
         self.ram[i..i + bytes.len()].copy_from_slice(bytes);
-        // DMA can span pages; every touched page must invalidate.
-        let end = paddr + bytes.len() as u32 - 1;
-        for page in (paddr >> PAGE_SHIFT)..=(end >> PAGE_SHIFT) {
-            self.touch(page << PAGE_SHIFT);
+        // DMA can span pages: account each page's share of the range.
+        let end = paddr + bytes.len() as u32;
+        let mut at = paddr;
+        while at < end {
+            let stop = end.min((at | (PAGE_SIZE - 1)) + 1);
+            self.touch(at, stop - at);
+            at = stop;
         }
     }
 
@@ -283,18 +383,20 @@ impl Memory {
     }
 
     /// Restores state captured by [`Memory::snapshot`], copying into
-    /// the existing buffers. Generations are restored verbatim:
-    /// block/superblock caches are rebuilt empty after a restore, so
-    /// they can only record generations at or after the captured values
-    /// and SMC detection stays sound. The digest cache is dropped for
-    /// the same reason: the snapshot may come from another `Memory`
-    /// (a donor replica) whose page reached the same generation with
-    /// different bytes.
+    /// the existing buffers. Write generations are restored verbatim.
+    /// The digest cache is dropped: the snapshot may come from another
+    /// `Memory` (a donor replica) whose page reached the same
+    /// generation with different bytes. The code generations are this
+    /// `Memory`'s own and are not in the snapshot: every one is bumped
+    /// and every extent emptied, so whatever a code cache built over
+    /// the old bytes is stale.
     pub fn restore(&mut self, snap: &crate::snapshot::MemSnapshot) {
         self.ram.clone_from(&snap.ram);
         self.page_gens.clone_from(&snap.page_gens);
         self.digests.clear();
         self.digests.resize(self.page_gens.len(), Cell::new(STALE));
+        self.code.iter_mut().for_each(CodePage::invalidate);
+        self.code.resize(self.page_gens.len(), CodePage::no_code());
     }
 }
 
@@ -407,5 +509,136 @@ mod tests {
         assert_eq!(m.read_u32(16), Ok(0));
         assert_ne!(m.page_gen(16), g, "reset must invalidate cached blocks");
         assert_eq!(m.size(), 2 * PAGE_SIZE as usize);
+    }
+
+    /// Page 1 with the words `[lo, hi)` registered as decoded.
+    fn mem_with_code(lo: u32, hi: u32) -> Memory {
+        let m = Memory::new(4 * PAGE_SIZE as usize);
+        for pa in (lo..hi).step_by(4) {
+            m.note_decoded(pa);
+        }
+        m
+    }
+
+    #[test]
+    fn stores_beside_decoded_bytes_leave_the_code_generation_alone() {
+        let (lo, hi) = (PAGE_SIZE + 0x100, PAGE_SIZE + 0x140);
+        let mut m = mem_with_code(lo, hi);
+        let code = m.code_gen(lo);
+        let writes = m.page_gen(lo);
+        m.write_u32(lo - 4, 1).unwrap(); // ends at lo
+        m.write_u32(hi, 2).unwrap(); // starts at hi
+        m.write_u8(lo - 1, 3).unwrap();
+        m.write_u8(hi, 4).unwrap();
+        m.write_u32(lo - 4 - 3, 5).unwrap(); // unaligned, ends at lo - 3
+        m.write_bytes(hi, &[6; 64]);
+        m.write_bytes(PAGE_SIZE, &[7; 0x100]); // [page start, lo)
+        assert_eq!(m.code_gen(lo), code, "no decoded byte was written");
+        assert_eq!(m.page_gen(lo), writes + 7, "every write still counts");
+    }
+
+    #[test]
+    fn stores_into_decoded_bytes_bump_the_code_generation() {
+        let (lo, hi) = (PAGE_SIZE + 0x100, PAGE_SIZE + 0x140);
+        type Write = fn(&mut Memory, u32, u32);
+        let overlapping: [(&str, Write); 7] = [
+            ("word at lo", |m, lo, _| m.write_u32(lo, 1).unwrap()),
+            ("word at hi - 4", |m, _, hi| m.write_u32(hi - 4, 1).unwrap()),
+            ("last code byte", |m, _, hi| m.write_u8(hi - 1, 1).unwrap()),
+            ("first code byte", |m, lo, _| m.write_u8(lo, 1).unwrap()),
+            ("unaligned word reaching lo", |m, lo, _| {
+                m.write_u32(lo - 3, 1).unwrap()
+            }),
+            ("bulk write reaching lo", |m, lo, _| {
+                m.write_bytes(lo - 8, &[1; 9])
+            }),
+            ("bulk write from hi - 1", |m, _, hi| {
+                m.write_bytes(hi - 1, &[1; 32])
+            }),
+        ];
+        for (what, write) in overlapping {
+            let mut m = mem_with_code(lo, hi);
+            let code = m.code_gen(lo);
+            write(&mut m, lo, hi);
+            assert_eq!(m.code_gen(lo), code + 1, "{what}");
+            assert_eq!(m.code_gen(0), 0, "{what}: other pages untouched");
+        }
+    }
+
+    #[test]
+    fn a_page_straddling_word_is_judged_page_by_page() {
+        // Code at the very start of page 2 only.
+        let (lo, hi) = (2 * PAGE_SIZE, 2 * PAGE_SIZE + 8);
+        let mut m = mem_with_code(lo, hi);
+        let (g1, g2) = (m.code_gen(PAGE_SIZE), m.code_gen(lo));
+        let (w1, w2) = (m.page_gen(PAGE_SIZE), m.page_gen(lo));
+        m.write_u32(lo - 2, 0xAABB_CCDD).unwrap();
+        assert_eq!(m.code_gen(PAGE_SIZE), g1, "page 1 holds no code");
+        assert_eq!(m.code_gen(lo), g2 + 1, "two bytes landed on page 2's code");
+        assert_eq!((m.page_gen(PAGE_SIZE), m.page_gen(lo)), (w1 + 1, w2 + 1));
+        // The mirror image: code at the very end of page 1 only.
+        let (lo, hi) = (2 * PAGE_SIZE - 8, 2 * PAGE_SIZE);
+        let mut m = mem_with_code(lo, hi);
+        let (g1, g2) = (m.code_gen(lo), m.code_gen(hi));
+        m.write_u32(hi - 1, 0xAABB_CCDD).unwrap();
+        assert_eq!(m.code_gen(lo), g1 + 1, "one byte landed on page 1's code");
+        assert_eq!(m.code_gen(hi), g2, "page 2 holds no code");
+    }
+
+    #[test]
+    fn a_bulk_write_is_judged_page_by_page() {
+        // Code in the middle of pages 1 and 3, none on page 2.
+        let mut m = mem_with_code(PAGE_SIZE + 0x800, PAGE_SIZE + 0x810);
+        m.note_decoded(3 * PAGE_SIZE + 0x800);
+        let gens = |m: &Memory| [1, 2, 3].map(|p| m.code_gen(p * PAGE_SIZE));
+        let before = gens(&m);
+        // From page 1's code to just short of page 3's.
+        m.write_bytes(PAGE_SIZE + 0x80C, &vec![9; (2 * PAGE_SIZE - 0x0C) as usize]);
+        assert_eq!(gens(&m), [before[0] + 1, before[1], before[2]]);
+    }
+
+    #[test]
+    fn the_digest_does_not_depend_on_the_code_extent() {
+        // A store into the data part of a page that also holds code is
+        // invisible to the code caches but not to the dirty-page signal
+        // or the VM-state hash.
+        let cpu = crate::cpu::Cpu::new(16, crate::tlb::TlbReplacement::RoundRobin, 0);
+        let mut m = mem_with_code(PAGE_SIZE + 0x100, PAGE_SIZE + 0x140);
+        let hash = crate::statehash::vm_state_hash(&cpu, &m);
+        let (code, writes) = (m.code_gen(PAGE_SIZE), m.page_gen(PAGE_SIZE));
+        m.write_u32(PAGE_SIZE + 0x400, 0xFEED).unwrap();
+        assert_eq!(m.code_gen(PAGE_SIZE), code);
+        assert_eq!(m.page_gen(PAGE_SIZE), writes + 1);
+        assert_ne!(crate::statehash::vm_state_hash(&cpu, &m), hash);
+        assert_eq!(
+            crate::statehash::vm_state_hash(&cpu, &m),
+            crate::statehash::vm_state_hash_from_scratch(&cpu, &m)
+        );
+    }
+
+    #[test]
+    fn reset_and_restore_forget_the_extent_and_kill_cached_code() {
+        let (lo, hi) = (PAGE_SIZE + 0x100, PAGE_SIZE + 0x140);
+        let mut m = mem_with_code(lo, hi);
+        let snap = m.snapshot();
+        let code = m.code_gen(lo);
+        m.reset();
+        assert_eq!(m.code_gen(lo), code + 1, "reset kills cached blocks");
+        m.write_u32(lo, 1).unwrap();
+        assert_eq!(m.code_gen(lo), code + 1, "the extent is empty again");
+        m.note_decoded(lo);
+        let clean = m.code_gen(0);
+        m.restore(&snap);
+        assert_eq!(m.code_gen(lo), code + 2, "restore kills cached blocks");
+        assert_eq!(m.code_gen(0), clean + 1, "on every page");
+        m.write_u32(lo, 1).unwrap();
+        assert_eq!(m.code_gen(lo), code + 2, "the extent is empty again");
+        // A clone carries generation and extent: the same cached code
+        // is valid against it, and it judges writes the same way.
+        m.note_decoded(lo);
+        let mut twin = m.clone();
+        assert_eq!(twin.code_gen(lo), m.code_gen(lo));
+        twin.write_u32(lo, 2).unwrap();
+        assert_eq!(twin.code_gen(lo), m.code_gen(lo) + 1);
     }
 }

@@ -6,16 +6,16 @@
 //!
 //! - every general-purpose and control register, the PC, the PSW and
 //!   the retirement counter ([`CpuSnapshot`]);
-//! - RAM contents *and* the per-page write generations that drive
-//!   self-modifying-code detection ([`MemSnapshot`]);
+//! - RAM contents *and* the per-page write generations — the
+//!   dirty-page signal of the state digest ([`MemSnapshot`]);
 //! - the TLB slot-by-slot, including the replacement cursor and the
 //!   replacement RNG state, plus the hit/miss counters
 //!   ([`TlbSnapshot`]).
 //!
 //! **Derived** state is deliberately absent: the decoded-block arena,
 //! the JIT superblock cache, the TLB front cache and `Memory`'s
-//! per-page state-digest cache are all rebuilt from scratch after a
-//! restore. They are pure accelerations of the canonical state, so
+//! per-page state-digest cache, code generations and decoded-byte
+//! extents are all rebuilt from scratch after a restore. They are pure accelerations of the canonical state, so
 //! dropping them changes *when* recompilation (or rehashing) happens
 //! but never *what* the machine computes or what
 //! [`vm_state_hash`](crate::statehash::vm_state_hash) returns — the
@@ -90,9 +90,10 @@ impl CpuSnapshot {
 }
 
 /// Physical memory: RAM bytes plus the per-page write generations,
-/// preserved verbatim so SMC detection resumes exactly where it left
-/// off. The state-digest cache keyed by those generations is derived
-/// and not captured.
+/// preserved verbatim. The state-digest cache keyed by those
+/// generations is derived and not captured, and neither is what the
+/// code caches compare (`Memory`'s code generations and decoded-byte
+/// extents).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MemSnapshot {
     pub(crate) ram: Vec<u8>,

@@ -115,6 +115,17 @@ impl Bencher {
         }
         self.measured = Some((total, iters));
     }
+
+    /// Lets `routine` do its own timing: it is asked to run `iters`
+    /// iterations and returns the time to charge for them — for
+    /// measurements that are a *difference* of two timed runs, or that
+    /// must keep set-up out of the clock.
+    pub fn iter_custom<R: FnMut(u64) -> Duration>(&mut self, mut routine: R) {
+        // One untimed warm-up iteration.
+        std::hint::black_box(routine(1));
+        let iters = self.samples as u64;
+        self.measured = Some((routine(iters), iters));
+    }
 }
 
 fn report(

@@ -1,0 +1,175 @@
+//! Deterministic-counter gate for the code caches.
+//!
+//! The guest kernel keeps its `r0`-relative save slots in the same page
+//! as its trap vectors, so every syscall stores into a page that holds
+//! cached code. Invalidation is judged by the bytes a store overlaps,
+//! not by its page, and these counts say so: they repeat exactly from
+//! run to run, so they are asserted, not archived. Before the rule was
+//! write-precise the same workloads compiled one superblock and took
+//! one invalidation of each kind *per syscall*.
+//!
+//! The counters must not simply go quiet either: a guest that patches
+//! an instruction it later executes takes its invalidation — once, not
+//! once per store.
+
+use hvft::core::scenario::Scenario;
+use hvft::guest::layout::RAM_BYTES;
+use hvft::guest::workload::{Dhrystone, Workload};
+use hvft::hypervisor::bare::{BareExit, BareHost};
+use hvft::hypervisor::cost::CostModel;
+use hvft::hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
+use hvft::isa::codec::encode;
+use hvft::isa::instruction::{AluImmOp, Instruction};
+use hvft::isa::reg::Reg;
+use hvft::machine::block::BlockCacheStats;
+use hvft::machine::exec::{ExecStats, ExecTier};
+use hvft_sim::time::SimDuration;
+
+fn dhrystone(iters: u32) -> Dhrystone {
+    Dhrystone {
+        iters,
+        syscall_every: 6,
+        ..Dhrystone::default()
+    }
+}
+
+fn bare(iters: u32, tier: ExecTier) -> (ExecStats, BlockCacheStats) {
+    let image = dhrystone(iters).image().expect("image builds");
+    let mut host = BareHost::new(&image, CostModel::functional(), RAM_BYTES, 16, 0);
+    host.set_exec_tier(tier);
+    let run = host.run(u64::MAX);
+    assert!(
+        matches!(run.exit, BareExit::Halted { .. }),
+        "{:?}",
+        run.exit
+    );
+    (host.exec_stats(), host.cpu.block_cache_stats())
+}
+
+fn hypervised(iters: u32, tier: ExecTier) -> (ExecStats, BlockCacheStats) {
+    let image = dhrystone(iters).image().expect("image builds");
+    let config = HvConfig {
+        exec_tier: tier,
+        ..HvConfig::default()
+    };
+    let mut guest = HvGuest::new(&image, CostModel::functional(), config);
+    loop {
+        match guest.run(SimDuration::from_secs(10)) {
+            HvEvent::EpochEnd => guest.begin_epoch(),
+            HvEvent::Diag { code: 1, .. } => break,
+            other => panic!("unexpected event {other:?}"),
+        }
+    }
+    assert!(guest.stats().reflected > u64::from(iters / 6), "gates ran");
+    (guest.stats().exec, guest.cpu.block_cache_stats())
+}
+
+#[test]
+fn syscalls_do_not_churn_the_code_caches() {
+    for (what, run) in [
+        ("bare", bare as fn(u32, ExecTier) -> _),
+        ("hypervised", hypervised),
+    ] {
+        let exec = run(20_000, ExecTier::Jit).0;
+        assert!(
+            exec.superblocks_compiled < 100,
+            "{what}: 3 333 syscalls must not recompile anything: {exec:?}"
+        );
+        assert_eq!(exec.jit_invalidations, 0, "{what}: {exec:?}");
+        assert!(exec.jit_retired > 0, "{what}: the jit ran: {exec:?}");
+        // Whatever the block engine invalidates happens during boot:
+        // twice the syscalls, the same count.
+        for tier in [ExecTier::Block, ExecTier::Jit] {
+            let half = run(10_000, tier).1.invalidations;
+            let full = run(20_000, tier).1.invalidations;
+            assert_eq!(half, full, "{what}/{tier}: invalidations grow with iters");
+        }
+    }
+}
+
+#[test]
+fn a_replicated_run_compiles_each_superblock_once() {
+    let report = Scenario::builder()
+        .workload(dhrystone(20_000))
+        .functional_cost()
+        .exec_tier(ExecTier::Jit)
+        .build()
+        .expect("valid configuration")
+        .run();
+    assert!(report.exit.is_clean_exit() && report.lockstep_clean);
+    assert_eq!(report.replica_stats.len(), 2);
+    for (replica, stats) in report.replica_stats.iter().enumerate() {
+        let exec = stats.exec;
+        assert!(stats.simulated > 20_000, "replica {replica}: handlers ran");
+        assert!(
+            exec.superblocks_compiled < 100,
+            "replica {replica}: {exec:?}"
+        );
+        assert_eq!(exec.jit_invalidations, 0, "replica {replica}: {exec:?}");
+    }
+}
+
+/// A kernel-shaped page: a hot routine, and a save slot it stores to on
+/// every call, in the *same* page. Mid-run the caller patches one
+/// instruction of the routine, once.
+const PATCHING_GUEST: &str = ".org 0
+start:
+    addi r22, r0, 200        ; loop counter
+    lw   r21, 1024(r0)       ; replacement word (poked by the test)
+outer:
+    jal  ra, routine
+    addi r23, r22, -100
+    bne  r23, r0, nopatch
+    sw   r21, 256(r0)        ; patch `slot`, once, mid-hot-loop
+nopatch:
+    addi r22, r22, -1
+    bne  r22, r0, outer
+    halt
+
+    .org 256
+routine:
+slot:
+    addi r20, r20, 1         ; becomes: addi r20, r20, 100
+    sw   r20, 1028(r0)       ; a save slot beside the code, every call
+    jalr r0, ra, 0
+";
+
+#[test]
+fn a_real_patch_is_still_counted_and_only_that() {
+    let patched = encode(Instruction::AluImm {
+        op: AluImmOp::Addi,
+        rd: Reg::of(20),
+        rs1: Reg::of(20),
+        imm: 100,
+    })
+    .unwrap();
+    let image = hvft::isa::asm::assemble(PATCHING_GUEST).expect("asm");
+    for tier in [ExecTier::Block, ExecTier::Jit] {
+        let mut host = BareHost::new(&image, CostModel::functional(), RAM_BYTES, 16, 0);
+        host.set_exec_tier(tier);
+        host.mem.write_u32(1024, patched).unwrap();
+        let run = host.run(100_000);
+        assert!(
+            matches!(run.exit, BareExit::Halted { .. }),
+            "{:?}",
+            run.exit
+        );
+        // Calls with r22 = 200..=100 add 1 (101 calls), 99..=1 add 100.
+        assert_eq!(host.cpu.reg(Reg::of(20)), 101 + 99 * 100, "{tier}");
+        if tier == ExecTier::Block {
+            let blocks = host.cpu.block_cache_stats();
+            assert!(
+                (1..=4).contains(&blocks.invalidations),
+                "one patch, 200 data stores: {blocks:?}"
+            );
+        } else {
+            // The routine is hot: the patch lands on a compiled trace.
+            let exec = host.exec_stats();
+            assert!(
+                (1..=4).contains(&exec.jit_invalidations),
+                "one patch, 200 data stores: {exec:?}"
+            );
+            assert!(exec.superblocks_compiled >= 2, "recompiled: {exec:?}");
+        }
+    }
+}

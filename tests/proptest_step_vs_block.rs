@@ -983,4 +983,104 @@ tail:
             }
         }
     }
+
+    #[test]
+    fn random_stores_into_a_page_of_code_and_data_are_engine_exact(
+        target in 0u32..19,
+        patch_seed in any::<u64>(),
+        patch_at in 20u32..45,
+        loops in 50u32..70,
+    ) {
+        // The guest kernel's layout in miniature: trap vector, code and
+        // a data array in ONE page, every pass storing to the data (a
+        // handler's save slot among it). Once the loop is hot, one
+        // store of a random word (valid, control-transfer, trapping or
+        // garbage) goes to a data word, to a code word ahead of the pc
+        // in the running trace, to a word of the callee, or to the
+        // `gate` that *ended* the callee's trace. Invalidation is
+        // judged by the bytes a store overlaps, so the data stores must
+        // cost nothing and the code stores must not be missed: all
+        // three tiers report the same event log, retired count and
+        // final state.
+        let src = format!(
+            ".org 0
+start:
+    addi r22, r0, {loops}
+    lw   r21, 1536(r0)       ; replacement word
+    lw   r25, 1540(r0)       ; store address
+    lw   r26, 1544(r0)       ; store countdown
+    jal  r0, outer
+    .org 224                 ; the gate vector (iva = 0)
+    sw   r20, 1028(r0)       ; a save slot beside the vectors
+    rfi
+    .org 256
+outer:
+    jal  ra, work
+    addi r26, r26, -1
+    bne  r26, r0, nopatch
+    sw   r21, 0(r25)         ; the random store
+nopatch:
+    sw   r22, 1024(r0)
+    lw   r23, 1024(r0)
+    add  r20, r20, r23
+    addi r22, r22, -1
+    bne  r22, r0, outer
+    halt
+    .org 384
+work:
+    addi r20, r20, 2
+    xor  r20, r20, r22
+    gate 1                   ; not compilable: ends the trace
+    addi r20, r20, 3
+    jalr r0, ra, 0
+"
+        );
+        const NOPATCH: u32 = 272;
+        const WORK: u32 = 384;
+        let (store_to, is_data) = match target {
+            0..=7 => (1024 + 4 * target, true),
+            8..=13 => (NOPATCH + 4 * (target - 8), false),
+            _ => (WORK + 4 * (target - 14), false),
+        };
+        let image = hvft::isa::asm::assemble(&src).expect("asm");
+        let build = || {
+            let cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+            let mut mem = Memory::new(64 * 1024);
+            for seg in &image.segments {
+                mem.write_bytes(seg.base, &seg.data);
+            }
+            mem.write_u32(1536, synth_word(patch_seed)).unwrap();
+            mem.write_u32(1540, store_to).unwrap();
+            mem.write_u32(1544, patch_at).unwrap();
+            (cpu, mem)
+        };
+        let (mut cpu_b, mut mem_b) = build();
+        let log_b = drive(&mut cpu_b, &mut mem_b, false, 50_000, 400);
+        prop_assert!(log_b.len() >= 20, "one gate per pass before the store: {:?}", log_b);
+        for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+            let (mut cpu_a, mut mem_a) = build();
+            cpu_a.set_exec_tier(tier);
+            let log_a = drive(&mut cpu_a, &mut mem_a, true, 50_000, 400);
+            prop_assert_eq!(&log_a, &log_b, "event sequences diverged ({})", tier);
+            prop_assert_eq!(cpu_a.retired(), cpu_b.retired(), "{}", tier);
+            prop_assert_eq!(
+                same_vm_state((&cpu_a, &mem_a), (&cpu_b, &mem_b)),
+                Ok(()),
+                "final states diverged ({})",
+                tier
+            );
+            let (x, blocks) = (cpu_a.exec_stats(), cpu_a.block_cache_stats());
+            if tier == ExecTier::Jit {
+                prop_assert!(x.jit_retired > 0, "the hot loop must run compiled: {:?}", x);
+            }
+            if is_data {
+                prop_assert_eq!(
+                    (x.jit_invalidations, blocks.invalidations),
+                    (0, 0),
+                    "{}: stores to data beside code must invalidate nothing",
+                    tier
+                );
+            }
+        }
+    }
 }

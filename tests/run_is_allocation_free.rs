@@ -1,0 +1,123 @@
+//! `Cpu::run` must not allocate once its caches are warm.
+//!
+//! A trap-and-emulate embedder re-enters `Cpu::run` after every
+//! privileged instruction of its guest — eight times per guest syscall
+//! under the hypervisor — so anything `run` does per *entry* is paid
+//! millions of times per second. For eight PRs every entry built and
+//! dropped a fresh dispatcher (a 1 KiB `Box` and three `HashMap`s) and
+//! nothing looked; this test looks.
+//!
+//! The counting allocator lives here, in a test crate of its own: every
+//! library crate of the workspace keeps `#![forbid(unsafe_code)]`. The
+//! count is per thread, so the harness's other threads cannot disturb
+//! it.
+
+use hvft::isa::asm::assemble;
+use hvft::machine::cpu::{Cpu, Exit, LoadProgram};
+use hvft::machine::exec::ExecTier;
+use hvft::machine::mem::{Memory, PAGE_SIZE};
+use hvft::machine::tlb::TlbReplacement;
+use hvft::machine::trap::Trap;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations and reallocations made by this thread. `const`
+    /// initialised and without a destructor, so reading it from inside
+    /// the allocator neither allocates nor registers anything.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn count_one() {
+    // `try_with`: a thread that is being torn down may still free.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the only addition is a
+// thread-local counter bump that touches no allocator state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: as above; `ptr` came from this allocator, i.e. `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
+
+#[test]
+fn the_counter_counts() {
+    let before = allocations();
+    let boxed = std::hint::black_box(Box::new(7u64));
+    assert_eq!(allocations(), before + 1);
+    drop(boxed);
+}
+
+#[test]
+fn trap_round_trips_do_not_allocate_on_any_tier() {
+    const TRIPS: u32 = 10_000;
+    // Privilege 1, like a guest kernel under the hypervisor: the
+    // `mfctl` traps on every pass and the embedder skips it.
+    let prog = assemble("l: addi r4, r4, 1\n mfctl r5, traparg\n jal r0, l\n").unwrap();
+    for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+        for skip in [false, true] {
+            let mut mem = Memory::new(PAGE_SIZE as usize);
+            let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+            prog.load_into_cpu(&mut cpu, &mut mem);
+            cpu.set_exec_tier(tier);
+            cpu.psw.cpl = 1;
+            let mut trip = |cpu: &mut Cpu| {
+                let exit = cpu.run(&mut mem, 1_000);
+                assert!(matches!(exit, Exit::Trap(Trap::PrivilegedOp { .. })));
+                if skip {
+                    cpu.retire_skip();
+                }
+            };
+            // Warm-up: decode the blocks, cross the jit's promotion
+            // threshold, let every table reach its working size.
+            for _ in 0..1_000 {
+                trip(&mut cpu);
+            }
+            let before = allocations();
+            for _ in 0..TRIPS {
+                trip(&mut cpu);
+            }
+            assert_eq!(
+                allocations() - before,
+                0,
+                "{tier}, skip={skip}: {TRIPS} warm round trips allocated"
+            );
+            let expected = if skip {
+                3 * u64::from(1_000 + TRIPS) - 1
+            } else {
+                1
+            };
+            assert_eq!(cpu.retired(), expected, "{tier}: the loop really ran");
+        }
+    }
+}
