@@ -19,7 +19,13 @@
 //!   (further clamped to cores);
 //! - `pool_utilization` (thread rows only) — the fraction of
 //!   `effective_workers × wall` the persistent pool's workers spent
-//!   executing guest slices, observed via [`WorkPool::stats`].
+//!   executing guest slices, observed via [`WorkPool::stats`];
+//! - `published_slices` / `executed_slices` (thread rows only) — how
+//!   many of the run's guest slices the work-first executor exposed to
+//!   the pool at all ([`FtCluster::slice_stats`]; deterministic). The
+//!   coordinator runs every slice it would otherwise wait for, so a
+//!   row with next to nothing published has nothing to gain from
+//!   threads whatever the machine.
 //!
 //! Thread rows are labelled with the *effective* parallelism: a
 //! `Threads(4)` request on a one-core CI runner reads `4thr_eff1` —
@@ -30,15 +36,18 @@
 //! below is the part that must hold everywhere.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use hvft_core::scenario::{ClusterScenario, ExecTier, Parallelism, RunReport, Scenario};
+use hvft_core::cluster::FtCluster;
+use hvft_core::scenario::{ExecTier, Parallelism, RunReport, Scenario};
 use hvft_guest::workload::{Dhrystone, IoBench};
 use hvft_guest::{IoMode, KernelConfig};
 use hvft_net::link::LinkSpec;
 use hvft_sim::WorkPool;
 use std::time::Instant;
 
-fn cluster(shards: usize, backups: usize, tier: ExecTier) -> ClusterScenario {
-    let mut cluster = ClusterScenario::new(LinkSpec::ethernet_10mbps(), 13);
+/// The sweep's cluster, driven directly (not through `ClusterScenario`)
+/// so the executor's slice counts can be read back after a run.
+fn cluster(shards: usize, backups: usize, tier: ExecTier) -> FtCluster {
+    let mut cluster = FtCluster::new(LinkSpec::ethernet_10mbps(), 13);
     for i in 0..shards {
         let b = Scenario::builder()
             .functional_cost()
@@ -66,9 +75,8 @@ fn cluster(shards: usize, backups: usize, tier: ExecTier) -> ClusterScenario {
                 ..Default::default()
             })
         };
-        cluster
-            .add(b.build().expect("valid shard"))
-            .expect("replicated shard");
+        let shard = b.build().expect("valid shard");
+        cluster.add_system(shard.image(), *shard.config());
     }
     cluster
 }
@@ -131,18 +139,16 @@ fn bench_cluster_scale(c: &mut Criterion) {
                     Parallelism::Threads(2),
                     Parallelism::Threads(4),
                 ] {
-                    let run = || {
-                        let mut sc = cluster(shards, backups, tier);
-                        sc.parallelism(par);
-                        sc.run()
-                    };
-                    let slots = cluster(shards, backups, tier).slice_slots();
+                    let run = || cluster(shards, backups, tier).run_with(par);
+                    // Untimed probe: observed pool utilization, the
+                    // executor's slice counts and the guest-instruction
+                    // total for the throughput rate.
+                    let mut probe = cluster(shards, backups, tier);
+                    let slots = probe.slice_slots();
                     let eff = par.effective_workers(slots);
-                    // Untimed probe: observed pool utilization and the
-                    // guest-instruction total for the throughput rate.
                     let pool_before = WorkPool::global().stats();
                     let wall = Instant::now();
-                    let reports = run();
+                    let reports = probe.run_with(par);
                     let wall = wall.elapsed();
                     let pool_delta = WorkPool::global().stats().busy_nanos - pool_before.busy_nanos;
                     let utilization =
@@ -159,7 +165,10 @@ fn bench_cluster_scale(c: &mut Criterion) {
                     g.annotate("requested_workers", par.requested_workers(slots) as f64)
                         .annotate("effective_workers", eff as f64);
                     if !matches!(par, Parallelism::Sequential) {
-                        g.annotate("pool_utilization", utilization);
+                        let slices = probe.slice_stats();
+                        g.annotate("pool_utilization", utilization)
+                            .annotate("published_slices", slices.published as f64)
+                            .annotate("executed_slices", slices.executed as f64);
                     }
                 }
             }

@@ -171,7 +171,8 @@ fn bench_interpreter(c: &mut Criterion) {
     let mut g = c.benchmark_group("interpreter");
     g.throughput(Throughput::Elements(retired));
     g.sample_size(20);
-    // "after": the predecoded-block engine (the default).
+    // "after": the predecoded-block engine.
+    host.set_exec_tier(ExecTier::Block);
     g.bench_function("bare_dhrystone_5k_iters", |b| {
         b.iter(|| {
             host.reset(&image);

@@ -22,18 +22,15 @@
 //! by shard index), so cross-shard contention on the medium is resolved
 //! in near-global-time order and a cluster run is exactly reproducible.
 //!
-//! # Parallel execution
+//! # Parallel execution: work first
 //!
-//! [`FtCluster::run_with`] can run the cluster's guest computations on
-//! worker threads ([`Parallelism::Threads`]) while producing results
-//! **bit-identical** to the sequential schedule. The unit of
-//! parallelism is the *replica slice*, not the shard: a shard's plan
-//! step yields a **wave** of independent slices — one per replica whose
-//! conservative horizon permits progress — so a `t = 4` system keeps
-//! all five of its replicas' guests in flight at once, and a cluster
-//! exposes up to `shards × (1 + backups)` concurrent slices. The
-//! executor is conservative — it never speculates and never rolls
-//! back — and rests on two facts:
+//! [`FtCluster::run_with`] can run guest computations on worker threads
+//! ([`Parallelism::Threads`]) while producing results **bit-identical**
+//! to the sequential schedule. The unit of work is the *replica slice*:
+//! a shard's plan step yields a **wave** of independent slices — one
+//! per replica whose conservative horizon permits progress. The
+//! executor is conservative — it never speculates and never rolls back
+//! — and rests on two facts:
 //!
 //! 1. **Replica-slice independence.** A planned slice runs only the
 //!    replica's own guest (CPU + memory); replicas couple exclusively
@@ -50,12 +47,41 @@
 //!    commit on the coordinator thread in the same global
 //!    `(time, shard)` order the sequential schedule uses.
 //!
-//! So the coordinator plans each shard's wave as soon as its previous
-//! action commits, ships every slice in the wave to the persistent
-//! work-stealing pool ([`hvft_sim::pool::WorkPool`]), and commits
-//! strictly in order — banking slices that finish early. Sequential
-//! mode executes the *identical* plan/commit sequence inline, which is
-//! why the two modes cannot diverge.
+//! **Who runs a slice.** The thread that needs a result is the best
+//! place to compute it (the work-first principle of Cilk-5: Frigo,
+//! Leiserson and Randall, PLDI '98), so nothing leaves the coordinator
+//! at plan time. When the commit order reaches a wave, the coordinator
+//! runs the slice it is waiting for itself, through the very call the
+//! sequential schedule makes. Only the *surplus* is exposed: just
+//! before it starts, the coordinator publishes every other planned
+//! slice nobody has published yet — the rest of this wave, then the
+//! other shards' pending waves — each as a detached guest and budget
+//! in a claim slot, plus one pool job that tries to take it. At a
+//! published slice's commit turn the coordinator takes it back and
+//! runs it inline if no worker has started it, and waits only for a
+//! slice a worker is actually inside. A run therefore never depends on
+//! a worker being free: with every worker busy elsewhere it is the
+//! sequential schedule plus a few unclaimed publications.
+//!
+//! **Where surplus comes from.** Under the paper's protocol a `t = 1`
+//! pair takes turns: the primary awaits its acknowledgments at every
+//! boundary (P2) and the backup trails one message behind (P4/P5).
+//! When the wire is what a run waits for — functional costs, where a
+//! 4096-instruction epoch is 82 µs of guest time against several
+//! hundred of Ethernet per boundary — a slice becomes runnable through
+//! a delivery and is picked the very step after it: four such shards
+//! on one LAN publish 1 % of their slices, a `t = 4` chain 3 %. Surplus
+//! needs guests that are runnable side by side: §4.3's revised
+//! protocol, whose primary runs ahead of its acks (25–50 % published
+//! at the same costs), and any run charged the paper's HP 9000/720
+//! costs, where guests and hypervisor outweigh the wire (a third of a
+//! lone `t = 1` pair's slices, 60–90 % from `t ≥ 2` or several shards).
+//!
+//! *Which* slices are published is a function of the plan/commit order
+//! alone, so [`FtCluster::slice_stats`] is deterministic and tests
+//! assert it; *who* runs them is a race nothing observable depends on.
+//! Sequential mode is the same loop with no pool, which is why the two
+//! modes cannot diverge.
 //!
 //! # Examples
 //!
@@ -92,13 +118,14 @@ use hvft_hypervisor::hvguest::{HvEvent, HvGuest};
 use hvft_isa::program::Program;
 use hvft_net::lan::{Lan, LanStats};
 use hvft_net::link::LinkSpec;
-use hvft_sim::pool::WorkPool;
+use hvft_sim::pool::{panic_message, WorkPool};
 use hvft_sim::sched::Scheduler;
-use hvft_sim::time::SimTime;
+use hvft_sim::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::rc::Rc;
-use std::sync::mpsc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
 
 /// How a cluster run distributes its shards' guest computations.
@@ -107,22 +134,25 @@ pub enum Parallelism {
     /// One thread does everything, in exact global-time order.
     #[default]
     Sequential,
-    /// Guest slices execute on this many worker threads; all
+    /// Guest slices execute on this many threads, the calling thread
+    /// among them: it coordinates, runs every slice it would otherwise
+    /// wait for, and exposes the rest to `n − 1` pool workers. All
     /// shared-medium effects still commit in exact global-time order,
-    /// so the results are bit-identical to [`Parallelism::Sequential`].
-    /// `Threads(0)` degenerates to sequential.
+    /// so the results are bit-identical to [`Parallelism::Sequential`],
+    /// which `Threads(1)` and `Threads(0)` are.
     Threads(usize),
 }
 
 impl Parallelism {
-    /// How many pool workers a run with this many *slice slots*
+    /// How many threads a run with this many *slice slots*
     /// (`shards × max replicas per shard`, see
-    /// [`FtCluster::slice_slots`]) asks for: the requested thread
-    /// count, clamped to the slot count (more workers than
-    /// concurrently plannable slices would only ever idle). Sequential
-    /// (and `Threads(0)`, its degenerate form) is 1. Unlike
+    /// [`FtCluster::slice_slots`]) runs slices on, the caller included:
+    /// the requested thread count, clamped to the slot count (more
+    /// threads than concurrently plannable slices would only ever
+    /// idle). Sequential (and `Threads(0)`, its degenerate form) is 1;
+    /// the pool is asked for one worker fewer than this. Unlike
     /// [`Parallelism::effective_workers`], this does **not** clamp to
-    /// the machine's cores — it is the pool size, not a speedup bound.
+    /// the machine's cores — it is a request, not a speedup bound.
     pub fn requested_workers(&self, slots: usize) -> usize {
         match *self {
             Parallelism::Sequential | Parallelism::Threads(0) => 1,
@@ -152,6 +182,20 @@ impl Parallelism {
 pub struct FtCluster {
     lan: Rc<RefCell<Lan<WireFrame>>>,
     sched: Scheduler<FtSystem>,
+    slice_stats: SliceStats,
+}
+
+/// What the executor did with the cluster's guest slices so far. Both
+/// counts are functions of the plan/commit order alone — the same on
+/// every run, machine and thread count ≥ 2 — so tests assert them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct SliceStats {
+    /// Slices committed, whoever ran them.
+    pub executed: u64,
+    /// Of those, slices exposed to the pool because the coordinator had
+    /// another one to run first (0 without workers). A published slice
+    /// runs on a worker, or on the coordinator if none got to it.
+    pub published: u64,
 }
 
 impl FtCluster {
@@ -161,6 +205,7 @@ impl FtCluster {
         FtCluster {
             lan: Rc::new(RefCell::new(Lan::new(link, seed))),
             sched: Scheduler::new(),
+            slice_stats: SliceStats::default(),
         }
     }
 
@@ -188,7 +233,7 @@ impl FtCluster {
     }
 
     /// Upper bound on the number of guest slices this cluster can have
-    /// in flight at once: `shards × max replicas per shard`. Each
+    /// planned at once: `shards × max replicas per shard`. Each
     /// shard's plan step yields up to one slice per replica (a wave),
     /// so this — not the shard count — is what
     /// [`Parallelism::Threads`] is clamped against.
@@ -273,6 +318,11 @@ impl FtCluster {
         self.lan.borrow().stats()
     }
 
+    /// Slices executed and published so far (see [`SliceStats`]).
+    pub fn slice_stats(&self) -> SliceStats {
+        self.slice_stats
+    }
+
     /// Runs every shard to completion sequentially and returns their
     /// results in shard order.
     ///
@@ -293,69 +343,30 @@ impl FtCluster {
     /// Panics if the cluster has no systems.
     pub fn run_with(&mut self, parallelism: Parallelism) -> Vec<RunReport> {
         assert!(!self.sched.is_empty(), "empty cluster");
-        let pool = match parallelism {
-            Parallelism::Sequential | Parallelism::Threads(0) => None,
-            Parallelism::Threads(_) => {
-                let pool = WorkPool::global();
-                pool.ensure_workers(parallelism.requested_workers(self.slice_slots()));
-                Some(pool)
-            }
-        };
-        self.coordinate(pool)
+        // The caller is one of the requested threads.
+        let workers = parallelism.requested_workers(self.slice_slots()) - 1;
+        let pool = (workers > 0).then(|| {
+            let pool = WorkPool::global();
+            pool.ensure_workers(workers);
+            pool
+        });
+        self.coordinate(pool.map(Exposure::new))
     }
 
     /// The coordinator loop shared by both modes: plan each shard's
-    /// wave as soon as its previous action commits (shipping every
-    /// slice in the wave to the pool, if any), then commit actions
+    /// wave as soon as its previous action commits, then commit actions
     /// strictly in the kernel's global `(time, shard)` pick order —
-    /// and, within a shard's wave, in plan order.
-    fn coordinate(&mut self, pool: Option<&'static WorkPool>) -> Vec<RunReport> {
+    /// and, within a shard's wave, in plan order. Every slice runs
+    /// here, at its commit turn, unless a worker took it first from
+    /// `exposure` (see the [module docs](self)).
+    fn coordinate(&mut self, mut exposure: Option<Exposure<'_>>) -> Vec<RunReport> {
         let n = self.sched.len();
         let mut plans: Vec<Option<StepPlan>> = vec![None; n];
-        // Completed off-thread slices' hypervisor events, banked per
-        // (shard, host) until their turn in the commit order. The pool
-        // is process-global and may carry other runs' jobs, so results
-        // come back on this run's own channel, never via pool idleness.
-        let mut banked: Vec<BTreeMap<usize, HvEvent>> = (0..n).map(|_| BTreeMap::new()).collect();
-        let (done_tx, done_rx) = mpsc::channel::<SliceDone>();
         loop {
             for (i, plan_slot) in plans.iter_mut().enumerate() {
-                if plan_slot.is_some() || self.sched.is_finished(i) {
-                    continue;
+                if plan_slot.is_none() && !self.sched.is_finished(i) {
+                    *plan_slot = Some(self.sched.component_mut(i).plan());
                 }
-                let plan = self.sched.component_mut(i).plan();
-                if let (Some(pool), StepPlan::Slices(wave)) = (pool, &plan) {
-                    for s in wave {
-                        let (host, budget) = (s.host, s.budget);
-                        let mut guest = self.sched.component_mut(i).detach_guest(host);
-                        let done_tx = done_tx.clone();
-                        pool.submit(move || {
-                            // A panicking slice must surface on the
-                            // coordinator (as it would sequentially),
-                            // not strand it waiting for a reply. The
-                            // guest is consumed either way, so no
-                            // broken state escapes the unwind boundary.
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-                                    let event = guest.run(budget);
-                                    (guest, event)
-                                }))
-                                .map_err(|payload| {
-                                    payload
-                                        .downcast_ref::<&str>()
-                                        .map(|m| (*m).to_owned())
-                                        .or_else(|| payload.downcast_ref::<String>().cloned())
-                                        .unwrap_or_else(|| "non-string panic payload".to_owned())
-                                });
-                            let _ = done_tx.send(SliceDone {
-                                shard: i,
-                                host,
-                                outcome,
-                            });
-                        });
-                    }
-                }
-                *plan_slot = Some(plan);
             }
             let Some(i) = self.sched.pick() else {
                 break;
@@ -367,35 +378,40 @@ impl FtCluster {
                 }
                 StepPlan::Event => self.sched.component_mut(i).fire_next_event(),
                 StepPlan::Slices(wave) => {
-                    // Commit the wave in plan order — the same order
-                    // sequential mode executes it inline.
+                    if let Some(exposure) = &mut exposure {
+                        // The surplus: everything planned except the
+                        // slice about to run here.
+                        let pending = plans.iter().enumerate().flat_map(|(j, plan)| {
+                            let slices = match plan {
+                                Some(StepPlan::Slices(w)) => &w[..],
+                                _ => &[],
+                            };
+                            slices.iter().map(move |s| (j, s))
+                        });
+                        for (j, s) in wave.iter().skip(1).map(|s| (i, s)).chain(pending) {
+                            if !exposure.holds((j, s.host)) {
+                                let guest = self.sched.component_mut(j).detach_guest(s.host);
+                                exposure.publish((j, s.host), guest, s.budget);
+                                self.slice_stats.published += 1;
+                            }
+                        }
+                    }
+                    // Commit the wave in plan order.
+                    let sys = self.sched.component_mut(i);
                     for s in wave {
-                        let event = match pool {
-                            // Conservative barrier: this slice is next
-                            // in the commit order, so nothing may
-                            // commit until it lands. Other finished
-                            // slices are banked along the way.
-                            Some(_) => loop {
-                                if let Some(ev) = banked[i].remove(&s.host) {
-                                    break ev;
-                                }
-                                let done = done_rx.recv().expect("a worker must answer");
-                                let (guest, event) = match done.outcome {
-                                    Ok(ok) => ok,
-                                    Err(msg) => panic!(
-                                        "guest slice panicked on a worker \
-                                         (shard {}, host {}): {msg}",
-                                        done.shard, done.host
-                                    ),
-                                };
-                                self.sched
-                                    .component_mut(done.shard)
-                                    .attach_guest(done.host, guest);
-                                banked[done.shard].insert(done.host, event);
-                            },
-                            None => self.sched.component_mut(i).run_slice(s.host, s.budget),
+                        let ran_elsewhere = exposure
+                            .as_mut()
+                            .and_then(|exposure| exposure.join((i, s.host)))
+                            .and_then(|(guest, event)| {
+                                sys.attach_guest(s.host, guest);
+                                event
+                            });
+                        let event = match ran_elsewhere {
+                            Some(event) => event,
+                            None => sys.run_slice(s.host, s.budget),
                         };
-                        self.sched.component_mut(i).commit_slice(s.host, event);
+                        sys.commit_slice(s.host, event);
+                        self.slice_stats.executed += 1;
                     }
                 }
             }
@@ -404,14 +420,103 @@ impl FtCluster {
     }
 }
 
-/// A completed slice coming back from a pool worker. `outcome` carries
-/// the guest back on success, or the panic message if the slice
-/// panicked — the coordinator re-raises it instead of deadlocking on a
-/// reply that will never come.
-struct SliceDone {
-    shard: usize,
-    host: usize,
-    outcome: Result<(HvGuest, HvEvent), String>,
+/// `(shard, host)`: names a planned slice.
+type SliceId = (usize, usize);
+
+/// A published slice's claim slot: the detached guest and its budget,
+/// until the first taker.
+type Claim = Arc<Mutex<Option<(HvGuest, SimDuration)>>>;
+
+/// What a worker sends back: the guest and the event its slice ended
+/// with, or the panic message if the slice panicked.
+type Outcome = Result<(HvGuest, HvEvent), String>;
+
+/// The surplus slices of one run, exposed to a pool. A published slice
+/// sits in a claim slot until its first taker — the pool job published
+/// with it, or the coordinator at the slice's commit turn — `take`s it;
+/// whoever does runs it. The pool may be shared with other runs, so
+/// results come back on this run's own channel, never via pool
+/// idleness, and a job that finds its slot empty just returns.
+struct Exposure<'p> {
+    pool: &'p WorkPool,
+    /// Claim slots of slices published and not yet joined.
+    open: BTreeMap<SliceId, Claim>,
+    /// Outcomes that arrived before their slice's commit turn.
+    banked: BTreeMap<SliceId, Outcome>,
+    done_tx: mpsc::Sender<(SliceId, Outcome)>,
+    done_rx: mpsc::Receiver<(SliceId, Outcome)>,
+}
+
+impl<'p> Exposure<'p> {
+    fn new(pool: &'p WorkPool) -> Self {
+        let (done_tx, done_rx) = mpsc::channel();
+        Exposure {
+            pool,
+            open: BTreeMap::new(),
+            banked: BTreeMap::new(),
+            done_tx,
+            done_rx,
+        }
+    }
+
+    /// Whether this planned slice is published already.
+    fn holds(&self, id: SliceId) -> bool {
+        self.open.contains_key(&id)
+    }
+
+    /// Exposes a planned slice: its detached guest and budget go into a
+    /// claim slot, and one pool job tries to take them.
+    fn publish(&mut self, id: SliceId, guest: HvGuest, budget: SimDuration) {
+        let slot: Claim = Arc::new(Mutex::new(Some((guest, budget))));
+        self.open.insert(id, Arc::clone(&slot));
+        let done_tx = self.done_tx.clone();
+        self.pool.submit(move || {
+            let claimed = slot.lock().expect("claim slot").take();
+            let Some((mut guest, budget)) = claimed else {
+                return;
+            };
+            // A panicking slice must surface on the coordinator (as it
+            // would sequentially), not strand it waiting for a reply.
+            // The guest is consumed either way, so no broken state
+            // escapes the unwind boundary.
+            let outcome = catch_unwind(AssertUnwindSafe(move || {
+                let event = guest.run(budget);
+                (guest, event)
+            }))
+            .map_err(|payload| panic_message(&*payload));
+            let _ = done_tx.send((id, outcome));
+        });
+    }
+
+    /// At a slice's commit turn: `None` if it was never published. Otherwise the guest comes back — unrun (`None`
+    /// event) if no worker had started the slice, else with the event
+    /// the worker's run ended in, waited for if need be.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a panic of this slice on a worker, naming the slice.
+    fn join(&mut self, id: SliceId) -> Option<(HvGuest, Option<HvEvent>)> {
+        let slot = self.open.remove(&id)?;
+        if let Some((guest, _)) = slot.lock().expect("claim slot").take() {
+            return Some((guest, None));
+        }
+        // A worker is inside this slice; other outcomes are banked
+        // along the way.
+        let outcome = loop {
+            if let Some(outcome) = self.banked.remove(&id) {
+                break outcome;
+            }
+            let (other, outcome) = self.done_rx.recv().expect("this end holds a sender");
+            self.banked.insert(other, outcome);
+        };
+        match outcome {
+            Ok((guest, event)) => Some((guest, Some(event))),
+            Err(msg) => {
+                let (shard, host) = id;
+                panic!("guest slice panicked on a worker (shard {shard}, host {host}): {msg}")
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -610,6 +715,130 @@ mod tests {
                 "Threads({threads}) checkpoints diverged from sequential"
             );
         }
+    }
+
+    /// A compute-only guest with no driver around it: its slices end
+    /// in `EpochEnd` or `BudgetExhausted` until the workload exits.
+    fn lone_guest(iters: u32) -> HvGuest {
+        use hvft_hypervisor::hvguest::HvConfig;
+        let image = build_image(&KernelConfig::default(), &dhrystone_source(iters, 0)).unwrap();
+        HvGuest::new(&image, CostModel::functional(), HvConfig::default())
+    }
+
+    /// Waits until a worker has taken this published slice.
+    fn await_worker(exposure: &Exposure<'_>, id: SliceId) {
+        let slot = &exposure.open[&id];
+        while slot.lock().unwrap().is_some() {
+            thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_published_slice_runs_exactly_once_whoever_wins_the_race() {
+        // 10 000 rounds of publish-then-join against a free worker,
+        // joining after a delay that sweeps the window in which the
+        // worker wakes up. Whoever takes the slot runs the slice; a
+        // slice run twice, or by nobody, leaves the raced guest's state
+        // off the inline twin's.
+        let pool = WorkPool::new(1);
+        let mut exposure = Exposure::new(&pool);
+        let budget = SimDuration::from_nanos(20 * 37);
+        let (mut raced, mut inline) = (lone_guest(50_000), lone_guest(50_000));
+        let mut on_worker = 0u32;
+        for round in 0..10_000u32 {
+            exposure.publish((2, 1), raced, budget);
+            assert!(exposure.holds((2, 1)));
+            for _ in 0..(round % 97) * 40 {
+                std::hint::spin_loop();
+            }
+            let (guest, ran) = exposure.join((2, 1)).expect("published above");
+            raced = guest;
+            let event = ran.unwrap_or_else(|| raced.run(budget));
+            on_worker += u32::from(ran.is_some());
+            assert_eq!(event, inline.run(budget), "round {round}");
+            if event == HvEvent::EpochEnd {
+                raced.begin_epoch();
+                inline.begin_epoch();
+            }
+            assert!(!exposure.holds((2, 1)) && exposure.join((2, 1)).is_none());
+        }
+        assert_eq!(raced.state_hash(), inline.state_hash());
+        assert_eq!(raced.cpu.retired(), inline.cpu.retired());
+        assert_eq!(raced.elapsed(), inline.elapsed());
+        println!("{on_worker} of 10000 slices ran on the worker");
+    }
+
+    #[test]
+    fn a_slice_a_worker_started_is_waited_for_not_rerun() {
+        // The pinned proof that published slices do execute off-thread:
+        // the join below can only be answered by the worker.
+        let pool = WorkPool::new(1);
+        let mut exposure = Exposure::new(&pool);
+        let budget = SimDuration::from_micros(30);
+        let mut inline = lone_guest(500);
+        exposure.publish((0, 1), lone_guest(500), budget);
+        await_worker(&exposure, (0, 1));
+        let (guest, ran) = exposure.join((0, 1)).expect("published above");
+        assert_eq!(ran, Some(inline.run(budget)), "the worker's event");
+        assert_eq!(guest.state_hash(), inline.state_hash());
+        assert!(guest.cpu.retired() > 0);
+    }
+
+    #[test]
+    fn an_unstarted_slice_is_taken_back_and_its_job_finds_nothing() {
+        // The only worker is held inside a foreign job: the joiner gets
+        // the guest back unrun, and the stale job must not resurrect it.
+        let pool = WorkPool::new(1);
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        pool.submit(move || {
+            started_tx.send(()).unwrap();
+            let _ = release_rx.recv();
+        });
+        started_rx.recv().unwrap();
+        let mut exposure = Exposure::new(&pool);
+        exposure.publish((1, 0), lone_guest(500), SimDuration::from_micros(30));
+        let (guest, ran) = exposure.join((1, 0)).expect("published above");
+        assert_eq!(ran, None);
+        assert_eq!(guest.cpu.retired(), 0, "nobody ran it");
+        drop(release_tx);
+        pool.wait_idle();
+        assert!(
+            exposure.done_rx.try_recv().is_err(),
+            "the job found nothing"
+        );
+    }
+
+    #[test]
+    fn a_worker_panic_is_re_raised_at_the_slice_s_own_commit_turn() {
+        // A guest at real privilege 0 trips an `unreachable!` in the
+        // hypervisor on its first privileged instruction. Its slice is
+        // published first and fails first, but an earlier commit turn
+        // (another slice's join) must not see the failure; its own
+        // does, naming shard and host.
+        let pool = WorkPool::new(1);
+        let mut exposure = Exposure::new(&pool);
+        let budget = SimDuration::from_micros(30);
+        let mut broken = lone_guest(500);
+        broken.cpu.psw.cpl = 0;
+        exposure.publish((3, 1), broken, budget);
+        exposure.publish((0, 0), lone_guest(500), budget);
+        await_worker(&exposure, (3, 1));
+        await_worker(&exposure, (0, 0));
+        let (_, ran) = exposure.join((0, 0)).expect("published above");
+        assert!(ran.is_some());
+        let raised = catch_unwind(AssertUnwindSafe(|| exposure.join((3, 1)).is_some()))
+            .expect_err("the slice's panic");
+        let msg = panic_message(&*raised);
+        assert!(msg.contains("(shard 3, host 1)"), "{msg}");
+        assert!(msg.contains("real privilege 0"), "{msg}");
+        // Run inline, the same guest panics at the same place: the
+        // slice's own turn in the commit order.
+        let mut broken = lone_guest(500);
+        broken.cpu.psw.cpl = 0;
+        let inline =
+            catch_unwind(AssertUnwindSafe(|| broken.run(budget))).expect_err("the inline panic");
+        assert!(msg.ends_with(&panic_message(&*inline)), "{msg}");
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod scenario;
 pub mod system;
 
 pub use chain::TChain;
-pub use cluster::{FtCluster, Parallelism};
+pub use cluster::{FtCluster, Parallelism, SliceStats};
 pub use config::{FailureSpec, FtConfig, ProtocolVariant};
 pub use lockstep::{Divergence, LockstepChecker};
 pub use messages::{DiskCompletion, ForwardedInterrupt, Message};

@@ -311,14 +311,16 @@ impl ScenarioBuilder {
     }
 
     /// How a sharded cluster run executes this scenario's guest
-    /// computations: [`Parallelism::Threads`] runs *replica slices* on
-    /// the persistent worker pool with conservative synchronization,
-    /// bit-identical to [`Parallelism::Sequential`] (see
-    /// [`crate::cluster::FtCluster::run_with`]). The thread count is
-    /// clamped to the cluster's slice slots
+    /// computations: under [`Parallelism::Threads`] the calling thread
+    /// runs every *replica slice* it would otherwise wait for and
+    /// exposes the surplus to the persistent worker pool, with
+    /// conservative synchronization, bit-identical to
+    /// [`Parallelism::Sequential`] (see
+    /// [`crate::cluster::FtCluster::run_with`]). The thread count —
+    /// the caller included — is clamped to the cluster's slice slots
     /// (`shards × max replicas per shard`,
-    /// [`ClusterScenario::slice_slots`]), so even a single-shard
-    /// cluster with `t` backups can keep `t + 1` guests in flight.
+    /// [`ClusterScenario::slice_slots`]): even a single-shard cluster
+    /// with `t` backups plans up to `t + 1` slices at once.
     /// Applies when the scenario is added to a [`ClusterScenario`].
     /// Replicated driver only.
     pub fn parallelism(mut self, p: Parallelism) -> Self {
@@ -420,8 +422,8 @@ impl ScenarioBuilder {
     }
 
     /// Selects the execution engine for every guest — the single-step
-    /// reference interpreter, predecoded blocks (the default) or the
-    /// threaded-code jit. All tiers are observably identical; see the
+    /// reference interpreter, predecoded blocks or the threaded-code
+    /// jit (the default). All tiers are observably identical; see the
     /// three-way differential oracle in `tests/proptest_step_vs_block.rs`.
     pub fn exec_tier(mut self, tier: ExecTier) -> Self {
         self.cfg.hv.exec_tier = tier;

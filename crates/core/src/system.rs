@@ -97,8 +97,8 @@ struct InflightIo {
     issued_at: SimTime,
 }
 
-/// Holds a host's guest, allowing it to be temporarily detached so a
-/// worker thread can execute a planned slice off-thread (the parallel
+/// Holds a host's guest, allowing it to be temporarily detached while
+/// its planned slice is exposed to a worker thread (the parallel
 /// cluster executor). Everything in [`FtSystem`] that can run between a
 /// slice's planning and its commit — `next_action_time`, the event
 /// agenda — must not touch the guest; dereferencing an empty slot
@@ -2021,9 +2021,10 @@ impl FtSystem {
         self.dispatch_guest_event(host, event);
     }
 
-    /// Detaches a host's guest for off-thread slice execution (the
-    /// parallel cluster executor). The system must not be stepped for
-    /// this host until [`FtSystem::attach_guest`] returns it.
+    /// Detaches a host's guest so that its planned slice can be
+    /// published to worker threads (the parallel cluster executor).
+    /// The system must not be stepped for this host until
+    /// [`FtSystem::attach_guest`] returns it.
     pub(crate) fn detach_guest(&mut self, host: usize) -> HvGuest {
         self.hosts[host].guest.detach()
     }

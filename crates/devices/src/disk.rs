@@ -105,7 +105,7 @@ pub struct PendingOp {
 /// is shared environment, accessible to every processor on the bus.)
 #[derive(Clone, Debug)]
 pub struct DiskSnapshot {
-    blocks: Vec<u8>,
+    blocks: Vec<Option<Box<[u8]>>>,
     num_blocks: u32,
     read_time: SimDuration,
     write_time: SimDuration,
@@ -126,11 +126,16 @@ pub struct DiskSnapshot {
 ///    fires — applies the effect (subject to injected faults) and returns
 ///    the [`DiskStatus`] to post with the interrupt.
 pub struct Disk {
-    /// The medium up to the highest block ever written. Blocks beyond it
-    /// still hold their initial zeros and are not materialised: most
-    /// systems own a disk their guest never writes, and a run should
-    /// not pay for (or zero) a megabyte it does not touch.
-    blocks: Vec<u8>,
+    /// The medium, one slot per block up to the highest ever written;
+    /// a block is materialised by its first write and reads as zeros
+    /// until then: most systems own a disk their guest never writes,
+    /// and a run should not pay for (or zero) a megabyte it does not
+    /// touch. Block by block rather than one growing buffer, so that
+    /// what a run allocates depends on which blocks it wrote and not on
+    /// the order it wrote them in (a buffer regrown towards a megabyte
+    /// in a seed-dependent sequence of steps moved the process's peak
+    /// RSS by that megabyte from one seed to the next).
+    blocks: Vec<Option<Box<[u8]>>>,
     num_blocks: u32,
     read_time: SimDuration,
     write_time: SimDuration,
@@ -316,20 +321,23 @@ impl Disk {
 
     fn store(&mut self, block: u32, data: &[u8]) {
         assert!(block < self.num_blocks, "block {block} is off the medium");
-        let at = block as usize * BLOCK_SIZE;
-        if self.blocks.len() < at + BLOCK_SIZE {
-            self.blocks.resize(at + BLOCK_SIZE, 0);
+        let at = block as usize;
+        if self.blocks.len() <= at {
+            self.blocks.resize(at + 1, None);
         }
-        self.blocks[at..at + BLOCK_SIZE].copy_from_slice(data);
+        match &mut self.blocks[at] {
+            Some(held) => held.copy_from_slice(data),
+            unwritten => *unwritten = Some(data.into()),
+        }
     }
 
     fn fetch(&self, block: u32) -> &[u8] {
         static NEVER_WRITTEN: [u8; BLOCK_SIZE] = [0; BLOCK_SIZE];
         assert!(block < self.num_blocks, "block {block} is off the medium");
-        let at = block as usize * BLOCK_SIZE;
-        self.blocks
-            .get(at..at + BLOCK_SIZE)
-            .unwrap_or(&NEVER_WRITTEN)
+        match self.blocks.get(block as usize) {
+            Some(Some(held)) => held,
+            _ => &NEVER_WRITTEN,
+        }
     }
 
     /// Direct medium access for test setup and verification (not part of
@@ -435,6 +443,27 @@ mod tests {
         let (status, data) = d.complete_read();
         assert_eq!(status, DiskStatus::Complete);
         assert_eq!(data.unwrap(), block_of(0xAA));
+    }
+
+    #[test]
+    fn blocks_materialise_one_by_one_in_any_order() {
+        let held = |d: &Disk| d.blocks.iter().flatten().count();
+        let mut d = Disk::new(128, 0);
+        d.poke_block(100, &block_of(1));
+        d.poke_block(3, &block_of(2));
+        assert_eq!(held(&d), 2);
+        assert_eq!(d.peek_block(50), block_of(0).as_slice());
+        assert_eq!(d.peek_block(127), block_of(0).as_slice());
+
+        let snap = d.snapshot();
+        d.poke_block(3, &block_of(3));
+        d.poke_block(127, &block_of(4));
+        assert_eq!(held(&d), 3);
+        d.restore(&snap);
+        assert_eq!(held(&d), 2);
+        assert_eq!(d.peek_block(3), block_of(2).as_slice());
+        assert_eq!(d.peek_block(100), block_of(1).as_slice());
+        assert_eq!(d.peek_block(127), block_of(0).as_slice());
     }
 
     #[test]

@@ -104,7 +104,7 @@ impl BareHost {
         }
     }
 
-    /// Selects the execution engine (default: predecoded blocks). The
+    /// Selects the execution engine (default: [`ExecTier::Jit`]). The
     /// choice survives [`BareHost::reset`], so benches that re-boot the
     /// host per iteration keep measuring the selected tier.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {

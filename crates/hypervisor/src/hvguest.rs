@@ -119,8 +119,8 @@ pub struct HvConfig {
     /// Guest RAM size in bytes.
     pub ram_bytes: usize,
     /// Which execution engine the CPU uses: the single-step reference
-    /// interpreter, predecoded blocks (the default) or the threaded-code
-    /// jit. All three are observably identical, and the knob lets
+    /// interpreter, predecoded blocks or the threaded-code jit (the
+    /// default). All three are observably identical, and the knob lets
     /// differential tests prove that.
     pub exec_tier: ExecTier,
 }
@@ -134,7 +134,7 @@ impl Default for HvConfig {
             tlb_policy: TlbReplacement::Random,
             tlb_seed: 0,
             ram_bytes: hvft_guest::layout::RAM_BYTES,
-            exec_tier: ExecTier::Block,
+            exec_tier: ExecTier::default(),
         }
     }
 }

@@ -1482,6 +1482,7 @@ mod tests {
                 bne  r5, r0, loop
                 halt",
         );
+        cpu.set_exec_tier(ExecTier::Block);
         assert_eq!(cpu.run(&mut mem, 100_000), Exit::Halt);
         assert_eq!(cpu.reg(Reg::of(6)), 50);
         let stats = cpu.block_cache_stats();

@@ -6,7 +6,7 @@
 //! embedder (the bare machine routes them to devices, the hypervisor
 //! intercepts them — paper §3.2, Environment Instruction Assumption).
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 
 /// Base physical address of the memory-mapped I/O window.
 pub const IO_BASE: u32 = 0xF000_0000;
@@ -63,6 +63,22 @@ impl CodePage {
     }
 }
 
+thread_local! {
+    /// All-zero RAM buffers of [`Memory`] values this thread dropped,
+    /// for its next [`Memory::new`] of the same size. A fresh
+    /// `vec![0; n]` of guest-RAM size lands on the chunk the previous
+    /// run freed, which the allocator must clear in full: every page of
+    /// every new guest becomes resident though a guest writes about a
+    /// dozen. A dropped `Memory` knows which pages it wrote and clears
+    /// only those. Derived state like the digest cache: a buffer from
+    /// here is indistinguishable from a fresh one.
+    static ZEROED: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Most buffers [`ZEROED`] keeps (two `t = 3` systems' worth of
+/// guests); beyond that the oldest is freed.
+const MAX_ZEROED: usize = 16;
+
 /// Classification of a physical address.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum AddrKind {
@@ -87,6 +103,11 @@ pub enum AddrKind {
 /// ```
 #[derive(Clone)]
 pub struct Memory {
+    /// **Invariant:** a page whose entry in `page_gens` is 0 holds only
+    /// zero bytes. Every write path bumps the generation of each page
+    /// it lands on, and [`Memory::restore`] and `Clone` copy bytes and
+    /// generations together. `Drop` relies on it to hand the buffer on
+    /// as all-zero after clearing only the written pages.
     ram: Vec<u8>,
     /// Per-page write generation, bumped on **every** RAM write (CPU
     /// store, program load, device DMA, [`Memory::reset`]). This is the
@@ -163,8 +184,12 @@ impl Memory {
             "RAM of {bytes} bytes would overlap the I/O window at {IO_BASE:#x}"
         );
         let pages = bytes.div_ceil(PAGE_SIZE as usize);
+        let recycled = ZEROED.with_borrow_mut(|spare| {
+            let at = spare.iter().position(|ram| ram.len() == bytes)?;
+            Some(spare.swap_remove(at))
+        });
         Memory {
-            ram: vec![0; bytes],
+            ram: recycled.unwrap_or_else(|| vec![0; bytes]),
             page_gens: vec![0; pages],
             code: vec![CodePage::no_code(); pages],
             digests: vec![Cell::new(STALE); pages],
@@ -400,6 +425,31 @@ impl Memory {
     }
 }
 
+impl Drop for Memory {
+    /// Clears the pages this memory wrote and leaves the buffer for the
+    /// next [`Memory::new`] of its size (see `ZEROED`).
+    fn drop(&mut self) {
+        let mut ram = std::mem::take(&mut self.ram);
+        for (page, &gen) in ram.chunks_mut(PAGE_SIZE as usize).zip(&self.page_gens) {
+            if gen != 0 {
+                page.fill(0);
+            }
+        }
+        debug_assert!(
+            ram.iter().all(|&b| b == 0),
+            "a page with write generation 0 held non-zero bytes"
+        );
+        // `Err`: the thread is exiting and its list is gone already.
+        let _ = ZEROED.try_with(|spare| {
+            let mut spare = spare.borrow_mut();
+            if spare.len() == MAX_ZEROED {
+                spare.remove(0);
+            }
+            spare.push(ram);
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -509,6 +559,83 @@ mod tests {
         assert_eq!(m.read_u32(16), Ok(0));
         assert_ne!(m.page_gen(16), g, "reset must invalidate cached blocks");
         assert_eq!(m.size(), 2 * PAGE_SIZE as usize);
+    }
+
+    #[test]
+    fn a_recycled_buffer_is_indistinguishable_from_a_fresh_one() {
+        // Five pages and a partial sixth. The harness runs each test on
+        // a thread of its own, so the buffers dropped here are the ones
+        // handed back here.
+        const BYTES: usize = 5 * PAGE_SIZE as usize + 123;
+        let last = BYTES as u32 - 1;
+        type Dirty = fn(&mut Memory, u32);
+        let cases: [(&str, Dirty); 4] = [
+            ("stores at page edges", |m, last| {
+                m.write_u8(0, 1).unwrap();
+                m.write_u8(PAGE_SIZE - 1, 2).unwrap();
+                m.write_u32(2 * PAGE_SIZE - 2, 0xAABB_CCDD).unwrap();
+                m.write_bytes(4 * PAGE_SIZE - 3, &[3; 6]);
+                m.write_u8(last, 4).unwrap();
+            }),
+            ("reset", |m, last| {
+                m.write_u32(PAGE_SIZE, 5).unwrap();
+                m.reset();
+                m.write_u8(last, 6).unwrap();
+            }),
+            ("restore from a donor with different generations", |m, _| {
+                // Page 1 is written here and untouched (generation 0)
+                // at the donor; page 3 the other way round, and page 2
+                // reaches different generations on the two sides.
+                let mut donor = Memory::new(BYTES);
+                donor.write_u32(3 * PAGE_SIZE, 7).unwrap();
+                donor.write_u32(2 * PAGE_SIZE, 8).unwrap();
+                donor.write_u32(2 * PAGE_SIZE + 4, 9).unwrap();
+                m.write_u32(PAGE_SIZE, 10).unwrap();
+                m.write_u32(2 * PAGE_SIZE + 8, 11).unwrap();
+                m.restore(&donor.snapshot());
+                assert_eq!((m.read_u32(PAGE_SIZE), m.page_gen(PAGE_SIZE)), (Ok(0), 0));
+            }),
+            ("clone", |m, last| {
+                m.write_u32(PAGE_SIZE + 8, 12).unwrap();
+                let mut twin = m.clone();
+                twin.write_u8(last, 13).unwrap();
+                m.write_u8(4 * PAGE_SIZE, 14).unwrap();
+            }),
+        ];
+        let spares = || ZEROED.with_borrow(|spare| spare.len());
+        let cpu = crate::cpu::Cpu::new(16, crate::tlb::TlbReplacement::RoundRobin, 0);
+        let fresh_hash = crate::statehash::vm_state_hash(&cpu, &Memory::new(BYTES));
+        for (what, dirty) in cases {
+            let mut m = Memory::new(BYTES);
+            dirty(&mut m, last);
+            let buffer = m.ram.as_ptr();
+            drop(m);
+            // Donors and clones were recycled too: take every buffer back.
+            let taken: Vec<Memory> = (0..spares()).map(|_| Memory::new(BYTES)).collect();
+            assert_eq!(spares(), 0, "{what}: every spare matched the size");
+            assert!(taken.iter().any(|t| t.ram.as_ptr() == buffer), "{what}");
+            for t in &taken {
+                assert!(t.ram.iter().all(|&b| b == 0), "{what}: stale bytes");
+                assert!(t.page_gens.iter().all(|&g| g == 0), "{what}");
+                assert_eq!(t.code_gen(PAGE_SIZE), 0, "{what}");
+                assert_eq!(
+                    crate::statehash::vm_state_hash(&cpu, t),
+                    fresh_hash,
+                    "{what}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_spare_list_is_bounded() {
+        let held: Vec<Memory> = (0..MAX_ZEROED + 3).map(|_| Memory::new(64)).collect();
+        drop(held);
+        assert_eq!(ZEROED.with_borrow(|spare| spare.len()), MAX_ZEROED);
+        // A size nothing asks for again cannot clog the list.
+        drop(Memory::new(128));
+        let got = ZEROED.with_borrow(|spare| spare.iter().filter(|r| r.len() == 128).count());
+        assert_eq!(got, 1);
     }
 
     /// Page 1 with the words `[lo, hi)` registered as decoded.

@@ -30,7 +30,8 @@
 //! simulation results must depend only on job outputs committed in a
 //! deterministic order, never on pool scheduling — which is exactly how
 //! the cluster executor uses it (slices are independent; commits happen
-//! on the coordinator in kernel pick order).
+//! on the coordinator in kernel pick order; a job only *tries* to claim
+//! its slice, so nothing waits on a worker that is busy elsewhere).
 //!
 //! The observed-utilization counters ([`WorkPool::stats`]) are wall
 //! clock, not simulated time: they exist so benchmark artifacts can
@@ -56,6 +57,7 @@
 //! assert_eq!(sum.load(Ordering::Relaxed), 55);
 //! ```
 
+use std::any::Any;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
@@ -79,6 +81,16 @@ pub struct PoolStats {
     pub steals: u64,
     /// Times a worker went to sleep on the idle condvar.
     pub parks: u64,
+}
+
+/// The message of a caught panic (`catch_unwind`'s `Err` payload), for
+/// whoever reports or re-raises it on another thread.
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|m| (*m).to_owned())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_owned())
 }
 
 /// State shared between the pool handle and its workers.
@@ -138,11 +150,7 @@ impl Shared {
             .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.jobs.fetch_add(1, Ordering::Relaxed);
         if let Err(payload) = outcome {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|m| (*m).to_owned())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_owned());
+            let msg = panic_message(&*payload);
             self.panics.lock().expect("panic log").push(msg);
         }
         let mut outstanding = self.outstanding.lock().expect("outstanding");

@@ -4,9 +4,16 @@
 use crate::time::SimDuration;
 
 /// Fixed-bucket histogram over durations, for interrupt-delay profiles.
-#[derive(Clone, Debug)]
+///
+/// Every run report carries one, and most record nothing or a narrow
+/// band of latencies, so counts are stored only up to the highest
+/// bucket a sample fell into: an empty histogram owns no heap.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct DurationHistogram {
     bucket_width: SimDuration,
+    bucket_count: usize,
+    /// Counts of buckets `0..=highest hit`; the last entry is never
+    /// zero, so equal counts mean equal vectors.
     buckets: Vec<u64>,
     overflow: u64,
     total: u64,
@@ -24,7 +31,8 @@ impl DurationHistogram {
         assert!(buckets > 0, "need at least one bucket");
         DurationHistogram {
             bucket_width,
-            buckets: vec![0; buckets],
+            bucket_count: buckets,
+            buckets: Vec::new(),
             overflow: 0,
             total: 0,
         }
@@ -32,11 +40,14 @@ impl DurationHistogram {
 
     /// Records a sample.
     pub fn record(&mut self, d: SimDuration) {
-        let idx = d.as_nanos() / self.bucket_width.as_nanos();
-        if (idx as usize) < self.buckets.len() {
-            self.buckets[idx as usize] += 1;
-        } else {
-            self.overflow += 1;
+        match usize::try_from(d.as_nanos() / self.bucket_width.as_nanos()) {
+            Ok(idx) if idx < self.bucket_count => {
+                if idx >= self.buckets.len() {
+                    self.buckets.resize(idx + 1, 0);
+                }
+                self.buckets[idx] += 1;
+            }
+            _ => self.overflow += 1,
         }
         self.total += 1;
     }
@@ -47,13 +58,18 @@ impl DurationHistogram {
     }
 
     /// Count in bucket `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i >= self.bucket_count()`.
     pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets[i]
+        assert!(i < self.bucket_count, "bucket {i} out of range");
+        self.buckets.get(i).copied().unwrap_or(0)
     }
 
     /// Number of regular buckets.
     pub fn bucket_count(&self) -> usize {
-        self.buckets.len()
+        self.bucket_count
     }
 
     /// Samples that fell beyond the last bucket.
@@ -107,6 +123,34 @@ mod tests {
         let median = h.quantile(0.5).unwrap();
         assert_eq!(median, SimDuration::from_micros(50));
         assert!(h.quantile(1.0).unwrap() <= SimDuration::from_micros(100));
+    }
+
+    #[test]
+    fn storage_follows_the_highest_bucket_hit() {
+        let mut h = DurationHistogram::new(SimDuration::from_millis(1), 64);
+        assert_eq!(h.buckets.capacity(), 0, "an empty histogram owns no heap");
+        assert_eq!((h.bucket_count(), h.bucket(63)), (64, 0));
+        h.record(SimDuration::from_millis(26));
+        assert_eq!(h.buckets.len(), 27);
+        assert_eq!((h.bucket(26), h.bucket(27), h.bucket(63)), (1, 0, 0));
+        // Equality is of counts, whatever order they arrived in.
+        let mut other = DurationHistogram::new(SimDuration::from_millis(1), 64);
+        assert_ne!(h, other);
+        other.record(SimDuration::from_millis(3));
+        other.record(SimDuration::from_millis(26));
+        h.record(SimDuration::from_millis(3));
+        assert_eq!(h, other);
+        // The overflow bin and the quantile walk are unchanged.
+        h.record(SimDuration::from_millis(64));
+        assert_eq!((h.overflow(), h.total(), h.buckets.len()), (1, 3, 27));
+        assert_eq!(h.quantile(0.5), Some(SimDuration::from_millis(27)));
+        assert_eq!(h.quantile(1.0), Some(SimDuration::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn bucket_index_is_still_bounded() {
+        DurationHistogram::new(SimDuration::from_millis(1), 4).bucket(4);
     }
 
     #[test]

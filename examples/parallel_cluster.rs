@@ -7,8 +7,8 @@
 //! Six replicated VMs (CPU-, I/O- and console-bound mixes, one with an
 //! injected primary failstop, all over one contended 10 Mbps Ethernet)
 //! are run twice: once on the strict sequential schedule, once with
-//! guest execution spread across worker threads under conservative
-//! synchronization (`Parallelism::Threads`). The executor never
+//! guest execution shared between the calling thread and pool workers
+//! under conservative synchronization (`Parallelism::Threads`). The executor never
 //! speculates — every shared-medium effect commits in exact global-time
 //! order — so the two runs must agree on *everything* the reports can
 //! express. The example hashes both report sets and asserts the digests
@@ -112,15 +112,15 @@ fn digest(reports: &[RunReport]) -> u64 {
 }
 
 fn main() {
-    // HVFT_THREADS forces an exact worker count (CI pins 4 so the
-    // determinism gate exercises intra-shard replica slots even on a
-    // small runner); otherwise, at least two workers even on a
+    // HVFT_THREADS forces an exact thread count, the caller included
+    // (CI pins 4 so the determinism gate exercises intra-shard replica
+    // slots even on a small runner); otherwise, at least two even on a
     // single-core box — the machine decides the speedup, the digests
     // decide the correctness.
     let threads = match std::env::var("HVFT_THREADS") {
         Ok(v) => v
             .parse::<usize>()
-            .unwrap_or_else(|_| panic!("HVFT_THREADS must be a worker count, got {v:?}"))
+            .unwrap_or_else(|_| panic!("HVFT_THREADS must be a thread count, got {v:?}"))
             .max(1),
         Err(_) => std::thread::available_parallelism()
             .map(|n| n.get())
@@ -144,7 +144,7 @@ fn main() {
         );
     }
 
-    println!("\n=== same cluster, {threads} worker threads ===");
+    println!("\n=== same cluster, {threads} threads ===");
     let t0 = Instant::now();
     let mut parallel = build_cluster();
     parallel.parallelism(Parallelism::Threads(threads));
