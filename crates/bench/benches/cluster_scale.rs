@@ -205,7 +205,7 @@ fn bench_cluster_scale(c: &mut Criterion) {
 
 fn save(c: &mut Criterion) {
     // Machine-readable record for the CI artifact, at the workspace
-    // root next to BENCH_lan.json.
+    // root next to BENCH_interpreter.json.
     let out = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../BENCH_cluster_scale.json"

@@ -33,7 +33,6 @@ use hvft_hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
 use hvft_isa::program::Program;
 use hvft_machine::mem::IO_BASE;
 use hvft_net::transport::InstantLink;
-use hvft_sim::sched::Component;
 use hvft_sim::time::{SimDuration, SimTime};
 use std::collections::BTreeMap;
 
@@ -325,17 +324,28 @@ impl TChain {
     /// guest time (zero if the chain was exhausted). Like
     /// [`crate::system::FtSystem::step`], the report is yielded once.
     ///
-    /// The loop itself is the shared scheduler kernel's: the chain is
-    /// one [`hvft_sim::sched::Component`] whose clock is its round
-    /// number, advanced one round per scheduling decision.
-    pub fn run(&mut self, failures_at: &[u64], max_epochs: u64) -> RunReport {
-        let mut rounds = ChainRounds {
-            chain: self,
-            failures_at,
-            max_epochs,
-            budget: SimDuration::from_secs(10),
+    /// The chain is round-synchronous, so there is nothing to
+    /// arbitrate: each turn of the loop injects a due failstop and
+    /// executes one epoch round.
+    pub fn run(&mut self, mut failures_at: &[u64], max_epochs: u64) -> RunReport {
+        let budget = SimDuration::from_secs(10);
+        let exit = loop {
+            if self.epoch >= max_epochs {
+                break ExitStatus::EpochLimit;
+            }
+            if let Some((&at, rest)) = failures_at.split_first() {
+                if self.epoch >= at {
+                    failures_at = rest;
+                    if !self.fail_primary() {
+                        break ExitStatus::Exhausted;
+                    }
+                }
+            }
+            if let Some(exit) = self.step_epoch(budget) {
+                break exit;
+            }
         };
-        hvft_sim::sched::run_solo(&mut rounds)
+        self.report(exit)
     }
 
     fn report(&mut self, exit: ExitStatus) -> RunReport {
@@ -360,42 +370,6 @@ impl TChain {
             divergences,
             ..RunReport::new(exit, completion_time)
         }
-    }
-}
-
-/// One kernel component wrapping a chain run: the chain is
-/// round-synchronous, so its "clock" is simply the round number, and
-/// each `advance` injects due failstops and executes one epoch round.
-struct ChainRounds<'a> {
-    chain: &'a mut TChain,
-    /// Epochs still to failstop the acting primary at, ascending.
-    failures_at: &'a [u64],
-    max_epochs: u64,
-    budget: SimDuration,
-}
-
-impl Component for ChainRounds<'_> {
-    type Output = RunReport;
-
-    fn next_action_time(&self) -> Option<SimTime> {
-        Some(SimTime::from_nanos(self.chain.epoch))
-    }
-
-    fn advance(&mut self) -> Option<RunReport> {
-        if self.chain.epoch >= self.max_epochs {
-            return Some(self.chain.report(ExitStatus::EpochLimit));
-        }
-        if let Some((&at, rest)) = self.failures_at.split_first() {
-            if self.chain.epoch >= at {
-                self.failures_at = rest;
-                if !self.chain.fail_primary() {
-                    return Some(self.chain.report(ExitStatus::Exhausted));
-                }
-            }
-        }
-        self.chain
-            .step_epoch(self.budget)
-            .map(|exit| self.chain.report(exit))
     }
 }
 

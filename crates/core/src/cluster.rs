@@ -16,11 +16,14 @@
 //!
 //! # Scheduling
 //!
-//! Shards register on the shared kernel's
-//! [`hvft_sim::sched::Scheduler`] — every step advances the
-//! shard whose [`FtSystem::next_action_time`] is smallest (ties break
-//! by shard index), so cross-shard contention on the medium is resolved
-//! in near-global-time order and a cluster run is exactly reproducible.
+//! Every shard answers "what next, and when" once per step, and the
+//! coordinator holds the answers: each turn commits the shard whose
+//! plan is due earliest, the lower shard index on ties, then asks that
+//! shard — and only that shard — again. A held answer cannot go stale:
+//! a shard's plan depends on its own state alone (the shared medium
+//! windows deliveries by receiver). So cross-shard contention on the
+//! medium is resolved in near-global-time order and a cluster run is
+//! exactly reproducible.
 //!
 //! # Parallel execution: work first
 //!
@@ -112,14 +115,14 @@
 //! ```
 
 use crate::config::FtConfig;
+use crate::plan::{Planned, StepPlan};
 use crate::report::RunReport;
-use crate::system::{FtSystem, StepPlan, SystemCheckpoint, WireFrame};
+use crate::system::{FtSystem, SystemCheckpoint, WireFrame};
 use hvft_hypervisor::hvguest::{HvEvent, HvGuest};
 use hvft_isa::program::Program;
 use hvft_net::lan::{Lan, LanStats};
 use hvft_net::link::LinkSpec;
 use hvft_sim::pool::{panic_message, WorkPool};
-use hvft_sim::sched::Scheduler;
 use hvft_sim::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -181,7 +184,7 @@ impl Parallelism {
 /// [`Lan`], co-simulated on one conservative discrete-event schedule.
 pub struct FtCluster {
     lan: Rc<RefCell<Lan<WireFrame>>>,
-    sched: Scheduler<FtSystem>,
+    systems: Vec<FtSystem>,
     slice_stats: SliceStats,
 }
 
@@ -204,7 +207,7 @@ impl FtCluster {
     pub fn new(link: LinkSpec, seed: u64) -> Self {
         FtCluster {
             lan: Rc::new(RefCell::new(Lan::new(link, seed))),
-            sched: Scheduler::new(),
+            systems: Vec::new(),
             slice_stats: SliceStats::default(),
         }
     }
@@ -224,12 +227,13 @@ impl FtCluster {
         };
         cfg.link = *self.lan.borrow().link();
         let sys = FtSystem::new_on_lan(image, cfg, Rc::clone(&self.lan), base);
-        self.sched.add(sys)
+        self.systems.push(sys);
+        self.systems.len() - 1
     }
 
     /// Number of shards.
     pub fn systems(&self) -> usize {
-        self.sched.len()
+        self.systems.len()
     }
 
     /// Upper bound on the number of guest slices this cluster can have
@@ -238,12 +242,12 @@ impl FtCluster {
     /// so this — not the shard count — is what
     /// [`Parallelism::Threads`] is clamped against.
     pub fn slice_slots(&self) -> usize {
-        self.sched
-            .components()
+        self.systems
+            .iter()
             .map(|sys| sys.replicas())
             .max()
             .unwrap_or(1)
-            * self.sched.len().max(1)
+            * self.systems.len().max(1)
     }
 
     /// Direct access to shard `sys` (failure scheduling, disk
@@ -253,7 +257,7 @@ impl FtCluster {
     ///
     /// Panics if `sys` is out of range.
     pub fn system_mut(&mut self, sys: usize) -> &mut FtSystem {
-        self.sched.component_mut(sys)
+        &mut self.systems[sys]
     }
 
     /// Shared access to shard `sys` (checkpoint retrieval, stats).
@@ -262,7 +266,7 @@ impl FtCluster {
     ///
     /// Panics if `sys` is out of range.
     pub fn system(&self, sys: usize) -> &FtSystem {
-        self.sched.component(sys)
+        &self.systems[sys]
     }
 
     /// Schedules a whole-cluster checkpoint at the global-time barrier
@@ -270,16 +274,16 @@ impl FtCluster {
     /// same [`FtSystem::schedule_checkpoint`] API, hence the same
     /// [`crate::messages::ReplicaState`] a reintegration transfer ships
     /// — at its acting primary's first epoch boundary at or past `at`.
-    /// The kernel commits shard actions in global `(time, shard)` order
-    /// in both execution modes, so the captures land at a globally
+    /// The coordinator commits shard actions in global `(time, shard)`
+    /// order in both execution modes, so the captures land at a globally
     /// consistent cut and the resulting [`SystemCheckpoint`]s are
     /// bit-identical between [`Parallelism::Sequential`] and
     /// [`Parallelism::Threads`]; capture is pure, so the run itself is
     /// unperturbed. Retrieve per shard via
     /// [`FtCluster::checkpoints`] after (or during) the run.
     pub fn schedule_checkpoint_all(&mut self, at: SimTime) {
-        for i in 0..self.sched.len() {
-            self.sched.component_mut(i).schedule_checkpoint(at);
+        for sys in &mut self.systems {
+            sys.schedule_checkpoint(at);
         }
     }
 
@@ -289,7 +293,7 @@ impl FtCluster {
     ///
     /// Panics if `sys` is out of range.
     pub fn checkpoints(&self, sys: usize) -> &[SystemCheckpoint] {
-        self.sched.component(sys).checkpoints()
+        self.systems[sys].checkpoints()
     }
 
     /// Sets the loss probability of every link currently registered on
@@ -306,7 +310,7 @@ impl FtCluster {
     /// failure the construction-time guard exists to prevent.
     pub fn set_loss_probability_all(&mut self, p: f64) {
         if p > 0.0 {
-            for sys in self.sched.components() {
+            for sys in &self.systems {
                 FtSystem::assert_loss_tolerant(sys.config());
             }
         }
@@ -342,7 +346,7 @@ impl FtCluster {
     ///
     /// Panics if the cluster has no systems.
     pub fn run_with(&mut self, parallelism: Parallelism) -> Vec<RunReport> {
-        assert!(!self.sched.is_empty(), "empty cluster");
+        assert!(!self.systems.is_empty(), "empty cluster");
         // The caller is one of the requested threads.
         let workers = parallelism.requested_workers(self.slice_slots()) - 1;
         let pool = (workers > 0).then(|| {
@@ -353,71 +357,58 @@ impl FtCluster {
         self.coordinate(pool.map(Exposure::new))
     }
 
-    /// The coordinator loop shared by both modes: plan each shard's
-    /// wave as soon as its previous action commits, then commit actions
-    /// strictly in the kernel's global `(time, shard)` pick order —
-    /// and, within a shard's wave, in plan order. Every slice runs
-    /// here, at its commit turn, unless a worker took it first from
-    /// `exposure` (see the [module docs](self)).
+    /// The coordinator loop shared by both modes (see the
+    /// [module docs](self)): hold every unfinished shard's plan, commit
+    /// in [`pick`] order, re-plan the shard that committed. Every slice
+    /// runs here, at its commit turn, unless a worker took it first.
     fn coordinate(&mut self, mut exposure: Option<Exposure<'_>>) -> Vec<RunReport> {
-        let n = self.sched.len();
-        let mut plans: Vec<Option<StepPlan>> = vec![None; n];
-        loop {
-            for (i, plan_slot) in plans.iter_mut().enumerate() {
-                if plan_slot.is_none() && !self.sched.is_finished(i) {
-                    *plan_slot = Some(self.sched.component_mut(i).plan());
+        let mut plans: Vec<Option<Planned>> =
+            self.systems.iter_mut().map(|s| Some(s.plan())).collect();
+        let mut reports: Vec<Option<RunReport>> = vec![None; plans.len()];
+        while let Some(i) = pick(&plans) {
+            let planned = plans[i].take().expect("picked shard is planned");
+            if let (Some(exposure), StepPlan::Slices(wave)) = (&mut exposure, &planned.step) {
+                // The surplus: everything planned except the slice
+                // about to run here — the rest of this wave, then the
+                // other shards' pending waves.
+                let pending = plans.iter().enumerate().flat_map(|(j, plan)| {
+                    plan.iter().flat_map(|p| p.slices()).map(move |s| (j, s))
+                });
+                for (j, s) in wave.iter().skip(1).map(|s| (i, s)).chain(pending) {
+                    if !exposure.holds((j, s.host)) {
+                        let guest = self.systems[j].detach_guest(s.host);
+                        exposure.publish((j, s.host), guest, s.budget);
+                        self.slice_stats.published += 1;
+                    }
                 }
             }
-            let Some(i) = self.sched.pick() else {
-                break;
-            };
-            match plans[i].take().expect("picked shard is planned") {
-                StepPlan::Finished => {
-                    let result = self.sched.component_mut(i).finish_run();
-                    self.sched.record(i, result);
-                }
-                StepPlan::Event => self.sched.component_mut(i).fire_next_event(),
-                StepPlan::Slices(wave) => {
-                    if let Some(exposure) = &mut exposure {
-                        // The surplus: everything planned except the
-                        // slice about to run here.
-                        let pending = plans.iter().enumerate().flat_map(|(j, plan)| {
-                            let slices = match plan {
-                                Some(StepPlan::Slices(w)) => &w[..],
-                                _ => &[],
-                            };
-                            slices.iter().map(move |s| (j, s))
-                        });
-                        for (j, s) in wave.iter().skip(1).map(|s| (i, s)).chain(pending) {
-                            if !exposure.holds((j, s.host)) {
-                                let guest = self.sched.component_mut(j).detach_guest(s.host);
-                                exposure.publish((j, s.host), guest, s.budget);
-                                self.slice_stats.published += 1;
-                            }
-                        }
-                    }
-                    // Commit the wave in plan order.
-                    let sys = self.sched.component_mut(i);
-                    for s in wave {
-                        let ran_elsewhere = exposure
-                            .as_mut()
-                            .and_then(|exposure| exposure.join((i, s.host)))
-                            .and_then(|(guest, event)| {
-                                sys.attach_guest(s.host, guest);
-                                event
-                            });
-                        let event = match ran_elsewhere {
-                            Some(event) => event,
-                            None => sys.run_slice(s.host, s.budget),
-                        };
-                        sys.commit_slice(s.host, event);
-                        self.slice_stats.executed += 1;
-                    }
-                }
+            let stats = &mut self.slice_stats;
+            reports[i] = self.systems[i].commit(planned.step, |s| {
+                stats.executed += 1;
+                exposure.as_mut()?.join((i, s.host))
+            });
+            if reports[i].is_none() {
+                plans[i] = Some(self.systems[i].plan());
             }
         }
-        self.sched.take_outputs()
+        reports
+            .into_iter()
+            .map(|r| r.expect("every shard finished"))
+            .collect()
     }
+}
+
+/// The shard that commits next, given every unfinished shard's held
+/// plan: the one due earliest (`at: None` is due now), the lower shard
+/// index on ties — a total order that does not depend on who executes
+/// what, so Sequential and `Threads(n)` commit the same global sequence.
+fn pick(plans: &[Option<Planned>]) -> Option<usize> {
+    plans
+        .iter()
+        .enumerate()
+        .filter_map(|(shard, plan)| Some((plan.as_ref()?.at.unwrap_or(SimTime::ZERO), shard)))
+        .min()
+        .map(|(_, shard)| shard)
 }
 
 /// `(shard, host)`: names a planned slice.
@@ -554,6 +545,29 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn the_pick_is_at_then_shard_with_none_due_first() {
+        // Per shard: due at an instant, due now (`at: None`), or
+        // finished — no plan held.
+        let (at, now, done) = (|ns: u64| Some(Some(ns)), Some(None), None);
+        let pick_of = |shards: &[Option<Option<u64>>]| {
+            let held = |at: Option<u64>| Planned {
+                at: at.map(SimTime::from_nanos),
+                step: StepPlan::Finished,
+            };
+            pick(&shards.iter().map(|s| s.map(held)).collect::<Vec<_>>())
+        };
+        // Earliest first, whatever the shard order; ties to the lower shard.
+        assert_eq!(pick_of(&[at(30), at(10), at(20)]), Some(1));
+        assert_eq!(pick_of(&[at(20), at(10), at(10)]), Some(1));
+        // Due now is ahead of any instant but zero, which it ties.
+        assert_eq!(pick_of(&[at(1), now, now]), Some(1));
+        assert_eq!(pick_of(&[at(0), now]), Some(0));
+        // A finished shard is never picked.
+        assert_eq!(pick_of(&[done, at(7), done]), Some(1));
+        assert_eq!(pick_of(&[done, done]), None);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use hvft_hypervisor::cost::CostModel;
 use hvft_hypervisor::hvguest::HvConfig;
 use hvft_net::link::LinkSpec;
-use hvft_sim::time::{SimDuration, SimTime};
+use hvft_sim::time::SimDuration;
 
 /// Which replica-coordination protocol to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -15,16 +15,6 @@ pub enum ProtocolVariant {
     /// primary must have all messages acknowledged before initiating any
     /// I/O operation (the only way VM state is revealed).
     New,
-}
-
-/// Failure injection: when (if ever) the primary's processor failstops.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FailureSpec {
-    /// No failure.
-    #[default]
-    None,
-    /// The primary halts at this simulated time.
-    At(SimTime),
 }
 
 /// Full system configuration.
@@ -63,9 +53,6 @@ pub struct FtConfig {
     /// paper's prototype is `1`; any `t ≥ 1` runs the same engines with
     /// cascading failover.
     pub backups: usize,
-    /// Primary failure injection. Additional (cascading) failures can
-    /// be scheduled with `FtSystem::schedule_failure`.
-    pub failure: FailureSpec,
     /// Backup's failure-detection timeout. Must exceed the longest
     /// legitimate message gap (one epoch of execution plus queueing);
     /// the backup only suspects the primary after draining the channel,
@@ -96,7 +83,6 @@ impl Default for FtConfig {
             retransmit: None,
             nic_queue_bound: None,
             backups: 1,
-            failure: FailureSpec::None,
             detector_timeout: SimDuration::from_millis(60),
             disk_blocks: 128,
             disk_fault_prob: 0.0,
@@ -117,7 +103,6 @@ mod tests {
         assert_eq!(c.protocol, ProtocolVariant::Old);
         assert_eq!(c.hv.epoch_len, 4096);
         assert_eq!(c.link.bits_per_sec, 10_000_000);
-        assert_eq!(c.failure, FailureSpec::None);
         assert_eq!(c.backups, 1, "the paper's prototype has one backup");
     }
 

@@ -51,6 +51,7 @@ pub mod config;
 pub mod lockstep;
 pub mod messages;
 pub mod observer;
+mod plan;
 pub mod protocol;
 mod report;
 pub mod scenario;
@@ -58,7 +59,7 @@ pub mod system;
 
 pub use chain::TChain;
 pub use cluster::{FtCluster, Parallelism, SliceStats};
-pub use config::{FailureSpec, FtConfig, ProtocolVariant};
+pub use config::{FtConfig, ProtocolVariant};
 pub use lockstep::{Divergence, LockstepChecker};
 pub use messages::{DiskCompletion, ForwardedInterrupt, Message};
 pub use observer::{DropReason, Observer, RunStats};

@@ -63,9 +63,9 @@
 
 use crate::chain::TChain;
 use crate::cluster::FtCluster;
-use crate::config::{FailureSpec, FtConfig, ProtocolVariant};
+use crate::config::{FtConfig, ProtocolVariant};
 use crate::observer::Observer;
-use crate::system::FtSystem;
+use crate::system::{Fault, FtSystem};
 use hvft_guest::workload::{by_name, UnknownWorkload, Workload};
 use hvft_hypervisor::bare::{BareExit, BareHost};
 use hvft_hypervisor::cost::CostModel;
@@ -133,6 +133,13 @@ pub enum ConfigError {
     EmptyDisk,
     /// A zero-length epoch never reaches a boundary.
     ZeroEpochLen,
+    /// A failstop or rejoin names a replica the system does not have.
+    NoSuchReplica {
+        /// The replica index asked for.
+        replica: usize,
+        /// How many replicas there are (`1 + backups`).
+        replicas: usize,
+    },
     /// An option was combined with a driver that cannot honour it (the
     /// payload says which and why).
     DriverMismatch(&'static str),
@@ -174,6 +181,11 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::EmptyDisk => write!(f, "a disk needs at least one block"),
             ConfigError::ZeroEpochLen => write!(f, "epoch length must be at least 1 instruction"),
+            ConfigError::NoSuchReplica { replica, replicas } => write!(
+                f,
+                "no replica {replica}: the system has replicas 0..{replicas} \
+                 (primary + backups)"
+            ),
             ConfigError::DriverMismatch(why) => write!(f, "driver mismatch: {why}"),
         }
     }
@@ -211,9 +223,7 @@ pub struct ScenarioBuilder {
     driver: Driver,
     cfg: FtConfig,
     backups: Option<usize>,
-    extra_primary_failures: Vec<SimTime>,
-    replica_failures: Vec<(SimTime, usize)>,
-    rejoins: Vec<(SimTime, usize)>,
+    faults: Vec<(SimTime, Fault)>,
     chain_failures_at: Vec<u64>,
     max_epochs: u64,
     parallelism: Parallelism,
@@ -226,9 +236,7 @@ impl Default for ScenarioBuilder {
             driver: Driver::default(),
             cfg: FtConfig::default(),
             backups: None,
-            extra_primary_failures: Vec::new(),
-            replica_failures: Vec::new(),
-            rejoins: Vec::new(),
+            faults: Vec::new(),
             chain_failures_at: Vec::new(),
             max_epochs: 1_000_000,
             parallelism: Parallelism::Sequential,
@@ -337,17 +345,13 @@ impl ScenarioBuilder {
     /// Failstops the acting primary at `at` (repeatable: later calls
     /// schedule cascading failures of whoever is then primary).
     pub fn fail_primary_at(mut self, at: SimTime) -> Self {
-        if self.cfg.failure == FailureSpec::None && self.extra_primary_failures.is_empty() {
-            self.cfg.failure = FailureSpec::At(at);
-        } else {
-            self.extra_primary_failures.push(at);
-        }
+        self.faults.push((at, Fault::Primary));
         self
     }
 
     /// Failstops a specific replica at `at` (backup processor death).
     pub fn fail_replica_at(mut self, at: SimTime, replica: usize) -> Self {
-        self.replica_failures.push((at, replica));
+        self.faults.push((at, Fault::Replica(replica)));
         self
     }
 
@@ -360,7 +364,7 @@ impl ScenarioBuilder {
     /// alone. Requires [`ScenarioBuilder::retransmit`]; replicated
     /// driver only.
     pub fn rejoin_replica_at(mut self, at: SimTime, replica: usize) -> Self {
-        self.rejoins.push((at, replica));
+        self.faults.push((at, Fault::Rejoin(replica)));
         self
     }
 
@@ -498,7 +502,8 @@ impl ScenarioBuilder {
                 max: MAX_DISK_BLOCKS,
             });
         }
-        if !self.rejoins.is_empty() {
+        let rejoins = |(_, f): &(SimTime, Fault)| matches!(f, Fault::Rejoin(_));
+        if self.faults.iter().any(rejoins) {
             if self.driver != Driver::Replicated {
                 return Err(ConfigError::DriverMismatch(
                     "reintegration rides the replicated DES's timed network \
@@ -530,10 +535,9 @@ impl ScenarioBuilder {
                         "the bare baseline has no replicas (drop backups(..))",
                     ));
                 }
-                if self.cfg.failure != FailureSpec::None
-                    || !self.replica_failures.is_empty()
-                    || !self.chain_failures_at.is_empty()
-                {
+                // (Rejoins were turned away above: what is left of the
+                // schedule on a non-replicated driver is failstops.)
+                if !self.faults.is_empty() || !self.chain_failures_at.is_empty() {
                     return Err(ConfigError::DriverMismatch(
                         "the bare baseline has no processors to failstop",
                     ));
@@ -548,7 +552,7 @@ impl ScenarioBuilder {
                 }
             }
             Driver::Chain => {
-                if self.cfg.failure != FailureSpec::None || !self.replica_failures.is_empty() {
+                if !self.faults.is_empty() {
                     return Err(ConfigError::DriverMismatch(
                         "the round-synchronous chain schedules failures by epoch \
                          (use fail_primary_at_epoch(..))",
@@ -561,6 +565,14 @@ impl ScenarioBuilder {
                 return Err(ConfigError::NoBackups);
             }
             self.cfg.backups = t;
+        }
+        let replicas = 1 + self.cfg.backups;
+        for &(_, fault) in &self.faults {
+            if let Fault::Replica(replica) | Fault::Rejoin(replica) = fault {
+                if replica >= replicas {
+                    return Err(ConfigError::NoSuchReplica { replica, replicas });
+                }
+            }
         }
         if self.cfg.loss_prob > 0.0 {
             let Some(rto) = self.cfg.retransmit else {
@@ -580,9 +592,7 @@ impl ScenarioBuilder {
             image,
             cfg: self.cfg,
             driver: self.driver,
-            extra_primary_failures: self.extra_primary_failures,
-            replica_failures: self.replica_failures,
-            rejoins: self.rejoins,
+            faults: self.faults,
             chain_failures_at: self.chain_failures_at,
             max_epochs: self.max_epochs,
             parallelism: self.parallelism,
@@ -599,9 +609,8 @@ pub struct Scenario {
     image: Program,
     cfg: FtConfig,
     driver: Driver,
-    extra_primary_failures: Vec<SimTime>,
-    replica_failures: Vec<(SimTime, usize)>,
-    rejoins: Vec<(SimTime, usize)>,
+    /// Every failstop and rejoin asked for, in the order asked.
+    faults: Vec<(SimTime, Fault)>,
     chain_failures_at: Vec<u64>,
     max_epochs: u64,
     parallelism: Parallelism,
@@ -689,17 +698,11 @@ impl Scenario {
         }
     }
 
-    /// Puts this scenario's failure and rejoin schedule on a freshly
-    /// built replicated system.
+    /// Puts this scenario's fault schedule on a freshly built
+    /// replicated system.
     fn schedule_faults(&self, system: &mut FtSystem) {
-        for &at in &self.extra_primary_failures {
-            system.schedule_failure(at);
-        }
-        for &(at, replica) in &self.replica_failures {
-            system.schedule_replica_failure(at, replica);
-        }
-        for &(at, replica) in &self.rejoins {
-            system.schedule_rejoin(at, replica);
+        for &(at, fault) in &self.faults {
+            system.schedule_fault(at, fault);
         }
     }
 

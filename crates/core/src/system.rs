@@ -28,10 +28,11 @@
 //!   [`crate::protocol::ReplicaEngine::promote_at_boundary`]), and the
 //!   survivors' detectors are re-armed against the new primary.
 
-use crate::config::{FailureSpec, FtConfig};
+use crate::config::FtConfig;
 use crate::lockstep::LockstepChecker;
 use crate::messages::{DiskCompletion, ForwardedInterrupt, Message, ReplicaState};
 use crate::observer::{DropReason, Observer, RunStats};
+use crate::plan::{plan_step, EventTag, Planned, SlicePlan, StepPlan};
 use crate::protocol::{apply_to_guest, Effect, IoGate, ReplicaEngine};
 use crate::report::{ExitStatus, RunReport};
 use hvft_devices::console::Console;
@@ -45,7 +46,7 @@ use hvft_net::channel::Channel;
 use hvft_net::detector::FailureDetector;
 use hvft_net::lan::Lan;
 use hvft_net::reliable::{Frame, RecvWindow, SendWindow};
-use hvft_sim::sched::{self, Agenda, Component};
+use hvft_sim::sched::Agenda;
 use hvft_sim::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -100,9 +101,9 @@ struct InflightIo {
 /// Holds a host's guest, allowing it to be temporarily detached while
 /// its planned slice is exposed to a worker thread (the parallel
 /// cluster executor). Everything in [`FtSystem`] that can run between a
-/// slice's planning and its commit — `next_action_time`, the event
-/// agenda — must not touch the guest; dereferencing an empty slot
-/// panics, which is the assertion of that invariant.
+/// slice's planning and its commit — another shard's plan or commit,
+/// never this system's own — must not touch the guest; dereferencing an
+/// empty slot panics, which is the assertion of that invariant.
 struct GuestSlot(Option<HvGuest>);
 
 impl GuestSlot {
@@ -422,57 +423,18 @@ impl RelNet {
     }
 }
 
-/// One pending event source of the DES, tagged so one [`Agenda`] pick
-/// answers both "when is the next event" and "which event fires".
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum EventTag {
-    /// The failure schedule kills the then-acting primary.
-    PrimaryFailure,
-    /// The replica failure schedule kills a specific replica.
-    ReplicaFailure,
-    /// The disk controller completes host `i`'s operation.
-    DiskCompletion(usize),
-    /// The coordination medium delivers its earliest due frame.
-    Delivery,
-    /// The `from → to` retransmit timer fires.
-    Retransmit(usize, usize),
-    /// A protocol-stalled acting primary beacons liveness.
-    Heartbeat,
-    /// Backup `b`'s failure detector reaches its deadline.
-    Detector(usize),
-    /// The rejoin schedule repairs a failstopped replica.
-    Rejoin,
-}
-
-/// One planned guest slice: host `host` may run for `budget` without
-/// anything external affecting it (the conservative horizon computed
-/// from the event agenda and every peer's clock plus the link's
-/// minimum latency).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) struct SlicePlan {
-    /// Which host's guest runs.
-    pub host: usize,
-    /// The conservative slice budget.
-    pub budget: SimDuration,
-}
-
-/// The system's next scheduling decision (see [`FtSystem::plan`]).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub(crate) enum StepPlan {
-    /// The run is over; stepping yields the result.
-    Finished,
-    /// Process the earliest pending event inline.
-    Event,
-    /// A *wave* of independent guest slices — one per replica whose
-    /// conservative horizon permits progress, planned from one state
-    /// snapshot. Slices are the only expensive action and depend only
-    /// on replica-local CPU/memory state (replicas couple solely
-    /// through protocol messages, which commit on the coordinator), so
-    /// a wave's slices may execute concurrently on worker threads; the
-    /// commits land in vec order (ascending start clock, then host
-    /// index), which both execution modes share — the bit-identity
-    /// invariant.
-    Slices(Vec<SlicePlan>),
+/// One entry of the fault schedule: a processor failstops or comes
+/// back. The derived order is the firing order at equal instants —
+/// primary failstop, then replica failstops by replica index, then
+/// rejoins by replica index.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub(crate) enum Fault {
+    /// Failstop whoever is acting primary at that instant.
+    Primary,
+    /// Failstop this replica (a backup processor dies).
+    Replica(usize),
+    /// Repair this replica and put it back on the LAN.
+    Rejoin(usize),
 }
 
 /// The complete §3 prototype, generalized to `t` backups: `t + 1`
@@ -499,14 +461,9 @@ pub struct FtSystem {
     /// retransmitting to one lagging backup must not starve the
     /// caught-up one of liveness evidence.
     last_outbound: BTreeMap<(usize, usize), SimTime>,
-    /// Failure schedule: each entry failstops the then-acting primary.
-    fail_schedule: Vec<SimTime>,
-    /// Failure schedule for specific replicas (backup failstops),
-    /// sorted by time.
-    replica_fail_schedule: Vec<(SimTime, usize)>,
-    /// Rejoin schedule: each entry repairs a failstopped replica at a
-    /// time, putting it back on the LAN to await a state transfer.
-    rejoin_schedule: Vec<(SimTime, usize)>,
+    /// The fault schedule, sorted latest first: the next fault to fire
+    /// is the last entry.
+    faults: Vec<(SimTime, Fault)>,
     /// Repaired replicas on the LAN awaiting a transfer, in repair
     /// order. The acting primary serves the head of this queue at its
     /// next epoch boundary (one transfer at a time).
@@ -661,10 +618,6 @@ impl FtSystem {
         }
         let mut disk = Disk::new(cfg.disk_blocks, cfg.seed);
         disk.set_fault_probability(cfg.disk_fault_prob);
-        let fail_schedule = match cfg.failure {
-            FailureSpec::None => Vec::new(),
-            FailureSpec::At(t) => vec![t],
-        };
         FtSystem {
             hosts,
             net,
@@ -682,9 +635,7 @@ impl FtSystem {
                 .map(|pair| (pair, SimTime::ZERO))
                 .collect(),
             disk_done: vec![None; n],
-            fail_schedule,
-            replica_fail_schedule: Vec::new(),
-            rejoin_schedule: Vec::new(),
+            faults: Vec::new(),
             pending_rejoins: Vec::new(),
             transfer: None,
             checkpoint_schedule: Vec::new(),
@@ -755,12 +706,21 @@ impl FtSystem {
         &self.cfg
     }
 
-    /// Schedules an additional failstop of the then-acting primary at
-    /// `at` (cascading failures for `t ≥ 2` systems). Failures fire in
-    /// time order regardless of insertion order.
+    /// Puts a fault on the schedule. Faults fire in time order
+    /// regardless of insertion order, and in [`Fault`] order at equal
+    /// instants. Panics if the fault names a replica out of range.
+    pub(crate) fn schedule_fault(&mut self, at: SimTime, fault: Fault) {
+        if let Fault::Replica(replica) | Fault::Rejoin(replica) = fault {
+            assert!(replica < self.hosts.len(), "no replica {replica}");
+        }
+        self.faults.push((at, fault));
+        self.faults.sort_by(|a, b| b.cmp(a));
+    }
+
+    /// Schedules a failstop of the then-acting primary at `at`
+    /// (repeatable: cascading failures for `t ≥ 2` systems).
     pub fn schedule_failure(&mut self, at: SimTime) {
-        self.fail_schedule.push(at);
-        self.fail_schedule.sort();
+        self.schedule_fault(at, Fault::Primary);
     }
 
     /// Schedules a failstop of a *specific* replica at `at` — the way
@@ -775,9 +735,7 @@ impl FtSystem {
     ///
     /// Panics if `replica` is out of range.
     pub fn schedule_replica_failure(&mut self, at: SimTime, replica: usize) {
-        assert!(replica < self.hosts.len(), "no replica {replica}");
-        self.replica_fail_schedule.push((at, replica));
-        self.replica_fail_schedule.sort_by_key(|&(t, r)| (t, r));
+        self.schedule_fault(at, Fault::Replica(replica));
     }
 
     /// Schedules the repair of a failstopped replica at `at`: its links
@@ -794,9 +752,7 @@ impl FtSystem {
     ///
     /// Panics if `replica` is out of range.
     pub fn schedule_rejoin(&mut self, at: SimTime, replica: usize) {
-        assert!(replica < self.hosts.len(), "no replica {replica}");
-        self.rejoin_schedule.push((at, replica));
-        self.rejoin_schedule.sort_by_key(|&(t, r)| (t, r));
+        self.schedule_fault(at, Fault::Rejoin(replica));
     }
 
     /// Schedules a whole-system checkpoint barrier at `at`: at the
@@ -1789,27 +1745,15 @@ impl FtSystem {
     }
 
     /// Builds this instant's event agenda: every pending event source,
-    /// offered in fixed priority order — primary failure, replica
-    /// failure, disk completions (host order), deliveries, retransmit
-    /// timers, heartbeat, detectors (backup order). The heartbeat
-    /// precedes the detectors so a stalled-but-live primary beats
-    /// suspicion to the same instant. One [`Agenda`] pick answers both
-    /// "when is the next event" and "which event fires", so the two can
-    /// never disagree.
+    /// offered in fixed priority order — the fault schedule, disk
+    /// completions (host order), deliveries, retransmit timers,
+    /// heartbeat, detectors (backup order). The heartbeat precedes the
+    /// detectors so a stalled-but-live primary beats suspicion to the
+    /// same instant. [`FtSystem::plan`] takes the one pick per step that
+    /// says both when the next event is and which event fires.
     fn event_agenda(&self) -> Agenda<EventTag> {
         let mut agenda = Agenda::new();
-        agenda.offer(
-            self.fail_schedule.first().copied(),
-            EventTag::PrimaryFailure,
-        );
-        agenda.offer(
-            self.replica_fail_schedule.first().map(|&(t, _)| t),
-            EventTag::ReplicaFailure,
-        );
-        agenda.offer(
-            self.rejoin_schedule.first().map(|&(t, _)| t),
-            EventTag::Rejoin,
-        );
+        agenda.offer(self.faults.last().map(|&(t, _)| t), EventTag::Fault);
         for (i, done) in self.disk_done.iter().enumerate() {
             agenda.offer(*done, EventTag::DiskCompletion(i));
         }
@@ -1829,21 +1773,14 @@ impl FtSystem {
         agenda
     }
 
-    /// Fires one event picked from the agenda at time `t`.
+    /// Fires the event the agenda picked at plan time, due at `t`.
     fn fire_event(&mut self, t: SimTime, tag: EventTag) {
         match tag {
-            EventTag::PrimaryFailure => {
-                self.fail_schedule.remove(0);
-                self.inject_failure(t);
-            }
-            EventTag::ReplicaFailure => {
-                let (_, victim) = self.replica_fail_schedule.remove(0);
-                self.inject_replica_failure(t, victim);
-            }
-            EventTag::Rejoin => {
-                let (_, victim) = self.rejoin_schedule.remove(0);
-                self.begin_rejoin(t, victim);
-            }
+            EventTag::Fault => match self.faults.pop().expect("planned from this fault").1 {
+                Fault::Primary => self.inject_failure(t),
+                Fault::Replica(victim) => self.inject_replica_failure(t, victim),
+                Fault::Rejoin(victim) => self.begin_rejoin(t, victim),
+            },
             EventTag::DiskCompletion(i) => {
                 self.disk_done[i] = None;
                 self.hosts[i].now = self.hosts[i].now.max(t);
@@ -1875,163 +1812,74 @@ impl FtSystem {
         }
     }
 
-    /// Fires the earliest pending event, if any.
-    pub(crate) fn fire_next_event(&mut self) {
-        if let Some((t, tag)) = self.event_agenda().into_earliest() {
-            self.fire_event(t, tag);
-        }
-    }
-
-    /// Runs the system until the acting primary's workload completes —
-    /// the degenerate one-component schedule of the shared kernel.
+    /// Runs the system until the acting primary's workload completes.
     pub fn run(&mut self) -> RunReport {
-        sched::run_solo(self)
-    }
-
-    /// The earliest instant at which this system can do anything: its
-    /// next pending event, or the clock of its laggiest runnable host.
-    /// `None` means the system is finished (or deadlocked) — stepping
-    /// it again will produce a result without advancing time. A
-    /// multi-system driver ([`crate::cluster::FtCluster`]) steps
-    /// whichever of its shards reports the smallest value.
-    ///
-    /// This never touches the hosts' guests, so it stays answerable
-    /// while a planned slice executes on a worker thread.
-    pub fn next_action_time(&self) -> Option<SimTime> {
-        let mut t = self.event_agenda().earliest().map(|(t, _)| t);
-        for host in &self.hosts {
-            if host.runnable() && t.is_none_or(|cur| host.now < cur) {
-                t = Some(host.now);
+        loop {
+            if let Some(report) = self.step() {
+                return report;
             }
         }
-        t
     }
 
-    /// Decides (and prepares) the system's next scheduling action.
+    /// The earliest instant at which this system can do anything — the
+    /// `at` of its next scheduling decision: its next pending event, or
+    /// the clock of its laggiest runnable host. `None` means finished
+    /// (or deadlocked): the next step yields the report.
+    pub fn next_action_time(&mut self) -> Option<SimTime> {
+        self.plan().at
+    }
+
+    /// Decides the system's next scheduling action and when it is due:
+    /// the single answer to "what next, and when" (see
+    /// [`crate::plan`]). Whoever asks holds the answer until it passes
+    /// it to [`FtSystem::commit`]; nothing is cached here.
     ///
     /// The decision depends only on this system's own state — never on
     /// what other shards sharing a medium have done since this system
-    /// last committed — which is the invariant that lets the parallel
-    /// cluster executor plan a slice early and execute it off-thread
+    /// last committed — which is what lets the cluster coordinator hold
+    /// it, order shards by its `at` and execute its slices off-thread
     /// while earlier-scheduled shards are still committing.
-    pub(crate) fn plan(&mut self) -> StepPlan {
-        // Completion check.
-        if let Life::Done(_) = self.hosts[self.acting_primary].life {
-            return StepPlan::Finished;
-        }
-        // Instruction-limit guard (idempotent: a tripped host is no
-        // longer runnable on the second look).
-        for i in 0..self.hosts.len() {
-            if self.hosts[i].runnable() && self.hosts[i].guest.cpu.retired() >= self.cfg.max_insns {
-                self.hosts[i].life = Life::Done(ExitStatus::InsnLimit);
-                if i != self.acting_primary {
-                    let effects = self.hosts[self.acting_primary].engine.remove_peer(i);
-                    self.process_effects(self.acting_primary, effects);
-                }
-            }
-        }
-
-        let ev_time = self.event_agenda().earliest().map(|(t, _)| t);
-        // Runnable hosts in commit order: ascending clock, host index
-        // breaking ties — exactly the order the one-slice-at-a-time
-        // schedule would have picked them in.
-        let mut order: Vec<usize> = (0..self.hosts.len())
-            .filter(|&i| self.hosts[i].runnable())
-            .collect();
-        order.sort_by_key(|&i| (self.hosts[i].now, i));
-
-        let Some(&first) = order.first() else {
-            return match ev_time {
-                // Nothing can run; advance by events.
-                Some(_) => StepPlan::Event,
-                // Deadlock: nobody runnable, no events. This is a
-                // protocol bug or an ended run; stepping yields the
-                // result.
-                None => StepPlan::Finished,
-            };
-        };
-        // Events at (or within one instruction of) the laggiest host's
-        // clock go first — a budget smaller than one instruction cannot
-        // make progress.
-        if let Some(t) = ev_time {
-            if t <= self.hosts[first].now.saturating_add(self.cfg.cost.insn) {
-                return StepPlan::Event;
-            }
-        }
-        // The wave: every runnable replica whose conservative horizon
-        // permits at least one instruction of progress gets its own
-        // independent slice, budgeted from this one state snapshot. The
-        // horizon is the earliest thing that could affect anyone — the
-        // next pending event, or any *other* replica's clock plus the
-        // link's minimum latency (a peer cannot influence this replica
-        // sooner than that; anything a peer's commit schedules later in
-        // this wave is therefore at or beyond every horizon computed
-        // here, which is why planning from the snapshot is safe).
-        let lookahead = self.cfg.link.min_latency();
-        let insn = self.cfg.cost.insn;
-        let wave = order
-            .iter()
-            .filter_map(|&i| {
-                let now = self.hosts[i].now;
-                let mut horizon = ev_time.unwrap_or(SimTime::MAX);
-                for &j in &order {
-                    if j != i {
-                        horizon = horizon.min(self.hosts[j].now.saturating_add(lookahead));
+    pub(crate) fn plan(&mut self) -> Planned {
+        let finished = matches!(self.hosts[self.acting_primary].life, Life::Done(_));
+        if !finished {
+            // Instruction-limit guard (idempotent: a tripped host is no
+            // longer runnable on the second look).
+            for i in 0..self.hosts.len() {
+                if self.hosts[i].runnable()
+                    && self.hosts[i].guest.cpu.retired() >= self.cfg.max_insns
+                {
+                    self.hosts[i].life = Life::Done(ExitStatus::InsnLimit);
+                    if i != self.acting_primary {
+                        let effects = self.hosts[self.acting_primary].engine.remove_peer(i);
+                        self.process_effects(self.acting_primary, effects);
                     }
                 }
-                let budget = if horizon == SimTime::MAX {
-                    // No horizon at all: the idle grain keeps external
-                    // schedules responsive.
-                    SimDuration::from_millis(10)
-                } else if horizon > now.saturating_add(insn) {
-                    horizon - now
-                } else if i == first {
-                    // The laggiest host always advances (its horizon is
-                    // at least the lookahead past its own clock), so
-                    // the wave is never empty and time cannot stall.
-                    sched::conservative_budget(
-                        now,
-                        ev_time,
-                        order
-                            .iter()
-                            .filter(|&&j| j != i)
-                            .map(|&j| self.hosts[j].now),
-                        lookahead,
-                        SimDuration::from_millis(10),
-                    )
-                } else {
-                    // Too far ahead of a peer: it waits this wave out.
-                    return None;
-                };
-                Some(SlicePlan { host: i, budget })
-            })
+            }
+        }
+        let mut runnable: Vec<(SimTime, usize)> = (0..self.hosts.len())
+            .filter(|&i| self.hosts[i].runnable())
+            .map(|i| (self.hosts[i].now, i))
             .collect();
-        StepPlan::Slices(wave)
-    }
-
-    /// Executes a planned guest slice inline.
-    pub(crate) fn run_slice(&mut self, host: usize, budget: SimDuration) -> HvEvent {
-        self.hosts[host].guest.run(budget)
-    }
-
-    /// Commits a completed guest slice: folds the guest's time into the
-    /// host clock and dispatches the hypervisor event.
-    pub(crate) fn commit_slice(&mut self, host: usize, event: HvEvent) {
-        self.hosts[host].sync_clock();
-        self.dispatch_guest_event(host, event);
+        runnable.sort_unstable();
+        let mut planned = plan_step(
+            &runnable,
+            self.event_agenda().into_earliest(),
+            self.cfg.link.min_latency(),
+            self.cfg.cost.insn,
+        );
+        if finished {
+            // The acting primary is done: whatever else is pending only
+            // says when the report is due.
+            planned.step = StepPlan::Finished;
+        }
+        planned
     }
 
     /// Detaches a host's guest so that its planned slice can be
-    /// published to worker threads (the parallel cluster executor).
-    /// The system must not be stepped for this host until
-    /// [`FtSystem::attach_guest`] returns it.
+    /// published to worker threads (the parallel cluster executor). The
+    /// slice's commit must give it back (see [`FtSystem::commit`]).
     pub(crate) fn detach_guest(&mut self, host: usize) -> HvGuest {
         self.hosts[host].guest.detach()
-    }
-
-    /// Returns a detached guest.
-    pub(crate) fn attach_guest(&mut self, host: usize, guest: HvGuest) {
-        self.hosts[host].guest.attach(guest);
     }
 
     /// Produces the run's report after a [`StepPlan::Finished`] plan.
@@ -2041,7 +1889,7 @@ impl FtSystem {
     /// operation latencies are taken, so a second call reports them
     /// empty. The console and the disk log are copied — both devices
     /// stay inspectable (e.g. [`FtSystem::disk_mut`]) after the run.
-    pub(crate) fn finish_run(&mut self) -> RunReport {
+    fn finish_run(&mut self) -> RunReport {
         let ap = self.acting_primary;
         let exit = match self.hosts[ap].life {
             Life::Done(e) => e,
@@ -2089,47 +1937,79 @@ impl FtSystem {
         report
     }
 
+    /// Carries out a planned decision — the one place the three kinds
+    /// of step are told apart — and returns the run's report once the
+    /// run is over. A wave commits in plan order. `reclaim` gives back
+    /// the guest of a slice whose guest was detached, with the event its
+    /// run ended in if a worker ran it; every other slice runs here, so
+    /// every caller folds the identical sequence of (host, event) pairs
+    /// into state.
+    pub(crate) fn commit(
+        &mut self,
+        step: StepPlan,
+        mut reclaim: impl FnMut(SlicePlan) -> Option<(HvGuest, Option<HvEvent>)>,
+    ) -> Option<RunReport> {
+        match step {
+            StepPlan::Finished => return Some(self.finish_run()),
+            StepPlan::Event(t, tag) => self.fire_event(t, tag),
+            StepPlan::Slices(wave) => {
+                for s in wave {
+                    let host = &mut self.hosts[s.host];
+                    let ran_elsewhere = reclaim(s).and_then(|(guest, event)| {
+                        host.guest.attach(guest);
+                        event
+                    });
+                    let event = ran_elsewhere.unwrap_or_else(|| host.guest.run(s.budget));
+                    host.sync_clock();
+                    self.dispatch_guest_event(s.host, event);
+                }
+            }
+        }
+        None
+    }
+
     /// Advances the system by one scheduling decision — one event, or
     /// one wave of conservative guest slices — and returns the run's
     /// report once the run is over. [`FtSystem::run`] is exactly this
-    /// in a loop; a cluster driver interleaves `step` calls across
-    /// systems sharing a medium.
+    /// in a loop; a cluster driver interleaves the same plan/commit
+    /// pairs across systems sharing a medium.
     ///
     /// The report is yielded **once**: its lists are moved out of the
     /// system, so stepping a finished system again reports them empty.
     pub fn step(&mut self) -> Option<RunReport> {
-        match self.plan() {
-            StepPlan::Finished => Some(self.finish_run()),
-            StepPlan::Event => {
-                self.fire_next_event();
-                None
-            }
-            StepPlan::Slices(wave) => {
-                // Execute the wave in plan (commit) order. The parallel
-                // executor runs these same slices concurrently and then
-                // commits in this exact order, so both paths fold the
-                // identical sequence of (host, event) pairs into state.
-                for s in wave {
-                    let event = self.run_slice(s.host, s.budget);
-                    self.commit_slice(s.host, event);
-                }
-                None
-            }
-        }
+        let step = self.plan().step;
+        self.commit(step, |_| None)
     }
 }
 
-/// [`FtSystem`] as a kernel [`Component`]: [`FtSystem::run`] is the
-/// one-component schedule, and [`crate::cluster::FtCluster`] registers
-/// many of these on one [`hvft_sim::sched::Scheduler`].
-impl Component for FtSystem {
-    type Output = RunReport;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hvft_guest::{build_image, hello_source, KernelConfig};
 
-    fn next_action_time(&self) -> Option<SimTime> {
-        FtSystem::next_action_time(self)
-    }
-
-    fn advance(&mut self) -> Option<RunReport> {
-        self.step()
+    #[test]
+    fn faults_fire_by_time_then_primary_replica_rejoin_then_replica_index() {
+        let image = build_image(&KernelConfig::default(), &hello_source("x", 1)).unwrap();
+        let cfg = FtConfig {
+            backups: 2,
+            ..FtConfig::default()
+        };
+        let mut sys = FtSystem::from_config(&image, cfg);
+        let t = SimTime::from_nanos;
+        let firing_order = [
+            (t(3), Fault::Replica(2)),
+            (t(5), Fault::Primary),
+            (t(5), Fault::Replica(1)),
+            (t(5), Fault::Replica(2)),
+            (t(5), Fault::Rejoin(0)),
+            (t(5), Fault::Rejoin(2)),
+            (t(9), Fault::Primary),
+        ];
+        // Scheduled scrambled; the next to fire is the last entry.
+        for k in [5, 3, 6, 4, 1, 2, 0] {
+            sys.schedule_fault(firing_order[k].0, firing_order[k].1);
+        }
+        sys.faults.reverse();
+        assert_eq!(sys.faults, firing_order);
     }
 }

@@ -4,11 +4,10 @@
 //!
 //! - [`time`]: integer-nanosecond simulated time ([`time::SimTime`],
 //!   [`time::SimDuration`]) in which all of the paper's constants are exact;
-//! - [`sched`]: the shared scheduler kernel — a deterministic
-//!   [`sched::Scheduler`] over [`sched::Component`]s with FIFO
-//!   tie-breaking, the [`sched::Agenda`] event-source arbiter, and the
-//!   conservative-lookahead budget rule every driver in `hvft-core`
-//!   runs on;
+//! - [`sched`]: the [`sched::Agenda`] event-source arbiter — earliest
+//!   first, first-offered wins ties — that `hvft-core`'s discrete-event
+//!   driver takes its next event from (the loop itself lives with the
+//!   driver, which knows the event sources and the lookahead);
 //! - [`pool`]: a persistent work-stealing worker pool ([`pool::WorkPool`])
 //!   for off-thread guest-slice execution — per-worker deques with
 //!   stealing, parked idle workers, reused across runs;
@@ -17,11 +16,6 @@
 //!   reproducible;
 //! - [`stats`]: the fixed-bucket [`stats::DurationHistogram`] behind the
 //!   run report's operation-latency profile.
-//!
-//! The *shape* of every co-simulation loop lives here in [`sched`]; the
-//! drivers in `hvft-core` supply what only they know — the event sources
-//! and the lookahead (minimum network latency) that make conservative
-//! synchronization safe — and the kernel owns the ordering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +28,6 @@ pub mod time;
 
 pub use pool::{PoolStats, WorkPool};
 pub use rng::SimRng;
-pub use sched::{Agenda, Component, Scheduler};
+pub use sched::Agenda;
 pub use stats::DurationHistogram;
 pub use time::{SimDuration, SimTime};

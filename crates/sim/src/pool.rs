@@ -30,7 +30,7 @@
 //! simulation results must depend only on job outputs committed in a
 //! deterministic order, never on pool scheduling — which is exactly how
 //! the cluster executor uses it (slices are independent; commits happen
-//! on the coordinator in kernel pick order; a job only *tries* to claim
+//! on the coordinator in its own pick order; a job only *tries* to claim
 //! its slice, so nothing waits on a worker that is busy elsewhere).
 //!
 //! The observed-utilization counters ([`WorkPool::stats`]) are wall

@@ -8,10 +8,11 @@
 //!
 //! Every guest in `hvft-guest`'s workload registry runs through the
 //! identical builder-configured pipeline: bare baseline first (the
-//! paper's `RT`), then the replicated system (`N′`), printing the
-//! normalized performance, coordination bookkeeping and the execution-
-//! tier breakdown (instructions retired per engine, superblocks
-//! compiled, invalidations) for each.
+//! paper's `RT`), then the replicated system (`N′`) with one backup and
+//! with two — the backup count must be invisible to the guest —
+//! printing the normalized performance, coordination bookkeeping and
+//! the execution-tier breakdown (instructions retired per engine,
+//! superblocks compiled, invalidations) for each.
 
 use hvft::core::scenario::{ExecStats, ExecTier, Scenario};
 use hvft::guest::workload::names;
@@ -60,25 +61,38 @@ fn run_one(name: &str, tier: ExecTier) {
         .build()
         .unwrap_or_else(|e| panic!("{name} (bare): {e}"))
         .run();
-    let ft = Scenario::builder()
-        .workload_named(name)
-        .functional_cost()
-        .exec_tier(tier)
-        .build()
-        .unwrap_or_else(|e| panic!("{name}: {e}"))
-        .run();
+    let replicated = |backups: usize| {
+        Scenario::builder()
+            .workload_named(name)
+            .functional_cost()
+            .exec_tier(tier)
+            .backups(backups)
+            .build()
+            .unwrap_or_else(|e| panic!("{name} t={backups}: {e}"))
+            .run()
+    };
+    let (ft, ft2) = (replicated(1), replicated(2));
     assert!(
-        bare.exit.is_clean_exit() && ft.exit.is_clean_exit(),
-        "{name}: bare {:?}, replicated {:?}",
+        bare.exit.is_clean_exit() && ft.exit.is_clean_exit() && ft2.exit.is_clean_exit(),
+        "{name}: bare {:?}, replicated {:?}, t=2 {:?}",
         bare.exit,
-        ft.exit
+        ft.exit,
+        ft2.exit
     );
     assert_eq!(
         bare.exit.code(),
         ft.exit.code(),
         "{name}: replication must not change the checksum"
     );
-    assert!(ft.lockstep_clean, "{name}: lockstep divergence");
+    assert_eq!(
+        ft.exit.code(),
+        ft2.exit.code(),
+        "{name}: the backup count must be invisible to the guest"
+    );
+    assert!(
+        ft.lockstep_clean && ft2.lockstep_clean,
+        "{name}: lockstep divergence"
+    );
     println!(
         "{name:>10}: checksum {:#010x} | bare {} | replicated {} | {} epochs, {} msgs",
         bare.exit.code().expect("clean exit"),
@@ -114,5 +128,5 @@ fn main() {
     for name in &selected {
         run_one(name, tier);
     }
-    println!("\nevery workload ran bare and replicated with identical checksums ✓");
+    println!("\nevery workload ran bare and replicated (t = 1, 2) with identical checksums ✓");
 }

@@ -18,7 +18,7 @@
 //! | [`lang`] | `hvft-lang` | the hvft-lang workload compiler, reference interpreter, and random-program generator |
 //! | [`devices`] | `hvft-devices` | shared disk (IO1/IO2), console |
 //! | [`net`] | `hvft-net` | link models, timed FIFO channels and the shared-medium [`net::lan::Lan`], the chain's [`net::transport::InstantLink`], the failure detector, and the [`net::reliable`] ack/retransmission layer |
-//! | [`sim`] | `hvft-sim` | time, scheduler kernel, pool, RNG, histogram |
+//! | [`sim`] | `hvft-sim` | time, event agenda, pool, RNG, histogram |
 //! | [`model`] | `hvft-model` | the paper's analytic NP models |
 //!
 //! # Quickstart

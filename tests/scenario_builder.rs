@@ -23,6 +23,7 @@ fn variant(e: &ConfigError) -> &'static str {
         ConfigError::DiskTooLarge { .. } => "DiskTooLarge",
         ConfigError::EmptyDisk => "EmptyDisk",
         ConfigError::ZeroEpochLen => "ZeroEpochLen",
+        ConfigError::NoSuchReplica { .. } => "NoSuchReplica",
         ConfigError::DriverMismatch(_) => "DriverMismatch",
     }
 }
@@ -128,6 +129,18 @@ fn every_invalid_combination_yields_its_config_error() {
                 .retransmit(SimDuration::from_micros(40))
                 .rejoin_replica_at(SimTime::from_nanos(1_000_000), 1),
             "DriverMismatch",
+        ),
+        (
+            "failstop of a replica the system does not have",
+            wl().fail_replica_at(SimTime::from_nanos(1), 7),
+            "NoSuchReplica",
+        ),
+        (
+            "rejoin of a replica the system does not have",
+            wl().backups(2)
+                .retransmit(SimDuration::from_micros(40))
+                .rejoin_replica_at(SimTime::from_nanos(1), 3),
+            "NoSuchReplica",
         ),
     ];
     for (label, builder, expected) in cases {
