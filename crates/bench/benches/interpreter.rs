@@ -26,9 +26,10 @@ use std::time::{Duration, Instant};
 
 const TIERS: [ExecTier; 3] = [ExecTier::Step, ExecTier::Block, ExecTier::Jit];
 
-/// The cost of leaving and re-entering `Cpu::run` — what a
-/// trap-and-emulate hypervisor pays for every privileged instruction of
-/// its guest, before it has emulated anything. `immediate`: the pc sits
+/// The cost of leaving and re-entering `Cpu::run` — what an embedder
+/// that emulates *around* the run loop pays per exit, before it has
+/// emulated anything (the in-tree embedders emulate inside it,
+/// `Cpu::run_with`; see the syscall rows). `immediate`: the pc sits
 /// on a privileged instruction at privilege 1, so every `run` exits at
 /// once. `one_insn`: `addi; mfctl; jal` in a loop with the `mfctl`
 /// skipped by the embedder, so every entry dispatches and retires real
@@ -85,12 +86,29 @@ fn timed_hv_run(image: &hvft_isa::program::Program, tier: ExecTier) -> (Duration
     (start.elapsed(), guest.stats().reflected)
 }
 
-/// What one guest syscall costs the host under the hypervisor, per
-/// replica: a `gate` reflected into the guest kernel, the seven
-/// privileged instructions of its handler simulated one by one, eight
-/// `Cpu::run` entries in all. Measured as a difference — dhrystone with
-/// a `SYS_GETTIME` in every iteration minus the same iterations with
-/// none — divided by the syscalls that makes.
+/// Host time of one whole bare run of `image` on `host`.
+fn timed_bare_run(host: &mut BareHost, image: &hvft_isa::program::Program) -> Duration {
+    host.reset(image);
+    let start = Instant::now();
+    black_box(host.run(u64::MAX).retired);
+    start.elapsed()
+}
+
+/// What one guest syscall costs the host: a `gate`, the twenty
+/// instructions of the kernel's `SYS_GETTIME` path — seven of them
+/// privileged — and the `rfi` back. Measured as a difference —
+/// dhrystone with a syscall in every iteration minus the same
+/// iterations with none — divided by the syscalls that makes.
+///
+/// `hvguest/…`: under the hypervisor, per replica: the `gate` reflected
+/// into the guest kernel and the privileged instructions simulated,
+/// inside the CPU's run loop (under the jit: as ops of the handler's
+/// trace). `bare/…`: on the bare machine, where the privileged
+/// instructions execute natively and only the `gate` and the `mftod`
+/// are exits. The bare row is the control: before traces ran through
+/// privileged instructions it cost three quarters of the hypervised one
+/// with a quarter of the exits, which is how the fragmentation of the
+/// handler into one-op traces — not the exits — showed as the cost.
 fn bench_syscall_roundtrip(c: &mut Criterion) {
     const ITERS: u32 = 50_000;
     let kernel = KernelConfig::default();
@@ -98,6 +116,7 @@ fn bench_syscall_roundtrip(c: &mut Criterion) {
     let never = build_image(&kernel, &dhrystone_source(ITERS, 0)).unwrap();
     for tier in TIERS {
         let syscalls = timed_hv_run(&every, tier).1 - timed_hv_run(&never, tier).1;
+        assert_eq!(syscalls, u64::from(ITERS));
         let mut g = c.benchmark_group("hvguest");
         g.throughput(Throughput::Elements(syscalls));
         g.bench_function(format!("syscall_roundtrip/{tier}"), |b| {
@@ -112,7 +131,74 @@ fn bench_syscall_roundtrip(c: &mut Criterion) {
             })
         });
         g.finish();
+        let mut host = BareHost::new(
+            &every,
+            CostModel::functional(),
+            hvft_guest::layout::RAM_BYTES,
+            16,
+            0,
+        );
+        host.set_exec_tier(tier);
+        let mut g = c.benchmark_group("bare");
+        g.throughput(Throughput::Elements(syscalls));
+        g.bench_function(format!("syscall_roundtrip/{tier}"), |b| {
+            b.iter_custom(|iters| {
+                let mut with = Duration::ZERO;
+                let mut without = Duration::ZERO;
+                for _ in 0..iters {
+                    with += timed_bare_run(&mut host, &every);
+                    without += timed_bare_run(&mut host, &never);
+                }
+                with.saturating_sub(without)
+            })
+        });
+        g.finish();
     }
+}
+
+/// The guest kernel's disk wait — closed by an unconditional jump,
+/// `ssm`/`rsm` inside — entered at the `beq`, where an interrupt
+/// returns to: the trace wraps around and ends one op short of its own
+/// entry. Nanoseconds per spin iteration (`lw; beq`). A trace that
+/// leaves through `chain!` at its end pays a translate and a lookup per
+/// iteration here and shows nowhere else: everything still retires in
+/// the jit.
+fn bench_spin_entered_mid_body(c: &mut Criterion) {
+    const SPINS: u64 = 1_000_000;
+    const BEQ: u32 = 12;
+    let prog = assemble(
+        "retry: sw   r0, 0x400(r0)
+                ssm  1
+         wait:  lw   r28, 0x400(r0)
+                beq  r28, r0, wait
+                rsm  1
+                addi r29, r29, 1
+                jal  r0, retry",
+    )
+    .unwrap();
+    let mut mem = Memory::new(PAGE_SIZE as usize);
+    let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+    prog.load_into_cpu(&mut cpu, &mut mem);
+    cpu.set_exec_tier(ExecTier::Jit);
+    // Past the promotion threshold, at this entry.
+    for _ in 0..64 {
+        cpu.pc = BEQ;
+        assert_eq!(cpu.run(&mut mem, 2), Exit::Retired);
+    }
+    let mut g = c.benchmark_group("jit");
+    g.throughput(Throughput::Elements(SPINS));
+    g.bench_function("spin_entered_mid_body", |b| {
+        b.iter(|| {
+            cpu.pc = BEQ;
+            black_box(cpu.run(black_box(&mut mem), 2 * SPINS))
+        })
+    });
+    g.finish();
+    let stats = cpu.exec_stats();
+    assert!(
+        stats.chain_hops * 100 < stats.jit_retired,
+        "the spin left its frame: {stats:?}"
+    );
 }
 
 /// The epoch-boundary digest of a booted 256 KiB guest: every page
@@ -239,9 +325,9 @@ fn bench_interpreter(c: &mut Criterion) {
     g.annotate("cross_page_superblocks", cs.cross_page_superblocks as f64);
     g.finish();
     // Machine-readable record (ns/insn, insns/sec, before/after, and
-    // the statehash, exit_roundtrip and hvguest rows recorded before
-    // this group ran) for the CI artifact; written at the workspace
-    // root.
+    // the statehash, exit_roundtrip, syscall_roundtrip and spin rows
+    // recorded before this group ran) for the CI artifact; written at
+    // the workspace root.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interpreter.json");
     c.save_json(out)
         .unwrap_or_else(|e| panic!("writing {out}: {e}"));
@@ -299,6 +385,7 @@ criterion_group!(
     bench_statehash,
     bench_exit_roundtrip,
     bench_syscall_roundtrip,
+    bench_spin_entered_mid_body,
     bench_interpreter,
     bench_assembler,
     bench_channel,

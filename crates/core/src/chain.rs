@@ -239,12 +239,12 @@ impl TChain {
                         at_boundary.push(i);
                         break;
                     }
-                    HvEvent::MmioRead { paddr } => {
+                    HvEvent::MmioRead { paddr, width, rd } => {
                         let v = match paddr.wrapping_sub(IO_BASE) {
                             hvft_devices::mmio::CONSOLE_REG_STATUS => 1,
                             _ => 0,
                         };
-                        replica.guest.finish_mmio_read(v);
+                        replica.guest.finish_mmio_read(rd, width, v);
                     }
                     HvEvent::MmioWrite { paddr, value } => {
                         // Output suppression at backups, exactly as in

@@ -39,7 +39,9 @@ use hvft_devices::console::Console;
 use hvft_devices::disk::{Disk, DiskCommand, DiskStatus, BLOCK_SIZE};
 use hvft_devices::mmio;
 use hvft_hypervisor::hvguest::{HvEvent, HvGuest};
+use hvft_isa::instruction::MemWidth;
 use hvft_isa::program::Program;
+use hvft_isa::reg::Reg;
 use hvft_machine::mem::IO_BASE;
 use hvft_machine::trap::irq;
 use hvft_net::channel::Channel;
@@ -1313,7 +1315,7 @@ impl FtSystem {
     // MMIO handling
     // -----------------------------------------------------------------
 
-    fn handle_mmio_read(&mut self, i: usize, paddr: u32) {
+    fn handle_mmio_read(&mut self, i: usize, paddr: u32, width: MemWidth, rd: Reg) {
         let off = paddr.wrapping_sub(IO_BASE);
         let value = match off {
             mmio::DISK_REG_STATUS => self.hosts[i].disk_status_reg,
@@ -1322,7 +1324,7 @@ impl FtSystem {
             mmio::CONSOLE_REG_STATUS => 1,
             _ => 0,
         };
-        self.hosts[i].guest.finish_mmio_read(value);
+        self.hosts[i].guest.finish_mmio_read(rd, width, value);
         self.hosts[i].sync_clock();
     }
 
@@ -1701,7 +1703,7 @@ impl FtSystem {
         match ev {
             HvEvent::BudgetExhausted => {}
             HvEvent::EpochEnd => self.epoch_end(i),
-            HvEvent::MmioRead { paddr } => self.handle_mmio_read(i, paddr),
+            HvEvent::MmioRead { paddr, width, rd } => self.handle_mmio_read(i, paddr, width, rd),
             HvEvent::MmioWrite { paddr, value } => self.handle_mmio_write(i, paddr, value),
             HvEvent::Diag { value, code } => {
                 self.hosts[i].diags.push((value, code));

@@ -6,13 +6,32 @@
 //! completion time this host measures. Environment instructions execute
 //! against the host's real (simulated) clock, traps vector straight into
 //! the guest, and devices interrupt as soon as they complete.
+//!
+//! # The firmware runs inside the CPU's loop
+//!
+//! [`BareHost::run`] serves exits from inside [`Cpu::run_with`]: the
+//! host's devices and clock are lent to a `Firmware` hook for the
+//! length of a run, and its `exit` is the body of the loop this module
+//! used to run around `Cpu::run`, in that loop's order, which simulated
+//! time depends on:
+//!
+//! 1. handle the exit against the clock **as it stood when the hook
+//!    last looked** — `mftod` does not see the instructions retired
+//!    since — and stop, uncharged, at `halt` or a wake-less `idle`;
+//! 2. advance the clock by `cost.insn` per instruction retired since;
+//! 3. the head of the next turn: stop at the instruction limit, fire
+//!    the timer and disk events that are due, and grant the
+//!    instructions the per-step path would retire before the next one.
+//!
+//! When a grant runs out an event is due (or the limit is reached);
+//! `run` charges the retirement and starts the next turn at step 3.
 
 use crate::cost::CostModel;
 use hvft_devices::console::Console;
 use hvft_devices::disk::{Disk, DiskCommand, DiskStatus, BLOCK_SIZE};
 use hvft_devices::mmio;
 use hvft_isa::program::Program;
-use hvft_machine::cpu::{Cpu, EnvOp, Exit, LoadProgram};
+use hvft_machine::cpu::{Assist, Cpu, EnvOp, Exit, LoadProgram, Resume};
 use hvft_machine::exec::{ExecStats, ExecTier};
 use hvft_machine::mem::{Memory, IO_BASE};
 use hvft_machine::tlb::TlbReplacement;
@@ -58,6 +77,16 @@ pub struct BareHost {
     /// The console.
     pub console: Console,
     cost: CostModel,
+    board: Board,
+    disk_blocks: u32,
+    seed: u64,
+    exec_tier: ExecTier,
+}
+
+/// The host's clock, its pending device events, the disk controller's
+/// registers and what the guest reported: everything a run changes
+/// besides the CPU, memory, disk and console.
+struct Board {
     now: SimTime,
     timer_fires_at: Option<SimTime>,
     disk_done_at: Option<SimTime>,
@@ -66,9 +95,21 @@ pub struct BareHost {
     disk_status_reg: u32,
     diags: Vec<(u32, u32)>,
     exit_code: Option<u32>,
-    disk_blocks: u32,
-    seed: u64,
-    exec_tier: ExecTier,
+}
+
+impl Board {
+    fn reset() -> Self {
+        Board {
+            now: SimTime::ZERO,
+            timer_fires_at: None,
+            disk_done_at: None,
+            reg_block: 0,
+            reg_addr: 0,
+            disk_status_reg: mmio::disk_status::IDLE,
+            diags: Vec::new(),
+            exit_code: None,
+        }
+    }
 }
 
 impl BareHost {
@@ -90,14 +131,7 @@ impl BareHost {
             disk: Disk::new(disk_blocks, seed),
             console: Console::new(),
             cost,
-            now: SimTime::ZERO,
-            timer_fires_at: None,
-            disk_done_at: None,
-            reg_block: 0,
-            reg_addr: 0,
-            disk_status_reg: mmio::disk_status::IDLE,
-            diags: Vec::new(),
-            exit_code: None,
+            board: Board::reset(),
             disk_blocks,
             seed,
             exec_tier: ExecTier::default(),
@@ -133,19 +167,168 @@ impl BareHost {
         image.load_into_cpu(&mut self.cpu, &mut self.mem);
         self.disk = Disk::new(self.disk_blocks, self.seed);
         self.console = Console::new();
-        self.now = SimTime::ZERO;
-        self.timer_fires_at = None;
-        self.disk_done_at = None;
-        self.reg_block = 0;
-        self.reg_addr = 0;
-        self.disk_status_reg = mmio::disk_status::IDLE;
-        self.diags.clear();
-        self.exit_code = None;
+        self.board = Board::reset();
     }
 
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.board.now
+    }
+
+    /// Runs the guest to completion (or the instruction limit).
+    ///
+    /// Execution goes through [`Cpu::run_with`] on the selected tier,
+    /// with every grant clamped to the next timer/disk deadline so
+    /// devices interrupt at exactly the same instruction as
+    /// single-stepping would.
+    pub fn run(&mut self, max_insns: u64) -> BareRunResult {
+        let start = self.board.now;
+        let mut fw = Firmware {
+            disk: &mut self.disk,
+            console: &mut self.console,
+            cost: &self.cost,
+            board: &mut self.board,
+            max_insns,
+            charged_to: self.cpu.retired(),
+            ended: None,
+        };
+        let exit = loop {
+            let Some(grant) = fw.next_turn(&mut self.cpu, &mut self.mem) else {
+                break BareExit::InstructionLimit;
+            };
+            self.cpu.run_with(&mut self.mem, grant, &mut fw);
+            if let Some(ended) = fw.ended {
+                break ended;
+            }
+            fw.charge_retired(&self.cpu);
+        };
+        BareRunResult {
+            exit,
+            time: self.board.now - start,
+            retired: self.cpu.retired(),
+            diags: self.board.diags.clone(),
+        }
+    }
+}
+
+/// The bare machine's firmware and devices for the length of one
+/// [`BareHost::run`]: the parts of the host other than its CPU and
+/// memory, which the run loop hands to every hook call. See the module
+/// docs for the order [`Assist::exit`] keeps.
+struct Firmware<'a> {
+    disk: &'a mut Disk,
+    console: &'a mut Console,
+    cost: &'a CostModel,
+    board: &'a mut Board,
+    /// Retirement count the run stops at (runaway guard).
+    max_insns: u64,
+    /// Retirement count up to which the clock has been advanced.
+    charged_to: u64,
+    /// Why the run ended, once `halt` or a wake-less `idle` has.
+    ended: Option<BareExit>,
+}
+
+impl Assist for Firmware<'_> {
+    fn exit(&mut self, cpu: &mut Cpu, mem: &mut Memory, exit: Exit) -> Resume {
+        let b = &mut *self.board;
+        match exit {
+            Exit::Retired => {}
+            Exit::Trap(t) => {
+                // Real hardware vectors every trap through the IVT.
+                cpu.deliver_trap(t);
+            }
+            Exit::Env(op) => match op {
+                EnvOp::ReadTod { rd } => {
+                    let us = b.now.as_nanos() / 1000;
+                    cpu.complete_env_read(rd, us as u32);
+                }
+                EnvOp::ReadTodHigh { rd } => {
+                    let us = b.now.as_nanos() / 1000;
+                    cpu.complete_env_read(rd, (us >> 32) as u32);
+                }
+                EnvOp::SetTimer { value } => {
+                    b.timer_fires_at = Some(b.now + SimDuration::from_micros(u64::from(value)));
+                    cpu.complete_env_effect();
+                }
+                EnvOp::ReadTimer { rd } => {
+                    let rem = match b.timer_fires_at {
+                        Some(t) if t > b.now => ((t - b.now).as_nanos() / 1000) as u32,
+                        _ => 0,
+                    };
+                    cpu.complete_env_read(rd, rem);
+                }
+            },
+            Exit::MmioRead { paddr, width, rd } => {
+                let v = self.mmio_read(paddr);
+                cpu.complete_mmio_read(rd, width, v);
+            }
+            Exit::MmioWrite { paddr, value, .. } => {
+                self.mmio_write(cpu, paddr, value);
+                cpu.complete_env_effect();
+            }
+            Exit::Diag { value, code } => {
+                b.diags.push((value, code));
+                if code == hvft_guest::layout::diag::EXIT {
+                    b.exit_code = Some(value);
+                }
+                cpu.complete_env_effect();
+            }
+            Exit::Halt => {
+                self.ended = Some(BareExit::Halted { code: b.exit_code });
+                return Resume::Surface(exit);
+            }
+            Exit::Idle => {
+                // Skip forward to the next wake-up source.
+                match self.next_event() {
+                    Some(t) => {
+                        self.board.now = self.board.now.max(t);
+                        cpu.complete_env_effect();
+                    }
+                    None => {
+                        self.ended = Some(BareExit::Stuck);
+                        return Resume::Surface(exit);
+                    }
+                }
+            }
+        }
+        self.charge_retired(cpu);
+        Resume::Continue(self.next_turn(cpu, mem).unwrap_or(0))
+    }
+}
+
+impl Firmware<'_> {
+    /// Advances the clock by the instruction time of everything retired
+    /// since the last look, which also covers gate/brk (they retire
+    /// inside a Trap exit).
+    fn charge_retired(&mut self, cpu: &Cpu) {
+        let delta = cpu.retired() - self.charged_to;
+        self.charged_to = cpu.retired();
+        if delta > 0 {
+            self.board.now += self.cost.insn * delta;
+        }
+    }
+
+    /// The head of a turn: fires the device events that are due and
+    /// returns how many instructions may retire before the next one (or
+    /// the limit) — `None` at the instruction limit.
+    fn next_turn(&mut self, cpu: &mut Cpu, mem: &mut Memory) -> Option<u64> {
+        if cpu.retired() >= self.max_insns {
+            return None;
+        }
+        self.poll_events(cpu, mem);
+        Some(
+            (self.max_insns - cpu.retired())
+                .min(self.insns_until_next_event())
+                .max(1),
+        )
+    }
+
+    /// The earliest pending timer/disk deadline.
+    fn next_event(&self) -> Option<SimTime> {
+        [self.board.timer_fires_at, self.board.disk_done_at]
+            .into_iter()
+            .flatten()
+            .min()
     }
 
     /// Instructions the per-step path would retire before the earliest
@@ -153,39 +336,38 @@ impl BareHost {
     /// their deadline, and `now` advances by `cost.insn` per retired
     /// instruction. `u64::MAX` when nothing is pending.
     fn insns_until_next_event(&self) -> u64 {
-        let next = [self.timer_fires_at, self.disk_done_at]
-            .into_iter()
-            .flatten()
-            .min();
-        let Some(t) = next else {
+        let Some(t) = self.next_event() else {
             return u64::MAX;
         };
-        if t <= self.now {
+        let now = self.board.now;
+        if t <= now {
             return 0;
         }
         let insn = self.cost.insn.as_nanos();
         if insn == 0 {
             return u64::MAX;
         }
-        (t - self.now).as_nanos().div_ceil(insn)
+        (t - now).as_nanos().div_ceil(insn)
     }
 
-    fn poll_events(&mut self) {
-        if let Some(t) = self.timer_fires_at {
-            if t <= self.now {
-                self.timer_fires_at = None;
-                self.cpu.raise_irq(irq::TIMER);
+    fn poll_events(&mut self, cpu: &mut Cpu, mem: &mut Memory) {
+        let b = &mut *self.board;
+        if let Some(t) = b.timer_fires_at {
+            if t <= b.now {
+                b.timer_fires_at = None;
+                cpu.raise_irq(irq::TIMER);
             }
         }
-        if let Some(t) = self.disk_done_at {
-            if t <= self.now {
-                self.disk_done_at = None;
-                self.complete_disk();
+        if let Some(t) = b.disk_done_at {
+            if t <= b.now {
+                b.disk_done_at = None;
+                self.complete_disk(cpu, mem);
             }
         }
     }
 
-    fn complete_disk(&mut self) {
+    fn complete_disk(&mut self, cpu: &mut Cpu, mem: &mut Memory) {
+        let b = &mut *self.board;
         let pending_cmd = self
             .disk
             .pending()
@@ -193,155 +375,60 @@ impl BareHost {
             .expect("disk completion without op");
         let status = match pending_cmd {
             DiskCommand::Write => {
-                let data = self.mem.read_bytes(self.reg_addr, BLOCK_SIZE).to_vec();
+                let data = mem.read_bytes(b.reg_addr, BLOCK_SIZE).to_vec();
                 self.disk.complete_write(&data)
             }
             DiskCommand::Read => {
                 let (status, data) = self.disk.complete_read();
                 if let Some(d) = data {
-                    self.mem.write_bytes(self.reg_addr, &d);
+                    mem.write_bytes(b.reg_addr, &d);
                 }
                 status
             }
         };
-        self.disk_status_reg = match status {
+        b.disk_status_reg = match status {
             DiskStatus::Complete => mmio::disk_status::DONE,
             DiskStatus::Uncertain => mmio::disk_status::UNCERTAIN,
         };
-        self.cpu.raise_irq(irq::DISK);
+        cpu.raise_irq(irq::DISK);
     }
 
-    fn mmio_read(&mut self, paddr: u32) -> u32 {
+    fn mmio_read(&self, paddr: u32) -> u32 {
         match paddr.wrapping_sub(IO_BASE) {
-            mmio::DISK_REG_STATUS => self.disk_status_reg,
-            mmio::DISK_REG_BLOCK => self.reg_block,
-            mmio::DISK_REG_ADDR => self.reg_addr,
+            mmio::DISK_REG_STATUS => self.board.disk_status_reg,
+            mmio::DISK_REG_BLOCK => self.board.reg_block,
+            mmio::DISK_REG_ADDR => self.board.reg_addr,
             mmio::CONSOLE_REG_STATUS => 1,
             _ => 0,
         }
     }
 
-    fn mmio_write(&mut self, paddr: u32, value: u32) {
+    fn mmio_write(&mut self, cpu: &mut Cpu, paddr: u32, value: u32) {
+        let b = &mut *self.board;
         match paddr.wrapping_sub(IO_BASE) {
-            mmio::DISK_REG_BLOCK => self.reg_block = value,
-            mmio::DISK_REG_ADDR => self.reg_addr = value,
+            mmio::DISK_REG_BLOCK => b.reg_block = value,
+            mmio::DISK_REG_ADDR => b.reg_addr = value,
             mmio::DISK_REG_CMD => {
                 let cmd = match value {
                     mmio::disk_cmd::READ => DiskCommand::Read,
                     mmio::disk_cmd::WRITE => DiskCommand::Write,
                     _ => return,
                 };
-                match self.disk.submit(self.now, 0, cmd, self.reg_block) {
+                match self.disk.submit(b.now, 0, cmd, b.reg_block) {
                     Ok(dur) => {
-                        self.disk_status_reg = mmio::disk_status::BUSY;
-                        self.disk_done_at = Some(self.now + dur);
+                        b.disk_status_reg = mmio::disk_status::BUSY;
+                        b.disk_done_at = Some(b.now + dur);
                     }
                     Err(_) => {
                         // Controller rejects: report uncertainty so the
                         // driver retries rather than wedging.
-                        self.disk_status_reg = mmio::disk_status::UNCERTAIN;
-                        self.cpu.raise_irq(irq::DISK);
+                        b.disk_status_reg = mmio::disk_status::UNCERTAIN;
+                        cpu.raise_irq(irq::DISK);
                     }
                 }
             }
-            mmio::CONSOLE_REG_TX => self.console.write(self.now, 0, value as u8),
+            mmio::CONSOLE_REG_TX => self.console.write(b.now, 0, value as u8),
             _ => {}
-        }
-    }
-
-    /// Runs the guest to completion (or the instruction limit).
-    ///
-    /// Execution goes through the predecoded-block engine
-    /// ([`Cpu::run`]), entered with a budget clamped to the next
-    /// timer/disk deadline so devices interrupt at exactly the same
-    /// instruction as single-stepping would.
-    pub fn run(&mut self, max_insns: u64) -> BareRunResult {
-        let start = self.now;
-        let result_exit = loop {
-            if self.cpu.retired() >= max_insns {
-                break BareExit::InstructionLimit;
-            }
-            self.poll_events();
-            let retired_before = self.cpu.retired();
-            let budget = (max_insns - retired_before)
-                .min(self.insns_until_next_event())
-                .max(1);
-            let exit = self.cpu.run(&mut self.mem, budget);
-            match exit {
-                Exit::Retired => {}
-                Exit::Trap(t) => {
-                    // Real hardware vectors every trap through the IVT.
-                    self.cpu.deliver_trap(t);
-                }
-                Exit::Env(op) => match op {
-                    EnvOp::ReadTod { rd } => {
-                        let us = self.now.as_nanos() / 1000;
-                        self.cpu.complete_env_read(rd, us as u32);
-                    }
-                    EnvOp::ReadTodHigh { rd } => {
-                        let us = self.now.as_nanos() / 1000;
-                        self.cpu.complete_env_read(rd, (us >> 32) as u32);
-                    }
-                    EnvOp::SetTimer { value } => {
-                        self.timer_fires_at =
-                            Some(self.now + SimDuration::from_micros(u64::from(value)));
-                        self.cpu.complete_env_effect();
-                    }
-                    EnvOp::ReadTimer { rd } => {
-                        let rem = match self.timer_fires_at {
-                            Some(t) if t > self.now => ((t - self.now).as_nanos() / 1000) as u32,
-                            _ => 0,
-                        };
-                        self.cpu.complete_env_read(rd, rem);
-                    }
-                },
-                Exit::MmioRead { paddr, width, rd } => {
-                    let v = self.mmio_read(paddr);
-                    self.cpu.complete_mmio_read(rd, width, v);
-                }
-                Exit::MmioWrite { paddr, value, .. } => {
-                    self.mmio_write(paddr, value);
-                    self.cpu.complete_env_effect();
-                }
-                Exit::Diag { value, code } => {
-                    self.diags.push((value, code));
-                    if code == hvft_guest::layout::diag::EXIT {
-                        self.exit_code = Some(value);
-                    }
-                    self.cpu.complete_env_effect();
-                }
-                Exit::Halt => {
-                    break BareExit::Halted {
-                        code: self.exit_code,
-                    }
-                }
-                Exit::Idle => {
-                    // Skip forward to the next wake-up source.
-                    let next = [self.timer_fires_at, self.disk_done_at]
-                        .into_iter()
-                        .flatten()
-                        .min();
-                    match next {
-                        Some(t) => {
-                            self.now = self.now.max(t);
-                            self.cpu.complete_env_effect();
-                        }
-                        None => break BareExit::Stuck,
-                    }
-                }
-            }
-            // Charge instruction time by retirement delta, which also
-            // covers gate/brk (they retire inside a Trap exit).
-            let delta = self.cpu.retired() - retired_before;
-            if delta > 0 {
-                self.now += self.cost.insn * delta;
-            }
-        };
-        BareRunResult {
-            exit: result_exit,
-            time: self.now - start,
-            retired: self.cpu.retired(),
-            diags: self.diags.clone(),
         }
     }
 }

@@ -19,14 +19,35 @@
 //!   primary versus a backup.
 //!
 //! Every action is charged simulated time per the [`CostModel`].
+//!
+//! # The hypervisor runs inside the CPU's loop
+//!
+//! [`HvGuest::run`] makes one [`Cpu::run_with`] call per invocation and
+//! lends the hypervisor's parts (virtual clock, cost model, counters,
+//! consumed time) to an `Emulation`, the [`Assist`] hook that call
+//! serves: every trap, every simulated instruction and every TLB fill
+//! happens *inside* the run loop, and under the jit a privileged
+//! instruction of a hot handler is an op of its trace, handed here
+//! already decoded. The hook is the body of the loop this module used
+//! to run around `Cpu::run`, and its order is what keeps every pause
+//! point and every charged nanosecond where the per-step path puts
+//! them, on all three tiers:
+//!
+//! 1. emulate the exit (charging `hsim`, a reflection, a fill, …);
+//! 2. charge `cost.insn` for every instruction retired since the hook
+//!    last looked — straight-line retirement, `gate`/`brk` (they retire
+//!    inside a trap exit) and the instruction just simulated alike;
+//! 3. surface the [`HvEvent`], if the exit produced one;
+//! 4. otherwise grant exactly the instructions the per-step path would
+//!    retire before the time budget runs out — none, if it has.
 
 use crate::cost::CostModel;
 use crate::vclock::VClock;
 use hvft_isa::codec::decode;
-use hvft_isa::instruction::Instruction;
+use hvft_isa::instruction::{Instruction, MemWidth};
 use hvft_isa::program::Program;
-use hvft_isa::reg::ControlReg;
-use hvft_machine::cpu::{Cpu, Exit, LoadProgram};
+use hvft_isa::reg::{ControlReg, Reg};
+use hvft_machine::cpu::{Assist, Cpu, Exit, LoadProgram, Resume};
 use hvft_machine::exec::{ExecStats, ExecTier};
 use hvft_machine::mem::{Memory, PAGE_SHIFT};
 use hvft_machine::snapshot::{CpuSnapshot, MemSnapshot};
@@ -46,10 +67,14 @@ pub enum HvEvent {
     /// continue.
     EpochEnd,
     /// The guest read a device register. Complete with
-    /// [`HvGuest::finish_mmio_read`].
+    /// [`HvGuest::finish_mmio_read`], handing `width` and `rd` back.
     MmioRead {
         /// Physical address in the I/O window.
         paddr: u32,
+        /// Access width of the load.
+        width: MemWidth,
+        /// Destination register of the load.
+        rd: Reg,
     },
     /// The guest wrote a device register. Complete with
     /// [`HvGuest::finish_mmio_write`].
@@ -299,19 +324,12 @@ impl HvGuest {
         self.cpu.raise_irq(bits);
     }
 
-    /// Completes an [`HvEvent::MmioRead`] with the value the device (or
-    /// the protocol layer, at a backup) supplied.
-    pub fn finish_mmio_read(&mut self, value: u32) {
+    /// Completes an [`HvEvent::MmioRead`] — `rd` and `width` are the
+    /// event's — with the value the device (or the protocol layer, at a
+    /// backup) supplied.
+    pub fn finish_mmio_read(&mut self, rd: Reg, width: MemWidth, value: u32) {
         self.charge_guest(self.cost.insn);
-        // The exit left the faulting load at PC; re-decode to learn the
-        // destination register and width.
-        let word = self.fetch_current_word();
-        match decode(word) {
-            Ok(Instruction::Load { width, rd, .. }) => {
-                self.cpu.complete_mmio_read(rd, width, value);
-            }
-            other => panic!("finish_mmio_read: PC does not hold a load: {other:?}"),
-        }
+        self.cpu.complete_mmio_read(rd, width, value);
     }
 
     /// Completes an [`HvEvent::MmioWrite`].
@@ -326,147 +344,219 @@ impl HvGuest {
         self.cpu.complete_env_effect();
     }
 
-    fn fetch_current_word(&mut self) -> u32 {
-        let pa = self
-            .cpu
-            .translate(self.cpu.pc, hvft_machine::tlb::TlbAccess::Execute)
-            .expect("current PC must be fetchable");
-        self.mem.read_u32(pa).expect("current PC must be in RAM")
-    }
-
     fn charge_guest(&mut self, d: SimDuration) {
         self.elapsed += d;
         self.stats.guest_time += d;
     }
 
-    fn charge_hv(&mut self, d: SimDuration) {
-        self.elapsed += d;
-        self.stats.hv_time += d;
-    }
-
     /// Runs the guest until a hypervisor-level event occurs or `budget`
     /// simulated time has been consumed (measured from this call).
     ///
-    /// Execution goes through [`Cpu::run`] with the instruction budget
-    /// set to exactly the count the per-step path would retire before
-    /// exhausting the time budget, so pause points (and therefore the
-    /// conservative co-simulation's horizons) are unchanged.
+    /// Execution is one [`Cpu::run_with`] call whose instruction goal
+    /// is, at every point the hypervisor looks, exactly the count the
+    /// per-step path would retire before exhausting the time budget, so
+    /// pause points (and therefore the conservative co-simulation's
+    /// horizons) do not depend on the tier.
     pub fn run(&mut self, budget: SimDuration) -> HvEvent {
-        let event = self.run_to_event(self.elapsed + budget);
-        // The loop below turns once per privileged instruction of the
-        // guest kernel — eight times per syscall — and nothing reads
-        // the CPU's counters in between, so they are copied once.
+        let deadline = self.elapsed + budget;
+        let mut hv = Emulation {
+            vclock: &mut self.vclock,
+            cost: &self.cost,
+            stats: &mut self.stats,
+            elapsed: &mut self.elapsed,
+            tlb_managed: self.config.tlb_managed,
+            deadline,
+            charged_to: self.cpu.retired(),
+            event: None,
+        };
+        let max_insns = hv.insn_budget();
+        self.cpu.run_with(&mut self.mem, max_insns, &mut hv);
+        hv.charge_retired(&self.cpu);
+        let event = hv.event.unwrap_or(HvEvent::BudgetExhausted);
+        // Nothing reads the CPU's counters while it runs, so they are
+        // copied once per call.
         self.stats.exec = self.cpu.exec_stats();
         event
     }
+}
 
-    fn run_to_event(&mut self, deadline: SimDuration) -> HvEvent {
-        loop {
-            if self.elapsed >= deadline {
-                return HvEvent::BudgetExhausted;
+/// The hypervisor for the length of one [`Cpu::run_with`] call: the
+/// parts of an [`HvGuest`] other than its CPU and memory, which the
+/// run loop hands to every hook call. See the module docs for the
+/// order [`Emulation::resume`] keeps.
+struct Emulation<'a> {
+    vclock: &'a mut VClock,
+    cost: &'a CostModel,
+    stats: &'a mut HvStats,
+    elapsed: &'a mut SimDuration,
+    tlb_managed: bool,
+    /// Value of `elapsed` at which the run's time budget is spent.
+    deadline: SimDuration,
+    /// Retirement count up to which `cost.insn` has been charged.
+    charged_to: u64,
+    /// The event that ended the run, once one has.
+    event: Option<HvEvent>,
+}
+
+impl Assist for Emulation<'_> {
+    fn exit(&mut self, cpu: &mut Cpu, mem: &mut Memory, exit: Exit) -> Resume {
+        let event = match exit {
+            Exit::Retired => None,
+            Exit::Trap(trap) => self.handle_trap(cpu, mem, trap),
+            Exit::Env(op) => {
+                // Environment instruction at real privilege 0 — the
+                // guest kernel runs at 1, so this cannot happen.
+                unreachable!("guest reached real privilege 0: {op:?}");
             }
-            let remaining = deadline.saturating_sub(self.elapsed);
-            let insn_ns = self.cost.insn.as_nanos();
-            let max_insns = if insn_ns == 0 {
-                u64::MAX
-            } else {
-                remaining.as_nanos().div_ceil(insn_ns)
-            };
-            let retired_before = self.cpu.retired();
-            let exit = self.cpu.run(&mut self.mem, max_insns);
-            // Charge instruction time by retirement delta; this covers
-            // plain retirement, gate/brk (which retire inside a Trap
-            // exit) and instructions retired by privileged simulation.
-            let event = match exit {
-                Exit::Retired => None,
-                Exit::Trap(trap) => self.handle_trap(trap),
-                Exit::Env(op) => {
-                    // Environment instruction at real privilege 0 — the
-                    // guest kernel runs at 1, so this cannot happen.
-                    unreachable!("guest reached real privilege 0: {op:?}");
-                }
-                Exit::MmioRead { paddr, .. } => {
-                    self.stats.mmio += 1;
-                    self.stats.simulated += 1;
-                    self.charge_hv(self.cost.hsim());
-                    Some(HvEvent::MmioRead { paddr })
-                }
-                Exit::MmioWrite { paddr, value, .. } => {
-                    self.stats.mmio += 1;
-                    self.stats.simulated += 1;
-                    self.charge_hv(self.cost.hsim());
-                    Some(HvEvent::MmioWrite { paddr, value })
-                }
-                Exit::Halt | Exit::Idle | Exit::Diag { .. } => {
-                    unreachable!("privileged exit at real privilege 0")
-                }
-            };
-            let delta = self.cpu.retired() - retired_before;
-            if delta > 0 {
-                self.charge_guest(self.cost.insn * delta);
+            Exit::MmioRead { paddr, width, rd } => {
+                self.stats.mmio += 1;
+                self.stats.simulated += 1;
+                self.charge_hv(self.cost.hsim());
+                Some(HvEvent::MmioRead { paddr, width, rd })
             }
-            if let Some(ev) = event {
-                return ev;
+            Exit::MmioWrite { paddr, value, .. } => {
+                self.stats.mmio += 1;
+                self.stats.simulated += 1;
+                self.charge_hv(self.cost.hsim());
+                Some(HvEvent::MmioWrite { paddr, value })
             }
+            Exit::Halt | Exit::Idle | Exit::Diag { .. } => {
+                unreachable!("privileged exit at real privilege 0")
+            }
+        };
+        self.resume(cpu, exit, event)
+    }
+
+    fn privileged(
+        &mut self,
+        cpu: &mut Cpu,
+        mem: &mut Memory,
+        insn: Instruction,
+        word: u32,
+    ) -> Resume {
+        let trap = Trap::PrivilegedOp { word };
+        let event = self.privileged_op(cpu, mem, insn, trap);
+        self.resume(cpu, Exit::Trap(trap), event)
+    }
+}
+
+impl Emulation<'_> {
+    fn charge_guest(&mut self, d: SimDuration) {
+        *self.elapsed += d;
+        self.stats.guest_time += d;
+    }
+
+    fn charge_hv(&mut self, d: SimDuration) {
+        *self.elapsed += d;
+        self.stats.hv_time += d;
+    }
+
+    /// Charges instruction time for everything retired since the last
+    /// look; this covers plain retirement, gate/brk (which retire
+    /// inside a Trap exit) and instructions retired by privileged
+    /// simulation.
+    fn charge_retired(&mut self, cpu: &Cpu) {
+        let delta = cpu.retired() - self.charged_to;
+        self.charged_to = cpu.retired();
+        if delta > 0 {
+            self.charge_guest(self.cost.insn * delta);
         }
+    }
+
+    /// Instructions the per-step path would retire before the time
+    /// budget is exhausted: none at or past the deadline.
+    fn insn_budget(&self) -> u64 {
+        if *self.elapsed >= self.deadline {
+            return 0;
+        }
+        let remaining = self.deadline.saturating_sub(*self.elapsed);
+        match self.cost.insn.as_nanos() {
+            0 => u64::MAX,
+            insn_ns => remaining.as_nanos().div_ceil(insn_ns),
+        }
+    }
+
+    /// The tail of one turn and the head of the next (steps 2–4 of the
+    /// module docs); `exit` is what surfaces beside an event.
+    fn resume(&mut self, cpu: &Cpu, exit: Exit, event: Option<HvEvent>) -> Resume {
+        self.charge_retired(cpu);
+        if event.is_some() {
+            self.event = event;
+            return Resume::Surface(exit);
+        }
+        Resume::Continue(self.insn_budget())
     }
 
     /// Handles a trap exit; returns an event if the protocol layer must
     /// intervene.
-    fn handle_trap(&mut self, trap: Trap) -> Option<HvEvent> {
+    fn handle_trap(&mut self, cpu: &mut Cpu, mem: &mut Memory, trap: Trap) -> Option<HvEvent> {
         match trap {
             Trap::RecoveryCounter => {
                 self.charge_hv(self.cost.hv_entry_exit);
                 Some(HvEvent::EpochEnd)
             }
-            Trap::PrivilegedOp { word } => {
-                if self.cpu.psw.cpl == GUEST_KERNEL_LEVEL {
-                    self.simulate_privileged(word)
-                } else {
-                    // User-mode privilege violation: the guest kernel's
-                    // business.
-                    self.reflect(trap);
+            Trap::PrivilegedOp { word } => match decode(word) {
+                Ok(insn) => self.privileged_op(cpu, mem, insn, trap),
+                Err(_) => {
+                    self.reflect(cpu, Trap::IllegalInstruction { word });
                     None
                 }
-            }
-            Trap::TlbMiss { vaddr, .. } if self.config.tlb_managed => {
-                if self.service_tlb_miss(vaddr) {
-                    None
-                } else {
+            },
+            Trap::TlbMiss { vaddr, .. } if self.tlb_managed => {
+                if !self.service_tlb_miss(cpu, mem, vaddr) {
                     // Page not present: reflect so the guest's handler
                     // (or fault path) sees it, exactly as §3.2 describes.
-                    self.reflect(trap);
-                    None
+                    self.reflect(cpu, trap);
                 }
+                None
             }
             Trap::ExternalInterrupt => {
                 self.stats.irqs_delivered += 1;
                 self.charge_hv(self.cost.hv_deliver_irq);
-                self.cpu.deliver_trap_at(trap, GUEST_KERNEL_LEVEL);
+                cpu.deliver_trap_at(trap, GUEST_KERNEL_LEVEL);
                 None
             }
             _ => {
                 // Gate, break, faults, unmanaged TLB misses: reflect into
                 // the guest kernel at virtual privilege 0 (real 1).
-                self.reflect(trap);
+                self.reflect(cpu, trap);
                 None
             }
         }
     }
 
-    fn reflect(&mut self, trap: Trap) {
+    /// A privileged instruction above real privilege 0 (`trap` is the
+    /// trap it raises): simulated for the guest kernel, the guest
+    /// kernel's business anywhere else.
+    fn privileged_op(
+        &mut self,
+        cpu: &mut Cpu,
+        mem: &mut Memory,
+        insn: Instruction,
+        trap: Trap,
+    ) -> Option<HvEvent> {
+        if cpu.psw.cpl == GUEST_KERNEL_LEVEL {
+            self.simulate_privileged(cpu, mem, insn)
+        } else {
+            // User-mode privilege violation.
+            self.reflect(cpu, trap);
+            None
+        }
+    }
+
+    fn reflect(&mut self, cpu: &mut Cpu, trap: Trap) {
         self.stats.reflected += 1;
         self.charge_hv(self.cost.hv_reflect);
-        self.cpu.deliver_trap_at(trap, GUEST_KERNEL_LEVEL);
+        cpu.deliver_trap_at(trap, GUEST_KERNEL_LEVEL);
     }
 
     /// Walks the guest page table and fills the TLB; `false` if the page
     /// is absent.
-    fn service_tlb_miss(&mut self, vaddr: u32) -> bool {
-        let ptbr = self.cpu.ctl(ControlReg::Ptbr);
+    fn service_tlb_miss(&mut self, cpu: &mut Cpu, mem: &Memory, vaddr: u32) -> bool {
+        let ptbr = cpu.ctl(ControlReg::Ptbr);
         let vpn = vaddr >> PAGE_SHIFT;
         let pte_addr = ptbr.wrapping_add(vpn * 4);
-        let Ok(pte_word) = self.mem.read_u32(pte_addr) else {
+        let Ok(pte_word) = mem.read_u32(pte_addr) else {
             return false;
         };
         if pte_word & pte::V == 0 {
@@ -474,7 +564,7 @@ impl HvGuest {
         }
         self.stats.tlb_fills += 1;
         self.charge_hv(self.cost.hv_tlb_fill);
-        self.cpu.tlb.insert_pte(vaddr, pte_word);
+        cpu.tlb.insert_pte(vaddr, pte_word);
         true
     }
 
@@ -488,111 +578,81 @@ impl HvGuest {
         }
     }
 
-    /// Simulates one privileged instruction for the guest kernel.
-    fn simulate_privileged(&mut self, word: u32) -> Option<HvEvent> {
-        let insn = match decode(word) {
-            Ok(i) => i,
-            Err(_) => {
-                self.reflect(Trap::IllegalInstruction { word });
-                return None;
-            }
-        };
+    /// Simulates one privileged instruction for the guest kernel. Only
+    /// what the hypervisor *virtualises* is defined here — the recovery
+    /// counter (its own), `rfi`'s privilege mapping, the clock and timer
+    /// (the virtual ones), and the instructions that are events; what a
+    /// guest kernel may do to its own machine is what the machine does
+    /// ([`Cpu::execute`]).
+    fn simulate_privileged(
+        &mut self,
+        cpu: &mut Cpu,
+        mem: &mut Memory,
+        insn: Instruction,
+    ) -> Option<HvEvent> {
         self.stats.simulated += 1;
         self.charge_hv(self.cost.hsim());
-        let retired = self.cpu.retired();
+        let retired = cpu.retired();
         match insn {
             Instruction::MfTod { rd } => {
                 let us = self.vclock.tod_us(retired);
-                self.cpu.set_reg(rd, us as u32);
-                self.cpu.retire_skip();
+                cpu.set_reg(rd, us as u32);
+                cpu.retire_skip();
             }
             Instruction::MfTodH { rd } => {
                 let us = self.vclock.tod_us(retired);
-                self.cpu.set_reg(rd, (us >> 32) as u32);
-                self.cpu.retire_skip();
+                cpu.set_reg(rd, (us >> 32) as u32);
+                cpu.retire_skip();
             }
             Instruction::MtIt { rs } => {
-                let us = self.cpu.reg(rs);
+                let us = cpu.reg(rs);
                 self.vclock.set_timer(us, retired);
-                self.cpu.retire_skip();
+                cpu.retire_skip();
             }
             Instruction::MfIt { rd } => {
                 let rem = self.vclock.timer_remaining_us(retired);
-                self.cpu.set_reg(rd, rem);
-                self.cpu.retire_skip();
+                cpu.set_reg(rd, rem);
+                cpu.retire_skip();
             }
-            Instruction::MtCtl { cr, rs } => {
-                let v = self.cpu.reg(rs);
-                match cr {
-                    // The recovery counter belongs to the hypervisor;
-                    // guest writes are ignored (HP-UX never touches it).
-                    ControlReg::Rctr => {}
-                    ControlReg::Eirr => {
-                        let cur = self.cpu.ctl(ControlReg::Eirr);
-                        self.cpu.set_ctl(ControlReg::Eirr, cur & !v);
-                    }
-                    _ => self.cpu.set_ctl(cr, v),
-                }
-                self.cpu.retire_skip();
-            }
-            Instruction::MfCtl { rd, cr } => {
-                let v = match cr {
-                    // Hide the real recovery counter.
-                    ControlReg::Rctr => 0,
-                    _ => self.cpu.ctl(cr),
-                };
-                self.cpu.set_reg(rd, v);
-                self.cpu.retire_skip();
+            // The recovery counter belongs to the hypervisor: guest
+            // writes are ignored (HP-UX never touches it) and reads
+            // hide the real one.
+            Instruction::MtCtl {
+                cr: ControlReg::Rctr,
+                ..
+            } => cpu.retire_skip(),
+            Instruction::MfCtl {
+                rd,
+                cr: ControlReg::Rctr,
+            } => {
+                cpu.set_reg(rd, 0);
+                cpu.retire_skip();
             }
             Instruction::Rfi => {
-                let mut psw = hvft_machine::psw::Psw::unpack(self.cpu.ctl(ControlReg::Ipsw));
+                let mut psw = hvft_machine::psw::Psw::unpack(cpu.ctl(ControlReg::Ipsw));
                 psw.cpl = Self::map_privilege(psw.cpl);
                 // All guest execution is recovery-counted.
                 psw.recovery = true;
-                let target = self.cpu.ctl(ControlReg::Iip);
-                self.cpu.retire_to(target);
-                self.cpu.psw = psw;
-            }
-            Instruction::Ssm { imm } => {
-                if imm & 1 != 0 {
-                    self.cpu.psw.interrupts = true;
-                }
-                if imm & 2 != 0 {
-                    self.cpu.psw.translation = true;
-                }
-                self.cpu.retire_skip();
-            }
-            Instruction::Rsm { imm } => {
-                if imm & 1 != 0 {
-                    self.cpu.psw.interrupts = false;
-                }
-                if imm & 2 != 0 {
-                    self.cpu.psw.translation = false;
-                }
-                self.cpu.retire_skip();
-            }
-            Instruction::Tlbi { rs1, rs2 } => {
-                let vaddr = self.cpu.reg(rs1);
-                let pte_word = self.cpu.reg(rs2);
-                self.cpu.tlb.insert_pte(vaddr, pte_word);
-                self.cpu.retire_skip();
-            }
-            Instruction::Tlbp { rs } => {
-                if rs.index() == 0 {
-                    self.cpu.tlb.purge_all();
-                } else {
-                    let vaddr = self.cpu.reg(rs);
-                    self.cpu.tlb.purge(vaddr);
-                }
-                self.cpu.retire_skip();
+                let target = cpu.ctl(ControlReg::Iip);
+                cpu.retire_to(target);
+                cpu.psw = psw;
             }
             Instruction::Diag { rs, imm } => {
-                let value = self.cpu.reg(rs);
-                self.cpu.retire_skip();
+                let value = cpu.reg(rs);
+                cpu.retire_skip();
                 return Some(HvEvent::Diag { value, code: imm });
             }
             Instruction::Halt => return Some(HvEvent::Halted),
             Instruction::Idle => return Some(HvEvent::Idle),
+            Instruction::MtCtl { .. }
+            | Instruction::MfCtl { .. }
+            | Instruction::Ssm { .. }
+            | Instruction::Rsm { .. }
+            | Instruction::Tlbi { .. }
+            | Instruction::Tlbp { .. } => {
+                let done = cpu.execute(insn, mem);
+                debug_assert_eq!(done, Exit::Retired, "{insn} has no exit");
+            }
             other => {
                 // A non-privileged instruction cannot raise PrivilegedOp.
                 unreachable!("PrivilegedOp trap for {other}")

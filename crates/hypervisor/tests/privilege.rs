@@ -24,7 +24,7 @@ fn run_hv(image: &hvft_isa::program::Program, max_epochs: u32) -> (HvGuest, Vec<
         match ev {
             HvEvent::EpochEnd => g.begin_epoch(),
             HvEvent::Halted | HvEvent::Diag { .. } => break,
-            HvEvent::MmioRead { .. } => g.finish_mmio_read(0),
+            HvEvent::MmioRead { width, rd, .. } => g.finish_mmio_read(rd, width, 0),
             HvEvent::MmioWrite { .. } => g.finish_mmio_write(),
             other => panic!("unexpected {other:?}"),
         }

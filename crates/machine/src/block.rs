@@ -60,6 +60,23 @@
 //! The registered extent includes the word that *ended* the block (a
 //! terminator, or a word that did not decode): patching it changes
 //! where the block ends.
+//!
+//! # Terminators stay, here
+//!
+//! The jit ([`crate::jit`]) compiles privileged instructions *into*
+//! its traces and re-establishes the entry checks after each one; the
+//! block engine keeps ending a block at every privileged instruction,
+//! on purpose. A block is what cold code runs in — each address a
+//! handful of times before it is promoted or never again — so there is
+//! no hot handler here to keep in one piece, and the rule "nothing
+//! inside a block changes what was checked at its entry" is what lets
+//! the straight-line prefix batch its retirement bookkeeping and skip
+//! the privilege check without a second mechanism to re-validate
+//! mid-block. A privileged terminator executed above privilege 0 is
+//! reported as `Exit::Trap(PrivilegedOp { word })` like the per-step
+//! path does; under [`Cpu::run_with`](crate::cpu::Cpu::run_with) the
+//! embedder's `exit` hook emulates it inside the run loop, so what a
+//! cold trap costs is a dispatcher turn, not a run entry.
 
 use crate::hash::IntBuildHasher;
 use crate::mem::{MemFault, Memory, PAGE_SIZE};

@@ -6,16 +6,53 @@
 //! - the **bare machine** (`hvft-hypervisor::bare`): handles exits the way
 //!   real hardware + firmware would (environment instructions execute
 //!   against the real clock, traps vector through the guest's IVT);
-//! - the **hypervisor** (`hvft-hypervisor::hv`): simulates privileged and
+//! - the **hypervisor** (`hvft-hypervisor::hvguest`): simulates privileged and
 //!   environment instructions so their effects are identical at primary
 //!   and backup, and uses the recovery-counter exit to delimit epochs.
 //!
 //! The split keeps the CPU policy-free: it knows nothing about devices,
 //! wall-clock time, or replication.
+//!
+//! # Serving exits inside the run loop
+//!
+//! [`Cpu::run`] returns at every exit, and a trap-and-emulate embedder
+//! that calls it in a loop pays a full leave-and-re-enter for each
+//! privileged instruction of its guest. [`Cpu::run_with`] is the same
+//! loop with the embedder's emulation *inside* it: every exit that is
+//! not plain retirement is offered to an [`Assist`] hook, which
+//! emulates it on the spot and answers with a [`Resume`] — go on for so
+//! many more instructions, or surface this exit to the caller.
+//! `Cpu::run` is `run_with` and the hook that surfaces everything, so
+//! there is one run loop.
+//!
+//! The hook is called in two places and nowhere else:
+//!
+//! - [`Assist::exit`], from the one `match` in `run_with`'s loop, for
+//!   every exit any tier reports — traps, environment instructions,
+//!   MMIO, `halt`/`idle`/`diag`. The architectural state is exactly
+//!   what `Cpu::run` would have returned with: PC, retirement count
+//!   and recovery counter synced, the faulting instruction not retired
+//!   (or, for `gate`/`brk`, retired). The hook completes or delivers it
+//!   with the same `complete_*` / `deliver_trap*` / `retire_*` calls an
+//!   external loop would use.
+//! - [`Assist::privileged`], from a jit assist op
+//!   ([`crate::jit`]) that met a privileged instruction above
+//!   privilege 0, handed the instruction **decoded**, in the same
+//!   synced state with the PC on the instruction. Its default is
+//!   `exit(Trap(PrivilegedOp { word }))`, so an embedder that only
+//!   implements `exit` sees one stream of exits on every tier.
+//!
+//! The dispatcher's caches are lifted out of the CPU for the duration
+//! of a run, so a hook may read and write every architectural field,
+//! the TLB and memory, but must not call `run`/`run_with`,
+//! `exec_stats`, `set_exec_tier`, `snapshot` or `restore` on the CPU it
+//! was handed. Whatever it changes — the PC, the PSW, control
+//! registers, the TLB, code in memory — the engines re-validate before
+//! they execute another instruction, exactly as they would at entry.
 
 use crate::block::{BlockCache, BlockCacheStats};
 use crate::exec::{ExecDispatcher, ExecStats, ExecTier};
-use crate::jit::Lookup;
+use crate::jit::{Leave, Lookup};
 use crate::mem::{MemFault, Memory, PAGE_SHIFT};
 use crate::psw::Psw;
 use crate::tlb::{Tlb, TlbAccess, TlbReplacement, TlbResult};
@@ -151,6 +188,51 @@ pub enum Exit {
         /// Immediate marker code.
         code: u32,
     },
+}
+
+/// The embedder's answer to an exit it was offered inside
+/// [`Cpu::run_with`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Resume {
+    /// The exit is dealt with: keep running, for at most this many more
+    /// retired instructions counted from now. `Continue(0)` ends the
+    /// run with [`Exit::Retired`].
+    Continue(u64),
+    /// Return this exit from [`Cpu::run_with`].
+    Surface(Exit),
+}
+
+/// An embedder's emulation, served inside [`Cpu::run_with`]'s loop
+/// instead of around [`Cpu::run`]. See the [module docs](self) for the
+/// state a hook is called in and what it may touch.
+pub trait Assist {
+    /// Offered every exit other than [`Exit::Retired`], by every tier,
+    /// in the state [`Cpu::run`] would have returned it in.
+    fn exit(&mut self, cpu: &mut Cpu, mem: &mut Memory, exit: Exit) -> Resume;
+
+    /// A privileged instruction met above privilege 0 by a compiled
+    /// trace: `insn` is the decoded form of `word`, the PC addresses it
+    /// and it has not retired. The default reports it the way the
+    /// other tiers do.
+    fn privileged(
+        &mut self,
+        cpu: &mut Cpu,
+        mem: &mut Memory,
+        insn: Instruction,
+        word: u32,
+    ) -> Resume {
+        let _ = insn;
+        self.exit(cpu, mem, Exit::Trap(Trap::PrivilegedOp { word }))
+    }
+}
+
+/// The hook behind [`Cpu::run`]: every exit goes to the caller.
+struct SurfaceAll;
+
+impl Assist for SurfaceAll {
+    fn exit(&mut self, _cpu: &mut Cpu, _mem: &mut Memory, exit: Exit) -> Resume {
+        Resume::Surface(exit)
+    }
 }
 
 /// The processor: registers, PSW, control registers and TLB.
@@ -502,7 +584,7 @@ impl Cpu {
             return Exit::Trap(Trap::PrivilegedOp { word });
         }
 
-        self.execute(insn, word, mem)
+        self.execute(insn, mem)
     }
 
     /// Executes up to `max_insns` instructions (counted by retirement)
@@ -516,33 +598,66 @@ impl Cpu {
     /// first non-retired exit. See [`crate::block`] and [`crate::jit`]
     /// for why the batching cannot move an epoch boundary or an
     /// interrupt-delivery point.
+    ///
+    /// This is [`Cpu::run_with`] and the hook that surfaces every exit.
     pub fn run(&mut self, mem: &mut Memory, max_insns: u64) -> Exit {
-        let goal = self.retired.saturating_add(max_insns);
+        self.run_with(mem, max_insns, &mut SurfaceAll)
+    }
+
+    /// [`Cpu::run`] with the embedder's emulation inside the loop:
+    /// every exit other than plain retirement is offered to `assist`,
+    /// and the run goes on — re-checked as at entry, for as many more
+    /// instructions as the hook allows — until the hook surfaces an
+    /// exit or the instruction goal is reached ([`Exit::Retired`]).
+    ///
+    /// Equivalent, exit for exit and state for state, to calling `run`
+    /// in a loop and doing the hook's work between the calls; what it
+    /// saves is the leaving and re-entering, and under the jit the
+    /// fragmentation: a handler's privileged instructions are ops of
+    /// its trace, served by [`Assist::privileged`] without leaving the
+    /// frame. `&mut dyn` on purpose: the superblock executor is the
+    /// hottest and most layout-sensitive function there is and must
+    /// exist once.
+    pub fn run_with(&mut self, mem: &mut Memory, max_insns: u64, assist: &mut dyn Assist) -> Exit {
+        let mut goal = self.retired.saturating_add(max_insns);
         // Lift the dispatcher out of `self` so blocks can be borrowed
-        // from its caches while `execute` borrows `self`. Embedders
-        // re-enter here after every trap they emulate, so this must
+        // from its caches while `execute` borrows `self`. This must
         // stay a pointer move: no allocation, no cache is copied.
         let mut exec = self.exec.take().expect("dispatcher is home outside run");
         let d = &mut *exec;
-        let before = self.retired;
-        let exit = match d.tier {
-            ExecTier::Step => {
-                let mut e = Exit::Retired;
-                while self.retired < goal {
-                    e = self.step(mem);
-                    if e != Exit::Retired {
-                        break;
+        d.stats.run_entries += 1;
+        let exit = loop {
+            let before = self.retired;
+            let leave = match d.tier {
+                ExecTier::Step => {
+                    let mut e = Exit::Retired;
+                    while self.retired < goal {
+                        e = self.step(mem);
+                        if e != Exit::Retired {
+                            break;
+                        }
                     }
+                    d.stats.step_retired += self.retired - before;
+                    Leave::Offer(e)
                 }
-                d.stats.step_retired += self.retired - before;
-                e
+                ExecTier::Block => {
+                    let e = self.run_blocks(d, mem, goal);
+                    d.stats.block_retired += self.retired - before;
+                    Leave::Offer(e)
+                }
+                ExecTier::Jit => self.run_tiered(d, mem, &mut goal, assist),
+            };
+            // The one place an exit meets the embedder (a jit assist
+            // op's in-frame `privileged` call aside, whose `Surface`
+            // arrives here already decided).
+            match leave {
+                Leave::Offer(Exit::Retired) => break Exit::Retired,
+                Leave::Offer(e) => match assist.exit(self, mem, e) {
+                    Resume::Continue(n) => goal = self.retired.saturating_add(n),
+                    Resume::Surface(e) => break e,
+                },
+                Leave::Surface(e) => break e,
             }
-            ExecTier::Block => {
-                let e = self.run_blocks(&mut d.blocks, mem, goal);
-                d.stats.block_retired += self.retired - before;
-                e
-            }
-            ExecTier::Jit => self.run_tiered(d, mem, goal),
         };
         self.exec = Some(exec);
         exit
@@ -550,12 +665,12 @@ impl Cpu {
 
     /// Pre-dispatch checks shared by every engine, identical to the
     /// first checks of [`Cpu::step`]: recovery-counter expiry, pending
-    /// enabled interrupt, PC alignment. Nothing inside a block or
-    /// superblock can change their inputs (every PSW/ctl/TLB writer is
-    /// privileged, hence excluded from batched bodies), so checking
-    /// once per dispatch equals checking once per step.
+    /// enabled interrupt, PC alignment. A block body cannot change
+    /// their inputs (every PSW/ctl/TLB writer ends a block), and a
+    /// superblock re-runs them after every op that can (its assist
+    /// ops), so checking here equals checking once per step.
     #[inline]
-    fn pre_dispatch_check(&self) -> Option<Exit> {
+    pub(crate) fn pre_dispatch_check(&self) -> Option<Exit> {
         if self.psw.recovery && self.ctl(ControlReg::Rctr) == 0 {
             return Some(Exit::Trap(Trap::RecoveryCounter));
         }
@@ -568,7 +683,7 @@ impl Cpu {
         None
     }
 
-    fn run_blocks(&mut self, cache: &mut BlockCache, mem: &mut Memory, goal: u64) -> Exit {
+    fn run_blocks(&mut self, d: &mut ExecDispatcher, mem: &mut Memory, goal: u64) -> Exit {
         while self.retired < goal {
             if let Some(e) = self.pre_dispatch_check() {
                 return e;
@@ -579,7 +694,8 @@ impl Cpu {
                 Ok(p) => p,
                 Err(t) => return Exit::Trap(t),
             };
-            if let Some(e) = self.block_iteration(cache, mem, goal, fetch_pa) {
+            d.stats.dispatches += 1;
+            if let Some(e) = self.block_iteration(&mut d.blocks, mem, goal, fetch_pa) {
                 return e;
             }
         }
@@ -587,11 +703,18 @@ impl Cpu {
     }
 
     /// The jit tier: compiled superblocks where they exist, the block
-    /// engine everywhere else (cold code, traps, uncompilable starts).
-    fn run_tiered(&mut self, d: &mut ExecDispatcher, mem: &mut Memory, goal: u64) -> Exit {
-        while self.retired < goal {
+    /// engine everywhere else (cold code, faults, undecodable starts).
+    /// `goal` is the caller's: an assist op's hook moves it in-frame.
+    fn run_tiered(
+        &mut self,
+        d: &mut ExecDispatcher,
+        mem: &mut Memory,
+        goal: &mut u64,
+        assist: &mut dyn Assist,
+    ) -> Leave {
+        while self.retired < *goal {
             if let Some(e) = self.pre_dispatch_check() {
-                return e;
+                return Leave::Offer(e);
             }
             // One translation covers the superblock's *entry* page; a
             // cross-page trace records its secondary (page, generation)
@@ -599,32 +722,34 @@ impl Cpu {
             // compiled code is entered.
             let fetch_pa = match self.translate(self.pc, TlbAccess::Execute) {
                 Ok(p) => p,
-                Err(t) => return Exit::Trap(t),
+                Err(t) => return Leave::Offer(Exit::Trap(t)),
             };
+            d.stats.dispatches += 1;
+            let before = self.retired;
             match d.jit.probe(fetch_pa, self, mem, &mut d.stats) {
                 Lookup::Compiled(first) => {
                     // Internal superblock loop iterations and chained
-                    // superblocks spend this budget like any other op,
-                    // so the dispatcher re-checks at the exact
+                    // superblocks spend the retirement budget like any
+                    // other op, so the frame stops at the exact
                     // retirement count.
-                    let budget = self.batch_limit(goal);
-                    let (executed, exit) = d.jit.run_chain(first, self, mem, budget, &mut d.stats);
-                    d.stats.jit_retired += executed;
-                    if let Some(e) = exit {
-                        return e;
+                    let leave = d
+                        .jit
+                        .run_chain(first, self, mem, goal, assist, &mut d.stats);
+                    d.stats.jit_retired += self.retired - before;
+                    if let Some(leave) = leave {
+                        return leave;
                     }
                 }
                 Lookup::Cold => {
-                    let before = self.retired;
-                    let r = self.block_iteration(&mut d.blocks, mem, goal, fetch_pa);
+                    let r = self.block_iteration(&mut d.blocks, mem, *goal, fetch_pa);
                     d.stats.block_retired += self.retired - before;
                     if let Some(e) = r {
-                        return e;
+                        return Leave::Offer(e);
                     }
                 }
             }
         }
-        Exit::Retired
+        Leave::Offer(Exit::Retired)
     }
 
     /// One block-engine dispatch: executes the block at `fetch_pa` (at
@@ -716,7 +841,7 @@ impl Cpu {
                 // machinery from the next pc.
                 other => {
                     self.sync_batch(base_pc, done);
-                    let e = self.execute(other, block.words[done], mem);
+                    let e = self.execute(other, mem);
                     if e != Exit::Retired {
                         return Some(e);
                     }
@@ -732,7 +857,7 @@ impl Cpu {
                     word: block.words[n - 1],
                 }));
             }
-            let e = self.execute(insn, block.words[n - 1], mem);
+            let e = self.execute(insn, mem);
             if e != Exit::Retired {
                 return Some(e);
             }
@@ -825,7 +950,7 @@ impl Cpu {
     /// no further than its expiry, so the counter can only expire
     /// *between* instructions, exactly where the per-step path traps.
     #[inline]
-    fn batch_limit(&self, goal: u64) -> u64 {
+    pub(crate) fn batch_limit(&self, goal: u64) -> u64 {
         let to_goal = goal - self.retired;
         if self.psw.recovery {
             to_goal.min(u64::from(self.ctl(ControlReg::Rctr)))
@@ -856,7 +981,16 @@ impl Cpu {
         }
     }
 
-    fn execute(&mut self, insn: Instruction, _word: u32, mem: &mut Memory) -> Exit {
+    /// Applies the architectural semantics of one decoded instruction
+    /// to the state at the current PC, as privilege 0 would execute it:
+    /// no fetch, **no privilege check**. This is the one definition of
+    /// what an instruction does — [`Cpu::step`], the block engine's
+    /// terminators and the jit's assist ops all end here — and the
+    /// entry a hypervisor delegates to for every privileged instruction
+    /// it does not virtualise. Retires the instruction and returns
+    /// [`Exit::Retired`], or returns the exit the embedder must handle
+    /// with nothing retired (`gate`/`brk` retire *and* trap).
+    pub fn execute(&mut self, insn: Instruction, mem: &mut Memory) -> Exit {
         use Instruction as I;
         match insn {
             I::Alu { op, rd, rs1, rs2 } => {

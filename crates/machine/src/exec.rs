@@ -73,10 +73,16 @@ impl FromStr for ExecTier {
 ///
 /// The retirement counters attribute instructions to the engine that
 /// retired them *inside* [`Cpu::run`](crate::cpu::Cpu::run); the few
-/// instructions completed by the embedder between runs (environment
-/// reads, MMIO completions) are counted in
+/// instructions the embedder completes from its
+/// [`Assist::exit`](crate::cpu::Assist::exit) hook or between runs
+/// (environment reads, MMIO completions, a hypervisor's emulation on
+/// the step and block tiers) are counted in
 /// [`Cpu::retired`](crate::cpu::Cpu::retired) but not attributed to a
 /// tier, so the tier counters sum to slightly less than the total.
+///
+/// Every counter is a pure function of the sequence of `run` calls
+/// (budgets and the embedder's answers included): reports carry them
+/// and runs are compared on them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
     /// Instructions retired by the single-step loop.
@@ -84,7 +90,8 @@ pub struct ExecStats {
     /// Instructions retired by the block engine (including the cold
     /// fallback path of the jit tier).
     pub block_retired: u64,
-    /// Instructions retired inside compiled superblocks.
+    /// Instructions retired inside compiled superblocks, the ones an
+    /// assist op handed to the embedder in-frame included.
     pub jit_retired: u64,
     /// Superblocks compiled (promotions and stale recompiles).
     pub superblocks_compiled: u64,
@@ -105,6 +112,18 @@ pub struct ExecStats {
     /// Compiled superblocks whose trace crossed at least one page
     /// boundary (subset of `superblocks_compiled`).
     pub cross_page_superblocks: u64,
+    /// Calls of [`Cpu::run`](crate::cpu::Cpu::run) /
+    /// [`Cpu::run_with`](crate::cpu::Cpu::run_with).
+    pub run_entries: u64,
+    /// Turns of the dispatcher loop of a batching tier: superblocks
+    /// entered from outside a frame plus blocks dispatched.
+    pub dispatches: u64,
+    /// Times the superblock executor left one trace for the address
+    /// the PC went to *without* leaving its frame — translate, look the
+    /// target up, hop or give up. A hot loop that pays one of these per
+    /// iteration still retires everything in the jit; only this count
+    /// tells.
+    pub chain_hops: u64,
 }
 
 /// Dispatcher state owned by the CPU: the selected tier plus the caches

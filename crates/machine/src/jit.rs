@@ -21,10 +21,45 @@
 //! address order. Any branch or `jal` whose target was compiled into
 //! the trace is wired directly to the target op index, so a hot loop —
 //! calls included — executes entirely inside one superblock without
-//! re-entering the dispatcher. Compilation stops at the first
-//! `jalr`-class register-indirect jump, at any privileged or trapping
-//! instruction (`gate`, `brk`, every environment op), at an
-//! undecodable word, or at an already-compiled address.
+//! re-entering the dispatcher.
+//!
+//! # What ends a trace
+//!
+//! Only an instruction after which control *always* leaves the
+//! straight line: a `jalr`-class register-indirect jump, a `gate` or
+//! `brk` (into a handler), an `rfi` (out of one), `halt` and `idle`;
+//! they compile as the trace's final op. Beyond that, a word that
+//! cannot be read or decoded, the edge of the last registered page, and
+//! an address the trace has already compiled.
+//!
+//! Privileged and environment instructions do **not** end a trace.
+//! `mfctl`, `mtctl`, `ssm`, `rsm`, `tlbi`, `tlbp`, `mftod`, `mftodh`,
+//! `mtit`, `mfit` and `diag` — and the five terminal ones above — have
+//! no template; they compile into one op kind, the **assist op**, which
+//! carries an index into a per-superblock side table of decoded
+//! instructions (so `Op` stays 16 bytes and nothing is decoded at run
+//! time). Executing one, out of line (`assist_op`): the architectural
+//! state is synced; a privileged instruction above privilege 0 is
+//! handed, decoded, to the embedder's [`Assist::privileged`] hook
+//! in-frame, anything else runs through [`Cpu::execute`]; an exit it
+//! ends in goes to the run loop; otherwise everything the dispatcher
+//! establishes at entry is established again and the frame goes on. A
+//! guest kernel's trap handler (`mfctl; sw; mfctl; …; mtctl; rfi`) is
+//! therefore one trace, and a hypervisor that simulates its privileged
+//! instructions does so without the run loop being left: what used to
+//! be eight `Cpu::run` entries and fifteen dispatcher turns per guest
+//! syscall is none and one.
+//!
+//! When the straight line runs into an address it has already compiled
+//! the trace has **closed on itself**, and falling off its end
+//! continues at that op, in-frame, like any wired branch
+//! (`SuperBlock::wrap`). This matters for a loop closed by an
+//! unconditional jump — which compilation follows — and entered
+//! mid-body: the guest kernel's disk wait (`retry: …; ssm 1; wait: lw;
+//! beq wait; rsm 1; …; b retry`) re-entered at `wait` after an
+//! interrupt compiles into a trace that ends one op short of its own
+//! entry, and without the wiring every spin iteration would leave
+//! through `chain!` — translate, look up, re-enter the same trace.
 //!
 //! Unlike basic blocks, a trace may **cross pages**: a `jal` whose
 //! target lies in another page (up to `MAX_TRACE_PAGES` per trace)
@@ -55,21 +90,33 @@
 //! Assumption by construction, extending the argument in
 //! [`crate::block`] from basic blocks to superblocks:
 //!
-//! - **retirement clamp**: a superblock entry receives a budget of
-//!   `min(caller budget, rctr)` and executes at most that many ops,
+//! - **retirement clamp**: a frame holds a budget of
+//!   `min(goal − retired, rctr)` and executes at most that many ops,
 //!   each retiring exactly one instruction; internal loop iterations
-//!   spend budget like any other op, so the recovery counter expires
-//!   between instructions at the same retirement count the per-step
-//!   path traps at;
-//! - **constant check inputs**: every instruction that can change the
-//!   pending-interrupt predicate, the PSW or the translation state is
-//!   privileged and privileged instructions are never compiled into a
-//!   superblock — so the dispatcher's entry checks and the single
-//!   entry translation stay valid across internal loops;
+//!   and closed traces spend budget like any other op, so the recovery
+//!   counter expires between instructions at the same retirement count
+//!   the per-step path traps at;
+//! - **entry predicates re-checked after every op that can change
+//!   them**: the template ops cannot touch the pending-interrupt
+//!   predicate, the PSW, the control registers or the translation
+//!   state — every instruction that can is an assist op. After each
+//!   assist op the frame re-derives the retirement goal (the embedder
+//!   may have moved it), re-runs the dispatcher's three pre-dispatch
+//!   checks (recovery counter, pending enabled interrupt, alignment)
+//!   and its batch limit, and goes on to the next op in-frame only if
+//!   control fell through to `pc + 4`, the translation inputs (PSW key
+//!   and TLB content generation) are what they were before the op, and
+//!   no page of the superblock went stale. Otherwise it takes the
+//!   ordinary `chain!` — translate the new PC, `peek`, which validates
+//!   everything an entry validates — or returns to the dispatcher. An
+//!   `ssm 1` with an interrupt pending, a `mtctl` that unmasks one, a
+//!   translation flip, a `tlbp` of the page being executed, an `rfi`
+//!   to anywhere: each lands where the per-step path lands;
 //! - **exact faults**: a faulting op reports the same [`Exit`] as the
 //!   per-step path with the PC on the faulting instruction and no
 //!   retirement, by routing loads and stores through the same
-//!   `access_load`/`access_store` helpers the other engines use;
+//!   `access_load`/`access_store` helpers, and assist ops through the
+//!   same `execute`, the other engines use;
 //! - **self-modifying code**: the compiler registers every word it
 //!   reads — the one that ended the trace included — with
 //!   [`Memory::note_decoded`], and a superblock records the *code*
@@ -79,17 +126,19 @@
 //!   kills the traces compiled from that page while a store to data
 //!   sharing the page (the guest kernel's `r0`-relative save slots sit
 //!   beside its trap vectors) kills nothing. The dispatcher refuses
-//!   stale entries, and every compiled store re-checks all of the
+//!   stale entries, and every compiled store — and every assist op,
+//!   whose embedder may have written memory — re-checks all of the
 //!   superblock's pages so a trace that patches any page it was
-//!   compiled from — its own or a cross-page callee's — abandons its
-//!   compiled tail exactly like the block engine does;
+//!   compiled from — its own or a cross-page callee's, an assist op's
+//!   word like any other — abandons its compiled tail exactly like the
+//!   block engine does;
 //! - **cross-page entry validation**: a secondary page's translation
 //!   is re-checked against the recorded physical page on every entry,
 //!   so a TLB remap, purge or privilege change makes the trace
 //!   unreachable (the block engine then takes the exact fault, if
 //!   any, at the exact instruction the per-step path would).
 
-use crate::cpu::{alu_imm_value, alu_value, Cpu, Exit};
+use crate::cpu::{alu_imm_value, alu_value, Assist, Cpu, Exit, Resume};
 use crate::exec::ExecStats;
 use crate::hash::IntBuildHasher;
 use crate::mem::{Memory, PAGE_SIZE};
@@ -174,6 +223,10 @@ enum Kind {
     Jal,
     Jalr,
     Probe,
+    /// Everything without a template: privileged, environment and
+    /// trapping instructions. `imm` indexes the superblock's
+    /// [`SuperBlock::assists`] table; see [`assist_op`].
+    Assist,
 }
 
 /// One compiled instruction: a pre-specialized opcode plus
@@ -189,8 +242,8 @@ struct Op {
     /// Second source: `rs2`, branch comparand, or the store base.
     rs2: Reg,
     /// Immediate, pre-resolved per kind: sign-extended value,
-    /// displacement, branch byte offset, or the pre-shifted `lui`
-    /// constant.
+    /// displacement, branch byte offset, the pre-shifted `lui`
+    /// constant, or an assist op's index into the side table.
     imm: i32,
     /// Branch/`jal` taken-target op index, or [`NO_TARGET`].
     target: u32,
@@ -272,6 +325,18 @@ pub(crate) struct SuperBlock {
     /// Entry-relative byte offset of the PC after falling off the
     /// final op (`ops.last().off + 4`).
     end_off: u32,
+    /// Op index of the instruction at `end_off` when it is part of this
+    /// trace — compilation stopped *because* the straight line ran into
+    /// an address it had already compiled — else [`NO_TARGET`]. Falling
+    /// off the end then continues there in-frame, like any wired
+    /// branch. A loop closed by a followed `jal` and entered mid-body
+    /// ends exactly so, one op short of its own entry.
+    wrap: u32,
+    /// The decoded instruction and raw word of every [`Kind::Assist`]
+    /// op, in op order. Out of line so [`Op`] stays 16 bytes; decoded
+    /// once, at compile time, so neither the native path nor the
+    /// embedder's hook decodes at run time.
+    assists: Box<[(Instruction, u32)]>,
     /// Return-cache slot of the trace-terminating `jalr`, if any.
     /// `Cell` because predictions are recorded while the executor
     /// holds a shared borrow of the cache (`run_chain` takes `&self`);
@@ -282,10 +347,10 @@ pub(crate) struct SuperBlock {
 }
 
 impl SuperBlock {
-    /// Empty marker for an address that does not compile (until its
-    /// word changes): the block engine owns it. `compile` registered
-    /// the word when it read and rejected it, so `gen` moves when it is
-    /// overwritten.
+    /// Empty marker for an address that does not compile — its word
+    /// does not decode — until the word changes: the block engine owns
+    /// it and raises the exact trap. `compile` registered the word when
+    /// it read and rejected it, so `gen` moves when it is overwritten.
     fn marker(paddr: u32, gen: u64) -> SuperBlock {
         SuperBlock {
             ops: Box::new([]),
@@ -294,6 +359,8 @@ impl SuperBlock {
             entry_paddr: paddr,
             extra_pages: Box::new([]),
             end_off: 0,
+            wrap: NO_TARGET,
+            assists: Box::new([]),
             ret_slot: Cell::new(RetSlot::EMPTY),
         }
     }
@@ -328,10 +395,17 @@ impl SuperBlock {
 // Compilation
 // ---------------------------------------------------------------------
 
-/// Builds the op for `insn` at entry-relative byte offset `off`;
-/// `index_of` maps compiled offsets to op indices for branch/`jal`
-/// wiring. `insn` must be compilable (the first pass guarantees it).
-fn build_op(off: u32, index_of: &HashMap<u32, u32, IntBuildHasher>, insn: Instruction) -> Op {
+/// Builds the op for `insn` (encoded as `word`) at entry-relative byte
+/// offset `off`; `index_of` maps compiled offsets to op indices for
+/// branch/`jal` wiring. An instruction without a template becomes an
+/// assist op and its decoded form is appended to `assists`.
+fn build_op(
+    off: u32,
+    index_of: &HashMap<u32, u32, IntBuildHasher>,
+    insn: Instruction,
+    word: u32,
+    assists: &mut Vec<(Instruction, u32)>,
+) -> Op {
     let op = |kind: Kind, rd: Reg, rs1: Reg, rs2: Reg, imm: i32, target: u32| Op {
         kind,
         rd,
@@ -441,17 +515,35 @@ fn build_op(off: u32, index_of: &HashMap<u32, u32, IntBuildHasher>, insn: Instru
         I::Jal { rd, offset } => op(Kind::Jal, rd, z, z, offset, wire(offset)),
         I::Jalr { rd, base, disp } => op(Kind::Jalr, rd, base, z, disp, NO_TARGET),
         I::Probe { rd, rs } => op(Kind::Probe, rd, rs, z, 0, NO_TARGET),
-        other => unreachable!("non-compilable instruction {other:?} reached build_op"),
+        I::MfTod { .. }
+        | I::MfTodH { .. }
+        | I::MtIt { .. }
+        | I::MfIt { .. }
+        | I::MtCtl { .. }
+        | I::MfCtl { .. }
+        | I::Rfi
+        | I::Tlbi { .. }
+        | I::Tlbp { .. }
+        | I::Gate { .. }
+        | I::Brk { .. }
+        | I::Ssm { .. }
+        | I::Rsm { .. }
+        | I::Halt
+        | I::Idle
+        | I::Diag { .. } => {
+            assists.push((insn, word));
+            op(Kind::Assist, z, z, z, (assists.len() - 1) as i32, NO_TARGET)
+        }
     }
 }
 
 /// Compiles the superblock (trace) starting at physical address
 /// `paddr` with the entry's virtual PC `entry_vpc` (they must agree in
-/// their in-page offset — translation preserves it), or `None` when no
-/// compilable instruction starts there. `gen` is the entry page's code
-/// generation; every word read — the one that ends the trace included —
-/// is registered with `mem` so a later write to it moves the generation
-/// of its page. `cpu` supplies the *current*
+/// their in-page offset — translation preserves it), or `None` when the
+/// word there cannot be read or does not decode. `gen` is the entry
+/// page's code generation; every word read — the one that ends the
+/// trace included — is registered with `mem` so a later write to it
+/// moves the generation of its page. `cpu` supplies the *current*
 /// translation state: a `jal` whose target lies in another page
 /// extends the trace only when that page translates executably right
 /// now, and the page is recorded as a dependency every entry
@@ -465,16 +557,20 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
     // `pages[0]`. Like op offsets, the page offsets are *wrapping*
     // deltas from `entry_vpc`.
     let mut pages: Vec<(u32, u32)> = vec![(0u32.wrapping_sub(paddr & (PAGE_SIZE - 1)), page_addr)];
-    // The trace in compile order: `(instruction, entry-relative byte
-    // offset)`. Offsets are *wrapping* deltas — a `jal` redirect may
-    // target an address before the entry.
-    let mut insns: Vec<(Instruction, u32)> = Vec::new();
+    // The trace in compile order: `(instruction, its word,
+    // entry-relative byte offset)`. Offsets are *wrapping* deltas — a
+    // `jal` redirect may target an address before the entry.
+    let mut insns: Vec<(Instruction, u32, u32)> = Vec::new();
     let mut index_of: HashMap<u32, u32, IntBuildHasher> = HashMap::default();
     let mut off: u32 = 0;
+    let mut wrap = NO_TARGET;
     loop {
         // Never compile the same address twice (this also bounds the
-        // trace at MAX_TRACE_PAGES pages of ops).
-        if index_of.contains_key(&off) {
+        // trace at MAX_TRACE_PAGES pages of ops). The straight line
+        // has closed on itself: falling off the end continues at the
+        // op already compiled for this address.
+        if let Some(&at) = index_of.get(&off) {
+            wrap = at;
             break;
         }
         let vaddr = entry_vpc.wrapping_add(off);
@@ -497,27 +593,9 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
         let Ok(insn) = decode(word) else {
             break;
         };
-        use Instruction as I;
-        // Privileged, trapping and environment instructions are never
-        // compiled; execution reaching them leaves the superblock and
-        // the interpreter takes over.
-        if !matches!(
-            insn,
-            I::Alu { .. }
-                | I::AluImm { .. }
-                | I::Lui { .. }
-                | I::Nop
-                | I::Load { .. }
-                | I::Store { .. }
-                | I::Probe { .. }
-                | I::Branch { .. }
-                | I::Jal { .. }
-                | I::Jalr { .. }
-        ) {
-            break;
-        }
         index_of.insert(off, insns.len() as u32);
-        insns.push((insn, off));
+        insns.push((insn, word, off));
+        use Instruction as I;
         match insn {
             // Trace compilation follows the static target of an
             // unconditional `jal` — a call's callee or a jump's
@@ -545,17 +623,22 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
                 }
                 off = toff;
             }
-            // A register-indirect jump has no static target: final op.
-            I::Jalr { .. } => break,
-            // Straight-line ops and conditional branches extend the
-            // trace (the not-taken path falls through).
+            // Control always leaves the straight line here — a
+            // register-indirect jump, a trap into a handler, a return
+            // from one, a stop: final op.
+            I::Jalr { .. } | I::Gate { .. } | I::Brk { .. } | I::Rfi | I::Halt | I::Idle => break,
+            // Straight-line ops, conditional branches (the not-taken
+            // path falls through) and every other assist op — they
+            // retire to `pc + 4` unless the embedder says otherwise,
+            // which the executor checks — extend the trace.
             _ => off = off.wrapping_add(4),
         }
     }
-    let &(_, last_off) = insns.last()?;
+    let &(_, _, last_off) = insns.last()?;
+    let mut assists = Vec::new();
     let ops: Vec<Op> = insns
         .iter()
-        .map(|&(insn, o)| build_op(o, &index_of, insn))
+        .map(|&(insn, word, o)| build_op(o, &index_of, insn, word, &mut assists))
         .collect();
     // A page registered at a `jal` follow whose first word then failed
     // to compile contributed no ops: drop it rather than record a
@@ -563,7 +646,7 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
     let extra_pages: Vec<PageDep> = pages[1..]
         .iter()
         .filter(|&&(voff, _)| {
-            insns.iter().any(|&(_, o)| {
+            insns.iter().any(|&(_, _, o)| {
                 (entry_vpc.wrapping_add(o) & page_mask).wrapping_sub(entry_vpc) == voff
             })
         })
@@ -580,6 +663,8 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
         entry_paddr: paddr,
         extra_pages: extra_pages.into_boxed_slice(),
         end_off: last_off.wrapping_add(4),
+        wrap,
+        assists: assists.into_boxed_slice(),
         ret_slot: Cell::new(RetSlot::EMPTY),
     })
 }
@@ -596,47 +681,151 @@ impl SuperBlock {
     }
 }
 
+/// How a superblock frame — and so a turn of the jit dispatcher — ends
+/// when it has something for the run loop.
+pub(crate) enum Leave {
+    /// An exit for the embedder's [`Assist::exit`]
+    /// ([`Exit::Retired`]: the retirement goal is reached).
+    Offer(Exit),
+    /// The embedder was asked in-frame, by an assist op, and said
+    /// surface this.
+    Surface(Exit),
+}
+
+/// What the frame does after an assist op.
+enum After {
+    /// Control fell through to the next instruction and nothing the
+    /// trace was entered under has moved: go on at the next op, with
+    /// this retirement budget.
+    Next(u64),
+    /// Execution may go on (budget as above), but control went
+    /// elsewhere or something a trace is validated against moved:
+    /// re-enter through `chain!`, which validates everything.
+    Chain(u64),
+    /// Leave the frame: for the dispatcher (`None`) or the run loop.
+    Leave(Option<Leave>),
+}
+
+/// Executes the assist op whose side-table slot is `slot`: a
+/// privileged, environment or trapping instruction compiled into the
+/// trace. The caller has synced PC (`vpc`, on the instruction),
+/// retirement count and recovery counter.
+///
+/// A privileged instruction above privilege 0 goes, decoded, to the
+/// embedder's hook; anything else runs through [`Cpu::execute`], the
+/// function the step engine uses, so the tiers cannot drift. Then
+/// everything the dispatcher establishes before it enters a trace is
+/// established again, in its order: the retirement goal (the hook may
+/// have moved it), the three pre-dispatch checks, the batch limit. The
+/// frame goes on to the next op only if, on top of that, control fell
+/// through and the translation inputs (PSW key, TLB contents) and the
+/// trace's code pages are what they were before the op.
+///
+/// Out of line on purpose: the straight-line arms of `run_chain` keep
+/// their registers.
+#[inline(never)]
+fn assist_op(
+    sb: &SuperBlock,
+    slot: usize,
+    vpc: u32,
+    cpu: &mut Cpu,
+    mem: &mut Memory,
+    goal: &mut u64,
+    assist: &mut dyn Assist,
+) -> After {
+    let (insn, word) = sb.assists[slot];
+    let key = psw_key(cpu);
+    let tlb_gen = cpu.tlb.content_gen();
+    if insn.is_privileged() && cpu.psw.cpl != 0 {
+        match assist.privileged(cpu, mem, insn, word) {
+            Resume::Continue(n) => *goal = cpu.retired().saturating_add(n),
+            Resume::Surface(e) => return After::Leave(Some(Leave::Surface(e))),
+        }
+    } else {
+        match cpu.execute(insn, mem) {
+            Exit::Retired => {}
+            e => return After::Leave(Some(Leave::Offer(e))),
+        }
+    }
+    if cpu.retired() >= *goal {
+        return After::Leave(None);
+    }
+    if let Some(e) = cpu.pre_dispatch_check() {
+        return After::Leave(Some(Leave::Offer(e)));
+    }
+    let budget = cpu.batch_limit(*goal);
+    if cpu.pc == vpc.wrapping_add(4)
+        && psw_key(cpu) == key
+        && cpu.tlb.content_gen() == tlb_gen
+        && !sb.pages_stale(mem)
+    {
+        After::Next(budget)
+    } else {
+        After::Chain(budget)
+    }
+}
+
 impl JitCache {
     /// Executes the superblock at arena index `start` with the CPU's
-    /// PC at the corresponding virtual address, retiring at most
-    /// `budget` instructions (`budget` must be positive and already
-    /// clamped by the recovery counter), *chaining* straight into the
-    /// next compiled superblock whenever a transfer leaves one: the
-    /// op index, budget and retirement count stay in this one frame
-    /// across superblock boundaries, and the architectural sync
-    /// happens once on the way out. Chaining is sound because nothing
-    /// a superblock executes can change the dispatcher's entry
-    /// predicates (every PSW/ctl/TLB writer is privileged, hence
-    /// never compiled), and the recovery counter is spent through
-    /// `budget`; anything irregular — an unaligned or untranslatable
-    /// target, cold or stale code — returns to the full dispatcher.
+    /// PC at the corresponding virtual address, retiring no further
+    /// than `goal` (and, under a live recovery counter, its expiry:
+    /// [`Cpu::batch_limit`], which must be positive at entry),
+    /// *chaining* straight into the next compiled superblock whenever
+    /// a transfer leaves one: the op index, budget and retirement
+    /// count stay in this one frame across superblock boundaries, and
+    /// the architectural sync happens on the way out and before every
+    /// assist op. Chaining is sound because the template ops cannot
+    /// change the dispatcher's entry predicates, every assist op — the
+    /// ops that can — re-establishes them ([`assist_op`]), and the
+    /// recovery counter is spent through the budget; anything
+    /// irregular — an unaligned or untranslatable target, cold or
+    /// stale code — returns to the full dispatcher.
     ///
-    /// Returns the number retired and the exit the embedder must
-    /// handle, if any; on return the PC, retired count and recovery
+    /// Returns `None` to go round the dispatcher again, or what the
+    /// run loop must see; on return the PC, retired count and recovery
     /// counter are synced.
     ///
     /// Each op body routes through the same shared semantics helpers
-    /// (`alu_value`, `alu_imm_value`, `access_load`, `access_store`)
-    /// as the step and block engines, with the operation passed as a
-    /// constant that folds away after inlining — so the three engines
-    /// cannot drift.
+    /// (`alu_value`, `alu_imm_value`, `access_load`, `access_store`,
+    /// `execute`) as the step and block engines, with the operation
+    /// passed as a constant that folds away after inlining — so the
+    /// three engines cannot drift.
     pub(crate) fn run_chain(
         &self,
         start: u32,
         cpu: &mut Cpu,
         mem: &mut Memory,
-        budget: u64,
+        goal: &mut u64,
+        assist: &mut dyn Assist,
         stats: &mut ExecStats,
-    ) -> (u64, Option<Exit>) {
-        debug_assert!(budget > 0);
+    ) -> Option<Leave> {
+        // Retirements the frame may still make, counted *down* so the
+        // hot loop carries one counter, and the grant they are counted
+        // from (read only when the architectural state is synced).
+        let mut granted = cpu.batch_limit(*goal);
+        debug_assert!(granted > 0);
+        let mut left = granted;
         let mut sb = self.get(start);
         let mut ops = &sb.ops[..];
         let mut n = ops.len();
+        let mut wrap = sb.wrap;
         let mut entry_vpc = cpu.pc;
         let mut i: usize = 0;
-        let mut executed: u64 = 0;
-        let exit = 'run: loop {
-            if executed == budget {
+        let leave = 'run: loop {
+            // Enters superblock `$idx` at its first op, the PC (not
+            // yet synced, or already) being `$vpc`.
+            macro_rules! enter {
+                ($idx:expr, $vpc:expr) => {{
+                    sb = self.get($idx);
+                    ops = &sb.ops[..];
+                    n = ops.len();
+                    wrap = sb.wrap;
+                    i = 0;
+                    entry_vpc = $vpc;
+                    continue 'run;
+                }};
+            }
+            if left == 0 {
                 // Budget (caller's or the recovery counter's) spent:
                 // stop *between* instructions, PC on the next op.
                 cpu.pc = entry_vpc.wrapping_add(ops[i].off);
@@ -658,52 +847,57 @@ impl JitCache {
             // `chain!` is the out-of-superblock path: with the PC
             // already set, hop into the next compiled superblock if
             // one exists (fresh and aligned), else return to the
-            // dispatcher. `next!` retires the op and falls through
-            // (chaining past the last op); `fault!` leaves with the
-            // PC on the op, which did *not* retire; `taken!` retires
-            // a transfer, continuing at a wired in-span op index or
-            // chaining at the target.
+            // dispatcher. `fault!` leaves with the PC on the op,
+            // which did *not* retire; `taken!` retires a transfer,
+            // continuing at a wired in-span op index or chaining at
+            // the target.
             macro_rules! chain {
                 () => {{
-                    if executed == budget || !cpu.pc.is_multiple_of(4) {
+                    if left == 0 || !cpu.pc.is_multiple_of(4) {
                         break 'run None;
                     }
+                    stats.chain_hops += 1;
                     let Ok(pa) = cpu.translate(cpu.pc, TlbAccess::Execute) else {
                         break 'run None;
                     };
                     match self.peek(pa, cpu, mem) {
-                        Some(next) => {
-                            sb = self.get(next);
-                            ops = &sb.ops[..];
-                            n = ops.len();
-                            i = 0;
-                            entry_vpc = cpu.pc;
-                            continue 'run;
-                        }
+                        Some(next) => enter!(next, cpu.pc),
                         None => break 'run None,
                     }
                 }};
             }
-            macro_rules! next {
+            // `advance!` moves to the next op; past the last one it
+            // continues at the op the trace closed on, if it did, and
+            // else chains. `next!` retires the op first.
+            macro_rules! advance {
                 () => {{
-                    executed += 1;
                     i += 1;
                     if i == n {
+                        if wrap != NO_TARGET {
+                            i = wrap as usize;
+                            continue 'run;
+                        }
                         cpu.pc = entry_vpc.wrapping_add(sb.end_off);
                         chain!()
                     }
                     continue 'run;
                 }};
             }
+            macro_rules! next {
+                () => {{
+                    left -= 1;
+                    advance!()
+                }};
+            }
             macro_rules! fault {
                 ($e:expr) => {{
                     cpu.pc = vpc!();
-                    break 'run Some($e);
+                    break 'run Some(Leave::Offer($e));
                 }};
             }
             macro_rules! taken {
                 ($byte_offset:expr) => {{
-                    executed += 1;
+                    left -= 1;
                     if op.target != NO_TARGET {
                         i = op.target as usize;
                         continue 'run;
@@ -753,7 +947,7 @@ impl JitCache {
                             // program counter: abandon the compiled
                             // tail and re-enter the dispatcher.
                             if sb.pages_stale(mem) {
-                                executed += 1;
+                                left -= 1;
                                 cpu.pc = vpc!().wrapping_add(4);
                                 break 'run None;
                             }
@@ -828,9 +1022,9 @@ impl JitCache {
                     let target = cpu.reg(op.rs1).wrapping_add(op.imm as u32) & !3;
                     let link = vpc!().wrapping_add(4) | u32::from(cpu.psw.cpl);
                     cpu.set_reg(op.rd, link);
-                    executed += 1;
+                    left -= 1;
                     cpu.pc = target;
-                    if executed == budget {
+                    if left == 0 {
                         break 'run None;
                     }
                     // Inline return cache. The trace-terminating
@@ -854,12 +1048,7 @@ impl JitCache {
                         )
                     {
                         stats.ret_cache_hits += 1;
-                        sb = self.get(slot.idx);
-                        ops = &sb.ops[..];
-                        n = ops.len();
-                        i = 0;
-                        entry_vpc = target;
-                        continue 'run;
+                        enter!(slot.idx, target)
                     }
                     stats.ret_cache_misses += 1;
                     // Miss: the full chain path (`jalr` masks the low
@@ -878,12 +1067,7 @@ impl JitCache {
                                 tlb_gen: cpu.tlb.content_gen(),
                                 psw_key: psw_key(cpu),
                             });
-                            sb = self.get(next);
-                            ops = &sb.ops[..];
-                            n = ops.len();
-                            i = 0;
-                            entry_vpc = target;
-                            continue 'run;
+                            enter!(next, target)
                         }
                         None => break 'run None,
                     }
@@ -912,10 +1096,32 @@ impl JitCache {
                         })),
                     }
                 }
+                Kind::Assist => {
+                    // Sync, so the instruction (and the embedder) sees
+                    // the architectural state; the frame's count
+                    // restarts from the budget `assist_op` hands back.
+                    let pc = vpc!();
+                    cpu.pc = pc;
+                    cpu.sync_retire(granted - left);
+                    match assist_op(sb, op.imm as usize, pc, cpu, mem, goal, assist) {
+                        After::Next(b) => {
+                            (granted, left) = (b, b);
+                            advance!()
+                        }
+                        After::Chain(b) => {
+                            (granted, left) = (b, b);
+                            chain!()
+                        }
+                        After::Leave(leave) => {
+                            left = granted;
+                            break 'run leave;
+                        }
+                    }
+                }
             }
         };
-        cpu.sync_retire(executed);
-        (executed, exit)
+        cpu.sync_retire(granted - left);
+        leave
     }
 }
 
@@ -936,9 +1142,9 @@ pub(crate) enum Lookup {
 /// The superblock cache: physical fetch address → compiled superblock,
 /// with an execution-count heat table driving promotion and a
 /// direct-mapped front table short-circuiting the map on hot hits —
-/// including the hot *misses*: the address of a privileged instruction
-/// holds an empty-ops marker, and under a hypervisor every one of them
-/// is an exit that re-enters the dispatcher right there.
+/// including the hot *misses*: an address whose word does not decode
+/// holds an empty-ops marker, and a guest that keeps trapping there
+/// re-enters the dispatcher right there.
 #[derive(Debug, Default)]
 pub(crate) struct JitCache {
     arena: Vec<SuperBlock>,
@@ -1088,9 +1294,9 @@ impl JitCache {
             return Lookup::Cold;
         }
         self.heat.remove(&paddr);
-        // An uncompilable start (privileged or undecodable first word)
-        // caches a marker, so the block engine owns the address without
-        // compilation being re-attempted.
+        // An uncompilable start (an unreadable or undecodable first
+        // word) caches a marker, so the block engine owns the address
+        // without compilation being re-attempted.
         let sb = compile_or_marker(paddr, gen, cpu, mem, stats);
         if self.arena.len() >= MAX_SUPERBLOCKS {
             self.clear();
@@ -1138,7 +1344,8 @@ fn compile_or_marker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tlb::TlbReplacement;
+    use crate::exec::ExecTier;
+    use crate::tlb::{pte, TlbReplacement};
     use hvft_isa::asm::assemble;
 
     fn mem_with(src: &str) -> Memory {
@@ -1181,27 +1388,75 @@ mod tests {
         );
     }
 
+    /// The instructions of `sb`'s assist ops, in op order.
+    fn assist_insns(sb: &SuperBlock) -> Vec<Instruction> {
+        sb.ops
+            .iter()
+            .filter(|op| matches!(op.kind, Kind::Assist))
+            .map(|op| sb.assists[op.imm as usize].0)
+            .collect()
+    }
+
     #[test]
     fn superblock_stops_at_privileged_instructions() {
-        let mem = mem_with("s: addi r4, r0, 1\n addi r5, r0, 2\n rfi\n nop");
+        // …at the ones control cannot fall through, that is: a handler
+        // compiles whole, its privileged instructions as assist ops,
+        // and ends *with* its rfi.
+        let mem = mem_with(
+            "s: mfctl r4, ipsw
+                sw   r4, 0x400(r0)
+                ssm  1
+                mtctl ipsw, r4
+                rfi
+                nop",
+        );
         let sb = compile_at(0, &mem).expect("superblock");
-        assert_eq!(sb.len(), 2, "rfi must not be compiled");
+        assert_eq!(sb.len(), 5, "the nop after the rfi is not reached");
+        let assists = assist_insns(&sb);
+        assert_eq!(assists.len(), 4);
+        assert!(matches!(assists[0], Instruction::MfCtl { .. }));
+        assert!(matches!(assists[1], Instruction::Ssm { imm: 1 }));
+        assert_eq!(assists[3], Instruction::Rfi);
+        // The side table keeps the raw word for the PrivilegedOp trap.
+        let rfi = hvft_isa::codec::encode(Instruction::Rfi).unwrap();
+        assert_eq!(sb.assists.last(), Some(&(Instruction::Rfi, rfi)));
+        // halt and idle end a trace the same way.
+        for last in ["halt", "idle"] {
+            let mem = mem_with(&format!("s: mftod r4\n {last}\n nop"));
+            assert_eq!(compile_at(0, &mem).expect("sb").len(), 2, "{last}");
+        }
+        // Everything else extends it.
+        let mem = mem_with(
+            "s: mftod r4\n mftodh r5\n mtit r4\n mfit r5\n tlbi r4, r5\n tlbp r4
+                rsm 3\n diag r4, 2\n probe r4, r5\n jalr r0, ra, 0",
+        );
+        let sb = compile_at(0, &mem).expect("superblock");
+        assert_eq!((sb.len(), sb.assists.len()), (10, 8));
     }
 
     #[test]
     fn superblock_stops_at_gate_and_brk() {
+        // They are compiled — as the final op: the handler is elsewhere.
         let mem = mem_with("s: addi r4, r0, 1\n gate 3\n nop");
-        assert_eq!(compile_at(0, &mem).expect("sb").len(), 1);
+        let sb = compile_at(0, &mem).expect("sb");
+        assert_eq!(sb.len(), 2);
+        assert_eq!(assist_insns(&sb), [Instruction::Gate { imm: 3 }]);
         let mem = mem_with("s: nop\n brk 0\n nop");
-        assert_eq!(compile_at(0, &mem).expect("sb").len(), 1);
+        let sb = compile_at(0, &mem).expect("sb");
+        assert_eq!(sb.len(), 2);
+        assert_eq!(assist_insns(&sb), [Instruction::Brk { imm: 0 }]);
     }
 
     #[test]
     fn uncompilable_start_yields_none() {
+        // Only a word that does not decode: `halt` is a one-op trace.
         let mem = mem_with("s: halt");
-        assert!(compile_at(0, &mem).is_none());
+        assert_eq!(compile_at(0, &mem).expect("sb").len(), 1);
         let zeros = Memory::new(PAGE_SIZE as usize); // .word 0 is illegal
         assert!(compile_at(0, &zeros).is_none());
+        // An undecodable word mid-trace ends it before that word.
+        let mem = mem_with("s: nop\n mfctl r4, iip\n .word 0\n nop");
+        assert_eq!(compile_at(0, &mem).expect("sb").len(), 2);
     }
 
     #[test]
@@ -1309,12 +1564,12 @@ mod tests {
         assert_eq!(stats.cross_page_superblocks, 1);
         // Write into the *second* page: the entry page's generation is
         // untouched, yet the trace must die.
-        let halt = hvft_isa::codec::encode(Instruction::Halt).unwrap();
-        mem.write_u32(4096, halt).unwrap();
+        mem.write_u32(4096, 0).unwrap();
         match cache.probe(0, &cpu, &mem, &mut stats) {
             Lookup::Compiled(idx) => {
-                // Recompiled: the callee's first word is now halt, so
-                // the trace ends at the jal and is single-page again.
+                // Recompiled: the callee's first word no longer
+                // decodes, so the trace ends at the jal and is
+                // single-page again.
                 assert_eq!(cache.get(idx).len(), 2);
                 assert!(cache.get(idx).extra_pages.is_empty());
             }
@@ -1357,12 +1612,15 @@ mod tests {
             let _ = cache.probe(0, &cpu_at(0), &mem, &mut stats);
         }
         assert_eq!(stats.superblocks_compiled, 1);
-        // Patch the second instruction into a halt: recompile shrinks
-        // the superblock.
+        // Patch the second instruction into a halt: the recompiled
+        // superblock ends there, with the halt as its final op.
         let halt = hvft_isa::codec::encode(Instruction::Halt).unwrap();
         mem.write_u32(4, halt).unwrap();
         match cache.probe(0, &cpu_at(0), &mem, &mut stats) {
-            Lookup::Compiled(idx) => assert_eq!(cache.get(idx).len(), 1),
+            Lookup::Compiled(idx) => {
+                assert_eq!(cache.get(idx).len(), 2);
+                assert_eq!(assist_insns(cache.get(idx)), [Instruction::Halt]);
+            }
             Lookup::Cold => panic!("hot address must recompile"),
         }
         assert_eq!(stats.jit_invalidations, 1);
@@ -1371,7 +1629,7 @@ mod tests {
 
     #[test]
     fn uncompilable_hot_address_caches_a_marker() {
-        let mem = mem_with("s: halt");
+        let mem = mem_with("s: .word 0");
         let mut cache = JitCache::default();
         let mut stats = ExecStats::default();
         for _ in 0..PROMOTE_THRESHOLD + 8 {
@@ -1425,8 +1683,8 @@ mod tests {
     #[test]
     fn data_stores_in_a_code_page_leave_compiled_traces_alone() {
         // Kernel-like page 0: a vector at 0x100 that jumps to a handler
-        // at 0x200, save slots at 0x400. The trace is [jal, addi, sw]
-        // and ends at the privileged rfi.
+        // at 0x200, save slots at 0x400. The trace is [jal, addi, sw,
+        // rfi].
         let mut mem = mem_with(
             ".org 0x100
             vec: jal r0, handler
@@ -1441,7 +1699,7 @@ mod tests {
         let Lookup::Compiled(idx) = heat_up(&mut cache, 0x100, &mem, &mut stats) else {
             panic!("hot vector must compile");
         };
-        assert_eq!(cache.get(idx).len(), 3);
+        assert_eq!(cache.get(idx).len(), 4);
         // The handler's own save slot, and the words either side of
         // the page's decoded extent 0x100..0x20C (one interval per
         // page: the gap between vector and handler lies inside it).
@@ -1468,13 +1726,16 @@ mod tests {
                 sw   r4, 0x400(r0)
                 rfi";
         let nop = hvft_isa::codec::encode(Instruction::Nop).unwrap();
-        // (what, address, ops after recompiling).
+        // (what, address, ops after recompiling). The word at 0x20C is
+        // zero: it does not decode, and every recompiled trace that
+        // reaches it ends before it.
         for (what, pa, len) in [
             ("the entry word", 0x100, 1),
-            ("the trace's last op", 0x204, 3),
-            // The rfi is not in the trace, but it is why the trace
-            // ends there: a nop in its place makes the trace longer.
-            ("the word that ended the trace", 0x208, 4),
+            ("a template op", 0x204, 4),
+            // A store over an assist op's word recompiles like any
+            // other: the nop in the rfi's place is one more op, and the
+            // trace runs on to the word that does not decode.
+            ("the assist op that ended the trace", 0x208, 4),
         ] {
             let mut mem = mem_with(src);
             let mut cache = JitCache::default();
@@ -1490,23 +1751,24 @@ mod tests {
             }
             assert_eq!(stats.jit_invalidations, 1, "{what}");
         }
-        // A byte store to the last byte of the last decoded word.
+        // A byte store to the last byte of the last decoded word — the
+        // rfi's: a trace's final op is registered like the others.
         let mut mem = mem_with(src);
         let mut cache = JitCache::default();
         let mut stats = ExecStats::default();
         let _ = heat_up(&mut cache, 0x100, &mem, &mut stats);
+        mem.write_u8(0x20C, 0xFF).unwrap();
+        let _ = cache.probe(0x100, &cpu_at(0x100), &mem, &mut stats);
+        assert_eq!(stats.jit_invalidations, 0, "0x20C was never decoded");
         mem.write_u8(0x20B, 0xFF).unwrap();
         let _ = cache.probe(0x100, &cpu_at(0x100), &mem, &mut stats);
         assert_eq!(stats.jit_invalidations, 1);
-        mem.write_u8(0x20C, 0xFF).unwrap();
-        let _ = cache.probe(0x100, &cpu_at(0x100), &mem, &mut stats);
-        assert_eq!(stats.jit_invalidations, 1, "0x20C was never decoded");
     }
 
     #[test]
     fn a_marker_answers_from_the_front_table_until_its_word_changes() {
-        // `mfctl` is privileged: its address never compiles.
-        let mut mem = mem_with(".org 0x100\ns: mfctl r4, traparg\n jal r0, s");
+        // A word that does not decode: its address never compiles.
+        let mut mem = mem_with(".org 0x100\ns: .word 0\n jal r0, s");
         let mut cache = JitCache::default();
         let mut stats = ExecStats::default();
         assert!(matches!(
@@ -1542,5 +1804,90 @@ mod tests {
             (stats.superblocks_compiled, stats.jit_invalidations),
             (1, 1)
         );
+    }
+
+    /// A CPU on `tier` with `src` loaded, at privilege 0.
+    fn cpu_on(tier: ExecTier, src: &str) -> (Cpu, Memory) {
+        let mut cpu = cpu_at(0);
+        cpu.set_exec_tier(tier);
+        (cpu, mem_with(src))
+    }
+
+    #[test]
+    fn a_trace_entered_mid_body_of_a_jump_closed_loop_iterates_in_frame() {
+        // The guest kernel's disk wait: closed by an unconditional
+        // jump, which compilation follows, with `ssm`/`rsm` inside.
+        // Entered at the `beq` — where an interrupt returns to — the
+        // trace wraps around and ends one op short of its own entry.
+        let src = "retry: sw   r0, 0x400(r0)
+                    ssm  1
+            wait:   lw   r28, 0x400(r0)
+                    beq  r28, r0, wait
+                    rsm  1
+                    addi r29, r29, 1
+                    jal  r0, retry";
+        const BEQ: u32 = 12;
+        let sb = compile_at(BEQ, &mem_with(src)).expect("superblock");
+        assert_eq!(sb.len(), 7, "beq rsm addi jal sw ssm lw");
+        assert_eq!(sb.wrap, 0, "falling off the lw continues at the beq");
+        assert_eq!(sb.ops[0].target, 6, "the beq is wired to the lw");
+
+        let (mut cpu, mut mem) = cpu_on(ExecTier::Jit, src);
+        // Heat the entry (and, as a side effect, the `lw` before it).
+        for _ in 0..2 * PROMOTE_THRESHOLD {
+            cpu.pc = BEQ;
+            assert_eq!(cpu.run(&mut mem, 2), Exit::Retired);
+        }
+        cpu.pc = BEQ;
+        let before = cpu.exec_stats();
+        assert_eq!(cpu.run(&mut mem, 10_000), Exit::Retired);
+        let after = cpu.exec_stats();
+        assert_eq!(after.jit_retired - before.jit_retired, 10_000);
+        assert_eq!(
+            (
+                after.dispatches - before.dispatches,
+                after.chain_hops - before.chain_hops
+            ),
+            (1, 0),
+            "5 000 spin iterations, one frame, no hop"
+        );
+        assert_eq!(cpu.reg(Reg::of(29)), 0, "the wait never fell through");
+    }
+
+    #[test]
+    fn an_assist_op_that_flips_translation_leaves_through_chain() {
+        // With translation on, virtual page 0 is physical page 1, which
+        // holds different code at the same offsets: after the `ssm 2`
+        // the next instruction is page 1's `addi r6`, not the
+        // `addi r5` compiled behind the `ssm` in the page-0 trace.
+        let src = ".org 0
+            s:  addi r4, r4, 1
+                ssm  2
+                addi r5, r5, 1      ; never fetched
+                nop
+                jal  r0, s
+            .org 4096 + 8
+                addi r6, r6, 1
+                rsm  2";
+        let sb = compile_at(0, &mem_with(src)).expect("superblock");
+        assert_eq!(sb.len(), 5, "the ssm does not end the page-0 trace");
+        let run = |tier| {
+            let (mut cpu, mut mem) = cpu_on(tier, src);
+            cpu.tlb.insert_pte(0, PAGE_SIZE | pte::V | pte::R | pte::X);
+            assert_eq!(cpu.run(&mut mem, 2_000), Exit::Retired);
+            let regs = [4, 5, 6].map(|r| cpu.reg(Reg::of(r)));
+            (regs, cpu.pc, cpu.psw, cpu.exec_stats())
+        };
+        let (regs, pc, psw, stats) = run(ExecTier::Jit);
+        let (regs_s, pc_s, psw_s, _) = run(ExecTier::Step);
+        assert_eq!((regs, pc, psw), (regs_s, pc_s, psw_s));
+        assert_eq!(regs, [400, 0, 400]);
+        assert!(
+            stats.jit_retired > 1_500,
+            "the loop ran compiled: {stats:?}"
+        );
+        // Both flips of every compiled pass leave their trace through
+        // `chain!`, where the new PC is translated afresh.
+        assert!(stats.chain_hops > 600, "{stats:?}");
     }
 }

@@ -35,7 +35,7 @@ pub mod tlb;
 pub mod trap;
 
 pub use block::{BlockCache, BlockCacheStats, DecodedBlock};
-pub use cpu::{Cpu, EnvOp, Exit, LoadProgram};
+pub use cpu::{Assist, Cpu, EnvOp, Exit, LoadProgram, Resume};
 pub use exec::{ExecStats, ExecTier};
 pub use mem::{MemFault, Memory, IO_BASE, IO_SIZE, PAGE_SHIFT, PAGE_SIZE};
 pub use psw::Psw;

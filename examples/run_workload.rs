@@ -12,7 +12,9 @@
 //! with two — the backup count must be invisible to the guest —
 //! printing the normalized performance, coordination bookkeeping and
 //! the execution-tier breakdown (instructions retired per engine,
-//! superblocks compiled, invalidations) for each.
+//! superblocks compiled, invalidations, and how often execution left
+//! the straight line: run entries, dispatcher turns, chain hops) for
+//! each.
 
 use hvft::core::scenario::{ExecStats, ExecTier, Scenario};
 use hvft::guest::workload::names;
@@ -44,6 +46,12 @@ fn tier_summary(x: &ExecStats) -> String {
             x.ret_cache_hits,
             ret_total,
             100.0 * x.ret_cache_hits as f64 / ret_total as f64
+        ));
+    }
+    if x.run_entries > 0 {
+        parts.push(format!(
+            "{} run entries, {} dispatches, {} chain hops",
+            x.run_entries, x.dispatches, x.chain_hops
         ));
     }
     if parts.is_empty() {

@@ -11,10 +11,18 @@
 //! The counters must not simply go quiet either: a guest that patches
 //! an instruction it later executes takes its invalidation — once, not
 //! once per store.
+//!
+//! The same goes for what an exit costs, by count: a guest syscall is
+//! a `gate`, seven privileged instructions of its handler and an `rfi`,
+//! and how often that makes the host leave the run loop (`run_entries`),
+//! go round the dispatcher (`dispatches`) or hop between traces
+//! (`chain_hops`) is deterministic. Times are archived
+//! (`BENCH_interpreter.json`); these gate.
 
 use hvft::core::scenario::Scenario;
 use hvft::guest::layout::RAM_BYTES;
-use hvft::guest::workload::{Dhrystone, Workload};
+use hvft::guest::workload::{Dhrystone, IoBench, Workload};
+use hvft::guest::IoMode;
 use hvft::hypervisor::bare::{BareExit, BareHost};
 use hvft::hypervisor::cost::CostModel;
 use hvft::hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
@@ -25,16 +33,20 @@ use hvft::machine::block::BlockCacheStats;
 use hvft::machine::exec::{ExecStats, ExecTier};
 use hvft_sim::time::SimDuration;
 
-fn dhrystone(iters: u32) -> Dhrystone {
+fn dhrystone_every(iters: u32, syscall_every: u32) -> Dhrystone {
     Dhrystone {
         iters,
-        syscall_every: 6,
+        syscall_every,
         ..Dhrystone::default()
     }
 }
 
-fn bare(iters: u32, tier: ExecTier) -> (ExecStats, BlockCacheStats) {
-    let image = dhrystone(iters).image().expect("image builds");
+fn dhrystone(iters: u32) -> Dhrystone {
+    dhrystone_every(iters, 6)
+}
+
+fn bare(workload: Dhrystone, tier: ExecTier) -> (ExecStats, BlockCacheStats) {
+    let image = workload.image().expect("image builds");
     let mut host = BareHost::new(&image, CostModel::functional(), RAM_BYTES, 16, 0);
     host.set_exec_tier(tier);
     let run = host.run(u64::MAX);
@@ -46,8 +58,8 @@ fn bare(iters: u32, tier: ExecTier) -> (ExecStats, BlockCacheStats) {
     (host.exec_stats(), host.cpu.block_cache_stats())
 }
 
-fn hypervised(iters: u32, tier: ExecTier) -> (ExecStats, BlockCacheStats) {
-    let image = dhrystone(iters).image().expect("image builds");
+fn hypervised(workload: Dhrystone, tier: ExecTier) -> (ExecStats, BlockCacheStats) {
+    let image = workload.image().expect("image builds");
     let config = HvConfig {
         exec_tier: tier,
         ..HvConfig::default()
@@ -60,17 +72,19 @@ fn hypervised(iters: u32, tier: ExecTier) -> (ExecStats, BlockCacheStats) {
             other => panic!("unexpected event {other:?}"),
         }
     }
-    assert!(guest.stats().reflected > u64::from(iters / 6), "gates ran");
+    if let Some(gates) = workload.iters.checked_div(workload.syscall_every) {
+        assert!(guest.stats().reflected > u64::from(gates), "gates ran");
+    }
     (guest.stats().exec, guest.cpu.block_cache_stats())
 }
 
 #[test]
 fn syscalls_do_not_churn_the_code_caches() {
     for (what, run) in [
-        ("bare", bare as fn(u32, ExecTier) -> _),
+        ("bare", bare as fn(Dhrystone, ExecTier) -> _),
         ("hypervised", hypervised),
     ] {
-        let exec = run(20_000, ExecTier::Jit).0;
+        let exec = run(dhrystone(20_000), ExecTier::Jit).0;
         assert!(
             exec.superblocks_compiled < 100,
             "{what}: 3 333 syscalls must not recompile anything: {exec:?}"
@@ -80,10 +94,87 @@ fn syscalls_do_not_churn_the_code_caches() {
         // Whatever the block engine invalidates happens during boot:
         // twice the syscalls, the same count.
         for tier in [ExecTier::Block, ExecTier::Jit] {
-            let half = run(10_000, tier).1.invalidations;
-            let full = run(20_000, tier).1.invalidations;
+            let half = run(dhrystone(10_000), tier).1.invalidations;
+            let full = run(dhrystone(20_000), tier).1.invalidations;
             assert_eq!(half, full, "{what}/{tier}: invalidations grow with iters");
         }
+    }
+}
+
+#[test]
+fn a_syscall_stays_inside_the_run_loop() {
+    // A `SYS_GETTIME` in every iteration minus the same iterations with
+    // none: what the syscalls alone add. Before trap handlers ran as
+    // traces each one cost the hypervised guest 8 run entries and 15
+    // dispatcher turns (the bare guest 2 and 15); now the `gate` is the
+    // one exit the run loop sees, and the handler is one trace.
+    const SYSCALLS: u32 = 20_000;
+    for (what, run, max_dispatches) in [
+        (
+            "hypervised",
+            hypervised as fn(Dhrystone, ExecTier) -> _,
+            2.0,
+        ),
+        // The bare machine's `mftod` is an environment exit: one more
+        // turn of the dispatcher, at privilege 0 where nothing traps.
+        ("bare", bare, 3.0),
+    ] {
+        let every = run(dhrystone_every(SYSCALLS, 1), ExecTier::Jit).0;
+        let never = run(dhrystone_every(SYSCALLS, 0), ExecTier::Jit).0;
+        let per_syscall =
+            |f: fn(&ExecStats) -> u64| (f(&every) as f64 - f(&never) as f64) / f64::from(SYSCALLS);
+        let entries = per_syscall(|x| x.run_entries);
+        let dispatches = per_syscall(|x| x.dispatches);
+        assert!(
+            entries <= 0.1,
+            "{what}: {entries} run entries per syscall\n{every:?}\n{never:?}"
+        );
+        assert!(
+            dispatches <= max_dispatches,
+            "{what}: {dispatches} dispatches per syscall\n{every:?}\n{never:?}"
+        );
+        assert!(
+            dispatches >= 0.9,
+            "{what}: the gate still ends a frame, {dispatches} per syscall"
+        );
+    }
+}
+
+#[test]
+fn a_disk_wait_does_not_hop_between_traces() {
+    // The kernel's wait loop is closed by a jump and re-entered
+    // mid-body after every interrupt. Wherever its trace starts, the
+    // spin must iterate in-frame: a trace that ends one op short of its
+    // own entry and leaves through `chain!` every time still retires
+    // everything in the jit and dispatches nothing — only the hops
+    // tell (about one per two instructions, then).
+    let io = IoBench {
+        ops: 6,
+        mode: IoMode::Write,
+        num_blocks: 16,
+        seed: 5,
+        ..IoBench::default()
+    };
+    for (what, bare) in [("bare", true), ("replicated", false)] {
+        let builder = Scenario::builder().workload(io).exec_tier(ExecTier::Jit);
+        let builder = if bare {
+            builder.bare()
+        } else {
+            builder.functional_cost()
+        };
+        let report = builder.build().expect("valid configuration").run();
+        assert!(report.exit.is_clean_exit(), "{what}: {:?}", report.exit);
+        let exec = report.exec_stats();
+        let retired = exec.jit_retired + exec.block_retired;
+        assert!(
+            exec.jit_retired as f64 >= 0.99 * retired as f64,
+            "{what}: the wait runs compiled: {exec:?}"
+        );
+        let hops = exec.chain_hops as f64 / retired as f64;
+        assert!(
+            hops < 0.05,
+            "{what}: {hops} chain hops per instruction: {exec:?}"
+        );
     }
 }
 

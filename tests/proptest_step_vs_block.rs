@@ -20,7 +20,18 @@
 //! - **instruction-soup proptest**: randomized code (valid, privileged,
 //!   trapping and garbage words mixed) driven through all tiers with
 //!   traps delivered bare-metal style, comparing the full event
-//!   sequence and final state hash.
+//!   sequence and final state hash;
+//! - **hot loops of assist ops**: the soup's privileged words are cold
+//!   and never compile, so generated *hot* loops put `mfctl`/`mtctl`,
+//!   `ssm`/`rsm`, `tlbi`/`tlbp`, `rfi`, `gate`, the environment
+//!   instructions and a store that patches one of them inside compiled
+//!   traces — at privilege 0 through `Cpu::run`, and at privilege 1
+//!   under a miniature hypervisor that runs once around `Cpu::run` and
+//!   once as the hook of `Cpu::run_with`, in random budget chunks;
+//! - **hypervised pauses**: one guest under `HvGuest` in one budget and
+//!   in seed-drawn slices, on every tier: every pause agrees on the
+//!   event, the consumed time and its split, `nsim`, the reflections,
+//!   the retirement count and the state hash.
 //!
 //! Self-modifying code gets its own section: a guest that patches a
 //! block the engines have already cached (and, for the jit, a compiled
@@ -36,15 +47,17 @@ use hvft::guest::{
 };
 use hvft::hypervisor::bare::{BareExit, BareHost};
 use hvft::hypervisor::cost::CostModel;
-use hvft::isa::codec::encode;
+use hvft::hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
+use hvft::isa::codec::{decode, encode};
 use hvft::isa::instruction::{AluImmOp, AluOp, BranchCond, Instruction, MemWidth};
-use hvft::isa::reg::Reg;
-use hvft::machine::cpu::{Cpu, Exit};
+use hvft::isa::reg::{ControlReg, Reg};
+use hvft::machine::cpu::{Assist, Cpu, EnvOp, Exit, Resume};
 use hvft::machine::exec::ExecTier;
-use hvft::machine::mem::Memory;
-use hvft::machine::tlb::TlbReplacement;
+use hvft::machine::mem::{Memory, PAGE_SIZE};
+use hvft::machine::tlb::{pte, TlbReplacement};
+use hvft::machine::trap::{irq, Trap};
 use hvft_core::scenario::{RunReport, Scenario, ScenarioBuilder};
-use hvft_sim::time::SimTime;
+use hvft_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -1081,6 +1094,693 @@ work:
                     tier
                 );
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hot loops of assist ops
+// ---------------------------------------------------------------------
+
+/// Where a generated machine keeps things; 16 pages, identity-mapped
+/// when translation is on (but see `SHADOW`).
+mod lay {
+    /// The interruption vector table (`iva`).
+    pub const VECTORS: u32 = 0x1000;
+    /// `rfi` targets outside the loop's trace.
+    pub const ISLANDS: u32 = 0x2000;
+    /// Data the loop loads and stores.
+    pub const SCRATCH: u32 = 0x3000;
+    /// Replacement words for the self-patching store.
+    pub const PATCHES: u32 = 0x3800;
+    /// A copy of the code page whose marker instruction counts in twos:
+    /// a `tlbi` can map virtual page 0 here, so *which* page executed
+    /// shows in a register.
+    pub const SHADOW: u32 = 0x4000;
+    pub const PAGES: u32 = 16;
+}
+
+/// Handlers for every vector, each within its 32-byte slot. They use
+/// r28/r29 only; r12 counts interrupts, r13 sums gate arguments.
+fn assist_vectors() -> String {
+    let skip = "mfctl r28, iip\n addi r28, r28, 4\n mtctl iip, r28\n rfi\n";
+    let mut s = String::new();
+    for (vector, body) in [
+        (1, skip.to_owned()), // illegal instruction: step over it
+        (2, skip.to_owned()), // privileged op nobody emulates: likewise
+        (
+            3, // TLB miss: refill the identity mapping
+            format!(
+                "mfctl r28, traparg\n srli r29, r28, 12\n slli r29, r29, 12\n \
+                 ori r29, r29, {}\n tlbi r28, r29\n rfi\n",
+                pte::V | pte::R | pte::W | pte::X
+            ),
+        ),
+        (4, skip.to_owned()), // access fault
+        (5, skip.to_owned()), // alignment fault
+        (6, skip.to_owned()), // arithmetic error
+        (
+            7,
+            "mfctl r28, traparg\n add r13, r13, r28\n rfi\n".to_owned(),
+        ),
+        (
+            8,
+            "mfctl r28, traparg\n xor r13, r13, r28\n rfi\n".to_owned(),
+        ),
+        (
+            10, // external interrupt: acknowledge whatever is pending
+            "mfctl r28, eirr\n mtctl eirr, r28\n addi r12, r12, 1\n rfi\n".to_owned(),
+        ),
+    ] {
+        s.push_str(&format!(".org {}\n {body}", lay::VECTORS + 32 * vector));
+    }
+    s
+}
+
+/// Expands `seeds` into a loop of `turns` turns whose body is one item
+/// per seed: filler, control-register traffic, PSW bit flips, TLB
+/// inserts and purges (the executing page included), `rfi` to the next
+/// instruction and to an island in another page, `gate`, environment
+/// instructions and — at most once — a store that overwrites an assist
+/// op of the loop itself at a drawn turn. r20 counts turns, r27 is the
+/// scratch base, r30/r31 are the items' temporaries, r4–r10 hold data
+/// and r11 counts the marker.
+fn assist_loop_source(seeds: &[u64], turns: u32) -> String {
+    let data = |n: u64| 4 + (n % 7);
+    let mut body = String::new();
+    let mut islands = format!(".org {}\n", lay::ISLANDS);
+    let mut patched = false;
+    for (k, &seed) in seeds.iter().enumerate() {
+        let (pick, a) = (seed % 100, seed >> 8);
+        let item = if pick < 10 {
+            format!("addi r{}, r{}, {}\n", data(a), data(a >> 3), (a >> 6) % 200)
+        } else if pick < 18 {
+            let off = ((a >> 3) % 64) * 4;
+            if a % 2 == 0 {
+                format!("sw r{}, {off}(r27)\n", data(a >> 9))
+            } else {
+                format!("lw r{}, {off}(r27)\n", data(a >> 9))
+            }
+        } else if pick < 26 {
+            let cr = [
+                "eirr", "eiem", "ipsw", "iip", "traparg", "scratch0", "scratch1", "iva", "rctr",
+            ][(a % 9) as usize];
+            format!("mfctl r{}, {cr}\n", data(a >> 4))
+        } else if pick < 31 {
+            let cr = ["scratch0", "scratch1", "ptbr"][(a % 3) as usize];
+            format!("mtctl {cr}, r{}\n", data(a >> 2))
+        } else if pick < 38 {
+            // Mask or unmask: an interrupt raised earlier may become
+            // deliverable — or stop being — in the middle of a trace.
+            format!(
+                "addi r30, r0, {}\n mtctl eiem, r30\n",
+                [0, 1, 2, 3, 7][(a % 5) as usize]
+            )
+        } else if pick < 41 {
+            format!("addi r30, r0, {}\n mtctl eirr, r30\n", 1 + a % 7)
+        } else if pick < 52 {
+            format!("ssm {}\n", 1 + a % 3)
+        } else if pick < 60 {
+            format!("rsm {}\n", 1 + a % 3)
+        } else if pick < 68 {
+            match a % 5 {
+                0 => "tlbp r0\n".to_owned(),                     // everything
+                1 => "addi r30, r0, 64\n tlbp r30\n".to_owned(), // the executing page
+                n => format!(
+                    "li r30, {}\n tlbp r30\n",
+                    [lay::VECTORS, lay::ISLANDS, lay::SCRATCH][(n - 2) as usize]
+                ),
+            }
+        } else if pick < 76 {
+            let (vaddr, pte_word) = match a % 4 {
+                0 => (lay::SCRATCH, lay::SCRATCH | pte::V | pte::R), // stores now fault
+                1 => (lay::SCRATCH, lay::SCRATCH | pte::V | pte::R | pte::W),
+                2 => (0, lay::SHADOW | pte::V | pte::R | pte::W | pte::X),
+                _ => (0, pte::V | pte::R | pte::W | pte::X),
+            };
+            format!("li r30, {vaddr}\n li r31, {pte_word}\n tlbi r30, r31\n")
+        } else if pick < 86 {
+            // rfi: the PSW it installs keeps the privilege level (0; a
+            // hypervisor maps it) and draws the other three bits. A
+            // recovery counter that is switched on runs from 41.
+            let psw = ((a % 2) << 2) | (((a >> 1) % 2) << 3) | (u64::from((a >> 2) % 4 == 0) << 4);
+            let target = if (a >> 4) % 2 == 0 {
+                format!("after_{k}")
+            } else {
+                islands.push_str(&format!("isl_{k}: addi r10, r10, 3\n jal r0, after_{k}\n"));
+                format!("isl_{k}")
+            };
+            format!(
+                "addi r30, r0, {psw}\n mtctl ipsw, r30\n la r30, {target}\n \
+                 mtctl iip, r30\n rfi\nafter_{k}:\n"
+            )
+        } else if pick < 90 {
+            format!("gate {}\n", a % 16)
+        } else if pick < 92 {
+            match a % 5 {
+                0 => format!("mftod r{}\n", data(a >> 3)),
+                1 => format!("mftodh r{}\n", data(a >> 3)),
+                2 => format!("mfit r{}\n", data(a >> 3)),
+                3 => format!("mtit r{}\n", data(a >> 3)),
+                _ => "idle\n".to_owned(),
+            }
+        } else if pick < 96 {
+            // The embedder's cue to interfere: see `Embedder::diag`.
+            format!("diag r{}, {}\n", data(a >> 3), a % 8)
+        } else if !patched {
+            // Once, at a drawn turn, overwrite the victim (an assist op
+            // at the end of the body, ahead of this store in its own
+            // trace) with a drawn word.
+            patched = true;
+            format!(
+                "addi r31, r20, -{}\n bne r31, r0, nopatch\n lw r30, {}(r27)\n \
+                 sw r30, victim(r0)\nnopatch:\n",
+                1 + a % u64::from(turns - 1),
+                lay::PATCHES - lay::SCRATCH + 4 * ((a >> 8) % 6) as u32,
+            )
+        } else {
+            "nop\n".to_owned()
+        };
+        body.push_str(&item);
+    }
+    format!(
+        ".org 0
+start:
+    li   r27, {scratch}
+    addi r20, r0, {turns}
+loop:
+    addi r11, r11, 1         ; the marker: 2 in the shadow page
+{body}victim:
+    mfctl r9, scratch1
+    addi r20, r20, -1
+    bne  r20, r0, loop
+    halt
+{islands}{vectors}",
+        scratch = lay::SCRATCH,
+        vectors = assist_vectors(),
+    )
+}
+
+/// A miniature embedder for the generated machines: delivers traps at
+/// `level`, completes environment exits with values that depend only on
+/// the retirement count, and — for a guest above privilege 0 — emulates
+/// the privileged instructions of code running at `level` the way a
+/// hypervisor does: native semantics, virtual clock, `rfi`'s privilege
+/// mapped. Logs every event. The same emulation runs as the body of a
+/// loop around [`Cpu::run`] and as the hook of [`Cpu::run_with`].
+struct Embedder {
+    level: u8,
+    log: Vec<String>,
+    events_left: u32,
+    /// Retirement count the current chunk runs to.
+    chunk_goal: u64,
+    /// A device write into the code page, `(address, word)`, performed
+    /// at the guest's first `diag` once the loop is hot.
+    dma: Option<(u32, u32)>,
+}
+
+impl Embedder {
+    fn new(level: u8, dma: (u32, u32)) -> Self {
+        Embedder {
+            level,
+            log: Vec::new(),
+            events_left: 5_000,
+            chunk_goal: 0,
+            dma: Some(dma),
+        }
+    }
+
+    /// `diag` is where this embedder does what embedders do behind a
+    /// running trace's back: the first one past 800 instructions (a
+    /// good twenty turns: the loop is compiled) lets a "device"
+    /// overwrite an instruction of the loop, and an odd code cuts the
+    /// current budget to two more instructions. Under the jit at
+    /// privilege 1 both happen inside the frame that executed the
+    /// `diag`.
+    fn diag(&mut self, cpu: &Cpu, mem: &mut Memory, code: u32) {
+        if cpu.retired() >= 800 {
+            if let Some((addr, word)) = self.dma.take() {
+                mem.write_u32(addr, word).expect("the victim is in RAM");
+            }
+        }
+        if code % 2 == 1 {
+            // The `diag` itself is about to retire.
+            self.chunk_goal = self.chunk_goal.min(cpu.retired() + 3);
+        }
+    }
+
+    /// Emulates `exit`; `Some` ends the run.
+    fn emulate(&mut self, cpu: &mut Cpu, mem: &mut Memory, exit: Exit) -> Option<Exit> {
+        match exit {
+            Exit::Trap(Trap::PrivilegedOp { word }) => {
+                let insn = decode(word).expect("a privileged instruction decodes");
+                self.privileged_insn(cpu, mem, insn, word)
+            }
+            _ => self.other_exit(cpu, mem, exit),
+        }
+    }
+
+    fn note(&mut self, cpu: &Cpu, exit: Exit) -> bool {
+        self.log
+            .push(format!("{exit:?} pc={:#x} n={}", cpu.pc, cpu.retired()));
+        self.events_left = self.events_left.saturating_sub(1);
+        self.events_left == 0
+    }
+
+    fn other_exit(&mut self, cpu: &mut Cpu, mem: &mut Memory, exit: Exit) -> Option<Exit> {
+        if self.note(cpu, exit) {
+            return Some(exit);
+        }
+        let clock = cpu.retired() as u32 * 3;
+        match exit {
+            Exit::Retired => unreachable!("retirement is not an event"),
+            // The recovery counter is the embedder's: re-arm it.
+            Exit::Trap(Trap::RecoveryCounter) => cpu.set_ctl(ControlReg::Rctr, 41),
+            Exit::Trap(t) => cpu.deliver_trap_at(t, self.level),
+            Exit::Env(EnvOp::ReadTod { rd }) => cpu.complete_env_read(rd, clock),
+            Exit::Env(EnvOp::ReadTodHigh { rd }) => cpu.complete_env_read(rd, 7),
+            Exit::Env(EnvOp::ReadTimer { rd }) => cpu.complete_env_read(rd, !clock),
+            Exit::MmioRead { rd, width, .. } => cpu.complete_mmio_read(rd, width, 0x5A),
+            Exit::Diag { code, .. } => {
+                self.diag(cpu, mem, code);
+                cpu.complete_env_effect();
+            }
+            Exit::Env(EnvOp::SetTimer { .. }) | Exit::MmioWrite { .. } | Exit::Idle => {
+                cpu.complete_env_effect()
+            }
+            Exit::Halt => return Some(exit),
+        }
+        None
+    }
+
+    /// A privileged instruction met above privilege 0, decoded.
+    fn privileged_insn(
+        &mut self,
+        cpu: &mut Cpu,
+        mem: &mut Memory,
+        insn: Instruction,
+        word: u32,
+    ) -> Option<Exit> {
+        let exit = Exit::Trap(Trap::PrivilegedOp { word });
+        if cpu.psw.cpl != self.level {
+            // Not the guest kernel: its own handler's business.
+            return self.other_exit(cpu, mem, exit);
+        }
+        if self.note(cpu, exit) {
+            return Some(exit);
+        }
+        let clock = cpu.retired() as u32 * 3;
+        match insn {
+            Instruction::Halt => return Some(exit),
+            Instruction::MfTod { rd } => cpu.complete_env_read(rd, clock),
+            Instruction::MfTodH { rd } => cpu.complete_env_read(rd, 7),
+            Instruction::MfIt { rd } => cpu.complete_env_read(rd, !clock),
+            Instruction::Diag { imm, .. } => {
+                self.diag(cpu, mem, imm);
+                cpu.retire_skip();
+            }
+            Instruction::MtIt { .. } | Instruction::Idle => cpu.retire_skip(),
+            other => {
+                assert_eq!(cpu.execute(other, mem), Exit::Retired, "{other}");
+                cpu.psw.cpl = cpu.psw.cpl.max(self.level);
+            }
+        }
+        None
+    }
+
+    fn resume(&self, cpu: &Cpu, stop: Option<Exit>) -> Resume {
+        match stop {
+            Some(exit) => Resume::Surface(exit),
+            None => Resume::Continue(self.chunk_goal - cpu.retired()),
+        }
+    }
+}
+
+impl Assist for Embedder {
+    fn exit(&mut self, cpu: &mut Cpu, mem: &mut Memory, exit: Exit) -> Resume {
+        let stop = self.emulate(cpu, mem, exit);
+        self.resume(cpu, stop)
+    }
+
+    fn privileged(
+        &mut self,
+        cpu: &mut Cpu,
+        mem: &mut Memory,
+        insn: Instruction,
+        word: u32,
+    ) -> Resume {
+        assert_eq!(
+            decode(word),
+            Ok(insn),
+            "a trace's side table matches its words"
+        );
+        let stop = self.privileged_insn(cpu, mem, insn, word);
+        self.resume(cpu, stop)
+    }
+}
+
+/// Runs the machine chunk by chunk — `(instructions, interrupt bits to
+/// raise first)` — through the embedder, around [`Cpu::run`] or inside
+/// [`Cpu::run_with`], logging every pause.
+fn drive_chunks(
+    cpu: &mut Cpu,
+    mem: &mut Memory,
+    embedder: &mut Embedder,
+    chunks: &[(u64, u32)],
+    hooked: bool,
+) {
+    for &(chunk, raise) in chunks {
+        cpu.raise_irq(raise);
+        embedder.chunk_goal = cpu.retired() + chunk;
+        let stop = if hooked {
+            match cpu.run_with(mem, chunk, embedder) {
+                Exit::Retired => None,
+                exit => Some(exit),
+            }
+        } else {
+            loop {
+                let left = embedder.chunk_goal - cpu.retired();
+                match cpu.run(mem, left) {
+                    Exit::Retired => break None,
+                    exit => {
+                        if let Some(stop) = embedder.emulate(cpu, mem, exit) {
+                            break Some(stop);
+                        }
+                    }
+                }
+            }
+        };
+        embedder.log.push(format!(
+            "{} pc={:#x} n={} psw=({})",
+            if stop.is_some() { "stop" } else { "pause" },
+            cpu.pc,
+            cpu.retired(),
+            cpu.psw
+        ));
+        if stop.is_some() {
+            return;
+        }
+    }
+}
+
+/// Everything the tiers must agree on at the end of a run.
+fn observable(cpu: &Cpu) -> impl PartialEq + std::fmt::Debug {
+    (
+        *cpu.regs(),
+        cpu.pc,
+        cpu.psw,
+        *cpu.ctl_raw(),
+        cpu.tlb.snapshot(),
+        cpu.retired(),
+    )
+}
+
+/// The guest kernel's disk wait in miniature: closed by an unconditional
+/// jump, `ssm`/`rsm` inside, left when the interrupt handler sets the
+/// flag it polls. r29 counts completed waits.
+const WAIT_LOOP_GUEST: &str = ".org 0
+start:
+    li   r27, 0x3000
+    addi r21, r0, 6          ; waits to complete
+retry:
+    sw   r0, 0(r27)          ; clear the flag
+    ssm  1                   ; take interrupts while waiting
+wait:
+    lw   r28, 0(r27)
+    beq  r28, r0, wait
+    rsm  1
+    addi r29, r29, 1
+    addi r21, r21, -1
+    beq  r21, r0, done
+    jal  r0, retry
+done:
+    halt
+    .org 0x1140              ; vector 10, external interrupt: acknowledge, set the flag
+    mfctl r24, eirr
+    mtctl eirr, r24
+    addi r25, r0, 1
+    sw   r25, 0(r27)
+    rfi
+";
+
+#[test]
+fn a_jump_closed_wait_loop_entered_mid_body_is_engine_exact() {
+    // Every chunk boundary re-enters the wait mid-body — at the `lw` or
+    // at the `beq`, with an odd or an even budget, all four — so both
+    // entries get hot, the trace entered at the `beq` wraps around to
+    // end one op short of itself, and budgets run out on either side
+    // of the wrap. Every 40th chunk an interrupt ends
+    // the wait. At privilege 1 the `ssm`/`rsm`/`mfctl`/`mtctl`/`rfi` are
+    // the embedder's, in-frame under the jit.
+    let image = hvft::isa::asm::assemble(WAIT_LOOP_GUEST).expect("asm");
+    let chunks: Vec<(u64, u32)> = (0..400)
+        .map(|k| (301 + k % 2, if k % 40 == 39 { irq::TIMER } else { 0 }))
+        .collect();
+    for level in [0u8, 1] {
+        let run = |tier: ExecTier, hooked: bool| {
+            let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+            let mut mem = Memory::new((lay::PAGES * PAGE_SIZE) as usize);
+            for seg in &image.segments {
+                mem.write_bytes(seg.base, &seg.data);
+            }
+            cpu.set_exec_tier(tier);
+            cpu.psw.cpl = level;
+            cpu.set_ctl(ControlReg::Iva, lay::VECTORS);
+            cpu.set_ctl(ControlReg::Eiem, irq::TIMER);
+            cpu.pc = image.entry;
+            let mut embedder = Embedder::new(level, (0x3F00, 0));
+            drive_chunks(&mut cpu, &mut mem, &mut embedder, &chunks, hooked);
+            (cpu, mem, embedder.log)
+        };
+        let (cpu_ref, mem_ref, log_ref) = run(ExecTier::Step, false);
+        assert_eq!(
+            cpu_ref.reg(Reg::of(29)),
+            6,
+            "level {level}: all six waits ended"
+        );
+        assert!(log_ref.last().is_some_and(|l| l.starts_with("stop")));
+        for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+            for hooked in [false, true] {
+                let what = format!("level {level}, {tier}, hooked={hooked}");
+                let (cpu, mem, log) = run(tier, hooked);
+                assert_eq!(log, log_ref, "{what}");
+                assert!(observable(&cpu) == observable(&cpu_ref), "{what}");
+                assert_eq!(
+                    same_vm_state((&cpu, &mem), (&cpu_ref, &mem_ref)),
+                    Ok(()),
+                    "{what}"
+                );
+                if tier == ExecTier::Jit {
+                    let x = cpu.exec_stats();
+                    assert!(
+                        x.jit_retired * 10 > cpu.retired() * 9,
+                        "{what}: the wait runs compiled: {x:?}"
+                    );
+                    assert!(
+                        x.chain_hops * 20 < x.jit_retired,
+                        "{what}: and iterates in-frame from either entry: {x:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hypervised pauses: one guest, one budget or many slices, every tier
+// ---------------------------------------------------------------------
+
+/// Everything a pause of [`HvGuest::run`] shows: the event, the
+/// consumed time and its split, `nsim`, the reflections, the retirement
+/// count and the state hash.
+type Pause = (HvEvent, [SimDuration; 3], [u64; 3], u64);
+
+/// Runs `image` under the hypervisor to its exit, in budgets drawn
+/// round-robin from `slices`, playing the protocol layer's part (timer
+/// interrupts at epoch boundaries, device registers that read 0), and
+/// returns every pause.
+fn hypervised_pauses(
+    image: &hvft::isa::program::Program,
+    cost: CostModel,
+    config: HvConfig,
+    slices: &[SimDuration],
+) -> Vec<Pause> {
+    let mut guest = HvGuest::new(image, cost, config);
+    let mut pauses = Vec::new();
+    for k in 0.. {
+        assert!(k < 200_000, "the guest does not come to an end");
+        let event = guest.run(slices[k % slices.len()]);
+        let stats = guest.stats();
+        pauses.push((
+            event,
+            [guest.elapsed(), stats.hv_time, stats.guest_time],
+            [stats.simulated, stats.reflected, guest.cpu.retired()],
+            guest.state_hash(),
+        ));
+        match event {
+            HvEvent::BudgetExhausted => {}
+            HvEvent::EpochEnd => {
+                if guest.vclock.take_expired_timer(guest.cpu.retired()) {
+                    guest.assert_irq(irq::TIMER);
+                }
+                guest.begin_epoch();
+            }
+            HvEvent::MmioRead { width, rd, .. } => guest.finish_mmio_read(rd, width, 0),
+            HvEvent::MmioWrite { .. } => guest.finish_mmio_write(),
+            HvEvent::Idle => guest.finish_idle(),
+            // `SYS_EXIT`'s diag, or a halt, ends the run; others mark.
+            HvEvent::Diag { code, .. } if code != hvft::guest::layout::diag::EXIT => {}
+            HvEvent::Diag { .. } | HvEvent::Halted => break,
+        }
+    }
+    pauses
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+
+    #[test]
+    fn hot_loops_of_assist_ops_are_engine_exact(
+        items in prop::collection::vec(any::<u64>(), 8..17),
+        turns in 48u32..72,
+        schedule in prop::collection::vec(any::<u64>(), 96),
+        translation in any::<bool>(),
+    ) {
+        // ≥ 3 × the jit's promotion threshold of turns, so the loop —
+        // and the handlers it keeps entering — run compiled for most
+        // of them. Budgets of 1–9, 10–199 and 200–699 instructions;
+        // before every other one an interrupt is raised, to become
+        // deliverable whenever the code unmasks it.
+        let image = hvft::isa::asm::assemble(&assist_loop_source(&items, turns)).expect("asm");
+        let chunks: Vec<(u64, u32)> = schedule
+            .iter()
+            .map(|&r| {
+                let len = match r % 4 {
+                    0 => 1 + (r >> 8) % 9,
+                    1 | 2 => 10 + (r >> 8) % 190,
+                    _ => 200 + (r >> 8) % 500,
+                };
+                let raise = if (r >> 40) % 2 == 0 { 1 + ((r >> 44) % 7) as u32 } else { 0 };
+                (len, raise)
+            })
+            .collect();
+        let word = |insn| encode(insn).expect("encodable");
+        let count_by = |imm| Instruction::AluImm {
+            op: AluImmOp::Addi,
+            rd: Reg::of(11),
+            rs1: Reg::of(11),
+            imm,
+        };
+        let marker = image.symbol("loop").expect("the loop label");
+        let dma = (image.symbol("victim").expect("the victim label"), word(count_by(5)));
+        let build = |level: u8, tier: ExecTier| {
+            let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+            let mut mem = Memory::new((lay::PAGES * PAGE_SIZE) as usize);
+            for seg in &image.segments {
+                mem.write_bytes(seg.base, &seg.data);
+            }
+            assert_eq!(mem.read_u32(marker), Ok(word(count_by(1))));
+            let code = mem.read_bytes(0, PAGE_SIZE as usize).to_vec();
+            mem.write_bytes(lay::SHADOW, &code);
+            mem.write_u32(lay::SHADOW + marker, word(count_by(2))).unwrap();
+            for (j, patch) in [
+                word(Instruction::Nop),
+                word(Instruction::MtCtl { cr: ControlReg::Scratch0, rs: Reg::of(9) }),
+                word(Instruction::Ssm { imm: 1 }),
+                word(Instruction::Gate { imm: 9 }),
+                word(count_by(5)),
+                0xFF00_0000 | marker, // does not decode
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                mem.write_u32(lay::PATCHES + 4 * j as u32, patch).unwrap();
+            }
+            cpu.set_exec_tier(tier);
+            cpu.psw.cpl = level;
+            cpu.psw.translation = translation;
+            cpu.set_ctl(ControlReg::Iva, lay::VECTORS);
+            cpu.set_ctl(ControlReg::Eiem, irq::TIMER | irq::DISK);
+            for page in 0..lay::PAGES {
+                let base = page * PAGE_SIZE;
+                cpu.tlb.insert_pte(base, base | pte::V | pte::R | pte::W | pte::X);
+            }
+            cpu.pc = image.entry;
+            (cpu, mem)
+        };
+        // Privilege 0: everything executes natively, in-trace under the
+        // jit. Privilege 1: every privileged instruction goes to the
+        // embedder — as a trap exit, or decoded from inside a trace.
+        for level in [0u8, 1] {
+            let (mut cpu_ref, mut mem_ref) = build(level, ExecTier::Step);
+            let mut reference = Embedder::new(level, dma);
+            drive_chunks(&mut cpu_ref, &mut mem_ref, &mut reference, &chunks, false);
+            for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+                for hooked in [false, true] {
+                    let (mut cpu, mut mem) = build(level, tier);
+                    let mut embedder = Embedder::new(level, dma);
+                    drive_chunks(&mut cpu, &mut mem, &mut embedder, &chunks, hooked);
+                    let what = format!("level {level}, {tier}, hooked={hooked}");
+                    prop_assert_eq!(&embedder.log, &reference.log, "event logs diverged ({})", what);
+                    prop_assert!(observable(&cpu) == observable(&cpu_ref),
+                        "{}: {:?}\nvs {:?}", what, observable(&cpu), observable(&cpu_ref));
+                    prop_assert_eq!(
+                        same_vm_state((&cpu, &mem), (&cpu_ref, &mem_ref)),
+                        Ok(()),
+                        "final states diverged ({})",
+                        what
+                    );
+                    if tier == ExecTier::Jit && cpu.reg(Reg::of(20)) == 0 {
+                        // Every turn ran, so the loop head was hot.
+                        let x = cpu.exec_stats();
+                        prop_assert!(x.jit_retired > 0, "{}: nothing ran compiled: {:?}", what, x);
+                    }
+                }
+            }
+        }
+    }
+    #[test]
+    fn hypervised_pauses_are_slicing_and_engine_invariant(
+        draws in prop::collection::vec(20u64..10_000, 48),
+        epoch_len in 300u32..5_000,
+        syscall_every in 1u32..5,
+        paper_costs in any::<bool>(),
+    ) {
+        // Dhrystone with syscalls and a fast tick: gates reflected,
+        // handlers' privileged instructions simulated (a clock read
+        // among them), timer interrupts delivered at epoch boundaries,
+        // TLB misses filled. At the paper's costs one simulated
+        // instruction is worth 750 ordinary ones, so most budgets run
+        // out *inside* the hypervisor, between two instructions of a
+        // handler — under the jit, between two ops of one trace.
+        // (The virtual clock counts instructions, so the tick period is
+        // the same either way: a tick every 7 500 instructions.)
+        let (cost, scale) = if paper_costs {
+            (CostModel::hp9000_720(), 32)
+        } else {
+            (CostModel::functional(), 1)
+        };
+        let kernel = KernelConfig { tick_period_us: 150, tick_work: 2, ..KernelConfig::default() };
+        let image = build_image(&kernel, &dhrystone_source(1_500, syscall_every)).expect("image builds");
+        let whole = [SimDuration::from_secs(100)];
+        let slices: Vec<SimDuration> =
+            draws.iter().map(|&ns| SimDuration::from_nanos(ns * scale)).collect();
+        let run = |tier: ExecTier, slices: &[SimDuration]| {
+            let config = HvConfig { exec_tier: tier, epoch_len, ..HvConfig::default() };
+            hypervised_pauses(&image, cost, config, slices)
+        };
+        let whole_ref = run(ExecTier::Step, &whole);
+        let sliced_ref = run(ExecTier::Step, &slices);
+        prop_assert!(whole_ref.len() > 4 && sliced_ref.len() > whole_ref.len() + 8, "{} and {} pauses", whole_ref.len(), sliced_ref.len());
+        // Slicing adds pauses and moves nothing: the events of the
+        // sliced run are the whole run's, count for count.
+        let events = |pauses: &[Pause]| -> Vec<Pause> {
+            pauses.iter().filter(|p| p.0 != HvEvent::BudgetExhausted).copied().collect()
+        };
+        prop_assert_eq!(&events(&sliced_ref), &whole_ref);
+        for tier in [ExecTier::Block, ExecTier::Jit] {
+            prop_assert_eq!(&run(tier, &whole), &whole_ref, "one budget, {}", tier);
+            prop_assert_eq!(&run(tier, &slices), &sliced_ref, "sliced, {}", tier);
         }
     }
 }

@@ -12,12 +12,16 @@
 //! count is per thread, so the harness's other threads cannot disturb
 //! it.
 
+use hvft::guest::{build_image, dhrystone_source, KernelConfig};
+use hvft::hypervisor::cost::CostModel;
+use hvft::hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
 use hvft::isa::asm::assemble;
 use hvft::machine::cpu::{Cpu, Exit, LoadProgram};
 use hvft::machine::exec::ExecTier;
 use hvft::machine::mem::{Memory, PAGE_SIZE};
 use hvft::machine::tlb::TlbReplacement;
 use hvft::machine::trap::Trap;
+use hvft_sim::time::SimDuration;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -119,5 +123,57 @@ fn trap_round_trips_do_not_allocate_on_any_tier() {
             };
             assert_eq!(cpu.retired(), expected, "{tier}: the loop really ran");
         }
+    }
+}
+
+#[test]
+fn hypervised_syscalls_do_not_allocate_on_any_tier() {
+    // The same question one layer up: the hypervisor lends its parts to
+    // a hook for every `HvGuest::run` and simulates a handler's
+    // privileged instructions inside the CPU's loop — by reference, not
+    // by boxing anything.
+    // 64 marks: the code a mark returns to is dispatched once per
+    // mark and must be past the jit's promotion threshold too.
+    const WARM_UP: u64 = 4_096;
+    const SYSCALLS: u64 = 10_240;
+    // Dhrystone with a `SYS_GETTIME` in every iteration, plus a
+    // `SYS_MARK` in every 64th: the mark surfaces as an event, so every
+    // `run` below returns at the same guest PC and a block engine that
+    // is warm stays warm (a pause at a new PC decodes a new block).
+    let user = dhrystone_source((WARM_UP + SYSCALLS + 128) as u32, 1).replace(
+        "u_nosys:\n",
+        "u_nosys:\n    andi r22, r11, 63\n    bne  r22, r0, u_nomark\n    gate 6\nu_nomark:\n",
+    );
+    assert!(user.contains("u_nomark"), "the mark was spliced in");
+    let image = build_image(&KernelConfig::default(), &user).expect("image builds");
+    for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+        let config = HvConfig {
+            exec_tier: tier,
+            // No epoch boundary inside the run, for the same reason.
+            epoch_len: 1 << 30,
+            ..HvConfig::default()
+        };
+        let mut guest = HvGuest::new(&image, CostModel::functional(), config);
+        let run_marks = |guest: &mut HvGuest, marks: u64| {
+            for _ in 0..marks {
+                match guest.run(SimDuration::from_secs(10)) {
+                    HvEvent::Diag { code: 2, .. } => {}
+                    other => panic!("{tier}: unexpected event {other:?}"),
+                }
+            }
+        };
+        run_marks(&mut guest, WARM_UP / 64);
+        let (before, stats) = (allocations(), *guest.stats());
+        run_marks(&mut guest, SYSCALLS / 64);
+        assert_eq!(
+            allocations() - before,
+            0,
+            "{tier}: {SYSCALLS} warm syscalls allocated"
+        );
+        assert!(
+            guest.stats().reflected - stats.reflected >= SYSCALLS
+                && guest.stats().simulated - stats.simulated >= 7 * SYSCALLS,
+            "{tier}: the handlers really ran"
+        );
     }
 }
