@@ -2,11 +2,10 @@
 //! recorded to `BENCH_cluster_scale.json` for the CI artifact.
 //!
 //! One workload mix, swept across shards × replicas (`t` backups) ×
-//! execution modes × execution tiers. Each
-//! `cluster_scale/<shards>sys_t<t>_<tier>_<mode>` entry times the
-//! *same* deterministic simulated run, so the wall-clock ratios
-//! between modes are the scaling curve of the executor itself, and
-//! the `jit` rows show that tier-2 gains and multi-core gains compose.
+//! execution modes, on the default execution tier. Each
+//! `cluster_scale/<shards>sys_t<t>_jit_<mode>` entry times the *same*
+//! deterministic simulated run, so the wall-clock ratios between modes
+//! are the scaling curve of the executor itself.
 //!
 //! Every row records enough to make regressions attributable:
 //!
@@ -37,7 +36,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use hvft_core::cluster::FtCluster;
-use hvft_core::scenario::{ExecTier, Parallelism, RunReport, Scenario};
+use hvft_core::scenario::{Parallelism, RunReport, Scenario};
 use hvft_guest::workload::{Dhrystone, IoBench};
 use hvft_guest::{IoMode, KernelConfig};
 use hvft_net::link::LinkSpec;
@@ -46,14 +45,13 @@ use std::time::Instant;
 
 /// The sweep's cluster, driven directly (not through `ClusterScenario`)
 /// so the executor's slice counts can be read back after a run.
-fn cluster(shards: usize, backups: usize, tier: ExecTier) -> FtCluster {
+fn cluster(shards: usize, backups: usize) -> FtCluster {
     let mut cluster = FtCluster::new(LinkSpec::ethernet_10mbps(), 13);
     for i in 0..shards {
         let b = Scenario::builder()
             .functional_cost()
             .seed(13 + i as u64)
             .backups(backups)
-            .exec_tier(tier)
             // Contention on a crowded wire must not forge suspicions.
             .detector_timeout(hvft_sim::time::SimDuration::from_millis(300));
         let b = if i % 2 == 0 {
@@ -108,7 +106,7 @@ fn guest_insns(reports: &[RunReport]) -> u64 {
     reports
         .iter()
         .flat_map(|r| &r.replica_stats)
-        .map(|s| s.exec.step_retired + s.exec.block_retired + s.exec.jit_retired)
+        .map(|s| s.exec.step_retired + s.exec.jit_retired)
         .sum()
 }
 
@@ -123,7 +121,7 @@ fn mode_label(par: Parallelism, slots: usize) -> String {
     }
 }
 
-/// Shards × replicas × threads × tier sweep: whole cluster runs to
+/// Shards × replicas × threads sweep: whole cluster runs to
 /// completion.
 fn bench_cluster_scale(c: &mut Criterion) {
     let mut g = c.benchmark_group("cluster_scale");
@@ -132,44 +130,41 @@ fn bench_cluster_scale(c: &mut Criterion) {
     let mut fingerprints: Vec<(String, String, Vec<String>)> = Vec::new();
     for shards in [2usize, 4, 8] {
         for backups in [1usize, 2] {
-            for tier in [ExecTier::Block, ExecTier::Jit] {
-                let point = format!("{shards}sys_t{backups}_{tier}");
-                for par in [
-                    Parallelism::Sequential,
-                    Parallelism::Threads(2),
-                    Parallelism::Threads(4),
-                ] {
-                    let run = || cluster(shards, backups, tier).run_with(par);
-                    // Untimed probe: observed pool utilization, the
-                    // executor's slice counts and the guest-instruction
-                    // total for the throughput rate.
-                    let mut probe = cluster(shards, backups, tier);
-                    let slots = probe.slice_slots();
-                    let eff = par.effective_workers(slots);
-                    let pool_before = WorkPool::global().stats();
-                    let wall = Instant::now();
-                    let reports = probe.run_with(par);
-                    let wall = wall.elapsed();
-                    let pool_delta = WorkPool::global().stats().busy_nanos - pool_before.busy_nanos;
-                    let utilization =
-                        pool_delta as f64 / (wall.as_nanos().max(1) as f64 * eff as f64);
-                    let insns = guest_insns(&reports);
-                    let mode = mode_label(par, slots);
-                    let label = format!("{point}_{mode}");
-                    for r in &reports {
-                        assert!(r.exit.is_clean_exit(), "{label}: {:?}", r.exit);
-                    }
-                    fingerprints.push((point.clone(), mode, fingerprint(&reports)));
-                    g.throughput(Throughput::Elements(insns));
-                    g.bench_function(label, |b| b.iter(|| run().len()));
-                    g.annotate("requested_workers", par.requested_workers(slots) as f64)
-                        .annotate("effective_workers", eff as f64);
-                    if !matches!(par, Parallelism::Sequential) {
-                        let slices = probe.slice_stats();
-                        g.annotate("pool_utilization", utilization)
-                            .annotate("published_slices", slices.published as f64)
-                            .annotate("executed_slices", slices.executed as f64);
-                    }
+            let point = format!("{shards}sys_t{backups}_jit");
+            for par in [
+                Parallelism::Sequential,
+                Parallelism::Threads(2),
+                Parallelism::Threads(4),
+            ] {
+                let run = || cluster(shards, backups).run_with(par);
+                // Untimed probe: observed pool utilization, the
+                // executor's slice counts and the guest-instruction
+                // total for the throughput rate.
+                let mut probe = cluster(shards, backups);
+                let slots = probe.slice_slots();
+                let eff = par.effective_workers(slots);
+                let pool_before = WorkPool::global().stats();
+                let wall = Instant::now();
+                let reports = probe.run_with(par);
+                let wall = wall.elapsed();
+                let pool_delta = WorkPool::global().stats().busy_nanos - pool_before.busy_nanos;
+                let utilization = pool_delta as f64 / (wall.as_nanos().max(1) as f64 * eff as f64);
+                let insns = guest_insns(&reports);
+                let mode = mode_label(par, slots);
+                let label = format!("{point}_{mode}");
+                for r in &reports {
+                    assert!(r.exit.is_clean_exit(), "{label}: {:?}", r.exit);
+                }
+                fingerprints.push((point.clone(), mode, fingerprint(&reports)));
+                g.throughput(Throughput::Elements(insns));
+                g.bench_function(label, |b| b.iter(|| run().len()));
+                g.annotate("requested_workers", par.requested_workers(slots) as f64)
+                    .annotate("effective_workers", eff as f64);
+                if !matches!(par, Parallelism::Sequential) {
+                    let slices = probe.slice_stats();
+                    g.annotate("pool_utilization", utilization)
+                        .annotate("published_slices", slices.published as f64)
+                        .annotate("executed_slices", slices.executed as f64);
                 }
             }
         }

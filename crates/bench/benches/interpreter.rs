@@ -24,7 +24,7 @@ use hvft_sim::time::SimTime;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-const TIERS: [ExecTier; 3] = [ExecTier::Step, ExecTier::Block, ExecTier::Jit];
+const TIERS: [ExecTier; 2] = [ExecTier::Step, ExecTier::Jit];
 
 /// The cost of leaving and re-entering `Cpu::run` — what an embedder
 /// that emulates *around* the run loop pays per exit, before it has
@@ -257,14 +257,6 @@ fn bench_interpreter(c: &mut Criterion) {
     let mut g = c.benchmark_group("interpreter");
     g.throughput(Throughput::Elements(retired));
     g.sample_size(20);
-    // "after": the predecoded-block engine.
-    host.set_exec_tier(ExecTier::Block);
-    g.bench_function("bare_dhrystone_5k_iters", |b| {
-        b.iter(|| {
-            host.reset(&image);
-            black_box(host.run(100_000_000).retired)
-        })
-    });
     // "before": the per-instruction engine, for the speedup record.
     // set_exec_tier on the host survives reset(), so each iteration
     // re-boots into the same tier.
@@ -275,9 +267,9 @@ fn bench_interpreter(c: &mut Criterion) {
             black_box(host.run(100_000_000).retired)
         })
     });
-    // Tier 2: the threaded-code superblock jit, same harness. Each
-    // iteration re-boots cold (empty caches), so compile + warm-up cost
-    // is inside the measurement, exactly like the block engine's.
+    // The threaded-code superblock jit, same harness. Each iteration
+    // re-boots cold (empty cache), so compile + warm-up cost is inside
+    // the measurement.
     host.set_exec_tier(ExecTier::Jit);
     g.bench_function("bare_dhrystone_5k_iters_jit", |b| {
         b.iter(|| {
@@ -288,10 +280,8 @@ fn bench_interpreter(c: &mut Criterion) {
     g.finish();
     // Call-heavy guest: leaf calls, calls into the next text page and a
     // deep monomorphic recursion. This is where the jit tier's inline
-    // return cache and cross-page traces pay off, so it gets its own
-    // block-vs-jit pair.
+    // return cache and cross-page traces pay off.
     let cs_image = build_image(&KernelConfig::default(), &callstorm_source(2_000, 12)).unwrap();
-    host.set_exec_tier(ExecTier::Block);
     let cs_retired = {
         host.reset(&cs_image);
         host.run(100_000_000).retired
@@ -299,13 +289,6 @@ fn bench_interpreter(c: &mut Criterion) {
     let mut g = c.benchmark_group("interpreter");
     g.throughput(Throughput::Elements(cs_retired));
     g.sample_size(20);
-    g.bench_function("bare_callstorm_2k_iters", |b| {
-        b.iter(|| {
-            host.reset(&cs_image);
-            black_box(host.run(100_000_000).retired)
-        })
-    });
-    host.set_exec_tier(ExecTier::Jit);
     g.bench_function("bare_callstorm_2k_iters_jit", |b| {
         b.iter(|| {
             host.reset(&cs_image);

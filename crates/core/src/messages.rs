@@ -37,8 +37,8 @@ pub struct DiskCompletion {
 /// The canonical state of one replica, captured at an epoch boundary
 /// and shipped to a repaired processor during reintegration: the guest
 /// snapshot plus the driver-level device shadows that rule P3's
-/// suppression bookkeeping depends on. Derived caches (decoded blocks,
-/// JIT superblocks, TLB front array) are never shipped — the receiver
+/// suppression bookkeeping depends on. Derived caches (JIT
+/// superblocks, TLB front array) are never shipped — the receiver
 /// rebuilds them, invisibly to the VM.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplicaState {

@@ -17,7 +17,7 @@
 //! site is guarded by an is-empty check on the observer list — so an
 //! unobserved run does exactly the work it did before the hooks
 //! existed. The interpreter's own fast path (`hvft-machine`'s
-//! predecoded-block engine) is untouched; its branch-free discipline is
+//! superblock executor) is untouched; its branch-free discipline is
 //! preserved by construction.
 //!
 //! # Examples

@@ -406,7 +406,7 @@ impl ScenarioBuilder {
     }
 
     /// Full per-guest hypervisor configuration (epoch length, TLB
-    /// policy, block execution…), for knobs without a dedicated setter.
+    /// policy, execution tier…), for knobs without a dedicated setter.
     pub fn hv(mut self, hv: HvConfig) -> Self {
         self.cfg.hv = hv;
         self
@@ -426,9 +426,9 @@ impl ScenarioBuilder {
     }
 
     /// Selects the execution engine for every guest — the single-step
-    /// reference interpreter, predecoded blocks or the threaded-code
-    /// jit (the default). All tiers are observably identical; see the
-    /// three-way differential oracle in `tests/proptest_step_vs_block.rs`.
+    /// reference interpreter or the threaded-code jit (the default).
+    /// The two are observably identical; see the differential oracle in
+    /// `tests/proptest_step_vs_block.rs`.
     pub fn exec_tier(mut self, tier: ExecTier) -> Self {
         self.cfg.hv.exec_tier = tier;
         self
@@ -1078,32 +1078,42 @@ mod tests {
 
     #[test]
     fn exec_tier_is_selectable_on_every_driver() {
-        let run = |driver: Driver| {
-            Scenario::builder()
-                .workload(tiny_dhry())
-                .driver(driver)
-                .functional_cost()
-                .exec_tier(ExecTier::Jit)
-                .build()
-                .unwrap()
-                .run()
-        };
-        let bare = run(Driver::Bare);
-        let ft = run(Driver::Replicated);
-        let chain = run(Driver::Chain);
-        assert!(bare.exit.is_clean_exit());
-        assert_eq!(bare.exit.code(), ft.exit.code(), "bare vs DES under jit");
-        assert_eq!(
-            bare.exit.code(),
-            chain.exit.code(),
-            "bare vs chain under jit"
-        );
-        assert!(ft.lockstep_clean && ft.lockstep_compared > 0);
-        // The tier breakdown must prove the jit actually ran.
-        for (r, who) in [(&bare, "bare"), (&ft, "replicated"), (&chain, "chain")] {
-            let x = r.exec_stats();
-            assert!(x.superblocks_compiled > 0, "{who}: no superblocks compiled");
-            assert!(x.jit_retired > 0, "{who}: nothing retired in superblocks");
+        for tier in [ExecTier::Step, ExecTier::Jit] {
+            let run = |driver: Driver| {
+                Scenario::builder()
+                    .workload(tiny_dhry())
+                    .driver(driver)
+                    .functional_cost()
+                    .exec_tier(tier)
+                    .build()
+                    .unwrap()
+                    .run()
+            };
+            let bare = run(Driver::Bare);
+            let ft = run(Driver::Replicated);
+            let chain = run(Driver::Chain);
+            assert!(bare.exit.is_clean_exit());
+            assert_eq!(bare.exit.code(), ft.exit.code(), "bare vs DES under {tier}");
+            assert_eq!(
+                bare.exit.code(),
+                chain.exit.code(),
+                "bare vs chain under {tier}"
+            );
+            assert!(ft.lockstep_clean && ft.lockstep_compared > 0);
+            // The tier breakdown must prove the selected engine ran.
+            for (r, who) in [(&bare, "bare"), (&ft, "replicated"), (&chain, "chain")] {
+                let x = r.exec_stats();
+                match tier {
+                    ExecTier::Step => {
+                        assert_eq!(x.jit_retired, 0, "{who}: the jit ran under step");
+                        assert!(x.step_retired > 0, "{who}: nothing stepped");
+                    }
+                    ExecTier::Jit => {
+                        assert!(x.superblocks_compiled > 0, "{who}: no superblocks compiled");
+                        assert!(x.jit_retired > 0, "{who}: nothing retired in superblocks");
+                    }
+                }
+            }
         }
     }
 

@@ -80,7 +80,6 @@ pub struct BareHost {
     board: Board,
     disk_blocks: u32,
     seed: u64,
-    exec_tier: ExecTier,
 }
 
 /// The host's clock, its pending device events, the disk controller's
@@ -134,7 +133,6 @@ impl BareHost {
             board: Board::reset(),
             disk_blocks,
             seed,
-            exec_tier: ExecTier::default(),
         }
     }
 
@@ -142,13 +140,12 @@ impl BareHost {
     /// choice survives [`BareHost::reset`], so benches that re-boot the
     /// host per iteration keep measuring the selected tier.
     pub fn set_exec_tier(&mut self, tier: ExecTier) {
-        self.exec_tier = tier;
         self.cpu.set_exec_tier(tier);
     }
 
     /// The selected execution engine.
     pub fn exec_tier(&self) -> ExecTier {
-        self.exec_tier
+        self.cpu.exec_tier()
     }
 
     /// The CPU's per-tier execution counters for this boot.
@@ -161,8 +158,9 @@ impl BareHost {
     /// freshly constructed one — benches use this so repeated runs
     /// measure execution, not allocation.
     pub fn reset(&mut self, image: &Program) {
+        let tier = self.cpu.exec_tier();
         self.cpu = Cpu::new(64, TlbReplacement::Random, self.seed);
-        self.cpu.set_exec_tier(self.exec_tier);
+        self.cpu.set_exec_tier(tier);
         self.mem.reset();
         image.load_into_cpu(&mut self.cpu, &mut self.mem);
         self.disk = Disk::new(self.disk_blocks, self.seed);
@@ -466,6 +464,21 @@ mod tests {
         assert_eq!(r1.diags, r2.diags);
         assert_eq!(r1.retired, r2.retired);
         assert_eq!(r1.time, r2.time);
+    }
+
+    #[test]
+    fn the_selected_tier_survives_reset() {
+        let image = build_image(&KernelConfig::default(), &dhrystone_source(300, 7)).unwrap();
+        let mut host = BareHost::new(&image, CostModel::hp9000_720(), RAM_BYTES, 128, 7);
+        host.set_exec_tier(ExecTier::Step);
+        let first = host.run(2_000_000_000);
+        host.reset(&image);
+        assert_eq!(host.exec_tier(), ExecTier::Step);
+        let again = host.run(2_000_000_000);
+        assert_eq!((again.retired, again.time), (first.retired, first.time));
+        let x = host.exec_stats();
+        assert_eq!(x.jit_retired, 0, "the re-booted host ran the jit: {x:?}");
+        assert!(x.step_retired > 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! already decoded. The hook is the body of the loop this module used
 //! to run around `Cpu::run`, and its order is what keeps every pause
 //! point and every charged nanosecond where the per-step path puts
-//! them, on all three tiers:
+//! them, on both tiers:
 //!
 //! 1. emulate the exit (charging `hsim`, a reflection, a fill, …);
 //! 2. charge `cost.insn` for every instruction retired since the hook
@@ -144,9 +144,9 @@ pub struct HvConfig {
     /// Guest RAM size in bytes.
     pub ram_bytes: usize,
     /// Which execution engine the CPU uses: the single-step reference
-    /// interpreter, predecoded blocks or the threaded-code jit (the
-    /// default). All three are observably identical, and the knob lets
-    /// differential tests prove that.
+    /// interpreter or the threaded-code jit (the default). The two are
+    /// observably identical, and the knob lets differential tests prove
+    /// that.
     pub exec_tier: ExecTier,
 }
 

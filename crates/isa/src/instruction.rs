@@ -325,37 +325,6 @@ impl Instruction {
         )
     }
 
-    /// Whether this instruction ends a predecoded basic block.
-    ///
-    /// A block is a straight-line run of instructions that a block
-    /// interpreter may execute without re-checking anything between
-    /// them. That requires every non-final instruction to (a) fall
-    /// through to `pc + 4` and (b) leave the fetch/translation and
-    /// interrupt machinery untouched. Terminators are therefore:
-    ///
-    /// - control transfers (`branch`, `jal`, `jalr`) and trapping
-    ///   transfers (`gate`, `brk`), whose successor is not `pc + 4`;
-    /// - every privileged instruction: executed at level 0 these can
-    ///   rewrite the PSW (`ssm`/`rsm`/`rfi`), the TLB (`tlbi`/`tlbp`),
-    ///   control registers, or stop the machine, and executed above
-    ///   level 0 they trap — either way the block interpreter must
-    ///   re-establish its invariants afterwards.
-    ///
-    /// Ordinary ALU/memory instructions, `lui`, `nop` and `probe` never
-    /// terminate a block (faults they raise are reported per
-    /// instruction regardless).
-    pub const fn is_block_terminator(self) -> bool {
-        self.is_privileged()
-            || matches!(
-                self,
-                Instruction::Branch { .. }
-                    | Instruction::Jal { .. }
-                    | Instruction::Jalr { .. }
-                    | Instruction::Gate { .. }
-                    | Instruction::Brk { .. }
-            )
-    }
-
     /// Whether this is an **environment instruction** in the paper's sense:
     /// its behaviour is *not* fully determined by the virtual-machine state,
     /// so the hypervisor must simulate it identically at primary and backup.
@@ -516,66 +485,9 @@ mod tests {
     }
 
     #[test]
-    fn block_terminator_classification() {
-        use Instruction as I;
-        // Control transfers and trap-raising instructions end blocks.
-        assert!(I::Branch {
-            cond: BranchCond::Eq,
-            rs1: Reg::of(1),
-            rs2: Reg::of(2),
-            offset: 8
-        }
-        .is_block_terminator());
-        assert!(I::Jal {
-            rd: Reg::RA,
-            offset: 4
-        }
-        .is_block_terminator());
-        assert!(I::Jalr {
-            rd: Reg::ZERO,
-            base: Reg::RA,
-            disp: 0
-        }
-        .is_block_terminator());
-        assert!(I::Gate { imm: 1 }.is_block_terminator());
-        assert!(I::Brk { imm: 0 }.is_block_terminator());
-        // Every privileged instruction is a terminator.
-        assert!(I::Rfi.is_block_terminator());
-        assert!(I::Ssm { imm: 3 }.is_block_terminator());
-        assert!(I::Tlbp { rs: Reg::ZERO }.is_block_terminator());
-        assert!(I::Halt.is_block_terminator());
-        // Straight-line instructions are not.
-        assert!(!I::Nop.is_block_terminator());
-        assert!(!I::Lui {
-            rd: Reg::of(1),
-            imm: 1
-        }
-        .is_block_terminator());
-        assert!(!I::Load {
-            width: MemWidth::Word,
-            rd: Reg::of(1),
-            base: Reg::of(2),
-            disp: 0
-        }
-        .is_block_terminator());
-        assert!(!I::Store {
-            width: MemWidth::Word,
-            rs: Reg::of(1),
-            base: Reg::of(2),
-            disp: 0
-        }
-        .is_block_terminator());
-        assert!(!I::Probe {
-            rd: Reg::of(1),
-            rs: Reg::of(2)
-        }
-        .is_block_terminator());
-    }
-
-    #[test]
     fn decoded_storage_is_compact() {
-        // Blocks store predecoded instructions by value; keep the enum
-        // small enough that a cached block stays cache-friendly.
+        // Superblock assist tables store decoded instructions by
+        // value; keep the enum small enough to stay cache-friendly.
         assert!(std::mem::size_of::<Instruction>() <= 16);
     }
 

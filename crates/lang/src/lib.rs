@@ -22,7 +22,7 @@
 //!   programs) with [`eval`] (the reference interpreter — the
 //!   language's operational semantics) to mint *oracles*: a generated
 //!   program must behave bit-identically under the interpreter, the
-//!   Step/Block/Jit execution tiers, and the replication protocol.
+//!   Step and Jit execution tiers, and the replication protocol.
 //!
 //! [`Workload`]: https://docs.rs/hvft-guest
 //!

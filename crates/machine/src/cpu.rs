@@ -28,7 +28,7 @@
 //! The hook is called in two places and nowhere else:
 //!
 //! - [`Assist::exit`], from the one `match` in `run_with`'s loop, for
-//!   every exit any tier reports — traps, environment instructions,
+//!   every exit either tier reports — traps, environment instructions,
 //!   MMIO, `halt`/`idle`/`diag`. The architectural state is exactly
 //!   what `Cpu::run` would have returned with: PC, retirement count
 //!   and recovery counter synced, the faulting instruction not retired
@@ -40,7 +40,7 @@
 //!   privilege 0, handed the instruction **decoded**, in the same
 //!   synced state with the PC on the instruction. Its default is
 //!   `exit(Trap(PrivilegedOp { word }))`, so an embedder that only
-//!   implements `exit` sees one stream of exits on every tier.
+//!   implements `exit` sees one stream of exits on both tiers.
 //!
 //! The dispatcher's caches are lifted out of the CPU for the duration
 //! of a run, so a hook may read and write every architectural field,
@@ -50,10 +50,9 @@
 //! registers, the TLB, code in memory — the engines re-validate before
 //! they execute another instruction, exactly as they would at entry.
 
-use crate::block::{BlockCache, BlockCacheStats};
 use crate::exec::{ExecDispatcher, ExecStats, ExecTier};
 use crate::jit::{Leave, Lookup};
-use crate::mem::{MemFault, Memory, PAGE_SHIFT};
+use crate::mem::{MemFault, Memory, PAGE_SIZE};
 use crate::psw::Psw;
 use crate::tlb::{Tlb, TlbAccess, TlbReplacement, TlbResult};
 use crate::trap::Trap;
@@ -65,8 +64,8 @@ use hvft_isa::reg::{ControlReg, Reg};
 const NUM_CTL: usize = 10;
 
 /// Three-register ALU semantics; `None` flags division by zero (an
-/// arithmetic trap). Shared by the step, block and jit paths so the
-/// three cannot drift (the jit's specialized handlers call this with a
+/// arithmetic trap). Shared by the step and jit paths so the two
+/// cannot drift (the jit's specialized handlers call this with a
 /// constant `op`, which folds away after inlining).
 #[inline]
 pub(crate) fn alu_value(op: AluOp, a: u32, b: u32) -> Option<u32> {
@@ -97,7 +96,7 @@ pub(crate) fn alu_value(op: AluOp, a: u32, b: u32) -> Option<u32> {
     })
 }
 
-/// Register-immediate ALU semantics; shared by all execution paths.
+/// Register-immediate ALU semantics; shared by both execution paths.
 #[inline]
 pub(crate) fn alu_imm_value(op: AluImmOp, a: u32, imm: i32) -> u32 {
     match op {
@@ -206,14 +205,14 @@ pub enum Resume {
 /// instead of around [`Cpu::run`]. See the [module docs](self) for the
 /// state a hook is called in and what it may touch.
 pub trait Assist {
-    /// Offered every exit other than [`Exit::Retired`], by every tier,
+    /// Offered every exit other than [`Exit::Retired`], by either tier,
     /// in the state [`Cpu::run`] would have returned it in.
     fn exit(&mut self, cpu: &mut Cpu, mem: &mut Memory, exit: Exit) -> Resume;
 
     /// A privileged instruction met above privilege 0 by a compiled
     /// trace: `insn` is the decoded form of `word`, the PC addresses it
     /// and it has not retired. The default reports it the way the
-    /// other tiers do.
+    /// step loop does.
     fn privileged(
         &mut self,
         cpu: &mut Cpu,
@@ -263,11 +262,11 @@ pub struct Cpu {
     pub tlb: Tlb,
     retired: u64,
     /// Execution-tier dispatcher backing [`Cpu::run`]: the selected
-    /// [`ExecTier`] plus the block and superblock caches. Boxed and
-    /// optional so `run` can lift it out for the duration of a call —
-    /// one pointer out, one pointer back — and borrow blocks from its
-    /// caches while `execute` borrows the rest of the CPU. `None` only
-    /// inside `run`.
+    /// [`ExecTier`] plus the superblock cache. Boxed and optional so
+    /// `run` can lift it out for the duration of a call — one pointer
+    /// out, one pointer back — and borrow superblocks from its cache
+    /// while `execute` borrows the rest of the CPU. `None` only inside
+    /// `run`.
     exec: Option<Box<ExecDispatcher>>,
 }
 
@@ -307,7 +306,7 @@ impl Cpu {
             .expect("dispatcher is home outside run")
     }
 
-    /// Selects the execution engine behind [`Cpu::run`]. All tiers are
+    /// Selects the execution engine behind [`Cpu::run`]. Both tiers are
     /// observably identical — same exits at the same retirement counts
     /// with the same machine state; the knob exists for differential
     /// testing and performance work.
@@ -321,11 +320,6 @@ impl Cpu {
     /// The execution tier [`Cpu::run`] currently uses.
     pub fn exec_tier(&self) -> ExecTier {
         self.exec().tier
-    }
-
-    /// Block-cache behaviour counters.
-    pub fn block_cache_stats(&self) -> BlockCacheStats {
-        self.exec().blocks.stats()
     }
 
     /// Per-tier execution counters since reset.
@@ -383,8 +377,8 @@ impl Cpu {
     }
 
     /// Captures the architectural CPU state (plus the cumulative
-    /// [`ExecStats`]) for a whole-machine snapshot. The block and
-    /// superblock caches are derived state and are not captured.
+    /// [`ExecStats`]) for a whole-machine snapshot. The superblock
+    /// cache is derived state and is not captured.
     pub fn snapshot(&self) -> crate::snapshot::CpuSnapshot {
         crate::snapshot::CpuSnapshot {
             regs: self.regs,
@@ -400,8 +394,8 @@ impl Cpu {
 
     /// Restores state captured by [`Cpu::snapshot`]. The dispatcher is
     /// replaced with a cold one (same tier, counters carried over):
-    /// blocks and superblocks recompile on demand, which changes cache
-    /// statistics but never architectural behaviour.
+    /// superblocks recompile on demand, which changes cache statistics
+    /// but never architectural behaviour.
     pub fn restore(&mut self, snap: &crate::snapshot::CpuSnapshot) {
         self.regs = snap.regs;
         self.pc = snap.pc;
@@ -592,12 +586,11 @@ impl Cpu {
     /// the embedder must handle, or [`Exit::Retired`] once the budget
     /// is consumed.
     ///
-    /// Every tier is observably identical — same exits at the same
+    /// Both tiers are observably identical — same exits at the same
     /// retirement counts with the same machine state — to calling
     /// [`Cpu::step`] in a loop `max_insns` times and stopping at the
-    /// first non-retired exit. See [`crate::block`] and [`crate::jit`]
-    /// for why the batching cannot move an epoch boundary or an
-    /// interrupt-delivery point.
+    /// first non-retired exit. See [`crate::jit`] for why batching
+    /// cannot move an epoch boundary or an interrupt-delivery point.
     ///
     /// This is [`Cpu::run_with`] and the hook that surfaces every exit.
     pub fn run(&mut self, mem: &mut Memory, max_insns: u64) -> Exit {
@@ -620,9 +613,9 @@ impl Cpu {
     /// exist once.
     pub fn run_with(&mut self, mem: &mut Memory, max_insns: u64, assist: &mut dyn Assist) -> Exit {
         let mut goal = self.retired.saturating_add(max_insns);
-        // Lift the dispatcher out of `self` so blocks can be borrowed
-        // from its caches while `execute` borrows `self`. This must
-        // stay a pointer move: no allocation, no cache is copied.
+        // Lift the dispatcher out of `self` so superblocks can be
+        // borrowed from its cache while `execute` borrows `self`. This
+        // must stay a pointer move: no allocation, no cache is copied.
         let mut exec = self.exec.take().expect("dispatcher is home outside run");
         let d = &mut *exec;
         d.stats.run_entries += 1;
@@ -638,11 +631,6 @@ impl Cpu {
                         }
                     }
                     d.stats.step_retired += self.retired - before;
-                    Leave::Offer(e)
-                }
-                ExecTier::Block => {
-                    let e = self.run_blocks(d, mem, goal);
-                    d.stats.block_retired += self.retired - before;
                     Leave::Offer(e)
                 }
                 ExecTier::Jit => self.run_tiered(d, mem, &mut goal, assist),
@@ -663,12 +651,11 @@ impl Cpu {
         exit
     }
 
-    /// Pre-dispatch checks shared by every engine, identical to the
-    /// first checks of [`Cpu::step`]: recovery-counter expiry, pending
-    /// enabled interrupt, PC alignment. A block body cannot change
-    /// their inputs (every PSW/ctl/TLB writer ends a block), and a
-    /// superblock re-runs them after every op that can (its assist
-    /// ops), so checking here equals checking once per step.
+    /// The jit dispatcher's pre-dispatch checks, identical to the first
+    /// checks of [`Cpu::step`]: recovery-counter expiry, pending
+    /// enabled interrupt, PC alignment. A superblock re-runs them after
+    /// every op that can change their inputs (its assist ops), so
+    /// checking here equals checking once per step.
     #[inline]
     pub(crate) fn pre_dispatch_check(&self) -> Option<Exit> {
         if self.psw.recovery && self.ctl(ControlReg::Rctr) == 0 {
@@ -683,28 +670,10 @@ impl Cpu {
         None
     }
 
-    fn run_blocks(&mut self, d: &mut ExecDispatcher, mem: &mut Memory, goal: u64) -> Exit {
-        while self.retired < goal {
-            if let Some(e) = self.pre_dispatch_check() {
-                return e;
-            }
-            // One translation covers the whole block: blocks never
-            // cross a page boundary.
-            let fetch_pa = match self.translate(self.pc, TlbAccess::Execute) {
-                Ok(p) => p,
-                Err(t) => return Exit::Trap(t),
-            };
-            d.stats.dispatches += 1;
-            if let Some(e) = self.block_iteration(&mut d.blocks, mem, goal, fetch_pa) {
-                return e;
-            }
-        }
-        Exit::Retired
-    }
-
-    /// The jit tier: compiled superblocks where they exist, the block
-    /// engine everywhere else (cold code, faults, undecodable starts).
-    /// `goal` is the caller's: an assist op's hook moves it in-frame.
+    /// The jit tier: compiled superblocks where they exist, the
+    /// reference interpreter everywhere else (cold code, faults,
+    /// undecodable starts). `goal` is the caller's: an assist op's hook
+    /// moves it in-frame.
     fn run_tiered(
         &mut self,
         d: &mut ExecDispatcher,
@@ -741,9 +710,9 @@ impl Cpu {
                     }
                 }
                 Lookup::Cold => {
-                    let r = self.block_iteration(&mut d.blocks, mem, *goal, fetch_pa);
-                    d.stats.block_retired += self.retired - before;
-                    if let Some(e) = r {
+                    let e = self.step_cold(mem, *goal);
+                    d.stats.step_retired += self.retired - before;
+                    if e != Exit::Retired {
                         return Leave::Offer(e);
                     }
                 }
@@ -752,123 +721,28 @@ impl Cpu {
         Leave::Offer(Exit::Retired)
     }
 
-    /// One block-engine dispatch: executes the block at `fetch_pa` (at
-    /// most to `goal`), returning `Some(exit)` to surface an exit or
-    /// `None` to re-enter the dispatch loop.
-    fn block_iteration(
-        &mut self,
-        cache: &mut BlockCache,
-        mem: &mut Memory,
-        goal: u64,
-        fetch_pa: u32,
-    ) -> Option<Exit> {
-        let Some(block) = cache.get_or_build(fetch_pa, mem) else {
-            // Unreadable or undecodable first word: the slow path
-            // raises the exact trap.
-            return Some(self.step(mem));
-        };
-        let len = block.insns.len();
-        let n = self.batch_limit(goal).min(len as u64) as usize;
-        // Only a block's final instruction can be a terminator, so
-        // the straight-line prefix is terminator-free — and since
-        // every privileged instruction is a terminator, it is also
-        // privilege-check-free. Retirement bookkeeping (pc,
-        // retired, rctr) for the prefix is batched: instructions in
-        // the prefix never observe those registers, and every path
-        // that leaves the prefix syncs them first, so the batching
-        // is invisible.
-        let has_term = n == len && block.insns[n - 1].is_block_terminator();
-        let straight = if has_term { n - 1 } else { n };
-        let base_pc = self.pc;
-        let block_gen = block.gen;
-        let block_page_addr = fetch_pa & !((1u32 << PAGE_SHIFT) - 1);
-        for (done, &insn) in block.insns[..straight].iter().enumerate() {
-            use Instruction as I;
-            match insn {
-                I::Alu { op, rd, rs1, rs2 } => {
-                    let a = self.reg(rs1);
-                    let b = self.reg(rs2);
-                    match alu_value(op, a, b) {
-                        Some(v) => self.set_reg(rd, v),
-                        None => {
-                            self.sync_batch(base_pc, done);
-                            return Some(Exit::Trap(Trap::ArithmeticError));
-                        }
-                    }
-                }
-                I::AluImm { op, rd, rs1, imm } => {
-                    let v = alu_imm_value(op, self.reg(rs1), imm);
-                    self.set_reg(rd, v);
-                }
-                I::Lui { rd, imm } => self.set_reg(rd, imm << 13),
-                I::Nop => {}
-                I::Load {
-                    width,
-                    rd,
-                    base,
-                    disp,
-                } => match self.access_load(width, rd, base, disp, mem) {
-                    Ok(v) => self.set_reg(rd, v),
-                    Err(exit) => {
-                        self.sync_batch(base_pc, done);
-                        return Some(exit);
-                    }
-                },
-                I::Store {
-                    width,
-                    rs,
-                    base,
-                    disp,
-                } => match self.access_store(width, rs, base, disp, mem) {
-                    Ok(()) => {
-                        // The store may have patched decoded words of
-                        // this block's own page ahead of the program
-                        // counter; abandon the predecoded tail and
-                        // re-fetch.
-                        if mem.code_gen(block_page_addr) != block_gen {
-                            self.sync_batch(base_pc, done + 1);
-                            return None;
-                        }
-                    }
-                    Err(exit) => {
-                        self.sync_batch(base_pc, done);
-                        return Some(exit);
-                    }
-                },
-                // Probe (the only other non-terminator) and any
-                // future stragglers: sync and take the generic
-                // per-instruction path, then re-enter the block
-                // machinery from the next pc.
-                other => {
-                    self.sync_batch(base_pc, done);
-                    let e = self.execute(other, mem);
-                    if e != Exit::Retired {
-                        return Some(e);
-                    }
-                    return None;
-                }
+    /// One cold dispatch of the jit tier: [`Cpu::step`] — every check,
+    /// fetch and decode of the reference semantics, per instruction —
+    /// until the goal, an exit, or the next address a dispatch (and the
+    /// probe's heat count) belongs at: where control left the straight
+    /// line, or the first word of the next page.
+    fn step_cold(&mut self, mem: &mut Memory, goal: u64) -> Exit {
+        loop {
+            let next = self.pc.wrapping_add(4);
+            let e = self.step(mem);
+            if e != Exit::Retired
+                || self.retired >= goal
+                || self.pc != next
+                || next.is_multiple_of(PAGE_SIZE)
+            {
+                return e;
             }
         }
-        self.sync_batch(base_pc, straight);
-        if has_term {
-            let insn = block.insns[n - 1];
-            if insn.is_privileged() && self.psw.cpl != 0 {
-                return Some(Exit::Trap(Trap::PrivilegedOp {
-                    word: block.words[n - 1],
-                }));
-            }
-            let e = self.execute(insn, mem);
-            if e != Exit::Retired {
-                return Some(e);
-            }
-        }
-        None
     }
 
-    /// Load semantics shared by [`Cpu::step`], the block engine and
-    /// the jit so they cannot drift: alignment check, translation,
-    /// access and
-    /// width extension. `Ok` is the value for `rd`; `Err` is the exit
+    /// Load semantics shared by [`Cpu::step`] and the jit so they
+    /// cannot drift: alignment check, translation, access and width
+    /// extension. `Ok` is the value for `rd`; `Err` is the exit
     /// (trap or MMIO) the caller must surface. Retirement is the
     /// caller's job.
     #[inline]
@@ -903,12 +777,12 @@ impl Cpu {
     }
 
     /// Store counterpart of [`Cpu::access_load`], equally shared by
-    /// all engines. `Ok(())` means the store hit RAM; `Err` is the
+    /// both engines. `Ok(())` means the store hit RAM; `Err` is the
     /// exit to surface. Retirement is the caller's job.
     ///
     /// Forced inline: with `Memory`'s write accounting inside it the
-    /// body is past the inliner's own threshold, and a call per store
-    /// costs the block tier ≈ 6 % on dhrystone.
+    /// body is past the inliner's own threshold, and the jit's store
+    /// ops must not pay a call per store.
     #[inline(always)]
     pub(crate) fn access_store(
         &mut self,
@@ -944,7 +818,7 @@ impl Cpu {
         }
     }
 
-    /// The retirement clamp every batching engine enters a batch with:
+    /// The retirement clamp a superblock frame is entered with:
     /// how many instructions may retire before the dispatcher must look
     /// again — the distance to `goal`, and under a live recovery counter
     /// no further than its expiry, so the counter can only expire
@@ -957,15 +831,6 @@ impl Cpu {
         } else {
             to_goal
         }
-    }
-
-    /// Folds a batch of `done` straight-line retirements into the
-    /// architectural state: the PC follows from the block's base, the
-    /// rest is [`Cpu::sync_retire`].
-    #[inline]
-    fn sync_batch(&mut self, base_pc: u32, done: usize) {
-        self.pc = base_pc.wrapping_add(done as u32 * 4);
-        self.sync_retire(done as u64);
     }
 
     /// Folds `done` retirements into the retired count and the recovery
@@ -984,8 +849,8 @@ impl Cpu {
     /// Applies the architectural semantics of one decoded instruction
     /// to the state at the current PC, as privilege 0 would execute it:
     /// no fetch, **no privilege check**. This is the one definition of
-    /// what an instruction does — [`Cpu::step`], the block engine's
-    /// terminators and the jit's assist ops all end here — and the
+    /// what an instruction does — [`Cpu::step`] and the jit's assist
+    /// ops both end here — and the
     /// entry a hypervisor delegates to for every privileged instruction
     /// it does not virtualise. Retires the instruction and returns
     /// [`Exit::Retired`], or returns the exit the embedder must handle
@@ -1533,12 +1398,11 @@ mod tests {
     }
 
     #[test]
-    fn run_consumes_exact_budget_mid_block() {
+    fn run_consumes_exact_budget_mid_straight_line() {
         let (mut cpu, mut mem) = setup("s: nop\n nop\n nop\n nop\n nop\n nop\n halt");
         assert_eq!(cpu.run(&mut mem, 2), Exit::Retired);
         assert_eq!(cpu.retired(), 2);
         assert_eq!(cpu.pc, 8, "budget must stop between instructions");
-        // Resume mid-block: a new (overlapping) block starts at pc.
         assert_eq!(cpu.run(&mut mem, 100), Exit::Halt);
         assert_eq!(cpu.retired(), 6);
     }
@@ -1551,7 +1415,7 @@ mod tests {
         assert_eq!(
             cpu.run(&mut mem, 1000),
             Exit::Trap(Trap::RecoveryCounter),
-            "the counter expires between instructions, never mid-block"
+            "the counter expires between instructions, at the exact count"
         );
         assert_eq!(cpu.retired(), 3);
         cpu.set_ctl(ControlReg::Rctr, 2);
@@ -1560,7 +1424,7 @@ mod tests {
     }
 
     #[test]
-    fn run_reports_pending_interrupt_before_a_block() {
+    fn run_reports_pending_interrupt_before_executing() {
         let (mut cpu, mut mem) = setup("s: nop\n nop\n halt");
         cpu.psw.interrupts = true;
         cpu.set_ctl(ControlReg::Eiem, 0b1);
@@ -1570,64 +1434,54 @@ mod tests {
     }
 
     #[test]
-    fn run_patching_ahead_within_the_same_block() {
-        // The store at address 4 rewrites the instruction at address 20
-        // *in the same straight-line block* before it executes. The
-        // block engine must abandon the predecoded tail and re-fetch,
-        // exactly like the per-step path.
+    fn run_patching_ahead_within_the_same_trace() {
+        // Once the loop is compiled, the store in it rewrites the
+        // instruction *right after it in the same trace*. The jit must
+        // abandon the compiled tail and re-fetch, exactly like the
+        // per-step path: the patched word executes in the very
+        // iteration that wrote it.
         let src = "start:
-                lw   r4, 256(r0)     ; replacement word, poked below
-                sw   r4, 20(r0)      ; patch the insn at address 20
-                addi r5, r0, 1
-                addi r5, r5, 1
-                addi r6, r0, 7       ; address 16 (left alone)
-                addi r6, r0, 7       ; address 20 <- patched to addi r6, r0, 99
+                lw   r4, 768(r0)     ; replacement word, poked below
+                addi r5, r0, 100
+                addi r7, r0, 40
+            loop:
+                addi r5, r5, -1
+                bne  r5, r7, skip
+                sw   r4, 24(r0)      ; iteration 60: patch the insn at `skip`
+            skip:
+                addi r6, r6, 1       ; address 24 <- patched to addi r6, r6, 10
+                bne  r5, r0, loop
                 halt";
         let patched = hvft_isa::codec::encode(Instruction::AluImm {
             op: AluImmOp::Addi,
             rd: Reg::of(6),
-            rs1: Reg::ZERO,
-            imm: 99,
+            rs1: Reg::of(6),
+            imm: 10,
         })
         .unwrap();
-        let run_with = |tier: ExecTier| {
+        let run_tier = |tier: ExecTier| {
             let (mut cpu, mut mem) = setup(src);
-            mem.write_u32(256, patched).unwrap();
+            mem.write_u32(768, patched).unwrap();
             cpu.set_exec_tier(tier);
-            let e = cpu.run(&mut mem, 1000);
-            assert_eq!(e, Exit::Halt);
-            (cpu.reg(Reg::of(6)), cpu.retired())
+            assert_eq!(cpu.run(&mut mem, 1_000_000), Exit::Halt);
+            (cpu.reg(Reg::of(6)), cpu.retired(), cpu.exec_stats())
         };
-        let (blocked, retired_b) = run_with(ExecTier::Block);
-        let (stepped, retired_s) = run_with(ExecTier::Step);
-        assert_eq!(blocked, 99, "patched instruction must be executed");
-        assert_eq!(blocked, stepped);
-        assert_eq!(retired_b, retired_s);
-    }
-
-    #[test]
-    fn run_block_cache_hits_on_loops() {
-        let (mut cpu, mut mem) = setup(
-            "start:
-                addi r5, r0, 50
-            loop:
-                addi r6, r6, 1
-                addi r5, r5, -1
-                bne  r5, r0, loop
-                halt",
+        let (r6_step, retired_step, _) = run_tier(ExecTier::Step);
+        let (r6_jit, retired_jit, stats) = run_tier(ExecTier::Jit);
+        assert_eq!(
+            r6_step,
+            59 + 41 * 10,
+            "patched instruction must be executed"
         );
-        cpu.set_exec_tier(ExecTier::Block);
-        assert_eq!(cpu.run(&mut mem, 100_000), Exit::Halt);
-        assert_eq!(cpu.reg(Reg::of(6)), 50);
-        let stats = cpu.block_cache_stats();
+        assert_eq!((r6_jit, retired_jit), (r6_step, retired_step));
         assert!(
-            stats.hits > 40,
-            "loop iterations must hit the cache: {stats:?}"
+            stats.jit_invalidations >= 1,
+            "the patch must land in compiled code: {stats:?}"
         );
     }
 
     #[test]
-    fn jit_tier_matches_the_other_engines_on_a_hot_loop() {
+    fn jit_tier_matches_the_step_loop_on_a_hot_loop() {
         let src = "start:
                 addi r5, r0, 200
             loop:
@@ -1649,9 +1503,7 @@ mod tests {
             )
         };
         let step = run_tier(ExecTier::Step);
-        let block = run_tier(ExecTier::Block);
         let jit = run_tier(ExecTier::Jit);
-        assert_eq!(step, block);
         assert_eq!(step, jit);
     }
 
@@ -1672,9 +1524,38 @@ mod tests {
         let stats = cpu.exec_stats();
         assert!(stats.superblocks_compiled >= 1, "{stats:?}");
         assert!(
-            stats.jit_retired > stats.block_retired,
+            stats.jit_retired > stats.step_retired,
             "the hot loop must run compiled: {stats:?}"
         );
+    }
+
+    #[test]
+    fn a_cold_run_ends_at_the_page_edge_where_a_trace_starts() {
+        // The loop body falls through from page 0 into page 1. A trace
+        // stops at a page edge no `jal` led it across, so the loop is
+        // two traces and the second starts at the first word of page 1.
+        // The cold run stops there as well, so that address collects
+        // its heat from the first iteration on and both halves compile
+        // together — not the second one sixteen cold iterations later.
+        let (mut cpu, mut mem) = setup(
+            "start:
+                addi r5, r0, 100
+                jal  r0, loop
+            .org 4088
+            loop:
+                addi r6, r6, 1
+                addi r5, r5, -1
+                addi r7, r7, 1       ; address 4096: page 1
+                bne  r5, r0, loop
+                halt",
+        );
+        assert_eq!(cpu.run(&mut mem, 1_000_000), Exit::Halt);
+        assert_eq!((cpu.reg(Reg::of(6)), cpu.reg(Reg::of(7))), (100, 100));
+        let stats = cpu.exec_stats();
+        assert_eq!(stats.superblocks_compiled, 2, "{stats:?}");
+        // Two cold instructions to get here, fifteen cold iterations of
+        // four, and the `halt`'s own cold attempts retire nothing.
+        assert_eq!(stats.step_retired, 2 + 15 * 4, "{stats:?}");
     }
 
     #[test]
@@ -1713,7 +1594,7 @@ mod tests {
     fn jit_self_patching_superblock_is_abandoned_and_recompiled() {
         // Warm the loop so it compiles, then let it patch an
         // instruction *inside its own superblock* ahead of the PC.
-        // Identical architectural results are required on every tier.
+        // Identical architectural results are required on both tiers.
         let src = "start:
                 lw   r4, 768(r0)     ; replacement word, poked below
                 addi r5, r0, 100
@@ -1738,9 +1619,7 @@ mod tests {
             (cpu.reg(Reg::of(6)), cpu.retired())
         };
         let step = run_tier(ExecTier::Step);
-        let block = run_tier(ExecTier::Block);
         let jit = run_tier(ExecTier::Jit);
-        assert_eq!(step, block);
         assert_eq!(step, jit);
         // The patch landed: 1 iteration of +1, 99 of +10.
         assert_eq!(step.0, 1 + 99 * 10);

@@ -1,30 +1,27 @@
 //! Execution tiers and the dispatcher state behind [`Cpu::run`].
 //!
-//! The CPU offers three observably identical ways to execute a budget
-//! of instructions:
+//! The CPU offers two observably identical ways to execute a budget of
+//! instructions:
 //!
 //! - [`ExecTier::Step`] — the reference interpreter: one fetch,
 //!   translate and decode per instruction ([`Cpu::step`] in a loop);
-//! - [`ExecTier::Block`] — predecoded basic blocks ([`crate::block`]):
-//!   one translation and one cache lookup per straight-line run;
 //! - [`ExecTier::Jit`] — threaded-code superblocks ([`crate::jit`]):
 //!   hot code is compiled into chains of pre-specialized handler
 //!   functions with operands resolved at compile time, entered when a
-//!   compiled superblock exists and falling back to the block engine
-//!   on cold paths.
+//!   compiled superblock exists; everywhere else (cold code, faults,
+//!   undecodable starts) it *is* the reference interpreter, stepped to
+//!   the next point a dispatch belongs at.
 //!
 //! "Observably identical" is load-bearing: the paper's protocols
 //! (Bressoud & Schneider §2.1) require epoch boundaries and interrupt
-//! delivery to land at *exact* retirement counts, so every tier clamps
-//! execution to `min(budget, rctr)` and reports the same exits at the
-//! same retirement counts with the same machine state. The three-way
-//! differential oracle in `tests/proptest_step_vs_block.rs` enforces
-//! this.
+//! delivery to land at *exact* retirement counts, so both tiers clamp
+//! execution to `min(budget, rctr)` and report the same exits at the
+//! same retirement counts with the same machine state. The differential
+//! oracle in `tests/proptest_step_vs_block.rs` enforces this.
 //!
 //! [`Cpu::run`]: crate::cpu::Cpu::run
 //! [`Cpu::step`]: crate::cpu::Cpu::step
 
-use crate::block::BlockCache;
 use crate::jit::JitCache;
 use core::fmt;
 use std::str::FromStr;
@@ -35,11 +32,9 @@ use std::str::FromStr;
 pub enum ExecTier {
     /// Single-step reference interpreter (tier 0).
     Step,
-    /// Predecoded basic blocks (tier 1).
-    Block,
-    /// Threaded-code superblock JIT over the block engine (tier 2, the
-    /// default: the fastest tier on every workload the repo benchmark
-    /// runs, and the one all of its timed passes use).
+    /// Threaded-code superblock JIT over the reference interpreter
+    /// (tier 1, the default: the fastest tier on every workload the
+    /// repo benchmark runs, and the one all of its timed passes use).
     #[default]
     Jit,
 }
@@ -48,7 +43,6 @@ impl fmt::Display for ExecTier {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             ExecTier::Step => "step",
-            ExecTier::Block => "block",
             ExecTier::Jit => "jit",
         })
     }
@@ -60,10 +54,9 @@ impl FromStr for ExecTier {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
             "step" => Ok(ExecTier::Step),
-            "block" => Ok(ExecTier::Block),
             "jit" => Ok(ExecTier::Jit),
             other => Err(format!(
-                "unknown exec tier {other:?} (expected step, block or jit)"
+                "unknown exec tier {other:?} (expected step or jit)"
             )),
         }
     }
@@ -75,8 +68,8 @@ impl FromStr for ExecTier {
 /// retired them *inside* [`Cpu::run`](crate::cpu::Cpu::run); the few
 /// instructions the embedder completes from its
 /// [`Assist::exit`](crate::cpu::Assist::exit) hook or between runs
-/// (environment reads, MMIO completions, a hypervisor's emulation on
-/// the step and block tiers) are counted in
+/// (environment reads, MMIO completions, a hypervisor's emulation of
+/// what the step loop trapped on) are counted in
 /// [`Cpu::retired`](crate::cpu::Cpu::retired) but not attributed to a
 /// tier, so the tier counters sum to slightly less than the total.
 ///
@@ -85,10 +78,11 @@ impl FromStr for ExecTier {
 /// and runs are compared on them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Instructions retired by the single-step loop.
+    /// Instructions retired by the single-step loop: all of them under
+    /// [`ExecTier::Step`], the cold ones under [`ExecTier::Jit`].
     pub step_retired: u64,
-    /// Instructions retired by the block engine (including the cold
-    /// fallback path of the jit tier).
+    /// Always zero: no engine increments it (the frozen benchmark sums
+    /// the field, so it stays until its owner drops the reads).
     pub block_retired: u64,
     /// Instructions retired inside compiled superblocks, the ones an
     /// assist op handed to the embedder in-frame included.
@@ -115,8 +109,8 @@ pub struct ExecStats {
     /// Calls of [`Cpu::run`](crate::cpu::Cpu::run) /
     /// [`Cpu::run_with`](crate::cpu::Cpu::run_with).
     pub run_entries: u64,
-    /// Turns of the dispatcher loop of a batching tier: superblocks
-    /// entered from outside a frame plus blocks dispatched.
+    /// Turns of the jit tier's dispatcher loop: superblocks entered
+    /// from outside a frame plus cold runs stepped.
     pub dispatches: u64,
     /// Times the superblock executor left one trace for the address
     /// the PC went to *without* leaving its frame — translate, look the
@@ -126,17 +120,30 @@ pub struct ExecStats {
     pub chain_hops: u64,
 }
 
-/// Dispatcher state owned by the CPU: the selected tier plus the caches
-/// of both batching engines. Kept in one boxed struct so
+/// Dispatcher state owned by the CPU: the selected tier plus the
+/// superblock cache. Kept in one boxed struct so
 /// [`Cpu::run`](crate::cpu::Cpu::run) can lift it out of the CPU by
-/// pointer while executing (blocks are borrowed from the caches while
-/// `execute` borrows the CPU) and put it back on the way out — an
+/// pointer while executing (superblocks are borrowed from the cache
+/// while `execute` borrows the CPU) and put it back on the way out — an
 /// embedder that emulates a trap and re-enters pays no allocation and
 /// no copy for it.
 #[derive(Debug, Default)]
 pub struct ExecDispatcher {
     pub(crate) tier: ExecTier,
-    pub(crate) blocks: BlockCache,
     pub(crate) jit: JitCache,
     pub(crate) stats: ExecStats,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn tier_names_round_trip_and_an_unknown_one_lists_them() {
+        for tier in [ExecTier::Step, ExecTier::Jit] {
+            assert_eq!(tier.to_string().parse(), Ok(tier));
+        }
+        let err = "block".parse::<ExecTier>().unwrap_err();
+        assert!(err.contains("step") && err.contains("jit"), "{err}");
+    }
 }

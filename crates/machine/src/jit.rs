@@ -1,4 +1,4 @@
-//! Tier-2 execution: template-compiled superblocks.
+//! The jit tier: template-compiled superblocks.
 //!
 //! A `SuperBlock` is the unit of compiled code: a run of consecutive
 //! instruction words starting at a physical fetch address, translated
@@ -12,8 +12,8 @@
 //! (op index, budget, register-file base) lives in machine registers
 //! across ops.
 //!
-//! Superblocks are larger than the basic blocks of [`crate::block`]:
-//! compilation is a *trace* — it continues through conditional
+//! Superblocks are larger than basic blocks: compilation is a *trace*
+//! — it continues through conditional
 //! branches (the not-taken path falls through to the next op) and
 //! follows the static target of unconditional `jal`s, so a call and
 //! its callee compile into one superblock. Each op records its own
@@ -61,7 +61,7 @@
 //! entry, and without the wiring every spin iteration would leave
 //! through `chain!` — translate, look up, re-enter the same trace.
 //!
-//! Unlike basic blocks, a trace may **cross pages**: a `jal` whose
+//! A trace may **cross pages**: a `jal` whose
 //! target lies in another page (up to `MAX_TRACE_PAGES` per trace)
 //! extends the trace when that page translates executably *right
 //! now*, and the trace records the secondary page as a
@@ -86,10 +86,22 @@
 //!
 //! # Exactness
 //!
-//! The engine preserves the paper's Instruction-Stream Interrupt
-//! Assumption by construction, extending the argument in
-//! [`crate::block`] from basic blocks to superblocks:
+//! The paper's protocols depend on interrupts being deliverable at an
+//! *exact* point in the guest instruction stream (§2.1: epochs end
+//! after precisely `epoch_len` retired instructions, and interrupts are
+//! delivered only at those boundaries). Batching execution must not
+//! smear those points, so the engine preserves the Instruction-Stream
+//! Interrupt Assumption by construction — equivalent to single-stepping
+//! **instruction for instruction**, not merely "close" — and wherever
+//! it has no compiled code it does not batch at all: the dispatcher's
+//! cold path is [`Cpu::step`] itself (`Cpu::step_cold`), the reference
+//! semantics and every one of its per-instruction checks.
 //!
+//! - **physical keys**: superblocks are keyed by physical fetch
+//!   address, so TLB refills, replacement-policy non-determinism and
+//!   remappings can never make compiled code stale — the same physical
+//!   words are the same trace — and staleness has exactly one source,
+//!   the backing RAM changing under a decoded word (below);
 //! - **retirement clamp**: a frame holds a budget of
 //!   `min(goal − retired, rctr)` and executes at most that many ops,
 //!   each retiring exactly one instruction; internal loop iterations
@@ -116,7 +128,7 @@
 //!   per-step path with the PC on the faulting instruction and no
 //!   retirement, by routing loads and stores through the same
 //!   `access_load`/`access_store` helpers, and assist ops through the
-//!   same `execute`, the other engines use;
+//!   same `execute`, the step loop uses;
 //! - **self-modifying code**: the compiler registers every word it
 //!   reads — the one that ended the trace included — with
 //!   [`Memory::note_decoded`], and a superblock records the *code*
@@ -130,13 +142,13 @@
 //!   whose embedder may have written memory — re-checks all of the
 //!   superblock's pages so a trace that patches any page it was
 //!   compiled from — its own or a cross-page callee's, an assist op's
-//!   word like any other — abandons its compiled tail exactly like the
-//!   block engine does;
+//!   word like any other — abandons its compiled tail and re-fetches
+//!   the patched words like the per-step path would;
 //! - **cross-page entry validation**: a secondary page's translation
 //!   is re-checked against the recorded physical page on every entry,
 //!   so a TLB remap, purge or privilege change makes the trace
-//!   unreachable (the block engine then takes the exact fault, if
-//!   any, at the exact instruction the per-step path would).
+//!   unreachable (the cold path then takes the exact fault, if any,
+//!   at the exact instruction — it is the per-step path).
 
 use crate::cpu::{alu_imm_value, alu_value, Assist, Cpu, Exit, Resume};
 use crate::exec::ExecStats;
@@ -154,7 +166,8 @@ use std::collections::HashMap;
 pub(crate) const PROMOTE_THRESHOLD: u32 = 16;
 
 /// Cap on compiled superblocks; crossing it clears the cache wholesale
-/// (same rationale as the block cache's cap).
+/// (the working set of real guests is far below this — the cap only
+/// guards pathological trace fragmentation from eating memory).
 const MAX_SUPERBLOCKS: usize = 4096;
 
 /// Cap on tracked cold addresses before the heat table is reset.
@@ -162,7 +175,8 @@ const MAX_HEAT_ENTRIES: usize = 1 << 16;
 
 /// Slots in the direct-mapped front table (power of two).
 const FRONT_SLOTS: usize = 128;
-/// Front tag marking an empty slot (no RAM block address collides).
+/// Front tag marking an empty slot. Code is only compiled from RAM,
+/// which lies below the I/O window, so no entry address collides.
 const FRONT_EMPTY: u32 = u32::MAX;
 
 /// Branch-wiring sentinel: the target is outside the compiled span.
@@ -348,8 +362,8 @@ pub(crate) struct SuperBlock {
 
 impl SuperBlock {
     /// Empty marker for an address that does not compile — its word
-    /// does not decode — until the word changes: the block engine owns
-    /// it and raises the exact trap. `compile` registered the word when
+    /// does not decode — until the word changes: the cold path owns it
+    /// and raises the exact trap. `compile` registered the word when
     /// it read and rejected it, so `gen` moves when it is overwritten.
     fn marker(paddr: u32, gen: u64) -> SuperBlock {
         SuperBlock {
@@ -787,9 +801,9 @@ impl JitCache {
     ///
     /// Each op body routes through the same shared semantics helpers
     /// (`alu_value`, `alu_imm_value`, `access_load`, `access_store`,
-    /// `execute`) as the step and block engines, with the operation
-    /// passed as a constant that folds away after inlining — so the
-    /// three engines cannot drift.
+    /// `execute`) as the step loop, with the operation passed as a
+    /// constant that folds away after inlining — so the two engines
+    /// cannot drift.
     pub(crate) fn run_chain(
         &self,
         start: u32,
@@ -1135,7 +1149,7 @@ pub(crate) enum Lookup {
     /// (resolve it with [`JitCache::get`]); execute it.
     Compiled(u32),
     /// No compiled code here (cold, not yet hot, or uncompilable):
-    /// the caller falls back to the block engine.
+    /// the caller steps the reference interpreter.
     Cold,
 }
 
@@ -1278,9 +1292,8 @@ impl JitCache {
                 // trace was compiled from (a remap, a purge, or a
                 // privilege change). The code itself is intact, so keep
                 // the trace — the mapping usually comes back — and let
-                // the block engine own this entry meanwhile; it takes
-                // the exact fault, if any, where the per-step path
-                // would.
+                // the cold path own this entry meanwhile; it takes the
+                // exact fault, if any, being the per-step path.
                 None => Lookup::Cold,
             };
         }
@@ -1295,7 +1308,7 @@ impl JitCache {
         }
         self.heat.remove(&paddr);
         // An uncompilable start (an unreadable or undecodable first
-        // word) caches a marker, so the block engine owns the address
+        // word) caches a marker, so the cold path owns the address
         // without compilation being re-attempted.
         let sb = compile_or_marker(paddr, gen, cpu, mem, stats);
         if self.arena.len() >= MAX_SUPERBLOCKS {

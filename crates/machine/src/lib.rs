@@ -22,7 +22,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod block;
 pub mod cpu;
 pub mod exec;
 pub mod hash;
@@ -34,7 +33,6 @@ pub mod statehash;
 pub mod tlb;
 pub mod trap;
 
-pub use block::{BlockCache, BlockCacheStats, DecodedBlock};
 pub use cpu::{Assist, Cpu, EnvOp, Exit, LoadProgram, Resume};
 pub use exec::{ExecStats, ExecTier};
 pub use mem::{MemFault, Memory, IO_BASE, IO_SIZE, PAGE_SHIFT, PAGE_SIZE};

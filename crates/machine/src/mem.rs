@@ -54,7 +54,7 @@ impl CodePage {
         }
     }
 
-    /// Forgets the extent and kills every block cached under it.
+    /// Forgets the extent and kills every trace cached under it.
     fn invalidate(&mut self) {
         *self = CodePage {
             gen: self.gen + 1,
@@ -122,24 +122,24 @@ pub struct Memory {
     /// [`MemSnapshot`]: crate::snapshot::MemSnapshot
     page_gens: Vec<u64>,
     /// Per-page *code* generation and decoded-byte extent, read only by
-    /// the block and superblock caches ([`Memory::code_gen`]): a cached
-    /// block records its pages' code generations when it is decoded and
-    /// is stale once any of them moved. A write bumps the counter
-    /// **iff it overlaps bytes that were decoded into a cached block or
-    /// trace** — the page's `[lo, hi)` extent, which the decoders grow
-    /// through [`Memory::note_decoded`] for every word they read
-    /// (the word that ended a block included: patching it would make
-    /// the block longer). The extent is empty for a page nothing was
-    /// decoded from, so a store there pays one load and one compare,
-    /// and it only ever grows, so it covers every block still cached,
-    /// whenever that block was built.
+    /// the superblock cache ([`Memory::code_gen`]): a cached trace
+    /// records its pages' code generations when it is compiled and is
+    /// stale once any of them moved. A write bumps the counter **iff it
+    /// overlaps bytes that were decoded into a cached trace** — the
+    /// page's `[lo, hi)` extent, which the compiler grows through
+    /// [`Memory::note_decoded`] for every word it reads (the word that
+    /// ended a trace included: patching it would make the trace
+    /// longer). The extent is empty for a page nothing was decoded
+    /// from, so a store there pays one load and one compare, and it
+    /// only ever grows, so it covers every trace still cached, whenever
+    /// that trace was built.
     ///
     /// Derived state, like the digest cache: not snapshotted, not
     /// hashed, not on the wire, and — since it follows what the
     /// selected tier happened to decode — not tier-invariant.
     /// [`Memory::reset`] and [`Memory::restore`] replace the bytes
     /// wholesale, so they empty every extent and bump every counter
-    /// (a cache that outlived them finds all of its blocks stale and
+    /// (a cache that outlived them finds all of its traces stale and
     /// re-registers what it rebuilds). `Clone` copies both: the clone
     /// holds the same bytes, so the same cached code is valid against
     /// it, and writes to it are judged by the same extents.
@@ -151,7 +151,7 @@ pub struct Memory {
     /// an equal generation means unchanged bytes. That inference does
     /// **not** survive [`Memory::restore`], which installs foreign bytes
     /// *and* foreign generations — the cache is dropped there. Derived
-    /// state like the block caches: never snapshotted, never on the
+    /// state like the superblock cache: never snapshotted, never on the
     /// wire, and invisible in the digest's value. Filled through `&self`
     /// (a `Memory` is moved between threads, never shared).
     digests: Vec<Cell<CachedDigest>>,
@@ -207,9 +207,9 @@ impl Memory {
 
     /// Code generation of the page containing `paddr`: moves when a
     /// write overlaps bytes of the page that were passed to
-    /// [`Memory::note_decoded`]. The block and superblock caches record
-    /// it *before* decoding and compare it on every entry. Returns 0
-    /// for addresses outside RAM (no blocks are ever cached there).
+    /// [`Memory::note_decoded`]. The superblock cache records it
+    /// *before* decoding and compares it on every entry. Returns 0 for
+    /// addresses outside RAM (no code is ever cached from there).
     #[inline]
     pub fn code_gen(&self, paddr: u32) -> u64 {
         self.code
@@ -218,7 +218,7 @@ impl Memory {
     }
 
     /// Registers the instruction word at `paddr` (4-aligned, so it lies
-    /// in one page) as decoded into a cached block or trace: from now
+    /// in one page) as decoded into a cached trace: from now
     /// on a write that overlaps it moves its page's
     /// [`code_gen`](Memory::code_gen). A no-op outside RAM.
     #[inline]
@@ -252,7 +252,7 @@ impl Memory {
     }
 
     /// Zeroes all RAM in place (keeping the allocation), bumps every
-    /// page generation and kills every cached block over the old
+    /// page generation and kills every cached trace over the old
     /// contents.
     pub fn reset(&mut self) {
         self.ram.fill(0);
@@ -557,7 +557,7 @@ mod tests {
         let g = m.page_gen(16);
         m.reset();
         assert_eq!(m.read_u32(16), Ok(0));
-        assert_ne!(m.page_gen(16), g, "reset must invalidate cached blocks");
+        assert_ne!(m.page_gen(16), g, "reset must invalidate cached traces");
         assert_eq!(m.size(), 2 * PAGE_SIZE as usize);
     }
 
@@ -750,13 +750,13 @@ mod tests {
         let snap = m.snapshot();
         let code = m.code_gen(lo);
         m.reset();
-        assert_eq!(m.code_gen(lo), code + 1, "reset kills cached blocks");
+        assert_eq!(m.code_gen(lo), code + 1, "reset kills cached traces");
         m.write_u32(lo, 1).unwrap();
         assert_eq!(m.code_gen(lo), code + 1, "the extent is empty again");
         m.note_decoded(lo);
         let clean = m.code_gen(0);
         m.restore(&snap);
-        assert_eq!(m.code_gen(lo), code + 2, "restore kills cached blocks");
+        assert_eq!(m.code_gen(lo), code + 2, "restore kills cached traces");
         assert_eq!(m.code_gen(0), clean + 1, "on every page");
         m.write_u32(lo, 1).unwrap();
         assert_eq!(m.code_gen(lo), code + 2, "the extent is empty again");

@@ -12,15 +12,15 @@
 //!   replacement RNG state, plus the hit/miss counters
 //!   ([`TlbSnapshot`]).
 //!
-//! **Derived** state is deliberately absent: the decoded-block arena,
-//! the JIT superblock cache, the TLB front cache and `Memory`'s
-//! per-page state-digest cache, code generations and decoded-byte
-//! extents are all rebuilt from scratch after a restore. They are pure accelerations of the canonical state, so
-//! dropping them changes *when* recompilation (or rehashing) happens
-//! but never *what* the machine computes or what
+//! **Derived** state is deliberately absent: the JIT superblock cache,
+//! the TLB front cache and `Memory`'s per-page state-digest cache,
+//! code generations and decoded-byte extents are all rebuilt from
+//! scratch after a restore. They are pure accelerations of the
+//! canonical state, so dropping them changes *when* recompilation (or
+//! rehashing) happens but never *what* the machine computes or what
 //! [`vm_state_hash`](crate::statehash::vm_state_hash) returns — the
 //! snapshot proptests (`tests/proptest_snapshot.rs`) pin this down
-//! across all three execution tiers. The digest cache *must* go: it is
+//! on both execution tiers. The digest cache *must* go: it is
 //! keyed by write generation, and a restore installs another machine's
 //! generations along with its bytes. Per-tier retirement attribution in
 //! [`ExecStats`] is carried through so reports stay continuous, even

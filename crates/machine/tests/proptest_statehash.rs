@@ -25,7 +25,7 @@ use hvft_machine::tlb::TlbReplacement;
 use hvft_machine::LoadProgram;
 use proptest::prelude::*;
 
-const TIERS: [ExecTier; 3] = [ExecTier::Step, ExecTier::Block, ExecTier::Jit];
+const TIERS: [ExecTier; 2] = [ExecTier::Step, ExecTier::Jit];
 const PAGES: u32 = 16;
 const RAM: u32 = PAGES * PAGE_SIZE;
 /// The guest owns pages 0–2; the test's own writes stay above them so
@@ -162,8 +162,8 @@ fn arb_op() -> impl Strategy<Value = Op> {
         Just(Op::Clone),
         // Listed twice: guest execution and cache warming carry the
         // property, so they get twice the weight of the other arms.
-        (0usize..3, 1u64..600).prop_map(|(tier, budget)| Op::Run { tier, budget }),
-        (0usize..3, 1u64..600).prop_map(|(tier, budget)| Op::Run { tier, budget }),
+        (0usize..2, 1u64..600).prop_map(|(tier, budget)| Op::Run { tier, budget }),
+        (0usize..2, 1u64..600).prop_map(|(tier, budget)| Op::Run { tier, budget }),
         Just(Op::Hash),
         Just(Op::Hash),
     ]
@@ -239,7 +239,7 @@ proptest! {
         }
     }
 
-    // The three tiers reach the same digest through different store
+    // The two tiers reach the same digest through different store
     // paths, with the cache warmed at different points on each.
     #[test]
     fn digest_is_tier_and_warmth_invariant(

@@ -21,11 +21,7 @@ use hvft::guest::workload::names;
 
 fn tier_summary(x: &ExecStats) -> String {
     let mut parts = Vec::new();
-    for (label, n) in [
-        ("step", x.step_retired),
-        ("block", x.block_retired),
-        ("jit", x.jit_retired),
-    ] {
+    for (label, n) in [("step", x.step_retired), ("jit", x.jit_retired)] {
         if n > 0 {
             parts.push(format!("{label} {n}"));
         }
@@ -123,7 +119,10 @@ fn main() {
     let mut selected = Vec::new();
     for a in args {
         if let Some(t) = a.strip_prefix("--tier=") {
-            tier = t.parse().unwrap_or_else(|e| panic!("{e}"));
+            tier = t.parse().unwrap_or_else(|e| {
+                eprintln!("{e}\nusage: run_workload [--tier=step|jit] [WORKLOAD...]");
+                std::process::exit(2)
+            });
         } else {
             selected.push(a);
         }

@@ -1,6 +1,6 @@
 //! Replays the checked-in `corpus/` of hvft-lang regression programs.
 //!
-//! Every `corpus/*.hvft` file is compiled, booted bare under all three
+//! Every `corpus/*.hvft` file is compiled, booted bare under both
 //! execution tiers, and the observable outcome (exit code, retired
 //! count, console stream, diag pairs, final state hash) must be
 //! tier-invariant. Unless a program opts out with `//@ tiers-only`,
@@ -125,7 +125,7 @@ fn corpus_replays_identically_across_tiers_and_oracles() {
             .unwrap_or_else(|e| panic!("{name}: image does not build: {e}"));
 
         let (mut outcomes, mut hosts) = (Vec::new(), Vec::new());
-        for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+        for tier in [ExecTier::Step, ExecTier::Jit] {
             let mut host = BareHost::new(&image, CostModel::functional(), RAM_BYTES, 32, 7);
             host.set_exec_tier(tier);
             let r = host.run(FUEL);

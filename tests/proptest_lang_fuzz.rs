@@ -6,8 +6,8 @@
 //! is the ground-truth oracle: every generated program is compiled to
 //! a bootable guest image and must behave **bit-identically** across
 //!
-//! - the three execution tiers ([`ExecTier::Step`], [`ExecTier::Block`],
-//!   [`ExecTier::Jit`]) run straight to completion on a [`BareHost`];
+//! - the two execution tiers ([`ExecTier::Step`], [`ExecTier::Jit`])
+//!   run straight to completion on a [`BareHost`];
 //! - the same tiers driven through *epoch-length event windows* —
 //!   seed-drawn small cumulative `run(limit)` chunks, the way the
 //!   replication protocol actually drives a virtual machine;
@@ -112,7 +112,7 @@ fn run_chunked(image: &Program, tier: ExecTier, seed: u64, fuel: u64) -> Observe
     }
 }
 
-/// The full three-tier oracle for one generated seed.
+/// The full two-tier oracle for one generated seed.
 ///
 /// Interrupt-free programs (no disk ops) must halt within [`FUEL`];
 /// disk programs spend most of their retirement budget idle-waiting
@@ -132,24 +132,20 @@ fn assert_tiers_agree(seed: u64, cfg: &GenConfig) -> Observed {
         reference.exit
     );
 
-    for tier in [ExecTier::Block, ExecTier::Jit] {
-        let straight = run_straight(&image, tier, fuel);
-        assert_eq!(
-            straight, reference,
-            "seed {seed}: {tier} straight run diverged"
-        );
-    }
+    let straight = run_straight(&image, ExecTier::Jit, fuel);
+    assert_eq!(
+        straight, reference,
+        "seed {seed}: jit straight run diverged"
+    );
 
-    // Epoch-window oracle: all three tiers driven through the *same*
+    // Epoch-window oracle: both tiers driven through the *same*
     // seed-drawn window schedule must stay bit-identical.
     let step_windowed = run_chunked(&image, ExecTier::Step, seed, fuel);
-    for tier in [ExecTier::Block, ExecTier::Jit] {
-        let windowed = run_chunked(&image, tier, seed, fuel);
-        assert_eq!(
-            windowed, step_windowed,
-            "seed {seed}: {tier} epoch-window run diverged from stepped windows"
-        );
-    }
+    let windowed = run_chunked(&image, ExecTier::Jit, seed, fuel);
+    assert_eq!(
+        windowed, step_windowed,
+        "seed {seed}: jit epoch-window run diverged from stepped windows"
+    );
     // Window-schedule *invariance* (windowed ≡ straight) only holds
     // for interrupt-free programs: an async disk-completion interrupt
     // is polled between dispatch units, so the instruction it lands on
@@ -195,7 +191,7 @@ fn assert_interpreter_parity(seed: u64, cfg: &GenConfig, machine: &Observed) {
 }
 
 // The headline oracle: 64 distinct generated programs per run, each
-// checked across all three tiers (straight and windowed) and against
+// checked across both tiers (straight and windowed) and against
 // the reference interpreter.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
@@ -208,7 +204,7 @@ proptest! {
 }
 
 // Disk-enabled programs exercise DMA, the block device, and the
-// kernel's IO gates; the three tiers must still agree (the
+// kernel's IO gates; the two tiers must still agree (the
 // interpreter's device model is checked separately in `hvft-lang`'s
 // own suite).
 proptest! {

@@ -48,7 +48,7 @@ use hvft_core::scenario::{RunReport, Scenario, ScenarioBuilder};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
-const TIERS: [ExecTier; 3] = [ExecTier::Step, ExecTier::Block, ExecTier::Jit];
+const TIERS: [ExecTier; 2] = [ExecTier::Step, ExecTier::Jit];
 
 // ---------------------------------------------------------------------
 // Machine level: mid-run capture of a hot, self-modifying guest
@@ -130,7 +130,7 @@ proptest! {
     // restoree.
     #[test]
     fn mid_run_snapshot_restores_bit_identically(
-        tier_idx in 0usize..3,
+        tier_idx in 0usize..2,
         iters in 40u32..150,
         trigger_frac in 1u32..1000,
         split_frac in 1u64..1000,
@@ -629,22 +629,21 @@ fn reintegration_is_execution_tier_invariant() {
         base_marks.windows(2).all(|w| w[0].1 <= w[1].1),
         "hooks fire in simulated-time order: {base_marks:?}"
     );
-    for tier in [ExecTier::Block, ExecTier::Jit] {
-        let (r, marks) = run(tier);
-        assert_rejoin_arc(&r, &format!("{tier}"));
-        assert_eq!(marks, base_marks, "{tier}: observer timeline");
-        assert_eq!(
-            r.reintegrations[0].epoch, base.reintegrations[0].epoch,
-            "{tier}: reintegration epoch"
-        );
-        assert_eq!(
-            r.reintegrations[0].at, base.reintegrations[0].at,
-            "{tier}: reintegration instant"
-        );
-        assert_eq!(r.failovers[0].epoch, base.failovers[0].epoch, "{tier}");
-        assert_eq!(r.failovers[1].epoch, base.failovers[1].epoch, "{tier}");
-        assert_eq!(r.completion_time, base.completion_time, "{tier}");
-    }
+    let tier = ExecTier::Jit;
+    let (r, marks) = run(tier);
+    assert_rejoin_arc(&r, &format!("{tier}"));
+    assert_eq!(marks, base_marks, "{tier}: observer timeline");
+    assert_eq!(
+        r.reintegrations[0].epoch, base.reintegrations[0].epoch,
+        "{tier}: reintegration epoch"
+    );
+    assert_eq!(
+        r.reintegrations[0].at, base.reintegrations[0].at,
+        "{tier}: reintegration instant"
+    );
+    assert_eq!(r.failovers[0].epoch, base.failovers[0].epoch, "{tier}");
+    assert_eq!(r.failovers[1].epoch, base.failovers[1].epoch, "{tier}");
+    assert_eq!(r.completion_time, base.completion_time, "{tier}");
 }
 
 /// The processor-level events of a run, as the [`Observer`] hooks

@@ -1,24 +1,25 @@
-//! Differential tests: the three execution tiers against each other.
+//! Differential tests: the two execution tiers against each other.
 //!
-//! `Cpu::run` under every [`ExecTier`] — the single-step reference
-//! interpreter, the predecoded-block engine, and the threaded-code
-//! superblock jit — must be **observably identical**: same retired
+//! `Cpu::run` under both [`ExecTier`]s — the single-step reference
+//! interpreter and the threaded-code superblock jit (which steps that
+//! same interpreter wherever it has compiled nothing) — must be
+//! **observably identical**: same retired
 //! counts, same machine-state hashes, same trap sequences at the same
 //! instruction-stream points, same console bytes. This file proves it
 //! four ways:
 //!
 //! - **bare differential**: every guest workload runs to completion on
-//!   three [`BareHost`]s, one per tier, compared chunk by chunk;
+//!   two [`BareHost`]s, one per tier, compared chunk by chunk;
 //! - **hypervised differential**: the same workloads run under the full
 //!   replicated [`FtSystem`] once per tier (including across a
 //!   failover), and the entire observable outcome (checksums, epoch
 //!   counts, simulated times, console, disk log) must match — this
 //!   exercises privileged simulation, trap reflection, TLB management
-//!   and epoch delimitation over the batching engines;
-//! - **registry sweep**: every registered workload runs bare under all
-//!   three tiers with bit-identical exit codes and console streams;
+//!   and epoch delimitation over the batching engine;
+//! - **registry sweep**: every registered workload runs bare under both
+//!   tiers with bit-identical exit codes and console streams;
 //! - **instruction-soup proptest**: randomized code (valid, privileged,
-//!   trapping and garbage words mixed) driven through all tiers with
+//!   trapping and garbage words mixed) driven through both tiers with
 //!   traps delivered bare-metal style, comparing the full event
 //!   sequence and final state hash;
 //! - **hot loops of assist ops**: the soup's privileged words are cold
@@ -33,9 +34,9 @@
 //!   event, the consumed time and its split, `nsim`, the reflections,
 //!   the retirement count and the state hash.
 //!
-//! Self-modifying code gets its own section: a guest that patches a
-//! block the engines have already cached (and, for the jit, a compiled
-//! superblock mid-hot-loop) must behave exactly like the interpreter.
+//! Self-modifying code gets its own section: a guest that patches code
+//! the jit has already compiled — on every pass, or once mid-hot-loop —
+//! must behave exactly like the interpreter.
 
 mod common;
 
@@ -78,7 +79,7 @@ fn assert_bare_equivalent(
         h
     };
     let mut stepped = mk(ExecTier::Step);
-    let mut others = [mk(ExecTier::Block), mk(ExecTier::Jit)];
+    let mut jitted = mk(ExecTier::Jit);
     // Compare at chunk boundaries so a divergence is localized to
     // within `chunk` instructions of where it first occurred.
     let chunk = 10_000u64;
@@ -87,34 +88,28 @@ fn assert_bare_equivalent(
     loop {
         limit += chunk;
         let rb = stepped.run(limit);
-        for host in &mut others {
-            let tier = host.exec_tier();
-            let ra = host.run(limit);
-            assert_eq!(
-                ra.exit, rb.exit,
-                "{name}/{tier}: exits diverged at limit {limit}"
-            );
-            assert_eq!(
-                ra.retired, rb.retired,
-                "{name}/{tier}: retired counts diverged at limit {limit}"
-            );
-            assert_eq!(ra.diags, rb.diags, "{name}/{tier}: diag streams diverged");
-            assert_eq!(
-                ra.time, rb.time,
-                "{name}/{tier}: simulated time diverged at limit {limit}"
-            );
-            assert_eq!(
-                same_vm_state((&host.cpu, &host.mem), (&stepped.cpu, &stepped.mem)),
-                Ok(()),
-                "{name}/{tier}: state hashes diverged at {} retired",
-                ra.retired
-            );
-            assert_eq!(
-                host.console.output_string(),
-                stepped.console.output_string(),
-                "{name}/{tier}: console bytes diverged"
-            );
-        }
+        let ra = jitted.run(limit);
+        assert_eq!(ra.exit, rb.exit, "{name}: exits diverged at limit {limit}");
+        assert_eq!(
+            ra.retired, rb.retired,
+            "{name}: retired counts diverged at limit {limit}"
+        );
+        assert_eq!(ra.diags, rb.diags, "{name}: diag streams diverged");
+        assert_eq!(
+            ra.time, rb.time,
+            "{name}: simulated time diverged at limit {limit}"
+        );
+        assert_eq!(
+            same_vm_state((&jitted.cpu, &jitted.mem), (&stepped.cpu, &stepped.mem)),
+            Ok(()),
+            "{name}: state hashes diverged at {} retired",
+            ra.retired
+        );
+        assert_eq!(
+            jitted.console.output_string(),
+            stepped.console.output_string(),
+            "{name}: console bytes diverged"
+        );
         if rb.exit != BareExit::InstructionLimit {
             break;
         }
@@ -139,7 +134,7 @@ fn bare_hello_is_engine_invariant() {
         tick_work: 0,
         ..KernelConfig::default()
     };
-    assert_bare_equivalent("hello", &hello_source("block vs step\n", 2), &kcfg, |_| {});
+    assert_bare_equivalent("hello", &hello_source("jit vs step\n", 2), &kcfg, |_| {});
 }
 
 #[test]
@@ -180,20 +175,22 @@ fn bare_mixed_is_engine_invariant() {
 }
 
 // ---------------------------------------------------------------------
-// Self-modifying guest code (the riskiest block-cache path)
+// Self-modifying guest code (the riskiest code-cache path)
 // ---------------------------------------------------------------------
 
 /// A bare-metal guest that executes a code sequence, then patches one
-/// of its instructions *after it was executed (and cached)*, and runs
-/// it again: iteration 1 executes `addi r20, r20, 1`, every later
-/// iteration must execute the patched `addi r20, r20, 100`.
+/// of its instructions *after it was executed*, and runs it again:
+/// iteration 1 executes `addi r20, r20, 1`, every later iteration must
+/// execute the patched `addi r20, r20, 100`. The store repeats on every
+/// pass, so once the routine is hot each pass writes into the trace
+/// compiled from it.
 const SMC_GUEST: &str = ".org 0
 start:
-    addi r22, r0, 5          ; loop counter
+    addi r22, r0, 40         ; loop counter
     lw   r21, 512(r0)        ; replacement word (poked by the test)
 outer:
     jal  ra, patchable
-    ; after the first pass, overwrite the instruction at `slot`
+    ; after every pass, overwrite the instruction at `slot`
     sw   r21, 48(r0)
     addi r22, r22, -1
     bne  r22, r0, outer
@@ -207,7 +204,7 @@ slot:
 ";
 
 #[test]
-fn self_modifying_guest_invalidates_the_block_cache() {
+fn self_modifying_guest_invalidates_the_code_cache() {
     let patched = encode(Instruction::AluImm {
         op: AluImmOp::Addi,
         rd: Reg::of(20),
@@ -224,30 +221,28 @@ fn self_modifying_guest_invalidates_the_block_cache() {
         (r, host)
     };
     let (rb, host_b) = run(ExecTier::Step);
-    for tier in [ExecTier::Block, ExecTier::Jit] {
-        let (ra, host_a) = run(tier);
-        assert!(matches!(ra.exit, BareExit::Halted { .. }), "{:?}", ra.exit);
-        assert_eq!(ra.exit, rb.exit, "{tier}");
-        assert_eq!(ra.retired, rb.retired, "{tier}");
-        assert_eq!(
-            same_vm_state((&host_a.cpu, &host_a.mem), (&host_b.cpu, &host_b.mem)),
-            Ok(()),
-            "self-modifying code must behave identically on every engine ({tier})"
-        );
-        // 5 passes: 1 original (+1), 4 patched (+100 each).
-        assert_eq!(host_a.cpu.reg(Reg::of(20)), 1 + 4 * 100);
-        let stats = host_a.cpu.block_cache_stats();
-        assert!(
-            stats.invalidations >= 1,
-            "patching a cached block must invalidate it ({tier}): {stats:?}"
-        );
-    }
+    let (ra, host_a) = run(ExecTier::Jit);
+    assert!(matches!(ra.exit, BareExit::Halted { .. }), "{:?}", ra.exit);
+    assert_eq!(ra.exit, rb.exit);
+    assert_eq!(ra.retired, rb.retired);
+    assert_eq!(
+        same_vm_state((&host_a.cpu, &host_a.mem), (&host_b.cpu, &host_b.mem)),
+        Ok(()),
+        "self-modifying code must behave identically on both engines"
+    );
+    // 40 passes: 1 original (+1), 39 patched (+100 each).
+    assert_eq!(host_a.cpu.reg(Reg::of(20)), 1 + 39 * 100);
+    let x = host_a.exec_stats();
+    assert!(
+        x.jit_invalidations >= 1,
+        "patching a compiled trace must invalidate it: {x:?}"
+    );
 }
 
 /// Like [`SMC_GUEST`], but hot: the patchable routine is called 60
 /// times, far past the jit's promotion threshold, and the patch lands
 /// mid-run (when the counter reaches 30) — so it overwrites code inside
-/// a *compiled superblock*, not just a predecoded block.
+/// a *compiled superblock* exactly once.
 const SMC_HOT_GUEST: &str = ".org 0
 start:
     addi r22, r0, 60         ; loop counter
@@ -460,7 +455,7 @@ fn a_store_from_inside_a_cross_page_superblock_kills_its_own_trace() {
 }
 
 // ---------------------------------------------------------------------
-// Hypervised differential: the whole replicated system, block on/off
+// Hypervised differential: the whole replicated system, once per tier
 // ---------------------------------------------------------------------
 
 fn ft_outcome(
@@ -486,47 +481,46 @@ fn assert_ft_equivalent(
     let image = build_image(kcfg, user).expect("image builds");
     let b = ft_outcome(&image, base, ExecTier::Step);
     assert!(b.lockstep_clean, "{name}: step run diverged");
-    for tier in [ExecTier::Block, ExecTier::Jit] {
-        let a = ft_outcome(&image, base, tier);
-        assert_eq!(a.exit, b.exit, "{name}/{tier}: outcomes diverged");
-        assert_eq!(
-            a.completion_time, b.completion_time,
-            "{name}/{tier}: completion times diverged"
-        );
-        assert_eq!(a.console, b.console, "{name}/{tier}: console bytes");
-        assert_eq!(
-            a.console_hosts, b.console_hosts,
-            "{name}/{tier}: console hosts"
-        );
-        assert_eq!(a.disk_log, b.disk_log, "{name}/{tier}: disk logs diverged");
-        assert_eq!(a.guest_retries, b.guest_retries, "{name}/{tier}: retries");
-        assert_eq!(
-            a.messages_per_replica, b.messages_per_replica,
-            "{name}/{tier}: message counts diverged"
-        );
-        assert_eq!(
-            a.failovers, b.failovers,
-            "{name}/{tier}: failover schedules diverged"
-        );
-        assert!(a.lockstep_clean, "{name}/{tier}: run diverged");
-        assert_eq!(
-            a.lockstep_compared, b.lockstep_compared,
-            "{name}/{tier}: lockstep comparison counts diverged"
-        );
-        // Same number of epochs, simulated instructions, reflections and
-        // interrupt deliveries on every replica.
-        let stats = |r: &RunReport| {
-            r.replica_stats
-                .iter()
-                .map(|s| (s.epochs, s.simulated, s.reflected, s.mmio, s.irqs_delivered))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(
-            stats(&a),
-            stats(&b),
-            "{name}/{tier}: hypervisor stats diverged"
-        );
-    }
+    let tier = ExecTier::Jit;
+    let a = ft_outcome(&image, base, tier);
+    assert_eq!(a.exit, b.exit, "{name}/{tier}: outcomes diverged");
+    assert_eq!(
+        a.completion_time, b.completion_time,
+        "{name}/{tier}: completion times diverged"
+    );
+    assert_eq!(a.console, b.console, "{name}/{tier}: console bytes");
+    assert_eq!(
+        a.console_hosts, b.console_hosts,
+        "{name}/{tier}: console hosts"
+    );
+    assert_eq!(a.disk_log, b.disk_log, "{name}/{tier}: disk logs diverged");
+    assert_eq!(a.guest_retries, b.guest_retries, "{name}/{tier}: retries");
+    assert_eq!(
+        a.messages_per_replica, b.messages_per_replica,
+        "{name}/{tier}: message counts diverged"
+    );
+    assert_eq!(
+        a.failovers, b.failovers,
+        "{name}/{tier}: failover schedules diverged"
+    );
+    assert!(a.lockstep_clean, "{name}/{tier}: run diverged");
+    assert_eq!(
+        a.lockstep_compared, b.lockstep_compared,
+        "{name}/{tier}: lockstep comparison counts diverged"
+    );
+    // Same number of epochs, simulated instructions, reflections and
+    // interrupt deliveries on every replica.
+    let stats = |r: &RunReport| {
+        r.replica_stats
+            .iter()
+            .map(|s| (s.epochs, s.simulated, s.reflected, s.mmio, s.irqs_delivered))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        stats(&a),
+        stats(&b),
+        "{name}/{tier}: hypervisor stats diverged"
+    );
 }
 
 #[test]
@@ -610,16 +604,15 @@ fn every_registry_workload_is_tier_invariant() {
                 .run()
         };
         let b = run(ExecTier::Step);
-        for tier in [ExecTier::Block, ExecTier::Jit] {
-            let a = run(tier);
-            assert_eq!(a.exit, b.exit, "{name}/{tier}: exit codes diverged");
-            assert_eq!(a.retired, b.retired, "{name}/{tier}: retired diverged");
-            assert_eq!(a.console, b.console, "{name}/{tier}: console diverged");
-            assert_eq!(
-                a.completion_time, b.completion_time,
-                "{name}/{tier}: simulated time diverged"
-            );
-        }
+        let tier = ExecTier::Jit;
+        let a = run(tier);
+        assert_eq!(a.exit, b.exit, "{name}/{tier}: exit codes diverged");
+        assert_eq!(a.retired, b.retired, "{name}/{tier}: retired diverged");
+        assert_eq!(a.console, b.console, "{name}/{tier}: console diverged");
+        assert_eq!(
+            a.completion_time, b.completion_time,
+            "{name}/{tier}: simulated time diverged"
+        );
     }
 }
 
@@ -851,7 +844,7 @@ proptest! {
         };
         let (mut cpu_b, mut mem_b) = build();
         let log_b = drive(&mut cpu_b, &mut mem_b, false, 5_000, 400);
-        for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+        for tier in [ExecTier::Step, ExecTier::Jit] {
             let (mut cpu_a, mut mem_a) = build();
             cpu_a.set_exec_tier(tier);
             let log_a = drive(&mut cpu_a, &mut mem_a, true, 5_000, 400);
@@ -891,26 +884,27 @@ proptest! {
             (cpu, mem)
         };
         let (mut cpu_b, mut mem_b) = build();
-        let (mut cpu_blk, mut mem_blk) = build();
+        let (mut cpu_step, mut mem_step) = build();
+        cpu_step.set_exec_tier(ExecTier::Step);
         let (mut cpu_jit, mut mem_jit) = build();
         cpu_jit.set_exec_tier(ExecTier::Jit);
         for _ in 0..4 {
             let log_b = drive(&mut cpu_b, &mut mem_b, false, u64::MAX, 200);
-            let log_blk = drive(&mut cpu_blk, &mut mem_blk, true, u64::MAX, 200);
+            let log_step = drive(&mut cpu_step, &mut mem_step, true, u64::MAX, 200);
             let log_jit = drive(&mut cpu_jit, &mut mem_jit, true, u64::MAX, 200);
-            prop_assert_eq!(&log_blk, &log_b, "block");
+            prop_assert_eq!(&log_step, &log_b, "step");
             prop_assert_eq!(&log_jit, &log_b, "jit");
-            prop_assert_eq!(cpu_blk.retired(), cpu_b.retired());
+            prop_assert_eq!(cpu_step.retired(), cpu_b.retired());
             prop_assert_eq!(cpu_jit.retired(), cpu_b.retired());
             // Re-arm and continue (drive stops at the event cap or a
             // non-trap exit; RecoveryCounter traps are delivered like
             // any other and vector to low memory).
             cpu_b.set_ctl(hvft::isa::reg::ControlReg::Rctr, epoch_len);
-            cpu_blk.set_ctl(hvft::isa::reg::ControlReg::Rctr, epoch_len);
+            cpu_step.set_ctl(hvft::isa::reg::ControlReg::Rctr, epoch_len);
             cpu_jit.set_ctl(hvft::isa::reg::ControlReg::Rctr, epoch_len);
         }
         prop_assert_eq!(
-            same_vm_state((&cpu_blk, &mem_blk), (&cpu_b, &mem_b)),
+            same_vm_state((&cpu_step, &mem_step), (&cpu_b, &mem_b)),
             Ok(())
         );
         prop_assert_eq!(
@@ -929,7 +923,7 @@ proptest! {
         // A hot loop whose trace spans two pages, patched at a random
         // word of the SECOND page with a random replacement (valid,
         // control-transfer, trapping or garbage) at a random point
-        // after the trace is hot. All three tiers must report the same
+        // after the trace is hot. Both tiers must report the same
         // event log, retired count and final state, whatever the patch
         // turns the code into.
         let src = format!(
@@ -974,7 +968,7 @@ tail:
         };
         let (mut cpu_b, mut mem_b) = build();
         let log_b = drive(&mut cpu_b, &mut mem_b, false, 50_000, 400);
-        for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+        for tier in [ExecTier::Step, ExecTier::Jit] {
             let (mut cpu_a, mut mem_a) = build();
             cpu_a.set_exec_tier(tier);
             let log_a = drive(&mut cpu_a, &mut mem_a, true, 50_000, 400);
@@ -1012,9 +1006,9 @@ tail:
         // in the running trace, to a word of the callee, or to the
         // `gate` that *ended* the callee's trace. Invalidation is
         // judged by the bytes a store overlaps, so the data stores must
-        // cost nothing and the code stores must not be missed: all
-        // three tiers report the same event log, retired count and
-        // final state.
+        // cost nothing and the code stores must not be missed: both
+        // tiers report the same event log, retired count and final
+        // state.
         let src = format!(
             ".org 0
 start:
@@ -1070,7 +1064,7 @@ work:
         let (mut cpu_b, mut mem_b) = build();
         let log_b = drive(&mut cpu_b, &mut mem_b, false, 50_000, 400);
         prop_assert!(log_b.len() >= 20, "one gate per pass before the store: {:?}", log_b);
-        for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+        for tier in [ExecTier::Step, ExecTier::Jit] {
             let (mut cpu_a, mut mem_a) = build();
             cpu_a.set_exec_tier(tier);
             let log_a = drive(&mut cpu_a, &mut mem_a, true, 50_000, 400);
@@ -1082,14 +1076,14 @@ work:
                 "final states diverged ({})",
                 tier
             );
-            let (x, blocks) = (cpu_a.exec_stats(), cpu_a.block_cache_stats());
+            let x = cpu_a.exec_stats();
             if tier == ExecTier::Jit {
                 prop_assert!(x.jit_retired > 0, "the hot loop must run compiled: {:?}", x);
             }
             if is_data {
                 prop_assert_eq!(
-                    (x.jit_invalidations, blocks.invalidations),
-                    (0, 0),
+                    x.jit_invalidations,
+                    0,
                     "{}: stores to data beside code must invalidate nothing",
                     tier
                 );
@@ -1559,7 +1553,7 @@ fn a_jump_closed_wait_loop_entered_mid_body_is_engine_exact() {
             "level {level}: all six waits ended"
         );
         assert!(log_ref.last().is_some_and(|l| l.starts_with("stop")));
-        for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+        for tier in [ExecTier::Step, ExecTier::Jit] {
             for hooked in [false, true] {
                 let what = format!("level {level}, {tier}, hooked={hooked}");
                 let (cpu, mem, log) = run(tier, hooked);
@@ -1715,7 +1709,7 @@ proptest! {
             let (mut cpu_ref, mut mem_ref) = build(level, ExecTier::Step);
             let mut reference = Embedder::new(level, dma);
             drive_chunks(&mut cpu_ref, &mut mem_ref, &mut reference, &chunks, false);
-            for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+            for tier in [ExecTier::Step, ExecTier::Jit] {
                 for hooked in [false, true] {
                     let (mut cpu, mut mem) = build(level, tier);
                     let mut embedder = Embedder::new(level, dma);
@@ -1778,9 +1772,8 @@ proptest! {
             pauses.iter().filter(|p| p.0 != HvEvent::BudgetExhausted).copied().collect()
         };
         prop_assert_eq!(&events(&sliced_ref), &whole_ref);
-        for tier in [ExecTier::Block, ExecTier::Jit] {
-            prop_assert_eq!(&run(tier, &whole), &whole_ref, "one budget, {}", tier);
-            prop_assert_eq!(&run(tier, &slices), &sliced_ref, "sliced, {}", tier);
-        }
+        let tier = ExecTier::Jit;
+        prop_assert_eq!(&run(tier, &whole), &whole_ref, "one budget, {}", tier);
+        prop_assert_eq!(&run(tier, &slices), &sliced_ref, "sliced, {}", tier);
     }
 }

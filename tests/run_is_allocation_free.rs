@@ -88,7 +88,7 @@ fn trap_round_trips_do_not_allocate_on_any_tier() {
     // Privilege 1, like a guest kernel under the hypervisor: the
     // `mfctl` traps on every pass and the embedder skips it.
     let prog = assemble("l: addi r4, r4, 1\n mfctl r5, traparg\n jal r0, l\n").unwrap();
-    for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+    for tier in [ExecTier::Step, ExecTier::Jit] {
         for skip in [false, true] {
             let mut mem = Memory::new(PAGE_SIZE as usize);
             let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
@@ -102,8 +102,8 @@ fn trap_round_trips_do_not_allocate_on_any_tier() {
                     cpu.retire_skip();
                 }
             };
-            // Warm-up: decode the blocks, cross the jit's promotion
-            // threshold, let every table reach its working size.
+            // Warm-up: cross the jit's promotion threshold, let every
+            // table reach its working size.
             for _ in 0..1_000 {
                 trip(&mut cpu);
             }
@@ -138,15 +138,15 @@ fn hypervised_syscalls_do_not_allocate_on_any_tier() {
     const SYSCALLS: u64 = 10_240;
     // Dhrystone with a `SYS_GETTIME` in every iteration, plus a
     // `SYS_MARK` in every 64th: the mark surfaces as an event, so every
-    // `run` below returns at the same guest PC and a block engine that
-    // is warm stays warm (a pause at a new PC decodes a new block).
+    // `run` below returns at the same guest PC and a jit that is warm
+    // stays warm (a pause at a new PC heats a new entry).
     let user = dhrystone_source((WARM_UP + SYSCALLS + 128) as u32, 1).replace(
         "u_nosys:\n",
         "u_nosys:\n    andi r22, r11, 63\n    bne  r22, r0, u_nomark\n    gate 6\nu_nomark:\n",
     );
     assert!(user.contains("u_nomark"), "the mark was spliced in");
     let image = build_image(&KernelConfig::default(), &user).expect("image builds");
-    for tier in [ExecTier::Step, ExecTier::Block, ExecTier::Jit] {
+    for tier in [ExecTier::Step, ExecTier::Jit] {
         let config = HvConfig {
             exec_tier: tier,
             // No epoch boundary inside the run, for the same reason.
