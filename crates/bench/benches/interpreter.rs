@@ -201,6 +201,126 @@ fn bench_spin_entered_mid_body(c: &mut Criterion) {
     );
 }
 
+/// Host time of `iters` iterations of the two-instruction loop `src`
+/// closes — an infinite loop, run by budget — on a warm jit, with
+/// translation on (identity-mapped) like the user code the workloads
+/// spend their time in. `r27` is a data page for the loops that load
+/// and store.
+fn timed_op_loop(src: &str, insns_per_iter: u64, iters: u64) -> Duration {
+    let prog = assemble(src).unwrap_or_else(|e| panic!("asm: {e}\n{src}"));
+    let mut mem = Memory::new(4 * PAGE_SIZE as usize);
+    let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+    prog.load_into_cpu(&mut cpu, &mut mem);
+    cpu.set_exec_tier(ExecTier::Jit);
+    cpu.set_reg(hvft_isa::reg::Reg::of(27), 2 * PAGE_SIZE);
+    for base in (0..4).map(|page| page * PAGE_SIZE) {
+        cpu.tlb
+            .insert_pte(base, base | pte::V | pte::R | pte::W | pte::X);
+    }
+    cpu.psw.translation = true;
+    // Past the promotion threshold of every entry the loop has.
+    assert_eq!(cpu.run(&mut mem, 4_096), Exit::Retired);
+    let start = Instant::now();
+    assert_eq!(
+        black_box(cpu.run(black_box(&mut mem), insns_per_iter * iters)),
+        Exit::Retired
+    );
+    start.elapsed()
+}
+
+/// The fastest of `rounds` runs of `run`: a difference of two timings is
+/// only as good as the slower phase of the machine either one met.
+fn fastest(rounds: u64, mut run: impl FnMut() -> Duration) -> Duration {
+    (0..rounds)
+        .map(|_| run())
+        .min()
+        .expect("at least one round")
+}
+
+/// Where a jit nanosecond goes: what one more op of each kind adds to
+/// an iteration of a hot loop — the loop with the op minus the loop
+/// without it (the fastest run of each), per iteration, on the bare CPU
+/// under the jit.
+///
+/// `alu`, `load`, `store`: one `add`, `lw`, `sw` (to a data page).
+/// `call_ret`: a `jal` into a leaf and its `jalr` back — the callee is
+/// part of the caller's trace, the return leaves it. `hop`: two traces
+/// that end in a branch to each other, so every iteration leaves one
+/// for the other. `syscall`: a `SYS_GETTIME` on the bare machine — the
+/// `gate`, the kernel's twenty instructions, the `rfi` — from a
+/// three-instruction user loop, minus the loop alone.
+fn bench_op_prices(c: &mut Criterion) {
+    const ITERS: u64 = 200_000;
+    let empty = "l: addi r4, r4, 1\n jal r0, l\n";
+    let mut g = c.benchmark_group("jit/op");
+    g.throughput(Throughput::Elements(ITERS));
+    for (op, src, insns) in [
+        ("alu", "l: addi r4, r4, 1\n add r6, r6, r4\n jal r0, l\n", 3),
+        (
+            "load",
+            "l: addi r4, r4, 1\n lw r6, 64(r27)\n jal r0, l\n",
+            3,
+        ),
+        (
+            "store",
+            "l: addi r4, r4, 1\n sw r4, 64(r27)\n jal r0, l\n",
+            3,
+        ),
+        (
+            "call_ret",
+            "l: addi r4, r4, 1\n jal ra, f\n jal r0, l\n f: jalr r0, ra, 0\n",
+            4,
+        ),
+        // Per iteration: one `addi`, one taken branch, one hop — the
+        // empty loop's two instructions, and the hop.
+        (
+            "hop",
+            "l: addi r4, r4, 1\n beq r0, r0, m\n halt\n m: addi r4, r4, 1\n beq r0, r0, l\n halt\n",
+            2,
+        ),
+    ] {
+        g.bench_function(op, |b| {
+            b.iter_custom(|rounds| {
+                let with = fastest(rounds, || timed_op_loop(src, insns, ITERS));
+                let without = fastest(rounds, || timed_op_loop(empty, 2, ITERS));
+                with.saturating_sub(without) * rounds as u32
+            })
+        });
+    }
+    g.finish();
+    const SYSCALLS: u32 = 50_000;
+    let user = |body: &str| {
+        format!(
+            ".org {:#x}\nu_main: li r11, {SYSCALLS}\nu_loop:\n{body}    addi r11, r11, -1\n    \
+             bne r11, r0, u_loop\n    mv r4, r0\n    gate {}\n",
+            hvft_guest::layout::USER_TEXT,
+            hvft_guest::layout::sys::EXIT
+        )
+    };
+    let kernel = KernelConfig::default();
+    let gettime = format!("    gate {}\n", hvft_guest::layout::sys::GETTIME);
+    let every = build_image(&kernel, &user(&gettime)).unwrap();
+    let never = build_image(&kernel, &user("")).unwrap();
+    let mut host = BareHost::new(
+        &every,
+        CostModel::functional(),
+        hvft_guest::layout::RAM_BYTES,
+        16,
+        0,
+    );
+    host.set_exec_tier(ExecTier::Jit);
+    let mut g = c.benchmark_group("jit/op");
+    g.throughput(Throughput::Elements(u64::from(SYSCALLS)));
+    g.bench_function("syscall", |b| {
+        b.iter_custom(|rounds| {
+            let with = fastest(rounds, || timed_bare_run(&mut host, &every));
+            let without = fastest(rounds, || timed_bare_run(&mut host, &never));
+            with.saturating_sub(without) * rounds as u32
+        })
+    });
+    g.finish();
+}
+
 /// The epoch-boundary digest of a booted 256 KiB guest: every page
 /// hashed (what the first boundary after a boot or restore pays),
 /// nothing dirty (the fold alone), and 1 and 13 pages written since the
@@ -279,8 +399,8 @@ fn bench_interpreter(c: &mut Criterion) {
     });
     g.finish();
     // Call-heavy guest: leaf calls, calls into the next text page and a
-    // deep monomorphic recursion. This is where the jit tier's inline
-    // return cache and cross-page traces pay off.
+    // deep monomorphic recursion. This is where the jit tier's two-way
+    // return links and cross-page traces pay off.
     let cs_image = build_image(&KernelConfig::default(), &callstorm_source(2_000, 12)).unwrap();
     let cs_retired = {
         host.reset(&cs_image);
@@ -295,7 +415,7 @@ fn bench_interpreter(c: &mut Criterion) {
             black_box(host.run(100_000_000).retired)
         })
     });
-    // Annotate the jit row with the return-cache hit rate and trace
+    // Annotate the jit row with the return links' hit rate and trace
     // shape of the last run, so the artifact records *why* it is fast.
     let cs = host.exec_stats();
     let ret_total = cs.ret_cache_hits + cs.ret_cache_misses;
@@ -308,8 +428,8 @@ fn bench_interpreter(c: &mut Criterion) {
     g.annotate("cross_page_superblocks", cs.cross_page_superblocks as f64);
     g.finish();
     // Machine-readable record (ns/insn, insns/sec, before/after, and
-    // the statehash, exit_roundtrip, syscall_roundtrip and spin rows
-    // recorded before this group ran) for the CI artifact; written at
+    // the statehash, exit_roundtrip, syscall_roundtrip, spin and
+    // `jit/op` price-list rows recorded before this group ran) for the CI artifact; written at
     // the workspace root.
     let out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_interpreter.json");
     c.save_json(out)
@@ -369,6 +489,7 @@ criterion_group!(
     bench_exit_roundtrip,
     bench_syscall_roundtrip,
     bench_spin_entered_mid_body,
+    bench_op_prices,
     bench_interpreter,
     bench_assembler,
     bench_channel,

@@ -111,6 +111,15 @@ pub(crate) fn alu_imm_value(op: AluImmOp, a: u32, imm: i32) -> u32 {
     }
 }
 
+/// Width extension of a loaded value: a byte load sign-extends.
+#[inline]
+pub(crate) fn extend(width: MemWidth, raw: u32) -> u32 {
+    match width {
+        MemWidth::Word | MemWidth::ByteU => raw,
+        MemWidth::Byte => (raw as u8) as i8 as i32 as u32,
+    }
+}
+
 /// An environment operation the embedder must complete.
 ///
 /// These correspond exactly to the paper's *environment instructions*:
@@ -452,12 +461,11 @@ impl Cpu {
 
     /// Completes an [`Exit::MmioRead`], applying width extension.
     pub fn complete_mmio_read(&mut self, rd: Reg, width: MemWidth, value: u32) {
-        let v = match width {
+        let raw = match width {
             MemWidth::Word => value,
-            MemWidth::Byte => (value as u8) as i8 as i32 as u32,
-            MemWidth::ByteU => u32::from(value as u8),
+            MemWidth::Byte | MemWidth::ByteU => u32::from(value as u8),
         };
-        self.complete_env_read(rd, v);
+        self.complete_env_read(rd, extend(width, raw));
     }
 
     /// Skips the instruction at PC without executing it (hypervisor use,
@@ -701,9 +709,15 @@ impl Cpu {
                     // superblocks spend the retirement budget like any
                     // other op, so the frame stops at the exact
                     // retirement count.
-                    let leave = d
-                        .jit
-                        .run_chain(first, self, mem, goal, assist, &mut d.stats);
+                    let leave = d.jit.run_chain(
+                        first,
+                        self,
+                        mem,
+                        goal,
+                        assist,
+                        &mut d.context,
+                        &mut d.stats,
+                    );
                     d.stats.jit_retired += self.retired - before;
                     if let Some(leave) = leave {
                         return leave;
@@ -764,10 +778,7 @@ impl Cpu {
             MemWidth::Byte | MemWidth::ByteU => mem.read_u8(paddr).map(u32::from),
         };
         match result {
-            Ok(raw) => Ok(match width {
-                MemWidth::Word | MemWidth::ByteU => raw,
-                MemWidth::Byte => (raw as u8) as i8 as i32 as u32,
-            }),
+            Ok(raw) => Ok(extend(width, raw)),
             Err(MemFault::Io { paddr }) => Err(Exit::MmioRead { paddr, width, rd }),
             Err(MemFault::Unmapped { paddr }) => Err(Exit::Trap(Trap::AccessFault {
                 vaddr: paddr,

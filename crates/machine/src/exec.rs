@@ -22,7 +22,7 @@
 //! [`Cpu::run`]: crate::cpu::Cpu::run
 //! [`Cpu::step`]: crate::cpu::Cpu::step
 
-use crate::jit::JitCache;
+use crate::jit::{Context, JitCache};
 use core::fmt;
 use std::str::FromStr;
 
@@ -96,12 +96,13 @@ pub struct ExecStats {
     /// and only a *secondary* page of a cross-page trace had been
     /// written.
     pub jit_invalidations_secondary: u64,
-    /// `jalr` executions inside superblocks whose inline return-cache
-    /// prediction verified and chained in-frame.
+    /// `jalr` executions inside superblocks that one of the op's two
+    /// return links answered: same target, same execution context,
+    /// entered in-frame on two compares.
     pub ret_cache_hits: u64,
-    /// `jalr` executions inside superblocks whose prediction missed
-    /// (cold slot, polymorphic target, or invalidated prediction) and
-    /// took the full chain path.
+    /// `jalr` executions inside superblocks that neither return link
+    /// answered (cold, a third target, or recorded in another context)
+    /// and that took the full lookup.
     pub ret_cache_misses: u64,
     /// Compiled superblocks whose trace crossed at least one page
     /// boundary (subset of `superblocks_compiled`).
@@ -113,11 +114,29 @@ pub struct ExecStats {
     /// from outside a frame plus cold runs stepped.
     pub dispatches: u64,
     /// Times the superblock executor left one trace for the address
-    /// the PC went to *without* leaving its frame — translate, look the
-    /// target up, hop or give up. A hot loop that pays one of these per
-    /// iteration still retires everything in the jit; only this count
-    /// tells.
+    /// the PC went to *without* leaving its frame — by a link, or
+    /// translate, look the target up, hop or give up (a `jalr`'s
+    /// return is counted by the two counters above instead). A hot loop
+    /// that pays one of these per iteration still retires everything in
+    /// the jit; only this count tells.
     pub chain_hops: u64,
+    /// Subset of `chain_hops` that the exit's link answered: two
+    /// compares, no translation, no lookup, no validation.
+    pub link_hits: u64,
+    /// Loads and stores inside superblocks that the data-page map
+    /// answered: a tag compare and a bounds-checked access of RAM.
+    pub data_fast: u64,
+    /// Loads and stores inside superblocks that took the full path
+    /// (`access_load` / `access_store`): the first access to a page in a
+    /// context, every fault, the I/O window, a store to a read-only
+    /// page or to a page that holds decoded code.
+    pub data_slow: u64,
+    /// Times the data-page map was emptied because the TLB's contents,
+    /// some page's decoded code or the superblock cache moved. A PSW
+    /// change alone — a trap into a handler and the `rfi` out of it —
+    /// flushes nothing: the privilege and translation bits are in the
+    /// map's tags.
+    pub data_map_flushes: u64,
 }
 
 /// Dispatcher state owned by the CPU: the selected tier plus the
@@ -131,6 +150,9 @@ pub struct ExecStats {
 pub struct ExecDispatcher {
     pub(crate) tier: ExecTier,
     pub(crate) jit: JitCache,
+    /// What the jit derived from the execution context it last ran in
+    /// (the data-page map, the stamp its links are recorded under).
+    pub(crate) context: Context,
     pub(crate) stats: ExecStats,
 }
 

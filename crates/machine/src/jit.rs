@@ -66,23 +66,57 @@
 //! extends the trace when that page translates executably *right
 //! now*, and the trace records the secondary page as a
 //! `(entry-relative virtual base, physical page, code generation)`
-//! dependency. Every entry path — the dispatcher probe, the front
-//! table, and `JitCache::peek` during chaining — re-validates *all*
-//! recorded pages: code generations must be unmoved and each secondary
+//! dependency. Every entry path that looks a trace up — the dispatcher
+//! probe, the front table, and `JitCache::peek` on a hop no link
+//! answered — re-validates *all* recorded pages: code generations must be unmoved and each secondary
 //! virtual page must still translate to the recorded physical page
 //! (via side-effect-free TLB peeks, so validation frequency never
 //! perturbs snapshotted accounting). Straight-line flow still stops
 //! at an unregistered page edge, which keeps the dependency set tied
 //! to explicit call structure.
 //!
-//! The trace-terminating `jalr` carries an **inline return cache**: a
-//! per-op slot predicting the target superblock (virtual target,
-//! physical entry, arena index) plus everything the prediction's
-//! translation depended on (PSW key, TLB content generation). On a
-//! verified hit the executor jumps in-frame — no translate, no map
-//! probe; on a miss it takes the ordinary `chain!` path and
-//! re-records the slot, so a monomorphic call site (the overwhelming
-//! case: a `ret` with one hot caller) stabilizes after one miss.
+//! # Leaving a trace: links
+//!
+//! Every way out of a trace has a `Link`: a cell that remembers where
+//! control went the last time it left this way — the virtual target and
+//! the arena index of the trace entered there — and the *stamp* of the
+//! execution context that answer was validated in (below). An
+//! out-of-span branch or `jal`, an assist op that sends control
+//! elsewhere and falling off the trace's end each have one cell in a
+//! side table beside the arena; the trace-terminating `jalr` has two,
+//! in the superblock itself, tried in order. A hop whose cell names the
+//! target it is going to, under the stamp the frame is running in, is
+//! two compares and an `enter!`: no translation of the PC, no probe of
+//! the front table or the map, no re-validation of the target trace. A
+//! hop whose cell does not goes the long way once (`JitCache::hop`:
+//! translate, `peek`, which validates everything an entry validates)
+//! and records what it found.
+//!
+//! The `jalr` is almost always a `ret`, and a `ret` has a hot caller —
+//! or, in a recursive routine, two: the outer call site and its own.
+//! With one cell the second evicts the first on every pass (callstorm:
+//! 2 returns in 15 took the long way); with two, a miss overwrites a
+//! way that is dead anyway (recorded under another stamp) and else the
+//! second, so the first keeps the target that got there first.
+//!
+//! # Loads and stores: the data-page map
+//!
+//! Of everything `access_load` / `access_store` do — alignment,
+//! translation through the TLB with its permission check and hit
+//! counter, the RAM bounds and I/O-window test, for a store the page
+//! generation and the decoded-extent compare — only the alignment and
+//! the bounds depend on the access; the rest depends on the page and
+//! the execution context. `Context` keeps a direct-mapped map from
+//! virtual page to RAM page with one tag per kind of access, set when
+//! an access of that kind went through the full path and succeeded; a
+//! load or store whose probe (page bits, PSW key, and for a word the
+//! low two address bits) equals the tag is a bounds-checked read or
+//! write of RAM and nothing else. A miss, a fault, the I/O window, a
+//! read-only page and a store to a page that holds decoded code (no
+//! write tag is ever set for one) take the full path, unchanged. Each
+//! map hit stood in for one counted TLB lookup when translation is on;
+//! the frame counts them and books them into the TLB's hit counter
+//! before anything can read it.
 //!
 //! # Exactness
 //!
@@ -115,18 +149,55 @@
 //!   assist op the frame re-derives the retirement goal (the embedder
 //!   may have moved it), re-runs the dispatcher's three pre-dispatch
 //!   checks (recovery counter, pending enabled interrupt, alignment)
-//!   and its batch limit, and goes on to the next op in-frame only if
-//!   control fell through to `pc + 4`, the translation inputs (PSW key
-//!   and TLB content generation) are what they were before the op, and
-//!   no page of the superblock went stale. Otherwise it takes the
-//!   ordinary `chain!` — translate the new PC, `peek`, which validates
+//!   and its batch limit, re-reads the context stamp, and goes on to
+//!   the next op in-frame only if control fell through to `pc + 4` and
+//!   the stamp is what it was. Otherwise it leaves through `chain!`
+//!   under the new stamp — by a link recorded under that very stamp,
+//!   or by translating the new PC and `peek`, which validates
 //!   everything an entry validates — or returns to the dispatcher. An
 //!   `ssm 1` with an interrupt pending, a `mtctl` that unmasks one, a
 //!   translation flip, a `tlbp` of the page being executed, an `rfi`
 //!   to anywhere: each lands where the per-step path lands;
+//! - **one stamp for everything a frame trusts**: what a link skips
+//!   (that the target translates, executably, to the entry the trace at
+//!   that arena index was compiled for; that the trace's pages are
+//!   unwritten and its secondary pages still translate where they did)
+//!   and what a data-page map entry asserts (that the page translates
+//!   to that RAM page with that permission; for a write tag, that the
+//!   page holds no decoded byte) are functions of the address, the PSW
+//!   key, the TLB's contents, the decoded-code state of memory and the
+//!   arena. `Context` folds the last three into an epoch — it moves
+//!   when [`Tlb::content_gen`](crate::tlb::Tlb::content_gen),
+//!   [`Memory::code_epoch`] (some page's code generation) or the
+//!   cache's clear count has moved — and the stamp is the epoch and the
+//!   key. Links record the stamp; the map is flushed when the epoch
+//!   moves (and when a page gets its first decoded bytes,
+//!   [`Memory::code_pages`], which costs it its write tag and no link
+//!   anything) and carries the key in its tags, so a trap into a
+//!   handler and the `rfi` back find their entries and links as they
+//!   left them. The stamp is read at frame
+//!   entry and re-read after every assist op and after every store
+//!   that took the full path — the one template op that can write
+//!   decoded bytes, whosever they are; nothing else that runs inside a
+//!   frame can move any of its inputs. That is why a followed link
+//!   needs no `fresh`: anything that could have made the target stale
+//!   since the link was validated would have moved the stamp first.
+//!   The budget and alignment tests (`left == 0`, a 4-aligned PC) come
+//!   *before* the link is consulted: a link vouches for its target,
+//!   not for the frame's right to run it;
+//! - **TLB accounting**: the data side of
+//!   [`Tlb::stats`](crate::tlb::Tlb::stats) reads what the step
+//!   engine's data accesses would have counted — the map books the
+//!   lookups it stood in for. The *execute* side was
+//!   never tier-invariant (the step engine translates every fetch, a
+//!   frame only its entries) and has depended on the warmth of the
+//!   derived caches since the first return cache, which skipped the
+//!   target's translation on a hit; links follow that precedent;
 //! - **exact faults**: a faulting op reports the same [`Exit`] as the
 //!   per-step path with the PC on the faulting instruction and no
-//!   retirement, by routing loads and stores through the same
+//!   retirement, by routing every load and store the data-page map
+//!   does not answer — every one that faults among them: the map holds
+//!   only what succeeded — through the same
 //!   `access_load`/`access_store` helpers, and assist ops through the
 //!   same `execute`, the step loop uses;
 //! - **self-modifying code**: the compiler registers every word it
@@ -138,22 +209,25 @@
 //!   kills the traces compiled from that page while a store to data
 //!   sharing the page (the guest kernel's `r0`-relative save slots sit
 //!   beside its trap vectors) kills nothing. The dispatcher refuses
-//!   stale entries, and every compiled store — and every assist op,
-//!   whose embedder may have written memory — re-checks all of the
-//!   superblock's pages so a trace that patches any page it was
-//!   compiled from — its own or a cross-page callee's, an assist op's
-//!   word like any other — abandons its compiled tail and re-fetches
-//!   the patched words like the per-step path would;
+//!   stale entries, and a compiled store that wrote decoded bytes — and
+//!   every assist op, whose embedder may have written memory — moves
+//!   the stamp, re-checks all of the superblock's pages so a trace
+//!   that patches any page it was compiled from — its own or a
+//!   cross-page callee's, an assist op's word like any other — abandons
+//!   its compiled tail and re-fetches the patched words like the
+//!   per-step path would, and follows no link recorded before the
+//!   write, so a trace that patches *another* trace and hops to it
+//!   finds it stale;
 //! - **cross-page entry validation**: a secondary page's translation
 //!   is re-checked against the recorded physical page on every entry,
 //!   so a TLB remap, purge or privilege change makes the trace
 //!   unreachable (the cold path then takes the exact fault, if any,
 //!   at the exact instruction — it is the per-step path).
 
-use crate::cpu::{alu_imm_value, alu_value, Assist, Cpu, Exit, Resume};
+use crate::cpu::{alu_imm_value, alu_value, extend, Assist, Cpu, Exit, Resume};
 use crate::exec::ExecStats;
 use crate::hash::IntBuildHasher;
-use crate::mem::{Memory, PAGE_SIZE};
+use crate::mem::{Memory, PAGE_SHIFT, PAGE_SIZE};
 use crate::tlb::{TlbAccess, TlbResult};
 use crate::trap::Trap;
 use hvft_isa::codec::decode;
@@ -187,9 +261,34 @@ const NO_TARGET: u32 = u32::MAX;
 /// per-entry validation cost and the blast radius of an invalidation.
 pub(crate) const MAX_TRACE_PAGES: usize = 4;
 
-/// Return-slot sentinel: `jalr` masks the low two target bits, so no
-/// computed target ever equals 1 and an empty slot can never hit.
-const RET_EMPTY: u32 = 1;
+/// [`Op::target`] flag: the transfer leaves the compiled span, and the
+/// low bits index the cache's [`Link`] cells instead of the trace's
+/// ops. (A trace is at most `MAX_TRACE_PAGES` pages of ops and the link
+/// table at most [`MAX_LINKS`] cells, both far below it.)
+const LINKED: u32 = 1 << 31;
+
+/// Cap on link cells; crossing it clears the cache wholesale. A trace
+/// recompiled in place leaves its old cells behind, so only a guest
+/// that keeps rewriting hot code gets here.
+const MAX_LINKS: usize = 1 << 16;
+
+/// `vpc` of an empty [`Link`]: not 4-aligned, and a link is consulted
+/// only for an aligned PC, so an empty cell can never hit.
+const LINK_EMPTY: u32 = 1;
+
+/// Slots in the direct-mapped data-page map (power of two): the whole
+/// of the guest layout's 64 mapped pages without a conflict.
+const DATA_SLOTS: usize = 64;
+
+/// The address bits a word access may have set below its page — all
+/// but the low two, which stay in the probe so that a misaligned word
+/// matches no tag — and those of a byte access.
+const WORD_IN_PAGE: u32 = (PAGE_SIZE - 1) & !3;
+const BYTE_IN_PAGE: u32 = PAGE_SIZE - 1;
+
+/// Tag of an empty [`DataSlot`] half. A live tag — and every probe of an
+/// aligned access — has its low two bits clear.
+const TAG_EMPTY: u32 = u32::MAX;
 
 /// Pre-specialized opcode of one compiled [`Op`]. One variant per
 /// instruction template: the ALU operation, memory width or branch
@@ -259,7 +358,11 @@ struct Op {
     /// displacement, branch byte offset, the pre-shifted `lui`
     /// constant, or an assist op's index into the side table.
     imm: i32,
-    /// Branch/`jal` taken-target op index, or [`NO_TARGET`].
+    /// Where a transfer goes: the op index of an in-span branch/`jal`
+    /// target, or — flagged [`LINKED`] — the [`JitCache::links`] cell
+    /// of a transfer that leaves the span (an out-of-span branch or
+    /// `jal`, an assist op). [`NO_TARGET`] on every other op; a `jalr`'s
+    /// links are the superblock's ([`SuperBlock::ret`]).
     target: u32,
     /// Byte offset of this op's virtual PC from the superblock's
     /// entry PC (wrapping). Ops are *not* address-contiguous — a
@@ -283,42 +386,174 @@ struct PageDep {
     gen: u64,
 }
 
-/// Inline return-cache slot of a trace-terminating `jalr`: the
-/// predicted target superblock plus everything the prediction's
-/// translation depended on.
+/// One trace-to-trace link: where control went the last time it left
+/// through this exit, and the execution context that answer was
+/// validated in. Following it is two compares — the target and the
+/// [`Context`] stamp — because everything an entry validates
+/// (translation of the target, identity and freshness of the trace at
+/// that arena index, translation of its secondary pages) is a function
+/// of the target and of what the stamp stands for.
 #[derive(Clone, Copy, Debug)]
-struct RetSlot {
-    /// Predicted virtual target, or [`RET_EMPTY`].
+struct Link {
+    /// Virtual target, or [`LINK_EMPTY`].
     vpc: u32,
-    /// Physical entry address the target translated to when recorded.
-    paddr: u32,
-    /// Arena index of the predicted superblock when recorded.
+    /// Arena index of the trace entered there.
     idx: u32,
-    /// TLB content generation the prediction was recorded under.
-    tlb_gen: u64,
-    /// Packed translation inputs when recorded (see [`psw_key`]).
-    psw_key: u32,
+    /// [`Context::stamp`] the hop was validated under.
+    stamp: u64,
 }
 
-impl RetSlot {
-    const EMPTY: RetSlot = RetSlot {
-        vpc: RET_EMPTY,
-        paddr: 0,
+impl Link {
+    const EMPTY: Link = Link {
+        vpc: LINK_EMPTY,
         idx: 0,
-        tlb_gen: 0,
-        psw_key: 0,
+        stamp: u64::MAX,
     };
 }
 
-/// The PSW inputs a predicted return target's translation depends on:
-/// the translation-enable bit and the privilege level. A prediction is
-/// reused only while these and the TLB content generation are
-/// unchanged, which is what makes skipping the re-translation sound —
-/// translation is a pure function of (vaddr, these bits, TLB
-/// contents).
+/// The PSW inputs a translation depends on: the translation-enable bit
+/// and the privilege level. Translation is a pure function of (vaddr,
+/// these bits, TLB contents).
 #[inline]
 fn psw_key(cpu: &Cpu) -> u32 {
     (u32::from(cpu.psw.cpl) << 1) | u32::from(cpu.psw.translation)
+}
+
+/// One slot of the data-page map: a virtual page under one PSW key and
+/// the RAM page it translates to, with a tag per kind of access that
+/// has been made *through the full path* — so a tag vouches for the
+/// permission as well as the translation.
+///
+/// A tag is `page-aligned vaddr | psw_key << 2`. The key is part of the
+/// tag, not of what flushes the map: a `gate … rfi` round trip changes
+/// it twice and finds its entries still there.
+#[derive(Clone, Copy, Debug)]
+struct DataSlot {
+    /// Tag loads may use, or [`TAG_EMPTY`].
+    read: u32,
+    /// Tag stores may use, or [`TAG_EMPTY`]; only ever set for a page
+    /// that holds no decoded byte, so a store through it can move no
+    /// code generation.
+    write: u32,
+    /// Physical address of the RAM page.
+    base: u32,
+}
+
+impl DataSlot {
+    const EMPTY: DataSlot = DataSlot {
+        read: TAG_EMPTY,
+        write: TAG_EMPTY,
+        base: 0,
+    };
+}
+
+/// Map slot of a virtual address.
+#[inline]
+fn data_slot(vaddr: u32) -> usize {
+    (vaddr >> PAGE_SHIFT) as usize & (DATA_SLOTS - 1)
+}
+
+/// The tag bits of a PSW key.
+#[inline]
+fn key_bits(key: u32) -> u32 {
+    key << 2
+}
+
+/// The tag bits of the PSW key a stamp was made under.
+#[inline]
+fn stamp_key_bits(stamp: u64) -> u32 {
+    key_bits(stamp as u32 & 7)
+}
+
+/// The execution context a frame runs in, and what may be trusted while
+/// it stands.
+///
+/// Three counters say whether anything a validated trace entry or a
+/// cached translation depends on — other than the PSW key — has moved:
+/// [`Tlb::content_gen`](crate::tlb::Tlb::content_gen),
+/// [`Memory::code_epoch`] and the [`JitCache`]'s clear count. Each only
+/// ever counts up, so numbering the distinct triples seen (`epoch`)
+/// names a context exactly, and `epoch << 3 | psw_key` — the **stamp**
+/// — is one word a [`Link`] records and a frame compares. The
+/// data-page map carries the key in its tags and is flushed when the
+/// epoch moves — and when [`Memory::code_pages`] does: a page that got
+/// its first decoded bytes must lose its write tag, though no trace and
+/// no link is the worse for it.
+///
+/// The frame reads the stamp at entry and re-reads it wherever it can
+/// have moved: after every assist op, and after every store that took
+/// the full path (the only template op that can reach `Memory::touch`'s
+/// code side). Nothing else that runs in a frame can move it (code is
+/// registered by `compile`, between frames).
+#[derive(Debug)]
+pub(crate) struct Context {
+    /// The three counters as last read: TLB contents, code epoch,
+    /// cache clears.
+    seen: (u64, u64, u64),
+    /// How often they have been seen to move.
+    epoch: u64,
+    /// [`Memory::code_pages`] as last read.
+    code_pages: u64,
+    data: [DataSlot; DATA_SLOTS],
+}
+
+impl Default for Context {
+    fn default() -> Self {
+        Context {
+            seen: (0, 0, 0),
+            epoch: 0,
+            code_pages: 0,
+            data: [DataSlot::EMPTY; DATA_SLOTS],
+        }
+    }
+}
+
+impl Context {
+    /// The stamp of the context the CPU is in right now; moves on to a
+    /// new epoch if any of the three counters moved since the last
+    /// call, and flushes the data-page map if that or the set of code
+    /// pages did.
+    #[inline]
+    fn stamp(&mut self, cpu: &Cpu, mem: &Memory, clears: u64, stats: &mut ExecStats) -> u64 {
+        let now = (cpu.tlb.content_gen(), mem.code_epoch(), clears);
+        let moved = now != self.seen;
+        if moved {
+            self.seen = now;
+            self.epoch += 1;
+        }
+        if moved || mem.code_pages() != self.code_pages {
+            self.code_pages = mem.code_pages();
+            self.data = [DataSlot::EMPTY; DATA_SLOTS];
+            stats.data_map_flushes += 1;
+        }
+        (self.epoch << 3) | u64::from(psw_key(cpu))
+    }
+
+    /// Records that an access of kind `access` to `vaddr` just went
+    /// through the full path — translation, permission, RAM — so the
+    /// next one to the page, under this key and epoch, need not. A page
+    /// that holds decoded bytes gets no write tag: its stores keep
+    /// going through [`Memory::write_u32`], which judges them against
+    /// the decoded extent.
+    fn fill(&mut self, cpu: &Cpu, mem: &Memory, vaddr: u32, access: TlbAccess) {
+        let Some(paddr) = cpu.peek_translate(vaddr, access) else {
+            return;
+        };
+        let page_mask = !(PAGE_SIZE - 1);
+        let tag = (vaddr & page_mask) | key_bits(psw_key(cpu));
+        let slot = &mut self.data[data_slot(vaddr)];
+        if slot.read != tag && slot.write != tag {
+            *slot = DataSlot {
+                base: paddr & page_mask,
+                ..DataSlot::EMPTY
+            };
+        }
+        match access {
+            TlbAccess::Write if mem.holds_code(paddr) => {}
+            TlbAccess::Write => slot.write = tag,
+            _ => slot.read = tag,
+        }
+    }
 }
 
 /// A compiled superblock.
@@ -330,8 +565,7 @@ pub(crate) struct SuperBlock {
     /// Code generation of the entry page at compile time.
     gen: u64,
     /// Physical address of the entry instruction — the cache key this
-    /// superblock was compiled for (return-slot identity checks
-    /// compare it, since arena indices are reused across clears).
+    /// superblock was compiled for.
     entry_paddr: u32,
     /// Secondary pages a cross-page trace executes from, in discovery
     /// order; empty for the common single-page trace.
@@ -351,13 +585,22 @@ pub(crate) struct SuperBlock {
     /// once, at compile time, so neither the native path nor the
     /// embedder's hook decodes at run time.
     assists: Box<[(Instruction, u32)]>,
-    /// Return-cache slot of the trace-terminating `jalr`, if any.
-    /// `Cell` because predictions are recorded while the executor
-    /// holds a shared borrow of the cache (`run_chain` takes `&self`);
-    /// the dispatcher is owned per-CPU and moved — never shared —
-    /// across threads, so interior mutability without `Sync` is
-    /// exactly the contract.
-    ret_slot: Cell<RetSlot>,
+    /// The trace's cells of [`JitCache::links`], one per way out of it
+    /// that an op or its end is: `first_link` for falling off the end,
+    /// then one per op whose [`Op::target`] says [`LINKED`] — an
+    /// out-of-span branch or `jal`, an assist op (which may send control
+    /// anywhere).
+    first_link: u32,
+    /// How many cells that is.
+    links: u32,
+    /// The two-way return link of the trace-terminating `jalr`, if any.
+    /// In the superblock, not in the table: where a return goes next is
+    /// the longest dependent chain a call-heavy guest has (link → arena
+    /// index → superblock → its `jalr`'s link → …), and a cell reached
+    /// through the op record — ops pointer, op, cell — makes every turn
+    /// of it two loads longer (a `jal`/`jalr` pair 11.5 ns instead of
+    /// 3.3). `Cell` for the reason [`JitCache::links`] gives.
+    ret: [Cell<Link>; 2],
 }
 
 impl SuperBlock {
@@ -375,7 +618,9 @@ impl SuperBlock {
             end_off: 0,
             wrap: NO_TARGET,
             assists: Box::new([]),
-            ret_slot: Cell::new(RetSlot::EMPTY),
+            first_link: 0,
+            links: 0,
+            ret: [Cell::new(Link::EMPTY), Cell::new(Link::EMPTY)],
         }
     }
 
@@ -412,13 +657,15 @@ impl SuperBlock {
 /// Builds the op for `insn` (encoded as `word`) at entry-relative byte
 /// offset `off`; `index_of` maps compiled offsets to op indices for
 /// branch/`jal` wiring. An instruction without a template becomes an
-/// assist op and its decoded form is appended to `assists`.
+/// assist op and its decoded form is appended to `assists`. Every way
+/// out of the span the op has takes the next link cell (`next_link`).
 fn build_op(
     off: u32,
     index_of: &HashMap<u32, u32, IntBuildHasher>,
     insn: Instruction,
     word: u32,
     assists: &mut Vec<(Instruction, u32)>,
+    next_link: &mut u32,
 ) -> Op {
     let op = |kind: Kind, rd: Reg, rs1: Reg, rs2: Reg, imm: i32, target: u32| Op {
         kind,
@@ -429,14 +676,18 @@ fn build_op(
         target,
         off,
     };
+    // Takes the next link cell; its flagged index.
+    let mut link = || {
+        *next_link += 1;
+        LINKED | (*next_link - 1)
+    };
     // Wires a PC-relative transfer to the op index of its target when
     // the target was compiled into this trace (misaligned targets are
-    // never compiled, so they fall out naturally).
-    let wire = |offset: i32| {
-        index_of
-            .get(&off.wrapping_add(offset as u32))
-            .copied()
-            .unwrap_or(NO_TARGET)
+    // never compiled, so they fall out naturally), and links it
+    // otherwise.
+    let mut wire = |offset: i32| match index_of.get(&off.wrapping_add(offset as u32)) {
+        Some(&at) => at,
+        None => link(),
     };
     let z = Reg::ZERO;
     use Instruction as I;
@@ -546,7 +797,7 @@ fn build_op(
         | I::Idle
         | I::Diag { .. } => {
             assists.push((insn, word));
-            op(Kind::Assist, z, z, z, (assists.len() - 1) as i32, NO_TARGET)
+            op(Kind::Assist, z, z, z, (assists.len() - 1) as i32, link())
         }
     }
 }
@@ -561,8 +812,16 @@ fn build_op(
 /// translation state: a `jal` whose target lies in another page
 /// extends the trace only when that page translates executably right
 /// now, and the page is recorded as a dependency every entry
-/// re-validates.
-fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Option<SuperBlock> {
+/// re-validates. The trace's link cells are numbered from `first_link`;
+/// the caller appends [`SuperBlock::links`] of them to the table.
+fn compile(
+    paddr: u32,
+    entry_vpc: u32,
+    gen: u64,
+    cpu: &Cpu,
+    mem: &Memory,
+    first_link: u32,
+) -> Option<SuperBlock> {
     debug_assert_eq!(paddr & (PAGE_SIZE - 1), entry_vpc & (PAGE_SIZE - 1));
     let page_mask = !(PAGE_SIZE - 1);
     let page_addr = paddr & page_mask;
@@ -650,9 +909,11 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
     }
     let &(_, _, last_off) = insns.last()?;
     let mut assists = Vec::new();
+    // The first cell is the trace's own: falling off its end.
+    let mut next_link = first_link + 1;
     let ops: Vec<Op> = insns
         .iter()
-        .map(|&(insn, word, o)| build_op(o, &index_of, insn, word, &mut assists))
+        .map(|&(insn, word, o)| build_op(o, &index_of, insn, word, &mut assists, &mut next_link))
         .collect();
     // A page registered at a `jal` follow whose first word then failed
     // to compile contributed no ops: drop it rather than record a
@@ -679,7 +940,9 @@ fn compile(paddr: u32, entry_vpc: u32, gen: u64, cpu: &Cpu, mem: &Memory) -> Opt
         end_off: last_off.wrapping_add(4),
         wrap,
         assists: assists.into_boxed_slice(),
-        ret_slot: Cell::new(RetSlot::EMPTY),
+        first_link,
+        links: next_link - first_link,
+        ret: [Cell::new(Link::EMPTY), Cell::new(Link::EMPTY)],
     })
 }
 
@@ -708,36 +971,57 @@ pub(crate) enum Leave {
 
 /// What the frame does after an assist op.
 enum After {
-    /// Control fell through to the next instruction and nothing the
-    /// trace was entered under has moved: go on at the next op, with
-    /// this retirement budget.
+    /// Control fell through to the next instruction and the execution
+    /// context is the one the trace was entered in: go on at the next
+    /// op, with this retirement budget.
     Next(u64),
     /// Execution may go on (budget as above), but control went
-    /// elsewhere or something a trace is validated against moved:
-    /// re-enter through `chain!`, which validates everything.
+    /// elsewhere or the context moved: leave through `chain!`, under
+    /// the stamp [`assist_op`] wrote back.
     Chain(u64),
     /// Leave the frame: for the dispatcher (`None`) or the run loop.
     Leave(Option<Leave>),
 }
 
+/// What a frame lends its out-of-line helpers: the context and its
+/// stamp as the frame last read it, the cache's clear count (the one
+/// stamp input that is not the CPU's or the memory's) and the counters.
+struct Frame<'a> {
+    ctx: &'a mut Context,
+    stamp: u64,
+    clears: u64,
+    stats: &'a mut ExecStats,
+}
+
+impl Frame<'_> {
+    /// Re-reads the stamp; `true` if it is what the frame last read.
+    #[inline]
+    fn restamp(&mut self, cpu: &Cpu, mem: &Memory) -> bool {
+        let now = self.ctx.stamp(cpu, mem, self.clears, self.stats);
+        std::mem::replace(&mut self.stamp, now) == now
+    }
+}
+
 /// Executes the assist op whose side-table slot is `slot`: a
 /// privileged, environment or trapping instruction compiled into the
 /// trace. The caller has synced PC (`vpc`, on the instruction),
-/// retirement count and recovery counter.
+/// retirement count, recovery counter and TLB hit count.
 ///
 /// A privileged instruction above privilege 0 goes, decoded, to the
 /// embedder's hook; anything else runs through [`Cpu::execute`], the
 /// function the step engine uses, so the tiers cannot drift. Then
 /// everything the dispatcher establishes before it enters a trace is
 /// established again, in its order: the retirement goal (the hook may
-/// have moved it), the three pre-dispatch checks, the batch limit. The
-/// frame goes on to the next op only if, on top of that, control fell
-/// through and the translation inputs (PSW key, TLB contents) and the
-/// trace's code pages are what they were before the op.
+/// have moved it), the three pre-dispatch checks, the batch limit — and
+/// the context stamp is read again. The frame goes on to the next op
+/// only if, on top of that, control fell through and the stamp is what
+/// it was before the op: same PSW key, same TLB contents, no decoded
+/// byte written anywhere (this trace's pages included).
 ///
 /// Out of line on purpose: the straight-line arms of `run_chain` keep
 /// their registers.
 #[inline(never)]
+#[allow(clippy::too_many_arguments)]
 fn assist_op(
     sb: &SuperBlock,
     slot: usize,
@@ -746,10 +1030,9 @@ fn assist_op(
     mem: &mut Memory,
     goal: &mut u64,
     assist: &mut dyn Assist,
+    frame: &mut Frame<'_>,
 ) -> After {
     let (insn, word) = sb.assists[slot];
-    let key = psw_key(cpu);
-    let tlb_gen = cpu.tlb.content_gen();
     if insn.is_privileged() && cpu.psw.cpl != 0 {
         match assist.privileged(cpu, mem, insn, word) {
             Resume::Continue(n) => *goal = cpu.retired().saturating_add(n),
@@ -768,15 +1051,65 @@ fn assist_op(
         return After::Leave(Some(Leave::Offer(e)));
     }
     let budget = cpu.batch_limit(*goal);
-    if cpu.pc == vpc.wrapping_add(4)
-        && psw_key(cpu) == key
-        && cpu.tlb.content_gen() == tlb_gen
-        && !sb.pages_stale(mem)
-    {
+    if frame.restamp(cpu, mem) && cpu.pc == vpc.wrapping_add(4) {
         After::Next(budget)
     } else {
         After::Chain(budget)
     }
+}
+
+/// Books `fast` accesses the data-page map answered under the tag bits
+/// `key`: each stood in for one counted TLB lookup if translation was
+/// on. The frame calls it wherever the count could be observed or the
+/// key could change — before every assist op and on the way out — so
+/// the data-side [`Tlb::stats`](crate::tlb::Tlb::stats) read what the
+/// full path would have counted.
+#[inline]
+fn book_fast(fast: u64, key: u32, cpu: &mut Cpu, stats: &mut ExecStats) {
+    stats.data_fast += fast;
+    if key & key_bits(1) != 0 {
+        cpu.tlb.count_hits(fast);
+    }
+}
+
+/// A load the data-page map had no answer for: the full path
+/// ([`Cpu::access_load`] — alignment, counted translation, RAM or the
+/// I/O window), and, when it ends in RAM, a read tag for its page.
+/// Out of line: the map's hit is the arm, this is the exception.
+#[inline(never)]
+fn load_slow(
+    width: MemWidth,
+    op: &Op,
+    cpu: &mut Cpu,
+    mem: &Memory,
+    frame: &mut Frame<'_>,
+) -> Result<u32, Exit> {
+    frame.stats.data_slow += 1;
+    let v = cpu.access_load(width, op.rd, op.rs1, op.imm, mem)?;
+    let vaddr = cpu.reg(op.rs1).wrapping_add(op.imm as u32);
+    frame.ctx.fill(cpu, mem, vaddr, TlbAccess::Read);
+    Ok(v)
+}
+
+/// Store counterpart of [`load_slow`]. A store through the full path is
+/// the one template op that can write decoded bytes, so the stamp is
+/// read again behind it: `Ok(false)` says it moved — some page's code
+/// generation did, this trace's or another's — and the frame must not
+/// go on as if it had not.
+#[inline(never)]
+fn store_slow(
+    width: MemWidth,
+    op: &Op,
+    cpu: &mut Cpu,
+    mem: &mut Memory,
+    frame: &mut Frame<'_>,
+) -> Result<bool, Exit> {
+    frame.stats.data_slow += 1;
+    cpu.access_store(width, op.rs1, op.rs2, op.imm, mem)?;
+    let vaddr = cpu.reg(op.rs2).wrapping_add(op.imm as u32);
+    let same = frame.restamp(cpu, mem);
+    frame.ctx.fill(cpu, mem, vaddr, TlbAccess::Write);
+    Ok(same)
 }
 
 impl JitCache {
@@ -796,14 +1129,17 @@ impl JitCache {
     /// stale code — returns to the full dispatcher.
     ///
     /// Returns `None` to go round the dispatcher again, or what the
-    /// run loop must see; on return the PC, retired count and recovery
-    /// counter are synced.
+    /// run loop must see; on return the PC, retired count, recovery
+    /// counter and TLB hit count are synced.
     ///
     /// Each op body routes through the same shared semantics helpers
     /// (`alu_value`, `alu_imm_value`, `access_load`, `access_store`,
     /// `execute`) as the step loop, with the operation passed as a
     /// constant that folds away after inlining — so the two engines
-    /// cannot drift.
+    /// cannot drift. A load or store the data-page map of `ctx` answers
+    /// skips `access_load`/`access_store` for what the same access,
+    /// through them, established earlier in this context.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_chain(
         &self,
         start: u32,
@@ -811,6 +1147,7 @@ impl JitCache {
         mem: &mut Memory,
         goal: &mut u64,
         assist: &mut dyn Assist,
+        ctx: &mut Context,
         stats: &mut ExecStats,
     ) -> Option<Leave> {
         // Retirements the frame may still make, counted *down* so the
@@ -819,6 +1156,14 @@ impl JitCache {
         let mut granted = cpu.batch_limit(*goal);
         debug_assert!(granted > 0);
         let mut left = granted;
+        // The context stamp, the PSW key in it as the data-page map's
+        // tags carry it, and the accesses the map has answered since
+        // they were last booked. The key can only change where the
+        // stamp is re-read, and the count is booked there first.
+        let mut stamp = ctx.stamp(cpu, mem, self.clears, stats);
+        let mut key = stamp_key_bits(stamp);
+        let mut fast: u64 = 0;
+        let links = &self.links[..];
         let mut sb = self.get(start);
         let mut ops = &sb.ops[..];
         let mut n = ops.len();
@@ -859,25 +1204,54 @@ impl JitCache {
 
             // Control-flow helpers shared by the op bodies below.
             // `chain!` is the out-of-superblock path: with the PC
-            // already set, hop into the next compiled superblock if
-            // one exists (fresh and aligned), else return to the
-            // dispatcher. `fault!` leaves with the PC on the op,
-            // which did *not* retire; `taken!` retires a transfer,
-            // continuing at a wired in-span op index or chaining at
-            // the target.
+            // already set, hop into the trace this exit's link cell
+            // names if the cell was recorded for this target in this
+            // context, else into whatever compiled superblock a full
+            // lookup finds there (fresh and aligned), recording it —
+            // else return to the dispatcher. The budget and alignment
+            // tests come first: a link vouches for the target trace,
+            // not for the frame's right to run it. `fault!` leaves
+            // with the PC on the op, which did *not* retire; `taken!`
+            // retires a transfer, continuing at a wired in-span op
+            // index or chaining at the target.
             macro_rules! chain {
-                () => {{
+                ($cell:expr) => {{
                     if left == 0 || !cpu.pc.is_multiple_of(4) {
                         break 'run None;
                     }
                     stats.chain_hops += 1;
-                    let Ok(pa) = cpu.translate(cpu.pc, TlbAccess::Execute) else {
-                        break 'run None;
-                    };
-                    match self.peek(pa, cpu, mem) {
-                        Some(next) => enter!(next, cpu.pc),
+                    let cell = &links[$cell];
+                    let link = cell.get();
+                    if link.vpc == cpu.pc && link.stamp == stamp {
+                        stats.link_hits += 1;
+                        enter!(link.idx, cpu.pc)
+                    }
+                    match self.hop(cpu, mem) {
+                        Some(next) => {
+                            cell.set(Link {
+                                vpc: cpu.pc,
+                                idx: next,
+                                stamp,
+                            });
+                            enter!(next, cpu.pc)
+                        }
                         None => break 'run None,
                     }
+                }};
+            }
+            // Lends the frame's context to an out-of-line helper, and
+            // takes the stamp back as the helper left it.
+            macro_rules! lend {
+                (|$frame:ident| $call:expr) => {{
+                    let mut $frame = Frame {
+                        ctx: &mut *ctx,
+                        stamp,
+                        clears: self.clears,
+                        stats: &mut *stats,
+                    };
+                    let answer = $call;
+                    stamp = $frame.stamp;
+                    answer
                 }};
             }
             // `advance!` moves to the next op; past the last one it
@@ -892,7 +1266,7 @@ impl JitCache {
                             continue 'run;
                         }
                         cpu.pc = entry_vpc.wrapping_add(sb.end_off);
-                        chain!()
+                        chain!(sb.first_link as usize)
                     }
                     continue 'run;
                 }};
@@ -912,12 +1286,12 @@ impl JitCache {
             macro_rules! taken {
                 ($byte_offset:expr) => {{
                     left -= 1;
-                    if op.target != NO_TARGET {
+                    if op.target & LINKED == 0 {
                         i = op.target as usize;
                         continue 'run;
                     }
                     cpu.pc = vpc!().wrapping_add($byte_offset as u32);
-                    chain!()
+                    chain!((op.target & !LINKED) as usize)
                 }};
             }
             macro_rules! alu {
@@ -940,9 +1314,27 @@ impl JitCache {
                     next!()
                 }};
             }
+            // Loads and stores ask the data-page map first. A probe is
+            // the address with its in-page bits masked off — all but
+            // the low two for a word, so a misaligned word matches no
+            // tag — over the PSW key; a hit is a slot whose tag for
+            // this kind of access equals it, and the access is then a
+            // bounds-checked read or write of RAM at the slot's page.
+            // Everything else — miss, fault, I/O window, read-only
+            // page, a store to a page with code in it — is the full
+            // path's, unchanged.
             macro_rules! load {
-                ($w:ident) => {{
-                    match cpu.access_load(MemWidth::$w, op.rd, op.rs1, op.imm, mem) {
+                ($w:ident, $in_page:expr, $read:ident) => {{
+                    let vaddr = cpu.reg(op.rs1).wrapping_add(op.imm as u32);
+                    let slot = ctx.data[data_slot(vaddr)];
+                    if slot.read == (vaddr & !$in_page) | key {
+                        if let Ok(raw) = mem.$read(slot.base | (vaddr & (PAGE_SIZE - 1))) {
+                            fast += 1;
+                            cpu.set_reg(op.rd, extend(MemWidth::$w, u32::from(raw)));
+                            next!()
+                        }
+                    }
+                    match lend!(|f| load_slow(MemWidth::$w, op, cpu, mem, &mut f)) {
                         Ok(v) => {
                             cpu.set_reg(op.rd, v);
                             next!()
@@ -952,14 +1344,29 @@ impl JitCache {
                 }};
             }
             macro_rules! store {
-                ($w:ident) => {{
-                    match cpu.access_store(MemWidth::$w, op.rs1, op.rs2, op.imm, mem) {
-                        Ok(()) => {
-                            // The store may have patched one of this
-                            // superblock's own pages — the entry page
-                            // or a cross-page callee's — ahead of the
-                            // program counter: abandon the compiled
-                            // tail and re-enter the dispatcher.
+                ($w:ident, $in_page:expr, $write:ident, $ty:ty) => {{
+                    let vaddr = cpu.reg(op.rs2).wrapping_add(op.imm as u32);
+                    let slot = ctx.data[data_slot(vaddr)];
+                    if slot.write == (vaddr & !$in_page) | key
+                        && mem.$write(
+                            slot.base | (vaddr & (PAGE_SIZE - 1)),
+                            cpu.reg(op.rs1) as $ty,
+                        )
+                    {
+                        fast += 1;
+                        next!()
+                    }
+                    match lend!(|f| store_slow(MemWidth::$w, op, cpu, mem, &mut f)) {
+                        Ok(true) => next!(),
+                        Ok(false) => {
+                            // The store wrote decoded bytes somewhere
+                            // and the stamp has moved on, so no link
+                            // recorded before it will be followed. If
+                            // the bytes were this superblock's own —
+                            // the entry page's or a cross-page
+                            // callee's, ahead of the program counter —
+                            // abandon the compiled tail and re-enter
+                            // the dispatcher.
                             if sb.pages_stale(mem) {
                                 left -= 1;
                                 cpu.pc = vpc!().wrapping_add(4);
@@ -981,7 +1388,6 @@ impl JitCache {
                     next!()
                 }};
             }
-
             match op.kind {
                 Kind::Add => alu!(Add),
                 Kind::Sub => alu!(Sub),
@@ -1010,12 +1416,12 @@ impl JitCache {
                     next!()
                 }
                 Kind::Nop => next!(),
-                Kind::Lw => load!(Word),
-                Kind::Lb => load!(Byte),
-                Kind::Lbu => load!(ByteU),
-                Kind::Sw => store!(Word),
-                Kind::Sb => store!(Byte),
-                Kind::Sbu => store!(ByteU),
+                Kind::Lw => load!(Word, WORD_IN_PAGE, read_u32),
+                Kind::Lb => load!(Byte, BYTE_IN_PAGE, read_u8),
+                Kind::Lbu => load!(ByteU, BYTE_IN_PAGE, read_u8),
+                Kind::Sw => store!(Word, WORD_IN_PAGE, write_data_u32, u32),
+                Kind::Sb => store!(Byte, BYTE_IN_PAGE, write_data_u8, u8),
+                Kind::Sbu => store!(ByteU, BYTE_IN_PAGE, write_data_u8, u8),
                 Kind::Beq => branch!(|a, b| a == b),
                 Kind::Bne => branch!(|a, b| a != b),
                 Kind::Blt => branch!(|a, b| (a as i32) < (b as i32)),
@@ -1041,45 +1447,35 @@ impl JitCache {
                     if left == 0 {
                         break 'run None;
                     }
-                    // Inline return cache. The trace-terminating
-                    // `jalr` is almost always a `ret` with one hot
-                    // call site, so its target superblock is
-                    // predicted per-op. The prediction is trusted
-                    // only while nothing it depends on has moved:
-                    // same virtual target, same translation inputs
-                    // (PSW key + TLB content generation keep the
-                    // recorded physical entry current), and a fresh
-                    // superblock still compiled for that exact entry
-                    // — the same `resolve` predicate every other
-                    // entry path uses.
-                    let slot = sb.ret_slot.get();
-                    if slot.vpc == target
-                        && slot.psw_key == psw_key(cpu)
-                        && slot.tlb_gen == cpu.tlb.content_gen()
-                        && matches!(
-                            self.resolve(slot.idx, slot.paddr, target, cpu, mem),
-                            Some(Lookup::Compiled(_))
-                        )
-                    {
+                    // The return link. The trace-terminating `jalr` is
+                    // almost always a `ret`, and a `ret` has a hot
+                    // caller — or, in a recursive routine, two: the
+                    // outer call site and its own. So it holds two
+                    // links, tried in order (`jalr` masks the low
+                    // target bits: no alignment test is needed).
+                    let way0 = sb.ret[0].get();
+                    if way0.vpc == target && way0.stamp == stamp {
                         stats.ret_cache_hits += 1;
-                        enter!(slot.idx, target)
+                        enter!(way0.idx, target)
+                    }
+                    let way1 = sb.ret[1].get();
+                    if way1.vpc == target && way1.stamp == stamp {
+                        stats.ret_cache_hits += 1;
+                        enter!(way1.idx, target)
                     }
                     stats.ret_cache_misses += 1;
-                    // Miss: the full chain path (`jalr` masks the low
-                    // target bits, so no alignment check is needed),
-                    // re-recording the slot on success so monomorphic
-                    // call sites stabilize after one miss.
-                    let Ok(pa) = cpu.translate(cpu.pc, TlbAccess::Execute) else {
-                        break 'run None;
-                    };
-                    match self.peek(pa, cpu, mem) {
+                    // Miss: the full lookup, recorded over a way that
+                    // is dead anyway (another context's) and else over
+                    // the second — the first keeps the target that got
+                    // there first, the dominant one, and one more
+                    // return site does not evict it every time round.
+                    match self.hop(cpu, mem) {
                         Some(next) => {
-                            sb.ret_slot.set(RetSlot {
+                            let way = usize::from(way0.stamp == stamp);
+                            sb.ret[way].set(Link {
                                 vpc: target,
-                                paddr: pa,
                                 idx: next,
-                                tlb_gen: cpu.tlb.content_gen(),
-                                psw_key: psw_key(cpu),
+                                stamp,
                             });
                             enter!(next, target)
                         }
@@ -1113,18 +1509,31 @@ impl JitCache {
                 Kind::Assist => {
                     // Sync, so the instruction (and the embedder) sees
                     // the architectural state; the frame's count
-                    // restarts from the budget `assist_op` hands back.
+                    // restarts from the budget `assist_op` hands back,
+                    // its stamp and key from the stamp it leaves behind.
                     let pc = vpc!();
                     cpu.pc = pc;
                     cpu.sync_retire(granted - left);
-                    match assist_op(sb, op.imm as usize, pc, cpu, mem, goal, assist) {
+                    book_fast(std::mem::take(&mut fast), key, cpu, stats);
+                    let after = lend!(|f| assist_op(
+                        sb,
+                        op.imm as usize,
+                        pc,
+                        cpu,
+                        mem,
+                        goal,
+                        assist,
+                        &mut f
+                    ));
+                    key = stamp_key_bits(stamp);
+                    match after {
                         After::Next(b) => {
                             (granted, left) = (b, b);
                             advance!()
                         }
                         After::Chain(b) => {
                             (granted, left) = (b, b);
-                            chain!()
+                            chain!((op.target & !LINKED) as usize)
                         }
                         After::Leave(leave) => {
                             left = granted;
@@ -1135,7 +1544,17 @@ impl JitCache {
             }
         };
         cpu.sync_retire(granted - left);
+        book_fast(fast, key, cpu, stats);
         leave
+    }
+
+    /// The hop no link answered: translate the PC (already on the
+    /// target), look the trace up and validate it like any entry.
+    /// Out of line, like everything a frame does rarely.
+    #[inline(never)]
+    fn hop(&self, cpu: &mut Cpu, mem: &Memory) -> Option<u32> {
+        let pa = cpu.translate(cpu.pc, TlbAccess::Execute).ok()?;
+        self.peek(pa, cpu, mem)
     }
 }
 
@@ -1168,6 +1587,18 @@ pub(crate) struct JitCache {
     heat: HashMap<u32, u32, IntBuildHasher>,
     /// `(paddr, arena index)` keyed by `(paddr >> 2) & (FRONT_SLOTS-1)`.
     front: Option<Box<[(u32, u32); FRONT_SLOTS]>>,
+    /// The trace-to-trace links of every superblock in the arena, in
+    /// one table beside it so that the executor reaches a cell from the
+    /// op it is on, not through the superblock. `Cell` because links
+    /// are recorded while the executor holds a shared borrow of the
+    /// cache (`run_chain` takes `&self`); the dispatcher is owned
+    /// per-CPU and moved — never shared — across threads, so interior
+    /// mutability without `Sync` is exactly the contract.
+    links: Vec<Cell<Link>>,
+    /// Times the arena was cleared. Arena and link indices are reused
+    /// across clears, so the count is part of the [`Context`] stamp a
+    /// [`Link`] is recorded under.
+    clears: u64,
 }
 
 impl JitCache {
@@ -1178,7 +1609,9 @@ impl JitCache {
 
     /// Drops every compiled superblock and all heat state.
     fn clear(&mut self) {
+        self.clears += 1;
         self.arena.clear();
+        self.links.clear();
         self.map.clear();
         self.heat.clear();
         if let Some(front) = &mut self.front {
@@ -1199,9 +1632,10 @@ impl JitCache {
     /// ([`Lookup::Cold`]), or `None` when the slot is for another
     /// address or no longer trustworthy (a recorded page's code was
     /// written, or a secondary page translates elsewhere). Shared by
-    /// the front table, the map path, [`Self::peek`] and the inline
-    /// return cache, so no entry path can skip a code-generation or
-    /// translation check.
+    /// the front table, the map path and [`Self::peek`], so no lookup
+    /// can skip a code-generation or translation check (a followed
+    /// [`Link`] is not a lookup: it rests on one of these, made under
+    /// the stamp it still carries).
     #[inline]
     fn resolve(&self, idx: u32, paddr: u32, vpc: u32, cpu: &Cpu, mem: &Memory) -> Option<Lookup> {
         let sb = self.arena.get(idx as usize)?;
@@ -1266,64 +1700,88 @@ impl JitCache {
 
     fn probe_slow(&mut self, paddr: u32, cpu: &Cpu, mem: &Memory, stats: &mut ExecStats) -> Lookup {
         let gen = mem.code_gen(paddr);
+        let mut stale = None;
         if let Some(&idx) = self.map.get(&paddr) {
             let sb = &self.arena[idx as usize];
-            if sb.pages_stale(mem) {
-                // Self-modifying code or DMA over decoded bytes of a
-                // constituent page: this address is known-hot,
-                // recompile in place. An empty-ops marker records an
-                // address that no longer compiles (until its word
-                // changes again).
-                stats.jit_invalidations += 1;
-                if mem.code_gen(sb.page_addr) == sb.gen {
-                    // The entry page is intact: only a *secondary*
-                    // page of a cross-page trace was written.
-                    stats.jit_invalidations_secondary += 1;
-                }
-                self.arena[idx as usize] = compile_or_marker(paddr, gen, cpu, mem, stats);
+            if !sb.pages_stale(mem) {
+                return self.answer(idx, paddr, cpu, mem);
             }
-            return match self.resolve(idx, paddr, cpu.pc, cpu, mem) {
-                Some(hit) => {
-                    self.front_mut()[front_slot(paddr)] = (paddr, idx);
-                    hit
-                }
-                // Every page's code is unwritten, but a secondary
-                // virtual page no longer translates to the page the
-                // trace was compiled from (a remap, a purge, or a
-                // privilege change). The code itself is intact, so keep
-                // the trace — the mapping usually comes back — and let
-                // the cold path own this entry meanwhile; it takes the
-                // exact fault, if any, being the per-step path.
-                None => Lookup::Cold,
-            };
+            // Self-modifying code or DMA over decoded bytes of a
+            // constituent page: this address is known-hot, recompile
+            // in place. An empty-ops marker records an address that no
+            // longer compiles (until its word changes again).
+            stats.jit_invalidations += 1;
+            if mem.code_gen(sb.page_addr) == sb.gen {
+                // The entry page is intact: only a *secondary* page of
+                // a cross-page trace was written.
+                stats.jit_invalidations_secondary += 1;
+            }
+            stale = Some(idx);
+        } else {
+            // Cold address: count the execution, promote when hot.
+            if self.heat.len() >= MAX_HEAT_ENTRIES {
+                self.heat.clear();
+            }
+            let heat = self.heat.entry(paddr).or_insert(0);
+            *heat += 1;
+            if *heat < PROMOTE_THRESHOLD {
+                return Lookup::Cold;
+            }
+            self.heat.remove(&paddr);
         }
-        // Cold address: count the execution, promote when hot.
-        if self.heat.len() >= MAX_HEAT_ENTRIES {
-            self.heat.clear();
+        if (stale.is_none() && self.arena.len() >= MAX_SUPERBLOCKS) || self.links.len() >= MAX_LINKS
+        {
+            self.clear();
+            stale = None;
         }
-        let heat = self.heat.entry(paddr).or_insert(0);
-        *heat += 1;
-        if *heat < PROMOTE_THRESHOLD {
-            return Lookup::Cold;
-        }
-        self.heat.remove(&paddr);
         // An uncompilable start (an unreadable or undecodable first
         // word) caches a marker, so the cold path owns the address
         // without compilation being re-attempted.
-        let sb = compile_or_marker(paddr, gen, cpu, mem, stats);
-        if self.arena.len() >= MAX_SUPERBLOCKS {
-            self.clear();
-        }
-        let idx = self.arena.len() as u32;
-        let hit = if sb.ops.is_empty() {
-            Lookup::Cold
-        } else {
-            Lookup::Compiled(idx)
+        let first_link = self.links.len() as u32;
+        let sb = match compile(paddr, cpu.pc, gen, cpu, mem, first_link) {
+            Some(sb) => {
+                stats.superblocks_compiled += 1;
+                if !sb.extra_pages.is_empty() {
+                    stats.cross_page_superblocks += 1;
+                }
+                self.links
+                    .resize(self.links.len() + sb.links as usize, Cell::new(Link::EMPTY));
+                sb
+            }
+            None => SuperBlock::marker(paddr, gen),
         };
-        self.arena.push(sb);
-        self.map.insert(paddr, idx);
-        self.front_mut()[front_slot(paddr)] = (paddr, idx);
-        hit
+        let idx = match stale {
+            Some(idx) => {
+                self.arena[idx as usize] = sb;
+                idx
+            }
+            None => {
+                self.arena.push(sb);
+                let idx = self.arena.len() as u32 - 1;
+                self.map.insert(paddr, idx);
+                idx
+            }
+        };
+        self.answer(idx, paddr, cpu, mem)
+    }
+
+    /// What the mapped arena index `idx` says about an entry at `paddr`
+    /// now, noted in the front table when it says anything.
+    fn answer(&mut self, idx: u32, paddr: u32, cpu: &Cpu, mem: &Memory) -> Lookup {
+        match self.resolve(idx, paddr, cpu.pc, cpu, mem) {
+            Some(hit) => {
+                self.front_mut()[front_slot(paddr)] = (paddr, idx);
+                hit
+            }
+            // Every page's code is unwritten, but a secondary virtual
+            // page no longer translates to the page the trace was
+            // compiled from (a remap, a purge, or a privilege change).
+            // The code itself is intact, so keep the trace — the
+            // mapping usually comes back — and let the cold path own
+            // this entry meanwhile; it takes the exact fault, if any,
+            // being the per-step path.
+            None => Lookup::Cold,
+        }
     }
 }
 
@@ -1331,27 +1789,6 @@ impl JitCache {
 #[inline]
 fn front_slot(paddr: u32) -> usize {
     ((paddr >> 2) as usize) & (FRONT_SLOTS - 1)
-}
-
-/// Compiles the trace at `paddr` (entered at the CPU's current PC) and
-/// counts it, or builds the marker for an address that does not compile.
-fn compile_or_marker(
-    paddr: u32,
-    gen: u64,
-    cpu: &Cpu,
-    mem: &Memory,
-    stats: &mut ExecStats,
-) -> SuperBlock {
-    match compile(paddr, cpu.pc, gen, cpu, mem) {
-        Some(sb) => {
-            stats.superblocks_compiled += 1;
-            if !sb.extra_pages.is_empty() {
-                stats.cross_page_superblocks += 1;
-            }
-            sb
-        }
-        None => SuperBlock::marker(paddr, gen),
-    }
 }
 
 #[cfg(test)]
@@ -1380,7 +1817,7 @@ mod tests {
     }
 
     fn compile_at(paddr: u32, mem: &Memory) -> Option<SuperBlock> {
-        compile(paddr, paddr, mem.code_gen(paddr), &cpu_at(paddr), mem)
+        compile(paddr, paddr, mem.code_gen(paddr), &cpu_at(paddr), mem, 0)
     }
 
     #[test]
@@ -1494,7 +1931,12 @@ mod tests {
     fn forward_branches_out_of_span_are_unwired() {
         let mem = mem_with("s: beq r0, r0, 4096\n jal ra, 0");
         let sb = compile_at(0, &mem).expect("superblock");
-        assert_eq!(sb.ops[0].target, NO_TARGET);
+        // Unwired, and linked: cell 0 is the trace's end, 1 the branch's,
+        // 2 the `jal`'s (its target, the trace's own entry, is already
+        // compiled, so it is not followed — and it is in-span: wired).
+        assert_eq!(sb.ops[0].target, LINKED | 1);
+        assert_eq!(sb.ops[1].target, 0);
+        assert_eq!(sb.links, 2);
     }
 
     #[test]

@@ -144,6 +144,18 @@ pub struct Memory {
     /// holds the same bytes, so the same cached code is valid against
     /// it, and writes to it are judged by the same extents.
     code: Vec<CodePage>,
+    /// Moves whenever *any* page's code generation moves: one counter
+    /// that stands for every `gen` in `code`. The jit reads it into its
+    /// execution-context stamp ([`crate::jit`]) and, while it stands,
+    /// trusts that a trace it validated is still fresh without looking
+    /// at a single page. Derived like `code`, and copied by `Clone` for
+    /// the same reason.
+    code_epoch: u64,
+    /// Moves whenever a page's decoded extent stops (or, wholesale,
+    /// starts again) being empty: the set of pages that hold code has
+    /// changed. While it stands, a page the jit knows as free of code
+    /// is — which is what lets its stores skip the extent compare.
+    code_pages: Cell<u64>,
     /// Cached per-page digests for the VM-state hash
     /// ([`crate::statehash`]). Entry `p` is valid iff its recorded
     /// generation equals `page_gens[p]`: within one `Memory` a
@@ -192,6 +204,8 @@ impl Memory {
             ram: recycled.unwrap_or_else(|| vec![0; bytes]),
             page_gens: vec![0; pages],
             code: vec![CodePage::no_code(); pages],
+            code_epoch: 0,
+            code_pages: Cell::new(0),
             digests: vec![Cell::new(STALE); pages],
         }
     }
@@ -224,9 +238,41 @@ impl Memory {
     #[inline]
     pub fn note_decoded(&self, paddr: u32) {
         if let Some(c) = self.code.get((paddr >> PAGE_SHIFT) as usize) {
+            if c.hi.get() == 0 {
+                // The page's first decoded bytes: it is a code page now.
+                self.code_pages.set(self.code_pages.get() + 1);
+            }
             c.lo.set(c.lo.get().min(paddr));
             c.hi.set(c.hi.get().max(paddr + 4));
         }
+    }
+
+    /// The code epoch: moves whenever the [`code_gen`](Memory::code_gen)
+    /// of any page moves — so while it stands, every cached trace that
+    /// was fresh is fresh.
+    #[inline]
+    pub fn code_epoch(&self) -> u64 {
+        self.code_epoch
+    }
+
+    /// Moves whenever the set of pages that hold decoded bytes changes:
+    /// [`note_decoded`](Memory::note_decoded) registered the first word
+    /// of a page, or [`reset`](Memory::reset) / [`restore`](Memory::restore)
+    /// emptied every extent — so while it stands, a page that held no
+    /// decoded byte holds none.
+    #[inline]
+    pub fn code_pages(&self) -> u64 {
+        self.code_pages.get()
+    }
+
+    /// Whether any byte of the page containing `paddr` was registered
+    /// with [`note_decoded`](Memory::note_decoded) and not invalidated
+    /// since. `false` outside RAM.
+    #[inline]
+    pub(crate) fn holds_code(&self, paddr: u32) -> bool {
+        self.code
+            .get((paddr >> PAGE_SHIFT) as usize)
+            .is_some_and(|c| c.hi.get() != 0)
     }
 
     /// Accounts a write of `len` bytes at `paddr`, all within one page
@@ -238,6 +284,7 @@ impl Memory {
         let code = &mut self.code[page];
         if paddr < code.hi.get() && paddr + len > code.lo.get() {
             code.gen += 1;
+            self.code_epoch += 1;
         }
     }
 
@@ -259,7 +306,16 @@ impl Memory {
         for g in &mut self.page_gens {
             *g += 1;
         }
+        self.invalidate_code();
+    }
+
+    /// Empties every decoded extent and moves every code generation
+    /// (and so both summaries of them): the bytes were replaced
+    /// wholesale.
+    fn invalidate_code(&mut self) {
         self.code.iter_mut().for_each(CodePage::invalidate);
+        self.code_epoch += 1;
+        *self.code_pages.get_mut() += 1;
     }
 
     /// RAM size in bytes.
@@ -326,6 +382,39 @@ impl Memory {
         self.ram[i] = value;
         self.touch(paddr, 1);
         Ok(())
+    }
+
+    /// [`write_u32`](Memory::write_u32) for the jit's data-page map:
+    /// `paddr` is 4-aligned and lies in a page that holds no decoded
+    /// byte ([`holds_code`](Memory::holds_code) — the map's write tags
+    /// exist only for such pages and die when
+    /// [`code_pages`](Memory::code_pages) moves), so the
+    /// write can move no code generation and only the dirty-page signal
+    /// is kept. `false`, with nothing written, if the word is not in
+    /// RAM.
+    #[inline]
+    pub(crate) fn write_data_u32(&mut self, paddr: u32, value: u32) -> bool {
+        debug_assert!(paddr.is_multiple_of(4) && !self.holds_code(paddr));
+        let i = paddr as usize;
+        let Some(word) = self.ram.get_mut(i..i + 4) else {
+            return false;
+        };
+        word.copy_from_slice(&value.to_le_bytes());
+        self.page_gens[i >> PAGE_SHIFT] += 1;
+        true
+    }
+
+    /// Byte counterpart of [`write_data_u32`](Memory::write_data_u32).
+    #[inline]
+    pub(crate) fn write_data_u8(&mut self, paddr: u32, value: u8) -> bool {
+        debug_assert!(!self.holds_code(paddr));
+        let i = paddr as usize;
+        let Some(byte) = self.ram.get_mut(i) else {
+            return false;
+        };
+        *byte = value;
+        self.page_gens[i >> PAGE_SHIFT] += 1;
+        true
     }
 
     /// Copies a slice into RAM.
@@ -420,7 +509,7 @@ impl Memory {
         self.page_gens.clone_from(&snap.page_gens);
         self.digests.clear();
         self.digests.resize(self.page_gens.len(), Cell::new(STALE));
-        self.code.iter_mut().for_each(CodePage::invalidate);
+        self.invalidate_code();
         self.code.resize(self.page_gens.len(), CodePage::no_code());
     }
 }

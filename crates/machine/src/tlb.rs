@@ -141,8 +141,8 @@ pub struct Tlb {
     misses: u64,
     /// Monotonic generation of the TLB *contents*: bumped by every
     /// insert, purge and restore. Derived-cache validation (the jit's
-    /// inline return cache) compares generations instead of re-walking
-    /// entries; not part of canonical state.
+    /// execution-context stamp) compares generations instead of
+    /// re-walking entries; not part of canonical state.
     content_gen: u64,
 }
 
@@ -286,6 +286,16 @@ impl Tlb {
     /// `(hits, misses)` counters since construction.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
+    }
+
+    /// Counts `n` hits that were served without a [`Tlb::lookup`]: the
+    /// jit's data-page map answers a repeated access to a page from the
+    /// translation a counted lookup produced, under the same contents
+    /// and privilege, and books the lookups it stood in for here — so
+    /// the data-side counters read what they would without the map.
+    #[inline]
+    pub(crate) fn count_hits(&mut self, n: u64) {
+        self.hits += n;
     }
 
     /// A canonical (sorted) snapshot of the valid entries, for divergence

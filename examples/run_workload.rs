@@ -12,8 +12,9 @@
 //! with two — the backup count must be invisible to the guest —
 //! printing the normalized performance, coordination bookkeeping and
 //! the execution-tier breakdown (instructions retired per engine,
-//! superblocks compiled, invalidations, and how often execution left
-//! the straight line: run entries, dispatcher turns, chain hops) for
+//! superblocks compiled, invalidations, how often execution left the
+//! straight line — run entries, dispatcher turns, chain hops — and the
+//! share of hops and of loads and stores that took their fast path) for
 //! each.
 
 use hvft::core::scenario::{ExecStats, ExecTier, Scenario};
@@ -38,7 +39,7 @@ fn tier_summary(x: &ExecStats) -> String {
     let ret_total = x.ret_cache_hits + x.ret_cache_misses;
     if ret_total > 0 {
         parts.push(format!(
-            "ret-cache {}/{} ({:.1}% hit)",
+            "return links {}/{} ({:.1}% hit)",
             x.ret_cache_hits,
             ret_total,
             100.0 * x.ret_cache_hits as f64 / ret_total as f64
@@ -48,6 +49,19 @@ fn tier_summary(x: &ExecStats) -> String {
         parts.push(format!(
             "{} run entries, {} dispatches, {} chain hops",
             x.run_entries, x.dispatches, x.chain_hops
+        ));
+    }
+    if x.chain_hops > 0 {
+        parts.push(format!(
+            "{:.1}% of hops by link",
+            100.0 * x.link_hits as f64 / x.chain_hops as f64
+        ));
+    }
+    let data = x.data_fast + x.data_slow;
+    if data > 0 {
+        parts.push(format!(
+            "{:.1}% of {data} loads/stores by the data-page map",
+            100.0 * x.data_fast as f64 / data as f64
         ));
     }
     if parts.is_empty() {

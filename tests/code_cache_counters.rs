@@ -23,10 +23,20 @@
 //! it steps through the reference interpreter, several times dearer per
 //! instruction than a trace, so the share of retirements made there and
 //! the number of traces compiled are pinned at what was measured.
+//!
+//! And for what a load, a store, a return and a hop between traces cost
+//! inside a frame: each has a fast answer that is valid while the
+//! execution context stands (the data-page map, the trace-to-trace
+//! links) and a full path behind it, and which one ran is counted
+//! (`data_fast` / `data_slow`, `link_hits` of `chain_hops`,
+//! `ret_cache_hits` / `ret_cache_misses`, `data_map_flushes`). The full
+//! path is for the first touch of a page or an exit in a context, and
+//! for the two stores per syscall that the kernel makes into the page
+//! its vectors are in — nothing that grows with the run.
 
 use hvft::core::scenario::Scenario;
 use hvft::guest::layout::RAM_BYTES;
-use hvft::guest::workload::{Dhrystone, IoBench, Workload};
+use hvft::guest::workload::{CallStorm, Dhrystone, IoBench, Workload};
 use hvft::guest::IoMode;
 use hvft::hypervisor::bare::{BareExit, BareHost};
 use hvft::hypervisor::cost::CostModel;
@@ -34,7 +44,10 @@ use hvft::hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
 use hvft::isa::codec::encode;
 use hvft::isa::instruction::{AluImmOp, Instruction};
 use hvft::isa::reg::Reg;
+use hvft::machine::cpu::{Cpu, Exit, LoadProgram};
 use hvft::machine::exec::{ExecStats, ExecTier};
+use hvft::machine::mem::{Memory, PAGE_SIZE};
+use hvft::machine::tlb::{pte, TlbReplacement};
 use hvft_sim::time::SimDuration;
 
 fn dhrystone_every(iters: u32, syscall_every: u32) -> Dhrystone {
@@ -98,6 +111,21 @@ fn syscalls_do_not_churn_the_code_caches() {
     }
 }
 
+/// `workload` to its exit under the jit, bare or replicated (t = 1).
+fn scenario(workload: impl Workload + 'static, bare: bool) -> ExecStats {
+    let builder = Scenario::builder()
+        .workload(workload)
+        .exec_tier(ExecTier::Jit);
+    let builder = if bare {
+        builder.bare()
+    } else {
+        builder.functional_cost()
+    };
+    let report = builder.build().expect("valid configuration").run();
+    assert!(report.exit.is_clean_exit(), "{:?}", report.exit);
+    report.exec_stats()
+}
+
 /// The write-mode `IoBench` the disk-wait and cold-share gates run, bare
 /// or replicated, under the jit.
 fn io_bench(bare: bool) -> ExecStats {
@@ -108,15 +136,17 @@ fn io_bench(bare: bool) -> ExecStats {
         seed: 5,
         ..IoBench::default()
     };
-    let builder = Scenario::builder().workload(io).exec_tier(ExecTier::Jit);
-    let builder = if bare {
-        builder.bare()
-    } else {
-        builder.functional_cost()
+    scenario(io, bare)
+}
+
+/// Recursion-heavy calls: a `ret` with two return sites.
+fn callstorm(bare: bool) -> ExecStats {
+    let calls = CallStorm {
+        calls: 4_000,
+        depth: 12,
+        ..CallStorm::default()
     };
-    let report = builder.build().expect("valid configuration").run();
-    assert!(report.exit.is_clean_exit(), "{:?}", report.exit);
-    report.exec_stats()
+    scenario(calls, bare)
 }
 
 #[test]
@@ -190,7 +220,122 @@ fn a_syscall_stays_inside_the_run_loop() {
             dispatches >= 0.9,
             "{what}: the gate still ends a frame, {dispatches} per syscall"
         );
+        // A trap into the handler and the `rfi` out of it change the
+        // PSW twice and nothing else: the data-page map keeps its
+        // entries (the PSW key is in their tags), every hop of the
+        // round trip goes by its link, and the full data path is taken
+        // by exactly the handler's two stores into the page its own
+        // code is in.
+        let flushes = per_syscall(|x| x.data_map_flushes);
+        let unlinked = per_syscall(|x| x.chain_hops - x.link_hits);
+        let slow = per_syscall(|x| x.data_slow);
+        assert!(
+            flushes <= 0.001 && unlinked <= 0.01,
+            "{what}: {flushes} map flushes, {unlinked} unlinked hops per syscall\n{every:?}\n{never:?}"
+        );
+        assert!(
+            (1.99..=2.01).contains(&slow),
+            "{what}: {slow} full-path accesses per syscall\n{every:?}\n{never:?}"
+        );
     }
+}
+
+#[test]
+fn data_accesses_hops_and_returns_take_their_fast_paths() {
+    // Measured: 26 / 10 / 33 full-path accesses without a syscall in
+    // sight (first touches), 6–38 hops without a link, 8–27 returns
+    // without one — constants of the warm-up, whatever the run length.
+    const SYSCALLS: u64 = 20_000 / 6;
+    for (what, exec, syscalls) in [
+        (
+            "bare dhrystone",
+            bare(dhrystone(20_000), ExecTier::Jit),
+            SYSCALLS,
+        ),
+        (
+            "hypervised dhrystone",
+            hypervised(dhrystone(20_000), ExecTier::Jit),
+            SYSCALLS,
+        ),
+        ("bare callstorm", callstorm(true), 1),
+        ("replicated callstorm", callstorm(false), 1),
+        ("bare io", io_bench(true), 6),
+        ("replicated io", io_bench(false), 6),
+    ] {
+        // The kernel's two stores per syscall into its own code page
+        // are the full path's by design; nothing else may be.
+        let slow = exec.data_slow.saturating_sub(2 * syscalls);
+        assert!(
+            exec.data_fast as f64 >= 0.999 * (exec.data_fast + slow) as f64,
+            "{what}: {slow} of {} data accesses took the full path: {exec:?}",
+            exec.data_fast + slow
+        );
+        let unlinked = exec.chain_hops - exec.link_hits;
+        assert!(
+            unlinked <= 50 && exec.link_hits * 100 >= exec.chain_hops.saturating_sub(50) * 99,
+            "{what}: {unlinked} of {} hops found no link: {exec:?}",
+            exec.chain_hops
+        );
+        assert!(
+            exec.ret_cache_misses <= 40,
+            "{what}: returns keep missing their links: {exec:?}"
+        );
+        assert!(exec.data_map_flushes <= 16, "{what}: {exec:?}");
+    }
+    // The recursive `ret` alternates between the outer call site and
+    // its own; one link per `jalr` evicted the dominant one every time
+    // round (hit ratio 0.889, 2 misses in 15).
+    for (what, exec) in [("bare", callstorm(true)), ("replicated", callstorm(false))] {
+        let returns = exec.ret_cache_hits + exec.ret_cache_misses;
+        assert!(
+            returns > 50_000 && exec.ret_cache_hits as f64 >= 0.999 * returns as f64,
+            "{what} callstorm: {exec:?}"
+        );
+    }
+}
+
+#[test]
+fn the_data_page_map_books_the_tlb_hits_it_stood_in_for() {
+    // Two loads and two stores per turn, translation on. Whatever
+    // answered them, the TLB's hit counter reads what the full path
+    // would have counted: four per turn — plus the one counted
+    // translation per dispatch, per unlinked hop and per unlinked
+    // return that the *fetch* side makes.
+    const TURNS: u64 = 10_000;
+    let prog = hvft::isa::asm::assemble(
+        "l: lw r4, 8(r27)\n sw r4, 12(r27)\n lbu r5, 1(r27)\n sb r5, 2(r27)\n \
+         addi r6, r6, 1\n jal r0, l\n",
+    )
+    .expect("asm");
+    let mut mem = Memory::new(4 * PAGE_SIZE as usize);
+    let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+    prog.load_into_cpu(&mut cpu, &mut mem);
+    cpu.set_exec_tier(ExecTier::Jit);
+    cpu.set_reg(Reg::of(27), 2 * PAGE_SIZE);
+    for base in (0..4).map(|page| page * PAGE_SIZE) {
+        cpu.tlb
+            .insert_pte(base, base | pte::V | pte::R | pte::W | pte::X);
+    }
+    cpu.psw.translation = true;
+    assert_eq!(cpu.run(&mut mem, 6 * 100), Exit::Retired, "warm-up");
+    let (hits, stats) = (cpu.tlb.stats().0, cpu.exec_stats());
+    // In two budgets, so a frame ends and another begins in between.
+    assert_eq!(cpu.run(&mut mem, 6 * TURNS / 2), Exit::Retired);
+    assert_eq!(cpu.run(&mut mem, 6 * TURNS / 2), Exit::Retired);
+    let after = cpu.exec_stats();
+    let fetch_side = (after.dispatches - stats.dispatches)
+        + (after.chain_hops - after.link_hits - (stats.chain_hops - stats.link_hits))
+        + (after.ret_cache_misses - stats.ret_cache_misses);
+    assert_eq!(
+        (
+            after.data_fast - stats.data_fast,
+            after.data_slow - stats.data_slow
+        ),
+        (4 * TURNS, 0),
+        "the map answered every access: {after:?}"
+    );
+    assert_eq!(fetch_side, 2, "one dispatch per budget: {after:?}");
+    assert_eq!(cpu.tlb.stats().0 - hits, 4 * TURNS + fetch_side);
 }
 
 #[test]

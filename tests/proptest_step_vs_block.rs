@@ -6,7 +6,7 @@
 //! **observably identical**: same retired
 //! counts, same machine-state hashes, same trap sequences at the same
 //! instruction-stream points, same console bytes. This file proves it
-//! four ways:
+//! these ways:
 //!
 //! - **bare differential**: every guest workload runs to completion on
 //!   two [`BareHost`]s, one per tier, compared chunk by chunk;
@@ -29,6 +29,14 @@
 //!   traces — at privilege 0 through `Cpu::run`, and at privilege 1
 //!   under a miniature hypervisor that runs once around `Cpu::run` and
 //!   once as the hook of `Cpu::run_with`, in random budget chunks;
+//! - **hot loops of loads and stores**: the same harness over generated
+//!   loops of word and byte accesses to three data pages (two sharing a
+//!   slot of the jit's data-page map), with everything that must make
+//!   the map and the trace-to-trace links forget happening inside the
+//!   traces — purges and re-inserts of a page in use, translation
+//!   flips, `rfi` to user privilege, a read-only page, the I/O window,
+//!   a misaligned word, stores beside and over compiled code, a
+//!   snapshot and restore between two budgets;
 //! - **hypervised pauses**: one guest under `HvGuest` in one budget and
 //!   in seed-drawn slices, on every tier: every pause agrees on the
 //!   event, the consumed time and its split, `nsim`, the reflections,
@@ -452,6 +460,77 @@ fn a_store_from_inside_a_cross_page_superblock_kills_its_own_trace() {
         "the in-trace patch must invalidate the superblock: {x:?}"
     );
     assert!(x.jit_retired > 0, "the hot loop must run compiled: {x:?}");
+}
+
+/// Two traces on two pages that end in a branch to each other, so each
+/// turn hops A → B → A inside one frame, by their links once those are
+/// recorded. Mid-hot-loop A patches B's first instruction and then
+/// hops to it: A's own pages are intact, so nothing A checks about
+/// *itself* tells — only a hop that knows decoded bytes moved somewhere
+/// looks B up again instead of following the link into the stale trace.
+const SMC_FOREIGN_TRACE_GUEST: &str = ".org 0
+start:
+    addi r22, r0, 60         ; loop counter
+    lw   r21, 512(r0)        ; replacement word (poked by the test)
+a:
+    addi r24, r22, -30       ; r24 == 0 exactly once, mid-hot-loop
+    bne  r24, r0, nopatch
+    sw   r21, 4096(r0)       ; patch trace B's `slot`, from trace A
+nopatch:
+    beq  r0, r0, b           ; out of A's span: a hop
+    halt                     ; never reached: ends A's trace
+
+    .org 4096
+b:
+slot:
+    addi r20, r20, 1         ; becomes: addi r20, r20, 100
+    addi r22, r22, -1
+    beq  r22, r0, done
+    beq  r0, r0, a           ; out of B's span: the hop back
+done:
+    halt
+";
+
+#[test]
+fn a_store_into_another_traces_page_is_seen_by_the_hop_that_follows() {
+    let patched = encode(Instruction::AluImm {
+        op: AluImmOp::Addi,
+        rd: Reg::of(20),
+        rs1: Reg::of(20),
+        imm: 100,
+    })
+    .unwrap();
+    let image = hvft::isa::asm::assemble(SMC_FOREIGN_TRACE_GUEST).expect("asm");
+    let run = |tier: ExecTier| {
+        let mut host = BareHost::new(&image, CostModel::hp9000_720(), RAM_BYTES, 16, 0);
+        host.set_exec_tier(tier);
+        host.mem.write_u32(512, patched).unwrap();
+        let r = host.run(100_000);
+        (r, host)
+    };
+    let (rs, host_s) = run(ExecTier::Step);
+    let (rj, host_j) = run(ExecTier::Jit);
+    assert!(matches!(rj.exit, BareExit::Halted { .. }), "{:?}", rj.exit);
+    assert_eq!(rj.exit, rs.exit);
+    assert_eq!(rj.retired, rs.retired);
+    assert_eq!(
+        same_vm_state((&host_j.cpu, &host_j.mem), (&host_s.cpu, &host_s.mem)),
+        Ok(()),
+        "a trace patched from another trace must replay exactly like \
+         the interpreter"
+    );
+    // r22 = 60..=31 add 1 (30 turns); r22 = 30 patches first, then it
+    // and 29..=1 add 100 (30 turns).
+    assert_eq!(host_j.cpu.reg(Reg::of(20)), 30 + 30 * 100);
+    let x = host_j.exec_stats();
+    assert!(
+        x.link_hits >= 60,
+        "both hops of most turns must have gone by their links: {x:?}"
+    );
+    assert!(
+        x.jit_invalidations >= 1,
+        "the patch must invalidate trace B: {x:?}"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -1115,8 +1194,10 @@ mod lay {
 }
 
 /// Handlers for every vector, each within its 32-byte slot. They use
-/// r28/r29 only; r12 counts interrupts, r13 sums gate arguments.
-fn assist_vectors() -> String {
+/// r28/r29 only; r12 counts interrupts, r13 sums gate arguments. The
+/// TLB-miss handler refills the identity mapping with `refill`'s
+/// permissions; `gate` is the body of the gate handler.
+fn vectors(refill: u32, gate: &str) -> String {
     let skip = "mfctl r28, iip\n addi r28, r28, 4\n mtctl iip, r28\n rfi\n";
     let mut s = String::new();
     for (vector, body) in [
@@ -1126,17 +1207,13 @@ fn assist_vectors() -> String {
             3, // TLB miss: refill the identity mapping
             format!(
                 "mfctl r28, traparg\n srli r29, r28, 12\n slli r29, r29, 12\n \
-                 ori r29, r29, {}\n tlbi r28, r29\n rfi\n",
-                pte::V | pte::R | pte::W | pte::X
+                 ori r29, r29, {refill}\n tlbi r28, r29\n rfi\n"
             ),
         ),
         (4, skip.to_owned()), // access fault
         (5, skip.to_owned()), // alignment fault
         (6, skip.to_owned()), // arithmetic error
-        (
-            7,
-            "mfctl r28, traparg\n add r13, r13, r28\n rfi\n".to_owned(),
-        ),
+        (7, gate.to_owned()),
         (
             8,
             "mfctl r28, traparg\n xor r13, r13, r28\n rfi\n".to_owned(),
@@ -1149,6 +1226,13 @@ fn assist_vectors() -> String {
         s.push_str(&format!(".org {}\n {body}", lay::VECTORS + 32 * vector));
     }
     s
+}
+
+fn assist_vectors() -> String {
+    vectors(
+        pte::V | pte::R | pte::W | pte::X,
+        "mfctl r28, traparg\n add r13, r13, r28\n rfi\n",
+    )
 }
 
 /// Expands `seeds` into a loop of `turns` turns whose body is one item
@@ -1574,6 +1658,332 @@ fn a_jump_closed_wait_loop_entered_mid_body_is_engine_exact() {
                         x.chain_hops * 20 < x.jit_retired,
                         "{what}: and iterates in-frame from either entry: {x:?}"
                     );
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hot loops of loads and stores
+// ---------------------------------------------------------------------
+
+/// Where the data-path machines keep things, on top of [`lay`]. The jit
+/// answers a repeated load or store from a 64-slot map keyed by virtual
+/// page; `ALIAS` is a *virtual* page 64 above `D0`, so the two share a
+/// slot, and it is backed by the physical page `ALIAS_AT` (or, after a
+/// drawn `tlbi`, `ALIAS_ALT`). With translation off it lies beyond RAM.
+mod dlay {
+    /// Data in the loop's own code page, past its last instruction.
+    pub const CODE_PAGE_DATA: u32 = 0xE00;
+    /// Replacement word for the store that patches the island.
+    pub const PATCH: u32 = CODE_PAGE_DATA + 0xF0;
+    /// Data in the island's page, past its code.
+    pub const ISLAND_DATA: u32 = super::lay::ISLANDS + 0x800;
+    pub const D0: u32 = 0x5000;
+    /// Mapped without the user bit.
+    pub const D1: u32 = 0x6000;
+    pub const ALIAS: u32 = D0 + (64 << 12);
+    pub const ALIAS_AT: u32 = 0x7000;
+    pub const ALIAS_ALT: u32 = 0x8000;
+}
+
+/// Expands `seeds` into a loop of `turns` turns that calls a hot routine
+/// in another page (the *island*: a trace of its own, entered and left
+/// by `jalr`) and then runs one item per seed: word and byte loads and
+/// stores over three data pages — two of them sharing a slot of the
+/// jit's data-page map — and, inside the same traces, everything that
+/// must make the map and the trace links forget: purges and re-inserts
+/// of a page in use (read-only, user-inaccessible, backed by another
+/// physical page), translation flips, an `rfi` to user privilege and a
+/// `gate` back, a misaligned word, the I/O window, stores to data that
+/// shares a page with the running trace's code and with the island's —
+/// and, once, at a drawn turn, a store over the island's first
+/// instruction followed by the call into it.
+///
+/// r20 counts turns; r22–r27 are the bases (code-page data, I/O window,
+/// `D0`, `D1`, `ALIAS`, island data); r30/r31 the items' temporaries;
+/// r4–r9 hold data; r10 counts what the island adds.
+fn data_loop_source(seeds: &[u64], turns: u32) -> String {
+    let data = |n: u64| 4 + (n % 6);
+    let full = pte::V | pte::R | pte::W | pte::X | pte::U;
+    let mut body = String::new();
+    let mut patched = false;
+    for (k, &seed) in seeds.iter().enumerate() {
+        let (pick, a) = (seed % 100, seed >> 8);
+        // What moves the execution context runs on one turn in eight
+        // or sixteen, at a drawn phase: in between, the map and the
+        // links are warm, and that is what a change must cut through.
+        // Behind it, on every turn, a load and a store to the page
+        // `witness` names: warm on most turns, and the first thing the
+        // frame does in the new context on that one.
+        let sometimes = |every: u64, what: String, witness: u64| {
+            format!(
+                "andi r31, r20, {}\n addi r31, r31, -{}\n bne r31, r0, skip_{k}\n {what}skip_{k}:\n \
+                 lw r{r}, {}(r{witness})\n sb r{r}, {}(r{witness})\n",
+                every - 1,
+                (a >> 40) % every,
+                ((a >> 44) % 64) * 4,
+                (a >> 50) % 256,
+                r = data(a >> 58),
+            )
+        };
+        let item = if pick < 8 {
+            format!("addi r{}, r{}, {}\n", data(a), data(a >> 3), (a >> 6) % 200)
+        } else if pick < 44 {
+            // The bread and butter: hits in the map after the first turn.
+            let base = 24 + (a % 3);
+            let r = data(a >> 2);
+            match (a >> 5) % 5 {
+                0 => format!("lw r{r}, {}(r{base})\n", ((a >> 8) % 512) * 4),
+                1 => format!("sw r{r}, {}(r{base})\n", ((a >> 8) % 512) * 4),
+                2 => format!("lb r{r}, {}(r{base})\n", (a >> 8) % 2048),
+                3 => format!("lbu r{r}, {}(r{base})\n", (a >> 8) % 2048),
+                _ => format!("sb r{r}, {}(r{base})\n", (a >> 8) % 2048),
+            }
+        } else if pick < 48 {
+            // A misaligned word: traps before it translates.
+            let (base, off) = (24 + (a % 3), 1 + (a >> 2) % 3 + ((a >> 4) % 64) * 4);
+            if (a >> 10) % 2 == 0 {
+                format!("lw r{}, {off}(r{base})\n", data(a >> 11))
+            } else {
+                format!("sw r{}, {off}(r{base})\n", data(a >> 11))
+            }
+        } else if pick < 52 {
+            // The I/O window: an exit for the embedder, never RAM.
+            if a % 2 == 0 {
+                format!("lw r{}, {}(r23)\n", data(a >> 1), ((a >> 4) % 8) * 4)
+            } else {
+                format!("sw r{}, {}(r23)\n", data(a >> 1), ((a >> 4) % 8) * 4)
+            }
+        } else if pick < 60 {
+            // Data beside code: the running trace's page, the island's.
+            let base = if a % 2 == 0 { 22 } else { 27 };
+            let (r, off) = (data(a >> 1), ((a >> 4) % 32) * 4);
+            match (a >> 9) % 3 {
+                0 => format!("lw r{r}, {off}(r{base})\n"),
+                1 => format!("sw r{r}, {off}(r{base})\n"),
+                _ => format!("sb r{r}, {}(r{base})\n", off + 1),
+            }
+        } else if pick < 67 {
+            let (purge, witness) = match a % 5 {
+                0 => ("tlbp r0\n", 24 + (a >> 3) % 3), // everything
+                1 => ("tlbp r24\n", 24),
+                2 => ("tlbp r25\n", 25),
+                3 => ("tlbp r26\n", 26),
+                _ => ("addi r30, r0, 64\n tlbp r30\n", 22), // the executing page
+            };
+            sometimes(16, purge.to_owned(), witness)
+        } else if pick < 79 {
+            let (base, pte_word) = match a % 7 {
+                0 => (24, dlay::D0 | pte::V | pte::R | pte::U), // stores now fault
+                1 => (24, dlay::D0 | full),
+                2 => (25, dlay::D1 | full), // user may, now
+                3 => (25, dlay::D1 | pte::V | pte::R | pte::W),
+                4 => (26, dlay::ALIAS_AT | full),
+                5 => (26, dlay::ALIAS_ALT | full), // other bytes, same address
+                _ => (26, dlay::ALIAS_AT | pte::V | pte::R | pte::U),
+            };
+            sometimes(
+                16,
+                format!("li r30, {pte_word}\n tlbi r{base}, r30\n"),
+                base,
+            )
+        } else if pick < 84 {
+            // Translation off — `ALIAS` is no address at all now — and,
+            // three turns on, on again.
+            let phase = (a >> 40) % 8;
+            format!(
+                "andi r31, r20, 7\n addi r30, r31, -{phase}\n bne r30, r0, on_{k}\n rsm 2\n\
+                 on_{k}:\n addi r30, r31, -{}\n bne r30, r0, skip_{k}\n ssm 2\nskip_{k}:\n \
+                 lbu r{r}, {}(r26)\n sw r{r}, {}(r24)\n",
+                (phase + 5) % 8,
+                (a >> 44) % 256,
+                ((a >> 52) % 64) * 4,
+                r = data(a >> 58),
+            )
+        } else if pick < 92 {
+            // rfi to user or kernel privilege, translation mostly on.
+            let cpl = if a % 3 == 0 { 0 } else { 3 };
+            let psw = cpl | (((a >> 2) % 2) << 2) | (u64::from((a >> 3) % 4 != 0) << 3);
+            sometimes(
+                8,
+                format!(
+                    "addi r30, r0, {psw}\n mtctl ipsw, r30\n la r30, skip_{k}\n \
+                     mtctl iip, r30\n rfi\n"
+                ),
+                25,
+            )
+        } else if pick < 96 {
+            // The way back from user privilege mid-turn: see the gate
+            // handler.
+            sometimes(4, format!("gate {}\n", a % 16), 25)
+        } else if !patched {
+            patched = true;
+            format!(
+                "addi r31, r20, -{}\n bne r31, r0, nopatch\n lw r30, {}(r22)\n \
+                 sw r30, -{}(r27)\nnopatch:\n",
+                1 + a % u64::from(turns - 1),
+                dlay::PATCH - dlay::CODE_PAGE_DATA,
+                dlay::ISLAND_DATA - lay::ISLANDS,
+            )
+        } else {
+            "nop\n".to_owned()
+        };
+        body.push_str(&item);
+    }
+    format!(
+        ".org 0
+start:
+    li   r22, {code_data}
+    li   r23, {io}
+    li   r24, {d0}
+    li   r25, {d1}
+    li   r26, {alias}
+    li   r27, {island_data}
+    addi r20, r0, {turns}
+loop:
+    la   r30, island
+    jalr ra, r30, 0
+{body}    gate 0                   ; back to kernel privilege, if an rfi left it
+    addi r20, r20, -1
+    bne  r20, r0, loop
+    halt
+.org {islands}
+island:
+    addi r10, r10, 3         ; becomes: addi r10, r10, 5
+    jalr r0, ra, 0
+{vectors}",
+        code_data = dlay::CODE_PAGE_DATA,
+        io = hvft::machine::mem::IO_BASE,
+        d0 = dlay::D0,
+        d1 = dlay::D1,
+        alias = dlay::ALIAS,
+        island_data = dlay::ISLAND_DATA,
+        islands = lay::ISLANDS,
+        // Refills grant the user bit, so user code keeps running after
+        // a purge of its own page; the gate handler returns to kernel
+        // privilege, whatever executed the gate.
+        vectors = vectors(
+            full,
+            "mfctl r28, traparg\n add r13, r13, r28\n mfctl r29, ipsw\n \
+             andi r29, r29, 0x1C\n mtctl ipsw, r29\n rfi\n",
+        ),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+
+    #[test]
+    fn hot_loops_of_loads_and_stores_are_engine_exact(
+        items in prop::collection::vec(any::<u64>(), 10..21),
+        turns in 80u32..128,
+        schedule in prop::collection::vec(any::<u64>(), 96),
+        translation in any::<bool>(),
+    ) {
+        // ≥ 5 × the jit's promotion threshold of turns: the loop, the
+        // island and the handlers run compiled for most of them.
+        let source = data_loop_source(&items, turns);
+        let image = hvft::isa::asm::assemble(&source).expect("asm");
+        prop_assert!(image.symbol("loop").is_some_and(|at| at < dlay::CODE_PAGE_DATA));
+        // Budgets as for the assist-op loops; every fourth one is
+        // preceded by an interrupt, and one, drawn, by a snapshot and
+        // restore of CPU and memory (the jit's caches start cold, the
+        // memory's code generations all move).
+        let chunks: Vec<(u64, u32)> = schedule
+            .iter()
+            .map(|&r| {
+                let len = match r % 4 {
+                    0 => 1 + (r >> 8) % 9,
+                    1 | 2 => 10 + (r >> 8) % 190,
+                    _ => 200 + (r >> 8) % 500,
+                };
+                let raise = if (r >> 40) % 4 == 0 { 1 + ((r >> 44) % 7) as u32 } else { 0 };
+                (len, raise)
+            })
+            .collect();
+        let restore_before = 4 + (schedule[0] >> 16) as usize % 12;
+        let word = |insn| encode(insn).expect("encodable");
+        let count_by = |imm| Instruction::AluImm {
+            op: AluImmOp::Addi,
+            rd: Reg::of(10),
+            rs1: Reg::of(10),
+            imm,
+        };
+        let build = |level: u8, tier: ExecTier| {
+            let mut cpu = Cpu::new(32, TlbReplacement::RoundRobin, 0);
+            let mut mem = Memory::new((lay::PAGES * PAGE_SIZE) as usize);
+            for seg in &image.segments {
+                mem.write_bytes(seg.base, &seg.data);
+            }
+            assert_eq!(mem.read_u32(lay::ISLANDS), Ok(word(count_by(3))));
+            mem.write_u32(dlay::PATCH, word(count_by(5))).unwrap();
+            // Every data page starts with bytes of its own.
+            for (j, page) in [dlay::D0, dlay::D1, dlay::ALIAS_AT, dlay::ALIAS_ALT].into_iter().enumerate() {
+                let fill: Vec<u8> = (0..PAGE_SIZE).map(|i| (i as u8) ^ (0x35 * (j as u8 + 1))).collect();
+                mem.write_bytes(page, &fill);
+            }
+            cpu.set_exec_tier(tier);
+            cpu.psw.cpl = level;
+            cpu.psw.translation = translation;
+            cpu.set_ctl(ControlReg::Iva, lay::VECTORS);
+            cpu.set_ctl(ControlReg::Eiem, irq::TIMER | irq::DISK);
+            let full = pte::V | pte::R | pte::W | pte::X | pte::U;
+            for page in 0..lay::PAGES {
+                let base = page * PAGE_SIZE;
+                let flags = if base == dlay::D1 { full & !pte::U } else { full };
+                cpu.tlb.insert_pte(base, base | flags);
+            }
+            cpu.tlb.insert_pte(dlay::ALIAS, dlay::ALIAS_AT | full);
+            cpu.pc = image.entry;
+            (cpu, mem)
+        };
+        let drive = |cpu: &mut Cpu, mem: &mut Memory, embedder: &mut Embedder, hooked: bool| {
+            let (before, after) = chunks.split_at(restore_before);
+            drive_chunks(cpu, mem, embedder, before, hooked);
+            if embedder.log.last().is_some_and(|l| l.starts_with("pause")) {
+                let (c, m) = (cpu.snapshot(), mem.snapshot());
+                cpu.restore(&c);
+                mem.restore(&m);
+                drive_chunks(cpu, mem, embedder, after, hooked);
+            }
+        };
+        let page_gens = |mem: &Memory| -> Vec<u64> {
+            (0..lay::PAGES).map(|p| mem.page_gen(p * PAGE_SIZE)).collect()
+        };
+        for level in [0u8, 1] {
+            let (mut cpu_ref, mut mem_ref) = build(level, ExecTier::Step);
+            // A handler's privileged instructions are events at level
+            // 1: room for all of them.
+            let embedder = || Embedder {
+                events_left: 40_000,
+                ..Embedder::new(level, (dlay::PATCH, 0))
+            };
+            let mut reference = embedder();
+            drive(&mut cpu_ref, &mut mem_ref, &mut reference, false);
+            for tier in [ExecTier::Step, ExecTier::Jit] {
+                for hooked in [false, true] {
+                    let (mut cpu, mut mem) = build(level, tier);
+                    let mut embedder = embedder();
+                    drive(&mut cpu, &mut mem, &mut embedder, hooked);
+                    let what = format!("level {level}, {tier}, hooked={hooked}");
+                    prop_assert_eq!(&embedder.log, &reference.log, "event logs diverged ({})\n{}", what, source);
+                    prop_assert!(observable(&cpu) == observable(&cpu_ref),
+                        "{}: {:?}\nvs {:?}\n{}", what, observable(&cpu), observable(&cpu_ref), source);
+                    prop_assert_eq!(
+                        same_vm_state((&cpu, &mem), (&cpu_ref, &mem_ref)),
+                        Ok(()),
+                        "final states diverged ({})\n{}",
+                        what,
+                        source
+                    );
+                    prop_assert_eq!(page_gens(&mem), page_gens(&mem_ref), "page generations diverged ({})", what);
+                    if tier == ExecTier::Jit && cpu.reg(Reg::of(20)) == 0 {
+                        // Every turn ran, so the loop head was hot.
+                        let x = cpu.exec_stats();
+                        prop_assert!(x.jit_retired > 0, "{}: nothing ran compiled: {:?}", what, x);
+                    }
                 }
             }
         }
