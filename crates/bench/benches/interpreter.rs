@@ -103,9 +103,10 @@ fn timed_bare_run(host: &mut BareHost, image: &hvft_isa::program::Program) -> Du
 /// `hvguest/…`: under the hypervisor, per replica: the `gate` reflected
 /// into the guest kernel and the privileged instructions simulated,
 /// inside the CPU's run loop (under the jit: as ops of the handler's
-/// trace). `bare/…`: on the bare machine, where the privileged
-/// instructions execute natively and only the `gate` and the `mftod`
-/// are exits. The bare row is the control: before traces ran through
+/// trace, the `gate`'s exit served by the op that met it). `bare/…`: on
+/// the bare machine, where the privileged instructions execute natively
+/// and only the `gate` and the `mftod` are exits (under the jit, served
+/// in-frame too). The bare row is the control: before traces ran through
 /// privileged instructions it cost three quarters of the hypervised one
 /// with a quarter of the exits, which is how the fragmentation of the
 /// handler into one-op traces — not the exits — showed as the cost.
@@ -228,27 +229,38 @@ fn timed_op_loop(src: &str, insns_per_iter: u64, iters: u64) -> Duration {
     start.elapsed()
 }
 
-/// The fastest of `rounds` runs of `run`: a difference of two timings is
-/// only as good as the slower phase of the machine either one met.
-fn fastest(rounds: u64, mut run: impl FnMut() -> Duration) -> Duration {
-    (0..rounds)
-        .map(|_| run())
-        .min()
-        .expect("at least one round")
+/// What `with` costs over `without`: the fastest of `rounds` runs of
+/// each, alternated — a difference of two timings is only as good as
+/// the slower phase of the machine either one met — times `rounds`,
+/// the count the shim divides by.
+fn difference<T: ?Sized>(
+    rounds: u64,
+    mut run: impl FnMut(&T) -> Duration,
+    with: &T,
+    without: &T,
+) -> Duration {
+    let (mut fastest_with, mut fastest_without) = (Duration::MAX, Duration::MAX);
+    for _ in 0..rounds {
+        fastest_with = fastest_with.min(run(with));
+        fastest_without = fastest_without.min(run(without));
+    }
+    fastest_with.saturating_sub(fastest_without) * rounds as u32
 }
 
 /// Where a jit nanosecond goes: what one more op of each kind adds to
 /// an iteration of a hot loop — the loop with the op minus the loop
-/// without it (the fastest run of each), per iteration, on the bare CPU
+/// without it (the fastest run of each, alternated), per iteration, on the bare CPU
 /// under the jit.
 ///
 /// `alu`, `load`, `store`: one `add`, `lw`, `sw` (to a data page).
-/// `call_ret`: a `jal` into a leaf and its `jalr` back — the callee is
-/// part of the caller's trace, the return leaves it. `hop`: two traces
-/// that end in a branch to each other, so every iteration leaves one
-/// for the other. `syscall`: a `SYS_GETTIME` on the bare machine — the
-/// `gate`, the kernel's twenty instructions, the `rfi` — from a
-/// three-instruction user loop, minus the loop alone.
+/// `call_ret`: a `jal` into a leaf and its `jalr` back — the callee and
+/// the return point are part of the caller's trace, the `jalr` a
+/// guarded return. `hop`: two traces that end in a branch to each
+/// other, so every iteration leaves one for the other. `syscall`: a
+/// `SYS_GETTIME` on the bare machine — the `gate`, the kernel's twenty
+/// instructions, the `rfi` — from a three-instruction user loop, minus
+/// the loop alone. `mfctl/*`, `mftod/*`: one more of that instruction
+/// in the kernel's path, bare and hypervised (the slope over eight).
 fn bench_op_prices(c: &mut Criterion) {
     const ITERS: u64 = 200_000;
     let empty = "l: addi r4, r4, 1\n jal r0, l\n";
@@ -281,9 +293,8 @@ fn bench_op_prices(c: &mut Criterion) {
     ] {
         g.bench_function(op, |b| {
             b.iter_custom(|rounds| {
-                let with = fastest(rounds, || timed_op_loop(src, insns, ITERS));
-                let without = fastest(rounds, || timed_op_loop(empty, 2, ITERS));
-                with.saturating_sub(without) * rounds as u32
+                let run = |&(src, insns): &(&str, u64)| timed_op_loop(src, insns, ITERS);
+                difference(rounds, run, &(src, insns), &(empty, 2))
             })
         });
     }
@@ -313,11 +324,52 @@ fn bench_op_prices(c: &mut Criterion) {
     g.throughput(Throughput::Elements(u64::from(SYSCALLS)));
     g.bench_function("syscall", |b| {
         b.iter_custom(|rounds| {
-            let with = fastest(rounds, || timed_bare_run(&mut host, &every));
-            let without = fastest(rounds, || timed_bare_run(&mut host, &never));
-            with.saturating_sub(without) * rounds as u32
+            difference(
+                rounds,
+                |image| timed_bare_run(&mut host, image),
+                &every,
+                &never,
+            )
         })
     });
+    g.finish();
+    // The same loop with eight more of one privileged instruction in the
+    // handler's `SYS_GETTIME` path, minus the path as it is, per
+    // instruction added: bare, where a privilege-0 `mfctl` is a register
+    // move and an `mftod` an exit served in-frame, and hypervised, where
+    // both are simulated.
+    const MORE: u32 = 8;
+    let with_more = |extra: &str| {
+        let base = hvft_guest::kernel_source(&kernel);
+        let path = "k_sys_gettime:\n    mftod r4\n";
+        let longer = base.replace(path, &format!("{path}{}", extra.repeat(MORE as usize)));
+        assert_ne!(longer, base, "the handler's path is where it was");
+        assemble(&format!("{longer}\n{}", user(&gettime))).unwrap()
+    };
+    let mut g = c.benchmark_group("jit/op");
+    g.throughput(Throughput::Elements(u64::from(MORE * SYSCALLS)));
+    for (op, extra) in [
+        ("mfctl", "    mfctl r29, traparg\n"),
+        ("mftod", "    mftod r29\n"),
+    ] {
+        let more = with_more(extra);
+        g.bench_function(format!("{op}/bare"), |b| {
+            b.iter_custom(|rounds| {
+                difference(
+                    rounds,
+                    |image| timed_bare_run(&mut host, image),
+                    &more,
+                    &every,
+                )
+            })
+        });
+        g.bench_function(format!("{op}/hvguest"), |b| {
+            b.iter_custom(|rounds| {
+                let run = |image: &_| timed_hv_run(image, ExecTier::Jit).0;
+                difference(rounds, run, &more, &every)
+            })
+        });
+    }
     g.finish();
 }
 

@@ -438,6 +438,25 @@ impl Assist for Emulation<'_> {
         let event = self.privileged_op(cpu, mem, insn, trap);
         self.resume(cpu, Exit::Trap(trap), event)
     }
+
+    /// The guest kernel's control-register moves are simulated exactly
+    /// as `privileged` simulates them — the same charge, count and
+    /// effect — and are never events, so they are answered as moves.
+    fn control(
+        &mut self,
+        cpu: &mut Cpu,
+        mem: &mut Memory,
+        insn: Instruction,
+        _word: u32,
+    ) -> Option<u64> {
+        if cpu.psw.cpl != GUEST_KERNEL_LEVEL {
+            return None;
+        }
+        let event = self.simulate_privileged(cpu, mem, insn);
+        debug_assert_eq!(event, None, "{insn} is a move");
+        self.charge_retired(cpu);
+        Some(self.insn_budget())
+    }
 }
 
 impl Emulation<'_> {

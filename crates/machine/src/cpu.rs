@@ -25,22 +25,29 @@
 //! `Cpu::run` is `run_with` and the hook that surfaces everything, so
 //! there is one run loop.
 //!
-//! The hook is called in two places and nowhere else:
+//! The hook is called in these places and nowhere else:
 //!
-//! - [`Assist::exit`], from the one `match` in `run_with`'s loop, for
-//!   every exit either tier reports — traps, environment instructions,
-//!   MMIO, `halt`/`idle`/`diag`. The architectural state is exactly
+//! - [`Assist::exit`], for every exit either tier reports — traps,
+//!   environment instructions, MMIO, `halt`/`idle`/`diag` — from the
+//!   one `match` in `run_with`'s loop, or, for the exit a jit assist op
+//!   ([`crate::jit`]) ends in (a `gate`/`brk` trap, an environment op
+//!   at privilege 0, `halt`/`idle`/`diag`), from the op itself, inside
+//!   the trace's frame. Either way the architectural state is exactly
 //!   what `Cpu::run` would have returned with: PC, retirement count
 //!   and recovery counter synced, the faulting instruction not retired
 //!   (or, for `gate`/`brk`, retired). The hook completes or delivers it
 //!   with the same `complete_*` / `deliver_trap*` / `retire_*` calls an
 //!   external loop would use.
-//! - [`Assist::privileged`], from a jit assist op
-//!   ([`crate::jit`]) that met a privileged instruction above
-//!   privilege 0, handed the instruction **decoded**, in the same
-//!   synced state with the PC on the instruction. Its default is
-//!   `exit(Trap(PrivilegedOp { word }))`, so an embedder that only
-//!   implements `exit` sees one stream of exits on both tiers.
+//! - [`Assist::privileged`], from a jit assist op that met a
+//!   privileged instruction above privilege 0, handed the instruction
+//!   **decoded**, in the same synced state with the PC on the
+//!   instruction. Its default is `exit(Trap(PrivilegedOp { word }))`,
+//!   so an embedder that only implements `exit` sees one stream of
+//!   exits on both tiers.
+//! - [`Assist::control`], before `privileged`, for a control-register
+//!   move of such a trace: an embedder that emulates it as a plain move
+//!   says so, and the trace re-derives only its goal; the default
+//!   declines, and `privileged` follows.
 //!
 //! The dispatcher's caches are lifted out of the CPU for the duration
 //! of a run, so a hook may read and write every architectural field,
@@ -232,6 +239,28 @@ pub trait Assist {
         let _ = insn;
         self.exit(cpu, mem, Exit::Trap(Trap::PrivilegedOp { word }))
     }
+
+    /// A control-register move — `mfctl` or `mtctl` of any register but
+    /// `rctr`, `eiem` and `eirr` — met above privilege 0 by a compiled
+    /// trace, in the state [`Assist::privileged`] is called in. An
+    /// embedder that emulates it as a *move* — reads or writes the
+    /// register, retires the instruction and touches nothing else the
+    /// run loop checks (the PC beyond `pc + 4`, the PSW, the other
+    /// control registers, the TLB, memory) — does so and answers how
+    /// many more instructions may retire, as with
+    /// [`Resume::Continue`]; the trace then goes on re-deriving only its
+    /// goal. `None`, the default, has the instruction handed to
+    /// [`Assist::privileged`] like any other.
+    fn control(
+        &mut self,
+        cpu: &mut Cpu,
+        mem: &mut Memory,
+        insn: Instruction,
+        word: u32,
+    ) -> Option<u64> {
+        let _ = (cpu, mem, insn, word);
+        None
+    }
 }
 
 /// The hook behind [`Cpu::run`]: every exit goes to the caller.
@@ -260,6 +289,11 @@ impl Assist for SurfaceAll {
 /// assert_eq!(cpu.reg(hvft_isa::reg::Reg::of(5)), 3);
 /// assert_eq!(cpu.step(&mut mem), Exit::Halt);
 /// ```
+// Declaration order, the register file first: the jit's frame reaches
+// the registers, the PSW and the control registers from one base
+// pointer, which leaves a machine register for the rest of its hot
+// state (without it, every compiled load read `mem` from the stack).
+#[repr(C)]
 pub struct Cpu {
     regs: [u32; 32],
     /// Program counter (address of the next instruction).
@@ -358,6 +392,13 @@ impl Cpu {
     /// Writes a control register directly (embedder/hypervisor use).
     pub fn set_ctl(&mut self, cr: ControlReg, value: u32) {
         self.ctl[cr.index() as usize] = value;
+    }
+
+    /// The control register whose encoding number is `number` (the
+    /// jit's register-move ops carry the number, not the register).
+    #[inline]
+    pub(crate) fn ctl_by_number(&mut self, number: u8) -> &mut u32 {
+        &mut self.ctl[usize::from(number)]
     }
 
     /// Asserts external-interrupt request bits (`eirr |= bits`).
@@ -614,9 +655,12 @@ impl Cpu {
     /// Equivalent, exit for exit and state for state, to calling `run`
     /// in a loop and doing the hook's work between the calls; what it
     /// saves is the leaving and re-entering, and under the jit the
-    /// fragmentation: a handler's privileged instructions are ops of
-    /// its trace, served by [`Assist::privileged`] without leaving the
-    /// frame. `&mut dyn` on purpose: the superblock executor is the
+    /// frame: a handler's privileged instructions are ops of its trace,
+    /// served by [`Assist::privileged`] (a control-register move by
+    /// [`Assist::control`]) without leaving it, and so is the exit an
+    /// op of a trace ends in — a guest syscall's `gate`, a bare
+    /// kernel's `mftod` — which goes to [`Assist::exit`] from inside
+    /// the frame. `&mut dyn` on purpose: the superblock executor is the
     /// hottest and most layout-sensitive function there is and must
     /// exist once.
     pub fn run_with(&mut self, mem: &mut Memory, max_insns: u64, assist: &mut dyn Assist) -> Exit {
@@ -643,9 +687,11 @@ impl Cpu {
                 }
                 ExecTier::Jit => self.run_tiered(d, mem, &mut goal, assist),
             };
-            // The one place an exit meets the embedder (a jit assist
-            // op's in-frame `privileged` call aside, whose `Surface`
-            // arrives here already decided).
+            // Where an exit the frame could not serve meets the embedder:
+            // every exit of the step tier and of cold code, a template
+            // op's fault or MMIO access, a pre-dispatch check. (A jit
+            // assist op serves its own instruction's exit in-frame,
+            // and what its hook surfaced arrives here already decided.)
             match leave {
                 Leave::Offer(Exit::Retired) => break Exit::Retired,
                 Leave::Offer(e) => match assist.exit(self, mem, e) {

@@ -65,11 +65,12 @@ impl FromStr for ExecTier {
 /// Per-tier execution counters (for tests, benches and reports).
 ///
 /// The retirement counters attribute instructions to the engine that
-/// retired them *inside* [`Cpu::run`](crate::cpu::Cpu::run); the few
-/// instructions the embedder completes from its
-/// [`Assist::exit`](crate::cpu::Assist::exit) hook or between runs
-/// (environment reads, MMIO completions, a hypervisor's emulation of
-/// what the step loop trapped on) are counted in
+/// retired them *inside* [`Cpu::run`](crate::cpu::Cpu::run) — under
+/// the jit, the ones its embedder completed from inside a frame
+/// included; the few instructions the embedder completes from the run
+/// loop's [`Assist::exit`](crate::cpu::Assist::exit) call or between
+/// runs (MMIO completions, a hypervisor's emulation of what the step
+/// loop trapped on) are counted in
 /// [`Cpu::retired`](crate::cpu::Cpu::retired) but not attributed to a
 /// tier, so the tier counters sum to slightly less than the total.
 ///
@@ -85,7 +86,8 @@ pub struct ExecStats {
     /// the field, so it stays until its owner drops the reads).
     pub block_retired: u64,
     /// Instructions retired inside compiled superblocks, the ones an
-    /// assist op handed to the embedder in-frame included.
+    /// assist op handed to the embedder in-frame — or whose exit it
+    /// served there — included.
     pub jit_retired: u64,
     /// Superblocks compiled (promotions and stale recompiles).
     pub superblocks_compiled: u64,
@@ -96,14 +98,18 @@ pub struct ExecStats {
     /// and only a *secondary* page of a cross-page trace had been
     /// written.
     pub jit_invalidations_secondary: u64,
-    /// `jalr` executions inside superblocks that one of the op's two
-    /// return links answered: same target, same execution context,
-    /// entered in-frame on two compares.
+    /// `jalr` executions inside superblocks that left their trace by
+    /// one of its two return links: same target, same execution
+    /// context, entered in-frame on two compares.
     pub ret_cache_hits: u64,
-    /// `jalr` executions inside superblocks that neither return link
-    /// answered (cold, a third target, or recorded in another context)
-    /// and that took the full lookup.
+    /// `jalr` executions inside superblocks that left their trace and
+    /// that neither return link answered (cold, a third target, or
+    /// recorded in another context): they took the full lookup.
     pub ret_cache_misses: u64,
+    /// Guarded returns that stayed in their trace: a callee's `jalr`
+    /// the trace was compiled past, whose one compare found the return
+    /// point the trace holds. Counted by neither of the two above.
+    pub ret_inline: u64,
     /// Compiled superblocks whose trace crossed at least one page
     /// boundary (subset of `superblocks_compiled`).
     pub cross_page_superblocks: u64,
@@ -124,12 +130,13 @@ pub struct ExecStats {
     /// compares, no translation, no lookup, no validation.
     pub link_hits: u64,
     /// Loads and stores inside superblocks that the data-page map
-    /// answered: a tag compare and a bounds-checked access of RAM.
+    /// answered: a tag compare and a bounds-checked access of RAM (for
+    /// a store to a page that holds code, beside its decoded bytes).
     pub data_fast: u64,
     /// Loads and stores inside superblocks that took the full path
     /// (`access_load` / `access_store`): the first access to a page in a
     /// context, every fault, the I/O window, a store to a read-only
-    /// page or to a page that holds decoded code.
+    /// page or over decoded code.
     pub data_slow: u64,
     /// Times the data-page map was emptied because the TLB's contents,
     /// some page's decoded code or the superblock cache moved. A PSW

@@ -26,29 +26,77 @@
 //! # What ends a trace
 //!
 //! Only an instruction after which control *always* leaves the
-//! straight line: a `jalr`-class register-indirect jump, a `gate` or
-//! `brk` (into a handler), an `rfi` (out of one), `halt` and `idle`;
-//! they compile as the trace's final op. Beyond that, a word that
-//! cannot be read or decoded, the edge of the last registered page, and
-//! an address the trace has already compiled.
+//! straight line and the trace does not know where to: a `jalr`-class
+//! register-indirect jump that is not a guarded return (below), an
+//! `rfi` (out of a handler), `halt` and `idle`; they compile as the
+//! trace's final op. Beyond that, a word that cannot be read or
+//! decoded, the edge of the last registered page, and an address the
+//! trace has already compiled. A `gate` or `brk` does **not** end a
+//! trace: control comes back to `pc + 4` when the handler's `rfi`
+//! returns, so compilation goes on there, and the user code around a
+//! syscall — the branch that skips it included — is one trace.
 //!
-//! Privileged and environment instructions do **not** end a trace.
-//! `mfctl`, `mtctl`, `ssm`, `rsm`, `tlbi`, `tlbp`, `mftod`, `mftodh`,
-//! `mtit`, `mfit` and `diag` — and the five terminal ones above — have
-//! no template; they compile into one op kind, the **assist op**, which
+//! Privileged and environment instructions do not end a trace either.
+//! `ssm`, `rsm`, `tlbi`, `tlbp`, `mftod`, `mftodh`, `mtit`, `mfit`,
+//! `diag`, `gate`, `brk`, the control-register moves the frame depends
+//! on (below) — and `rfi`, `halt`, `idle` — have no template; they
+//! compile into one op kind, the **assist op**, which
 //! carries an index into a per-superblock side table of decoded
 //! instructions (so `Op` stays 16 bytes and nothing is decoded at run
 //! time). Executing one, out of line (`assist_op`): the architectural
 //! state is synced; a privileged instruction above privilege 0 is
 //! handed, decoded, to the embedder's [`Assist::privileged`] hook
-//! in-frame, anything else runs through [`Cpu::execute`]; an exit it
-//! ends in goes to the run loop; otherwise everything the dispatcher
-//! establishes at entry is established again and the frame goes on. A
-//! guest kernel's trap handler (`mfctl; sw; mfctl; …; mtctl; rfi`) is
-//! therefore one trace, and a hypervisor that simulates its privileged
-//! instructions does so without the run loop being left: what used to
-//! be eight `Cpu::run` entries and fifteen dispatcher turns per guest
-//! syscall is none and one.
+//! in-frame, anything else runs through [`Cpu::execute`], and an exit
+//! it ends in is served in-frame too (below); then everything the
+//! dispatcher establishes at entry is established again and the frame
+//! goes on. A guest kernel's trap handler (`mfctl; sw; mfctl; …; mtctl;
+//! rfi`) is therefore one trace, and a guest syscall — the `gate`, the
+//! handler, the `rfi` — never leaves the frame it started in.
+//!
+//! `mfctl` and `mtctl` of any control register but `rctr`, `eiem` and
+//! `eirr` — the three whose value the frame itself depends on — are
+//! **register moves**: template ops that check the privilege at run
+//! time. At privilege 0 one is a load or a store of the control
+//! register and nothing else; above it, it is offered to
+//! [`Assist::control`], and an embedder that emulates it as a move (a
+//! hypervisor simulating its guest kernel's move) answers with how
+//! much further the frame may run — nothing else can have moved, so
+//! the frame re-derives only the goal. One that declines makes it an
+//! assist op like any other.
+//!
+//! # Exits served in-frame
+//!
+//! The exit an assist op's instruction ends in — a `gate` or `brk`
+//! trap, an environment op at privilege 0 (`mftod`, `mtit`, …),
+//! `halt`, `idle`, `diag` — is offered to the embedder's
+//! [`Assist::exit`] by the op itself, in exactly the state the run loop
+//! would offer it in (PC, retirement count and recovery counter synced,
+//! the data-page map's TLB hits booked). `Surface` leaves the frame
+//! with the exit; `Continue` re-establishes the dispatcher's predicates
+//! as after any assist op, and the frame goes on at the next op if
+//! control fell through in the same context (a completed `mftod`) and
+//! else by the op's link (a reflected `gate`, into the handler's
+//! trace). Only faults of template ops, the pre-dispatch checks and
+//! cold code still meet the embedder in the run loop.
+//!
+//! # Guarded returns
+//!
+//! A trace that followed a `jal` with a non-zero link register into its
+//! callee knows where the callee's return goes: to the `jal`'s `pc +
+//! 4`. So the callee's `jalr` does not end the trace; compilation goes
+//! on at the return point, and the `jalr` compiles as a **guarded
+//! return** that falls through to the op compiled there. Executing it
+//! is the `jalr`'s semantics plus one compare: the computed target
+//! against the virtual address of that op. Equal — the common case, a
+//! callee returning to its caller — and the frame goes on at the next
+//! op (`ExecStats::ret_inline`); not equal — a callee that clobbered
+//! `ra`, returned to another site or unwound — and it leaves by the
+//! trace's return links, like a `jalr` that ends a trace. Nested calls
+//! pair with their returns innermost first. A call into code the trace
+//! already holds (recursion) is not followed, and a return to a point
+//! it already holds ends the trace: going on there would make the next
+//! op's index one more load away, and a frame pays for every transfer
+//! whose successor it must read from an op record.
 //!
 //! When the straight line runs into an address it has already compiled
 //! the trace has **closed on itself**, and falling off its end
@@ -83,8 +131,9 @@
 //! execution context that answer was validated in (below). An
 //! out-of-span branch or `jal`, an assist op that sends control
 //! elsewhere and falling off the trace's end each have one cell in a
-//! side table beside the arena; the trace-terminating `jalr` has two,
-//! in the superblock itself, tried in order. A hop whose cell names the
+//! side table beside the arena; the trace's `jalr`s — the one that ends
+//! it, and a guarded return whose guard failed — share two, in the
+//! superblock itself, tried in order. A hop whose cell names the
 //! target it is going to, under the stamp the frame is running in, is
 //! two compares and an `enter!`: no translation of the PC, no probe of
 //! the front table or the map, no re-validation of the target trace. A
@@ -105,15 +154,20 @@
 //! translation through the TLB with its permission check and hit
 //! counter, the RAM bounds and I/O-window test, for a store the page
 //! generation and the decoded-extent compare — only the alignment and
-//! the bounds depend on the access; the rest depends on the page and
-//! the execution context. `Context` keeps a direct-mapped map from
-//! virtual page to RAM page with one tag per kind of access, set when
-//! an access of that kind went through the full path and succeeded; a
-//! load or store whose probe (page bits, PSW key, and for a word the
-//! low two address bits) equals the tag is a bounds-checked read or
-//! write of RAM and nothing else. A miss, a fault, the I/O window, a
-//! read-only page and a store to a page that holds decoded code (no
-//! write tag is ever set for one) take the full path, unchanged. Each
+//! the bounds depend on the access in a page without code; the rest
+//! depends on the page and the execution context. `Context` keeps a
+//! direct-mapped map from virtual page to RAM page with one tag per
+//! kind of access, set when an access of that kind went through the
+//! full path and succeeded; a load or store whose probe (page bits, PSW
+//! key, and for a word the low two address bits) equals the tag is a
+//! bounds-checked read or write of RAM and nothing else. A page that
+//! holds decoded code gets a write tag of its own, tried out of line
+//! when the plain one misses: a store through it is compared with the
+//! page's decoded extent *as it is now* (`Memory::write_beside_code`)
+//! and written if it lands beside it — the guest kernel's save slots,
+//! which share page 0 with its vectors, go so. A miss, a fault, the I/O
+//! window, a read-only page and a store over decoded bytes take the
+//! full path, unchanged. Each
 //! map hit stood in for one counted TLB lookup when translation is on;
 //! the frame counts them and books them into the TLB's hit counter
 //! before anything can read it.
@@ -145,9 +199,13 @@
 //! - **entry predicates re-checked after every op that can change
 //!   them**: the template ops cannot touch the pending-interrupt
 //!   predicate, the PSW, the control registers or the translation
-//!   state — every instruction that can is an assist op. After each
+//!   state — every instruction that can is an assist op. (A register
+//!   move writes a control register none of them reads; above
+//!   privilege 0 the embedder that answers for one promises the same,
+//!   and the frame re-derives only the goal it hands back.) After each
 //!   assist op the frame re-derives the retirement goal (the embedder
-//!   may have moved it), re-runs the dispatcher's three pre-dispatch
+//!   may have moved it, serving the op or the exit it ended in), re-runs
+//!   the dispatcher's three pre-dispatch
 //!   checks (recovery counter, pending enabled interrupt, alignment)
 //!   and its batch limit, re-reads the context stamp, and goes on to
 //!   the next op in-frame only if control fell through to `pc + 4` and
@@ -163,17 +221,17 @@
 //!   that arena index was compiled for; that the trace's pages are
 //!   unwritten and its secondary pages still translate where they did)
 //!   and what a data-page map entry asserts (that the page translates
-//!   to that RAM page with that permission; for a write tag, that the
-//!   page holds no decoded byte) are functions of the address, the PSW
-//!   key, the TLB's contents, the decoded-code state of memory and the
-//!   arena. `Context` folds the last three into an epoch — it moves
+//!   to that RAM page with that permission; for a plain write tag, that
+//!   the page holds no decoded byte) are functions of the address, the
+//!   PSW key, the TLB's contents, the decoded-code state of memory and
+//!   the arena. `Context` folds the last three into an epoch — it moves
 //!   when [`Tlb::content_gen`](crate::tlb::Tlb::content_gen),
 //!   [`Memory::code_epoch`] (some page's code generation) or the
 //!   cache's clear count has moved — and the stamp is the epoch and the
 //!   key. Links record the stamp; the map is flushed when the epoch
 //!   moves (and when a page gets its first decoded bytes,
-//!   [`Memory::code_pages`], which costs it its write tag and no link
-//!   anything) and carries the key in its tags, so a trap into a
+//!   [`Memory::code_pages`], which costs it its plain write tag and no
+//!   link anything) and carries the key in its tags, so a trap into a
 //!   handler and the `rfi` back find their entries and links as they
 //!   left them. The stamp is read at frame
 //!   entry and re-read after every assist op and after every store
@@ -184,7 +242,9 @@
 //!   since the link was validated would have moved the stamp first.
 //!   The budget and alignment tests (`left == 0`, a 4-aligned PC) come
 //!   *before* the link is consulted: a link vouches for its target,
-//!   not for the frame's right to run it;
+//!   not for the frame's right to run it. A guarded return needs
+//!   neither: it goes on in-span only to the very address the next op
+//!   was compiled from, in the context the trace was entered in;
 //! - **TLB accounting**: the data side of
 //!   [`Tlb::stats`](crate::tlb::Tlb::stats) reads what the step
 //!   engine's data accesses would have counted — the map books the
@@ -232,7 +292,7 @@ use crate::tlb::{TlbAccess, TlbResult};
 use crate::trap::Trap;
 use hvft_isa::codec::decode;
 use hvft_isa::instruction::{AluImmOp, AluOp, BranchCond, Instruction, MemWidth};
-use hvft_isa::reg::Reg;
+use hvft_isa::reg::{ControlReg, Reg};
 use std::cell::Cell;
 use std::collections::HashMap;
 
@@ -334,8 +394,20 @@ enum Kind {
     Bltu,
     Bgeu,
     Jal,
+    /// `target` is [`NO_TARGET`] for a `jalr` that ends its trace; for
+    /// a guarded return — a callee's `jalr` the trace compiled past —
+    /// it is the next op, compiled at the return point, which the
+    /// `jalr` falls through to when the target it computes is that op's
+    /// address.
     Jalr,
     Probe,
+    /// A register move from (`MfCtl`) or to (`MtCtl`) a control
+    /// register other than `rctr`, `eiem` and `eirr`: `rs2` carries the
+    /// control register's number, and `imm` and `target` are as for an
+    /// assist op, which is what the move becomes above privilege 0 when
+    /// the embedder does not answer for it ([`Assist::control`]).
+    MfCtl,
+    MtCtl,
     /// Everything without a template: privileged, environment and
     /// trapping instructions. `imm` indexes the superblock's
     /// [`SuperBlock::assists`] table; see [`assist_op`].
@@ -359,9 +431,10 @@ struct Op {
     /// constant, or an assist op's index into the side table.
     imm: i32,
     /// Where a transfer goes: the op index of an in-span branch/`jal`
-    /// target, or — flagged [`LINKED`] — the [`JitCache::links`] cell
-    /// of a transfer that leaves the span (an out-of-span branch or
-    /// `jal`, an assist op). [`NO_TARGET`] on every other op; a `jalr`'s
+    /// target or of a guarded return's return point, or — flagged
+    /// [`LINKED`] — the [`JitCache::links`] cell of a transfer that
+    /// leaves the span (an out-of-span branch or `jal`, an assist op or
+    /// register move). [`NO_TARGET`] on every other op; a `jalr`'s
     /// links are the superblock's ([`SuperBlock::ret`]).
     target: u32,
     /// Byte offset of this op's virtual PC from the superblock's
@@ -435,6 +508,12 @@ struct DataSlot {
     /// that holds no decoded byte, so a store through it can move no
     /// code generation.
     write: u32,
+    /// Tag stores to a page that holds decoded bytes may use, or
+    /// [`TAG_EMPTY`]: a store through it is compared with the page's
+    /// decoded extent as it is now, and one that would overlap it takes
+    /// the full path. The guest kernel's save slots share page 0 with
+    /// its vectors and are written through it.
+    code_write: u32,
     /// Physical address of the RAM page.
     base: u32,
 }
@@ -443,6 +522,7 @@ impl DataSlot {
     const EMPTY: DataSlot = DataSlot {
         read: TAG_EMPTY,
         write: TAG_EMPTY,
+        code_write: TAG_EMPTY,
         base: 0,
     };
 }
@@ -477,8 +557,8 @@ fn stamp_key_bits(stamp: u64) -> u32 {
 /// — is one word a [`Link`] records and a frame compares. The
 /// data-page map carries the key in its tags and is flushed when the
 /// epoch moves — and when [`Memory::code_pages`] does: a page that got
-/// its first decoded bytes must lose its write tag, though no trace and
-/// no link is the worse for it.
+/// its first decoded bytes must lose its plain write tag, though no
+/// trace and no link is the worse for it.
 ///
 /// The frame reads the stamp at entry and re-reads it wherever it can
 /// have moved: after every assist op, and after every store that took
@@ -531,10 +611,9 @@ impl Context {
 
     /// Records that an access of kind `access` to `vaddr` just went
     /// through the full path — translation, permission, RAM — so the
-    /// next one to the page, under this key and epoch, need not. A page
-    /// that holds decoded bytes gets no write tag: its stores keep
-    /// going through [`Memory::write_u32`], which judges them against
-    /// the decoded extent.
+    /// next one to the page, under this key and epoch, need not. A
+    /// store to a page that holds decoded bytes gets the tag that
+    /// compares with the decoded extent (`code_write`).
     fn fill(&mut self, cpu: &Cpu, mem: &Memory, vaddr: u32, access: TlbAccess) {
         let Some(paddr) = cpu.peek_translate(vaddr, access) else {
             return;
@@ -542,14 +621,14 @@ impl Context {
         let page_mask = !(PAGE_SIZE - 1);
         let tag = (vaddr & page_mask) | key_bits(psw_key(cpu));
         let slot = &mut self.data[data_slot(vaddr)];
-        if slot.read != tag && slot.write != tag {
+        if slot.read != tag && slot.write != tag && slot.code_write != tag {
             *slot = DataSlot {
                 base: paddr & page_mask,
                 ..DataSlot::EMPTY
             };
         }
         match access {
-            TlbAccess::Write if mem.holds_code(paddr) => {}
+            TlbAccess::Write if mem.holds_code(paddr) => slot.code_write = tag,
             TlbAccess::Write => slot.write = tag,
             _ => slot.read = tag,
         }
@@ -593,7 +672,9 @@ pub(crate) struct SuperBlock {
     first_link: u32,
     /// How many cells that is.
     links: u32,
-    /// The two-way return link of the trace-terminating `jalr`, if any.
+    /// The two-way return link of the trace's `jalr`s: the one that ends
+    /// it, if any, and every guarded return whose guard fails (a callee
+    /// that returns elsewhere is rare, and a miss is only a lookup).
     /// In the superblock, not in the table: where a return goes next is
     /// the longest dependent chain a call-heavy guest has (link → arena
     /// index → superblock → its `jalr`'s link → …), and a cell reached
@@ -654,16 +735,24 @@ impl SuperBlock {
 // Compilation
 // ---------------------------------------------------------------------
 
+/// Whether a control-register move of `cr` compiles to a register-move
+/// op: every register but the three the frame itself reads — the
+/// recovery counter (its budget) and the interrupt mask and request
+/// (the pending-interrupt check).
+fn moves_plainly(cr: ControlReg) -> bool {
+    !matches!(cr, ControlReg::Rctr | ControlReg::Eiem | ControlReg::Eirr)
+}
+
 /// Builds the op for `insn` (encoded as `word`) at entry-relative byte
 /// offset `off`; `index_of` maps compiled offsets to op indices for
-/// branch/`jal` wiring. An instruction without a template becomes an
-/// assist op and its decoded form is appended to `assists`. Every way
+/// branch/`jal` wiring, and `ret` is the offset of the return point a
+/// `jalr` was compiled past, if it was. An instruction without a
+/// template becomes an assist op — a register move keeps one in
+/// reserve — and its decoded form is appended to `assists`. Every way
 /// out of the span the op has takes the next link cell (`next_link`).
 fn build_op(
-    off: u32,
+    (insn, word, off, ret): CompiledInsn,
     index_of: &HashMap<u32, u32, IntBuildHasher>,
-    insn: Instruction,
-    word: u32,
     assists: &mut Vec<(Instruction, u32)>,
     next_link: &mut u32,
 ) -> Op {
@@ -690,6 +779,13 @@ fn build_op(
         None => link(),
     };
     let z = Reg::ZERO;
+    // Files the instruction in the side table and links the op.
+    macro_rules! assist {
+        ($kind:expr, $rd:expr, $rs1:expr, $rs2:expr) => {{
+            assists.push((insn, word));
+            op($kind, $rd, $rs1, $rs2, (assists.len() - 1) as i32, link())
+        }};
+    }
     use Instruction as I;
     match insn {
         I::Alu {
@@ -778,8 +874,18 @@ fn build_op(
             op(kind, z, rs1, rs2, offset, wire(offset))
         }
         I::Jal { rd, offset } => op(Kind::Jal, rd, z, z, offset, wire(offset)),
-        I::Jalr { rd, base, disp } => op(Kind::Jalr, rd, base, z, disp, NO_TARGET),
+        // A guarded return when its return point compiled next.
+        I::Jalr { rd, base, disp } => {
+            let ret_at = ret.and_then(|r| index_of.get(&r).copied());
+            op(Kind::Jalr, rd, base, z, disp, ret_at.unwrap_or(NO_TARGET))
+        }
         I::Probe { rd, rs } => op(Kind::Probe, rd, rs, z, 0, NO_TARGET),
+        I::MfCtl { rd, cr } if moves_plainly(cr) => {
+            assist!(Kind::MfCtl, rd, z, Reg::of(cr.index()))
+        }
+        I::MtCtl { cr, rs } if moves_plainly(cr) => {
+            assist!(Kind::MtCtl, z, rs, Reg::of(cr.index()))
+        }
         I::MfTod { .. }
         | I::MfTodH { .. }
         | I::MtIt { .. }
@@ -795,12 +901,14 @@ fn build_op(
         | I::Rsm { .. }
         | I::Halt
         | I::Idle
-        | I::Diag { .. } => {
-            assists.push((insn, word));
-            op(Kind::Assist, z, z, z, (assists.len() - 1) as i32, link())
-        }
+        | I::Diag { .. } => assist!(Kind::Assist, z, z, z),
     }
 }
+
+/// One instruction of a trace as `compile` walks it: the decoded
+/// instruction, its word, its entry-relative byte offset and — for a
+/// `jalr` compilation went on past — the offset of its return point.
+type CompiledInsn = (Instruction, u32, u32, Option<u32>);
 
 /// Compiles the superblock (trace) starting at physical address
 /// `paddr` with the entry's virtual PC `entry_vpc` (they must agree in
@@ -830,11 +938,13 @@ fn compile(
     // `pages[0]`. Like op offsets, the page offsets are *wrapping*
     // deltas from `entry_vpc`.
     let mut pages: Vec<(u32, u32)> = vec![(0u32.wrapping_sub(paddr & (PAGE_SIZE - 1)), page_addr)];
-    // The trace in compile order: `(instruction, its word,
-    // entry-relative byte offset)`. Offsets are *wrapping* deltas — a
+    // The trace in compile order. Offsets are *wrapping* deltas — a
     // `jal` redirect may target an address before the entry.
-    let mut insns: Vec<(Instruction, u32, u32)> = Vec::new();
+    let mut insns: Vec<CompiledInsn> = Vec::new();
     let mut index_of: HashMap<u32, u32, IntBuildHasher> = HashMap::default();
+    // Return points of the calls the trace followed and whose callee
+    // has not returned yet, innermost last.
+    let mut calls: Vec<u32> = Vec::new();
     let mut off: u32 = 0;
     let mut wrap = NO_TARGET;
     loop {
@@ -867,7 +977,7 @@ fn compile(
             break;
         };
         index_of.insert(off, insns.len() as u32);
-        insns.push((insn, word, off));
+        insns.push((insn, word, off, None));
         use Instruction as I;
         match insn {
             // Trace compilation follows the static target of an
@@ -878,7 +988,9 @@ fn compile(
             // unregistered page extends the dependency set if the page
             // translates executably under the current state and the
             // page budget allows; otherwise the `jal` is the final op.
-            I::Jal { offset, .. } => {
+            // A call — a link register — leaves its return point for
+            // the callee's `jalr`.
+            I::Jal { rd, offset } => {
                 let toff = off.wrapping_add(offset as u32);
                 if offset % 4 != 0 || index_of.contains_key(&toff) {
                     break;
@@ -894,26 +1006,40 @@ fn compile(
                     };
                     pages.push((tvoff, pbase & page_mask));
                 }
+                if rd != Reg::ZERO {
+                    calls.push(off.wrapping_add(4));
+                }
                 off = toff;
             }
-            // Control always leaves the straight line here — a
-            // register-indirect jump, a trap into a handler, a return
-            // from one, a stop: final op.
-            I::Jalr { .. } | I::Gate { .. } | I::Brk { .. } | I::Rfi | I::Halt | I::Idle => break,
+            // The innermost followed call's return: compilation goes on
+            // at its return point, and the `jalr` is a guarded return if
+            // that compiles — unless the trace holds the return point
+            // already, and the `jalr` ends it.
+            I::Jalr { .. } => match calls.pop() {
+                Some(ret) if !index_of.contains_key(&ret) => {
+                    insns.last_mut().expect("just pushed").3 = Some(ret);
+                    off = ret;
+                }
+                _ => break,
+            },
+            // Control always leaves the straight line here — a return
+            // from a handler, a stop: final op.
+            I::Rfi | I::Halt | I::Idle => break,
             // Straight-line ops, conditional branches (the not-taken
-            // path falls through) and every other assist op — they
-            // retire to `pc + 4` unless the embedder says otherwise,
-            // which the executor checks — extend the trace.
+            // path falls through) and every other assist op — a `gate`
+            // or `brk` among them, whose handler returns to `pc + 4`;
+            // they retire to `pc + 4` unless the embedder says
+            // otherwise, which the executor checks — extend the trace.
             _ => off = off.wrapping_add(4),
         }
     }
-    let &(_, _, last_off) = insns.last()?;
+    let &(_, _, last_off, _) = insns.last()?;
     let mut assists = Vec::new();
     // The first cell is the trace's own: falling off its end.
     let mut next_link = first_link + 1;
     let ops: Vec<Op> = insns
         .iter()
-        .map(|&(insn, word, o)| build_op(o, &index_of, insn, word, &mut assists, &mut next_link))
+        .map(|&insn| build_op(insn, &index_of, &mut assists, &mut next_link))
         .collect();
     // A page registered at a `jal` follow whose first word then failed
     // to compile contributed no ops: drop it rather than record a
@@ -921,7 +1047,7 @@ fn compile(
     let extra_pages: Vec<PageDep> = pages[1..]
         .iter()
         .filter(|&&(voff, _)| {
-            insns.iter().any(|&(_, _, o)| {
+            insns.iter().any(|&(_, _, o, _)| {
                 (entry_vpc.wrapping_add(o) & page_mask).wrapping_sub(entry_vpc) == voff
             })
         })
@@ -1002,29 +1128,35 @@ impl Frame<'_> {
     }
 }
 
-/// Executes the assist op whose side-table slot is `slot`: a
-/// privileged, environment or trapping instruction compiled into the
-/// trace. The caller has synced PC (`vpc`, on the instruction),
-/// retirement count, recovery counter and TLB hit count.
+/// Executes an assist op: the privileged, environment or trapping
+/// instruction `insn`, encoded as `word`, compiled into the trace — or
+/// (`moves`) a register move met above privilege 0. The caller has
+/// synced PC (`vpc`, on the instruction), retirement count, recovery
+/// counter and TLB hit count.
 ///
-/// A privileged instruction above privilege 0 goes, decoded, to the
-/// embedder's hook; anything else runs through [`Cpu::execute`], the
-/// function the step engine uses, so the tiers cannot drift. Then
-/// everything the dispatcher establishes before it enters a trace is
-/// established again, in its order: the retirement goal (the hook may
-/// have moved it), the three pre-dispatch checks, the batch limit — and
-/// the context stamp is read again. The frame goes on to the next op
-/// only if, on top of that, control fell through and the stamp is what
-/// it was before the op: same PSW key, same TLB contents, no decoded
-/// byte written anywhere (this trace's pages included).
+/// A register move goes to the embedder's [`Assist::control`] first;
+/// if it answers, it changed nothing but the goal, and the frame goes
+/// on with the budget derived from that. A privileged instruction above
+/// privilege 0 goes, decoded, to the embedder's [`Assist::privileged`];
+/// anything else runs through [`Cpu::execute`], the function the step
+/// engine uses, so the tiers cannot drift, and the exit it ends in, if
+/// any, goes to the embedder's [`Assist::exit`] — in the state the run
+/// loop would offer it in, so it is served here. Then everything the
+/// dispatcher establishes before it enters a trace is established
+/// again, in its order: the retirement goal (the hook may have moved
+/// it), the three pre-dispatch checks, the batch limit — and the
+/// context stamp is read again. The frame goes on to the next op only
+/// if, on top of that, control fell through and the stamp is what it
+/// was before the op: same PSW key, same TLB contents, no decoded byte
+/// written anywhere (this trace's pages included).
 ///
 /// Out of line on purpose: the straight-line arms of `run_chain` keep
 /// their registers.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)]
 fn assist_op(
-    sb: &SuperBlock,
-    slot: usize,
+    (insn, word): (Instruction, u32),
+    moves: bool,
     vpc: u32,
     cpu: &mut Cpu,
     mem: &mut Memory,
@@ -1032,17 +1164,25 @@ fn assist_op(
     assist: &mut dyn Assist,
     frame: &mut Frame<'_>,
 ) -> After {
-    let (insn, word) = sb.assists[slot];
-    if insn.is_privileged() && cpu.psw.cpl != 0 {
-        match assist.privileged(cpu, mem, insn, word) {
-            Resume::Continue(n) => *goal = cpu.retired().saturating_add(n),
-            Resume::Surface(e) => return After::Leave(Some(Leave::Surface(e))),
+    if moves {
+        if let Some(n) = assist.control(cpu, mem, insn, word) {
+            debug_assert_eq!(cpu.pc, vpc.wrapping_add(4), "{insn} moved the PC");
+            *goal = cpu.retired().saturating_add(n);
+            return After::Next(cpu.batch_limit(*goal));
         }
+    }
+    let served = if insn.is_privileged() && cpu.psw.cpl != 0 {
+        Some(assist.privileged(cpu, mem, insn, word))
     } else {
         match cpu.execute(insn, mem) {
-            Exit::Retired => {}
-            e => return After::Leave(Some(Leave::Offer(e))),
+            Exit::Retired => None,
+            e => Some(assist.exit(cpu, mem, e)),
         }
+    };
+    match served {
+        Some(Resume::Continue(n)) => *goal = cpu.retired().saturating_add(n),
+        Some(Resume::Surface(e)) => return After::Leave(Some(Leave::Surface(e))),
+        None => {}
     }
     if cpu.retired() >= *goal {
         return After::Leave(None);
@@ -1091,11 +1231,15 @@ fn load_slow(
     Ok(v)
 }
 
-/// Store counterpart of [`load_slow`]. A store through the full path is
-/// the one template op that can write decoded bytes, so the stamp is
-/// read again behind it: `Ok(false)` says it moved — some page's code
-/// generation did, this trace's or another's — and the frame must not
-/// go on as if it had not.
+/// Store counterpart of [`load_slow`], for a store the map's plain
+/// write tag did not answer. A page that holds decoded bytes has a write
+/// tag of its own: a store through it that lands beside the page's
+/// decoded extent as it is now is the map's like any other — counted
+/// and booked as the TLB hit it stood in for. Anything else takes the
+/// full path, the one template op that can write decoded bytes, so the
+/// stamp is read again behind it: `Ok(false)` says it moved — some
+/// page's code generation did, this trace's or another's — and the
+/// frame must not go on as if it had not.
 #[inline(never)]
 fn store_slow(
     width: MemWidth,
@@ -1104,9 +1248,27 @@ fn store_slow(
     mem: &mut Memory,
     frame: &mut Frame<'_>,
 ) -> Result<bool, Exit> {
+    let vaddr = cpu.reg(op.rs2).wrapping_add(op.imm as u32);
+    let key = stamp_key_bits(frame.stamp);
+    let in_page = match width {
+        MemWidth::Word => WORD_IN_PAGE,
+        MemWidth::Byte | MemWidth::ByteU => BYTE_IN_PAGE,
+    };
+    let slot = frame.ctx.data[data_slot(vaddr)];
+    if slot.code_write == (vaddr & !in_page) | key {
+        let paddr = slot.base | (vaddr & (PAGE_SIZE - 1));
+        let value = cpu.reg(op.rs1);
+        let written = match width {
+            MemWidth::Word => mem.write_beside_code(paddr, &value.to_le_bytes()),
+            MemWidth::Byte | MemWidth::ByteU => mem.write_beside_code(paddr, &[value as u8]),
+        };
+        if written {
+            book_fast(1, key, cpu, frame.stats);
+            return Ok(true);
+        }
+    }
     frame.stats.data_slow += 1;
     cpu.access_store(width, op.rs1, op.rs2, op.imm, mem)?;
-    let vaddr = cpu.reg(op.rs2).wrapping_add(op.imm as u32);
     let same = frame.restamp(cpu, mem);
     frame.ctx.fill(cpu, mem, vaddr, TlbAccess::Write);
     Ok(same)
@@ -1443,16 +1605,27 @@ impl JitCache {
                     let link = vpc!().wrapping_add(4) | u32::from(cpu.psw.cpl);
                     cpu.set_reg(op.rd, link);
                     left -= 1;
+                    // A guarded return: a callee returning to its caller
+                    // goes on at the next op, compiled for the return
+                    // point. (Falling through keeps the next op's index
+                    // off the loads: a frame pays for every transfer
+                    // whose successor it must read from an op record.)
+                    if op.target != NO_TARGET
+                        && target == entry_vpc.wrapping_add(ops[op.target as usize].off)
+                    {
+                        stats.ret_inline += 1;
+                        advance!()
+                    }
                     cpu.pc = target;
                     if left == 0 {
                         break 'run None;
                     }
-                    // The return link. The trace-terminating `jalr` is
-                    // almost always a `ret`, and a `ret` has a hot
-                    // caller — or, in a recursive routine, two: the
-                    // outer call site and its own. So it holds two
-                    // links, tried in order (`jalr` masks the low
-                    // target bits: no alignment test is needed).
+                    // Anything else leaves by the trace's return links.
+                    // A `jalr` that leaves is almost always a `ret`, and
+                    // a `ret` has a hot caller — or, in a recursive
+                    // routine, two: the outer call site and its own. So
+                    // there are two links, tried in order (`jalr` masks
+                    // the low target bits: no alignment test is needed).
                     let way0 = sb.ret[0].get();
                     if way0.vpc == target && way0.stamp == stamp {
                         stats.ret_cache_hits += 1;
@@ -1506,7 +1679,23 @@ impl JitCache {
                         })),
                     }
                 }
-                Kind::Assist => {
+                Kind::MfCtl | Kind::MtCtl | Kind::Assist => {
+                    // A register move at privilege 0 is the move and
+                    // nothing else; above it, the embedder's.
+                    if cpu.psw.cpl == 0 {
+                        match op.kind {
+                            Kind::MfCtl => {
+                                let v = *cpu.ctl_by_number(op.rs2.index());
+                                cpu.set_reg(op.rd, v);
+                                next!()
+                            }
+                            Kind::MtCtl => {
+                                *cpu.ctl_by_number(op.rs2.index()) = cpu.reg(op.rs1);
+                                next!()
+                            }
+                            _ => {}
+                        }
+                    }
                     // Sync, so the instruction (and the embedder) sees
                     // the architectural state; the frame's count
                     // restarts from the budget `assist_op` hands back,
@@ -1515,16 +1704,10 @@ impl JitCache {
                     cpu.pc = pc;
                     cpu.sync_retire(granted - left);
                     book_fast(std::mem::take(&mut fast), key, cpu, stats);
-                    let after = lend!(|f| assist_op(
-                        sb,
-                        op.imm as usize,
-                        pc,
-                        cpu,
-                        mem,
-                        goal,
-                        assist,
-                        &mut f
-                    ));
+                    let insn = sb.assists[op.imm as usize];
+                    let moves = !matches!(op.kind, Kind::Assist);
+                    let after =
+                        lend!(|f| assist_op(insn, moves, pc, cpu, mem, goal, assist, &mut f));
                     key = stamp_key_bits(stamp);
                     match after {
                         After::Next(b) => {
@@ -1838,20 +2021,18 @@ mod tests {
         );
     }
 
-    /// The instructions of `sb`'s assist ops, in op order.
+    /// The instructions of `sb`'s side table — its assist ops and its
+    /// register moves — in op order.
     fn assist_insns(sb: &SuperBlock) -> Vec<Instruction> {
-        sb.ops
-            .iter()
-            .filter(|op| matches!(op.kind, Kind::Assist))
-            .map(|op| sb.assists[op.imm as usize].0)
-            .collect()
+        sb.assists.iter().map(|&(insn, _)| insn).collect()
     }
 
     #[test]
     fn superblock_stops_at_privileged_instructions() {
         // …at the ones control cannot fall through, that is: a handler
-        // compiles whole, its privileged instructions as assist ops,
-        // and ends *with* its rfi.
+        // compiles whole, its privileged instructions as assist ops —
+        // its control-register moves as register moves — and ends
+        // *with* its rfi.
         let mem = mem_with(
             "s: mfctl r4, ipsw
                 sw   r4, 0x400(r0)
@@ -1862,11 +2043,34 @@ mod tests {
         );
         let sb = compile_at(0, &mem).expect("superblock");
         assert_eq!(sb.len(), 5, "the nop after the rfi is not reached");
+        let kinds = sb.ops.iter().map(|op| op.kind).collect::<Vec<_>>();
+        assert!(
+            matches!(
+                kinds[..],
+                [
+                    Kind::MfCtl,
+                    Kind::Sw,
+                    Kind::Assist,
+                    Kind::MtCtl,
+                    Kind::Assist
+                ]
+            ),
+            "{kinds:?}"
+        );
         let assists = assist_insns(&sb);
         assert_eq!(assists.len(), 4);
         assert!(matches!(assists[0], Instruction::MfCtl { .. }));
         assert!(matches!(assists[1], Instruction::Ssm { imm: 1 }));
         assert_eq!(assists[3], Instruction::Rfi);
+        // The three control registers the frame reads are not moves.
+        for cr in ["rctr", "eiem", "eirr"] {
+            let mem = mem_with(&format!("s: mfctl r4, {cr}\n mtctl {cr}, r4\n halt"));
+            let sb = compile_at(0, &mem).expect("sb");
+            assert!(
+                sb.ops[..2].iter().all(|op| matches!(op.kind, Kind::Assist)),
+                "{cr}"
+            );
+        }
         // The side table keeps the raw word for the PrivilegedOp trap.
         let rfi = hvft_isa::codec::encode(Instruction::Rfi).unwrap();
         assert_eq!(sb.assists.last(), Some(&(Instruction::Rfi, rfi)));
@@ -1885,16 +2089,104 @@ mod tests {
     }
 
     #[test]
-    fn superblock_stops_at_gate_and_brk() {
-        // They are compiled — as the final op: the handler is elsewhere.
-        let mem = mem_with("s: addi r4, r0, 1\n gate 3\n nop");
+    fn superblock_runs_through_gate_and_brk() {
+        // They are assist ops, and the trace goes on behind them: the
+        // handler's `rfi` returns to `pc + 4`.
+        let mem = mem_with("s: addi r4, r0, 1\n gate 3\n nop\n halt");
         let sb = compile_at(0, &mem).expect("sb");
-        assert_eq!(sb.len(), 2);
-        assert_eq!(assist_insns(&sb), [Instruction::Gate { imm: 3 }]);
-        let mem = mem_with("s: nop\n brk 0\n nop");
+        assert_eq!(sb.len(), 4);
+        assert_eq!(
+            assist_insns(&sb),
+            [Instruction::Gate { imm: 3 }, Instruction::Halt]
+        );
+        let mem = mem_with("s: nop\n brk 0\n nop\n halt");
         let sb = compile_at(0, &mem).expect("sb");
-        assert_eq!(sb.len(), 2);
-        assert_eq!(assist_insns(&sb), [Instruction::Brk { imm: 0 }]);
+        assert_eq!(sb.len(), 4);
+        assert_eq!(
+            assist_insns(&sb),
+            [Instruction::Brk { imm: 0 }, Instruction::Halt]
+        );
+    }
+
+    #[test]
+    fn a_followed_call_compiles_its_return_as_a_guarded_return() {
+        // Nested calls pair with their returns innermost first; a
+        // `jalr` with no call left to pair with ends the trace.
+        let mem = mem_with(
+            "s: jal  ra, f
+                addi r4, r4, 1       ; f's return point
+                jalr r0, r5, 0
+            f:  jal  r6, g
+                jalr r0, ra, 0       ; back to s + 4
+            g:  addi r7, r7, 1
+                jalr r0, r6, 0       ; back to f + 4",
+        );
+        let sb = compile_at(0, &mem).expect("superblock");
+        let kinds = sb.ops.iter().map(|op| op.kind).collect::<Vec<_>>();
+        assert!(
+            matches!(
+                kinds[..],
+                [
+                    Kind::Jal,
+                    Kind::Jal,
+                    Kind::Addi,
+                    Kind::Jalr,
+                    Kind::Jalr,
+                    Kind::Addi,
+                    Kind::Jalr
+                ]
+            ),
+            "{kinds:?}"
+        );
+        // g's return falls through to f's `jalr`, f's to the `addi` at
+        // s + 4; the last `jalr` ends the trace.
+        let targets = [3, 4, 6].map(|k| sb.ops[k].target);
+        assert_eq!(targets, [4, 5, NO_TARGET]);
+        assert_eq!((sb.ops[4].off, sb.ops[5].off), (16, 4));
+        // A jump (no link register) leaves nothing to return to.
+        let mem = mem_with("s: jal r0, f\n nop\n f: jalr r0, ra, 0");
+        let sb = compile_at(0, &mem).expect("superblock");
+        assert_eq!((sb.len(), sb.ops[1].target), (2, NO_TARGET));
+        // A return point the trace holds already — here its entry — is
+        // not gone on at: the `jalr` ends the trace.
+        let mem = mem_with("c: jal ra, g\n r: addi r4, r4, 1\n jal r0, c\n g: jalr r0, ra, 0");
+        let sb = compile_at(4, &mem).expect("superblock");
+        let kinds = sb.ops.iter().map(|op| op.kind).collect::<Vec<_>>();
+        assert!(
+            matches!(kinds[..], [Kind::Addi, Kind::Jal, Kind::Jal, Kind::Jalr]),
+            "{kinds:?}"
+        );
+        assert_eq!(sb.ops[3].target, NO_TARGET);
+    }
+
+    #[test]
+    fn a_guarded_return_stays_in_the_trace_only_when_its_guard_holds() {
+        // f clobbers its return address on odd turns and returns to
+        // `away`; both tiers must agree, and only the even returns stay.
+        let src = "s:  addi r20, r20, 1
+                       andi r21, r20, 1
+                       jal  ra, f
+                       addi r23, r23, 1
+                       jal  r0, s
+                   f:  beq  r21, r0, ret
+                       la   ra, away
+                   ret:
+                       jalr r0, ra, 0
+                   away:
+                       addi r24, r24, 1
+                       jal  r0, s";
+        let run = |tier| {
+            let (mut cpu, mut mem) = cpu_on(tier, src);
+            assert_eq!(cpu.run(&mut mem, 20_000), Exit::Retired);
+            let regs = [20, 23, 24].map(|r| cpu.reg(Reg::of(r)));
+            (regs, cpu.pc, cpu.retired(), cpu.exec_stats())
+        };
+        let (regs, pc, retired, stats) = run(ExecTier::Jit);
+        let (regs_s, pc_s, retired_s, _) = run(ExecTier::Step);
+        assert_eq!((regs, pc, retired), (regs_s, pc_s, retired_s));
+        let turns = u64::from(regs[0]);
+        assert!(stats.ret_inline * 2 + 40 > turns, "{stats:?}");
+        assert!(stats.ret_inline * 2 <= turns, "{stats:?}");
     }
 
     #[test]

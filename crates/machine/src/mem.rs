@@ -275,15 +275,24 @@ impl Memory {
             .is_some_and(|c| c.hi.get() != 0)
     }
 
+    /// Whether a write of `len` bytes at `paddr`, within one page of
+    /// RAM, overlaps its page's decoded extent as it is now. `false`
+    /// outside RAM.
+    #[inline]
+    fn overlaps_code(&self, paddr: u32, len: u32) -> bool {
+        self.code
+            .get((paddr >> PAGE_SHIFT) as usize)
+            .is_some_and(|c| paddr < c.hi.get() && paddr + len > c.lo.get())
+    }
+
     /// Accounts a write of `len` bytes at `paddr`, all within one page
     /// of RAM (the callers bounds-check first).
     #[inline]
     fn touch(&mut self, paddr: u32, len: u32) {
         let page = (paddr >> PAGE_SHIFT) as usize;
         self.page_gens[page] += 1;
-        let code = &mut self.code[page];
-        if paddr < code.hi.get() && paddr + len > code.lo.get() {
-            code.gen += 1;
+        if self.overlaps_code(paddr, len) {
+            self.code[page].gen += 1;
             self.code_epoch += 1;
         }
     }
@@ -413,6 +422,26 @@ impl Memory {
             return false;
         };
         *byte = value;
+        self.page_gens[i >> PAGE_SHIFT] += 1;
+        true
+    }
+
+    /// [`write_data_u32`](Memory::write_data_u32) for a page that holds
+    /// decoded bytes: `bytes` (a word at an aligned `paddr`, or a byte)
+    /// are written — keeping only the dirty-page signal — if they land
+    /// in RAM beside the page's decoded extent *as it is now*. `false`,
+    /// with nothing written, if they would overlap it: that store is
+    /// the full path's, which moves the code generation.
+    #[inline]
+    pub(crate) fn write_beside_code(&mut self, paddr: u32, bytes: &[u8]) -> bool {
+        let i = paddr as usize;
+        if self.overlaps_code(paddr, bytes.len() as u32) {
+            return false;
+        }
+        let Some(ram) = self.ram.get_mut(i..i + bytes.len()) else {
+            return false;
+        };
+        ram.copy_from_slice(bytes);
         self.page_gens[i >> PAGE_SHIFT] += 1;
         true
     }
@@ -779,6 +808,29 @@ mod tests {
             assert_eq!(m.code_gen(lo), code + 1, "{what}");
             assert_eq!(m.code_gen(0), 0, "{what}: other pages untouched");
         }
+    }
+
+    #[test]
+    fn stores_beside_code_are_judged_by_the_extent_as_it_is_now() {
+        // The jit's data-page map writes to a page that holds code
+        // through `write_beside_code`: beside the live extent it writes
+        // and keeps only the dirty-page signal; over it — as the extent
+        // is now, grown since or not — it writes nothing, and the full
+        // path moves the code generation.
+        let (lo, hi) = (PAGE_SIZE + 0x100, PAGE_SIZE + 0x140);
+        let mut m = mem_with_code(lo, hi);
+        let (code, writes) = (m.code_gen(lo), m.page_gen(lo));
+        assert!(m.write_beside_code(lo - 4, &[1, 0, 0, 0]));
+        assert!(m.write_beside_code(hi, &[2, 0, 0, 0]));
+        assert!(m.write_beside_code(lo - 1, &[3]) && m.write_beside_code(hi, &[4]));
+        assert_eq!((m.code_gen(lo), m.page_gen(lo)), (code, writes + 4));
+        assert_eq!(m.read_u32(hi), Ok(4), "the word, then its low byte");
+        assert!(!m.write_beside_code(lo, &[5, 0, 0, 0]) && !m.write_beside_code(hi - 1, &[6]));
+        m.note_decoded(hi);
+        assert!(!m.write_beside_code(hi, &[7, 0, 0, 0]), "the extent grew");
+        assert_eq!((m.code_gen(lo), m.page_gen(lo)), (code, writes + 4));
+        assert_eq!(m.read_u32(lo), Ok(0), "nothing written");
+        assert!(!m.write_beside_code(4 * PAGE_SIZE, &[8]), "beyond RAM");
     }
 
     #[test]

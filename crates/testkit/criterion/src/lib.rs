@@ -40,17 +40,23 @@ impl Measurement {
             "{{\"label\": \"{label}\", \"ns_per_iter\": {:.3}",
             self.ns_per_iter
         );
+        // A rate over no time at all (a difference of two timings can
+        // come out as zero) has no JSON number: `null`.
+        let rate = |n: u64| match n as f64 / (self.ns_per_iter * 1e-9) {
+            r if r.is_finite() => format!("{r:.1}"),
+            _ => "null".to_owned(),
+        };
         if let Some(n) = self.elements_per_iter {
             s.push_str(&format!(
-                ", \"elements_per_iter\": {n}, \"ns_per_element\": {:.3}, \"elements_per_sec\": {:.1}",
+                ", \"elements_per_iter\": {n}, \"ns_per_element\": {:.3}, \"elements_per_sec\": {}",
                 self.ns_per_iter / n as f64,
-                n as f64 / (self.ns_per_iter * 1e-9)
+                rate(n)
             ));
         }
         if let Some(n) = self.bytes_per_iter {
             s.push_str(&format!(
-                ", \"bytes_per_iter\": {n}, \"bytes_per_sec\": {:.1}",
-                n as f64 / (self.ns_per_iter * 1e-9)
+                ", \"bytes_per_iter\": {n}, \"bytes_per_sec\": {}",
+                rate(n)
             ));
         }
         for (key, value) in &self.extra {
@@ -371,6 +377,18 @@ mod tests {
         assert!(doc.contains("\"elements_per_iter\": 100"));
         assert!(doc.contains("\"ns_per_element\":"));
         assert!(doc.starts_with("{\n  \"benchmarks\": ["));
+    }
+
+    #[test]
+    fn a_zero_difference_writes_a_null_rate() {
+        let mut c = Criterion::default();
+        {
+            let mut g = c.benchmark_group("grp");
+            g.throughput(Throughput::Elements(8))
+                .bench_function("difference", |b| b.iter_custom(|_| Duration::ZERO));
+        }
+        let json = c.measurements()[0].json();
+        assert!(json.contains("\"elements_per_sec\": null"), "{json}");
     }
 
     #[test]

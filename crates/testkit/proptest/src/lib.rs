@@ -18,6 +18,15 @@
 //! module path and name) so runs are exactly reproducible, and failing
 //! cases are reported without shrinking. Neither difference changes
 //! what a passing suite guarantees.
+//!
+//! Two environment variables make a run explore instead:
+//! `HVFT_PROPTEST_SEED` (decimal or `0x` hex) is mixed into every
+//! test's seed, so each value draws a new set of cases, and
+//! `HVFT_PROPTEST_CASES` replaces every test's configured case count.
+//! With neither set the cases are the pinned ones. A case that fails —
+//! by a `prop_assert!` or by panicking — prints the one line that
+//! replays it alone: the seed its draws started from, one case, and the
+//! test's name.
 
 pub mod test_runner {
     /// Deterministic splitmix64 generator used to sample all inputs.
@@ -26,16 +35,70 @@ pub mod test_runner {
         state: u64,
     }
 
+    /// FNV-1a over a label (e.g. a test's full name).
+    fn label_hash(label: &str) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in label.bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// Reads a numeric environment variable, decimal or `0x` hex.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the variable, if it is set to anything else.
+    fn env_number(name: &str) -> Option<u64> {
+        let raw = std::env::var(name).ok()?;
+        let parsed = match raw.strip_prefix("0x") {
+            Some(hex) => u64::from_str_radix(hex, 16),
+            None => raw.parse(),
+        };
+        Some(parsed.unwrap_or_else(|_| panic!("{name}={raw:?} is not a number")))
+    }
+
+    /// The number of accepted cases a property runs: `HVFT_PROPTEST_CASES`
+    /// if set, else `configured`.
+    pub fn cases(configured: u32) -> u32 {
+        env_number("HVFT_PROPTEST_CASES").map_or(configured, |n| n as u32)
+    }
+
+    /// The line that replays, alone, the case of the test `label`
+    /// (`module path::name`) whose draws started from `state`.
+    pub fn replay_line(label: &str, state: u64) -> String {
+        let path = label.split_once("::").map_or(label, |(_crate, path)| path);
+        format!(
+            "replay: HVFT_PROPTEST_SEED={:#x} HVFT_PROPTEST_CASES=1 cargo test --workspace -q -- --exact {path}",
+            state ^ label_hash(label)
+        )
+    }
+
     impl TestRng {
         /// Seeds from an arbitrary label (e.g. the test's full name).
         pub fn from_label(label: &str) -> Self {
-            // FNV-1a over the label, then a splitmix scramble.
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in label.bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            Self::for_test_with(label, 0)
+        }
+
+        /// The generator the property `label` draws its cases from:
+        /// seeded from the label and `HVFT_PROPTEST_SEED`, if set.
+        pub fn for_test(label: &str) -> Self {
+            Self::for_test_with(label, env_number("HVFT_PROPTEST_SEED").unwrap_or(0))
+        }
+
+        /// [`TestRng::for_test`] under the explored seed `seed` (0: the
+        /// pinned cases).
+        pub fn for_test_with(label: &str, seed: u64) -> Self {
+            TestRng {
+                state: label_hash(label) ^ seed,
             }
-            TestRng { state: h }
+        }
+
+        /// Where the next draw starts: what [`replay_line`] needs to
+        /// replay a case from here.
+        pub fn state(&self) -> u64 {
+            self.state
         }
 
         /// Next raw 64-bit value (splitmix64).
@@ -495,7 +558,8 @@ macro_rules! prop_assume {
 }
 
 /// Declares property tests: each `fn` body runs once per sampled input
-/// set, `config.cases` accepted times.
+/// set, `config.cases` accepted times (see the crate docs for the
+/// environment variables that change the cases and their number).
 #[macro_export]
 macro_rules! proptest {
     (#![proptest_config($cfg:expr)] $($rest:tt)*) => {
@@ -508,23 +572,28 @@ macro_rules! proptest {
         #[test]
         fn $name() {
             let config: $crate::test_runner::ProptestConfig = $cfg;
-            let mut rng = $crate::test_runner::TestRng::from_label(concat!(
-                module_path!(),
-                "::",
-                stringify!($name)
-            ));
+            let label = concat!(module_path!(), "::", stringify!($name));
+            let mut rng = $crate::test_runner::TestRng::for_test(label);
             let mut accepted: u32 = 0;
             let mut rejected: u32 = 0;
-            while accepted < config.cases {
-                $(let $arg = $crate::strategy::Strategy::new_value(&($strat), &mut rng);)+
-                let outcome: ::std::result::Result<(), $crate::test_runner::TestCaseError> =
-                    (move || {
+            while accepted < $crate::test_runner::cases(config.cases) {
+                let replay = $crate::test_runner::replay_line(label, rng.state());
+                let outcome = ::std::panic::catch_unwind(::std::panic::AssertUnwindSafe(|| {
+                    $(let $arg = $crate::strategy::Strategy::new_value(&($strat), &mut rng);)+
+                    (move || -> ::std::result::Result<(), $crate::test_runner::TestCaseError> {
                         $body
                         ::std::result::Result::Ok(())
-                    })();
+                    })()
+                }));
                 match outcome {
-                    ::std::result::Result::Ok(()) => accepted += 1,
-                    ::std::result::Result::Err($crate::test_runner::TestCaseError::Reject(_)) => {
+                    ::std::result::Result::Err(panic) => {
+                        eprintln!("proptest '{}' panicked at case {}; {}", stringify!($name), accepted, replay);
+                        ::std::panic::resume_unwind(panic);
+                    }
+                    ::std::result::Result::Ok(::std::result::Result::Ok(())) => accepted += 1,
+                    ::std::result::Result::Ok(::std::result::Result::Err(
+                        $crate::test_runner::TestCaseError::Reject(_),
+                    )) => {
                         rejected += 1;
                         assert!(
                             rejected < config.max_global_rejects,
@@ -532,12 +601,15 @@ macro_rules! proptest {
                             stringify!($name)
                         );
                     }
-                    ::std::result::Result::Err($crate::test_runner::TestCaseError::Fail(msg)) => {
+                    ::std::result::Result::Ok(::std::result::Result::Err(
+                        $crate::test_runner::TestCaseError::Fail(msg),
+                    )) => {
                         panic!(
-                            "proptest '{}' failed at case {}: {}",
+                            "proptest '{}' failed at case {}: {}\n{}",
                             stringify!($name),
                             accepted,
-                            msg
+                            msg,
+                            replay
                         );
                     }
                 }
@@ -560,6 +632,27 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
+    }
+
+    #[test]
+    fn a_replay_line_names_the_seed_that_redraws_its_case() {
+        let label = "suite::prop";
+        let mut rng = TestRng::for_test_with(label, 0);
+        assert_eq!(rng.state(), TestRng::from_label(label).state());
+        for _ in 0..17 {
+            rng.next_u64();
+        }
+        let line = crate::test_runner::replay_line(label, rng.state());
+        let seed = line
+            .split_whitespace()
+            .find_map(|w| w.strip_prefix("HVFT_PROPTEST_SEED=0x"))
+            .map(|hex| u64::from_str_radix(hex, 16).expect("hex"))
+            .expect("the line names a seed");
+        let mut replayed = TestRng::for_test_with(label, seed);
+        for _ in 0..5 {
+            assert_eq!(replayed.next_u64(), rng.next_u64());
+        }
+        assert!(line.ends_with("--exact prop"), "{line}");
     }
 
     #[test]

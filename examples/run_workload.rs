@@ -12,10 +12,10 @@
 //! with two — the backup count must be invisible to the guest —
 //! printing the normalized performance, coordination bookkeeping and
 //! the execution-tier breakdown (instructions retired per engine,
-//! superblocks compiled, invalidations, how often execution left the
-//! straight line — run entries, dispatcher turns, chain hops — and the
-//! share of hops and of loads and stores that took their fast path) for
-//! each.
+//! superblocks compiled, invalidations, returns by link and in-trace,
+//! how often execution left the straight line — run entries, dispatcher
+//! turns, chain hops — and the share of hops and of loads and stores
+//! that took their fast path) for each.
 
 use hvft::core::scenario::{ExecStats, ExecTier, Scenario};
 use hvft::guest::workload::names;
@@ -44,6 +44,9 @@ fn tier_summary(x: &ExecStats) -> String {
             ret_total,
             100.0 * x.ret_cache_hits as f64 / ret_total as f64
         ));
+    }
+    if x.ret_inline > 0 {
+        parts.push(format!("{} returns in-trace", x.ret_inline));
     }
     if x.run_entries > 0 {
         parts.push(format!(

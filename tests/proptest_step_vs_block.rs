@@ -37,6 +37,15 @@
 //!   flips, `rfi` to user privilege, a read-only page, the I/O window,
 //!   a misaligned word, stores beside and over compiled code, a
 //!   snapshot and restore between two budgets;
+//! - **hot loops of exits and returns**: the same harness over loops
+//!   whose traces serve their own exits (`gate`, `brk`, `mftod`,
+//!   `mtit`, `diag`, `idle`) and run through calls — callees that
+//!   return home, clobber `ra`, return elsewhere, to a misaligned
+//!   address or into a caller in another page, or recurse — with
+//!   stores beside and over the loop's decoded words, interrupt masks
+//!   written mid-trace, and an embedder that meddles from inside the
+//!   frame: cuts runs short, surfaces exits unserved, raises
+//!   interrupts, rewrites the running loop;
 //! - **hypervised pauses**: one guest under `HvGuest` in one budget and
 //!   in seed-drawn slices, on every tier: every pause agrees on the
 //!   event, the consumed time and its split, `nsim`, the reflections,
@@ -1364,8 +1373,9 @@ loop:
 /// the retirement count, and — for a guest above privilege 0 — emulates
 /// the privileged instructions of code running at `level` the way a
 /// hypervisor does: native semantics, virtual clock, `rfi`'s privilege
-/// mapped. Logs every event. The same emulation runs as the body of a
-/// loop around [`Cpu::run`] and as the hook of [`Cpu::run_with`].
+/// mapped, control-register moves answered as moves. Logs every event.
+/// The same emulation runs as the body of a loop around [`Cpu::run`]
+/// and as the hook of [`Cpu::run_with`].
 struct Embedder {
     level: u8,
     log: Vec<String>,
@@ -1375,6 +1385,28 @@ struct Embedder {
     /// A device write into the code page, `(address, word)`, performed
     /// at the guest's first `diag` once the loop is hot.
     dma: Option<(u32, u32)>,
+    /// A word of the running loop and two encodings for it: when set,
+    /// the embedder meddles (see [`Meddle`]).
+    meddle: Option<(u32, [u32; 2])>,
+    /// The run is over: a `halt`, or the event cap.
+    finished: bool,
+}
+
+/// What a meddling embedder does after the `n`th event it logs — a
+/// function of `n` alone, so the same on every tier, which log the same
+/// events in the same order.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Meddle {
+    Nothing,
+    /// Serve the event and end the run: `Continue(0)`.
+    Cut,
+    /// Surface the event unserved (a trap undelivered, an instruction
+    /// not retired); `drive_chunks` goes on with the next budget.
+    Surface,
+    /// Serve the event and raise an interrupt.
+    Interrupt,
+    /// Serve the event and rewrite a word of the running loop.
+    Rewrite,
 }
 
 impl Embedder {
@@ -1385,6 +1417,38 @@ impl Embedder {
             events_left: 5_000,
             chunk_goal: 0,
             dma: Some(dma),
+            meddle: None,
+            finished: false,
+        }
+    }
+
+    /// What follows the `n`th event (see [`Meddle`]).
+    fn meddling(&self, n: usize) -> Meddle {
+        if self.meddle.is_none() {
+            return Meddle::Nothing;
+        }
+        let h = (n as u64 ^ 0x9E37_79B9).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 59;
+        match h {
+            0 | 1 => Meddle::Cut,
+            2 | 3 => Meddle::Surface,
+            4..=6 => Meddle::Interrupt,
+            7 | 8 => Meddle::Rewrite,
+            _ => Meddle::Nothing,
+        }
+    }
+
+    /// The meddling that follows a served event.
+    fn after_serving(&mut self, cpu: &mut Cpu, mem: &mut Memory, what: Meddle) {
+        match what {
+            Meddle::Cut => self.chunk_goal = cpu.retired(),
+            Meddle::Interrupt => cpu.raise_irq(irq::TIMER),
+            Meddle::Rewrite => {
+                let (at, words) = self.meddle.expect("a meddling embedder");
+                let now = mem.read_u32(at).expect("the loop is in RAM");
+                let word = if now == words[0] { words[1] } else { words[0] };
+                mem.write_u32(at, word).expect("the loop is in RAM");
+            }
+            Meddle::Nothing | Meddle::Surface => {}
         }
     }
 
@@ -1418,17 +1482,21 @@ impl Embedder {
         }
     }
 
-    fn note(&mut self, cpu: &Cpu, exit: Exit) -> bool {
+    /// Logs an event; `Some` says what to do after it, `None` that the
+    /// run is over.
+    fn note(&mut self, cpu: &Cpu, exit: Exit) -> Option<Meddle> {
         self.log
             .push(format!("{exit:?} pc={:#x} n={}", cpu.pc, cpu.retired()));
         self.events_left = self.events_left.saturating_sub(1);
-        self.events_left == 0
+        self.finished = self.events_left == 0;
+        (!self.finished).then(|| self.meddling(self.log.len()))
     }
 
     fn other_exit(&mut self, cpu: &mut Cpu, mem: &mut Memory, exit: Exit) -> Option<Exit> {
-        if self.note(cpu, exit) {
-            return Some(exit);
-        }
+        let what = match self.note(cpu, exit) {
+            None | Some(Meddle::Surface) => return Some(exit),
+            Some(what) => what,
+        };
         let clock = cpu.retired() as u32 * 3;
         match exit {
             Exit::Retired => unreachable!("retirement is not an event"),
@@ -1446,8 +1514,12 @@ impl Embedder {
             Exit::Env(EnvOp::SetTimer { .. }) | Exit::MmioWrite { .. } | Exit::Idle => {
                 cpu.complete_env_effect()
             }
-            Exit::Halt => return Some(exit),
+            Exit::Halt => {
+                self.finished = true;
+                return Some(exit);
+            }
         }
+        self.after_serving(cpu, mem, what);
         None
     }
 
@@ -1464,12 +1536,16 @@ impl Embedder {
             // Not the guest kernel: its own handler's business.
             return self.other_exit(cpu, mem, exit);
         }
-        if self.note(cpu, exit) {
-            return Some(exit);
-        }
+        let what = match self.note(cpu, exit) {
+            None | Some(Meddle::Surface) => return Some(exit),
+            Some(what) => what,
+        };
         let clock = cpu.retired() as u32 * 3;
         match insn {
-            Instruction::Halt => return Some(exit),
+            Instruction::Halt => {
+                self.finished = true;
+                return Some(exit);
+            }
             Instruction::MfTod { rd } => cpu.complete_env_read(rd, clock),
             Instruction::MfTodH { rd } => cpu.complete_env_read(rd, 7),
             Instruction::MfIt { rd } => cpu.complete_env_read(rd, !clock),
@@ -1483,6 +1559,7 @@ impl Embedder {
                 cpu.psw.cpl = cpu.psw.cpl.max(self.level);
             }
         }
+        self.after_serving(cpu, mem, what);
         None
     }
 
@@ -1514,6 +1591,32 @@ impl Assist for Embedder {
         );
         let stop = self.privileged_insn(cpu, mem, insn, word);
         self.resume(cpu, stop)
+    }
+
+    /// The guest kernel's control-register moves, answered as moves —
+    /// logged like any privileged instruction — unless this is the
+    /// event the run ends at or one the embedder meddles after: those
+    /// go to `privileged`.
+    fn control(
+        &mut self,
+        cpu: &mut Cpu,
+        mem: &mut Memory,
+        insn: Instruction,
+        word: u32,
+    ) -> Option<u64> {
+        let next = self.log.len() + 1;
+        if cpu.psw.cpl != self.level
+            || self.events_left <= 1
+            || self.meddling(next) != Meddle::Nothing
+        {
+            return None;
+        }
+        assert_eq!(
+            self.note(cpu, Exit::Trap(Trap::PrivilegedOp { word })),
+            Some(Meddle::Nothing)
+        );
+        assert_eq!(cpu.execute(insn, mem), Exit::Retired, "{insn}");
+        Some(self.chunk_goal - cpu.retired())
     }
 }
 
@@ -1550,12 +1653,16 @@ fn drive_chunks(
         };
         embedder.log.push(format!(
             "{} pc={:#x} n={} psw=({})",
-            if stop.is_some() { "stop" } else { "pause" },
+            match stop {
+                None => "pause",
+                Some(_) if embedder.finished => "stop",
+                Some(_) => "surfaced",
+            },
             cpu.pc,
             cpu.retired(),
             cpu.psw
         ));
-        if stop.is_some() {
+        if embedder.finished {
             return;
         }
     }
@@ -1983,6 +2090,278 @@ proptest! {
                         // Every turn ran, so the loop head was hot.
                         let x = cpu.exec_stats();
                         prop_assert!(x.jit_retired > 0, "{}: nothing ran compiled: {:?}", what, x);
+                    }
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Hot loops of exits and returns
+// ---------------------------------------------------------------------
+
+/// Where the exit-and-return machines keep things, on top of [`lay`].
+mod xlay {
+    /// Data in the loop's code page, past its code: stores there land
+    /// beside the decoded words, not on them.
+    pub const CODE_PAGE_DATA: u32 = 0xE00;
+    /// The recursion's stack.
+    pub const STACK: u32 = super::lay::SCRATCH + 0x400;
+}
+
+/// Expands `seeds` into a loop of `turns` turns whose body is one item
+/// per seed: the instructions whose exits an assist op serves in-frame
+/// (`gate`, `brk`, `mftod`, `mtit`, `diag`, `idle`), an interrupt mask
+/// written, `ssm`/`rsm`, stores beside the loop's decoded words in its
+/// own page and — once, at a drawn turn — over one of them, and calls
+/// the trace follows into callees that return to their caller, clobber
+/// `ra`, return to another site, return to a misaligned address,
+/// return into a caller in another page, or recurse. Every turn starts
+/// with a call of `fixed`, which always returns, and ends at `victim`,
+/// the word the embedder rewrites when it meddles.
+///
+/// r20 counts turns; r27 is the scratch base, r22 the code page's data;
+/// r18/r19 the recursion's stack and depth, r6 a second link register;
+/// r30/r31 the items' temporaries; r4–r8 hold data; r9–r11 count.
+fn exit_loop_source(seeds: &[u64], turns: u32) -> String {
+    let data = |n: u64| 4 + (n % 5);
+    let mut body = String::new();
+    let mut near = String::new();
+    let mut far = format!(".org {}\n", lay::ISLANDS);
+    let mut patched = false;
+    for (k, &seed) in seeds.iter().enumerate() {
+        let (pick, a) = (seed % 100, seed >> 8);
+        let item = if pick < 10 {
+            format!("gate {}\n", a % 16)
+        } else if pick < 16 {
+            format!("brk {}\n", a % 8)
+        } else if pick < 24 {
+            let op = if a % 2 == 0 { "mftod" } else { "mtit" };
+            format!("{op} r{}\n", data(a >> 1))
+        } else if pick < 32 {
+            // The embedder's cue to interfere: see `Embedder::diag`.
+            format!("diag r{}, {}\n", data(a >> 1), (a >> 4) % 8)
+        } else if pick < 35 {
+            "idle\n".to_owned()
+        } else if pick < 42 {
+            // Mask or unmask: an interrupt the embedder raised may
+            // become deliverable — or stop being — mid-trace.
+            format!(
+                "addi r30, r0, {}\n mtctl eiem, r30\n",
+                [0, 1, 3][(a % 3) as usize]
+            )
+        } else if pick < 46 {
+            format!("{} 1\n", if a % 2 == 0 { "ssm" } else { "rsm" })
+        } else if pick < 70 {
+            // A call, and what its callee does with the return.
+            let skip = "addi r10, r10, 100\n";
+            match a % 6 {
+                0 => {
+                    near.push_str(&format!(
+                        "f_{k}: addi r10, r10, {}\n jalr r0, ra, 0\n",
+                        1 + (a >> 3) % 9
+                    ));
+                    format!("jal ra, f_{k}\n")
+                }
+                1 => {
+                    // Clobbers `ra`: back past the instruction behind
+                    // the call.
+                    near.push_str(&format!("f_{k}: addi ra, ra, 4\n jalr r0, ra, 0\n"));
+                    format!("jal ra, f_{k}\n {skip}")
+                }
+                2 => {
+                    near.push_str(&format!(
+                        "f_{k}: la r30, away_{k}\n jalr r0, r30, 0\n\
+                         away_{k}: addi r10, r10, 7\n jal r0, back_{k}\n"
+                    ));
+                    format!("jal ra, f_{k}\n {skip}back_{k}:\n")
+                }
+                3 => {
+                    // A misaligned return address: `jalr` masks the low
+                    // bits, where the privilege level rides — at 1, +3
+                    // carries into the next word.
+                    near.push_str(&format!(
+                        "f_{k}: addi ra, ra, {}\n jalr r0, ra, 0\n",
+                        1 + (a >> 3) % 3
+                    ));
+                    format!("jal ra, f_{k}\n {skip}")
+                }
+                4 => {
+                    // The leaf returns into a caller in another page.
+                    far.push_str(&format!(
+                        "far_{k}: addi r10, r10, 2\n jal r6, leaf_{k}\n \
+                         addi r10, r10, 3\n jalr r0, ra, 0\n"
+                    ));
+                    near.push_str(&format!("leaf_{k}: xor r10, r10, r20\n jalr r0, r6, 0\n"));
+                    format!("jal ra, far_{k}\n")
+                }
+                _ => {
+                    near.push_str(&format!(
+                        "rec_{k}: beq r19, r0, done_{k}\n addi r19, r19, -1\n sw ra, 0(r18)\n \
+                         addi r18, r18, 4\n jal ra, rec_{k}\n addi r18, r18, -4\n \
+                         lw ra, 0(r18)\ndone_{k}: addi r10, r10, 1\n jalr r0, ra, 0\n"
+                    ));
+                    format!(
+                        "li r18, {}\n addi r19, r0, {}\n jal ra, rec_{k}\n",
+                        xlay::STACK,
+                        1 + (a >> 3) % 5
+                    )
+                }
+            }
+        } else if pick < 82 {
+            let (r, off) = (data(a >> 1), ((a >> 4) % 64) * 4);
+            match (a >> 12) % 3 {
+                0 => format!("sw r{r}, {off}(r22)\n"),
+                1 => format!("sb r{r}, {}(r22)\n", off + 1),
+                _ => format!("lw r{r}, {off}(r22)\n"),
+            }
+        } else if !patched {
+            // Once, at a drawn turn, a drawn word over a decoded one:
+            // ahead in the running trace, or the start of `fixed`.
+            patched = true;
+            format!(
+                "addi r31, r20, -{}\n bne r31, r0, nopatch\n lw r30, {}(r27)\n \
+                 sw r30, {}(r0)\nnopatch:\n",
+                1 + a % u64::from(turns - 1),
+                lay::PATCHES - lay::SCRATCH + 4 * ((a >> 8) % 6) as u32,
+                ["victim", "fixed"][((a >> 12) % 2) as usize],
+            )
+        } else {
+            "addi r9, r9, 1\n".to_owned()
+        };
+        body.push_str(&item);
+    }
+    format!(
+        ".org 0
+start:
+    li   r27, {scratch}
+    li   r22, {code_data}
+    addi r20, r0, {turns}
+loop:
+    addi r11, r11, 1
+    jal  ra, fixed
+{body}victim:
+    addi r9, r9, 1
+    addi r20, r20, -1
+    bne  r20, r0, loop
+    halt
+fixed:
+    addi r10, r10, 1
+    jalr r0, ra, 0
+{near}end_of_code:
+{far}{vectors}",
+        scratch = lay::SCRATCH,
+        code_data = xlay::CODE_PAGE_DATA,
+        vectors = assist_vectors(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+
+    #[test]
+    fn hot_loops_of_exits_and_returns_are_engine_exact(
+        items in prop::collection::vec(any::<u64>(), 8..17),
+        turns in 60u32..96,
+        schedule in prop::collection::vec(any::<u64>(), 96),
+        flags in 0u8..4,
+    ) {
+        // ≥ 3 × the jit's promotion threshold of turns. Budgets as for
+        // the assist-op loops; before every fourth one an interrupt is
+        // raised, and the embedder raises more, cuts runs short,
+        // surfaces exits unserved and rewrites the loop's last word —
+        // from inside a frame, under the jit with `run_with`.
+        let (translation, interrupts) = (flags & 1 != 0, flags & 2 != 0);
+        let source = exit_loop_source(&items, turns);
+        let image = hvft::isa::asm::assemble(&source).expect("asm");
+        prop_assert!(image.symbol("end_of_code").is_some_and(|at| at <= xlay::CODE_PAGE_DATA));
+        let chunks: Vec<(u64, u32)> = schedule
+            .iter()
+            .map(|&r| {
+                let len = match r % 4 {
+                    0 => 1 + (r >> 8) % 9,
+                    1 | 2 => 10 + (r >> 8) % 190,
+                    _ => 200 + (r >> 8) % 500,
+                };
+                let raise = if (r >> 40) % 4 == 0 { 1 + ((r >> 44) % 7) as u32 } else { 0 };
+                (len, raise)
+            })
+            .collect();
+        let word = |insn| encode(insn).expect("encodable");
+        let count_by = |rd, imm| word(Instruction::AluImm {
+            op: AluImmOp::Addi,
+            rd: Reg::of(rd),
+            rs1: Reg::of(rd),
+            imm,
+        });
+        let victim = image.symbol("victim").expect("the victim label");
+        let build = |level: u8, tier: ExecTier| {
+            let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+            let mut mem = Memory::new((lay::PAGES * PAGE_SIZE) as usize);
+            for seg in &image.segments {
+                mem.write_bytes(seg.base, &seg.data);
+            }
+            assert_eq!(mem.read_u32(victim), Ok(count_by(9, 1)));
+            for (j, patch) in [
+                word(Instruction::Nop),
+                count_by(10, 9),
+                word(Instruction::Gate { imm: 3 }),
+                word(Instruction::MfTod { rd: Reg::of(9) }),
+                word(Instruction::Brk { imm: 1 }),
+                count_by(9, 5),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                mem.write_u32(lay::PATCHES + 4 * j as u32, patch).unwrap();
+            }
+            cpu.set_exec_tier(tier);
+            cpu.psw.cpl = level;
+            cpu.psw.translation = translation;
+            cpu.psw.interrupts = interrupts;
+            cpu.set_ctl(ControlReg::Iva, lay::VECTORS);
+            cpu.set_ctl(ControlReg::Eiem, irq::TIMER | irq::DISK);
+            for page in 0..lay::PAGES {
+                let base = page * PAGE_SIZE;
+                cpu.tlb.insert_pte(base, base | pte::V | pte::R | pte::W | pte::X);
+            }
+            cpu.pc = image.entry;
+            (cpu, mem)
+        };
+        let page_gens = |mem: &Memory| -> Vec<u64> {
+            (0..lay::PAGES).map(|p| mem.page_gen(p * PAGE_SIZE)).collect()
+        };
+        let embedder = |level| Embedder {
+            events_left: 20_000,
+            meddle: Some((victim, [count_by(9, 1), count_by(9, 16)])),
+            ..Embedder::new(level, (victim, count_by(9, 5)))
+        };
+        for level in [0u8, 1] {
+            let (mut cpu_ref, mut mem_ref) = build(level, ExecTier::Step);
+            let mut reference = embedder(level);
+            drive_chunks(&mut cpu_ref, &mut mem_ref, &mut reference, &chunks, false);
+            for tier in [ExecTier::Step, ExecTier::Jit] {
+                for hooked in [false, true] {
+                    let (mut cpu, mut mem) = build(level, tier);
+                    let mut embedder = embedder(level);
+                    drive_chunks(&mut cpu, &mut mem, &mut embedder, &chunks, hooked);
+                    let what = format!("level {level}, {tier}, hooked={hooked}");
+                    prop_assert_eq!(&embedder.log, &reference.log, "event logs diverged ({})\n{}", what, source);
+                    prop_assert!(observable(&cpu) == observable(&cpu_ref),
+                        "{}: {:?}\nvs {:?}\n{}", what, observable(&cpu), observable(&cpu_ref), source);
+                    prop_assert_eq!(
+                        same_vm_state((&cpu, &mem), (&cpu_ref, &mem_ref)),
+                        Ok(()),
+                        "final states diverged ({})\n{}",
+                        what,
+                        source
+                    );
+                    prop_assert_eq!(page_gens(&mem), page_gens(&mem_ref), "page generations diverged ({})", what);
+                    if tier == ExecTier::Jit && cpu.reg(Reg::of(20)) == 0 {
+                        // Every turn ran, `fixed`'s return among it.
+                        let x = cpu.exec_stats();
+                        prop_assert!(x.jit_retired > 0 && x.ret_inline > 0, "{}: {:?}", what, x);
                     }
                 }
             }
