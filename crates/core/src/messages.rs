@@ -8,6 +8,7 @@
 //! every epoch boundary, and the revised protocol of §4.3 waits for only
 //! before I/O operations.
 
+use hvft_devices::mmio::{DiskController, DiskGo};
 use hvft_hypervisor::hvguest::HvGuestSnapshot;
 use hvft_hypervisor::vclock::VClock;
 use std::rc::Rc;
@@ -36,25 +37,20 @@ pub struct DiskCompletion {
 
 /// The canonical state of one replica, captured at an epoch boundary
 /// and shipped to a repaired processor during reintegration: the guest
-/// snapshot plus the driver-level device shadows that rule P3's
-/// suppression bookkeeping depends on. Derived caches (JIT
+/// snapshot plus the guest-visible disk controller and the operation
+/// rule P3's suppression bookkeeping depends on. Derived caches (JIT
 /// superblocks, TLB front array) are never shipped — the receiver
 /// rebuilds them, invisibly to the VM.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplicaState {
     /// The whole virtual machine plus hypervisor bookkeeping.
     pub guest: HvGuestSnapshot,
-    /// Disk block-number register shadow.
-    pub reg_block: u32,
-    /// Disk DMA-address register shadow.
-    pub reg_addr: u32,
-    /// Disk status register shadow.
-    pub disk_status_reg: u32,
-    /// Guest-issued disk operation not yet completed at the snapshot:
-    /// `(cmd_value, dma_addr)` in `mmio::disk_cmd` encoding. The
-    /// receiver records it backup-style (no captured write data) so
+    /// The disk controller's registers.
+    pub controller: DiskController,
+    /// Guest-issued disk operation not yet completed at the snapshot.
+    /// The receiver records it backup-style (no captured write data) so
     /// rule P7's outstanding-I/O bookkeeping survives the transfer.
-    pub inflight: Option<(u32, u32)>,
+    pub inflight: Option<DiskGo>,
 }
 
 /// A protocol message.

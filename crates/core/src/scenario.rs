@@ -71,6 +71,7 @@ use hvft_hypervisor::bare::{BareExit, BareHost};
 use hvft_hypervisor::cost::CostModel;
 use hvft_hypervisor::hvguest::{HvConfig, HvStats};
 use hvft_isa::program::Program;
+use hvft_machine::mem::IO_BASE;
 use hvft_net::link::LinkSpec;
 use hvft_sim::time::{SimDuration, SimTime};
 use std::fmt;
@@ -143,6 +144,18 @@ pub enum ConfigError {
     /// An option was combined with a driver that cannot honour it (the
     /// payload says which and why).
     DriverMismatch(&'static str),
+    /// A TLB needs at least one slot.
+    EmptyTlb,
+    /// The machine's RAM must hold the guest image and end below the
+    /// I/O window.
+    RamSize {
+        /// The configured RAM size in bytes.
+        ram_bytes: usize,
+        /// Where the guest image ends: the least RAM that holds it.
+        min: usize,
+        /// The I/O window's base: the most RAM there can be.
+        max: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -187,6 +200,16 @@ impl fmt::Display for ConfigError {
                  (primary + backups)"
             ),
             ConfigError::DriverMismatch(why) => write!(f, "driver mismatch: {why}"),
+            ConfigError::EmptyTlb => write!(f, "a TLB needs at least one slot"),
+            ConfigError::RamSize {
+                ram_bytes,
+                min,
+                max,
+            } => write!(
+                f,
+                "RAM of {ram_bytes} bytes: the guest image needs {min} and the \
+                 I/O window leaves room for {max}"
+            ),
         }
     }
 }
@@ -419,7 +442,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// TLB slots of the simulated machine.
+    /// TLB slots of the simulated machine (at least 1).
     pub fn tlb_slots(mut self, slots: usize) -> Self {
         self.cfg.hv.tlb_slots = slots;
         self
@@ -492,6 +515,19 @@ impl ScenarioBuilder {
         };
         if self.cfg.hv.epoch_len == 0 {
             return Err(ConfigError::ZeroEpochLen);
+        }
+        if self.cfg.hv.tlb_slots == 0 {
+            return Err(ConfigError::EmptyTlb);
+        }
+        let ram_bytes = self.cfg.hv.ram_bytes;
+        let min = image.segments.iter().map(|s| s.end() as usize).max();
+        let (min, max) = (min.unwrap_or(0), IO_BASE as usize);
+        if !(min..=max).contains(&ram_bytes) {
+            return Err(ConfigError::RamSize {
+                ram_bytes,
+                min,
+                max,
+            });
         }
         if self.cfg.disk_blocks == 0 {
             return Err(ConfigError::EmptyDisk);

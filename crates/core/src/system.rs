@@ -36,8 +36,8 @@ use crate::plan::{plan_step, EventTag, Planned, SlicePlan, StepPlan};
 use crate::protocol::{apply_to_guest, Effect, IoGate, ReplicaEngine};
 use crate::report::{ExitStatus, RunReport};
 use hvft_devices::console::Console;
-use hvft_devices::disk::{Disk, DiskCommand, DiskStatus, BLOCK_SIZE};
-use hvft_devices::mmio;
+use hvft_devices::disk::{Disk, DiskCommand, BLOCK_SIZE};
+use hvft_devices::mmio::{self, DiskController, DiskGo, Go};
 use hvft_hypervisor::hvguest::{HvEvent, HvGuest};
 use hvft_isa::instruction::MemWidth;
 use hvft_isa::program::Program;
@@ -66,7 +66,7 @@ pub type WireFrame = Frame<Message>;
 /// complete (§4.3).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum PendingIo {
-    DiskGo { cmd_value: u32 },
+    DiskGo(DiskGo),
     ConsoleTx { byte: u8 },
 }
 
@@ -93,8 +93,7 @@ enum Life {
 /// An operation issued by the guest and not yet completed+delivered.
 #[derive(Clone, Debug)]
 struct InflightIo {
-    cmd: DiskCommand,
-    dma_addr: u32,
+    go: DiskGo,
     /// Snapshot of the buffer for writes (captured at GO).
     write_data: Option<Vec<u8>>,
     issued_at: SimTime,
@@ -147,11 +146,10 @@ struct Host {
     promoted: bool,
     /// §4.3 I/O held until the engine releases it.
     held_io: Option<PendingIo>,
-    // Guest-visible device shadows (updated only at delivery points so
-    // all replicas read identical values).
-    reg_block: u32,
-    reg_addr: u32,
-    disk_status_reg: u32,
+    // The guest-visible disk controller (its status updated only at
+    // delivery points, or by a refusal every replica makes alike, so all
+    // replicas read identical values).
+    controller: DiskController,
     inflight: Option<InflightIo>,
     // Results.
     diags: Vec<(u32, u32)>,
@@ -168,9 +166,7 @@ impl Host {
             life: Life::Active,
             promoted: false,
             held_io: None,
-            reg_block: 0,
-            reg_addr: 0,
-            disk_status_reg: mmio::disk_status::IDLE,
+            controller: DiskController::RESET,
             inflight: None,
             diags: Vec::new(),
             op_latencies: Vec::new(),
@@ -885,16 +881,16 @@ impl FtSystem {
     fn apply_interrupt_payload(&mut self, i: usize, fwd: &ForwardedInterrupt) {
         let host = &mut self.hosts[i];
         if let Some(dc) = &fwd.disk {
-            host.disk_status_reg = dc.status;
+            host.controller.status = dc.status;
             if let Some(inflight) = host.inflight.take() {
                 if let Some(data) = &dc.data {
-                    host.guest.mem.write_bytes(inflight.dma_addr, data);
+                    host.guest.mem.write_bytes(inflight.go.addr, data);
                 }
                 host.op_latencies.push(host.now - inflight.issued_at);
             } else if let Some(data) = &dc.data {
                 // Delivery with no recorded GO can only mean a protocol
                 // bug; keep the memory effect anyway for debuggability.
-                host.guest.mem.write_bytes(host.reg_addr, data);
+                host.guest.mem.write_bytes(host.controller.addr, data);
             }
         }
     }
@@ -903,7 +899,7 @@ impl FtSystem {
     /// applied locally, outside the message stream.
     fn synthesize_uncertain(&mut self, i: usize) {
         let host = &mut self.hosts[i];
-        host.disk_status_reg = mmio::disk_status::UNCERTAIN;
+        host.controller.status = mmio::disk_status::UNCERTAIN;
         host.guest.assert_irq(irq::DISK);
         if let Some(inflight) = host.inflight.take() {
             host.op_latencies.push(host.now - inflight.issued_at);
@@ -1144,7 +1140,7 @@ impl FtSystem {
     /// Carries out a (possibly §4.3-deferred) externally visible I/O.
     fn perform_io(&mut self, i: usize, io: PendingIo) {
         match io {
-            PendingIo::DiskGo { cmd_value } => self.disk_go(i, cmd_value),
+            PendingIo::DiskGo(go) => self.disk_go(i, go),
             PendingIo::ConsoleTx { byte } => {
                 let now = self.hosts[i].now;
                 self.console.write(now, i as u8, byte);
@@ -1152,59 +1148,33 @@ impl FtSystem {
         }
     }
 
-    fn disk_go(&mut self, i: usize, cmd_value: u32) {
-        let cmd = match cmd_value {
-            mmio::disk_cmd::READ => DiskCommand::Read,
-            mmio::disk_cmd::WRITE => DiskCommand::Write,
-            _ => return,
-        };
-        let (block, addr, now) = (
-            self.hosts[i].reg_block,
-            self.hosts[i].reg_addr,
-            self.hosts[i].now,
-        );
-        let write_data = match cmd {
-            DiskCommand::Write => Some(
-                self.hosts[i]
-                    .guest
-                    .mem
-                    .read_bytes(addr, BLOCK_SIZE)
-                    .to_vec(),
-            ),
-            DiskCommand::Read => None,
-        };
-        match self.disk.submit(now, i as u8, cmd, block) {
-            Ok(dur) => {
-                self.disk_done[i] = Some(now + dur);
-                self.hosts[i].inflight = Some(InflightIo {
-                    cmd,
-                    dma_addr: addr,
-                    write_data,
-                    issued_at: now,
-                });
-            }
-            Err(_) => {
-                // Controller rejected (bad block / busy): surface as an
-                // immediate uncertain completion through the normal
-                // buffered path so all replicas see it identically.
-                let fwd = ForwardedInterrupt {
-                    irq_bits: irq::DISK,
-                    disk: Some(DiskCompletion {
-                        status: mmio::disk_status::UNCERTAIN,
-                        data: None,
-                    }),
-                };
-                self.hosts[i].inflight = Some(InflightIo {
-                    cmd,
-                    dma_addr: addr,
-                    write_data,
-                    issued_at: now,
-                });
-                let epoch = self.hosts[i].guest.epoch();
-                let effects = self.hosts[i].engine.interrupt_raised(epoch, fwd);
-                self.process_effects(i, effects);
-            }
+    fn disk_go(&mut self, i: usize, go: DiskGo) {
+        let host = &mut self.hosts[i];
+        let now = host.now;
+        let submitted = self.disk.submit(now, i as u8, go.cmd, go.block);
+        host.inflight = Some(InflightIo {
+            go,
+            write_data: (go.cmd == DiskCommand::Write)
+                .then(|| host.guest.mem.read_bytes(go.addr, BLOCK_SIZE).to_vec()),
+            issued_at: now,
+        });
+        if let Ok(dur) = submitted {
+            self.disk_done[i] = Some(now + dur);
+            return;
         }
+        // The disk refused (bad block / busy): surface as an immediate
+        // uncertain completion through the normal buffered path so all
+        // replicas see it identically.
+        let fwd = ForwardedInterrupt {
+            irq_bits: irq::DISK,
+            disk: Some(DiskCompletion {
+                status: mmio::disk_status::UNCERTAIN,
+                data: None,
+            }),
+        };
+        let epoch = host.guest.epoch();
+        let effects = host.engine.interrupt_raised(epoch, fwd);
+        self.process_effects(i, effects);
     }
 
     /// Rule P1: device completion arrives at the acting primary.
@@ -1213,7 +1183,7 @@ impl FtSystem {
         let cmd = self.hosts[i]
             .inflight
             .as_ref()
-            .map(|io| io.cmd)
+            .map(|io| io.go.cmd)
             .expect("completion without GO");
         debug_assert_eq!(self.disk.pending().map(|p| p.cmd), Some(cmd));
         let (status, data) = match cmd {
@@ -1230,14 +1200,10 @@ impl FtSystem {
                 (s, d)
             }
         };
-        let status_reg = match status {
-            DiskStatus::Complete => mmio::disk_status::DONE,
-            DiskStatus::Uncertain => mmio::disk_status::UNCERTAIN,
-        };
         let fwd = ForwardedInterrupt {
             irq_bits: irq::DISK,
             disk: Some(DiskCompletion {
-                status: status_reg,
+                status: mmio::disk_status::of(status),
                 data,
             }),
         };
@@ -1316,13 +1282,9 @@ impl FtSystem {
     // -----------------------------------------------------------------
 
     fn handle_mmio_read(&mut self, i: usize, paddr: u32, width: MemWidth, rd: Reg) {
-        let off = paddr.wrapping_sub(IO_BASE);
-        let value = match off {
-            mmio::DISK_REG_STATUS => self.hosts[i].disk_status_reg,
-            mmio::DISK_REG_BLOCK => self.hosts[i].reg_block,
-            mmio::DISK_REG_ADDR => self.hosts[i].reg_addr,
-            mmio::CONSOLE_REG_STATUS => 1,
-            _ => 0,
+        let value = match paddr.wrapping_sub(IO_BASE) {
+            mmio::CONSOLE_REG_STATUS => 1, // always ready
+            off => self.hosts[i].controller.read(off),
         };
         self.hosts[i].guest.finish_mmio_read(rd, width, value);
         self.hosts[i].sync_clock();
@@ -1332,29 +1294,33 @@ impl FtSystem {
         let off = paddr.wrapping_sub(IO_BASE);
         let is_primary = self.hosts[i].engine.is_primary();
         match off {
-            mmio::DISK_REG_BLOCK => self.hosts[i].reg_block = value,
-            mmio::DISK_REG_ADDR => self.hosts[i].reg_addr = value,
             mmio::DISK_REG_CMD => {
-                if is_primary {
-                    let io = PendingIo::DiskGo { cmd_value: value };
-                    if self.hosts[i].engine.io_requested() == IoGate::Hold {
-                        self.hosts[i].held_io = Some(io);
-                        return; // MMIO completes after the acks arrive.
+                let h = &mut self.hosts[i];
+                match h.controller.go(value, h.guest.mem.size()) {
+                    Go::Ignored => {}
+                    Go::Refused => {
+                        // The refusal depends only on the registers and
+                        // the RAM size, so every replica refuses the same
+                        // GO at the same instruction: each answers it
+                        // itself, outside the message stream, and nothing
+                        // is in flight.
+                        h.controller.status = mmio::disk_status::UNCERTAIN;
+                        h.guest.assert_irq(irq::DISK);
                     }
-                    self.perform_io(i, io);
-                } else {
-                    // Case (i) of §2.2: backup I/O is suppressed; record
-                    // the attempt for P7's outstanding-I/O bookkeeping.
-                    let cmd = match value {
-                        mmio::disk_cmd::READ => Some(DiskCommand::Read),
-                        mmio::disk_cmd::WRITE => Some(DiskCommand::Write),
-                        _ => None,
-                    };
-                    if let Some(cmd) = cmd {
-                        let h = &mut self.hosts[i];
+                    Go::Start(go) if is_primary => {
+                        let io = PendingIo::DiskGo(go);
+                        if h.engine.io_requested() == IoGate::Hold {
+                            h.held_io = Some(io);
+                            return; // MMIO completes after the acks arrive.
+                        }
+                        self.perform_io(i, io);
+                    }
+                    Go::Start(go) => {
+                        // Case (i) of §2.2: backup I/O is suppressed;
+                        // record the attempt for P7's outstanding-I/O
+                        // bookkeeping.
                         h.inflight = Some(InflightIo {
-                            cmd,
-                            dma_addr: h.reg_addr,
+                            go,
                             write_data: None,
                             issued_at: h.now,
                         });
@@ -1369,8 +1335,9 @@ impl FtSystem {
                 }
                 self.perform_io(i, io);
             }
-            // Backup console output is suppressed entirely.
-            _ => {}
+            // The block and address registers latch; backup console
+            // output is suppressed entirely.
+            _ => self.hosts[i].controller.write(off, value),
         }
         self.hosts[i].guest.finish_mmio_write();
         self.hosts[i].sync_clock();
@@ -1477,7 +1444,7 @@ impl FtSystem {
         h.now = h.now.max(at);
         h.held_io = None;
         h.inflight = None;
-        h.disk_status_reg = mmio::disk_status::IDLE;
+        h.controller.status = mmio::disk_status::IDLE;
         self.pending_rejoins.push(victim);
         self.notify(|o| o.replica_repaired(victim, at));
     }
@@ -1593,16 +1560,8 @@ impl FtSystem {
         let h = &self.hosts[i];
         ReplicaState {
             guest: h.guest.snapshot(),
-            reg_block: h.reg_block,
-            reg_addr: h.reg_addr,
-            disk_status_reg: h.disk_status_reg,
-            inflight: h.inflight.as_ref().map(|io| {
-                let cmd_value = match io.cmd {
-                    DiskCommand::Read => mmio::disk_cmd::READ,
-                    DiskCommand::Write => mmio::disk_cmd::WRITE,
-                };
-                (cmd_value, io.dma_addr)
-            }),
+            controller: h.controller,
+            inflight: h.inflight.as_ref().map(|io| io.go),
         }
     }
 
@@ -1652,16 +1611,9 @@ impl FtSystem {
             h.guest.restore(&state.guest);
             h.synced_elapsed = h.guest.elapsed();
             h.now = h.now.max(at);
-            h.reg_block = state.reg_block;
-            h.reg_addr = state.reg_addr;
-            h.disk_status_reg = state.disk_status_reg;
-            h.inflight = state.inflight.map(|(cmd_value, dma_addr)| InflightIo {
-                cmd: if cmd_value == mmio::disk_cmd::WRITE {
-                    DiskCommand::Write
-                } else {
-                    DiskCommand::Read
-                },
-                dma_addr,
+            h.controller = state.controller;
+            h.inflight = state.inflight.map(|go| InflightIo {
+                go,
                 // Backup-style: rule P3 suppressed I/O never captures
                 // write data; P7 bookkeeping only needs the descriptor.
                 write_data: None,

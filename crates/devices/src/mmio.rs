@@ -3,6 +3,12 @@
 //! All device registers live in the physical I/O window (see
 //! `hvft_machine::mem::IO_BASE`). Offsets here are relative to that base;
 //! the guest mini-OS hard-codes the same constants in its driver.
+//!
+//! [`DiskController`] is the disk's half of that window as a guest sees
+//! it — registers, and what a write of GO starts — kept once per host by
+//! every driver.
+
+use crate::disk::{DiskCommand, DiskStatus, BLOCK_SIZE};
 
 /// Disk controller register block offset.
 pub const DISK_BASE: u32 = 0x100;
@@ -41,6 +47,103 @@ pub mod disk_status {
     /// Last operation's outcome is uncertain (IO2 / SCSI
     /// `CHECK_CONDITION`); the driver must retry.
     pub const UNCERTAIN: u32 = 3;
+
+    /// The status a completion posts.
+    pub const fn of(status: super::DiskStatus) -> u32 {
+        match status {
+            super::DiskStatus::Complete => DONE,
+            super::DiskStatus::Uncertain => UNCERTAIN,
+        }
+    }
+}
+
+/// The disk controller as a guest sees it: the block, DMA-address and
+/// status registers of one host's I/O window. The bare machine keeps one,
+/// and so does every replica (a rejoining one is sent its donor's).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DiskController {
+    /// [`DISK_REG_BLOCK`].
+    pub block: u32,
+    /// [`DISK_REG_ADDR`].
+    pub addr: u32,
+    /// [`DISK_REG_STATUS`], a [`disk_status`] value.
+    pub status: u32,
+}
+
+/// An operation a write of GO started: the command, and the block and
+/// DMA address latched at GO.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct DiskGo {
+    /// The command GO named.
+    pub cmd: DiskCommand,
+    /// The block register at GO.
+    pub block: u32,
+    /// The DMA-address register at GO.
+    pub addr: u32,
+}
+
+/// What a guest's write to GO asks of its host.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Go {
+    /// The value names no [`disk_cmd`]: the write is ignored.
+    Ignored,
+    /// The block's DMA range does not lie in RAM, so the controller
+    /// refuses the operation before any disk sees it. The host answers
+    /// as it does when the disk refuses one — an UNCERTAIN status and a
+    /// disk interrupt, so the driver retries — and nothing is in flight.
+    Refused,
+    /// An operation for the disk.
+    Start(DiskGo),
+}
+
+impl DiskController {
+    /// The registers at reset: block and address 0, status idle.
+    pub const RESET: DiskController = DiskController {
+        block: 0,
+        addr: 0,
+        status: disk_status::IDLE,
+    };
+
+    /// What a guest read of the disk register at offset `off` of the I/O
+    /// window returns; 0 for any other offset.
+    pub fn read(&self, off: u32) -> u32 {
+        match off {
+            DISK_REG_STATUS => self.status,
+            DISK_REG_BLOCK => self.block,
+            DISK_REG_ADDR => self.addr,
+            _ => 0,
+        }
+    }
+
+    /// Latches a guest write at offset `off` of the I/O window into the
+    /// block or DMA-address register; a write anywhere else is not the
+    /// controller's (GO is [`DiskController::go`]'s).
+    pub fn write(&mut self, off: u32, value: u32) {
+        match off {
+            DISK_REG_BLOCK => self.block = value,
+            DISK_REG_ADDR => self.addr = value,
+            _ => {}
+        }
+    }
+
+    /// What a write of `value` to GO does on a host of `ram_bytes` of
+    /// RAM, with the registers latched now.
+    pub fn go(&self, value: u32, ram_bytes: usize) -> Go {
+        let cmd = match value {
+            disk_cmd::READ => DiskCommand::Read,
+            disk_cmd::WRITE => DiskCommand::Write,
+            _ => return Go::Ignored,
+        };
+        let end = (self.addr as usize).checked_add(BLOCK_SIZE);
+        if end.is_none_or(|end| end > ram_bytes) {
+            return Go::Refused;
+        }
+        Go::Start(DiskGo {
+            cmd,
+            block: self.block,
+            addr: self.addr,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -69,5 +172,25 @@ mod tests {
         ] {
             assert_eq!(r % 4, 0, "register {r:#x} must be aligned");
         }
+    }
+
+    #[test]
+    fn a_dma_range_past_ram_is_refused_at_go() {
+        let mut regs = DiskController::RESET;
+        let ram = 4 * BLOCK_SIZE;
+        regs.write(DISK_REG_BLOCK, 3);
+        regs.write(DISK_REG_ADDR, (ram - BLOCK_SIZE) as u32);
+        let last = DiskGo {
+            cmd: DiskCommand::Write,
+            block: 3,
+            addr: (ram - BLOCK_SIZE) as u32,
+        };
+        assert_eq!(regs.go(disk_cmd::WRITE, ram), Go::Start(last));
+        for addr in [ram - BLOCK_SIZE + 1, ram, u32::MAX as usize] {
+            regs.write(DISK_REG_ADDR, addr as u32);
+            assert_eq!(regs.go(disk_cmd::READ, ram), Go::Refused, "{addr:#x}");
+        }
+        assert_eq!(regs.go(7, ram), Go::Ignored, "not a command");
+        assert_eq!(regs.read(DISK_REG_ADDR), u32::MAX);
     }
 }

@@ -28,8 +28,8 @@
 
 use crate::cost::CostModel;
 use hvft_devices::console::Console;
-use hvft_devices::disk::{Disk, DiskCommand, DiskStatus, BLOCK_SIZE};
-use hvft_devices::mmio;
+use hvft_devices::disk::{Disk, DiskCommand, BLOCK_SIZE};
+use hvft_devices::mmio::{self, DiskController, DiskGo, Go};
 use hvft_isa::program::Program;
 use hvft_machine::cpu::{Assist, Cpu, EnvOp, Exit, LoadProgram, Resume};
 use hvft_machine::exec::{ExecStats, ExecTier};
@@ -82,16 +82,16 @@ pub struct BareHost {
     seed: u64,
 }
 
-/// The host's clock, its pending device events, the disk controller's
-/// registers and what the guest reported: everything a run changes
-/// besides the CPU, memory, disk and console.
+/// The host's clock, its pending device events, the disk controller and
+/// the operation it started (with a write's data, read at GO), and what
+/// the guest reported: everything a run changes besides the CPU, memory,
+/// disk and console.
 struct Board {
     now: SimTime,
     timer_fires_at: Option<SimTime>,
     disk_done_at: Option<SimTime>,
-    reg_block: u32,
-    reg_addr: u32,
-    disk_status_reg: u32,
+    controller: DiskController,
+    inflight: Option<(DiskGo, Option<Vec<u8>>)>,
     diags: Vec<(u32, u32)>,
     exit_code: Option<u32>,
 }
@@ -102,9 +102,8 @@ impl Board {
             now: SimTime::ZERO,
             timer_fires_at: None,
             disk_done_at: None,
-            reg_block: 0,
-            reg_addr: 0,
-            disk_status_reg: mmio::disk_status::IDLE,
+            controller: DiskController::RESET,
+            inflight: None,
             diags: Vec::new(),
             exit_code: None,
         }
@@ -257,11 +256,14 @@ impl Assist for Firmware<'_> {
                 }
             },
             Exit::MmioRead { paddr, width, rd } => {
-                let v = self.mmio_read(paddr);
+                let v = match paddr.wrapping_sub(IO_BASE) {
+                    mmio::CONSOLE_REG_STATUS => 1, // always ready
+                    off => b.controller.read(off),
+                };
                 cpu.complete_mmio_read(rd, width, v);
             }
             Exit::MmioWrite { paddr, value, .. } => {
-                self.mmio_write(cpu, paddr, value);
+                self.mmio_write(cpu, mem, paddr, value);
                 cpu.complete_env_effect();
             }
             Exit::Diag { value, code } => {
@@ -366,67 +368,53 @@ impl Firmware<'_> {
 
     fn complete_disk(&mut self, cpu: &mut Cpu, mem: &mut Memory) {
         let b = &mut *self.board;
-        let pending_cmd = self
-            .disk
-            .pending()
-            .map(|p| p.cmd)
-            .expect("disk completion without op");
-        let status = match pending_cmd {
-            DiskCommand::Write => {
-                let data = mem.read_bytes(b.reg_addr, BLOCK_SIZE).to_vec();
-                self.disk.complete_write(&data)
-            }
+        let (go, data) = b.inflight.take().expect("disk completion without GO");
+        let status = match go.cmd {
+            DiskCommand::Write => self
+                .disk
+                .complete_write(&data.expect("a write's data is read at GO")),
             DiskCommand::Read => {
                 let (status, data) = self.disk.complete_read();
                 if let Some(d) = data {
-                    mem.write_bytes(b.reg_addr, &d);
+                    mem.write_bytes(go.addr, &d);
                 }
                 status
             }
         };
-        b.disk_status_reg = match status {
-            DiskStatus::Complete => mmio::disk_status::DONE,
-            DiskStatus::Uncertain => mmio::disk_status::UNCERTAIN,
-        };
+        b.controller.status = mmio::disk_status::of(status);
         cpu.raise_irq(irq::DISK);
     }
 
-    fn mmio_read(&self, paddr: u32) -> u32 {
-        match paddr.wrapping_sub(IO_BASE) {
-            mmio::DISK_REG_STATUS => self.board.disk_status_reg,
-            mmio::DISK_REG_BLOCK => self.board.reg_block,
-            mmio::DISK_REG_ADDR => self.board.reg_addr,
-            mmio::CONSOLE_REG_STATUS => 1,
-            _ => 0,
-        }
-    }
-
-    fn mmio_write(&mut self, cpu: &mut Cpu, paddr: u32, value: u32) {
+    fn mmio_write(&mut self, cpu: &mut Cpu, mem: &Memory, paddr: u32, value: u32) {
         let b = &mut *self.board;
-        match paddr.wrapping_sub(IO_BASE) {
-            mmio::DISK_REG_BLOCK => b.reg_block = value,
-            mmio::DISK_REG_ADDR => b.reg_addr = value,
+        let off = paddr.wrapping_sub(IO_BASE);
+        match off {
             mmio::DISK_REG_CMD => {
-                let cmd = match value {
-                    mmio::disk_cmd::READ => DiskCommand::Read,
-                    mmio::disk_cmd::WRITE => DiskCommand::Write,
-                    _ => return,
+                let started = match b.controller.go(value, mem.size()) {
+                    Go::Ignored => return,
+                    Go::Refused => None,
+                    Go::Start(go) => self
+                        .disk
+                        .submit(b.now, 0, go.cmd, go.block)
+                        .ok()
+                        .map(|dur| (go, dur)),
                 };
-                match self.disk.submit(b.now, 0, cmd, b.reg_block) {
-                    Ok(dur) => {
-                        b.disk_status_reg = mmio::disk_status::BUSY;
-                        b.disk_done_at = Some(b.now + dur);
-                    }
-                    Err(_) => {
-                        // Controller rejects: report uncertainty so the
-                        // driver retries rather than wedging.
-                        b.disk_status_reg = mmio::disk_status::UNCERTAIN;
-                        cpu.raise_irq(irq::DISK);
-                    }
+                if let Some((go, dur)) = started {
+                    let data = (go.cmd == DiskCommand::Write)
+                        .then(|| mem.read_bytes(go.addr, BLOCK_SIZE).to_vec());
+                    b.controller.status = mmio::disk_status::BUSY;
+                    b.disk_done_at = Some(b.now + dur);
+                    b.inflight = Some((go, data));
+                } else {
+                    // Refused, by the controller or the disk: report
+                    // uncertainty so the driver retries rather than
+                    // wedging.
+                    b.controller.status = mmio::disk_status::UNCERTAIN;
+                    cpu.raise_irq(irq::DISK);
                 }
             }
             mmio::CONSOLE_REG_TX => self.console.write(b.now, 0, value as u8),
-            _ => {}
+            _ => b.controller.write(off, value),
         }
     }
 }

@@ -268,3 +268,67 @@ fn detector_timeout_scales_run_length() {
         "longer timeout must delay completion: {ends:?}"
     );
 }
+
+#[test]
+fn a_guest_dma_address_outside_ram_is_refused_not_a_panic() {
+    // A raw guest points the disk's DMA address at a block that does not
+    // fit in RAM — straddling its end, or past it — and issues GO, alone
+    // or while an operation it started on a block in RAM is in flight.
+    // It then polls the status until the last operation is over and
+    // exits with it. The controller refuses such a GO the way the disk
+    // refuses one — UNCERTAIN and a disk interrupt — on the bare machine
+    // and under replication alike: it reaches no disk and leaves the
+    // operation in flight to complete as it would have.
+    use hvft::devices::mmio::{self, disk_cmd, disk_status};
+    use hvft::guest::layout::RAM_BYTES;
+    use hvft::machine::mem::IO_BASE;
+    for addr in [RAM_BYTES as u32 - 4, RAM_BYTES as u32 + 0x1000] {
+        for cmd in [disk_cmd::READ, disk_cmd::WRITE] {
+            for busy in [false, true] {
+                let first = if busy { RAM_BYTES as u32 / 2 } else { 0 };
+                let last = if busy {
+                    disk_status::DONE
+                } else {
+                    disk_status::UNCERTAIN
+                };
+                let image = hvft::isa::asm::assemble(&format!(
+                    ".org 0
+start:
+    li   r4, {IO_BASE}
+    addi r6, r0, {cmd}
+    li   r5, {first}
+    beq  r5, r0, refused
+    sw   r5, {reg_addr}(r4)
+    sw   r6, {reg_cmd}(r4)   ; the disk is busy with this one
+refused:
+    li   r5, {addr}
+    sw   r5, {reg_addr}(r4)
+    sw   r6, {reg_cmd}(r4)
+    addi r8, r0, {last}
+wait:
+    lw   r7, {reg_status}(r4)
+    bne  r7, r8, wait
+    diag r7, 1
+    halt
+",
+                    reg_addr = mmio::DISK_REG_ADDR,
+                    reg_cmd = mmio::DISK_REG_CMD,
+                    reg_status = mmio::DISK_REG_STATUS,
+                ))
+                .expect("asm");
+                for builder in [Scenario::builder().bare(), Scenario::builder()] {
+                    let report = builder
+                        .image(image.clone())
+                        .functional_cost()
+                        .build()
+                        .expect("a valid scenario")
+                        .run();
+                    let what = format!("{addr:#x}, command {cmd}, busy {busy}");
+                    assert_eq!(report.exit.code(), Some(last), "{what}: {:?}", report.exit);
+                    let ops = report.disk_log.len();
+                    assert_eq!(ops, usize::from(busy), "{what}: {:?}", report.disk_log);
+                }
+            }
+        }
+    }
+}

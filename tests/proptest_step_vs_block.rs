@@ -22,30 +22,23 @@
 //!   trapping and garbage words mixed) driven through both tiers with
 //!   traps delivered bare-metal style, comparing the full event
 //!   sequence and final state hash;
-//! - **hot loops of assist ops**: the soup's privileged words are cold
-//!   and never compile, so generated *hot* loops put `mfctl`/`mtctl`,
-//!   `ssm`/`rsm`, `tlbi`/`tlbp`, `rfi`, `gate`, the environment
-//!   instructions and a store that patches one of them inside compiled
-//!   traces — at privilege 0 through `Cpu::run`, and at privilege 1
-//!   under a miniature hypervisor that runs once around `Cpu::run` and
-//!   once as the hook of `Cpu::run_with`, in random budget chunks;
-//! - **hot loops of loads and stores**: the same harness over generated
-//!   loops of word and byte accesses to three data pages (two sharing a
-//!   slot of the jit's data-page map), with everything that must make
-//!   the map and the trace-to-trace links forget happening inside the
-//!   traces — purges and re-inserts of a page in use, translation
-//!   flips, `rfi` to user privilege, a read-only page, the I/O window,
-//!   a misaligned word, stores beside and over compiled code, a
-//!   snapshot and restore between two budgets;
-//! - **hot loops of exits and returns**: the same harness over loops
-//!   whose traces serve their own exits (`gate`, `brk`, `mftod`,
-//!   `mtit`, `diag`, `idle`) and run through calls — callees that
-//!   return home, clobber `ra`, return elsewhere, to a misaligned
-//!   address or into a caller in another page, or recurse — with
-//!   stores beside and over the loop's decoded words, interrupt masks
-//!   written mid-trace, and an embedder that meddles from inside the
-//!   frame: cuts runs short, surfaces exits unserved, raises
-//!   interrupts, rewrites the running loop;
+//! - **hot loops**: the soup's privileged words are cold and never
+//!   compile, so one weighted grammar generates *hot* loops that put
+//!   everything a trace must survive inside compiled traces, together:
+//!   control-register, PSW and interrupt-mask writes, TLB purges and
+//!   inserts of pages in use, `rfi` to user or kernel, the exits a trace
+//!   serves itself (`gate`, `brk`, `mftod`, `mtit`, `diag`, `idle`),
+//!   word and byte accesses over three data pages (two sharing a slot of
+//!   the jit's data-page map), misaligned and I/O-window accesses, stores
+//!   beside and — once — over decoded code, and calls whose callees
+//!   return home, clobber `ra`, return elsewhere, misaligned or into
+//!   another page, or recurse. Each runs at privilege 0 through
+//!   `Cpu::run`, and at privilege 1 under a miniature hypervisor, once
+//!   around `Cpu::run` and once as the hook of `Cpu::run_with`, in random
+//!   budget chunks, with a snapshot and restore between two of them and
+//!   an embedder that may meddle from inside the frame: cut runs short,
+//!   surface exits unserved, raise interrupts, rewrite the running loop.
+//!   Three entry points each put a floor under one family of items;
 //! - **hypervised pauses**: one guest under `HvGuest` in one budget and
 //!   in seed-drawn slices, on every tier: every pause agrees on the
 //!   event, the consumed time and its split, `nsim`, the reflections,
@@ -70,8 +63,9 @@ use hvft::isa::codec::{decode, encode};
 use hvft::isa::instruction::{AluImmOp, AluOp, BranchCond, Instruction, MemWidth};
 use hvft::isa::reg::{ControlReg, Reg};
 use hvft::machine::cpu::{Assist, Cpu, EnvOp, Exit, Resume};
-use hvft::machine::exec::ExecTier;
+use hvft::machine::exec::{ExecStats, ExecTier};
 use hvft::machine::mem::{Memory, PAGE_SIZE};
+use hvft::machine::psw::Psw;
 use hvft::machine::tlb::{pte, TlbReplacement};
 use hvft::machine::trap::{irq, Trap};
 use hvft_core::scenario::{RunReport, Scenario, ScenarioBuilder};
@@ -195,6 +189,38 @@ fn bare_mixed_is_engine_invariant() {
 // Self-modifying guest code (the riskiest code-cache path)
 // ---------------------------------------------------------------------
 
+/// Runs `guest`, which loads the word at 512 and stores it over one of
+/// its `addi r20, r20, …`, bare to its `halt` on both tiers with that
+/// word an `addi r20, r20, 100`; checks that the tiers agree and returns
+/// the jit's host.
+fn run_patching_guest(guest: &str) -> BareHost {
+    let patched = encode(Instruction::AluImm {
+        op: AluImmOp::Addi,
+        rd: Reg::of(20),
+        rs1: Reg::of(20),
+        imm: 100,
+    })
+    .unwrap();
+    let image = hvft::isa::asm::assemble(guest).expect("asm");
+    let run = |tier: ExecTier| {
+        let mut host = BareHost::new(&image, CostModel::hp9000_720(), RAM_BYTES, 16, 0);
+        host.set_exec_tier(tier);
+        host.mem.write_u32(512, patched).unwrap();
+        let r = host.run(100_000);
+        (r, host)
+    };
+    let (rs, host_s) = run(ExecTier::Step);
+    let (rj, host_j) = run(ExecTier::Jit);
+    assert!(matches!(rj.exit, BareExit::Halted { .. }), "{:?}", rj.exit);
+    assert_eq!((rj.exit, rj.retired), (rs.exit, rs.retired));
+    assert_eq!(
+        same_vm_state((&host_j.cpu, &host_j.mem), (&host_s.cpu, &host_s.mem)),
+        Ok(()),
+        "patched code must replay exactly like the interpreter"
+    );
+    host_j
+}
+
 /// A bare-metal guest that executes a code sequence, then patches one
 /// of its instructions *after it was executed*, and runs it again:
 /// iteration 1 executes `addi r20, r20, 1`, every later iteration must
@@ -222,31 +248,7 @@ slot:
 
 #[test]
 fn self_modifying_guest_invalidates_the_code_cache() {
-    let patched = encode(Instruction::AluImm {
-        op: AluImmOp::Addi,
-        rd: Reg::of(20),
-        rs1: Reg::of(20),
-        imm: 100,
-    })
-    .unwrap();
-    let image = hvft::isa::asm::assemble(SMC_GUEST).expect("asm");
-    let run = |tier: ExecTier| {
-        let mut host = BareHost::new(&image, CostModel::hp9000_720(), RAM_BYTES, 16, 0);
-        host.set_exec_tier(tier);
-        host.mem.write_u32(512, patched).unwrap();
-        let r = host.run(100_000);
-        (r, host)
-    };
-    let (rb, host_b) = run(ExecTier::Step);
-    let (ra, host_a) = run(ExecTier::Jit);
-    assert!(matches!(ra.exit, BareExit::Halted { .. }), "{:?}", ra.exit);
-    assert_eq!(ra.exit, rb.exit);
-    assert_eq!(ra.retired, rb.retired);
-    assert_eq!(
-        same_vm_state((&host_a.cpu, &host_a.mem), (&host_b.cpu, &host_b.mem)),
-        Ok(()),
-        "self-modifying code must behave identically on both engines"
-    );
+    let host_a = run_patching_guest(SMC_GUEST);
     // 40 passes: 1 original (+1), 39 patched (+100 each).
     assert_eq!(host_a.cpu.reg(Reg::of(20)), 1 + 39 * 100);
     let x = host_a.exec_stats();
@@ -283,31 +285,7 @@ slot:
 
 #[test]
 fn patching_a_compiled_superblock_invalidates_and_recompiles() {
-    let patched = encode(Instruction::AluImm {
-        op: AluImmOp::Addi,
-        rd: Reg::of(20),
-        rs1: Reg::of(20),
-        imm: 100,
-    })
-    .unwrap();
-    let image = hvft::isa::asm::assemble(SMC_HOT_GUEST).expect("asm");
-    let run = |tier: ExecTier| {
-        let mut host = BareHost::new(&image, CostModel::hp9000_720(), RAM_BYTES, 16, 0);
-        host.set_exec_tier(tier);
-        host.mem.write_u32(512, patched).unwrap();
-        let r = host.run(100_000);
-        (r, host)
-    };
-    let (rs, host_s) = run(ExecTier::Step);
-    let (rj, host_j) = run(ExecTier::Jit);
-    assert!(matches!(rj.exit, BareExit::Halted { .. }), "{:?}", rj.exit);
-    assert_eq!(rj.exit, rs.exit);
-    assert_eq!(rj.retired, rs.retired);
-    assert_eq!(
-        same_vm_state((&host_j.cpu, &host_j.mem), (&host_s.cpu, &host_s.mem)),
-        Ok(()),
-        "a patched superblock must replay exactly like the interpreter"
-    );
+    let host_j = run_patching_guest(SMC_HOT_GUEST);
     // Calls with r22 = 60..=30 add 1 (31 calls); r22 = 29..=1 add 100.
     assert_eq!(host_j.cpu.reg(Reg::of(20)), 31 + 29 * 100);
     let x = host_j.exec_stats();
@@ -356,32 +334,7 @@ slot:
 
 #[test]
 fn patching_the_second_page_of_a_cross_page_superblock_invalidates_it() {
-    let patched = encode(Instruction::AluImm {
-        op: AluImmOp::Addi,
-        rd: Reg::of(20),
-        rs1: Reg::of(20),
-        imm: 100,
-    })
-    .unwrap();
-    let image = hvft::isa::asm::assemble(SMC_CROSS_PAGE_GUEST).expect("asm");
-    let run = |tier: ExecTier| {
-        let mut host = BareHost::new(&image, CostModel::hp9000_720(), RAM_BYTES, 16, 0);
-        host.set_exec_tier(tier);
-        host.mem.write_u32(512, patched).unwrap();
-        let r = host.run(100_000);
-        (r, host)
-    };
-    let (rs, host_s) = run(ExecTier::Step);
-    let (rj, host_j) = run(ExecTier::Jit);
-    assert!(matches!(rj.exit, BareExit::Halted { .. }), "{:?}", rj.exit);
-    assert_eq!(rj.exit, rs.exit);
-    assert_eq!(rj.retired, rs.retired);
-    assert_eq!(
-        same_vm_state((&host_j.cpu, &host_j.mem), (&host_s.cpu, &host_s.mem)),
-        Ok(()),
-        "a cross-page superblock stale on its second page must replay \
-         exactly like the interpreter"
-    );
+    let host_j = run_patching_guest(SMC_CROSS_PAGE_GUEST);
     // Calls with r22 = 60..=30 add 1+2 (31 calls); r22 = 29..=1 add 1+100.
     assert_eq!(host_j.cpu.reg(Reg::of(20)), 31 * 3 + 29 * 101);
     let x = host_j.exec_stats();
@@ -430,32 +383,7 @@ slot:
 
 #[test]
 fn a_store_from_inside_a_cross_page_superblock_kills_its_own_trace() {
-    let patched = encode(Instruction::AluImm {
-        op: AluImmOp::Addi,
-        rd: Reg::of(20),
-        rs1: Reg::of(20),
-        imm: 100,
-    })
-    .unwrap();
-    let image = hvft::isa::asm::assemble(SMC_CROSS_PAGE_SELF_GUEST).expect("asm");
-    let run = |tier: ExecTier| {
-        let mut host = BareHost::new(&image, CostModel::hp9000_720(), RAM_BYTES, 16, 0);
-        host.set_exec_tier(tier);
-        host.mem.write_u32(512, patched).unwrap();
-        let r = host.run(100_000);
-        (r, host)
-    };
-    let (rs, host_s) = run(ExecTier::Step);
-    let (rj, host_j) = run(ExecTier::Jit);
-    assert!(matches!(rj.exit, BareExit::Halted { .. }), "{:?}", rj.exit);
-    assert_eq!(rj.exit, rs.exit);
-    assert_eq!(rj.retired, rs.retired);
-    assert_eq!(
-        same_vm_state((&host_j.cpu, &host_j.mem), (&host_s.cpu, &host_s.mem)),
-        Ok(()),
-        "a trace that patches its own second page must replay exactly \
-         like the interpreter"
-    );
+    let host_j = run_patching_guest(SMC_CROSS_PAGE_SELF_GUEST);
     // r22 = 60..=31: +3 each; r22 = 30 patches then runs the patched
     // slot (+101); r22 = 29..=1: +101 each.
     assert_eq!(host_j.cpu.reg(Reg::of(20)), 30 * 3 + 30 * 101);
@@ -502,32 +430,7 @@ done:
 
 #[test]
 fn a_store_into_another_traces_page_is_seen_by_the_hop_that_follows() {
-    let patched = encode(Instruction::AluImm {
-        op: AluImmOp::Addi,
-        rd: Reg::of(20),
-        rs1: Reg::of(20),
-        imm: 100,
-    })
-    .unwrap();
-    let image = hvft::isa::asm::assemble(SMC_FOREIGN_TRACE_GUEST).expect("asm");
-    let run = |tier: ExecTier| {
-        let mut host = BareHost::new(&image, CostModel::hp9000_720(), RAM_BYTES, 16, 0);
-        host.set_exec_tier(tier);
-        host.mem.write_u32(512, patched).unwrap();
-        let r = host.run(100_000);
-        (r, host)
-    };
-    let (rs, host_s) = run(ExecTier::Step);
-    let (rj, host_j) = run(ExecTier::Jit);
-    assert!(matches!(rj.exit, BareExit::Halted { .. }), "{:?}", rj.exit);
-    assert_eq!(rj.exit, rs.exit);
-    assert_eq!(rj.retired, rs.retired);
-    assert_eq!(
-        same_vm_state((&host_j.cpu, &host_j.mem), (&host_s.cpu, &host_s.mem)),
-        Ok(()),
-        "a trace patched from another trace must replay exactly like \
-         the interpreter"
-    );
+    let host_j = run_patching_guest(SMC_FOREIGN_TRACE_GUEST);
     // r22 = 60..=31 add 1 (30 turns); r22 = 30 patches first, then it
     // and 29..=1 add 100 (30 turns).
     assert_eq!(host_j.cpu.reg(Reg::of(20)), 30 + 30 * 100);
@@ -888,6 +791,48 @@ fn drive(
     log
 }
 
+/// Runs the machine `build` makes to `max_retired` instructions (or 400
+/// events), single-stepped by hand and through [`Cpu::run`] on each
+/// tier: every run must log the same events and end in the same state.
+/// Returns the reference's log and each tier's counters.
+fn soup_replays(
+    build: impl Fn() -> (Cpu, Memory),
+    max_retired: u64,
+) -> Result<(Vec<String>, [ExecStats; 2]), TestCaseError> {
+    let (mut cpu_b, mut mem_b) = build();
+    let log_b = drive(&mut cpu_b, &mut mem_b, false, max_retired, 400);
+    let mut stats = [ExecStats::default(); 2];
+    for (tier, x) in [ExecTier::Step, ExecTier::Jit].into_iter().zip(&mut stats) {
+        let (mut cpu_a, mut mem_a) = build();
+        cpu_a.set_exec_tier(tier);
+        let log_a = drive(&mut cpu_a, &mut mem_a, true, max_retired, 400);
+        prop_assert_eq!(&log_a, &log_b, "event sequences diverged ({})", tier);
+        prop_assert_eq!(
+            (cpu_a.retired(), cpu_a.pc),
+            (cpu_b.retired(), cpu_b.pc),
+            "{}",
+            tier
+        );
+        let state = same_vm_state((&cpu_a, &mem_a), (&cpu_b, &mem_b));
+        prop_assert_eq!(state, Ok(()), "final states diverged ({})", tier);
+        *x = cpu_a.exec_stats();
+    }
+    Ok((log_b, stats))
+}
+
+/// A machine with `image` loaded and `words` — `(address, value)` —
+/// stored over it.
+fn loaded(image: &hvft::isa::program::Program, words: [(u32, u32); 3]) -> (Cpu, Memory) {
+    let mut mem = Memory::new(64 * 1024);
+    for seg in &image.segments {
+        mem.write_bytes(seg.base, &seg.data);
+    }
+    for (at, word) in words {
+        mem.write_u32(at, word).unwrap();
+    }
+    (Cpu::new(16, TlbReplacement::RoundRobin, 0), mem)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
@@ -930,22 +875,7 @@ proptest! {
             }
             (cpu, mem)
         };
-        let (mut cpu_b, mut mem_b) = build();
-        let log_b = drive(&mut cpu_b, &mut mem_b, false, 5_000, 400);
-        for tier in [ExecTier::Step, ExecTier::Jit] {
-            let (mut cpu_a, mut mem_a) = build();
-            cpu_a.set_exec_tier(tier);
-            let log_a = drive(&mut cpu_a, &mut mem_a, true, 5_000, 400);
-            prop_assert_eq!(&log_a, &log_b, "event sequences diverged ({})", tier);
-            prop_assert_eq!(cpu_a.retired(), cpu_b.retired(), "{}", tier);
-            prop_assert_eq!(cpu_a.pc, cpu_b.pc, "{}", tier);
-            prop_assert_eq!(
-                same_vm_state((&cpu_a, &mem_a), (&cpu_b, &mem_b)),
-                Ok(()),
-                "final states diverged ({})",
-                tier
-            );
-        }
+        soup_replays(build, 5_000)?;
     }
 
     #[test]
@@ -1043,40 +973,9 @@ tail:
 "
         );
         let image = hvft::isa::asm::assemble(&src).expect("asm");
-        let build = || {
-            let cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
-            let mut mem = Memory::new(64 * 1024);
-            for seg in &image.segments {
-                mem.write_bytes(seg.base, &seg.data);
-            }
-            mem.write_u32(512, synth_word(patch_seed)).unwrap();
-            mem.write_u32(516, 4096 + 4 * patch_idx).unwrap();
-            mem.write_u32(520, patch_at).unwrap();
-            (cpu, mem)
-        };
-        let (mut cpu_b, mut mem_b) = build();
-        let log_b = drive(&mut cpu_b, &mut mem_b, false, 50_000, 400);
-        for tier in [ExecTier::Step, ExecTier::Jit] {
-            let (mut cpu_a, mut mem_a) = build();
-            cpu_a.set_exec_tier(tier);
-            let log_a = drive(&mut cpu_a, &mut mem_a, true, 50_000, 400);
-            prop_assert_eq!(&log_a, &log_b, "event sequences diverged ({})", tier);
-            prop_assert_eq!(cpu_a.retired(), cpu_b.retired(), "{}", tier);
-            prop_assert_eq!(
-                same_vm_state((&cpu_a, &mem_a), (&cpu_b, &mem_b)),
-                Ok(()),
-                "final states diverged ({})",
-                tier
-            );
-            if tier == ExecTier::Jit {
-                let x = cpu_a.exec_stats();
-                prop_assert!(
-                    x.cross_page_superblocks >= 1,
-                    "the hot crosser must fuse across the page: {:?}",
-                    x
-                );
-            }
-        }
+        let words = [(512, synth_word(patch_seed)), (516, 4096 + 4 * patch_idx), (520, patch_at)];
+        let (_, [_, jit]) = soup_replays(|| loaded(&image, words), 50_000)?;
+        prop_assert!(jit.cross_page_superblocks >= 1, "the hot crosser must fuse across the page: {:?}", jit);
     }
 
     #[test]
@@ -1138,233 +1037,459 @@ work:
             _ => (WORK + 4 * (target - 14), false),
         };
         let image = hvft::isa::asm::assemble(&src).expect("asm");
-        let build = || {
-            let cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
-            let mut mem = Memory::new(64 * 1024);
-            for seg in &image.segments {
-                mem.write_bytes(seg.base, &seg.data);
-            }
-            mem.write_u32(1536, synth_word(patch_seed)).unwrap();
-            mem.write_u32(1540, store_to).unwrap();
-            mem.write_u32(1544, patch_at).unwrap();
-            (cpu, mem)
-        };
-        let (mut cpu_b, mut mem_b) = build();
-        let log_b = drive(&mut cpu_b, &mut mem_b, false, 50_000, 400);
-        prop_assert!(log_b.len() >= 20, "one gate per pass before the store: {:?}", log_b);
-        for tier in [ExecTier::Step, ExecTier::Jit] {
-            let (mut cpu_a, mut mem_a) = build();
-            cpu_a.set_exec_tier(tier);
-            let log_a = drive(&mut cpu_a, &mut mem_a, true, 50_000, 400);
-            prop_assert_eq!(&log_a, &log_b, "event sequences diverged ({})", tier);
-            prop_assert_eq!(cpu_a.retired(), cpu_b.retired(), "{}", tier);
-            prop_assert_eq!(
-                same_vm_state((&cpu_a, &mem_a), (&cpu_b, &mem_b)),
-                Ok(()),
-                "final states diverged ({})",
-                tier
-            );
-            let x = cpu_a.exec_stats();
-            if tier == ExecTier::Jit {
-                prop_assert!(x.jit_retired > 0, "the hot loop must run compiled: {:?}", x);
-            }
-            if is_data {
-                prop_assert_eq!(
-                    x.jit_invalidations,
-                    0,
-                    "{}: stores to data beside code must invalidate nothing",
-                    tier
-                );
-            }
+        let words = [(1536, synth_word(patch_seed)), (1540, store_to), (1544, patch_at)];
+        let (log, stats) = soup_replays(|| loaded(&image, words), 50_000)?;
+        prop_assert!(log.len() >= 20, "one gate per pass before the store: {:?}", log);
+        prop_assert!(stats[1].jit_retired > 0, "the hot loop must run compiled: {:?}", stats[1]);
+        for x in stats.iter().filter(|_| is_data) {
+            prop_assert_eq!(x.jit_invalidations, 0, "stores to data beside code must invalidate nothing");
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Hot loops of assist ops
+// Hot loops: one grammar of assist ops, data accesses, exits and calls
 // ---------------------------------------------------------------------
 
-/// Where a generated machine keeps things; 16 pages, identity-mapped
-/// when translation is on (but see `SHADOW`).
+/// Where a generated machine keeps things: 16 pages, identity-mapped
+/// with every permission when translation is on — but `D1` without the
+/// user bit, and see `SHADOW` and `ALIAS`.
 mod lay {
+    /// Data in the loop's code page, past its code: stores there land
+    /// beside the decoded words, not on them.
+    pub const CODE_DATA: u32 = 0xE00;
+    /// Replacement words for the once-only patch, among that data.
+    pub const PATCHES: u32 = CODE_DATA + 0x100;
     /// The interruption vector table (`iva`).
     pub const VECTORS: u32 = 0x1000;
-    /// `rfi` targets outside the loop's trace.
+    /// Code in another page: the island every turn calls, `rfi`
+    /// targets, callers a leaf returns into.
     pub const ISLANDS: u32 = 0x2000;
-    /// Data the loop loads and stores.
-    pub const SCRATCH: u32 = 0x3000;
-    /// Replacement words for the self-patching store.
-    pub const PATCHES: u32 = 0x3800;
+    /// Data in the islands' page, past their code.
+    pub const ISLAND_DATA: u32 = ISLANDS + 0x800;
+    /// The recursion's stack.
+    pub const STACK: u32 = 0x3400;
     /// A copy of the code page whose marker instruction counts in twos:
     /// a `tlbi` can map virtual page 0 here, so *which* page executed
     /// shows in a register.
     pub const SHADOW: u32 = 0x4000;
+    pub const D0: u32 = 0x5000;
+    /// Mapped without the user bit.
+    pub const D1: u32 = 0x6000;
+    /// A *virtual* page 64 above `D0`, so the two share a slot of the
+    /// jit's 64-slot data-page map, backed by `ALIAS_AT` (or, after a
+    /// drawn `tlbi`, `ALIAS_ALT`). With translation off it lies beyond
+    /// RAM.
+    pub const ALIAS: u32 = D0 + (64 << 12);
+    pub const ALIAS_AT: u32 = 0x7000;
+    pub const ALIAS_ALT: u32 = 0x8000;
     pub const PAGES: u32 = 16;
 }
 
+/// Every permission a page can have.
+const FULL: u32 = pte::V | pte::R | pte::W | pte::X | pte::U;
+
 /// Handlers for every vector, each within its 32-byte slot. They use
-/// r28/r29 only; r12 counts interrupts, r13 sums gate arguments. The
-/// TLB-miss handler refills the identity mapping with `refill`'s
-/// permissions; `gate` is the body of the gate handler.
-fn vectors(refill: u32, gate: &str) -> String {
-    let skip = "mfctl r28, iip\n addi r28, r28, 4\n mtctl iip, r28\n rfi\n";
-    let mut s = String::new();
-    for (vector, body) in [
-        (1, skip.to_owned()), // illegal instruction: step over it
-        (2, skip.to_owned()), // privileged op nobody emulates: likewise
-        (
-            3, // TLB miss: refill the identity mapping
-            format!(
+/// r28/r29 only; r12 counts interrupts, r13 folds gate and break
+/// arguments. Faults and privileged ops nobody emulates step over the
+/// instruction, the TLB-miss handler refills the identity mapping with
+/// every permission, and the gate handler returns to kernel privilege,
+/// whatever executed the gate.
+fn vectors() -> String {
+    let vector = |v: u32| {
+        let body = match v {
+            3 => format!(
                 "mfctl r28, traparg\n srli r29, r28, 12\n slli r29, r29, 12\n \
-                 ori r29, r29, {refill}\n tlbi r28, r29\n rfi\n"
+                 ori r29, r29, {FULL}\n tlbi r28, r29\n rfi\n"
             ),
-        ),
-        (4, skip.to_owned()), // access fault
-        (5, skip.to_owned()), // alignment fault
-        (6, skip.to_owned()), // arithmetic error
-        (7, gate.to_owned()),
-        (
-            8,
-            "mfctl r28, traparg\n xor r13, r13, r28\n rfi\n".to_owned(),
-        ),
-        (
-            10, // external interrupt: acknowledge whatever is pending
-            "mfctl r28, eirr\n mtctl eirr, r28\n addi r12, r12, 1\n rfi\n".to_owned(),
-        ),
-    ] {
-        s.push_str(&format!(".org {}\n {body}", lay::VECTORS + 32 * vector));
-    }
-    s
-}
-
-fn assist_vectors() -> String {
-    vectors(
-        pte::V | pte::R | pte::W | pte::X,
-        "mfctl r28, traparg\n add r13, r13, r28\n rfi\n",
-    )
-}
-
-/// Expands `seeds` into a loop of `turns` turns whose body is one item
-/// per seed: filler, control-register traffic, PSW bit flips, TLB
-/// inserts and purges (the executing page included), `rfi` to the next
-/// instruction and to an island in another page, `gate`, environment
-/// instructions and — at most once — a store that overwrites an assist
-/// op of the loop itself at a drawn turn. r20 counts turns, r27 is the
-/// scratch base, r30/r31 are the items' temporaries, r4–r10 hold data
-/// and r11 counts the marker.
-fn assist_loop_source(seeds: &[u64], turns: u32) -> String {
-    let data = |n: u64| 4 + (n % 7);
-    let mut body = String::new();
-    let mut islands = format!(".org {}\n", lay::ISLANDS);
-    let mut patched = false;
-    for (k, &seed) in seeds.iter().enumerate() {
-        let (pick, a) = (seed % 100, seed >> 8);
-        let item = if pick < 10 {
-            format!("addi r{}, r{}, {}\n", data(a), data(a >> 3), (a >> 6) % 200)
-        } else if pick < 18 {
-            let off = ((a >> 3) % 64) * 4;
-            if a % 2 == 0 {
-                format!("sw r{}, {off}(r27)\n", data(a >> 9))
-            } else {
-                format!("lw r{}, {off}(r27)\n", data(a >> 9))
-            }
-        } else if pick < 26 {
-            let cr = [
-                "eirr", "eiem", "ipsw", "iip", "traparg", "scratch0", "scratch1", "iva", "rctr",
-            ][(a % 9) as usize];
-            format!("mfctl r{}, {cr}\n", data(a >> 4))
-        } else if pick < 31 {
-            let cr = ["scratch0", "scratch1", "ptbr"][(a % 3) as usize];
-            format!("mtctl {cr}, r{}\n", data(a >> 2))
-        } else if pick < 38 {
-            // Mask or unmask: an interrupt raised earlier may become
-            // deliverable — or stop being — in the middle of a trace.
-            format!(
-                "addi r30, r0, {}\n mtctl eiem, r30\n",
-                [0, 1, 2, 3, 7][(a % 5) as usize]
-            )
-        } else if pick < 41 {
-            format!("addi r30, r0, {}\n mtctl eirr, r30\n", 1 + a % 7)
-        } else if pick < 52 {
-            format!("ssm {}\n", 1 + a % 3)
-        } else if pick < 60 {
-            format!("rsm {}\n", 1 + a % 3)
-        } else if pick < 68 {
-            match a % 5 {
-                0 => "tlbp r0\n".to_owned(),                     // everything
-                1 => "addi r30, r0, 64\n tlbp r30\n".to_owned(), // the executing page
-                n => format!(
-                    "li r30, {}\n tlbp r30\n",
-                    [lay::VECTORS, lay::ISLANDS, lay::SCRATCH][(n - 2) as usize]
-                ),
-            }
-        } else if pick < 76 {
-            let (vaddr, pte_word) = match a % 4 {
-                0 => (lay::SCRATCH, lay::SCRATCH | pte::V | pte::R), // stores now fault
-                1 => (lay::SCRATCH, lay::SCRATCH | pte::V | pte::R | pte::W),
-                2 => (0, lay::SHADOW | pte::V | pte::R | pte::W | pte::X),
-                _ => (0, pte::V | pte::R | pte::W | pte::X),
-            };
-            format!("li r30, {vaddr}\n li r31, {pte_word}\n tlbi r30, r31\n")
-        } else if pick < 86 {
-            // rfi: the PSW it installs keeps the privilege level (0; a
-            // hypervisor maps it) and draws the other three bits. A
-            // recovery counter that is switched on runs from 41.
-            let psw = ((a % 2) << 2) | (((a >> 1) % 2) << 3) | (u64::from((a >> 2) % 4 == 0) << 4);
-            let target = if (a >> 4) % 2 == 0 {
-                format!("after_{k}")
-            } else {
-                islands.push_str(&format!("isl_{k}: addi r10, r10, 3\n jal r0, after_{k}\n"));
-                format!("isl_{k}")
-            };
-            format!(
-                "addi r30, r0, {psw}\n mtctl ipsw, r30\n la r30, {target}\n \
-                 mtctl iip, r30\n rfi\nafter_{k}:\n"
-            )
-        } else if pick < 90 {
-            format!("gate {}\n", a % 16)
-        } else if pick < 92 {
-            match a % 5 {
-                0 => format!("mftod r{}\n", data(a >> 3)),
-                1 => format!("mftodh r{}\n", data(a >> 3)),
-                2 => format!("mfit r{}\n", data(a >> 3)),
-                3 => format!("mtit r{}\n", data(a >> 3)),
-                _ => "idle\n".to_owned(),
-            }
-        } else if pick < 96 {
-            // The embedder's cue to interfere: see `Embedder::diag`.
-            format!("diag r{}, {}\n", data(a >> 3), a % 8)
-        } else if !patched {
-            // Once, at a drawn turn, overwrite the victim (an assist op
-            // at the end of the body, ahead of this store in its own
-            // trace) with a drawn word.
-            patched = true;
-            format!(
-                "addi r31, r20, -{}\n bne r31, r0, nopatch\n lw r30, {}(r27)\n \
-                 sw r30, victim(r0)\nnopatch:\n",
-                1 + a % u64::from(turns - 1),
-                lay::PATCHES - lay::SCRATCH + 4 * ((a >> 8) % 6) as u32,
-            )
-        } else {
-            "nop\n".to_owned()
+            7 => "mfctl r28, traparg\n add r13, r13, r28\n mfctl r29, ipsw\n \
+                  andi r29, r29, 0x1C\n mtctl ipsw, r29\n rfi\n"
+                .to_owned(),
+            8 => "mfctl r28, traparg\n xor r13, r13, r28\n rfi\n".to_owned(),
+            // External interrupt: acknowledge whatever is pending.
+            10 => "mfctl r28, eirr\n mtctl eirr, r28\n addi r12, r12, 1\n rfi\n".to_owned(),
+            _ => "mfctl r28, iip\n addi r28, r28, 4\n mtctl iip, r28\n rfi\n".to_owned(),
         };
-        body.push_str(&item);
+        format!(".org {}\n {body}", lay::VECTORS + 32 * v)
+    };
+    [1, 2, 3, 4, 5, 6, 7, 8, 10].map(vector).concat()
+}
+
+/// One item of a generated loop's body: what it is and how often it is
+/// drawn, by [`GRAMMAR`]; what it expands to, by [`loop_source`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Item {
+    Filler,
+    ReadCtl,
+    WriteCtl,
+    Mask,
+    Request,
+    SetReset,
+    Purge,
+    Insert,
+    Rfi,
+    UserRfi,
+    Gate,
+    Brk,
+    Env,
+    Diag,
+    Access,
+    Misaligned,
+    Mmio,
+    BesideCode,
+    Flip,
+    Call,
+    Patch,
+}
+
+/// The families an entry point can put a floor under: assist ops, data
+/// accesses, exits and returns.
+const ASSIST: u8 = 1;
+const DATA: u8 = 2;
+const EXITS: u8 = 4;
+
+/// The grammar: every item, its weight, and the families whose floor
+/// may draw it.
+#[rustfmt::skip]
+const GRAMMAR: [(Item, u64, u8); 21] = [
+    (Item::Filler, 5, 0),                       // an ALU op
+    (Item::ReadCtl, 5, ASSIST),                 // `mfctl` of any control register
+    (Item::WriteCtl, 3, ASSIST),                // `mtctl` of one the frame never reads
+    (Item::Mask, 5, ASSIST | EXITS),            // `mtctl eiem`: mid-trace, an interrupt
+                                                // raised earlier becomes deliverable or not
+    (Item::Request, 2, ASSIST),                 // `mtctl eirr`
+    (Item::SetReset, 5, ASSIST | EXITS),        // `ssm`/`rsm` of interrupts, translation
+    (Item::Purge, 5, ASSIST | DATA),            // `tlbp` of all, or of a page in use
+    (Item::Insert, 6, ASSIST | DATA),           // `tlbi` of a data page or the code page
+    (Item::Rfi, 5, ASSIST),                     // to the next word or an island
+    (Item::UserRfi, 4, DATA),                   // the turn's closing `gate` comes back
+    (Item::Gate, 5, ASSIST | DATA | EXITS),
+    (Item::Brk, 3, EXITS),
+    (Item::Env, 5, ASSIST | EXITS),             // `mftod`, `mftodh`, `mfit`, `mtit`, `idle`
+    (Item::Diag, 4, ASSIST | EXITS),            // the embedder's cue: see `Embedder::diag`
+    (Item::Access, 16, DATA),                   // a word or byte of `D0`, `D1`, `ALIAS`
+    (Item::Misaligned, 3, DATA),                // traps before it translates
+    (Item::Mmio, 3, DATA),                      // the I/O window: an exit, never RAM
+    (Item::BesideCode, 8, DATA | EXITS),        // the loop's code page, the islands'
+    (Item::Flip, 3, DATA),                      // translation off, and on three turns later
+    (Item::Call, 12, EXITS),                    // and what its callee does with the return
+    (Item::Patch, 3, ASSIST | DATA | EXITS),    // once: a drawn word over a decoded one
+];
+
+/// The mixed-radix digits of one draw: `pick(n)` takes the next, in
+/// `0..n`. A draw of 0 picks the first choice everywhere.
+struct Digits(u64);
+
+impl Digits {
+    fn pick(&mut self, n: u64) -> u64 {
+        let digit = self.0 % n;
+        self.0 /= n;
+        digit
+    }
+
+    fn index(&mut self, n: usize) -> usize {
+        self.pick(n as u64) as usize
+    }
+}
+
+/// One item per seed, drawn from the whole grammar by weight — but every
+/// other one only from the items of `floor`'s family, so no mechanism
+/// goes without cases.
+fn draw_items(seeds: &[u64], floor: u8) -> Vec<(Item, u64)> {
+    let items = seeds.iter().enumerate().map(|(k, &seed)| {
+        let rows = GRAMMAR
+            .iter()
+            .filter(move |&&(_, _, family)| k % 2 == 1 || family & floor != 0);
+        let mut d = Digits(seed);
+        let mut at = d.pick(rows.clone().map(|&(_, weight, _)| weight).sum());
+        for &(item, weight, _) in rows {
+            if at < weight {
+                return (item, d.0);
+            }
+            at -= weight;
+        }
+        unreachable!("a draw below the total weight names an item")
+    });
+    items.collect()
+}
+
+/// Expands `items` into a loop of `turns` turns. Every turn calls
+/// `fixed` (which always returns) and the island (a trace of its own,
+/// entered and left by `jalr`), runs the body, and ends at `victim` —
+/// the word the embedder rewrites when it meddles — and, if an item can
+/// drop to user privilege, at a `gate` back.
+///
+/// r20 counts turns; r22–r27 are the bases (code-page data, I/O window,
+/// `D0`, `D1`, `ALIAS`, island data); r18/r19 the recursion's stack and
+/// depth, r17 a second link register; r30/r31 the items' temporaries;
+/// r4–r8 hold data; r9–r11 count.
+fn loop_source(items: &[(Item, u64)], turns: u32) -> String {
+    let mut body = String::new();
+    let mut near = String::new();
+    let mut far = String::new();
+    let (mut patched, mut user) = (false, false);
+    for (k, &(item, draw)) in items.iter().enumerate() {
+        let mut d = Digits(draw);
+        let r = 4 + d.pick(5);
+        // What moves the execution context runs on one turn in `every`,
+        // at a drawn phase: in between, the map and the links are warm,
+        // and that is what a change must cut through. Behind it, on
+        // every turn, a load and a store to the page the base register
+        // `witness` names: warm on most turns, and the first thing the
+        // frame does in the new context on that one.
+        let sometimes = |d: &mut Digits, every: u64, what: &str, witness: u64| {
+            format!(
+                "andi r31, r20, {}\n addi r31, r31, -{}\n bne r31, r0, skip_{k}\n {what}skip_{k}:\n \
+                 lw r{r}, {}(r{witness})\n sb r{r}, {}(r{witness})\n",
+                every - 1,
+                d.pick(every),
+                d.pick(64) * 4,
+                d.pick(256),
+            )
+        };
+        let text = match item {
+            Item::Filler => format!("addi r{r}, r{}, {}\n", 4 + d.pick(5), d.pick(200)),
+            Item::ReadCtl => {
+                let cr = [
+                    "eirr", "eiem", "ipsw", "iip", "traparg", "scratch0", "scratch1", "iva",
+                    "rctr", "ptbr",
+                ][d.index(10)];
+                format!("mfctl r{r}, {cr}\n")
+            }
+            Item::WriteCtl => {
+                let cr = ["scratch0", "scratch1", "ptbr"][d.index(3)];
+                format!("mtctl {cr}, r{r}\n")
+            }
+            Item::Mask => format!(
+                "addi r30, r0, {}\n mtctl eiem, r30\n",
+                [3, 0, 1, 2, 7][d.index(5)]
+            ),
+            Item::Request => format!("addi r30, r0, {}\n mtctl eirr, r30\n", 1 + d.pick(7)),
+            Item::SetReset => format!("{} {}\n", ["ssm", "rsm"][d.index(2)], 1 + d.pick(3)),
+            Item::Purge => {
+                let (what, witness) = match d.pick(6) {
+                    0 => ("tlbp r0\n".to_owned(), 24 + d.pick(3)), // everything
+                    n @ 1..=3 => (format!("tlbp r{}\n", 23 + n), 23 + n),
+                    4 => ("addi r30, r0, 64\n tlbp r30\n".to_owned(), 22), // the executing page
+                    _ => (format!("li r30, {}\n tlbp r30\n", lay::ISLANDS), 27),
+                };
+                let every = [1, 16][d.index(2)];
+                sometimes(&mut d, every, &what, witness)
+            }
+            Item::Insert => {
+                let (base, pte_word) = [
+                    (24, lay::D0 | pte::V | pte::R | pte::U), // stores now fault
+                    (24, lay::D0 | FULL),
+                    (25, lay::D1 | FULL), // user may, now
+                    (25, lay::D1 | pte::V | pte::R | pte::W),
+                    (26, lay::ALIAS_AT | FULL),
+                    (26, lay::ALIAS_ALT | FULL), // other bytes, same address
+                    (26, lay::ALIAS_AT | pte::V | pte::R | pte::U),
+                    (0, lay::SHADOW | FULL), // the code page's twin
+                    (0, FULL),
+                ][d.index(9)];
+                let every = [1, 16][d.index(2)];
+                let what = format!("li r30, {pte_word}\n tlbi r{base}, r30\n");
+                sometimes(&mut d, every, &what, if base == 0 { 22 } else { base })
+            }
+            Item::Rfi => {
+                // The PSW it installs keeps the privilege level (0; a
+                // hypervisor maps it) and draws the other three bits. A
+                // recovery counter that is switched on runs from 41.
+                let psw = (d.pick(4) << 2) | (u64::from(d.pick(4) == 0) << 4);
+                let target = if d.pick(2) == 0 {
+                    format!("after_{k}")
+                } else {
+                    far.push_str(&format!("isl_{k}: addi r10, r10, 3\n jal r0, after_{k}\n"));
+                    format!("isl_{k}")
+                };
+                format!(
+                    "addi r30, r0, {psw}\n mtctl ipsw, r30\n la r30, {target}\n \
+                     mtctl iip, r30\n rfi\nafter_{k}:\n"
+                )
+            }
+            Item::UserRfi => {
+                user = true;
+                // Mostly to user privilege, translation mostly on.
+                let psw =
+                    [3, 3, 0][d.index(3)] | (d.pick(2) << 2) | (u64::from(d.pick(4) != 0) << 3);
+                let what = format!(
+                    "addi r30, r0, {psw}\n mtctl ipsw, r30\n la r30, skip_{k}\n \
+                     mtctl iip, r30\n rfi\n"
+                );
+                sometimes(&mut d, 8, &what, 25)
+            }
+            Item::Gate => format!("gate {}\n", d.pick(16)),
+            Item::Brk => format!("brk {}\n", d.pick(8)),
+            Item::Env => match d.pick(5) {
+                4 => "idle\n".to_owned(),
+                n => format!("{} r{r}\n", ["mftod", "mftodh", "mfit", "mtit"][n as usize]),
+            },
+            Item::Diag => format!("diag r{r}, {}\n", d.pick(8)),
+            Item::Access => {
+                let base = 24 + d.pick(3);
+                match d.pick(5) {
+                    n @ 0..=1 => {
+                        let op = ["lw", "sw"][n as usize];
+                        format!("{op} r{r}, {}(r{base})\n", d.pick(512) * 4)
+                    }
+                    n => {
+                        let op = ["lb", "lbu", "sb"][n as usize - 2];
+                        format!("{op} r{r}, {}(r{base})\n", d.pick(2048))
+                    }
+                }
+            }
+            Item::Misaligned => {
+                let op = ["lw", "sw"][d.index(2)];
+                let (base, off) = (24 + d.pick(3), 1 + d.pick(3) + d.pick(64) * 4);
+                format!("{op} r{r}, {off}(r{base})\n")
+            }
+            Item::Mmio => format!(
+                "{} r{r}, {}(r23)\n",
+                ["lw", "sw"][d.index(2)],
+                d.pick(8) * 4
+            ),
+            Item::BesideCode => {
+                let (base, off) = ([22, 27][d.index(2)], d.pick(64) * 4);
+                match d.pick(3) {
+                    0 => format!("sw r{r}, {off}(r{base})\n"),
+                    1 => format!("lw r{r}, {off}(r{base})\n"),
+                    _ => format!("sb r{r}, {}(r{base})\n", off + 1),
+                }
+            }
+            Item::Flip => {
+                let phase = d.pick(8);
+                format!(
+                    "andi r31, r20, 7\n addi r30, r31, -{phase}\n bne r30, r0, on_{k}\n rsm 2\n\
+                     on_{k}:\n addi r30, r31, -{}\n bne r30, r0, skip_{k}\n ssm 2\nskip_{k}:\n \
+                     lbu r{r}, {}(r26)\n sw r{r}, {}(r24)\n",
+                    (phase + 5) % 8,
+                    d.pick(256),
+                    d.pick(64) * 4,
+                )
+            }
+            Item::Call => {
+                let skip = "addi r10, r10, 100\n";
+                match d.pick(6) {
+                    0 => {
+                        near.push_str(&format!(
+                            "f_{k}: addi r10, r10, {}\n jalr r0, ra, 0\n",
+                            1 + d.pick(9)
+                        ));
+                        format!("jal ra, f_{k}\n")
+                    }
+                    1 => {
+                        // Clobbers `ra`: back past the instruction
+                        // behind the call.
+                        near.push_str(&format!("f_{k}: addi ra, ra, 4\n jalr r0, ra, 0\n"));
+                        format!("jal ra, f_{k}\n {skip}")
+                    }
+                    2 => {
+                        near.push_str(&format!(
+                            "f_{k}: la r30, away_{k}\n jalr r0, r30, 0\n\
+                             away_{k}: addi r10, r10, 7\n jal r0, back_{k}\n"
+                        ));
+                        format!("jal ra, f_{k}\n {skip}back_{k}:\n")
+                    }
+                    3 => {
+                        // A misaligned return address: `jalr` masks the
+                        // low bits, where the privilege level rides — at
+                        // 1, +3 carries into the next word.
+                        near.push_str(&format!(
+                            "f_{k}: addi ra, ra, {}\n jalr r0, ra, 0\n",
+                            1 + d.pick(3)
+                        ));
+                        format!("jal ra, f_{k}\n {skip}")
+                    }
+                    4 => {
+                        // The leaf returns into a caller in another page.
+                        far.push_str(&format!(
+                            "far_{k}: addi r10, r10, 2\n jal r17, leaf_{k}\n \
+                             addi r10, r10, 3\n jalr r0, ra, 0\n"
+                        ));
+                        near.push_str(&format!("leaf_{k}: xor r10, r10, r20\n jalr r0, r17, 0\n"));
+                        format!("jal ra, far_{k}\n")
+                    }
+                    _ => {
+                        near.push_str(&format!(
+                            "rec_{k}: beq r19, r0, done_{k}\n addi r19, r19, -1\n sw ra, 0(r18)\n \
+                             addi r18, r18, 4\n jal ra, rec_{k}\n addi r18, r18, -4\n \
+                             lw ra, 0(r18)\ndone_{k}: addi r10, r10, 1\n jalr r0, ra, 0\n"
+                        ));
+                        format!(
+                            "li r18, {}\n addi r19, r0, {}\n jal ra, rec_{k}\n",
+                            lay::STACK,
+                            1 + d.pick(5)
+                        )
+                    }
+                }
+            }
+            Item::Patch if !patched => {
+                patched = true;
+                let turn = 1 + d.pick(u64::from(turns - 1));
+                let word = lay::PATCHES - lay::CODE_DATA + 4 * d.pick(8) as u32;
+                let over = ["victim(r0)", "fixed(r0)", "-2048(r27)"][d.index(3)];
+                format!(
+                    "addi r31, r20, -{turn}\n bne r31, r0, nopatch\n lw r30, {word}(r22)\n \
+                     sw r30, {over}\nnopatch:\n"
+                )
+            }
+            Item::Patch => "nop\n".to_owned(),
+        };
+        body.push_str(&text);
     }
     format!(
         ".org 0
 start:
-    li   r27, {scratch}
+    li   r22, {code_data}
+    li   r23, {io}
+    li   r24, {d0}
+    li   r25, {d1}
+    li   r26, {alias}
+    li   r27, {island_data}
     addi r20, r0, {turns}
 loop:
     addi r11, r11, 1         ; the marker: 2 in the shadow page
+    jal  ra, fixed
+    la   r30, island
+    jalr ra, r30, 0
 {body}victim:
     mfctl r9, scratch1
-    addi r20, r20, -1
+{back}    addi r20, r20, -1
     bne  r20, r0, loop
     halt
-{islands}{vectors}",
-        scratch = lay::SCRATCH,
-        vectors = assist_vectors(),
+fixed:
+    addi r10, r10, 1
+    jalr r0, ra, 0
+{near}end_of_code:
+.org {patches}
+    nop                      ; the once-only patch's words
+    mtctl scratch0, r9
+    ssm  1
+    gate 9
+    mftod r9
+    brk  1
+    addi r10, r10, 5
+    .word 0xFF000000         ; does not decode
+.org {islands}
+island:
+    addi r10, r10, 3
+    jalr r0, ra, 0
+{far}{vectors}",
+        code_data = lay::CODE_DATA,
+        io = hvft::machine::mem::IO_BASE,
+        d0 = lay::D0,
+        d1 = lay::D1,
+        alias = lay::ALIAS,
+        island_data = lay::ISLAND_DATA,
+        back = if user {
+            "    gate 0                   ; back to kernel privilege\n"
+        } else {
+            ""
+        },
+        patches = lay::PATCHES,
+        islands = lay::ISLANDS,
+        vectors = vectors(),
     )
 }
 
@@ -1378,18 +1503,31 @@ loop:
 /// and as the hook of [`Cpu::run_with`].
 struct Embedder {
     level: u8,
-    log: Vec<String>,
+    log: Vec<(Happened, u32, u64, Psw)>,
     events_left: u32,
     /// Retirement count the current chunk runs to.
     chunk_goal: u64,
     /// A device write into the code page, `(address, word)`, performed
     /// at the guest's first `diag` once the loop is hot.
     dma: Option<(u32, u32)>,
-    /// A word of the running loop and two encodings for it: when set,
-    /// the embedder meddles (see [`Meddle`]).
-    meddle: Option<(u32, [u32; 2])>,
+    /// A word of the running loop and another encoding for it: when
+    /// set, the embedder meddles (see [`Meddle`]).
+    meddle: Option<(u32, u32)>,
     /// The run is over: a `halt`, or the event cap.
     finished: bool,
+}
+
+/// What an [`Embedder`] logs, with the PC, retirement count and PSW at
+/// that point: every event it is offered, and how every chunk ended.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum Happened {
+    Event(Exit),
+    /// The budget ran out.
+    Pause,
+    /// The run is over.
+    Stop,
+    /// An exit surfaced unserved.
+    Surfaced,
 }
 
 /// What a meddling embedder does after the `n`th event it logs — a
@@ -1414,7 +1552,7 @@ impl Embedder {
         Embedder {
             level,
             log: Vec::new(),
-            events_left: 5_000,
+            events_left: 40_000,
             chunk_goal: 0,
             dma: Some(dma),
             meddle: None,
@@ -1427,7 +1565,7 @@ impl Embedder {
         if self.meddle.is_none() {
             return Meddle::Nothing;
         }
-        let h = (n as u64 ^ 0x9E37_79B9).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 59;
+        let h = (n as u64 ^ 0x9E37_79B9).wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 58;
         match h {
             0 | 1 => Meddle::Cut,
             2 | 3 => Meddle::Surface,
@@ -1443,10 +1581,11 @@ impl Embedder {
             Meddle::Cut => self.chunk_goal = cpu.retired(),
             Meddle::Interrupt => cpu.raise_irq(irq::TIMER),
             Meddle::Rewrite => {
-                let (at, words) = self.meddle.expect("a meddling embedder");
+                // Swaps the word in memory with the other one.
+                let (at, other) = self.meddle.expect("a meddling embedder");
                 let now = mem.read_u32(at).expect("the loop is in RAM");
-                let word = if now == words[0] { words[1] } else { words[0] };
-                mem.write_u32(at, word).expect("the loop is in RAM");
+                mem.write_u32(at, other).expect("the loop is in RAM");
+                self.meddle = Some((at, now));
             }
             Meddle::Nothing | Meddle::Surface => {}
         }
@@ -1486,7 +1625,7 @@ impl Embedder {
     /// run is over.
     fn note(&mut self, cpu: &Cpu, exit: Exit) -> Option<Meddle> {
         self.log
-            .push(format!("{exit:?} pc={:#x} n={}", cpu.pc, cpu.retired()));
+            .push((Happened::Event(exit), cpu.pc, cpu.retired(), cpu.psw));
         self.events_left = self.events_left.saturating_sub(1);
         self.finished = self.events_left == 0;
         (!self.finished).then(|| self.meddling(self.log.len()))
@@ -1651,33 +1790,28 @@ fn drive_chunks(
                 }
             }
         };
-        embedder.log.push(format!(
-            "{} pc={:#x} n={} psw=({})",
-            match stop {
-                None => "pause",
-                Some(_) if embedder.finished => "stop",
-                Some(_) => "surfaced",
-            },
-            cpu.pc,
-            cpu.retired(),
-            cpu.psw
-        ));
+        let happened = match stop {
+            None => Happened::Pause,
+            Some(_) if embedder.finished => Happened::Stop,
+            Some(_) => Happened::Surfaced,
+        };
+        embedder
+            .log
+            .push((happened, cpu.pc, cpu.retired(), cpu.psw));
         if embedder.finished {
             return;
         }
     }
 }
 
-/// Everything the tiers must agree on at the end of a run.
-fn observable(cpu: &Cpu) -> impl PartialEq + std::fmt::Debug {
-    (
-        *cpu.regs(),
-        cpu.pc,
-        cpu.psw,
-        *cpu.ctl_raw(),
-        cpu.tlb.snapshot(),
-        cpu.retired(),
-    )
+/// Everything the tiers must agree on at the end of a run, besides the
+/// state hash: registers, PSW, TLB, retirement count, page generations.
+fn observable(cpu: &Cpu, mem: &Memory) -> impl PartialEq + std::fmt::Debug {
+    let page_gens: Vec<u64> = (0..lay::PAGES)
+        .map(|p| mem.page_gen(p * PAGE_SIZE))
+        .collect();
+    let (regs, ctl, tlb) = (*cpu.regs(), *cpu.ctl_raw(), cpu.tlb.snapshot());
+    (regs, cpu.pc, cpu.psw, ctl, tlb, cpu.retired(), page_gens)
 }
 
 /// The guest kernel's disk wait in miniature: closed by an unconditional
@@ -1743,13 +1877,16 @@ fn a_jump_closed_wait_loop_entered_mid_body_is_engine_exact() {
             6,
             "level {level}: all six waits ended"
         );
-        assert!(log_ref.last().is_some_and(|l| l.starts_with("stop")));
+        assert!(log_ref.last().is_some_and(|l| l.0 == Happened::Stop));
         for tier in [ExecTier::Step, ExecTier::Jit] {
             for hooked in [false, true] {
                 let what = format!("level {level}, {tier}, hooked={hooked}");
                 let (cpu, mem, log) = run(tier, hooked);
                 assert_eq!(log, log_ref, "{what}");
-                assert!(observable(&cpu) == observable(&cpu_ref), "{what}");
+                assert!(
+                    observable(&cpu, &mem) == observable(&cpu_ref, &mem_ref),
+                    "{what}"
+                );
                 assert_eq!(
                     same_vm_state((&cpu, &mem), (&cpu_ref, &mem_ref)),
                     Ok(()),
@@ -1771,601 +1908,211 @@ fn a_jump_closed_wait_loop_entered_mid_body_is_engine_exact() {
     }
 }
 
-// ---------------------------------------------------------------------
-// Hot loops of loads and stores
-// ---------------------------------------------------------------------
-
-/// Where the data-path machines keep things, on top of [`lay`]. The jit
-/// answers a repeated load or store from a 64-slot map keyed by virtual
-/// page; `ALIAS` is a *virtual* page 64 above `D0`, so the two share a
-/// slot, and it is backed by the physical page `ALIAS_AT` (or, after a
-/// drawn `tlbi`, `ALIAS_ALT`). With translation off it lies beyond RAM.
-mod dlay {
-    /// Data in the loop's own code page, past its last instruction.
-    pub const CODE_PAGE_DATA: u32 = 0xE00;
-    /// Replacement word for the store that patches the island.
-    pub const PATCH: u32 = CODE_PAGE_DATA + 0xF0;
-    /// Data in the island's page, past its code.
-    pub const ISLAND_DATA: u32 = super::lay::ISLANDS + 0x800;
-    pub const D0: u32 = 0x5000;
-    /// Mapped without the user bit.
-    pub const D1: u32 = 0x6000;
-    pub const ALIAS: u32 = D0 + (64 << 12);
-    pub const ALIAS_AT: u32 = 0x7000;
-    pub const ALIAS_ALT: u32 = 0x8000;
-}
-
-/// Expands `seeds` into a loop of `turns` turns that calls a hot routine
-/// in another page (the *island*: a trace of its own, entered and left
-/// by `jalr`) and then runs one item per seed: word and byte loads and
-/// stores over three data pages — two of them sharing a slot of the
-/// jit's data-page map — and, inside the same traces, everything that
-/// must make the map and the trace links forget: purges and re-inserts
-/// of a page in use (read-only, user-inaccessible, backed by another
-/// physical page), translation flips, an `rfi` to user privilege and a
-/// `gate` back, a misaligned word, the I/O window, stores to data that
-/// shares a page with the running trace's code and with the island's —
-/// and, once, at a drawn turn, a store over the island's first
-/// instruction followed by the call into it.
+/// Runs the loop of `items` (see [`loop_source`]) at privilege 0 —
+/// everything native, in-trace under the jit — and at privilege 1 under
+/// the miniature hypervisor, where every privileged instruction goes to
+/// the embedder as a trap exit or decoded from inside a trace: once on
+/// the step tier as the reference, then on both tiers around
+/// [`Cpu::run`] and inside [`Cpu::run_with`], in `chunks` (a budget,
+/// and the interrupts raised before it). Each run must log the same events and end in the
+/// same state. `flags` draws the rest of the case: translation,
+/// interrupts, a meddling embedder, the TLB's size, the word a device
+/// overwrites at the first `diag` past 800 instructions, and the chunk
+/// before which CPU and memory are snapshotted and restored (the jit's
+/// caches start cold, every code generation moves).
 ///
-/// r20 counts turns; r22–r27 are the bases (code-page data, I/O window,
-/// `D0`, `D1`, `ALIAS`, island data); r30/r31 the items' temporaries;
-/// r4–r9 hold data; r10 counts what the island adds.
-fn data_loop_source(seeds: &[u64], turns: u32) -> String {
-    let data = |n: u64| 4 + (n % 6);
-    let full = pte::V | pte::R | pte::W | pte::X | pte::U;
-    let mut body = String::new();
-    let mut patched = false;
-    for (k, &seed) in seeds.iter().enumerate() {
-        let (pick, a) = (seed % 100, seed >> 8);
-        // What moves the execution context runs on one turn in eight
-        // or sixteen, at a drawn phase: in between, the map and the
-        // links are warm, and that is what a change must cut through.
-        // Behind it, on every turn, a load and a store to the page
-        // `witness` names: warm on most turns, and the first thing the
-        // frame does in the new context on that one.
-        let sometimes = |every: u64, what: String, witness: u64| {
-            format!(
-                "andi r31, r20, {}\n addi r31, r31, -{}\n bne r31, r0, skip_{k}\n {what}skip_{k}:\n \
-                 lw r{r}, {}(r{witness})\n sb r{r}, {}(r{witness})\n",
-                every - 1,
-                (a >> 40) % every,
-                ((a >> 44) % 64) * 4,
-                (a >> 50) % 256,
-                r = data(a >> 58),
-            )
-        };
-        let item = if pick < 8 {
-            format!("addi r{}, r{}, {}\n", data(a), data(a >> 3), (a >> 6) % 200)
-        } else if pick < 44 {
-            // The bread and butter: hits in the map after the first turn.
-            let base = 24 + (a % 3);
-            let r = data(a >> 2);
-            match (a >> 5) % 5 {
-                0 => format!("lw r{r}, {}(r{base})\n", ((a >> 8) % 512) * 4),
-                1 => format!("sw r{r}, {}(r{base})\n", ((a >> 8) % 512) * 4),
-                2 => format!("lb r{r}, {}(r{base})\n", (a >> 8) % 2048),
-                3 => format!("lbu r{r}, {}(r{base})\n", (a >> 8) % 2048),
-                _ => format!("sb r{r}, {}(r{base})\n", (a >> 8) % 2048),
-            }
-        } else if pick < 48 {
-            // A misaligned word: traps before it translates.
-            let (base, off) = (24 + (a % 3), 1 + (a >> 2) % 3 + ((a >> 4) % 64) * 4);
-            if (a >> 10) % 2 == 0 {
-                format!("lw r{}, {off}(r{base})\n", data(a >> 11))
-            } else {
-                format!("sw r{}, {off}(r{base})\n", data(a >> 11))
-            }
-        } else if pick < 52 {
-            // The I/O window: an exit for the embedder, never RAM.
-            if a % 2 == 0 {
-                format!("lw r{}, {}(r23)\n", data(a >> 1), ((a >> 4) % 8) * 4)
-            } else {
-                format!("sw r{}, {}(r23)\n", data(a >> 1), ((a >> 4) % 8) * 4)
-            }
-        } else if pick < 60 {
-            // Data beside code: the running trace's page, the island's.
-            let base = if a % 2 == 0 { 22 } else { 27 };
-            let (r, off) = (data(a >> 1), ((a >> 4) % 32) * 4);
-            match (a >> 9) % 3 {
-                0 => format!("lw r{r}, {off}(r{base})\n"),
-                1 => format!("sw r{r}, {off}(r{base})\n"),
-                _ => format!("sb r{r}, {}(r{base})\n", off + 1),
-            }
-        } else if pick < 67 {
-            let (purge, witness) = match a % 5 {
-                0 => ("tlbp r0\n", 24 + (a >> 3) % 3), // everything
-                1 => ("tlbp r24\n", 24),
-                2 => ("tlbp r25\n", 25),
-                3 => ("tlbp r26\n", 26),
-                _ => ("addi r30, r0, 64\n tlbp r30\n", 22), // the executing page
-            };
-            sometimes(16, purge.to_owned(), witness)
-        } else if pick < 79 {
-            let (base, pte_word) = match a % 7 {
-                0 => (24, dlay::D0 | pte::V | pte::R | pte::U), // stores now fault
-                1 => (24, dlay::D0 | full),
-                2 => (25, dlay::D1 | full), // user may, now
-                3 => (25, dlay::D1 | pte::V | pte::R | pte::W),
-                4 => (26, dlay::ALIAS_AT | full),
-                5 => (26, dlay::ALIAS_ALT | full), // other bytes, same address
-                _ => (26, dlay::ALIAS_AT | pte::V | pte::R | pte::U),
-            };
-            sometimes(
-                16,
-                format!("li r30, {pte_word}\n tlbi r{base}, r30\n"),
-                base,
-            )
-        } else if pick < 84 {
-            // Translation off — `ALIAS` is no address at all now — and,
-            // three turns on, on again.
-            let phase = (a >> 40) % 8;
-            format!(
-                "andi r31, r20, 7\n addi r30, r31, -{phase}\n bne r30, r0, on_{k}\n rsm 2\n\
-                 on_{k}:\n addi r30, r31, -{}\n bne r30, r0, skip_{k}\n ssm 2\nskip_{k}:\n \
-                 lbu r{r}, {}(r26)\n sw r{r}, {}(r24)\n",
-                (phase + 5) % 8,
-                (a >> 44) % 256,
-                ((a >> 52) % 64) * 4,
-                r = data(a >> 58),
-            )
-        } else if pick < 92 {
-            // rfi to user or kernel privilege, translation mostly on.
-            let cpl = if a % 3 == 0 { 0 } else { 3 };
-            let psw = cpl | (((a >> 2) % 2) << 2) | (u64::from((a >> 3) % 4 != 0) << 3);
-            sometimes(
-                8,
-                format!(
-                    "addi r30, r0, {psw}\n mtctl ipsw, r30\n la r30, skip_{k}\n \
-                     mtctl iip, r30\n rfi\n"
-                ),
-                25,
-            )
-        } else if pick < 96 {
-            // The way back from user privilege mid-turn: see the gate
-            // handler.
-            sometimes(4, format!("gate {}\n", a % 16), 25)
-        } else if !patched {
-            patched = true;
-            format!(
-                "addi r31, r20, -{}\n bne r31, r0, nopatch\n lw r30, {}(r22)\n \
-                 sw r30, -{}(r27)\nnopatch:\n",
-                1 + a % u64::from(turns - 1),
-                dlay::PATCH - dlay::CODE_PAGE_DATA,
-                dlay::ISLAND_DATA - lay::ISLANDS,
-            )
-        } else {
-            "nop\n".to_owned()
-        };
-        body.push_str(&item);
-    }
-    format!(
-        ".org 0
-start:
-    li   r22, {code_data}
-    li   r23, {io}
-    li   r24, {d0}
-    li   r25, {d1}
-    li   r26, {alias}
-    li   r27, {island_data}
-    addi r20, r0, {turns}
-loop:
-    la   r30, island
-    jalr ra, r30, 0
-{body}    gate 0                   ; back to kernel privilege, if an rfi left it
-    addi r20, r20, -1
-    bne  r20, r0, loop
-    halt
-.org {islands}
-island:
-    addi r10, r10, 3         ; becomes: addi r10, r10, 5
-    jalr r0, ra, 0
-{vectors}",
-        code_data = dlay::CODE_PAGE_DATA,
-        io = hvft::machine::mem::IO_BASE,
-        d0 = dlay::D0,
-        d1 = dlay::D1,
-        alias = dlay::ALIAS,
-        island_data = dlay::ISLAND_DATA,
-        islands = lay::ISLANDS,
-        // Refills grant the user bit, so user code keeps running after
-        // a purge of its own page; the gate handler returns to kernel
-        // privilege, whatever executed the gate.
-        vectors = vectors(
-            full,
-            "mfctl r28, traparg\n add r13, r13, r28\n mfctl r29, ipsw\n \
-             andi r29, r29, 0x1C\n mtctl ipsw, r29\n rfi\n",
-        ),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
-
-    #[test]
-    fn hot_loops_of_loads_and_stores_are_engine_exact(
-        items in prop::collection::vec(any::<u64>(), 10..21),
-        turns in 80u32..128,
-        schedule in prop::collection::vec(any::<u64>(), 96),
-        translation in any::<bool>(),
-    ) {
-        // ≥ 5 × the jit's promotion threshold of turns: the loop, the
-        // island and the handlers run compiled for most of them.
-        let source = data_loop_source(&items, turns);
-        let image = hvft::isa::asm::assemble(&source).expect("asm");
-        prop_assert!(image.symbol("loop").is_some_and(|at| at < dlay::CODE_PAGE_DATA));
-        // Budgets as for the assist-op loops; every fourth one is
-        // preceded by an interrupt, and one, drawn, by a snapshot and
-        // restore of CPU and memory (the jit's caches start cold, the
-        // memory's code generations all move).
-        let chunks: Vec<(u64, u32)> = schedule
-            .iter()
-            .map(|&r| {
-                let len = match r % 4 {
-                    0 => 1 + (r >> 8) % 9,
-                    1 | 2 => 10 + (r >> 8) % 190,
-                    _ => 200 + (r >> 8) % 500,
-                };
-                let raise = if (r >> 40) % 4 == 0 { 1 + ((r >> 44) % 7) as u32 } else { 0 };
-                (len, raise)
-            })
-            .collect();
-        let restore_before = 4 + (schedule[0] >> 16) as usize % 12;
-        let word = |insn| encode(insn).expect("encodable");
-        let count_by = |imm| Instruction::AluImm {
-            op: AluImmOp::Addi,
-            rd: Reg::of(10),
-            rs1: Reg::of(10),
-            imm,
-        };
-        let build = |level: u8, tier: ExecTier| {
-            let mut cpu = Cpu::new(32, TlbReplacement::RoundRobin, 0);
-            let mut mem = Memory::new((lay::PAGES * PAGE_SIZE) as usize);
-            for seg in &image.segments {
-                mem.write_bytes(seg.base, &seg.data);
-            }
-            assert_eq!(mem.read_u32(lay::ISLANDS), Ok(word(count_by(3))));
-            mem.write_u32(dlay::PATCH, word(count_by(5))).unwrap();
-            // Every data page starts with bytes of its own.
-            for (j, page) in [dlay::D0, dlay::D1, dlay::ALIAS_AT, dlay::ALIAS_ALT].into_iter().enumerate() {
-                let fill: Vec<u8> = (0..PAGE_SIZE).map(|i| (i as u8) ^ (0x35 * (j as u8 + 1))).collect();
-                mem.write_bytes(page, &fill);
-            }
-            cpu.set_exec_tier(tier);
-            cpu.psw.cpl = level;
-            cpu.psw.translation = translation;
-            cpu.set_ctl(ControlReg::Iva, lay::VECTORS);
-            cpu.set_ctl(ControlReg::Eiem, irq::TIMER | irq::DISK);
-            let full = pte::V | pte::R | pte::W | pte::X | pte::U;
-            for page in 0..lay::PAGES {
-                let base = page * PAGE_SIZE;
-                let flags = if base == dlay::D1 { full & !pte::U } else { full };
-                cpu.tlb.insert_pte(base, base | flags);
-            }
-            cpu.tlb.insert_pte(dlay::ALIAS, dlay::ALIAS_AT | full);
-            cpu.pc = image.entry;
-            (cpu, mem)
-        };
-        let drive = |cpu: &mut Cpu, mem: &mut Memory, embedder: &mut Embedder, hooked: bool| {
-            let (before, after) = chunks.split_at(restore_before);
-            drive_chunks(cpu, mem, embedder, before, hooked);
-            if embedder.log.last().is_some_and(|l| l.starts_with("pause")) {
-                let (c, m) = (cpu.snapshot(), mem.snapshot());
-                cpu.restore(&c);
-                mem.restore(&m);
-                drive_chunks(cpu, mem, embedder, after, hooked);
-            }
-        };
-        let page_gens = |mem: &Memory| -> Vec<u64> {
-            (0..lay::PAGES).map(|p| mem.page_gen(p * PAGE_SIZE)).collect()
-        };
-        for level in [0u8, 1] {
-            let (mut cpu_ref, mut mem_ref) = build(level, ExecTier::Step);
-            // A handler's privileged instructions are events at level
-            // 1: room for all of them.
-            let embedder = || Embedder {
-                events_left: 40_000,
-                ..Embedder::new(level, (dlay::PATCH, 0))
-            };
-            let mut reference = embedder();
-            drive(&mut cpu_ref, &mut mem_ref, &mut reference, false);
-            for tier in [ExecTier::Step, ExecTier::Jit] {
-                for hooked in [false, true] {
-                    let (mut cpu, mut mem) = build(level, tier);
-                    let mut embedder = embedder();
-                    drive(&mut cpu, &mut mem, &mut embedder, hooked);
-                    let what = format!("level {level}, {tier}, hooked={hooked}");
-                    prop_assert_eq!(&embedder.log, &reference.log, "event logs diverged ({})\n{}", what, source);
-                    prop_assert!(observable(&cpu) == observable(&cpu_ref),
-                        "{}: {:?}\nvs {:?}\n{}", what, observable(&cpu), observable(&cpu_ref), source);
-                    prop_assert_eq!(
-                        same_vm_state((&cpu, &mem), (&cpu_ref, &mem_ref)),
-                        Ok(()),
-                        "final states diverged ({})\n{}",
-                        what,
-                        source
-                    );
-                    prop_assert_eq!(page_gens(&mem), page_gens(&mem_ref), "page generations diverged ({})", what);
-                    if tier == ExecTier::Jit && cpu.reg(Reg::of(20)) == 0 {
-                        // Every turn ran, so the loop head was hot.
-                        let x = cpu.exec_stats();
-                        prop_assert!(x.jit_retired > 0, "{}: nothing ran compiled: {:?}", what, x);
-                    }
-                }
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Hot loops of exits and returns
-// ---------------------------------------------------------------------
-
-/// Where the exit-and-return machines keep things, on top of [`lay`].
-mod xlay {
-    /// Data in the loop's code page, past its code: stores there land
-    /// beside the decoded words, not on them.
-    pub const CODE_PAGE_DATA: u32 = 0xE00;
-    /// The recursion's stack.
-    pub const STACK: u32 = super::lay::SCRATCH + 0x400;
-}
-
-/// Expands `seeds` into a loop of `turns` turns whose body is one item
-/// per seed: the instructions whose exits an assist op serves in-frame
-/// (`gate`, `brk`, `mftod`, `mtit`, `diag`, `idle`), an interrupt mask
-/// written, `ssm`/`rsm`, stores beside the loop's decoded words in its
-/// own page and — once, at a drawn turn — over one of them, and calls
-/// the trace follows into callees that return to their caller, clobber
-/// `ra`, return to another site, return to a misaligned address,
-/// return into a caller in another page, or recurse. Every turn starts
-/// with a call of `fixed`, which always returns, and ends at `victim`,
-/// the word the embedder rewrites when it meddles.
-///
-/// r20 counts turns; r27 is the scratch base, r22 the code page's data;
-/// r18/r19 the recursion's stack and depth, r6 a second link register;
-/// r30/r31 the items' temporaries; r4–r8 hold data; r9–r11 count.
-fn exit_loop_source(seeds: &[u64], turns: u32) -> String {
-    let data = |n: u64| 4 + (n % 5);
-    let mut body = String::new();
-    let mut near = String::new();
-    let mut far = format!(".org {}\n", lay::ISLANDS);
-    let mut patched = false;
-    for (k, &seed) in seeds.iter().enumerate() {
-        let (pick, a) = (seed % 100, seed >> 8);
-        let item = if pick < 10 {
-            format!("gate {}\n", a % 16)
-        } else if pick < 16 {
-            format!("brk {}\n", a % 8)
-        } else if pick < 24 {
-            let op = if a % 2 == 0 { "mftod" } else { "mtit" };
-            format!("{op} r{}\n", data(a >> 1))
-        } else if pick < 32 {
-            // The embedder's cue to interfere: see `Embedder::diag`.
-            format!("diag r{}, {}\n", data(a >> 1), (a >> 4) % 8)
-        } else if pick < 35 {
-            "idle\n".to_owned()
-        } else if pick < 42 {
-            // Mask or unmask: an interrupt the embedder raised may
-            // become deliverable — or stop being — mid-trace.
-            format!(
-                "addi r30, r0, {}\n mtctl eiem, r30\n",
-                [0, 1, 3][(a % 3) as usize]
-            )
-        } else if pick < 46 {
-            format!("{} 1\n", if a % 2 == 0 { "ssm" } else { "rsm" })
-        } else if pick < 70 {
-            // A call, and what its callee does with the return.
-            let skip = "addi r10, r10, 100\n";
-            match a % 6 {
-                0 => {
-                    near.push_str(&format!(
-                        "f_{k}: addi r10, r10, {}\n jalr r0, ra, 0\n",
-                        1 + (a >> 3) % 9
-                    ));
-                    format!("jal ra, f_{k}\n")
-                }
-                1 => {
-                    // Clobbers `ra`: back past the instruction behind
-                    // the call.
-                    near.push_str(&format!("f_{k}: addi ra, ra, 4\n jalr r0, ra, 0\n"));
-                    format!("jal ra, f_{k}\n {skip}")
-                }
-                2 => {
-                    near.push_str(&format!(
-                        "f_{k}: la r30, away_{k}\n jalr r0, r30, 0\n\
-                         away_{k}: addi r10, r10, 7\n jal r0, back_{k}\n"
-                    ));
-                    format!("jal ra, f_{k}\n {skip}back_{k}:\n")
-                }
-                3 => {
-                    // A misaligned return address: `jalr` masks the low
-                    // bits, where the privilege level rides — at 1, +3
-                    // carries into the next word.
-                    near.push_str(&format!(
-                        "f_{k}: addi ra, ra, {}\n jalr r0, ra, 0\n",
-                        1 + (a >> 3) % 3
-                    ));
-                    format!("jal ra, f_{k}\n {skip}")
-                }
-                4 => {
-                    // The leaf returns into a caller in another page.
-                    far.push_str(&format!(
-                        "far_{k}: addi r10, r10, 2\n jal r6, leaf_{k}\n \
-                         addi r10, r10, 3\n jalr r0, ra, 0\n"
-                    ));
-                    near.push_str(&format!("leaf_{k}: xor r10, r10, r20\n jalr r0, r6, 0\n"));
-                    format!("jal ra, far_{k}\n")
-                }
-                _ => {
-                    near.push_str(&format!(
-                        "rec_{k}: beq r19, r0, done_{k}\n addi r19, r19, -1\n sw ra, 0(r18)\n \
-                         addi r18, r18, 4\n jal ra, rec_{k}\n addi r18, r18, -4\n \
-                         lw ra, 0(r18)\ndone_{k}: addi r10, r10, 1\n jalr r0, ra, 0\n"
-                    ));
-                    format!(
-                        "li r18, {}\n addi r19, r0, {}\n jal ra, rec_{k}\n",
-                        xlay::STACK,
-                        1 + (a >> 3) % 5
-                    )
-                }
-            }
-        } else if pick < 82 {
-            let (r, off) = (data(a >> 1), ((a >> 4) % 64) * 4);
-            match (a >> 12) % 3 {
-                0 => format!("sw r{r}, {off}(r22)\n"),
-                1 => format!("sb r{r}, {}(r22)\n", off + 1),
-                _ => format!("lw r{r}, {off}(r22)\n"),
-            }
-        } else if !patched {
-            // Once, at a drawn turn, a drawn word over a decoded one:
-            // ahead in the running trace, or the start of `fixed`.
-            patched = true;
-            format!(
-                "addi r31, r20, -{}\n bne r31, r0, nopatch\n lw r30, {}(r27)\n \
-                 sw r30, {}(r0)\nnopatch:\n",
-                1 + a % u64::from(turns - 1),
-                lay::PATCHES - lay::SCRATCH + 4 * ((a >> 8) % 6) as u32,
-                ["victim", "fixed"][((a >> 12) % 2) as usize],
-            )
-        } else {
-            "addi r9, r9, 1\n".to_owned()
-        };
-        body.push_str(&item);
-    }
-    format!(
-        ".org 0
-start:
-    li   r27, {scratch}
-    li   r22, {code_data}
-    addi r20, r0, {turns}
-loop:
-    addi r11, r11, 1
-    jal  ra, fixed
-{body}victim:
-    addi r9, r9, 1
-    addi r20, r20, -1
-    bne  r20, r0, loop
-    halt
-fixed:
-    addi r10, r10, 1
-    jalr r0, ra, 0
-{near}end_of_code:
-{far}{vectors}",
-        scratch = lay::SCRATCH,
-        code_data = xlay::CODE_PAGE_DATA,
-        vectors = assist_vectors(),
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
-
-    #[test]
-    fn hot_loops_of_exits_and_returns_are_engine_exact(
-        items in prop::collection::vec(any::<u64>(), 8..17),
-        turns in 60u32..96,
-        schedule in prop::collection::vec(any::<u64>(), 96),
-        flags in 0u8..4,
-    ) {
-        // ≥ 3 × the jit's promotion threshold of turns. Budgets as for
-        // the assist-op loops; before every fourth one an interrupt is
-        // raised, and the embedder raises more, cuts runs short,
-        // surfaces exits unserved and rewrites the loop's last word —
-        // from inside a frame, under the jit with `run_with`.
-        let (translation, interrupts) = (flags & 1 != 0, flags & 2 != 0);
-        let source = exit_loop_source(&items, turns);
-        let image = hvft::isa::asm::assemble(&source).expect("asm");
-        prop_assert!(image.symbol("end_of_code").is_some_and(|at| at <= xlay::CODE_PAGE_DATA));
-        let chunks: Vec<(u64, u32)> = schedule
-            .iter()
-            .map(|&r| {
-                let len = match r % 4 {
-                    0 => 1 + (r >> 8) % 9,
-                    1 | 2 => 10 + (r >> 8) % 190,
-                    _ => 200 + (r >> 8) % 500,
-                };
-                let raise = if (r >> 40) % 4 == 0 { 1 + ((r >> 44) % 7) as u32 } else { 0 };
-                (len, raise)
-            })
-            .collect();
-        let word = |insn| encode(insn).expect("encodable");
-        let count_by = |rd, imm| word(Instruction::AluImm {
+/// Returns the jit runs' counters.
+fn hot_loop(
+    items: &[(Item, u64)],
+    turns: u32,
+    chunks: &[(u64, u32)],
+    flags: u64,
+) -> Result<Vec<ExecStats>, TestCaseError> {
+    let source = loop_source(items, turns);
+    let image = hvft::isa::asm::assemble(&source).expect("asm");
+    prop_assert!(image
+        .symbol("end_of_code")
+        .is_some_and(|at| at <= lay::CODE_DATA));
+    let mut f = Digits(flags);
+    let (translation, interrupts, meddles) = (f.pick(2) == 1, f.pick(2) == 1, f.pick(2) == 1);
+    let tlb_slots = [16, 32][f.index(2)];
+    let word = |insn| encode(insn).expect("encodable");
+    let count_by = |rd, imm| {
+        word(Instruction::AluImm {
             op: AluImmOp::Addi,
             rd: Reg::of(rd),
             rs1: Reg::of(rd),
             imm,
-        });
-        let victim = image.symbol("victim").expect("the victim label");
-        let build = |level: u8, tier: ExecTier| {
-            let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
-            let mut mem = Memory::new((lay::PAGES * PAGE_SIZE) as usize);
-            for seg in &image.segments {
-                mem.write_bytes(seg.base, &seg.data);
-            }
-            assert_eq!(mem.read_u32(victim), Ok(count_by(9, 1)));
-            for (j, patch) in [
-                word(Instruction::Nop),
-                count_by(10, 9),
-                word(Instruction::Gate { imm: 3 }),
-                word(Instruction::MfTod { rd: Reg::of(9) }),
-                word(Instruction::Brk { imm: 1 }),
-                count_by(9, 5),
-            ]
+        })
+    };
+    let at = |label| image.symbol(label).expect("a label of the template");
+    let (marker, victim) = (at("loop"), at("victim"));
+    let dma = [
+        (victim, count_by(9, 5)),
+        (at("island"), count_by(10, 5)),
+        (at("fixed"), count_by(10, 9)),
+        (lay::PATCHES, 0),
+    ][f.index(4)];
+    let restore_before = 4 + f.index(12);
+    let build = |level: u8, tier: ExecTier| {
+        let mut cpu = Cpu::new(tlb_slots, TlbReplacement::RoundRobin, 0);
+        let mut mem = Memory::new((lay::PAGES * PAGE_SIZE) as usize);
+        for seg in &image.segments {
+            mem.write_bytes(seg.base, &seg.data);
+        }
+        let code = mem.read_bytes(0, PAGE_SIZE as usize).to_vec();
+        mem.write_bytes(lay::SHADOW, &code);
+        mem.write_u32(lay::SHADOW + marker, count_by(11, 2))
+            .unwrap();
+        // Every data page starts with bytes of its own.
+        for (j, page) in [lay::D0, lay::D1, lay::ALIAS_AT, lay::ALIAS_ALT]
             .into_iter()
             .enumerate()
-            {
-                mem.write_u32(lay::PATCHES + 4 * j as u32, patch).unwrap();
-            }
-            cpu.set_exec_tier(tier);
-            cpu.psw.cpl = level;
-            cpu.psw.translation = translation;
-            cpu.psw.interrupts = interrupts;
-            cpu.set_ctl(ControlReg::Iva, lay::VECTORS);
-            cpu.set_ctl(ControlReg::Eiem, irq::TIMER | irq::DISK);
-            for page in 0..lay::PAGES {
-                let base = page * PAGE_SIZE;
-                cpu.tlb.insert_pte(base, base | pte::V | pte::R | pte::W | pte::X);
-            }
-            cpu.pc = image.entry;
-            (cpu, mem)
-        };
-        let page_gens = |mem: &Memory| -> Vec<u64> {
-            (0..lay::PAGES).map(|p| mem.page_gen(p * PAGE_SIZE)).collect()
-        };
-        let embedder = |level| Embedder {
-            events_left: 20_000,
-            meddle: Some((victim, [count_by(9, 1), count_by(9, 16)])),
-            ..Embedder::new(level, (victim, count_by(9, 5)))
-        };
-        for level in [0u8, 1] {
-            let (mut cpu_ref, mut mem_ref) = build(level, ExecTier::Step);
-            let mut reference = embedder(level);
-            drive_chunks(&mut cpu_ref, &mut mem_ref, &mut reference, &chunks, false);
-            for tier in [ExecTier::Step, ExecTier::Jit] {
-                for hooked in [false, true] {
-                    let (mut cpu, mut mem) = build(level, tier);
-                    let mut embedder = embedder(level);
-                    drive_chunks(&mut cpu, &mut mem, &mut embedder, &chunks, hooked);
-                    let what = format!("level {level}, {tier}, hooked={hooked}");
-                    prop_assert_eq!(&embedder.log, &reference.log, "event logs diverged ({})\n{}", what, source);
-                    prop_assert!(observable(&cpu) == observable(&cpu_ref),
-                        "{}: {:?}\nvs {:?}\n{}", what, observable(&cpu), observable(&cpu_ref), source);
-                    prop_assert_eq!(
-                        same_vm_state((&cpu, &mem), (&cpu_ref, &mem_ref)),
-                        Ok(()),
-                        "final states diverged ({})\n{}",
-                        what,
-                        source
-                    );
-                    prop_assert_eq!(page_gens(&mem), page_gens(&mem_ref), "page generations diverged ({})", what);
-                    if tier == ExecTier::Jit && cpu.reg(Reg::of(20)) == 0 {
-                        // Every turn ran, `fixed`'s return among it.
-                        let x = cpu.exec_stats();
-                        prop_assert!(x.jit_retired > 0 && x.ret_inline > 0, "{}: {:?}", what, x);
-                    }
+        {
+            let fill: Vec<u8> = (0..PAGE_SIZE)
+                .map(|i| (i as u8) ^ (0x35 * (j as u8 + 1)))
+                .collect();
+            mem.write_bytes(page, &fill);
+        }
+        cpu.set_exec_tier(tier);
+        cpu.psw.cpl = level;
+        cpu.psw.translation = translation;
+        cpu.psw.interrupts = interrupts;
+        cpu.set_ctl(ControlReg::Iva, lay::VECTORS);
+        cpu.set_ctl(ControlReg::Eiem, irq::TIMER | irq::DISK);
+        for base in (0..lay::PAGES).map(|p| p * PAGE_SIZE) {
+            let user = if base == lay::D1 { 0 } else { pte::U };
+            cpu.tlb.insert_pte(base, base | (FULL & !pte::U) | user);
+        }
+        cpu.tlb.insert_pte(lay::ALIAS, lay::ALIAS_AT | FULL);
+        cpu.pc = image.entry;
+        (cpu, mem)
+    };
+    let embedder = |level| Embedder {
+        meddle: meddles.then_some((victim, count_by(9, 16))),
+        ..Embedder::new(level, dma)
+    };
+    let drive = |cpu: &mut Cpu, mem: &mut Memory, embedder: &mut Embedder, hooked: bool| {
+        let (before, after) = chunks.split_at(restore_before);
+        drive_chunks(cpu, mem, embedder, before, hooked);
+        if !embedder.finished {
+            let (c, m) = (cpu.snapshot(), mem.snapshot());
+            cpu.restore(&c);
+            mem.restore(&m);
+            drive_chunks(cpu, mem, embedder, after, hooked);
+        }
+    };
+    let mut jit = Vec::new();
+    for level in [0u8, 1] {
+        let (mut cpu_ref, mut mem_ref) = build(level, ExecTier::Step);
+        let mut reference = embedder(level);
+        drive(&mut cpu_ref, &mut mem_ref, &mut reference, false);
+        for tier in [ExecTier::Step, ExecTier::Jit] {
+            for hooked in [false, true] {
+                let (mut cpu, mut mem) = build(level, tier);
+                let mut embedder = embedder(level);
+                drive(&mut cpu, &mut mem, &mut embedder, hooked);
+                let what = format!("level {level}, {tier}, hooked={hooked}");
+                prop_assert_eq!(&embedder.log, &reference.log, "{}\n{}", what, source);
+                prop_assert_eq!(
+                    observable(&cpu, &mem),
+                    observable(&cpu_ref, &mem_ref),
+                    "{}",
+                    what
+                );
+                let state = same_vm_state((&cpu, &mem), (&cpu_ref, &mem_ref));
+                prop_assert_eq!(state, Ok(()), "{}", what);
+                if tier == ExecTier::Jit {
+                    let x = cpu.exec_stats();
+                    // Every turn ran, so the loop head was hot, and
+                    // called `fixed`, whose return stays in the trace —
+                    // unless the once-only patch made `fixed` leave it.
+                    let all = cpu.reg(Reg::of(20)) == 0;
+                    let inline = x.ret_inline > 0 || source.contains("fixed(r0)");
+                    prop_assert!(!all || x.jit_retired > 0 && inline, "{}: {:?}", what, x);
+                    jit.push(x);
                 }
             }
         }
+    }
+    Ok(jit)
+}
+
+/// The items, turns, budget chunks and flags of a [`hot_loop`].
+type HotCase = (Vec<(Item, u64)>, u32, Vec<(u64, u32)>, u64);
+
+/// A case of [`hot_loop`] whose items put a floor under `family`: 8–20
+/// items; 48–111 turns — ≥ 3 × the jit's promotion threshold, so the
+/// loop, and the handlers and callees it keeps entering, run compiled
+/// for most of them — or, for loads and stores, 80–127 (≥ 5 ×); 96
+/// budget chunks; the flags.
+fn hot_case(family: u8) -> impl Strategy<Value = HotCase> {
+    let seeds = prop::collection::vec(any::<u64>(), 8..21);
+    let turns = if family == DATA { 80u32..128 } else { 48..112 };
+    // Budgets of 1–9, 10–199 and 200–699 instructions; before one in two
+    // (assist ops) or four an interrupt is raised, to become deliverable
+    // whenever the code unmasks it.
+    let every = if family == ASSIST { 2 } else { 4 };
+    let chunk = move |r: u64| {
+        let len = match r % 4 {
+            0 => 1 + (r >> 8) % 9,
+            1 | 2 => 10 + (r >> 8) % 190,
+            _ => 200 + (r >> 8) % 500,
+        };
+        let raise = (r >> 40)
+            .is_multiple_of(every)
+            .then(|| 1 + ((r >> 44) % 7) as u32);
+        (len, raise.unwrap_or(0))
+    };
+    let schedule = prop::collection::vec(any::<u64>(), 96);
+    (seeds, turns, schedule, any::<u64>()).prop_map(move |(seeds, turns, schedule, flags)| {
+        let chunks = schedule.into_iter().map(chunk).collect();
+        (draw_items(&seeds, family), turns, chunks, flags)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
+
+    // Three entry points into one property: each draws every other item
+    // from its own family, the rest from the whole grammar.
+
+    #[test]
+    fn hot_loops_of_assist_ops_are_engine_exact((items, turns, chunks, flags) in hot_case(ASSIST)) {
+        hot_loop(&items, turns, &chunks, flags)?;
+    }
+
+    #[test]
+    fn hot_loops_of_loads_and_stores_are_engine_exact((items, turns, chunks, flags) in hot_case(DATA)) {
+        hot_loop(&items, turns, &chunks, flags)?;
+    }
+
+    #[test]
+    fn hot_loops_of_exits_and_returns_are_engine_exact((items, turns, chunks, flags) in hot_case(EXITS)) {
+        hot_loop(&items, turns, &chunks, flags)?;
+    }
+}
+
+#[test]
+fn one_trace_stores_beside_code_masks_returns_and_hops_by_link() {
+    // A store beside the loop's decoded words, `mtctl eiem`, a call
+    // whose return is guarded, and a `gate` whose vector the trace hops
+    // to by link and back: the stamp, the data-page map, the links and
+    // in-frame exits, all in one trace. Draw 0 of each item is exactly
+    // that (`sw r4, 0(r22)`, a mask of 3, a callee that returns home,
+    // `gate 0`); the translation, interrupts and meddling are off.
+    let items = [
+        (Item::BesideCode, 0),
+        (Item::Mask, 0),
+        (Item::Call, 0),
+        (Item::Gate, 0),
+    ];
+    let chunks: Vec<(u64, u32)> = (0..96).map(|k| (200 + k, 1)).collect();
+    for x in hot_loop(&items, 64, &chunks, 0).expect("the tiers agree") {
+        assert!(
+            x.data_fast > 0 && x.ret_inline > 0 && x.link_hits > 0,
+            "every path was taken: {x:?}"
+        );
     }
 }
 
@@ -2422,106 +2169,6 @@ fn hypervised_pauses(
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..ProptestConfig::default() })]
 
-    #[test]
-    fn hot_loops_of_assist_ops_are_engine_exact(
-        items in prop::collection::vec(any::<u64>(), 8..17),
-        turns in 48u32..72,
-        schedule in prop::collection::vec(any::<u64>(), 96),
-        translation in any::<bool>(),
-    ) {
-        // ≥ 3 × the jit's promotion threshold of turns, so the loop —
-        // and the handlers it keeps entering — run compiled for most
-        // of them. Budgets of 1–9, 10–199 and 200–699 instructions;
-        // before every other one an interrupt is raised, to become
-        // deliverable whenever the code unmasks it.
-        let image = hvft::isa::asm::assemble(&assist_loop_source(&items, turns)).expect("asm");
-        let chunks: Vec<(u64, u32)> = schedule
-            .iter()
-            .map(|&r| {
-                let len = match r % 4 {
-                    0 => 1 + (r >> 8) % 9,
-                    1 | 2 => 10 + (r >> 8) % 190,
-                    _ => 200 + (r >> 8) % 500,
-                };
-                let raise = if (r >> 40) % 2 == 0 { 1 + ((r >> 44) % 7) as u32 } else { 0 };
-                (len, raise)
-            })
-            .collect();
-        let word = |insn| encode(insn).expect("encodable");
-        let count_by = |imm| Instruction::AluImm {
-            op: AluImmOp::Addi,
-            rd: Reg::of(11),
-            rs1: Reg::of(11),
-            imm,
-        };
-        let marker = image.symbol("loop").expect("the loop label");
-        let dma = (image.symbol("victim").expect("the victim label"), word(count_by(5)));
-        let build = |level: u8, tier: ExecTier| {
-            let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
-            let mut mem = Memory::new((lay::PAGES * PAGE_SIZE) as usize);
-            for seg in &image.segments {
-                mem.write_bytes(seg.base, &seg.data);
-            }
-            assert_eq!(mem.read_u32(marker), Ok(word(count_by(1))));
-            let code = mem.read_bytes(0, PAGE_SIZE as usize).to_vec();
-            mem.write_bytes(lay::SHADOW, &code);
-            mem.write_u32(lay::SHADOW + marker, word(count_by(2))).unwrap();
-            for (j, patch) in [
-                word(Instruction::Nop),
-                word(Instruction::MtCtl { cr: ControlReg::Scratch0, rs: Reg::of(9) }),
-                word(Instruction::Ssm { imm: 1 }),
-                word(Instruction::Gate { imm: 9 }),
-                word(count_by(5)),
-                0xFF00_0000 | marker, // does not decode
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                mem.write_u32(lay::PATCHES + 4 * j as u32, patch).unwrap();
-            }
-            cpu.set_exec_tier(tier);
-            cpu.psw.cpl = level;
-            cpu.psw.translation = translation;
-            cpu.set_ctl(ControlReg::Iva, lay::VECTORS);
-            cpu.set_ctl(ControlReg::Eiem, irq::TIMER | irq::DISK);
-            for page in 0..lay::PAGES {
-                let base = page * PAGE_SIZE;
-                cpu.tlb.insert_pte(base, base | pte::V | pte::R | pte::W | pte::X);
-            }
-            cpu.pc = image.entry;
-            (cpu, mem)
-        };
-        // Privilege 0: everything executes natively, in-trace under the
-        // jit. Privilege 1: every privileged instruction goes to the
-        // embedder — as a trap exit, or decoded from inside a trace.
-        for level in [0u8, 1] {
-            let (mut cpu_ref, mut mem_ref) = build(level, ExecTier::Step);
-            let mut reference = Embedder::new(level, dma);
-            drive_chunks(&mut cpu_ref, &mut mem_ref, &mut reference, &chunks, false);
-            for tier in [ExecTier::Step, ExecTier::Jit] {
-                for hooked in [false, true] {
-                    let (mut cpu, mut mem) = build(level, tier);
-                    let mut embedder = Embedder::new(level, dma);
-                    drive_chunks(&mut cpu, &mut mem, &mut embedder, &chunks, hooked);
-                    let what = format!("level {level}, {tier}, hooked={hooked}");
-                    prop_assert_eq!(&embedder.log, &reference.log, "event logs diverged ({})", what);
-                    prop_assert!(observable(&cpu) == observable(&cpu_ref),
-                        "{}: {:?}\nvs {:?}", what, observable(&cpu), observable(&cpu_ref));
-                    prop_assert_eq!(
-                        same_vm_state((&cpu, &mem), (&cpu_ref, &mem_ref)),
-                        Ok(()),
-                        "final states diverged ({})",
-                        what
-                    );
-                    if tier == ExecTier::Jit && cpu.reg(Reg::of(20)) == 0 {
-                        // Every turn ran, so the loop head was hot.
-                        let x = cpu.exec_stats();
-                        prop_assert!(x.jit_retired > 0, "{}: nothing ran compiled: {:?}", what, x);
-                    }
-                }
-            }
-        }
-    }
     #[test]
     fn hypervised_pauses_are_slicing_and_engine_invariant(
         draws in prop::collection::vec(20u64..10_000, 48),

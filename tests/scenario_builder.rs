@@ -6,6 +6,8 @@
 use hvft::core::scenario::{
     ClusterScenario, ConfigError, Parallelism, Scenario, ScenarioBuilder, MAX_DISK_BLOCKS,
 };
+use hvft::hypervisor::hvguest::HvConfig;
+use hvft::machine::mem::{IO_BASE, PAGE_SIZE};
 use hvft::net::link::LinkSpec;
 use hvft::sim::time::{SimDuration, SimTime};
 
@@ -25,6 +27,8 @@ fn variant(e: &ConfigError) -> &'static str {
         ConfigError::ZeroEpochLen => "ZeroEpochLen",
         ConfigError::NoSuchReplica { .. } => "NoSuchReplica",
         ConfigError::DriverMismatch(_) => "DriverMismatch",
+        ConfigError::EmptyTlb => "EmptyTlb",
+        ConfigError::RamSize { .. } => "RamSize",
     }
 }
 
@@ -142,6 +146,31 @@ fn every_invalid_combination_yields_its_config_error() {
                 .rejoin_replica_at(SimTime::from_nanos(1), 3),
             "NoSuchReplica",
         ),
+        ("a TLB of no slots", wl().tlb_slots(0), "EmptyTlb"),
+        (
+            "a TLB of no slots, through the hypervisor config",
+            wl().chain().hv(HvConfig {
+                tlb_slots: 0,
+                ..HvConfig::default()
+            }),
+            "EmptyTlb",
+        ),
+        (
+            "RAM over the I/O window",
+            wl().hv(HvConfig {
+                ram_bytes: IO_BASE as usize + PAGE_SIZE as usize,
+                ..HvConfig::default()
+            }),
+            "RamSize",
+        ),
+        (
+            "RAM smaller than the guest image",
+            wl().bare().hv(HvConfig {
+                ram_bytes: 4096,
+                ..HvConfig::default()
+            }),
+            "RamSize",
+        ),
     ];
     for (label, builder, expected) in cases {
         match builder.build() {
@@ -196,6 +225,7 @@ fn the_boundary_values_are_accepted() {
         wl().disk_blocks(MAX_DISK_BLOCKS),
         wl().disk_blocks(1),
         wl().epoch_len(1),
+        wl().tlb_slots(1),
         wl().backups(5),
         wl().lossy(0.0), // zero loss needs no retransmission
         wl().lossy(0.3)
