@@ -705,6 +705,7 @@ impl Scenario {
                     self.cfg.seed,
                 );
                 host.set_exec_tier(self.cfg.hv.exec_tier);
+                host.disk.set_fault_probability(self.cfg.disk_fault_prob);
                 Runner::Bare {
                     host,
                     max_insns: self.cfg.max_insns,
@@ -1151,6 +1152,29 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn bare_runs_draw_the_disk_faults_replicated_runs_draw() {
+        let run = |driver: Driver| {
+            Scenario::builder()
+                .workload(hvft_guest::workload::IoBench {
+                    ops: 4,
+                    ..Default::default()
+                })
+                .driver(driver)
+                .disk_fault_prob(0.3)
+                .seed(2)
+                .build()
+                .unwrap()
+                .run()
+        };
+        let (bare, ft) = (run(Driver::Bare), run(Driver::Replicated));
+        assert_eq!(ft.guest_retries, 1);
+        assert_eq!(
+            bare.guest_retries, ft.guest_retries,
+            "bare ignored the fault probability"
+        );
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! [`FtSystem`] is a *driver*: the P1–P7 / §4.3 rule logic lives
 //! entirely in [`crate::protocol::ReplicaEngine`], and this module owns
 //! what the rules are abstract over — the hosts' simulated clocks, the
-//! coordination [`Channel`]s, the shared disk and console, the timeout
-//! failure detectors, and the conservative co-simulation loop.
+//! coordination medium and its reliable layer, the shared disk and
+//! console, the timeout failure detectors, and the conservative
+//! co-simulation loop.
 //!
 //! Each host advances its own simulated clock, and a host may never run
 //! past the earliest event that could affect it (the link's minimum
@@ -27,6 +28,28 @@
 //!   failover epoch for the whole chain (see
 //!   [`crate::protocol::ReplicaEngine::promote_at_boundary`]), and the
 //!   survivors' detectors are re-armed against the new primary.
+//!
+//! # One home for each thing
+//!
+//! A replica is one host record: guest, clock, engine, device shadows,
+//! the pending disk completion and the failure detector. A directed
+//! link is a link record at each of its ends, `hosts[h].links[p]`,
+//! reached by index: the reliable layer's windows and the instant the
+//! link last carried a frame. No per-link lookup can miss. Each
+//! recurring mechanism is one function:
+//!
+//! - **one wire path** — `FtSystem::put_on_wire` puts data frames,
+//!   acks, heartbeats and retransmit bursts on the medium: it stamps
+//!   the link's quiet-since instant, offers the frame and accounts the
+//!   offer through the observers;
+//! - **one detector rule** — `FtSystem::arm_detectors` arms every
+//!   promotable backup in chain order and clears every other detector;
+//!   boot, failover and reintegration each call it;
+//! - **one failstop path** — `FtSystem::failstop` kills the acting
+//!   primary or a backup through one prefix (clock, `Dead`, hook,
+//!   severed links, disarmed windows), then abandons a primary's disk
+//!   operation and state transfer, or takes a backup out of the
+//!   primary's peer set and the rejoin pipeline.
 
 use crate::config::FtConfig;
 use crate::lockstep::LockstepChecker;
@@ -51,7 +74,6 @@ use hvft_net::reliable::{Frame, RecvWindow, SendWindow};
 use hvft_sim::sched::Agenda;
 use hvft_sim::time::{SimDuration, SimTime};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
@@ -135,7 +157,8 @@ impl DerefMut for GuestSlot {
     }
 }
 
-/// One replica's host: guest + clock + device shadows + its engine.
+/// One replica's host: guest + clock + device shadows + its engine,
+/// its failure detector and its end of every link.
 struct Host {
     guest: GuestSlot,
     engine: ReplicaEngine,
@@ -151,13 +174,24 @@ struct Host {
     // replicas read identical values).
     controller: DiskController,
     inflight: Option<InflightIo>,
+    /// When the disk completes the operation this host submitted (only
+    /// an acting primary submits). Kept apart from `inflight`, which
+    /// every replica records and which a GO the disk refuses as busy
+    /// overwrites while the earlier operation is still pending here.
+    disk_done: Option<SimTime>,
+    /// The timeout detector watching the acting primary: present only
+    /// on a promotable backup (see `FtSystem::arm_detectors`).
+    detector: Option<FailureDetector>,
+    /// This host's end of its link with each peer, by peer index (its
+    /// own slot is never used).
+    links: Vec<Link>,
     // Results.
     diags: Vec<(u32, u32)>,
     op_latencies: Vec<SimDuration>,
 }
 
 impl Host {
-    fn new(guest: HvGuest, engine: ReplicaEngine) -> Self {
+    fn new(guest: HvGuest, engine: ReplicaEngine, links: Vec<Link>) -> Self {
         Host {
             guest: GuestSlot(Some(guest)),
             engine,
@@ -168,6 +202,9 @@ impl Host {
             held_io: None,
             controller: DiskController::RESET,
             inflight: None,
+            disk_done: None,
+            detector: None,
+            links,
             diags: Vec::new(),
             op_latencies: Vec::new(),
         }
@@ -211,6 +248,46 @@ impl Host {
     /// restored state to promote from.
     fn promotable(&self) -> bool {
         matches!(self.life, Life::Active | Life::BackupDone(_))
+    }
+}
+
+/// Host `h`'s end of its link with peer `p`: `hosts[h].links[p]`.
+struct Link {
+    /// The reliable layer's state, present exactly when
+    /// [`FtConfig::retransmit`] is set.
+    windows: Option<Windows>,
+    /// When `h` last put a frame on `h → p` (data, ack or heartbeat). A
+    /// protocol-stalled acting primary heartbeats a backup when *that
+    /// backup's* link has been quiet for a fraction of the detection
+    /// timeout — per link, because a primary busy retransmitting to one
+    /// lagging backup must not starve the caught-up one of liveness
+    /// evidence.
+    quiet_since: SimTime,
+}
+
+impl Link {
+    fn new(rto: Option<SimDuration>) -> Self {
+        Link {
+            windows: rto.map(Windows::new),
+            quiet_since: SimTime::ZERO,
+        }
+    }
+}
+
+/// The link-level ack/retransmission state at one end of a link.
+struct Windows {
+    /// Stamps, retains and re-sends what `h` sends `p`.
+    send: SendWindow<Message>,
+    /// Accepts what `p` sends `h`, in sequence.
+    recv: RecvWindow,
+}
+
+impl Windows {
+    fn new(rto: SimDuration) -> Self {
+        Windows {
+            send: SendWindow::new(rto),
+            recv: RecvWindow::new(),
+        }
     }
 }
 
@@ -273,12 +350,23 @@ pub struct SystemCheckpoint {
 /// Replica indices are system-local; the `Shared` variant maps replica
 /// `i` to LAN node `base + i`.
 enum NetBackend {
-    Mesh(BTreeMap<(usize, usize), Channel<WireFrame>>),
+    /// `chans[mesh_index(n, from, to)]` carries `from → to`.
+    Mesh {
+        chans: Vec<Channel<WireFrame>>,
+        n: usize,
+    },
     Shared {
         lan: Rc<RefCell<Lan<WireFrame>>>,
         base: usize,
         n: usize,
     },
+}
+
+/// Where the directed link `from → to` sits among the `n × (n − 1)`
+/// links of an `n`-replica mesh: in `(from, to)` order, self-links left
+/// out.
+fn mesh_index(n: usize, from: usize, to: usize) -> usize {
+    from * (n - 1) + to - usize::from(to > from)
 }
 
 impl NetBackend {
@@ -296,8 +384,8 @@ impl NetBackend {
         frame: WireFrame,
     ) -> (SimTime, bool) {
         match self {
-            NetBackend::Mesh(chans) => {
-                let ch = chans.get_mut(&(from, to)).expect("mesh channel");
+            NetBackend::Mesh { chans, n } => {
+                let ch = &mut chans[mesh_index(*n, from, to)];
                 let accepted = ch.send(now, bytes, frame).is_some();
                 (ch.busy_until(), accepted)
             }
@@ -314,7 +402,9 @@ impl NetBackend {
     /// Earliest pending delivery addressed to this system.
     fn next_delivery(&self) -> Option<SimTime> {
         match self {
-            NetBackend::Mesh(chans) => chans.values().filter_map(|ch| ch.next_delivery()).min(),
+            NetBackend::Mesh { chans, .. } => {
+                chans.iter().filter_map(|ch| ch.next_delivery()).min()
+            }
             NetBackend::Shared { lan, base, n } => {
                 lan.borrow().next_delivery_within(*base, *base + *n)
             }
@@ -325,17 +415,11 @@ impl NetBackend {
     /// `(from, to)` order for determinism.
     fn pop_due(&mut self, t: SimTime) -> Option<(usize, usize, WireFrame)> {
         match self {
-            NetBackend::Mesh(chans) => {
-                let pair = chans
-                    .iter()
-                    .find(|(_, ch)| ch.next_delivery() == Some(t))
-                    .map(|(&pair, _)| pair)?;
-                let frame = chans
-                    .get_mut(&pair)
-                    .unwrap()
-                    .pop_ready(t)
-                    .expect("due message");
-                Some((pair.0, pair.1, frame))
+            NetBackend::Mesh { chans, n } => {
+                let k = chans.iter().position(|ch| ch.next_delivery() == Some(t))?;
+                let frame = chans[k].pop_ready(t).expect("due message");
+                let (from, rest) = (k / (*n - 1), k % (*n - 1));
+                Some((from, rest + usize::from(rest >= from), frame))
             }
             NetBackend::Shared { lan, base, n } => {
                 let (from, to, frame) = lan.borrow_mut().pop_ready_within(*base, *base + *n, t)?;
@@ -347,11 +431,10 @@ impl NetBackend {
     /// Severs every link touching `victim` (its processor failstopped).
     fn sever_all_of(&mut self, victim: usize) {
         match self {
-            NetBackend::Mesh(chans) => {
-                for (&(from, to), ch) in chans.iter_mut() {
-                    if from == victim || to == victim {
-                        ch.sever();
-                    }
+            NetBackend::Mesh { chans, n } => {
+                for peer in (0..*n).filter(|&p| p != victim) {
+                    chans[mesh_index(*n, victim, peer)].sever();
+                    chans[mesh_index(*n, peer, victim)].sever();
                 }
             }
             NetBackend::Shared { lan, base, .. } => lan.borrow_mut().sever_node(*base + victim),
@@ -363,11 +446,10 @@ impl NetBackend {
     /// stay lost.
     fn unsever_all_of(&mut self, victim: usize) {
         match self {
-            NetBackend::Mesh(chans) => {
-                for (&(from, to), ch) in chans.iter_mut() {
-                    if from == victim || to == victim {
-                        ch.unsever();
-                    }
+            NetBackend::Mesh { chans, n } => {
+                for peer in (0..*n).filter(|&p| p != victim) {
+                    chans[mesh_index(*n, victim, peer)].unsever();
+                    chans[mesh_index(*n, peer, victim)].unsever();
                 }
             }
             NetBackend::Shared { lan, base, .. } => lan.borrow_mut().unsever_node(*base + victim),
@@ -376,7 +458,7 @@ impl NetBackend {
 
     fn is_severed(&self, from: usize, to: usize) -> bool {
         match self {
-            NetBackend::Mesh(chans) => chans.get(&(from, to)).is_none_or(|ch| ch.is_severed()),
+            NetBackend::Mesh { chans, n } => chans[mesh_index(*n, from, to)].is_severed(),
             NetBackend::Shared { lan, base, .. } => {
                 lan.borrow().is_severed(*base + from, *base + to)
             }
@@ -389,35 +471,9 @@ impl NetBackend {
     /// shared LAN the whole medium is one queue.
     fn busy_until_of(&self, from: usize, to: usize) -> SimTime {
         match self {
-            NetBackend::Mesh(chans) => chans
-                .get(&(from, to))
-                .map(|ch| ch.busy_until())
-                .unwrap_or(SimTime::ZERO),
+            NetBackend::Mesh { chans, n } => chans[mesh_index(*n, from, to)].busy_until(),
             NetBackend::Shared { lan, .. } => lan.borrow().busy_until(),
         }
-    }
-}
-
-/// Per-directed-link ack/retransmission state (present only when
-/// [`crate::config::FtConfig::retransmit`] is set).
-struct RelNet {
-    send: BTreeMap<(usize, usize), SendWindow<Message>>,
-    recv: BTreeMap<(usize, usize), RecvWindow>,
-}
-
-impl RelNet {
-    fn new(n: usize, rto: SimDuration) -> Self {
-        let mut send = BTreeMap::new();
-        let mut recv = BTreeMap::new();
-        for from in 0..n {
-            for to in 0..n {
-                if from != to {
-                    send.insert((from, to), SendWindow::new(rto));
-                    recv.insert((from, to), RecvWindow::new());
-                }
-            }
-        }
-        RelNet { send, recv }
     }
 }
 
@@ -442,23 +498,9 @@ pub struct FtSystem {
     /// The coordination medium carrying `[E, Int]`, `[Tme]`, `[end]`
     /// and acknowledgments between the replicas.
     net: NetBackend,
-    /// Link-level ack/retransmission state, when enabled.
-    rel: Option<RelNet>,
     disk: Disk,
     console: Console,
-    /// Per-backup failure detector (`None` for the acting primary and
-    /// the dead).
-    detectors: Vec<Option<FailureDetector>>,
     cfg: FtConfig,
-    /// Pending disk completion per host.
-    disk_done: Vec<Option<SimTime>>,
-    /// Per-directed-link instant of the last outbound frame (data, ack
-    /// or heartbeat). A protocol-stalled acting primary heartbeats a
-    /// backup when *that backup's* link has been quiet for a fraction
-    /// of the detection timeout — per-link, because a primary busy
-    /// retransmitting to one lagging backup must not starve the
-    /// caught-up one of liveness evidence.
-    last_outbound: BTreeMap<(usize, usize), SimTime>,
     /// The fault schedule, sorted latest first: the next fault to fire
     /// is the last entry.
     faults: Vec<(SimTime, Fault)>,
@@ -507,19 +549,15 @@ impl FtSystem {
     /// reaching this.
     pub(crate) fn from_config(image: &Program, cfg: FtConfig) -> Self {
         let n = 1 + cfg.backups;
-        let mut chans = BTreeMap::new();
-        let mut pair = 0u64;
-        for from in 0..n {
-            for to in 0..n {
-                if from != to {
-                    let mut ch = Channel::new(cfg.link, cfg.seed ^ (0xA + pair));
-                    ch.set_loss_probability(cfg.loss_prob);
-                    chans.insert((from, to), ch);
-                    pair += 1;
-                }
-            }
-        }
-        Self::build(image, cfg, NetBackend::Mesh(chans))
+        // Each channel's loss RNG is seeded by its position in the mesh.
+        let chans = (0..n * (n - 1))
+            .map(|pair| {
+                let mut ch = Channel::new(cfg.link, cfg.seed ^ (0xA + pair as u64));
+                ch.set_loss_probability(cfg.loss_prob);
+                ch
+            })
+            .collect();
+        Self::build(image, cfg, NetBackend::Mesh { chans, n })
     }
 
     /// Builds the system as one shard of a multi-system cluster: the
@@ -591,48 +629,31 @@ impl FtSystem {
             Self::assert_loss_tolerant(&cfg);
         }
         let n = 1 + cfg.backups;
-        let mut hosts = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut hv = cfg.hv;
-            // Deliberately different machine-level TLB seeds: the
-            // paper's point is that replica coordination must survive
-            // hardware non-determinism invisible to the VM state.
-            hv.tlb_seed = cfg.seed.wrapping_add(101 * (i as u64 + 1));
-            let guest = HvGuest::new(image, cfg.cost, hv);
-            let engine = if i == 0 {
-                ReplicaEngine::new_primary(0, (1..n).collect(), cfg.protocol)
-            } else {
-                ReplicaEngine::new_backup(i, 0, cfg.protocol)
-            };
-            hosts.push(Host::new(guest, engine));
-        }
-        let mut detectors = vec![None; n];
-        for (rank, slot) in detectors.iter_mut().enumerate().skip(1) {
-            // Rank-scaled timeouts: the next-in-line backup suspects
-            // first; deeper backups wait out the promotion hand-over.
-            let mut d = FailureDetector::new(cfg.detector_timeout * rank as u64);
-            d.heard(SimTime::ZERO);
-            *slot = Some(d);
-        }
+        let hosts = (0..n)
+            .map(|i| {
+                let mut hv = cfg.hv;
+                // Deliberately different machine-level TLB seeds: the
+                // paper's point is that replica coordination must survive
+                // hardware non-determinism invisible to the VM state.
+                hv.tlb_seed = cfg.seed.wrapping_add(101 * (i as u64 + 1));
+                let guest = HvGuest::new(image, cfg.cost, hv);
+                let engine = if i == 0 {
+                    ReplicaEngine::new_primary(0, (1..n).collect(), cfg.protocol)
+                } else {
+                    ReplicaEngine::new_backup(i, 0, cfg.protocol)
+                };
+                let links = (0..n).map(|_| Link::new(cfg.retransmit)).collect();
+                Host::new(guest, engine, links)
+            })
+            .collect();
         let mut disk = Disk::new(cfg.disk_blocks, cfg.seed);
         disk.set_fault_probability(cfg.disk_fault_prob);
-        FtSystem {
+        let mut system = FtSystem {
             hosts,
             net,
-            rel: cfg.retransmit.map(|rto| RelNet::new(n, rto)),
             disk,
             console: Console::new(),
-            detectors,
             cfg,
-            last_outbound: (0..n)
-                .flat_map(|from| {
-                    (0..n)
-                        .filter(move |&to| to != from)
-                        .map(move |to| (from, to))
-                })
-                .map(|pair| (pair, SimTime::ZERO))
-                .collect(),
-            disk_done: vec![None; n],
             faults: Vec::new(),
             pending_rejoins: Vec::new(),
             transfer: None,
@@ -644,7 +665,9 @@ impl FtSystem {
             acting_primary: 0,
             observers: Vec::new(),
             stats: RunStats::new(n),
-        }
+        };
+        system.arm_detectors(SimTime::ZERO);
+        system
     }
 
     /// Registers a run observer. Multiple observers fire in
@@ -674,23 +697,6 @@ impl FtSystem {
         f(&mut self.stats);
         for obs in &mut self.observers {
             f(obs.as_mut());
-        }
-    }
-
-    /// Accounts one offered frame through the default [`RunStats`]
-    /// observer and the user observers: exactly one of
-    /// `message_sent`/`message_dropped` per offer, with severed links
-    /// distinguished from loss so wire-occupancy counts stay exact.
-    fn note_offered(&mut self, from: usize, to: usize, bytes: usize, at: SimTime, accepted: bool) {
-        if accepted {
-            self.notify(|o| o.message_sent(from, to, bytes, at));
-        } else {
-            let reason = if self.net.is_severed(from, to) {
-                DropReason::Severed
-            } else {
-                DropReason::Loss
-            };
-            self.notify(|o| o.message_dropped(from, to, at, reason));
         }
     }
 
@@ -848,32 +854,24 @@ impl FtSystem {
     fn transmit_unclamped(&mut self, from: usize, to: usize, msg: Message) {
         let bytes = msg.wire_bytes();
         let now = self.hosts[from].now;
-        self.note_outbound(from, to, now);
-        let accepted = match &mut self.rel {
-            // Reliable mode: stamp a link-level sequence number, retain
-            // a copy until the receiver's cumulative ack covers it, and
-            // anchor the retransmit timer at the frame's serialization
-            // end (a frame queued behind a backlog is not "lost").
-            Some(rel) => {
-                let window = rel.send.get_mut(&(from, to)).expect("send window");
-                let frame = window.wrap(bytes, msg);
-                let wire = frame.wire_bytes(bytes);
-                let (tx_end, accepted) = self.net.send(now, from, to, wire, frame);
-                window.arm(tx_end);
-                accepted
-            }
+        let frame = match &mut self.hosts[from].links[to].windows {
+            // Reliable mode: stamp a link-level sequence number and
+            // retain a copy until the receiver's cumulative ack covers
+            // it.
+            Some(w) => w.send.wrap(bytes, msg),
             // Raw mode (the §2 lossless assumption): unsequenced frame,
             // wire timing identical to a bare `Message` channel.
-            None => {
-                let frame = Frame::Data {
-                    seq: 0,
-                    payload: msg,
-                };
-                let wire = frame.wire_bytes(bytes);
-                self.net.send(now, from, to, wire, frame).1
-            }
+            None => Frame::Data {
+                seq: 0,
+                payload: msg,
+            },
         };
-        self.note_offered(from, to, bytes, now, accepted);
+        let tx_end = self.put_on_wire(now, from, to, bytes, frame);
+        // The retransmit timer starts at the frame's serialization end
+        // (a frame queued behind a backlog is not "lost").
+        if let Some(w) = &mut self.hosts[from].links[to].windows {
+            w.send.arm(tx_end);
+        }
     }
 
     /// The device half of interrupt delivery: status register, DMA data,
@@ -912,6 +910,38 @@ impl FtSystem {
     // Messaging
     // -----------------------------------------------------------------
 
+    /// The one way onto the wire: offers `frame`, carrying `bytes` of
+    /// payload (acks and heartbeats carry none), on `from → to` at `at`,
+    /// stamps the link's quiet-since instant and accounts the offer —
+    /// exactly one of `message_sent`/`message_dropped`, with severed
+    /// links told apart from loss so wire-occupancy counts stay exact.
+    /// Returns the instant the frame's serialization ends, known to the
+    /// sender's NIC whether or not the frame is then lost.
+    fn put_on_wire(
+        &mut self,
+        at: SimTime,
+        from: usize,
+        to: usize,
+        bytes: usize,
+        frame: WireFrame,
+    ) -> SimTime {
+        let link = &mut self.hosts[from].links[to];
+        link.quiet_since = link.quiet_since.max(at);
+        let bytes = frame.wire_bytes(bytes);
+        let (tx_end, accepted) = self.net.send(at, from, to, bytes, frame);
+        if accepted {
+            self.notify(|o| o.message_sent(from, to, bytes, at));
+        } else {
+            let reason = if self.net.is_severed(from, to) {
+                DropReason::Severed
+            } else {
+                DropReason::Loss
+            };
+            self.notify(|o| o.message_dropped(from, to, at, reason));
+        }
+        tx_end
+    }
+
     fn deliver_frame(&mut self, to: usize, from: usize, at: SimTime, frame: WireFrame) {
         if !self.hosts[to].alive() {
             // A failstopped (or finished) processor takes no further
@@ -924,38 +954,30 @@ impl FtSystem {
         let host = &mut self.hosts[to];
         host.now = host.now.max(at);
         host.charge(self.cfg.cost.hv_msg_recv);
-        if let Some(d) = &mut self.detectors[to] {
+        if let Some(d) = &mut host.detector {
             // Any frame — data, duplicate, or link-level ack — proves
             // the sender alive.
             d.heard(at);
         }
+        let now = host.now;
         let payload = match frame {
             Frame::Ack { cum } => {
                 // A link-level ack for data *we* sent to `from`.
-                if let Some(rel) = &mut self.rel {
-                    let now = self.hosts[to].now;
-                    rel.send
-                        .get_mut(&(to, from))
-                        .expect("send window")
-                        .on_ack(now, cum);
+                if let Some(w) = &mut host.links[from].windows {
+                    w.send.on_ack(now, cum);
                 }
                 return;
             }
             Frame::Data { seq, payload } => {
-                if let Some(rel) = &mut self.rel {
+                if let Some(w) = &mut host.links[from].windows {
                     // Accept in sequence; answer every data frame —
                     // fresh or duplicate — with the cumulative ack, so
                     // the sender's window drains even when acks drop.
-                    let rx = rel.recv.get_mut(&(from, to)).expect("recv window");
-                    let fresh = rx.accept(seq);
-                    let ack: WireFrame = Frame::Ack {
-                        cum: rx.cumulative_ack(),
+                    let fresh = w.recv.accept(seq);
+                    let ack = Frame::Ack {
+                        cum: w.recv.cumulative_ack(),
                     };
-                    let bytes = ack.wire_bytes(0);
-                    let now = self.hosts[to].now;
-                    self.note_outbound(to, from, now);
-                    let accepted = self.net.send(now, to, from, bytes, ack).1;
-                    self.note_offered(to, from, bytes, now, accepted);
+                    self.put_on_wire(now, to, from, 0, ack);
                     if !fresh {
                         self.notify(|o| o.duplicate_suppressed(from, to, now));
                         return;
@@ -996,60 +1018,51 @@ impl FtSystem {
     /// links whose sender can still retransmit. Used by both the event
     /// horizon and the dispatcher so they can never disagree.
     fn next_retransmit(&self) -> Option<(SimTime, (usize, usize))> {
-        let rel = self.rel.as_ref()?;
-        rel.send
+        self.hosts
             .iter()
-            .filter(|((from, _), _)| self.hosts[*from].alive())
-            .filter_map(|(&pair, w)| w.deadline().map(|d| (d, pair)))
+            .enumerate()
+            .filter(|(_, h)| h.alive())
+            .flat_map(|(from, h)| {
+                h.links.iter().enumerate().filter_map(move |(to, l)| {
+                    Some((l.windows.as_ref()?.send.deadline()?, (from, to)))
+                })
+            })
             .min()
     }
 
     /// A retransmit timer fired: re-send the window's unacknowledged
     /// tail, or disarm it if the destination is beyond reach (dead peer
     /// or severed link) so the timer cannot fire forever.
-    fn fire_retransmit(&mut self, t: SimTime, pair: (usize, usize)) {
-        let (from, to) = pair;
+    fn fire_retransmit(&mut self, t: SimTime, from: usize, to: usize) {
         let unreachable = !self.hosts[to].alive() || self.net.is_severed(from, to);
-        let rel = self.rel.as_mut().expect("retransmit without RelNet");
-        let window = rel.send.get_mut(&pair).expect("send window");
+        // Only a reliable link arms a timer.
+        let Some(w) = &mut self.hosts[from].links[to].windows else {
+            return;
+        };
         if unreachable {
-            window.disarm();
+            w.send.disarm();
             return;
         }
         // Retransmission is NIC/controller work: it occupies the wire
         // but charges no guest time and does not move the host clock.
         // Bounded-burst with exponential backoff — see the congestion
         // notes on `hvft_net::reliable`.
-        let burst = window.retransmit();
-        if !burst.is_empty() {
-            self.note_outbound(from, to, t);
-            let frames = burst.len();
-            let mut tx_end = t;
-            // Re-sent frames go through the same per-frame observer
-            // accounting as first transmissions (sent when the medium
-            // schedules a delivery, dropped when loss consumes it), so
-            // an observer's wire view stays complete under loss; the
-            // aggregate retransmit hook reports the burst itself.
-            let mut sent = Vec::with_capacity(frames);
-            for out in burst {
-                let wire = out.frame.wire_bytes(out.bytes);
-                let (end, accepted) = self.net.send(t, from, to, wire, out.frame);
-                tx_end = end;
-                sent.push((out.bytes, accepted));
-            }
-            let rel = self.rel.as_mut().expect("retransmit without RelNet");
-            rel.send.get_mut(&pair).expect("send window").rearm(tx_end);
-            for (bytes, accepted) in sent {
-                self.note_offered(from, to, bytes, t, accepted);
-            }
-            self.notify(|o| o.retransmit(from, to, frames, t));
+        let burst = w.send.retransmit();
+        let frames = burst.len();
+        if frames == 0 {
+            return;
         }
-    }
-
-    /// Records an outbound frame on `from → to` (heartbeat bookkeeping).
-    fn note_outbound(&mut self, from: usize, to: usize, at: SimTime) {
-        let slot = self.last_outbound.get_mut(&(from, to)).expect("link slot");
-        *slot = (*slot).max(at);
+        // Re-sent frames take the wire path of first transmissions, so
+        // an observer's wire view stays complete under loss; the
+        // aggregate retransmit hook reports the burst itself.
+        let mut tx_end = t;
+        for out in burst {
+            tx_end = self.put_on_wire(t, from, to, out.bytes, out.frame);
+        }
+        if let Some(w) = &mut self.hosts[from].links[to].windows {
+            w.send.rearm(tx_end);
+        }
+        self.notify(|o| o.retransmit(from, to, frames, t));
     }
 
     /// How often a protocol-stalled acting primary beacons its
@@ -1074,9 +1087,8 @@ impl FtSystem {
     /// already bounds every legitimate gap — so raw-channel runs stay
     /// bit-identical to the original prototype.
     fn next_heartbeat(&self) -> Option<SimTime> {
-        self.rel.as_ref()?;
-        let i = self.acting_primary;
-        let host = &self.hosts[i];
+        self.cfg.retransmit?;
+        let host = &self.hosts[self.acting_primary];
         if host.life != Life::Active || !host.engine.is_primary() || host.engine.is_running() {
             return None;
         }
@@ -1084,27 +1096,24 @@ impl FtSystem {
             .peers()
             .iter()
             .filter(|&&p| self.hosts[p].alive())
-            .map(|&p| self.last_outbound[&(i, p)] + self.heartbeat_period())
+            .map(|&p| host.links[p].quiet_since + self.heartbeat_period())
             .min()
     }
 
     fn fire_heartbeat(&mut self, t: SimTime) {
         let i = self.acting_primary;
-        let due: Vec<usize> = self.hosts[i]
+        let host = &self.hosts[i];
+        let due: Vec<usize> = host
             .engine
             .peers()
             .iter()
             .copied()
             .filter(|&p| {
-                self.hosts[p].alive() && self.last_outbound[&(i, p)] + self.heartbeat_period() <= t
+                self.hosts[p].alive() && host.links[p].quiet_since + self.heartbeat_period() <= t
             })
             .collect();
         for p in due {
-            self.note_outbound(i, p, t);
-            let hb: WireFrame = Frame::Heartbeat;
-            let bytes = hb.wire_bytes(0);
-            let accepted = self.net.send(t, i, p, bytes, hb).1;
-            self.note_offered(i, p, bytes, t, accepted);
+            self.put_on_wire(t, i, p, 0, Frame::Heartbeat);
         }
     }
 
@@ -1159,7 +1168,7 @@ impl FtSystem {
             issued_at: now,
         });
         if let Ok(dur) = submitted {
-            self.disk_done[i] = Some(now + dur);
+            host.disk_done = Some(now + dur);
             return;
         }
         // The disk refused (bad block / busy): surface as an immediate
@@ -1230,48 +1239,53 @@ impl FtSystem {
         (0..self.hosts.len()).find(|&j| j != self.acting_primary && self.hosts[j].promotable())
     }
 
+    /// The one detector rule: every promotable backup, in chain order,
+    /// watches the acting primary with a timeout of its rank ×
+    /// `detector_timeout`, heard from at `at` — the next in line
+    /// suspects first, deeper backups wait out the promotion hand-over,
+    /// and rank 1 is always [`FtSystem::next_in_line`]. Every other host
+    /// (the acting primary, the dead, a rejoiner) has no detector.
+    fn arm_detectors(&mut self, at: SimTime) {
+        let (ap, timeout) = (self.acting_primary, self.cfg.detector_timeout);
+        let mut rank = 0u64;
+        for (j, host) in self.hosts.iter_mut().enumerate() {
+            host.detector = (j != ap && host.promotable()).then(|| {
+                rank += 1;
+                let mut d = FailureDetector::new(timeout * rank);
+                d.heard(at);
+                d
+            });
+        }
+    }
+
     fn failover(&mut self, i: usize, at: SimTime) {
-        if let Life::BackupDone(end) = self.hosts[i].life {
+        let survivors = self.survivors_after(i);
+        self.acting_primary = i;
+        let host = &mut self.hosts[i];
+        host.now = host.now.max(at);
+        host.promoted = true;
+        let (epoch, uncertain_synthesized) = if let Life::BackupDone(end) = host.life {
             // The backup's guest already finished the whole workload;
             // the primary's failure makes that (suppressed) completion
             // real.
-            self.hosts[i].promoted = true;
-            self.acting_primary = i;
-            self.detectors[i] = None;
-            self.hosts[i].now = self.hosts[i].now.max(at);
-            let info = FailoverInfo {
-                at: self.hosts[i].now,
-                epoch: self.hosts[i].guest.epoch(),
-                uncertain_synthesized: false,
-            };
-            self.failovers.push(info);
-            self.notify(|o| o.failover(&info));
-            self.hosts[i].life = Life::Done(end);
-            return;
-        }
-        self.hosts[i].now = self.hosts[i].now.max(at);
-        let survivors = self.survivors_after(i);
-        let outstanding = self.hosts[i].inflight.is_some();
-        let vclock = self.hosts[i].guest.vclock.snapshot();
-        let (effects, promo) =
-            self.hosts[i]
+            host.life = Life::Done(end);
+            (host.guest.epoch(), false)
+        } else {
+            let outstanding = host.inflight.is_some();
+            let vclock = host.guest.vclock.snapshot();
+            let (effects, promo) = host
                 .engine
-                .promote_at_boundary(vclock, outstanding, survivors.clone());
-        self.hosts[i].promoted = true;
-        self.acting_primary = i;
-        self.detectors[i] = None;
-        self.process_effects(i, effects);
+                .promote_at_boundary(vclock, outstanding, survivors);
+            self.process_effects(i, effects);
+            (promo.epoch, promo.uncertain_synthesized)
+        };
         // Survivors re-arm against the new primary, ranks shifted up.
         let now = self.hosts[i].now;
-        for (rank0, &s) in survivors.iter().enumerate() {
-            let mut d = FailureDetector::new(self.cfg.detector_timeout * (rank0 as u64 + 1));
-            d.heard(now);
-            self.detectors[s] = Some(d);
-        }
+        self.arm_detectors(now);
         let info = FailoverInfo {
             at: now,
-            epoch: promo.epoch,
-            uncertain_synthesized: promo.uncertain_synthesized,
+            epoch,
+            uncertain_synthesized,
         };
         self.failovers.push(info);
         self.notify(|o| o.failover(&info));
@@ -1347,82 +1361,82 @@ impl FtSystem {
     // Failure injection
     // -----------------------------------------------------------------
 
-    fn inject_failure(&mut self, at: SimTime) {
-        let victim = self.acting_primary;
-        if !matches!(self.hosts[victim].life, Life::Active | Life::BackupDone(_)) {
+    /// Failstops `victim` at `at`, whether it is the acting primary or a
+    /// backup. In-flight messages still arrive (the backup "detects the
+    /// primary's failure only after receiving the last message sent"),
+    /// but nothing further leaves the dead processor, and nothing is
+    /// worth sending to it. A dead or finished replica is left alone,
+    /// and so is an acting primary that was repaired before anyone
+    /// promoted (it is rejoining, not serving).
+    fn failstop(&mut self, at: SimTime, victim: usize) {
+        let primary = victim == self.acting_primary;
+        let host = &mut self.hosts[victim];
+        let serving = if primary {
+            host.promotable()
+        } else {
+            host.alive()
+        };
+        if !serving {
             return;
         }
-        self.hosts[victim].now = self.hosts[victim].now.max(at);
-        self.hosts[victim].life = Life::Dead;
+        host.now = host.now.max(at);
+        host.life = Life::Dead;
+        host.detector = None;
         self.notify(|o| o.replica_failstopped(victim, at));
-        // In-flight messages still arrive (the backup "detects the
-        // primary's failure only after receiving the last message
-        // sent"), but nothing further leaves the dead processor, and
-        // nothing is worth sending to it.
         self.net.sever_all_of(victim);
-        self.disarm_windows_of(victim);
-        // A disk operation in flight from the dead host is abandoned:
-        // the medium may or may not have absorbed it, and no interrupt
-        // will ever be delivered for it — the §2.2 two-generals corner.
-        if self.disk_done[victim].take().is_some() {
-            let data = self.hosts[victim]
-                .inflight
-                .as_ref()
-                .and_then(|io| io.write_data.clone());
-            self.disk.abandon(data.as_deref());
+        // The dead processor re-sends nothing, and frames addressed to
+        // it are no longer worth recovering.
+        self.for_links_of(victim, |l| {
+            if let Some(w) = &mut l.windows {
+                w.send.disarm();
+            }
+        });
+        if primary {
+            // A disk operation in flight from the dead host is
+            // abandoned: the medium may or may not have absorbed it,
+            // and no interrupt will ever be delivered for it — the §2.2
+            // two-generals corner.
+            if self.hosts[victim].disk_done.take().is_some() {
+                let data = self.hosts[victim]
+                    .inflight
+                    .as_ref()
+                    .and_then(|io| io.write_data.clone());
+                self.disk.abandon(data.as_deref());
+            }
+            // A state transfer in flight from the dead primary is
+            // aborted; the rejoiner stays queued and the successor
+            // restarts the transfer from its own boundary snapshot.
+            // Chunks already on the wire are rejected by the receiver's
+            // sender check.
+            self.transfer = None;
+        } else {
+            // The acting primary detects the backup's silence (modelled
+            // at the failure instant, like the instruction-limit path)
+            // and stops counting it toward the acknowledgment condition.
+            let ap = self.acting_primary;
+            if self.hosts[ap].alive() {
+                let effects = self.hosts[ap].engine.remove_peer(victim);
+                self.process_effects(ap, effects);
+            }
+            // A repaired replica that dies again mid-reintegration
+            // leaves the rejoin pipeline entirely.
+            if self.transfer.is_some_and(|(v, _)| v == victim) {
+                self.transfer = None;
+            }
+            self.pending_rejoins.retain(|&v| v != victim);
         }
-        // A state transfer in flight from the dead primary is aborted;
-        // the rejoiner stays queued and the successor restarts the
-        // transfer from its own boundary snapshot. Chunks already on
-        // the wire are rejected by the receiver's sender check.
-        self.transfer = None;
     }
 
-    /// Drops all retransmission state touching a failstopped replica:
-    /// the dead processor re-sends nothing, and frames addressed to it
-    /// are no longer worth recovering.
-    fn disarm_windows_of(&mut self, victim: usize) {
-        if let Some(rel) = &mut self.rel {
-            for (&(from, to), w) in rel.send.iter_mut() {
-                if from == victim || to == victim {
-                    w.disarm();
+    /// Applies `f` to the link records at both ends of every link
+    /// touching `victim`.
+    fn for_links_of(&mut self, victim: usize, mut f: impl FnMut(&mut Link)) {
+        for (h, host) in self.hosts.iter_mut().enumerate() {
+            for (p, link) in host.links.iter_mut().enumerate() {
+                if h == victim || p == victim {
+                    f(link);
                 }
             }
         }
-    }
-
-    /// Failstops a specific replica. A backup's death removes it from
-    /// the acting primary's peer set (which may resume a primary
-    /// stalled on that backup's acknowledgments); a death of the acting
-    /// primary itself degenerates to [`FtSystem::inject_failure`].
-    fn inject_replica_failure(&mut self, at: SimTime, victim: usize) {
-        if victim == self.acting_primary {
-            self.inject_failure(at);
-            return;
-        }
-        if !self.hosts[victim].alive() {
-            return;
-        }
-        self.hosts[victim].now = self.hosts[victim].now.max(at);
-        self.hosts[victim].life = Life::Dead;
-        self.detectors[victim] = None;
-        self.notify(|o| o.replica_failstopped(victim, at));
-        self.net.sever_all_of(victim);
-        self.disarm_windows_of(victim);
-        // The acting primary detects the backup's silence (modelled at
-        // the failure instant, like the instruction-limit path) and
-        // stops counting it toward the acknowledgment condition.
-        let ap = self.acting_primary;
-        if self.hosts[ap].alive() {
-            let effects = self.hosts[ap].engine.remove_peer(victim);
-            self.process_effects(ap, effects);
-        }
-        // A repaired replica that dies again mid-reintegration leaves
-        // the rejoin pipeline entirely.
-        if self.transfer.is_some_and(|(v, _)| v == victim) {
-            self.transfer = None;
-        }
-        self.pending_rejoins.retain(|&v| v != victim);
     }
 
     // -----------------------------------------------------------------
@@ -1438,7 +1452,11 @@ impl FtSystem {
             return;
         }
         self.net.unsever_all_of(victim);
-        self.reset_windows_of(victim);
+        // Fresh windows at both ends: the reconnect starts a new frame
+        // sequence space on both sides, mirroring the fresh engine
+        // sequence space the rejoiner gets at restore.
+        let rto = self.cfg.retransmit;
+        self.for_links_of(victim, |l| l.windows = rto.map(Windows::new));
         let h = &mut self.hosts[victim];
         h.life = Life::Rejoining;
         h.now = h.now.max(at);
@@ -1447,27 +1465,6 @@ impl FtSystem {
         h.controller.status = mmio::disk_status::IDLE;
         self.pending_rejoins.push(victim);
         self.notify(|o| o.replica_repaired(victim, at));
-    }
-
-    /// Replaces the link-layer state of every directed link touching a
-    /// repaired replica with fresh windows: the reconnect starts a new
-    /// frame sequence space on both sides, mirroring the fresh engine
-    /// sequence space the rejoiner gets at restore.
-    fn reset_windows_of(&mut self, victim: usize) {
-        let Some(rto) = self.cfg.retransmit else {
-            return;
-        };
-        let rel = self.rel.as_mut().expect("retransmit implies RelNet");
-        for (&(from, to), w) in rel.send.iter_mut() {
-            if from == victim || to == victim {
-                *w = SendWindow::new(rto);
-            }
-        }
-        for (&(from, to), w) in rel.recv.iter_mut() {
-            if from == victim || to == victim {
-                *w = RecvWindow::new();
-            }
-        }
     }
 
     /// Serves the checkpoint schedule at the acting primary's epoch
@@ -1628,14 +1625,7 @@ impl FtSystem {
         // Every live backup re-arms by recomputed rank: the rejoiner
         // slots back into the chain order, shifting deeper backups'
         // timeouts so exactly one replica still suspects first.
-        let backups: Vec<usize> = (0..self.hosts.len())
-            .filter(|&j| j != self.acting_primary && self.hosts[j].promotable())
-            .collect();
-        for (rank0, &b) in backups.iter().enumerate() {
-            let mut d = FailureDetector::new(self.cfg.detector_timeout * (rank0 as u64 + 1));
-            d.heard(at);
-            self.detectors[b] = Some(d);
-        }
+        self.arm_detectors(at);
         let info = ReintegrationInfo {
             at,
             replica: victim,
@@ -1708,20 +1698,17 @@ impl FtSystem {
     fn event_agenda(&self) -> Agenda<EventTag> {
         let mut agenda = Agenda::new();
         agenda.offer(self.faults.last().map(|&(t, _)| t), EventTag::Fault);
-        for (i, done) in self.disk_done.iter().enumerate() {
-            agenda.offer(*done, EventTag::DiskCompletion(i));
+        for (i, host) in self.hosts.iter().enumerate() {
+            agenda.offer(host.disk_done, EventTag::DiskCompletion(i));
         }
         agenda.offer(self.net.next_delivery(), EventTag::Delivery);
-        if let Some((due, pair)) = self.next_retransmit() {
-            agenda.offer(Some(due), EventTag::Retransmit(pair.0, pair.1));
+        if let Some((due, (from, to))) = self.next_retransmit() {
+            agenda.offer(Some(due), EventTag::Retransmit(from, to));
         }
         agenda.offer(self.next_heartbeat(), EventTag::Heartbeat);
-        for b in 0..self.hosts.len() {
-            if b == self.acting_primary || !self.hosts[b].waiting_as_backup() {
-                continue;
-            }
-            if let Some(det) = &self.detectors[b] {
-                agenda.offer(Some(det.deadline()), EventTag::Detector(b));
+        for (b, host) in self.hosts.iter().enumerate() {
+            if b != self.acting_primary && host.waiting_as_backup() {
+                agenda.offer(host.detector.map(|d| d.deadline()), EventTag::Detector(b));
             }
         }
         agenda
@@ -1731,13 +1718,14 @@ impl FtSystem {
     fn fire_event(&mut self, t: SimTime, tag: EventTag) {
         match tag {
             EventTag::Fault => match self.faults.pop().expect("planned from this fault").1 {
-                Fault::Primary => self.inject_failure(t),
-                Fault::Replica(victim) => self.inject_replica_failure(t, victim),
+                Fault::Primary => self.failstop(t, self.acting_primary),
+                Fault::Replica(victim) => self.failstop(t, victim),
                 Fault::Rejoin(victim) => self.begin_rejoin(t, victim),
             },
             EventTag::DiskCompletion(i) => {
-                self.disk_done[i] = None;
-                self.hosts[i].now = self.hosts[i].now.max(t);
+                let host = &mut self.hosts[i];
+                host.disk_done = None;
+                host.now = host.now.max(t);
                 self.disk_completion(i);
             }
             EventTag::Delivery => {
@@ -1745,11 +1733,11 @@ impl FtSystem {
                     self.deliver_frame(to, from, t, frame);
                 }
             }
-            EventTag::Retransmit(from, to) => self.fire_retransmit(t, (from, to)),
+            EventTag::Retransmit(from, to) => self.fire_retransmit(t, from, to),
             EventTag::Heartbeat => self.fire_heartbeat(t),
             EventTag::Detector(b) => {
                 let next = self.next_in_line();
-                let Some(det) = &mut self.detectors[b] else {
+                let Some(det) = &mut self.hosts[b].detector else {
                     return;
                 };
                 if Some(b) == next {
@@ -1939,7 +1927,9 @@ impl FtSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hvft_guest::{build_image, hello_source, KernelConfig};
+    use hvft_guest::{build_image, dhrystone_source, hello_source, KernelConfig};
+    use hvft_hypervisor::cost::CostModel;
+    use hvft_net::link::LinkSpec;
 
     #[test]
     fn faults_fire_by_time_then_primary_replica_rejoin_then_replica_index() {
@@ -1965,5 +1955,76 @@ mod tests {
         }
         sys.faults.reverse();
         assert_eq!(sys.faults, firing_order);
+    }
+
+    /// Boot, a failover and a reintegration each re-arm the chain: the
+    /// promotable backups, in chain order, are due at `at + rank ×
+    /// detector_timeout` from the instant the arming happened, and the
+    /// acting primary and the dead watch no one.
+    #[test]
+    fn every_arming_ranks_the_promotable_backups_in_chain_order() {
+        let image = build_image(&KernelConfig::default(), &dhrystone_source(10_000, 9)).unwrap();
+        let timeout = SimDuration::from_micros(1500);
+        let cfg = FtConfig {
+            backups: 3,
+            cost: CostModel::functional(),
+            link: LinkSpec {
+                bits_per_sec: 1_000_000_000,
+                propagation: SimDuration::from_micros(5),
+                per_message: SimDuration::from_micros(5),
+                mtu: 16384,
+            },
+            retransmit: Some(SimDuration::from_micros(40)),
+            detector_timeout: timeout,
+            ..FtConfig::default()
+        };
+        let mut sys = FtSystem::from_config(&image, cfg);
+        let ms = |n| SimTime::ZERO + SimDuration::from_millis(n);
+        sys.schedule_failure(ms(1));
+        sys.schedule_rejoin(ms(4), 0);
+        let assert_armed = |sys: &FtSystem, at: SimTime, ranks: [Option<u64>; 4], when: &str| {
+            let deadlines: Vec<_> = sys
+                .hosts
+                .iter()
+                .map(|h| h.detector.map(|d| d.deadline()))
+                .collect();
+            let expected: Vec<_> = ranks.iter().map(|r| r.map(|r| at + timeout * r)).collect();
+            assert_eq!(deadlines, expected, "{when}");
+        };
+        assert_armed(
+            &sys,
+            SimTime::ZERO,
+            [None, Some(1), Some(2), Some(3)],
+            "at boot",
+        );
+        let (mut failed_over, mut reintegrated) = (false, false);
+        while sys.step().is_none() {
+            if !failed_over && !sys.failovers.is_empty() {
+                failed_over = true;
+                // 0 is dead, 1 acts as primary.
+                let at = sys.failovers[0].at;
+                assert_armed(
+                    &sys,
+                    at,
+                    [None, None, Some(1), Some(2)],
+                    "after the failover",
+                );
+            }
+            if !reintegrated && !sys.reintegrations.is_empty() {
+                reintegrated = true;
+                // 0 is back, first in chain order.
+                let at = sys.reintegrations[0].at;
+                assert_armed(
+                    &sys,
+                    at,
+                    [Some(1), None, Some(2), Some(3)],
+                    "after the rejoin",
+                );
+            }
+        }
+        assert!(
+            failed_over && reintegrated,
+            "the run must fail over and reintegrate"
+        );
     }
 }

@@ -185,6 +185,12 @@ impl Disk {
         self.fault_prob = p.clamp(0.0, 1.0);
     }
 
+    /// The probability of an uncertain outcome per operation (see
+    /// [`Disk::set_fault_probability`]).
+    pub fn fault_probability(&self) -> f64 {
+        self.fault_prob
+    }
+
     /// Forces the next `n` completions to be uncertain (deterministic
     /// fault injection for tests).
     pub fn force_uncertain(&mut self, n: u32) {

@@ -154,15 +154,18 @@ impl BareHost {
 
     /// Re-boots `image` on this host in place, reusing the RAM
     /// allocation. After `reset` the host is observably identical to a
-    /// freshly constructed one — benches use this so repeated runs
-    /// measure execution, not allocation.
+    /// freshly constructed one with the same execution tier and disk
+    /// fault probability — benches use this so repeated runs measure
+    /// execution, not allocation.
     pub fn reset(&mut self, image: &Program) {
         let tier = self.cpu.exec_tier();
         self.cpu = Cpu::new(64, TlbReplacement::Random, self.seed);
         self.cpu.set_exec_tier(tier);
         self.mem.reset();
         image.load_into_cpu(&mut self.cpu, &mut self.mem);
+        let fault_prob = self.disk.fault_probability();
         self.disk = Disk::new(self.disk_blocks, self.seed);
+        self.disk.set_fault_probability(fault_prob);
         self.console = Console::new();
         self.board = Board::reset();
     }
@@ -467,6 +470,15 @@ mod tests {
         let x = host.exec_stats();
         assert_eq!(x.jit_retired, 0, "the re-booted host ran the jit: {x:?}");
         assert!(x.step_retired > 0);
+    }
+
+    #[test]
+    fn the_disk_fault_probability_survives_reset() {
+        let image = build_image(&KernelConfig::default(), &dhrystone_source(10, 0)).unwrap();
+        let mut host = BareHost::new(&image, CostModel::hp9000_720(), RAM_BYTES, 16, 3);
+        host.disk.set_fault_probability(0.25);
+        host.reset(&image);
+        assert_eq!(host.disk.fault_probability(), 0.25);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use crate::link::LinkSpec;
 use hvft_sim::rng::SimRng;
-use hvft_sim::time::{SimDuration, SimTime};
+use hvft_sim::time::SimTime;
 use std::collections::VecDeque;
 
 /// Channel statistics.
@@ -223,16 +223,12 @@ impl<M> Channel<M> {
     pub fn stats(&self) -> ChannelStats {
         self.core.stats()
     }
-
-    /// The earliest a message sent *now* could arrive (DES lookahead).
-    pub fn lookahead(&self) -> SimDuration {
-        self.link.min_latency()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hvft_sim::time::SimDuration;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)

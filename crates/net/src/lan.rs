@@ -44,7 +44,7 @@
 use crate::channel::{ChannelStats, FifoCore};
 use crate::link::LinkSpec;
 use hvft_sim::rng::SimRng;
-use hvft_sim::time::{SimDuration, SimTime};
+use hvft_sim::time::SimTime;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Identifies a station on the LAN (assigned by [`Lan::add_node`]).
@@ -278,12 +278,6 @@ impl<M> Lan<M> {
         Some((from, to, msg))
     }
 
-    /// The earliest a message sent *now* could arrive on an idle
-    /// medium (conservative-DES lookahead).
-    pub fn lookahead(&self) -> SimDuration {
-        self.link.min_latency()
-    }
-
     /// The instant the medium finishes serializing everything accepted
     /// so far (see [`crate::channel::Channel::busy_until`]).
     pub fn busy_until(&self) -> SimTime {
@@ -316,6 +310,7 @@ impl<M> Lan<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hvft_sim::time::SimDuration;
 
     fn lan() -> Lan<u32> {
         Lan::new(LinkSpec::ethernet_10mbps(), 3)

@@ -24,8 +24,11 @@
 //! The split mirrors how acknowledgments actually travel: data frames
 //! cross on the `(a → b)` channel while their acks return on `(b → a)`,
 //! so a single object cannot own both directions. Drivers — see
-//! `FtSystem` in `hvft-core` — hold one `SendWindow`/`RecvWindow` pair
-//! per directed link.
+//! `FtSystem` in `hvft-core` — keep, at each end of a link, the
+//! `SendWindow` of the direction it sends on and the `RecvWindow` of the
+//! direction it receives on. Run-level counts (frames re-sent,
+//! duplicates suppressed) are the driver's to keep, where it sees every
+//! frame.
 //!
 //! # Congestion sanity
 //!
@@ -168,17 +171,6 @@ pub struct Outgoing<M> {
     pub bytes: usize,
 }
 
-/// Counters kept by a [`SendWindow`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SendWindowStats {
-    /// Fresh data frames stamped.
-    pub sent: u64,
-    /// Frames re-sent by retransmission (counts every copy).
-    pub retransmitted: u64,
-    /// Retransmit-timer firings.
-    pub timeouts: u64,
-}
-
 /// One retained unacknowledged frame.
 #[derive(Clone, Debug)]
 struct Pending<M> {
@@ -211,7 +203,6 @@ pub struct SendWindow<M> {
     deadline: Option<SimTime>,
     /// Consecutive timeouts without ack progress.
     backoff: u32,
-    stats: SendWindowStats,
 }
 
 impl<M: Clone> SendWindow<M> {
@@ -232,7 +223,6 @@ impl<M: Clone> SendWindow<M> {
             unacked: VecDeque::new(),
             deadline: None,
             backoff: 0,
-            stats: SendWindowStats::default(),
         }
     }
 
@@ -254,7 +244,6 @@ impl<M: Clone> SendWindow<M> {
             payload: payload.clone(),
             tx_end: None,
         });
-        self.stats.sent += 1;
         Frame::Data { seq, payload }
     }
 
@@ -321,13 +310,11 @@ impl<M: Clone> SendWindow<M> {
             self.deadline = None;
             return Vec::new();
         }
-        self.stats.timeouts += 1;
         self.backoff = self.backoff.saturating_add(1);
         // The driver rearms; clear so a driver that forgets cannot spin
         // at one instant forever.
         self.deadline = None;
-        let out: Vec<Outgoing<M>> = self
-            .unacked
+        self.unacked
             .iter()
             .take(RETX_BURST)
             .map(|p| Outgoing {
@@ -337,9 +324,7 @@ impl<M: Clone> SendWindow<M> {
                 },
                 bytes: p.bytes,
             })
-            .collect();
-        self.stats.retransmitted += out.len() as u64;
-        out
+            .collect()
     }
 
     /// Restarts the timer after a retransmission whose copy finished
@@ -362,20 +347,6 @@ impl<M: Clone> SendWindow<M> {
     pub fn has_unacked(&self) -> bool {
         !self.unacked.is_empty()
     }
-
-    /// Counters.
-    pub fn stats(&self) -> SendWindowStats {
-        self.stats
-    }
-}
-
-/// Counters kept by a [`RecvWindow`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecvWindowStats {
-    /// Frames accepted in order.
-    pub accepted: u64,
-    /// Duplicate or out-of-order frames suppressed.
-    pub suppressed: u64,
 }
 
 /// The receiver half of one reliable directed link.
@@ -389,7 +360,6 @@ pub struct RecvWindowStats {
 #[derive(Clone, Debug, Default)]
 pub struct RecvWindow {
     cum: u64,
-    stats: RecvWindowStats,
 }
 
 impl RecvWindow {
@@ -401,25 +371,17 @@ impl RecvWindow {
     /// Offers a received sequence number; `true` means the frame is
     /// fresh and its payload should be delivered upward.
     pub fn accept(&mut self, seq: u64) -> bool {
-        if seq == self.cum + 1 {
+        let fresh = seq == self.cum + 1;
+        if fresh {
             self.cum = seq;
-            self.stats.accepted += 1;
-            true
-        } else {
-            self.stats.suppressed += 1;
-            false
         }
+        fresh
     }
 
     /// The cumulative acknowledgment to send back: the highest sequence
     /// number delivered in order so far.
     pub fn cumulative_ack(&self) -> u64 {
         self.cum
-    }
-
-    /// Counters.
-    pub fn stats(&self) -> RecvWindowStats {
-        self.stats
     }
 }
 
@@ -515,8 +477,7 @@ mod tests {
         assert_eq!(seqs, (1..=RETX_BURST as u64).collect::<Vec<_>>());
         assert_eq!(out[0].bytes, 10);
         tx.rearm(at(5));
-        assert_eq!(tx.stats().retransmitted, RETX_BURST as u64);
-        assert_eq!(tx.stats().timeouts, 1);
+        assert_eq!(tx.deadline(), Some(at(15)), "one timeout: 5 + 2×5");
         // The cumulative ack for the burst covers later frames too if
         // they arrived meanwhile.
         tx.on_ack(at(6), 12);
@@ -562,7 +523,6 @@ mod tests {
             tx.on_ack(ack_at, p + 1);
         }
         assert!(!tx.has_unacked());
-        assert_eq!(tx.stats().timeouts, 0);
     }
 
     #[test]
@@ -570,7 +530,10 @@ mod tests {
         let mut tx: SendWindow<u8> = SendWindow::new(ms(5));
         assert!(tx.retransmit().is_empty());
         assert_eq!(tx.deadline(), None);
-        assert_eq!(tx.stats().timeouts, 0);
+        // …and counts no timeout: the next frame gets the base rto.
+        tx.wrap(1, 1);
+        tx.arm(at(0));
+        assert_eq!(tx.deadline(), Some(at(5)));
     }
 
     #[test]
@@ -594,8 +557,6 @@ mod tests {
         assert!(rx.accept(2));
         assert!(rx.accept(3), "retransmitted 3 is fresh after 2 arrives");
         assert_eq!(rx.cumulative_ack(), 3);
-        assert_eq!(rx.stats().accepted, 3);
-        assert_eq!(rx.stats().suppressed, 2);
     }
 
     #[test]
@@ -631,6 +592,7 @@ mod tests {
 
         let mut now = SimTime::ZERO;
         let mut delivered: Vec<u32> = Vec::new();
+        let (mut resent, mut suppressed) = (0, 0);
         for p in 0..20 {
             let f = tx.wrap(64, p);
             let bytes = f.wire_bytes(64);
@@ -652,6 +614,8 @@ mod tests {
             while let Some(Frame::Data { seq, payload }) = data_ch.pop_ready(now) {
                 if rx.accept(seq) {
                     delivered.push(payload);
+                } else {
+                    suppressed += 1;
                 }
                 let ack: Frame<u32> = Frame::Ack {
                     cum: rx.cumulative_ack(),
@@ -664,6 +628,7 @@ mod tests {
             }
             if tx.deadline().is_some_and(|d| d <= now) {
                 for o in tx.retransmit() {
+                    resent += 1;
                     let bytes = o.frame.wire_bytes(o.bytes);
                     let _ = data_ch.send(now, bytes, o.frame);
                 }
@@ -671,13 +636,7 @@ mod tests {
             }
         }
         assert_eq!(delivered, (0..20).collect::<Vec<u32>>());
-        assert!(
-            tx.stats().retransmitted > 0,
-            "loss at 0.4 must cause resends"
-        );
-        assert!(
-            rx.stats().suppressed > 0,
-            "dup/gap suppression must trigger"
-        );
+        assert!(resent > 0, "loss at 0.4 must cause resends");
+        assert!(suppressed > 0, "dup/gap suppression must trigger");
     }
 }
