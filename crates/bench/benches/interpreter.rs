@@ -373,10 +373,12 @@ fn bench_op_prices(c: &mut Criterion) {
     g.finish();
 }
 
-/// The epoch-boundary digest of a booted 256 KiB guest: every page
+/// The epoch-boundary digest of a booted 256 KiB guest: every line
 /// hashed (what the first boundary after a boot or restore pays),
-/// nothing dirty (the fold alone), and 1 and 13 pages written since the
-/// last call — 13 is what `repl-mem` dirties per 4096-instruction epoch.
+/// nothing written (the register fold and the scan of the line marks),
+/// one byte on each of 1 and 13 pages written since the last call, and
+/// `repl-mem`'s epoch: its memory sweep writes 48 words, four on each
+/// of 12 pages at stride `0x404`, so on 48 lines.
 fn bench_statehash(c: &mut Criterion) {
     let image = build_image(&KernelConfig::default(), &dhrystone_source(100, 0)).unwrap();
     let mut host = BareHost::new(
@@ -410,6 +412,16 @@ fn bench_statehash(c: &mut Criterion) {
             })
         });
     }
+    let mut fill = 0u32;
+    g.bench_function("warm_dirty_48_words", |b| {
+        b.iter(|| {
+            fill = fill.wrapping_add(1);
+            for word in 0..48 {
+                host.mem.write_u32(0x20000 + word * 0x404, fill).unwrap();
+            }
+            black_box(vm_state_hash(&host.cpu, &host.mem))
+        })
+    });
     g.finish();
 }
 

@@ -30,25 +30,35 @@ pub struct Divergence {
     pub hash_b: u64,
 }
 
-/// Per-epoch record: the reference report plus how many reports arrived.
+/// Per-epoch record: the epoch, its reference report and how many
+/// reports arrived.
 #[derive(Clone, Copy, Debug)]
 struct EpochRecord {
+    epoch: u64,
     reference: (usize, u64),
     reports: u32,
 }
 
-/// How far behind the most recent reported epoch records are retained.
-/// Replicas lag each other by at most a couple of epochs (the backup
-/// runs one epoch behind the primary, plus channel latency), so a
-/// generous window keeps memory O(window) over billion-instruction
-/// runs without ever dropping a comparison that could still happen.
+/// How many epochs, up to the most recent reported one, records are
+/// retained for. Replicas lag each other by at most a couple of epochs
+/// (the backup runs one epoch behind the primary, plus channel
+/// latency), so a generous window keeps memory O(window) over
+/// billion-instruction runs without ever dropping a comparison that
+/// could still happen.
 const RETAIN_EPOCHS: u64 = 1024;
 
 /// Collects per-epoch state hashes from any number of replicas and
 /// reports mismatches.
 #[derive(Clone, Debug, Default)]
 pub struct LockstepChecker {
-    epochs: std::collections::BTreeMap<u64, EpochRecord>,
+    /// A ring of epoch-tagged records: epoch `e` lives in slot
+    /// `e % RETAIN_EPOCHS` and is retained while it is in the window.
+    /// It grows to its full length over the first window's epochs and
+    /// is reused from then on, so a long run allocates nothing per
+    /// epoch.
+    ring: Vec<Option<EpochRecord>>,
+    /// The most recent epoch reported.
+    newest: u64,
     compared: u64,
     divergences: Vec<Divergence>,
 }
@@ -61,31 +71,23 @@ impl LockstepChecker {
 
     /// Records `replica` reaching the end of `epoch` with the given
     /// state hash. The first report for an epoch becomes its reference;
-    /// every later report is compared against it. Records more than a
-    /// fixed window (`RETAIN_EPOCHS`) behind the newest reported epoch
-    /// are pruned, bounding memory for arbitrarily long runs.
+    /// every later report is compared against it. Only the last
+    /// `RETAIN_EPOCHS` epochs up to the newest reported one are
+    /// retained, bounding memory for arbitrarily long runs: a report
+    /// for an epoch older than that is neither compared nor kept.
     pub fn record(&mut self, replica: usize, epoch: u64, hash: u64) {
-        if epoch > RETAIN_EPOCHS {
-            let keep_from = epoch - RETAIN_EPOCHS;
-            if self
-                .epochs
-                .first_key_value()
-                .is_some_and(|(&e, _)| e < keep_from)
-            {
-                self.epochs = self.epochs.split_off(&keep_from);
-            }
+        self.newest = self.newest.max(epoch);
+        if epoch + RETAIN_EPOCHS <= self.newest {
+            return;
         }
-        match self.epochs.get_mut(&epoch) {
-            None => {
-                self.epochs.insert(
-                    epoch,
-                    EpochRecord {
-                        reference: (replica, hash),
-                        reports: 1,
-                    },
-                );
-            }
-            Some(rec) => {
+        let at = (epoch % RETAIN_EPOCHS) as usize;
+        if at >= self.ring.len() {
+            self.ring.resize(at + 1, None);
+        }
+        // A slot holding another epoch holds an older one, out of the
+        // window now: the newer epoch's report takes it over.
+        match &mut self.ring[at] {
+            Some(rec) if rec.epoch == epoch => {
                 rec.reports += 1;
                 self.compared += 1;
                 let (ref_replica, ref_hash) = rec.reference;
@@ -98,6 +100,13 @@ impl LockstepChecker {
                         hash_b: hash,
                     });
                 }
+            }
+            slot => {
+                *slot = Some(EpochRecord {
+                    epoch,
+                    reference: (replica, hash),
+                    reports: 1,
+                });
             }
         }
     }
@@ -126,7 +135,14 @@ impl LockstepChecker {
 
     /// Number of replicas that reported `epoch` so far.
     pub fn reports_for(&self, epoch: u64) -> u32 {
-        self.epochs.get(&epoch).map_or(0, |r| r.reports)
+        if epoch + RETAIN_EPOCHS <= self.newest {
+            return 0;
+        }
+        self.ring
+            .get((epoch % RETAIN_EPOCHS) as usize)
+            .and_then(Option::as_ref)
+            .filter(|rec| rec.epoch == epoch)
+            .map_or(0, |rec| rec.reports)
     }
 }
 
@@ -205,6 +221,41 @@ mod tests {
         // Ancient epochs are gone; recent ones remain queryable.
         assert_eq!(c.reports_for(0), 0);
         assert_eq!(c.reports_for(RETAIN_EPOCHS * 3 - 1), 2);
+        assert_eq!(c.reports_for(RETAIN_EPOCHS * 2), 2, "the window's oldest");
+        assert_eq!(c.reports_for(RETAIN_EPOCHS * 2 - 1), 0, "just behind it");
+        assert_eq!(
+            c.ring.len() as u64,
+            RETAIN_EPOCHS,
+            "the ring stopped growing"
+        );
+    }
+
+    #[test]
+    fn a_replica_that_lags_past_the_window_is_not_compared() {
+        let mut c = LockstepChecker::new();
+        let newest = RETAIN_EPOCHS + 500;
+        for e in 0..=newest {
+            c.record(0, e, e);
+        }
+        // The laggard's report for the window's oldest epoch is
+        // compared; one epoch older it is neither compared nor kept,
+        // even with a hash that would diverge.
+        let oldest = newest + 1 - RETAIN_EPOCHS;
+        c.record(1, oldest, 0xBAD);
+        assert_eq!((c.compared(), c.divergences().len()), (1, 1));
+        assert_eq!(c.divergences()[0].epoch, oldest);
+        c.record(1, oldest - 1, 0xBAD);
+        assert_eq!((c.compared(), c.divergences().len()), (1, 1));
+        assert_eq!(c.reports_for(oldest - 1), 0);
+        // Its slot is the newest epoch's, which keeps its own record.
+        assert_eq!(c.reports_for(newest), 1);
+        // A report that moves the window on drops the oldest epoch.
+        c.record(0, newest + 1, 0);
+        assert_eq!((c.reports_for(oldest), c.reports_for(oldest + 1)), (0, 1));
+        // Sparse epochs: a jump past the window forgets everything
+        // behind it, though no slot was reused.
+        c.record(0, newest + 1 + 5 * RETAIN_EPOCHS, 0);
+        assert_eq!(c.reports_for(newest + 1), 0);
     }
 
     #[test]

@@ -705,6 +705,7 @@ impl Scenario {
                     self.cfg.seed,
                 );
                 host.set_exec_tier(self.cfg.hv.exec_tier);
+                host.set_tlb(self.cfg.hv.tlb_slots, self.cfg.hv.tlb_policy);
                 host.disk.set_fault_probability(self.cfg.disk_fault_prob);
                 Runner::Bare {
                     host,
@@ -1174,6 +1175,32 @@ mod tests {
         assert_eq!(
             bare.guest_retries, ft.guest_retries,
             "bare ignored the fault probability"
+        );
+    }
+
+    #[test]
+    fn bare_runs_get_the_tlb_replicated_runs_get() {
+        let run = |slots: usize| {
+            let scenario = Scenario::builder()
+                .workload(tiny_dhry())
+                .bare()
+                .tlb_slots(slots)
+                .build()
+                .unwrap();
+            let mut runner = scenario.runner();
+            let host = runner.bare_mut().expect("bare driver");
+            assert_eq!(host.cpu.tlb.capacity(), slots);
+            runner.run()
+        };
+        let (small, default) = (run(2), run(64));
+        assert!(small.exit.is_clean_exit() && default.exit.is_clean_exit());
+        assert_eq!(small.exit.code(), default.exit.code());
+        // The bare guest's kernel refills a two-slot TLB far more often.
+        assert!(
+            small.retired > default.retired,
+            "bare ignored tlb_slots: {} vs {}",
+            small.retired,
+            default.retired
         );
     }
 

@@ -34,7 +34,7 @@ use hvft_isa::program::Program;
 use hvft_machine::cpu::{Assist, Cpu, EnvOp, Exit, LoadProgram, Resume};
 use hvft_machine::exec::{ExecStats, ExecTier};
 use hvft_machine::mem::{Memory, IO_BASE};
-use hvft_machine::tlb::TlbReplacement;
+use hvft_machine::tlb::{Tlb, TlbReplacement};
 use hvft_machine::trap::irq;
 use hvft_sim::time::{SimDuration, SimTime};
 
@@ -80,6 +80,8 @@ pub struct BareHost {
     board: Board,
     disk_blocks: u32,
     seed: u64,
+    /// TLB slots and replacement policy of every CPU this host boots.
+    tlb: (usize, TlbReplacement),
 }
 
 /// The host's clock, its pending device events, the disk controller and
@@ -112,7 +114,7 @@ impl Board {
 
 impl BareHost {
     /// Boots `image` on bare hardware with a disk of `disk_blocks`
-    /// blocks.
+    /// blocks, and a 64-slot TLB with random replacement.
     pub fn new(
         image: &Program,
         cost: CostModel,
@@ -120,7 +122,8 @@ impl BareHost {
         disk_blocks: u32,
         seed: u64,
     ) -> Self {
-        let mut cpu = Cpu::new(64, TlbReplacement::Random, seed);
+        let (slots, policy) = Self::DEFAULT_TLB;
+        let mut cpu = Cpu::new(slots, policy, seed);
         let mut mem = Memory::new(ram_bytes);
         image.load_into_cpu(&mut cpu, &mut mem);
         BareHost {
@@ -132,7 +135,31 @@ impl BareHost {
             board: Board::reset(),
             disk_blocks,
             seed,
+            tlb: Self::DEFAULT_TLB,
         }
+    }
+
+    /// The TLB a host boots with unless [`BareHost::set_tlb`] chose
+    /// another.
+    const DEFAULT_TLB: (usize, TlbReplacement) = (64, TlbReplacement::Random);
+
+    /// Gives the machine a TLB of `slots` entries with `policy`
+    /// replacement (seeded like the default one). The choice survives
+    /// [`BareHost::reset`]. It replaces the TLB wholesale, so it belongs
+    /// before the guest runs: after [`BareHost::new`] or a reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slots` is zero, or if the guest has retired an
+    /// instruction since it booted.
+    pub fn set_tlb(&mut self, slots: usize, policy: TlbReplacement) {
+        assert_eq!(
+            self.cpu.retired(),
+            0,
+            "the TLB is chosen before the guest runs"
+        );
+        self.cpu.tlb = Tlb::new(slots, policy, self.seed);
+        self.tlb = (slots, policy);
     }
 
     /// Selects the execution engine (default: [`ExecTier::Jit`]). The
@@ -154,12 +181,12 @@ impl BareHost {
 
     /// Re-boots `image` on this host in place, reusing the RAM
     /// allocation. After `reset` the host is observably identical to a
-    /// freshly constructed one with the same execution tier and disk
-    /// fault probability — benches use this so repeated runs measure
+    /// freshly constructed one with the same execution tier, TLB and
+    /// disk fault probability — benches use this so repeated runs measure
     /// execution, not allocation.
     pub fn reset(&mut self, image: &Program) {
         let tier = self.cpu.exec_tier();
-        self.cpu = Cpu::new(64, TlbReplacement::Random, self.seed);
+        self.cpu = Cpu::new(self.tlb.0, self.tlb.1, self.seed);
         self.cpu.set_exec_tier(tier);
         self.mem.reset();
         image.load_into_cpu(&mut self.cpu, &mut self.mem);
@@ -479,6 +506,22 @@ mod tests {
         host.disk.set_fault_probability(0.25);
         host.reset(&image);
         assert_eq!(host.disk.fault_probability(), 0.25);
+    }
+
+    #[test]
+    fn the_tlb_survives_reset() {
+        let image = build_image(&KernelConfig::default(), &dhrystone_source(300, 7)).unwrap();
+        let mut host = BareHost::new(&image, CostModel::hp9000_720(), RAM_BYTES, 16, 7);
+        let default = host.run(2_000_000_000);
+        host.reset(&image);
+        host.set_tlb(2, TlbReplacement::RoundRobin);
+        let small = host.run(2_000_000_000);
+        host.reset(&image);
+        assert_eq!(host.cpu.tlb.capacity(), 2);
+        let again = host.run(2_000_000_000);
+        // The guest kernel refills a two-slot TLB far more often.
+        assert!(small.retired > default.retired, "{small:?} vs {default:?}");
+        assert_eq!((again.retired, again.time), (small.retired, small.time));
     }
 
     #[test]

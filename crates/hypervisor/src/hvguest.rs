@@ -124,6 +124,11 @@ pub struct HvStats {
     /// Execution-tier breakdown from the CPU: instructions retired per
     /// engine, superblocks compiled, and jit invalidations.
     pub exec: ExecStats,
+    /// RAM bytes the state digest ([`HvGuest::state_hash`]) read,
+    /// booked at each [`HvGuest::begin_epoch`]: a multiple of the
+    /// 128-byte line for every line written since the previous digest,
+    /// and 0 for a boundary with nothing written.
+    pub digest_bytes: u64,
 }
 
 /// Configuration of one hypervised guest.
@@ -272,9 +277,10 @@ impl HvGuest {
     }
 
     /// Digest of the virtual-machine state (for lockstep checking):
-    /// [`vm_state_hash`] of this guest's CPU and memory. Rehashes only
-    /// the pages written since the previous call, so calling it at every
-    /// epoch boundary costs in proportion to what the epoch dirtied.
+    /// [`vm_state_hash`] of this guest's CPU and memory. Rereads only
+    /// the 128-byte lines written since the previous call, so calling it
+    /// at every epoch boundary costs in proportion to what the epoch
+    /// wrote; [`HvStats::digest_bytes`] counts it.
     pub fn state_hash(&self) -> u64 {
         vm_state_hash(&self.cpu, &self.mem)
     }
@@ -284,12 +290,13 @@ impl HvGuest {
     /// been asserted via [`HvGuest::assert_irq`] first.
     pub fn begin_epoch(&mut self) {
         self.stats.epochs += 1;
+        self.stats.digest_bytes += self.mem.take_digest_bytes();
         self.epoch_start_retired = self.cpu.retired();
         self.cpu.set_ctl(ControlReg::Rctr, self.config.epoch_len);
     }
 
     /// Captures the guest's canonical state. The machine's derived
-    /// caches (decoded blocks, JIT superblocks, TLB front array, page
+    /// caches (decoded blocks, JIT superblocks, TLB front array, line
     /// digests) are excluded by construction; see
     /// [`hvft_machine::snapshot`].
     pub fn snapshot(&self) -> HvGuestSnapshot {

@@ -18,19 +18,68 @@ pub const PAGE_SIZE: u32 = 4096;
 /// log2 of [`PAGE_SIZE`].
 pub const PAGE_SHIFT: u32 = 12;
 
-/// A page digest together with the write generation its page had when
-/// the digest was computed.
-#[derive(Clone, Copy)]
-struct CachedDigest {
-    gen: u64,
-    digest: u64,
+/// Bytes per line of the digest's dirty marks: the unit the VM-state
+/// digest rereads (see [`crate::statehash`]).
+pub const LINE_SIZE: u32 = 128;
+/// log2 of [`LINE_SIZE`].
+const LINE_SHIFT: u32 = 7;
+/// Lines per page: one bit of a page's mark each.
+const LINES_PER_PAGE: usize = (PAGE_SIZE / LINE_SIZE) as usize;
+const _: () = assert!(LINES_PER_PAGE == u32::BITS as usize);
+
+/// The RAM half of the VM-state digest, kept current by reading only
+/// the lines written since it was last read ([`crate::statehash`]).
+///
+/// **Invariant:** `sum` is the wrapping sum of `terms`, and every line
+/// whose bit in `marks` is clear holds the bytes its term was computed
+/// from. Marking a line is therefore always safe, and a fresh
+/// `Memory`, [`Memory::reset`] and [`Memory::restore`] mark them all.
+/// Derived state like the code caches: never snapshotted, never on the
+/// wire, and invisible in the digest's value. Read and refilled through
+/// `&self` (a `Memory` is moved between threads, never shared).
+#[derive(Clone)]
+struct LineDigests {
+    /// Per page, one bit per line written since the digest last read
+    /// it. Set by every write path beside its `page_gens` bump.
+    marks: Vec<Cell<u32>>,
+    /// Per line, its term of `sum`: `statehash::line_term` of the line
+    /// as it was when last read.
+    terms: Vec<Cell<u64>>,
+    /// Wrapping sum of `terms`.
+    sum: Cell<u64>,
+    /// RAM bytes read to refresh terms since
+    /// [`Memory::take_digest_bytes`] last emptied it.
+    bytes_read: Cell<u64>,
 }
 
-/// Generations count up from zero, so no page ever reaches this one.
-const STALE: CachedDigest = CachedDigest {
-    gen: u64::MAX,
-    digest: 0,
-};
+impl LineDigests {
+    /// A cache for `bytes` of RAM with every line marked.
+    fn new(bytes: usize) -> Self {
+        let mut d = LineDigests {
+            marks: Vec::new(),
+            terms: Vec::new(),
+            sum: Cell::new(0),
+            bytes_read: Cell::new(0),
+        };
+        d.mark_all(bytes);
+        d
+    }
+
+    /// Marks every line of `bytes` of RAM (and no line past its end),
+    /// first fitting the cache to that size if it held another.
+    fn mark_all(&mut self, bytes: usize) {
+        let lines = bytes.div_ceil(LINE_SIZE as usize);
+        if self.terms.len() != lines {
+            self.terms = vec![Cell::new(0); lines];
+            self.sum.set(0);
+            self.marks = vec![Cell::new(0); bytes.div_ceil(PAGE_SIZE as usize)];
+        }
+        for (page, mark) in self.marks.iter_mut().enumerate() {
+            let held = (lines - page * LINES_PER_PAGE).min(LINES_PER_PAGE);
+            *mark.get_mut() = u32::MAX >> (LINES_PER_PAGE - held);
+        }
+    }
+}
 
 /// What the code caches need to know about one page: how often bytes
 /// they decoded were overwritten, and which bytes those are.
@@ -110,14 +159,14 @@ pub struct Memory {
     /// as all-zero after clearing only the written pages.
     ram: Vec<u8>,
     /// Per-page write generation, bumped on **every** RAM write (CPU
-    /// store, program load, device DMA, [`Memory::reset`]). This is the
-    /// *dirty-page* signal: the state digest below recomputes exactly
-    /// the pages whose generation moved since they were last hashed,
-    /// and the generations travel in [`MemSnapshot`] and on the wire.
-    /// The code caches do **not** read it — a guest kernel that keeps
-    /// data beside code in one page (ours does: the trap vectors and
-    /// the `r0`-relative save slots share page 0) would recompile on
-    /// every store.
+    /// store, program load, device DMA, [`Memory::reset`]). Canonical
+    /// state: it travels in [`MemSnapshot`] and on the wire, and `Drop`
+    /// reads it to clear only the pages that were written. Neither the
+    /// state digest (which reads the finer line marks of `digest`) nor
+    /// the code caches read it — a guest kernel that keeps data beside
+    /// code in one page (ours does: the trap vectors and the
+    /// `r0`-relative save slots share page 0) would recompile on every
+    /// store.
     ///
     /// [`MemSnapshot`]: crate::snapshot::MemSnapshot
     page_gens: Vec<u64>,
@@ -134,7 +183,7 @@ pub struct Memory {
     /// only ever grows, so it covers every trace still cached, whenever
     /// that trace was built.
     ///
-    /// Derived state, like the digest cache: not snapshotted, not
+    /// Derived state, like `digest`: not snapshotted, not
     /// hashed, not on the wire, and — since it follows what the
     /// selected tier happened to decode — not tier-invariant.
     /// [`Memory::reset`] and [`Memory::restore`] replace the bytes
@@ -156,17 +205,11 @@ pub struct Memory {
     /// changed. While it stands, a page the jit knows as free of code
     /// is — which is what lets its stores skip the extent compare.
     code_pages: Cell<u64>,
-    /// Cached per-page digests for the VM-state hash
-    /// ([`crate::statehash`]). Entry `p` is valid iff its recorded
-    /// generation equals `page_gens[p]`: within one `Memory` a
-    /// generation only ever moves forward and moves on every write, so
-    /// an equal generation means unchanged bytes. That inference does
-    /// **not** survive [`Memory::restore`], which installs foreign bytes
-    /// *and* foreign generations — the cache is dropped there. Derived
-    /// state like the superblock cache: never snapshotted, never on the
-    /// wire, and invisible in the digest's value. Filled through `&self`
-    /// (a `Memory` is moved between threads, never shared).
-    digests: Vec<Cell<CachedDigest>>,
+    /// The VM-state digest's cache: per 128-byte line, a dirty mark and
+    /// the line's term of one running RAM sum ([`LineDigests`]). Every
+    /// write path marks the lines it lands on beside its `page_gens`
+    /// bump, so a boundary rereads exactly the lines the epoch wrote.
+    digest: LineDigests,
 }
 
 /// A physical access that cannot be satisfied by RAM.
@@ -206,7 +249,7 @@ impl Memory {
             code: vec![CodePage::no_code(); pages],
             code_epoch: 0,
             code_pages: Cell::new(0),
-            digests: vec![Cell::new(STALE); pages],
+            digest: LineDigests::new(bytes),
         }
     }
 
@@ -291,6 +334,9 @@ impl Memory {
     fn touch(&mut self, paddr: u32, len: u32) {
         let page = (paddr >> PAGE_SHIFT) as usize;
         self.page_gens[page] += 1;
+        let offset = paddr & (PAGE_SIZE - 1);
+        let (first, last) = (offset >> LINE_SHIFT, (offset + len - 1) >> LINE_SHIFT);
+        *self.digest.marks[page].get_mut() |= (u32::MAX >> (31 - last)) & (u32::MAX << first);
         if self.overlaps_code(paddr, len) {
             self.code[page].gen += 1;
             self.code_epoch += 1;
@@ -308,14 +354,31 @@ impl Memory {
     }
 
     /// Zeroes all RAM in place (keeping the allocation), bumps every
-    /// page generation and kills every cached trace over the old
-    /// contents.
+    /// page generation, marks every line for the digest and kills every
+    /// cached trace over the old contents.
     pub fn reset(&mut self) {
         self.ram.fill(0);
         for g in &mut self.page_gens {
             *g += 1;
         }
+        self.digest.mark_all(self.ram.len());
         self.invalidate_code();
+    }
+
+    /// Accounts a write of at most one word at `i` that lies in one
+    /// line, for the three writers that keep only the dirty signals.
+    /// A line is written many times between two digests, so its mark
+    /// is tested before it is set: the stores after the first leave the
+    /// mask alone.
+    #[inline]
+    fn touch_data(&mut self, i: usize) {
+        let page = i >> PAGE_SHIFT;
+        self.page_gens[page] += 1;
+        let mark = self.digest.marks[page].get_mut();
+        let line = 1 << ((i >> LINE_SHIFT) % LINES_PER_PAGE);
+        if *mark & line == 0 {
+            *mark |= line;
+        }
     }
 
     /// Empties every decoded extent and moves every code generation
@@ -398,9 +461,9 @@ impl Memory {
     /// byte ([`holds_code`](Memory::holds_code) — the map's write tags
     /// exist only for such pages and die when
     /// [`code_pages`](Memory::code_pages) moves), so the
-    /// write can move no code generation and only the dirty-page signal
-    /// is kept. `false`, with nothing written, if the word is not in
-    /// RAM.
+    /// write can move no code generation and only the dirty signals
+    /// (the page's write generation, the line's digest mark) are kept.
+    /// `false`, with nothing written, if the word is not in RAM.
     #[inline]
     pub(crate) fn write_data_u32(&mut self, paddr: u32, value: u32) -> bool {
         debug_assert!(paddr.is_multiple_of(4) && !self.holds_code(paddr));
@@ -409,7 +472,7 @@ impl Memory {
             return false;
         };
         word.copy_from_slice(&value.to_le_bytes());
-        self.page_gens[i >> PAGE_SHIFT] += 1;
+        self.touch_data(i);
         true
     }
 
@@ -422,13 +485,13 @@ impl Memory {
             return false;
         };
         *byte = value;
-        self.page_gens[i >> PAGE_SHIFT] += 1;
+        self.touch_data(i);
         true
     }
 
     /// [`write_data_u32`](Memory::write_data_u32) for a page that holds
     /// decoded bytes: `bytes` (a word at an aligned `paddr`, or a byte)
-    /// are written — keeping only the dirty-page signal — if they land
+    /// are written — keeping only the dirty signals — if they land
     /// in RAM beside the page's decoded extent *as it is now*. `false`,
     /// with nothing written, if they would overlap it: that store is
     /// the full path's, which moves the code generation.
@@ -442,7 +505,7 @@ impl Memory {
             return false;
         };
         ram.copy_from_slice(bytes);
-        self.page_gens[i >> PAGE_SHIFT] += 1;
+        self.touch_data(i);
         true
     }
 
@@ -477,42 +540,78 @@ impl Memory {
         &self.ram[i..i + len]
     }
 
-    /// Number of pages of RAM (the last one may be partial).
-    pub(crate) fn page_count(&self) -> usize {
-        self.page_gens.len()
+    /// Brings the digest cache up to date and returns the RAM half of
+    /// the VM-state digest: the wrapping sum over every line of its
+    /// [`line_term`](crate::statehash::line_term). Only the lines marked
+    /// since the last call are read; each one's old term is swapped for
+    /// its new one and its mark cleared.
+    pub(crate) fn ram_digest(&self) -> u64 {
+        let d = &self.digest;
+        let mut sum = d.sum.get();
+        let mut read = 0;
+        // Eight masks at a time: a boundary that wrote little skips
+        // most of RAM with one test per 32 KiB.
+        for (at, marks) in d.marks.chunks(8).enumerate() {
+            if marks.iter().fold(0, |any, m| any | m.get()) == 0 {
+                continue;
+            }
+            for (page, mark) in (at * 8..).zip(marks) {
+                let mut lines = mark.take();
+                while lines != 0 {
+                    let line = page * LINES_PER_PAGE + lines.trailing_zeros() as usize;
+                    lines &= lines - 1;
+                    let bytes = self.line_bytes(line);
+                    let term = crate::statehash::line_term(line, bytes);
+                    sum = sum
+                        .wrapping_add(term)
+                        .wrapping_sub(d.terms[line].replace(term));
+                    read += bytes.len();
+                }
+            }
+        }
+        d.sum.set(sum);
+        d.bytes_read.set(d.bytes_read.get() + read as u64);
+        sum
     }
 
-    /// The bytes of page `page`.
-    pub(crate) fn page_bytes(&self, page: usize) -> &[u8] {
-        let start = page << PAGE_SHIFT;
-        let end = self.ram.len().min(start + PAGE_SIZE as usize);
+    /// Number of lines of RAM (the last one may be partial).
+    pub(crate) fn line_count(&self) -> usize {
+        self.digest.terms.len()
+    }
+
+    /// The bytes of line `line`.
+    pub(crate) fn line_bytes(&self, line: usize) -> &[u8] {
+        let start = line << LINE_SHIFT;
+        let end = self.ram.len().min(start + LINE_SIZE as usize);
         &self.ram[start..end]
     }
 
-    /// Digest of page `page`'s bytes, recomputed only if the page was
-    /// written since it was last asked for.
-    pub(crate) fn page_digest(&self, page: usize) -> u64 {
-        let gen = self.page_gens[page];
-        let slot = &self.digests[page];
-        let cached = slot.get();
-        if cached.gen == gen {
-            return cached.digest;
-        }
-        let digest = crate::statehash::page_digest(self.page_bytes(page));
-        slot.set(CachedDigest { gen, digest });
-        digest
+    /// RAM bytes the digest read to refresh its cache since the last
+    /// call: what keeping the VM-state hash current cost, by count.
+    /// Empties the count.
+    pub fn take_digest_bytes(&mut self) -> u64 {
+        self.digest.bytes_read.take()
     }
 
     /// Index of the first physical page whose contents differ between
-    /// `self` and `other`, judged by the same per-page digests the
-    /// VM-state hash folds — so when two state hashes disagree this
+    /// `self` and `other`, judged by each page's share of the RAM sum
+    /// the VM-state hash folds — so when two state hashes disagree this
     /// names the page responsible (or `None`: the registers are). A
     /// page only one of the memories has counts as differing.
     pub fn first_differing_page(&self, other: &Memory) -> Option<u32> {
-        let shared = self.page_count().min(other.page_count());
+        let page_sums = |m: &Memory| {
+            m.ram_digest();
+            m.digest
+                .terms
+                .chunks(LINES_PER_PAGE)
+                .map(|terms| terms.iter().fold(0u64, |s, t| s.wrapping_add(t.get())))
+                .collect::<Vec<_>>()
+        };
+        let (mine, theirs) = (page_sums(self), page_sums(other));
+        let shared = mine.len().min(theirs.len());
         (0..shared)
-            .find(|&p| self.page_digest(p) != other.page_digest(p))
-            .or((self.page_count() != other.page_count()).then_some(shared))
+            .find(|&p| mine[p] != theirs[p])
+            .or((mine.len() != theirs.len()).then_some(shared))
             .map(|p| p as u32)
     }
 
@@ -527,17 +626,17 @@ impl Memory {
 
     /// Restores state captured by [`Memory::snapshot`], copying into
     /// the existing buffers. Write generations are restored verbatim.
-    /// The digest cache is dropped: the snapshot may come from another
-    /// `Memory` (a donor replica) whose page reached the same
-    /// generation with different bytes. The code generations are this
+    /// Every line is marked for the digest: the bytes were replaced
+    /// wholesale, and generations say nothing about whose bytes they
+    /// count (a donor replica's page can reach the same generation with
+    /// different bytes). The code generations are this
     /// `Memory`'s own and are not in the snapshot: every one is bumped
     /// and every extent emptied, so whatever a code cache built over
     /// the old bytes is stale.
     pub fn restore(&mut self, snap: &crate::snapshot::MemSnapshot) {
         self.ram.clone_from(&snap.ram);
         self.page_gens.clone_from(&snap.page_gens);
-        self.digests.clear();
-        self.digests.resize(self.page_gens.len(), Cell::new(STALE));
+        self.digest.mark_all(self.ram.len());
         self.invalidate_code();
         self.code.resize(self.page_gens.len(), CodePage::no_code());
     }
@@ -814,7 +913,7 @@ mod tests {
     fn stores_beside_code_are_judged_by_the_extent_as_it_is_now() {
         // The jit's data-page map writes to a page that holds code
         // through `write_beside_code`: beside the live extent it writes
-        // and keeps only the dirty-page signal; over it — as the extent
+        // and keeps only the dirty signals; over it — as the extent
         // is now, grown since or not — it writes nothing, and the full
         // path moves the code generation.
         let (lo, hi) = (PAGE_SIZE + 0x100, PAGE_SIZE + 0x140);
@@ -868,7 +967,7 @@ mod tests {
     #[test]
     fn the_digest_does_not_depend_on_the_code_extent() {
         // A store into the data part of a page that also holds code is
-        // invisible to the code caches but not to the dirty-page signal
+        // invisible to the code caches but not to the dirty signals
         // or the VM-state hash.
         let cpu = crate::cpu::Cpu::new(16, crate::tlb::TlbReplacement::RoundRobin, 0);
         let mut m = mem_with_code(PAGE_SIZE + 0x100, PAGE_SIZE + 0x140);

@@ -6,23 +6,24 @@
 //!
 //! - every general-purpose and control register, the PC, the PSW and
 //!   the retirement counter ([`CpuSnapshot`]);
-//! - RAM contents *and* the per-page write generations — the
-//!   dirty-page signal of the state digest ([`MemSnapshot`]);
+//! - RAM contents *and* the per-page write generations
+//!   ([`MemSnapshot`]);
 //! - the TLB slot-by-slot, including the replacement cursor and the
 //!   replacement RNG state, plus the hit/miss counters
 //!   ([`TlbSnapshot`]).
 //!
 //! **Derived** state is deliberately absent: the JIT superblock cache,
-//! the TLB front cache and `Memory`'s per-page state-digest cache,
-//! code generations and decoded-byte extents are all rebuilt from
+//! the TLB front cache and `Memory`'s state-digest cache (line marks
+//! and line terms), code generations and decoded-byte extents are all rebuilt from
 //! scratch after a restore. They are pure accelerations of the
 //! canonical state, so dropping them changes *when* recompilation (or
 //! rehashing) happens but never *what* the machine computes or what
 //! [`vm_state_hash`](crate::statehash::vm_state_hash) returns — the
 //! snapshot proptests (`tests/proptest_snapshot.rs`) pin this down
-//! on both execution tiers. The digest cache *must* go: it is
-//! keyed by write generation, and a restore installs another machine's
-//! generations along with its bytes. Per-tier retirement attribution in
+//! on both execution tiers. The digest cache *must* go: its terms
+//! describe this machine's old bytes, and a restore installs another
+//! machine's bytes (and generations) wholesale, so it marks every line.
+//! Per-tier retirement attribution in
 //! [`ExecStats`] is carried through so reports stay continuous, even
 //! though the caches behind it are not.
 //!
@@ -90,8 +91,8 @@ impl CpuSnapshot {
 }
 
 /// Physical memory: RAM bytes plus the per-page write generations,
-/// preserved verbatim. The state-digest cache keyed by those
-/// generations is derived and not captured, and neither is what the
+/// preserved verbatim. The state-digest cache is derived and not
+/// captured, and neither is what the
 /// code caches compare (`Memory`'s code generations and decoded-byte
 /// extents).
 #[derive(Clone, PartialEq, Eq, Debug)]

@@ -1,15 +1,21 @@
 //! Property tests: the VM-state digest is a pure function of (hashed
 //! registers, RAM bytes).
 //!
-//! [`vm_state_hash`] is evaluated incrementally — `Memory` caches page
-//! digests against the per-page write generations — so the claim to
-//! defend is that no history can be told from the value: after any
-//! interleaving of every RAM write path, with the caches warmed at
-//! arbitrary points, it equals [`vm_state_hash_from_scratch`] (which
-//! ignores the cache) and the digest of a freshly built `Memory` holding
-//! the same bytes (whose generations share nothing with the original's).
-//! The second half pins the digest's sensitivity: any single byte, any
-//! two pages swapped.
+//! [`vm_state_hash`] is evaluated incrementally — every RAM write path
+//! marks the 128-byte lines it lands on, and `Memory` rereads only the
+//! marked lines — so the claim to defend is that no history can be told
+//! from the value: after any interleaving of every RAM write path, with
+//! the caches warmed at arbitrary points, it equals
+//! [`vm_state_hash_from_scratch`] (which ignores the cache) and the
+//! digest of a freshly built `Memory` holding the same bytes. A write
+//! path that forgot its mark would leave *both* replicas with the same
+//! stale digest, and lockstep would miss divergences without an error:
+//! so the operations aim at the edges a mark can miss — a line's first
+//! and last word, a word across two lines, DMA that starts and ends
+//! mid-line, two lines swapped — and the guest stores through each of
+//! the jit's fast paths onto lines of their own. The second half pins
+//! the digest's sensitivity: any single byte, any two pages or lines
+//! swapped.
 
 use hvft_isa::asm::assemble;
 use hvft_isa::codec::encode;
@@ -18,7 +24,7 @@ use hvft_isa::program::Program;
 use hvft_isa::reg::Reg;
 use hvft_machine::cpu::{Cpu, Exit};
 use hvft_machine::exec::ExecTier;
-use hvft_machine::mem::{Memory, PAGE_SIZE};
+use hvft_machine::mem::{Memory, LINE_SIZE, PAGE_SIZE};
 use hvft_machine::snapshot::{CpuSnapshot, MemSnapshot};
 use hvft_machine::statehash::{vm_state_hash, vm_state_hash_from_scratch};
 use hvft_machine::tlb::TlbReplacement;
@@ -31,12 +37,17 @@ const RAM: u32 = PAGES * PAGE_SIZE;
 /// The guest owns pages 0–2; the test's own writes stay above them so
 /// the guest keeps running whatever the interleaving.
 const FIRST_FREE: u32 = 3 * PAGE_SIZE;
+/// The lines the test's own writes may land on.
+const FREE_LINES: std::ops::Range<u32> = FIRST_FREE / LINE_SIZE..RAM / LINE_SIZE;
 
 /// Runs forever. The hot routine starts at the end of page 0 and `jal`s
 /// into page 1, so the jit compiles one trace across both pages; every
 /// 32nd call a store *inside that trace* patches `slot` (self-modifying
-/// code on the trace's second page), alternating between two encodings;
-/// every iteration stores plain data to page 2.
+/// code on the trace's second page), alternating between two encodings.
+/// Every iteration also stores through each of the jit's fast paths, on
+/// a line of its own: a word at the end of a line of page 2 and a byte
+/// at the start of another (the data-page map), and a word on page 1
+/// beside the trace's code (the map's code-page write tag).
 const GUEST: &str = ".org 0
 start:
     lw   r21, 512(r0)        ; replacement word A (poked by the test)
@@ -45,8 +56,9 @@ start:
 outer:
     andi r24, r22, 31
     jal  ra, crosser
-    sw   r20, 4100(r27)      ; data store, page 2
-    sb   r22, 4111(r27)
+    sw   r20, 4220(r27)      ; data store, page 2: last word of line 0
+    sb   r22, 4352(r27)      ; data store, page 2: first byte of line 2
+    sw   r22, 640(r27)       ; page 1, beside the code: line 5
     addi r22, r22, 1
     jal  r0, outer
 
@@ -121,6 +133,28 @@ enum Op {
         back: u32,
         value: u32,
     },
+    /// A word at a line's first or last word, or across the boundary
+    /// into the next line (`back` bytes before it: 4 is the last word,
+    /// 1–3 straddle).
+    LineEdge {
+        line: u32,
+        back: u32,
+        value: u32,
+    },
+    /// DMA that starts `start` bytes into a line and ends `end` bytes
+    /// into the line `lines` further on.
+    DmaMidLine {
+        line: u32,
+        start: u32,
+        lines: u32,
+        end: u32,
+        fill: u8,
+    },
+    /// Two lines exchange their bytes.
+    SwapLines {
+        a: u32,
+        b: u32,
+    },
     /// Device DMA: up to three pages in one `write_bytes`.
     Dma {
         addr: u32,
@@ -156,6 +190,26 @@ fn arb_op() -> impl Strategy<Value = Op> {
             len,
             fill
         }),
+        (FREE_LINES, 1u32..=4, any::<u32>()).prop_map(|(line, back, value)| Op::LineEdge {
+            line,
+            back,
+            value
+        }),
+        (
+            FREE_LINES,
+            1u32..LINE_SIZE,
+            1u32..40,
+            1u32..LINE_SIZE,
+            any::<u8>()
+        )
+            .prop_map(|(line, start, lines, end, fill)| Op::DmaMidLine {
+                line,
+                start,
+                lines,
+                end,
+                fill
+            }),
+        (FREE_LINES, FREE_LINES).prop_map(|(a, b)| Op::SwapLines { a, b }),
         Just(Op::Reset),
         Just(Op::Snapshot),
         Just(Op::Restore),
@@ -167,6 +221,23 @@ fn arb_op() -> impl Strategy<Value = Op> {
         Just(Op::Hash),
         Just(Op::Hash),
     ]
+}
+
+/// Device DMA of `len` bytes counting up from `fill`.
+fn dma(mem: &mut Memory, addr: u32, len: u32, fill: u8) {
+    let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
+    mem.write_bytes(addr, &data);
+}
+
+/// Exchanges the bytes of lines `a` and `b`, one DMA each.
+fn swap_lines(mem: &mut Memory, a: u32, b: u32) {
+    let bytes = |mem: &Memory, line: u32| {
+        mem.read_bytes(line * LINE_SIZE, LINE_SIZE as usize)
+            .to_vec()
+    };
+    let (line_a, line_b) = (bytes(mem, a), bytes(mem, b));
+    mem.write_bytes(a * LINE_SIZE, &line_b);
+    mem.write_bytes(b * LINE_SIZE, &line_a);
 }
 
 /// The three evaluations that must agree: cached, from scratch, and
@@ -209,11 +280,18 @@ proptest! {
                 Op::Straddle { page, back, value } => {
                     m.mem.write_u32(page * PAGE_SIZE - back, value).unwrap();
                 }
-                Op::Dma { addr, len, fill } => {
-                    let len = len.min(RAM - addr);
-                    let data: Vec<u8> = (0..len).map(|i| fill.wrapping_add(i as u8)).collect();
-                    m.mem.write_bytes(addr, &data);
+                Op::Dma { addr, len, fill } => dma(&mut m.mem, addr, len.min(RAM - addr), fill),
+                Op::LineEdge { line, back, value } => {
+                    // The first free line's edge is the guest's page's.
+                    let at = (line * LINE_SIZE).saturating_sub(back).max(FIRST_FREE);
+                    m.mem.write_u32(at, value).unwrap();
                 }
+                Op::DmaMidLine { line, start, lines, end, fill } => {
+                    let from = line * LINE_SIZE + start;
+                    let to = ((line + lines) * LINE_SIZE + end).min(RAM);
+                    dma(&mut m.mem, from, to.saturating_sub(from), fill);
+                }
+                Op::SwapLines { a, b } => swap_lines(&mut m.mem, a, b),
                 Op::Reset => {
                     m.mem.reset();
                     m.load(&image);
@@ -318,6 +396,31 @@ proptest! {
         let after = vm_state_hash(&cpu, &mem);
         prop_assert!(after != before, "swapping pages {} and {} went unnoticed", a, b);
         prop_assert_eq!(after, vm_state_hash_from_scratch(&cpu, &mem));
+    }
+
+    // Line terms are summed, and a sum does not care about order: the
+    // index each term is keyed with is what tells two lines' bytes
+    // from the same bytes swapped — within a page or across pages.
+    #[test]
+    fn swapping_two_lines_changes_the_digest(
+        a in 0u32..RAM / LINE_SIZE,
+        b in 0u32..RAM / LINE_SIZE,
+        at in 0u32..LINE_SIZE,
+        seed in any::<u8>(),
+    ) {
+        prop_assume!(a != b);
+        let cpu = Cpu::new(8, TlbReplacement::RoundRobin, 0);
+        let mut mem = Memory::new(RAM as usize);
+        mem.write_u8(a * LINE_SIZE + at, seed | 1).unwrap();
+        mem.write_u8(b * LINE_SIZE + at, (seed | 1).wrapping_add(1)).unwrap();
+        let before = vm_state_hash(&cpu, &mem);
+        let pristine = mem.clone();
+        swap_lines(&mut mem, a, b);
+        let after = vm_state_hash(&cpu, &mem);
+        prop_assert!(after != before, "swapping lines {} and {} went unnoticed", a, b);
+        prop_assert_eq!(after, vm_state_hash_from_scratch(&cpu, &mem));
+        let first = a.min(b) * LINE_SIZE / PAGE_SIZE;
+        prop_assert_eq!(mem.first_differing_page(&pristine), Some(first));
     }
 }
 

@@ -679,10 +679,10 @@ impl hvft_core::observer::Observer for Timeline {
 // The incremental state digest: the two traps
 // ---------------------------------------------------------------------
 //
-// `Memory` caches per-page digests against the per-page write
-// generations. Trap 1: a restore installs a donor's bytes *and* its
-// generations, so "same generation" must not be read as "same bytes"
-// across it. Trap 2: an oracle that only looks at pages the guest wrote
+// `Memory` caches each line's digest until a write marks the line.
+// Trap 1: a restore installs a donor's bytes *and* its generations
+// without a single store, so nothing but the restore itself can mark
+// what changed. Trap 2: an oracle that only looks at pages the guest wrote
 // would miss a corrupted page the guest never touches.
 
 /// A page no Dhrystone guest writes: it does no disk I/O.

@@ -1,4 +1,5 @@
-//! `Cpu::run` must not allocate once its caches are warm.
+//! `Cpu::run` must not allocate once its caches are warm, and neither
+//! must the lockstep digest and its checker at an epoch boundary.
 //!
 //! A trap-and-emulate embedder re-enters `Cpu::run` after every
 //! privileged instruction of its guest — eight times per guest syscall
@@ -12,6 +13,7 @@
 //! count is per thread, so the harness's other threads cannot disturb
 //! it.
 
+use hvft::core::LockstepChecker;
 use hvft::guest::{build_image, dhrystone_source, KernelConfig};
 use hvft::hypervisor::cost::CostModel;
 use hvft::hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
@@ -19,6 +21,7 @@ use hvft::isa::asm::assemble;
 use hvft::machine::cpu::{Cpu, Exit, LoadProgram};
 use hvft::machine::exec::ExecTier;
 use hvft::machine::mem::{Memory, PAGE_SIZE};
+use hvft::machine::statehash::vm_state_hash;
 use hvft::machine::tlb::TlbReplacement;
 use hvft::machine::trap::Trap;
 use hvft_sim::time::SimDuration;
@@ -176,4 +179,43 @@ fn hypervised_syscalls_do_not_allocate_on_any_tier() {
             "{tier}: the handlers really ran"
         );
     }
+}
+
+#[test]
+fn epoch_boundary_digests_and_comparisons_do_not_allocate() {
+    // Two replicas of one Dhrystone image, digested and compared at
+    // every boundary for well past the checker's retention window, so
+    // the window's ring is reused and the digest caches are warm.
+    const WARM_UP: u32 = 2_048;
+    const BOUNDARIES: u32 = 2_048;
+    let image =
+        build_image(&KernelConfig::default(), &dhrystone_source(100_000, 6)).expect("image builds");
+    let config = HvConfig {
+        epoch_len: 256,
+        ..HvConfig::default()
+    };
+    let mut replicas = [(); 2].map(|()| HvGuest::new(&image, CostModel::functional(), config));
+    let mut checker = LockstepChecker::new();
+    let mut boundary_allocations = 0;
+    for epoch in 0..WARM_UP + BOUNDARIES {
+        for (i, guest) in replicas.iter_mut().enumerate() {
+            match guest.run(SimDuration::from_secs(10)) {
+                HvEvent::EpochEnd => {}
+                other => panic!("unexpected event {other:?}"),
+            }
+            let before = allocations();
+            checker.record(i, guest.epoch(), vm_state_hash(&guest.cpu, &guest.mem));
+            if epoch >= WARM_UP {
+                boundary_allocations += allocations() - before;
+            }
+            guest.begin_epoch();
+        }
+    }
+    assert_eq!(
+        boundary_allocations, 0,
+        "{BOUNDARIES} warm boundaries allocated"
+    );
+    assert!(checker.is_clean());
+    assert_eq!(checker.compared(), u64::from(WARM_UP + BOUNDARIES));
+    assert!(replicas[0].stats().digest_bytes > 0, "the digests read RAM");
 }
