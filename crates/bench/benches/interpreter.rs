@@ -160,46 +160,61 @@ fn bench_syscall_roundtrip(c: &mut Criterion) {
 /// The guest kernel's disk wait — closed by an unconditional jump,
 /// `ssm`/`rsm` inside — entered at the `beq`, where an interrupt
 /// returns to: the trace wraps around and ends one op short of its own
-/// entry. Nanoseconds per spin iteration (`lw; beq`). A trace that
-/// leaves through `chain!` at its end pays a translate and a lookup per
-/// iteration here and shows nowhere else: everything still retires in
+/// entry. Nanoseconds per spin iteration (`lw; beq`). The wait carries
+/// nothing from one iteration into the next, so after one whole
+/// iteration the jit retires the rest of the budget's iterations in one
+/// step: this row prices a *skipped* wait (it kept its name). A trace
+/// that left through `chain!` at its end, or a wait the jit stopped
+/// skipping, shows here and nowhere else: everything still retires in
 /// the jit.
+///
+/// `jit/spin_carried` is the same loop with a counter in its body: a
+/// value carried from one iteration into the next, so every iteration
+/// runs, op by op (`lw; addi; beq`).
 fn bench_spin_entered_mid_body(c: &mut Criterion) {
-    const SPINS: u64 = 1_000_000;
-    const BEQ: u32 = 12;
-    let prog = assemble(
-        "retry: sw   r0, 0x400(r0)
-                ssm  1
-         wait:  lw   r28, 0x400(r0)
-                beq  r28, r0, wait
-                rsm  1
-                addi r29, r29, 1
-                jal  r0, retry",
-    )
-    .unwrap();
-    let mut mem = Memory::new(PAGE_SIZE as usize);
-    let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
-    prog.load_into_cpu(&mut cpu, &mut mem);
-    cpu.set_exec_tier(ExecTier::Jit);
-    // Past the promotion threshold, at this entry.
-    for _ in 0..64 {
-        cpu.pc = BEQ;
-        assert_eq!(cpu.run(&mut mem, 2), Exit::Retired);
-    }
     let mut g = c.benchmark_group("jit");
-    g.throughput(Throughput::Elements(SPINS));
-    g.bench_function("spin_entered_mid_body", |b| {
-        b.iter(|| {
-            cpu.pc = BEQ;
-            black_box(cpu.run(black_box(&mut mem), 2 * SPINS))
-        })
-    });
+    for (name, body, per_iter) in [
+        ("spin_entered_mid_body", "", 2),
+        ("spin_carried", "addi r27, r27, 1\n", 3),
+    ] {
+        const SPINS: u64 = 1_000_000;
+        const BEQ: u32 = 12;
+        let prog = assemble(&format!(
+            "retry: sw   r0, 0x400(r0)
+                    ssm  1
+             wait:  lw   r28, 0x400(r0)
+                    {body}beq  r28, r0, wait
+                    rsm  1
+                    addi r29, r29, 1
+                    jal  r0, retry"
+        ))
+        .unwrap();
+        let mut mem = Memory::new(PAGE_SIZE as usize);
+        let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+        prog.load_into_cpu(&mut cpu, &mut mem);
+        cpu.set_exec_tier(ExecTier::Jit);
+        let entry = BEQ + 4 * (per_iter - 2) as u32;
+        // Past the promotion threshold, at this entry.
+        for _ in 0..64 {
+            cpu.pc = entry;
+            assert_eq!(cpu.run(&mut mem, per_iter), Exit::Retired);
+        }
+        g.throughput(Throughput::Elements(SPINS));
+        g.bench_function(name, |b| {
+            b.iter(|| {
+                cpu.pc = entry;
+                black_box(cpu.run(black_box(&mut mem), per_iter * SPINS))
+            })
+        });
+        let stats = cpu.exec_stats();
+        assert!(
+            stats.chain_hops * 100 < stats.jit_retired,
+            "{name}: the spin left its frame: {stats:?}"
+        );
+        let skipping = stats.spin_skipped * 10 > stats.jit_retired * 9;
+        assert_eq!(skipping, body.is_empty(), "{name}: {stats:?}");
+    }
     g.finish();
-    let stats = cpu.exec_stats();
-    assert!(
-        stats.chain_hops * 100 < stats.jit_retired,
-        "the spin left its frame: {stats:?}"
-    );
 }
 
 /// Host time of `iters` iterations of the two-instruction loop `src`

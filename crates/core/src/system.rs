@@ -1845,22 +1845,28 @@ impl FtSystem {
                 op_latencies.append(&mut host.op_latencies);
             }
         }
+        // Reports are kept by the run's caller (a benchmark keeps every
+        // pass's): the lists go into them at exactly their length.
+        fn exact<T>(mut v: Vec<T>) -> Vec<T> {
+            v.shrink_to_fit();
+            v
+        }
         let divergences = self.lockstep.take_divergences();
         let primary = &self.hosts[ap].guest;
         // Wire counters come from the default RunStats observer — the
         // same hooks any user observer sees.
-        let mut report = RunReport {
+        RunReport {
             console: self.console.output(),
             console_hosts: self.console.hosts_seen(),
             epochs: primary.stats().epochs,
             retired: primary.cpu.retired(),
-            failovers: std::mem::take(&mut self.failovers),
+            failovers: exact(std::mem::take(&mut self.failovers)),
             primary_stats: *primary.stats(),
             replica_stats: self.hosts.iter().map(|h| *h.guest.stats()).collect(),
             messages_per_replica: self.stats.frames_per_replica.clone(),
             frames_retransmitted: self.stats.frames_retransmitted,
             frames_suppressed: self.stats.frames_suppressed,
-            reintegrations: std::mem::take(&mut self.reintegrations),
+            reintegrations: exact(std::mem::take(&mut self.reintegrations)),
             state_transfer_bytes: self.stats.state_transfer_bytes,
             lockstep_compared: self.lockstep.compared(),
             lockstep_clean: divergences.is_empty(),
@@ -1870,13 +1876,9 @@ impl FtSystem {
                 .mem
                 .read_u32(hvft_guest::layout::kdata::RETRIES)
                 .unwrap_or(0),
+            op_latencies: exact(op_latencies),
             ..RunReport::new(exit, self.hosts[ap].now - SimTime::ZERO)
-        };
-        for &d in &op_latencies {
-            report.op_latency_hist.record(d);
         }
-        report.op_latencies = op_latencies;
-        report
     }
 
     /// Carries out a planned decision — the one place the three kinds

@@ -144,6 +144,10 @@ pub struct ExecStats {
     /// flushes nothing: the privilege and translation bits are in the
     /// map's tags.
     pub data_map_flushes: u64,
+    /// Subset of `jit_retired`: instructions retired by fast-forwarding
+    /// a poll loop — whole iterations of a spin known to repeat itself,
+    /// retired in one step (see the jit's "Poll loops").
+    pub spin_skipped: u64,
 }
 
 /// Dispatcher state owned by the CPU: the selected tier plus the

@@ -172,6 +172,38 @@
 //! the frame counts them and books them into the TLB's hit counter
 //! before anything can read it.
 //!
+//! # Poll loops
+//!
+//! Interrupts are delivered only at epoch boundaries (paper §2.1), so
+//! a guest that waits for one — the kernel's disk wait, `lw r28, flag;
+//! beq r28, r0, wait` — spins through whole grants whose outcome is
+//! known after one iteration. `compile` marks the conditional branch
+//! that closes such a loop as a **spin** (`Kind::Spin`) when its
+//! target is in-span, the straight line from there (through `wrap`)
+//! runs back into it, every op on the way is a template ALU op, `lui`,
+//! `nop` or a load, and every register the body or the branch reads is
+//! either written nowhere in the body or written earlier in the same
+//! iteration. No store, assist op, register move, `probe` or transfer
+//! is in the body, and no value is carried from one iteration into the
+//! next: what an iteration computes is a function of memory and of
+//! registers it does not write.
+//!
+//! At run time the frame remembers the last take of a spin — its op
+//! index, `left` and the map hits so far; a not-taken spin forgets it.
+//! When the same spin is taken again exactly one iteration's length
+//! later, with a map hit for every load of the body in between, an
+//! iteration ran whole from the loop head with every load answered by
+//! RAM: memory cannot have changed (the body stores nothing, and
+//! nothing else runs inside a frame), so the state it ended in is the
+//! state every further iteration ends in. The frame then retires every
+//! whole iteration its grant still holds in one step (`left` down by
+//! their length, their loads booked as map hits) and runs the rest op
+//! by op, so it stops on the very instruction the step tier stops on:
+//! at the budget's end, the recovery counter's expiry or mid-body.
+//! One iteration is not enough: a loop entered at its branch, with the
+//! register it tests not yet loaded, may still fall through after its
+//! first take ([`ExecStats::spin_skipped`] counts what was skipped).
+//!
 //! # Exactness
 //!
 //! The paper's protocols depend on interrupts being deliverable at an
@@ -193,9 +225,10 @@
 //! - **retirement clamp**: a frame holds a budget of
 //!   `min(goal − retired, rctr)` and executes at most that many ops,
 //!   each retiring exactly one instruction; internal loop iterations
-//!   and closed traces spend budget like any other op, so the recovery
-//!   counter expires between instructions at the same retirement count
-//!   the per-step path traps at;
+//!   and closed traces spend budget like any other op — a skipped poll
+//!   loop retires whole iterations only, and no more than the budget
+//!   holds — so the recovery counter expires between instructions at
+//!   the same retirement count the per-step path traps at;
 //! - **entry predicates re-checked after every op that can change
 //!   them**: the template ops cannot touch the pending-interrupt
 //!   predicate, the PSW, the control registers or the translation
@@ -393,6 +426,11 @@ enum Kind {
     Bge,
     Bltu,
     Bgeu,
+    /// A conditional branch that closes a poll loop (see "Poll loops"):
+    /// `rd` carries its condition ([`branch_cond`]) and `imm` — which
+    /// an in-span take does not read — the loop's length in ops and
+    /// its loads ([`spin_imm`]). `target` is the in-span loop head.
+    Spin,
     Jal,
     /// `target` is [`NO_TARGET`] for a `jalr` that ends its trace; for
     /// a guarded return — a callee's `jalr` the trace compiled past —
@@ -443,6 +481,8 @@ struct Op {
     /// PC from this field, never from the op index.
     off: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<Op>() == 16);
 
 /// One secondary page of a cross-page trace: where the page sits
 /// relative to the entry, and what it must still look like for the
@@ -905,6 +945,141 @@ fn build_op(
     }
 }
 
+/// The condition of a conditional branch, as the number a
+/// [`Kind::Spin`] carries in `rd` and [`cond_holds`] reads.
+fn branch_cond(kind: Kind) -> Option<u8> {
+    match kind {
+        Kind::Beq => Some(0),
+        Kind::Bne => Some(1),
+        Kind::Blt => Some(2),
+        Kind::Bge => Some(3),
+        Kind::Bltu => Some(4),
+        Kind::Bgeu => Some(5),
+        _ => None,
+    }
+}
+
+/// Whether the branch condition numbered `cond` ([`branch_cond`]) holds
+/// for the operands `a` and `b`.
+#[inline]
+fn cond_holds(cond: Reg, a: u32, b: u32) -> bool {
+    match cond.index() {
+        0 => a == b,
+        1 => a != b,
+        2 => (a as i32) < (b as i32),
+        3 => (a as i32) >= (b as i32),
+        4 => a < b,
+        _ => a >= b,
+    }
+}
+
+/// A spin's `imm`: the ops of one iteration (the branch included) in
+/// the low half, the loads among them in the high half.
+fn spin_imm(len: u32, loads: u32) -> i32 {
+    (len | loads << 16) as i32
+}
+
+/// The registers `op` reads and writes, as bit masks, when it may sit
+/// in a poll loop's body: a template ALU op, `lui`, `nop` or a load —
+/// nothing that stores, transfers, moves a control register or asks
+/// the embedder. A write to `r0` is no write.
+fn body_regs(op: &Op) -> Option<(u32, u32)> {
+    let bit = |r: Reg| 1u32 << r.index();
+    let (reads, writes) = match op.kind {
+        Kind::Add
+        | Kind::Sub
+        | Kind::And
+        | Kind::Or
+        | Kind::Xor
+        | Kind::Sll
+        | Kind::Srl
+        | Kind::Sra
+        | Kind::Slt
+        | Kind::Sltu
+        | Kind::Mul
+        | Kind::Divu
+        | Kind::Remu => (bit(op.rs1) | bit(op.rs2), bit(op.rd)),
+        Kind::Addi
+        | Kind::Andi
+        | Kind::Ori
+        | Kind::Xori
+        | Kind::Slti
+        | Kind::Slli
+        | Kind::Srli
+        | Kind::Srai
+        | Kind::Lw
+        | Kind::Lb
+        | Kind::Lbu => (bit(op.rs1), bit(op.rd)),
+        Kind::Lui => (0, bit(op.rd)),
+        Kind::Nop => (0, 0),
+        _ => return None,
+    };
+    Some((reads, writes & !1))
+}
+
+/// `(len, loads)` of the loop the conditional branch at op index `at`
+/// closes, if it is a **poll loop**: its target is in-span, the
+/// straight line from there — through the trace's `wrap` — reaches the
+/// branch again, every op on the way may sit in a body ([`body_regs`]),
+/// and every register the body or the branch reads is either written
+/// nowhere in the body or written earlier in the same iteration. No
+/// value is then carried from one iteration into the next: an
+/// iteration's outcome is a function of memory and of registers it
+/// does not write, and one that starts from where another ended repeats
+/// it.
+fn poll_loop(ops: &[Op], at: usize, wrap: u32) -> Option<(u32, u32)> {
+    let branch = &ops[at];
+    if branch.target & LINKED != 0 {
+        return None;
+    }
+    // What the body's ops read and write, in the order one iteration
+    // runs them.
+    let mut body = Vec::new();
+    let mut loads = 0;
+    let mut j = branch.target as usize;
+    while j != at {
+        if body.len() == ops.len() {
+            // The straight line cycles without meeting the branch.
+            return None;
+        }
+        body.push(body_regs(&ops[j])?);
+        loads += u32::from(matches!(ops[j].kind, Kind::Lw | Kind::Lb | Kind::Lbu));
+        j += 1;
+        if j == ops.len() {
+            if wrap == NO_TARGET {
+                return None;
+            }
+            j = wrap as usize;
+        }
+    }
+    let written = body.iter().fold(0, |w, &(_, writes)| w | writes);
+    let branch_reads = (1u32 << branch.rs1.index()) | (1u32 << branch.rs2.index());
+    let mut settled = 0;
+    for &(reads, writes) in body.iter().chain(&[(branch_reads, 0)]) {
+        if reads & written & !settled != 0 {
+            return None;
+        }
+        settled |= writes;
+    }
+    Some((body.len() as u32 + 1, loads))
+}
+
+/// Compiles every conditional branch of `ops` that closes a poll loop
+/// ([`poll_loop`]) as a [`Kind::Spin`].
+fn mark_spins(ops: &mut [Op], wrap: u32) {
+    for at in 0..ops.len() {
+        let Some(cond) = branch_cond(ops[at].kind) else {
+            continue;
+        };
+        if let Some((len, loads)) = poll_loop(ops, at, wrap) {
+            let op = &mut ops[at];
+            op.kind = Kind::Spin;
+            op.rd = Reg::of(cond);
+            op.imm = spin_imm(len, loads);
+        }
+    }
+}
+
 /// One instruction of a trace as `compile` walks it: the decoded
 /// instruction, its word, its entry-relative byte offset and — for a
 /// `jalr` compilation went on past — the offset of its return point.
@@ -1037,10 +1212,11 @@ fn compile(
     let mut assists = Vec::new();
     // The first cell is the trace's own: falling off its end.
     let mut next_link = first_link + 1;
-    let ops: Vec<Op> = insns
+    let mut ops: Vec<Op> = insns
         .iter()
         .map(|&insn| build_op(insn, &index_of, &mut assists, &mut next_link))
         .collect();
+    mark_spins(&mut ops, wrap);
     // A page registered at a `jal` follow whose first word then failed
     // to compile contributed no ops: drop it rather than record a
     // phantom dependency.
@@ -1332,6 +1508,10 @@ impl JitCache {
         let mut wrap = sb.wrap;
         let mut entry_vpc = cpu.pc;
         let mut i: usize = 0;
+        // The last take of a spin: its op index (`usize::MAX`: none
+        // since the last not-taken one), and `left` and `fast` right
+        // after it.
+        let (mut spin_at, mut spin_left, mut spin_fast) = (usize::MAX, 0u64, 0u64);
         let leave = 'run: loop {
             // Enters superblock `$idx` at its first op, the PC (not
             // yet synced, or already) being `$vpc`.
@@ -1590,6 +1770,32 @@ impl JitCache {
                 Kind::Bge => branch!(|a, b| (a as i32) >= (b as i32)),
                 Kind::Bltu => branch!(|a, b| a < b),
                 Kind::Bgeu => branch!(|a, b| a >= b),
+                Kind::Spin => {
+                    // A poll loop's closing branch. Taken `len`
+                    // retirements after its last take, with a map hit
+                    // for every load in between, it has run one whole
+                    // iteration from the loop head, and nothing else
+                    // runs inside a frame: the state it is in now is
+                    // the one every further iteration ends in. So the
+                    // whole iterations the grant holds retire at once,
+                    // their loads booked as the map hits they are; the
+                    // rest runs op by op.
+                    if !cond_holds(op.rd, cpu.reg(op.rs1), cpu.reg(op.rs2)) {
+                        spin_at = usize::MAX;
+                        next!()
+                    }
+                    left -= 1;
+                    let (len, loads) = (u64::from(op.imm as u16), (op.imm >> 16) as u64);
+                    if spin_at == i && spin_left == left + len && spin_fast + loads == fast {
+                        let whole = left / len;
+                        left -= whole * len;
+                        fast += whole * loads;
+                        stats.spin_skipped += whole * len;
+                    }
+                    (spin_at, spin_left, spin_fast) = (i, left, fast);
+                    i = op.target as usize;
+                    continue 'run;
+                }
                 Kind::Jal => {
                     // PA-RISC quirk: the privilege level rides in the
                     // low bits of the link value (paper §3.1). The
@@ -2599,6 +2805,71 @@ mod tests {
             "5 000 spin iterations, one frame, no hop"
         );
         assert_eq!(cpu.reg(Reg::of(29)), 0, "the wait never fell through");
+    }
+
+    /// `(len, loads)` of the spin at op `at` of the trace compiled at
+    /// `entry` from `src`, or `None` if that op is no spin.
+    fn spin_at(src: &str, entry: u32, at: usize) -> Option<(u32, u32)> {
+        let sb = compile_at(entry, &mem_with(src)).expect("superblock");
+        let op = sb.ops[at];
+        matches!(op.kind, Kind::Spin).then(|| (op.imm as u32 & 0xFFFF, op.imm as u32 >> 16))
+    }
+
+    #[test]
+    fn a_branch_that_closes_a_poll_loop_compiles_as_a_spin() {
+        // The kernel's wait, entered at its load or — wrapping around —
+        // at its branch; a branch to itself; a body that derives what
+        // the branch reads, from memory and from registers it never
+        // writes.
+        let wait = "k: lw r28, 0x400(r0)\n beq r28, r0, k\n jal r0, k";
+        assert_eq!(spin_at(wait, 0, 1), Some((2, 1)));
+        let src = "retry: sw r0, 0x400(r0)\n ssm 1\n wait: lw r28, 0x400(r0)\n \
+                   beq r28, r0, wait\n rsm 1\n jal r0, retry";
+        assert_eq!(spin_at(src, 12, 0), Some((2, 1)), "entered at the beq");
+        assert_eq!(spin_at("s: bne r4, r5, s\n halt", 0, 0), Some((1, 0)));
+        let derived = "k: lw r6, 0(r27)\n lbu r7, 4(r27)\n nop\n lui r9, 3\n \
+                       andi r8, r6, 7\n add r8, r8, r7\n sltu r8, r8, r5\n bne r8, r0, k\n halt";
+        assert_eq!(spin_at(derived, 0, 7), Some((8, 2)));
+        // Near misses: the branch stays a branch.
+        for (what, src) in [
+            (
+                "a carried register",
+                "k: lw r6, 0(r27)\n addi r5, r5, 1\n beq r6, r0, k\n halt",
+            ),
+            (
+                "a store",
+                "k: lw r6, 0(r27)\n sw r6, 8(r27)\n beq r6, r0, k\n halt",
+            ),
+            (
+                "a load base written",
+                "k: lw r6, 0(r27)\n addi r27, r4, 0\n beq r6, r0, k\n halt",
+            ),
+            (
+                "the last load decides",
+                "k: addi r7, r6, 0\n lw r6, 0(r27)\n beq r7, r0, k\n halt",
+            ),
+            (
+                "an assist op",
+                "k: lw r6, 0(r27)\n ssm 1\n beq r6, r0, k\n halt",
+            ),
+            (
+                "a register move",
+                "k: mfctl r6, scratch0\n beq r6, r0, k\n halt",
+            ),
+            ("a probe", "k: probe r6, r27\n beq r6, r0, k\n halt"),
+            (
+                "a transfer",
+                "k: lw r6, 0(r27)\n jal ra, k2\n k2: beq r6, r0, k\n halt",
+            ),
+        ] {
+            let sb = compile_at(0, &mem_with(src)).expect("superblock");
+            assert!(
+                sb.ops.iter().all(|op| !matches!(op.kind, Kind::Spin)),
+                "{what}"
+            );
+        }
+        // A branch out of the span closes nothing the trace holds.
+        assert_eq!(spin_at("s: lw r6, 0(r27)\n beq r6, r0, 4096", 0, 1), None);
     }
 
     #[test]

@@ -63,7 +63,7 @@ fn main() {
         report.disk_log.len()
     );
 
-    let hist = &report.op_latency_hist;
+    let hist = report.op_latency_hist();
     if hist.total() > 0 {
         let mean_ns: u64 = report
             .op_latencies

@@ -60,6 +60,12 @@ fn tier_summary(x: &ExecStats) -> String {
             100.0 * x.link_hits as f64 / x.chain_hops as f64
         ));
     }
+    if x.spin_skipped > 0 {
+        parts.push(format!(
+            "{:.1}% retired by skipping poll loops",
+            100.0 * x.spin_skipped as f64 / x.jit_retired as f64
+        ));
+    }
     let data = x.data_fast + x.data_slow;
     if data > 0 {
         parts.push(format!(

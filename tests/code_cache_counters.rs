@@ -35,6 +35,11 @@
 //! path is for the first touch of a page or an exit in a context —
 //! nothing that grows with the run, not even the stores each syscall
 //! makes into the page the kernel's vectors are in.
+//!
+//! And for what a poll loop costs: the kernel's disk wait carries
+//! nothing from one iteration into the next, so the jit retires most
+//! of it in bulk (`spin_skipped`), while loops that count must run
+//! every iteration.
 
 use hvft::core::scenario::Scenario;
 use hvft::guest::layout::RAM_BYTES;
@@ -381,6 +386,35 @@ fn a_disk_wait_does_not_hop_between_traces() {
             hops < 0.05,
             "{what}: {hops} chain hops per instruction: {exec:?}"
         );
+    }
+}
+
+#[test]
+fn a_disk_wait_retires_in_bulk_and_nothing_else_does() {
+    // The wait (`lw; beq` on the completion flag) carries nothing from
+    // one iteration into the next, so after one whole iteration the
+    // jit retires the rest of the grant's iterations in one step. The
+    // loops of Dhrystone and CallStorm count: none of them may skip.
+    for (what, bare) in [("bare", true), ("replicated", false)] {
+        let exec = io_bench(bare);
+        let retired = exec.jit_retired + exec.step_retired;
+        assert!(
+            exec.spin_skipped as f64 >= 0.9 * retired as f64,
+            "{what} io: {} of {retired} retired in bulk: {exec:?}",
+            exec.spin_skipped
+        );
+        assert!(exec.spin_skipped <= exec.jit_retired, "{what} io: {exec:?}");
+    }
+    for (what, exec) in [
+        ("bare dhrystone", bare(dhrystone(20_000), ExecTier::Jit)),
+        (
+            "hypervised dhrystone",
+            hypervised(dhrystone(20_000), ExecTier::Jit),
+        ),
+        ("bare callstorm", callstorm(true)),
+        ("replicated callstorm", callstorm(false)),
+    ] {
+        assert_eq!(exec.spin_skipped, 0, "{what}: {exec:?}");
     }
 }
 

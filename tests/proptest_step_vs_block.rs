@@ -12,8 +12,10 @@
 //!   two [`BareHost`]s, one per tier, compared chunk by chunk;
 //! - **hypervised differential**: the same workloads run under the full
 //!   replicated [`FtSystem`] once per tier (including across a
-//!   failover), and the entire observable outcome (checksums, epoch
-//!   counts, simulated times, console, disk log) must match — this
+//!   failover, and across a lossy `t = 2` run with a rejoin and a
+//!   failover mid-operation), and the entire observable outcome
+//!   (checksums, epoch counts, simulated times, console, disk log)
+//!   must match — this
 //!   exercises privileged simulation, trap reflection, TLB management
 //!   and epoch delimitation over the batching engine;
 //! - **registry sweep**: every registered workload runs bare under both
@@ -30,15 +32,19 @@
 //!   serves itself (`gate`, `brk`, `mftod`, `mtit`, `diag`, `idle`),
 //!   word and byte accesses over three data pages (two sharing a slot of
 //!   the jit's data-page map), misaligned and I/O-window accesses, stores
-//!   beside and — once — over decoded code, and calls whose callees
+//!   beside and — once — over decoded code, calls whose callees
 //!   return home, clobber `ra`, return elsewhere, misaligned or into
-//!   another page, or recurse. Each runs at privilege 0 through
+//!   another page, or recurse, and poll loops the jit retires in bulk
+//!   beside near misses it must not. Each runs at privilege 0 through
 //!   `Cpu::run`, and at privilege 1 under a miniature hypervisor, once
 //!   around `Cpu::run` and once as the hook of `Cpu::run_with`, in random
 //!   budget chunks, with a snapshot and restore between two of them and
 //!   an embedder that may meddle from inside the frame: cut runs short,
 //!   surface exits unserved, raise interrupts, rewrite the running loop.
 //!   Three entry points each put a floor under one family of items;
+//! - **poll loops, pinned**: each poll variant alone, a wait stopped at
+//!   either op with translation on (the TLB's hit count), and one left
+//!   and re-entered under a wound-back recovery counter;
 //! - **hypervised pauses**: one guest under `HvGuest` in one budget and
 //!   in seed-drawn slices, on every tier: every pause agrees on the
 //!   event, the consumed time and its split, `nsim`, the reflections,
@@ -52,6 +58,7 @@ mod common;
 
 use common::same_vm_state;
 use hvft::guest::layout::RAM_BYTES;
+use hvft::guest::workload::Mixed;
 use hvft::guest::{
     build_image, dhrystone_source, hello_source, io_bench_source, mixed_source, IoMode,
     KernelConfig,
@@ -62,12 +69,13 @@ use hvft::hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
 use hvft::isa::codec::{decode, encode};
 use hvft::isa::instruction::{AluImmOp, AluOp, BranchCond, Instruction, MemWidth};
 use hvft::isa::reg::{ControlReg, Reg};
-use hvft::machine::cpu::{Assist, Cpu, EnvOp, Exit, Resume};
+use hvft::machine::cpu::{Assist, Cpu, EnvOp, Exit, LoadProgram, Resume};
 use hvft::machine::exec::{ExecStats, ExecTier};
 use hvft::machine::mem::{Memory, PAGE_SIZE};
 use hvft::machine::psw::Psw;
 use hvft::machine::tlb::{pte, TlbReplacement};
 use hvft::machine::trap::{irq, Trap};
+use hvft::net::link::LinkSpec;
 use hvft_core::scenario::{RunReport, Scenario, ScenarioBuilder};
 use hvft_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -578,6 +586,78 @@ fn ft_failover_is_engine_invariant() {
     });
 }
 
+#[test]
+fn ft_lossy_rejoin_disk_wait_is_engine_invariant() {
+    // The disk-bound run with every fault the replicated system knows,
+    // in miniature: t = 2 over a link that drops 5 % of the frames, a
+    // backup that failstops and rejoins — its state restored from an
+    // epoch boundary's snapshot, and most boundaries fall inside the
+    // disk wait — and a primary that failstops with an operation
+    // outstanding, so the new primary synthesizes the uncertain
+    // interrupt (P7) and the guest retries. The guest spends most of
+    // it in the kernel's disk wait, which the jit retires in bulk:
+    // every simulated field of the report must come out as the step
+    // tier's.
+    let workload = Mixed {
+        ops: 6,
+        mode: IoMode::Write,
+        num_blocks: 16,
+        seed: 11,
+        compute_iters: 300,
+        ..Mixed::default()
+    };
+    let base = || {
+        Scenario::builder()
+            .workload(workload)
+            .functional_cost()
+            .backups(2)
+            .link(LinkSpec::atm_155mbps())
+            .retransmit(SimDuration::from_micros(500))
+            .detector_timeout(SimDuration::from_millis(20))
+    };
+    let t = base()
+        .lossy(0.0)
+        .build()
+        .expect("valid")
+        .run()
+        .completion_time;
+    let run = |tier: ExecTier| {
+        base()
+            .lossy(0.05)
+            .fail_replica_at(SimTime::ZERO + t / 8, 2)
+            .rejoin_replica_at(SimTime::ZERO + t / 4, 2)
+            .fail_primary_at(SimTime::ZERO + (t / 8) * 5)
+            .exec_tier(tier)
+            .build()
+            .expect("valid")
+            .run()
+    };
+    // Everything but the execution-tier counters, which differ by
+    // design.
+    let simulated = |mut r: RunReport| {
+        r.primary_stats.exec = ExecStats::default();
+        for s in &mut r.replica_stats {
+            s.exec = ExecStats::default();
+        }
+        format!("{r:?}")
+    };
+    let (step, jit) = (run(ExecTier::Step), run(ExecTier::Jit));
+    assert!(step.exit.is_clean_exit() && step.lockstep_clean, "{step:?}");
+    assert!(
+        step.reintegrations.len() == 1
+            && step.failovers.iter().any(|f| f.uncertain_synthesized)
+            && step.guest_retries > 0
+            && step.frames_retransmitted > 0,
+        "every fault happened: {step:?}"
+    );
+    assert!(
+        jit.primary_stats.exec.spin_skipped > 0,
+        "the wait was skipped: {:?}",
+        jit.primary_stats.exec
+    );
+    assert_eq!(simulated(jit), simulated(step));
+}
+
 // ---------------------------------------------------------------------
 // Registry sweep: every built-in workload under every tier
 // ---------------------------------------------------------------------
@@ -1060,6 +1140,10 @@ mod lay {
     pub const CODE_DATA: u32 = 0xE00;
     /// Replacement words for the once-only patch, among that data.
     pub const PATCHES: u32 = CODE_DATA + 0x100;
+    /// The word a poll loop waits on (and the one beside it). The
+    /// embedder sets it, here and in `SHADOW`, between budget chunks;
+    /// the external-interrupt handler sets it too.
+    pub const FLAG: u32 = CODE_DATA + 0x180;
     /// The interruption vector table (`iva`).
     pub const VECTORS: u32 = 0x1000;
     /// Code in another page: the island every turn calls, `rfi`
@@ -1106,8 +1190,12 @@ fn vectors() -> String {
                   andi r29, r29, 0x1C\n mtctl ipsw, r29\n rfi\n"
                 .to_owned(),
             8 => "mfctl r28, traparg\n xor r13, r13, r28\n rfi\n".to_owned(),
-            // External interrupt: acknowledge whatever is pending.
-            10 => "mfctl r28, eirr\n mtctl eirr, r28\n addi r12, r12, 1\n rfi\n".to_owned(),
+            // External interrupt: acknowledge whatever is pending, and
+            // release a poll loop.
+            10 => format!(
+                "mfctl r28, eirr\n mtctl eirr, r28\n addi r12, r12, 1\n sw r28, {}(r0)\n rfi\n",
+                lay::FLAG
+            ),
             _ => "mfctl r28, iip\n addi r28, r28, 4\n mtctl iip, r28\n rfi\n".to_owned(),
         };
         format!(".org {}\n {body}", lay::VECTORS + 32 * v)
@@ -1140,6 +1228,7 @@ enum Item {
     Flip,
     Call,
     Patch,
+    Poll,
 }
 
 /// The families an entry point can put a floor under: assist ops, data
@@ -1151,7 +1240,7 @@ const EXITS: u8 = 4;
 /// The grammar: every item, its weight, and the families whose floor
 /// may draw it.
 #[rustfmt::skip]
-const GRAMMAR: [(Item, u64, u8); 21] = [
+const GRAMMAR: [(Item, u64, u8); 22] = [
     (Item::Filler, 5, 0),                       // an ALU op
     (Item::ReadCtl, 5, ASSIST),                 // `mfctl` of any control register
     (Item::WriteCtl, 3, ASSIST),                // `mtctl` of one the frame never reads
@@ -1174,6 +1263,7 @@ const GRAMMAR: [(Item, u64, u8); 21] = [
     (Item::Flip, 3, DATA),                      // translation off, and on three turns later
     (Item::Call, 12, EXITS),                    // and what its callee does with the return
     (Item::Patch, 3, ASSIST | DATA | EXITS),    // once: a drawn word over a decoded one
+    (Item::Poll, 5, DATA | EXITS),              // a wait on a flag word, or a near miss of one
 ];
 
 /// The mixed-radix digits of one draw: `pick(n)` takes the next, in
@@ -1435,6 +1525,40 @@ fn loop_source(items: &[(Item, u64)], turns: u32) -> String {
                 )
             }
             Item::Patch => "nop\n".to_owned(),
+            Item::Poll => {
+                // A wait on the flag word, entered at its load or — with
+                // the register it tests still saying "wait" — at its
+                // branch, and near misses that must not retire in bulk:
+                // a counter, a store, a load base that moves. The
+                // straight line behind the wait jumps back into it, so
+                // the trace entered at the branch wraps around to its
+                // load, as the kernel's disk wait's does. The flag is
+                // cleared on one turn in four or eight, with a `diag`
+                // that makes the embedder end the budget a drawn
+                // distance into the wait; between chunks it is set.
+                let flag = lay::FLAG - lay::CODE_DATA;
+                let load = format!("lw r30, {flag}(r22)\n");
+                let (entry, load, body) = match d.pick(5) {
+                    0 => ("load", load, String::new()),
+                    1 => ("branch", load, String::new()),
+                    2 => ("load", load, format!("addi r{r}, r{r}, 1\n")),
+                    3 => ("load", load, format!("sw r{r}, {}(r24)\n", d.pick(512) * 4)),
+                    // r31 starts at the flag and toggles to the word beside it.
+                    _ => (
+                        "load",
+                        "lw r30, 0(r31)\n".to_owned(),
+                        "xori r31, r31, 4\n".to_owned(),
+                    ),
+                };
+                let every = [4, 8][d.index(2)];
+                let cue = format!("sw r0, {flag}(r22)\n diag r{r}, {}\n", 16 + d.pick(48));
+                format!(
+                    "{}addi r31, r22, {flag}\n addi r30, r0, 0\n jal r0, poll_{entry}_{k}\n\
+                     poll_load_{k}:\n {load} {body}poll_branch_{k}:\n beq r30, r0, poll_load_{k}\n \
+                     bne r30, r0, polled_{k}\n jal r0, poll_load_{k}\npolled_{k}:\n",
+                    sometimes(&mut d, every, &cue, 22),
+                )
+            }
         };
         body.push_str(&text);
     }
@@ -1530,6 +1654,10 @@ enum Happened {
     Surfaced,
 }
 
+/// `diag` codes from here up are a poll loop's cue: the embedder ends
+/// the budget that many instructions on (see [`Embedder::diag`]).
+const POLL_CUE: u32 = 16;
+
 /// What a meddling embedder does after the `n`th event it logs — a
 /// function of `n` alone, so the same on every tier, which log the same
 /// events in the same order.
@@ -1594,17 +1722,20 @@ impl Embedder {
     /// `diag` is where this embedder does what embedders do behind a
     /// running trace's back: the first one past 800 instructions (a
     /// good twenty turns: the loop is compiled) lets a "device"
-    /// overwrite an instruction of the loop, and an odd code cuts the
-    /// current budget to two more instructions. Under the jit at
-    /// privilege 1 both happen inside the frame that executed the
-    /// `diag`.
+    /// overwrite an instruction of the loop, an odd code cuts the
+    /// current budget to two more instructions, and a poll loop's cue
+    /// ([`POLL_CUE`] and up) to `code` more. Under the jit at privilege
+    /// 1 all of it happens inside the frame that executed the `diag`.
     fn diag(&mut self, cpu: &Cpu, mem: &mut Memory, code: u32) {
         if cpu.retired() >= 800 {
             if let Some((addr, word)) = self.dma.take() {
                 mem.write_u32(addr, word).expect("the victim is in RAM");
             }
         }
-        if code % 2 == 1 {
+        if code >= POLL_CUE {
+            // A poll loop is about to wait: end the budget inside it.
+            self.chunk_goal = self.chunk_goal.min(cpu.retired() + u64::from(code));
+        } else if code % 2 == 1 {
             // The `diag` itself is about to retire.
             self.chunk_goal = self.chunk_goal.min(cpu.retired() + 3);
         }
@@ -1771,6 +1902,11 @@ fn drive_chunks(
 ) {
     for &(chunk, raise) in chunks {
         cpu.raise_irq(raise);
+        // The "device" a poll loop waits on completes between budgets,
+        // whichever page the loop's code page is mapped to.
+        for flag in [lay::FLAG, lay::SHADOW + lay::FLAG] {
+            mem.write_u32(flag, 1).expect("the flag is in RAM");
+        }
         embedder.chunk_goal = cpu.retired() + chunk;
         let stop = if hooked {
             match cpu.run_with(mem, chunk, embedder) {
@@ -2113,6 +2249,132 @@ fn one_trace_stores_beside_code_masks_returns_and_hops_by_link() {
             x.data_fast > 0 && x.ret_inline > 0 && x.link_hits > 0,
             "every path was taken: {x:?}"
         );
+    }
+}
+
+#[test]
+fn a_poll_loop_retires_in_bulk_and_its_near_misses_do_not() {
+    // Draw `5 v` of `Item::Poll` is variant `v`: a wait entered at its
+    // load, one entered at its branch, and the three near misses — a
+    // counter, a store, a moving load base — each on its own in the
+    // loop, translation on. Every jit run must agree with the step
+    // tier, and retire in bulk exactly when the wait carries nothing.
+    let chunks: Vec<(u64, u32)> = (0..96).map(|k| (200 + k, 0)).collect();
+    for (variant, skips) in [(0, true), (1, true), (2, false), (3, false), (4, false)] {
+        let items = [(Item::Poll, 5 * variant)];
+        for x in hot_loop(&items, 64, &chunks, 1).expect("the tiers agree") {
+            assert_eq!(
+                x.spin_skipped > 0,
+                skips,
+                "variant {variant}: {x:?}\n{}",
+                loop_source(&items, 64)
+            );
+        }
+    }
+}
+
+#[test]
+fn a_skipped_wait_stops_where_the_step_tier_does_and_books_its_loads() {
+    // A wait whose flag is never set, run in budgets that stop it at
+    // either of its two ops, from either entry, with translation on —
+    // so every load is a counted TLB lookup. The step tier translates
+    // every fetch and every load; the jit one fetch per dispatch, per
+    // unlinked hop or return and per cold step, and books every load
+    // a skip stood in for as the hit it would have been.
+    let image = hvft::isa::asm::assemble(
+        "s:  addi r27, r0, 0x400      ; a word never set
+         k:  lw   r28, 0(r27)
+             beq  r28, r0, k
+             halt",
+    )
+    .expect("asm");
+    for tail in 1..=9 {
+        let run = |tier: ExecTier| {
+            let mut mem = Memory::new(PAGE_SIZE as usize);
+            let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+            image.load_into_cpu(&mut cpu, &mut mem);
+            cpu.set_exec_tier(tier);
+            cpu.tlb.insert_pte(0, pte::V | pte::R | pte::X);
+            cpu.psw.translation = true;
+            for n in [40, 1_001, 1_000 + tail, 32 + tail] {
+                assert_eq!(cpu.run(&mut mem, n), Exit::Retired);
+            }
+            (observable(&cpu, &mem), cpu.tlb.stats().0, cpu.exec_stats())
+        };
+        let (jit, hits, x) = run(ExecTier::Jit);
+        let (step, hits_s, _) = run(ExecTier::Step);
+        assert!(jit == step, "tail {tail}: {jit:?}\n{step:?}");
+        assert!(x.spin_skipped > 1_500, "tail {tail}: {x:?}");
+        let fetches =
+            x.dispatches + (x.chain_hops - x.link_hits) + x.ret_cache_misses + x.step_retired;
+        let retired = 40 + 1_001 + 1_000 + 32 + 2 * tail;
+        assert_eq!(hits - fetches, hits_s - retired, "tail {tail}: {x:?}");
+    }
+}
+
+/// A wait left and re-entered in one frame, the recovery counter wound
+/// back in between: entered at its branch with the flag already up, it
+/// is taken once and left; then `mtctl rctr, r6` sets the clock the
+/// frame's budget runs on, and the wait is entered the same way again.
+/// For one value of r6 the second take lands exactly one iteration
+/// after the first by that clock, with as many map hits in between —
+/// what only an iteration of the wait can have produced.
+const REWOUND_WAIT_GUEST: &str = ".org 0
+start:
+    li   r22, 0x3000          ; the flag word, set
+    addi r20, r0, 60
+turn:
+    addi r31, r0, 0
+    addi r29, r0, 600
+    mtctl rctr, r29
+    addi r30, r0, 0x10        ; recovery on
+    mtctl ipsw, r30
+    la   r30, enter
+    mtctl iip, r30
+    rfi
+enter:
+    addi r30, r0, 0           ; the flag says go, the register says wait
+    jal  r0, branch
+load:
+    lw   r30, 0(r22)
+branch:
+    beq  r30, r0, load
+    bne  r30, r0, out
+    jal  r0, load
+out:
+    bne  r31, r0, next
+    addi r31, r0, 1
+    mtctl rctr, r6            ; wind the clock back
+    lw   r7, 4(r22)
+    la   r30, enter
+    jalr r0, r30, 0
+next:
+    addi r20, r20, -1
+    bne  r20, r0, turn
+    halt
+";
+
+#[test]
+fn a_wait_reentered_under_a_wound_back_recovery_counter_is_engine_exact() {
+    let image = hvft::isa::asm::assemble(REWOUND_WAIT_GUEST).expect("asm");
+    for wound in 560..=620 {
+        let run = |tier: ExecTier| {
+            let mut cpu = Cpu::new(16, TlbReplacement::RoundRobin, 0);
+            let mut mem = Memory::new((lay::PAGES * PAGE_SIZE) as usize);
+            for seg in &image.segments {
+                mem.write_bytes(seg.base, &seg.data);
+            }
+            mem.write_u32(0x3000, 1).unwrap();
+            cpu.set_exec_tier(tier);
+            cpu.set_reg(Reg::of(6), wound);
+            cpu.pc = image.entry;
+            assert_eq!(cpu.run(&mut mem, 1_000_000), Exit::Halt, "r6 = {wound}");
+            (observable(&cpu, &mem), cpu.exec_stats())
+        };
+        let (jit, x) = run(ExecTier::Jit);
+        let (step, _) = run(ExecTier::Step);
+        assert!(jit == step, "r6 = {wound}: {x:?}");
+        assert!(x.jit_retired > 1_000, "r6 = {wound}: {x:?}");
     }
 }
 
