@@ -24,7 +24,7 @@ use crate::config::ProtocolVariant;
 use crate::lockstep::LockstepChecker;
 use crate::messages::Message;
 use crate::observer::Observer;
-use crate::protocol::{apply_to_guest, Effect, ReplicaEngine};
+use crate::protocol::{apply_to_guest, Effect, Input, ReplicaEngine};
 use crate::report::{ExitStatus, RunReport};
 use crate::system::FailoverInfo;
 use hvft_devices::console::Console;
@@ -61,6 +61,9 @@ pub struct TChain {
     /// Run observers (see [`crate::observer::Observer`]); hook sites
     /// are the chain's round boundaries and promotions.
     observers: Vec<Box<dyn Observer>>,
+    /// The buffer every engine step appends its effects to, drained by
+    /// [`TChain::engine`] and reused from step to step.
+    effects: Vec<Effect>,
 }
 
 impl TChain {
@@ -116,6 +119,7 @@ impl TChain {
             links,
             promotions: Vec::new(),
             observers: Vec::new(),
+            effects: Vec::new(),
         }
     }
 
@@ -152,10 +156,19 @@ impl TChain {
                 let survivors: Vec<usize> = (0..self.replicas.len())
                     .filter(|&j| j != next && self.replicas[j].is_some())
                     .collect();
-                let promoted = self.replicas[next].as_mut().expect("next is live");
-                promoted.engine.promote_running(survivors);
+                let promoted = self.replicas[next].as_ref().expect("next is live");
+                let (vclock, at) = (promoted.guest.vclock.snapshot(), promoted.guest.elapsed());
+                // Between rounds the promotion only switches the role.
+                self.engine(
+                    next,
+                    Input::Promote {
+                        vclock,
+                        outstanding_io: false,
+                        survivors,
+                    },
+                );
                 let info = FailoverInfo {
-                    at: SimTime::ZERO + promoted.guest.elapsed(),
+                    at: SimTime::ZERO + at,
                     epoch: self.epoch,
                     uncertain_synthesized: false,
                 };
@@ -169,27 +182,30 @@ impl TChain {
         }
     }
 
-    /// Applies engine effects for replica `i`; sends go onto the links,
-    /// everything else goes through the shared guest applier. Purely
-    /// guest-local: the chain has no disk and holds no I/O.
-    fn process_effects(&mut self, i: usize, effects: Vec<Effect>) {
-        for effect in effects {
+    /// Feeds `input` to live replica `i`'s engine and carries out the
+    /// effects it answers with: sends go onto the links, everything else
+    /// goes through the shared guest applier. Purely guest-local: the
+    /// chain has no disk and holds no I/O.
+    fn engine(&mut self, i: usize, input: Input) {
+        let Some(r) = self.replicas[i].as_mut() else {
+            return;
+        };
+        let mut effects = std::mem::take(&mut self.effects);
+        r.engine.step(input, &mut effects);
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => {
                     if let Some(link) = self.links.get_mut(&(i, to)) {
                         link.send(msg);
                     }
                 }
-                Effect::SynthesizeUncertain | Effect::ResumeHeldIo => {
+                Effect::SynthesizeUncertain | Effect::ReleaseIo => {
                     unreachable!("the chain performs no device I/O")
                 }
-                guest_local => {
-                    if let Some(r) = self.replicas[i].as_mut() {
-                        apply_to_guest(&guest_local, &mut r.guest);
-                    }
-                }
+                guest_local => apply_to_guest(&guest_local, &mut r.guest),
             }
         }
+        self.effects = effects;
     }
 
     /// Drains every link to a fixpoint, feeding messages to the
@@ -207,11 +223,7 @@ impl TChain {
                     continue;
                 };
                 fired = true;
-                let Some(r) = self.replicas[to].as_mut() else {
-                    continue;
-                };
-                let effects = r.engine.message_received(from, msg);
-                self.process_effects(to, effects);
+                self.engine(to, Input::Message { from, msg });
             }
             if !fired {
                 return;
@@ -295,13 +307,14 @@ impl TChain {
         // the whole exchange (including acknowledgments) within the
         // round.
         for i in at_boundary {
-            let Some(r) = self.replicas[i].as_mut() else {
+            let Some(r) = self.replicas[i].as_ref() else {
                 continue;
             };
-            let epoch = r.guest.epoch();
-            let vclock = r.guest.vclock.snapshot();
-            let effects = r.engine.boundary_reached(epoch, vclock);
-            self.process_effects(i, effects);
+            let input = Input::Boundary {
+                epoch: r.guest.epoch(),
+                vclock: r.guest.vclock.snapshot(),
+            };
+            self.engine(i, input);
         }
         self.pump_messages();
         for (i, r) in self.replicas.iter().enumerate() {

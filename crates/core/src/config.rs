@@ -6,7 +6,7 @@ use hvft_net::link::LinkSpec;
 use hvft_sim::time::SimDuration;
 
 /// Which replica-coordination protocol to run.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum ProtocolVariant {
     /// The §2 protocol: at every epoch boundary the primary awaits
     /// acknowledgments for all messages previously sent (rule P2).

@@ -11,9 +11,9 @@
 //! The crate is layered the way the paper argues the problem decomposes:
 //!
 //! - [`protocol`] — the P1–P7 / §4.3 rules as *pure state machines*
-//!   ([`protocol::ReplicaEngine`]): events in, effects out, no knowledge
-//!   of scheduling, channels, or devices. This is the only place the
-//!   rules exist.
+//!   ([`protocol::ReplicaEngine`]): one input in, its effects out, no
+//!   knowledge of scheduling, channels, or devices. This is the only
+//!   place the rules exist.
 //! - [`system`] — [`system::FtSystem`], the realistic discrete-event
 //!   driver: `t + 1` hosts with their own clocks, modelled link timing,
 //!   a shared disk and console, timeout failure detectors, and
@@ -63,7 +63,7 @@ pub use config::{FtConfig, ProtocolVariant};
 pub use lockstep::{Divergence, LockstepChecker};
 pub use messages::{DiskCompletion, ForwardedInterrupt, Message};
 pub use observer::{DropReason, Observer, RunStats};
-pub use protocol::{Effect, IoGate, Promotion, ReplicaEngine, ReplicaId};
+pub use protocol::{Effect, Input, ReplicaEngine, ReplicaId};
 pub use scenario::{
     ClusterScenario, ConfigError, Driver, ExitStatus, RunReport, Runner, Scenario, ScenarioBuilder,
 };

@@ -18,7 +18,7 @@ use std::rc::Rc;
 /// For disk completions this includes the data read, because "processing
 /// a read request requires the primary's hypervisor to forward a copy of
 /// the data read to the backup" (§4.2) — input must reach both replicas.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ForwardedInterrupt {
     /// `eirr` bits to assert at delivery.
     pub irq_bits: u32,
@@ -27,7 +27,7 @@ pub struct ForwardedInterrupt {
 }
 
 /// Payload of a forwarded disk-completion interrupt.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct DiskCompletion {
     /// Controller status the guest will read (`disk_status` values).
     pub status: u32,

@@ -3,12 +3,14 @@
 //!
 //! This module is the single home of the paper's protocol logic. The
 //! engines know nothing about discrete-event scheduling, channels,
-//! devices, or [`hvft_hypervisor::hvguest::HvGuest`]: they consume
-//! *events* (an epoch boundary was reached, a message arrived, a device
-//! interrupt was raised, an acknowledgment came in, the failure
-//! detector fired) and emit *effects* (send a message, assign the
-//! clock, deliver buffered interrupts, start the next epoch, release a
-//! held I/O). Two very different drivers run the same engines:
+//! devices, or [`hvft_hypervisor::hvguest::HvGuest`]: each takes one
+//! [`Input`] at a time (an epoch boundary was reached, a message
+//! arrived, a device interrupt was raised, the guest asked for I/O, a
+//! peer was lost or joined, the failure detector fired) through
+//! [`ReplicaEngine::step`] and appends the [`Effect`]s it answers with
+//! (send a message, assign the clock, deliver buffered interrupts,
+//! start the next epoch, release the I/O) to a buffer its driver owns.
+//! Two very different drivers run the same engines:
 //!
 //! - [`crate::system::FtSystem`] — the realistic DES with modelled link
 //!   timing, a shared disk, and a timeout failure detector;
@@ -23,27 +25,26 @@
 //!
 //! - **P1**: an interrupt arriving at the primary during epoch `E` is
 //!   buffered for delivery at the end of `E` and forwarded as `[E, Int]`
-//!   ([`ReplicaEngine::interrupt_raised`]);
+//!   ([`Input::Interrupt`]);
 //! - **P2**: at the end of epoch `E` the primary sends `[Tme_p]`,
 //!   (original protocol) awaits acknowledgments for everything sent,
 //!   delivers buffered interrupts, sends `[end, E]`, and starts `E + 1`
-//!   ([`ReplicaEngine::boundary_reached`]);
+//!   ([`Input::Boundary`]);
 //! - **P3**: interrupts destined for an unpromoted backup VM are
 //!   ignored — realized here by backup I/O suppression, which is the
 //!   driver's half of the contract;
 //! - **P4**: the backup acknowledges and buffers `[E, Int]`
-//!   ([`ReplicaEngine::message_received`]);
+//!   ([`Input::Message`]);
 //! - **P5**: at the end of its epoch `E` the backup awaits `[Tme_p]`,
 //!   assigns it, awaits `[end, E]`, delivers the epoch-`E` buffer, and
 //!   starts `E + 1`;
 //! - **P6**: if instead the failure detector fires, the backup delivers
-//!   what it buffered and promotes itself
-//!   ([`ReplicaEngine::promote_at_boundary`]);
+//!   what it buffered and promotes itself ([`Input::Promote`]);
 //! - **P7**: I/O outstanding at the failover epoch gets a synthesized
 //!   *uncertain* interrupt so the replayed driver retries;
 //! - **§4.3 revision**: the boundary ack-wait of P2 is dropped;
 //!   acknowledgments must instead be complete before the primary
-//!   initiates any I/O ([`ReplicaEngine::io_requested`]).
+//!   initiates any I/O ([`Input::Io`]).
 //!
 //! # The t-fault generalization
 //!
@@ -73,6 +74,90 @@ use std::collections::{BTreeMap, BTreeSet};
 /// initial primary; backups follow in promotion order).
 pub type ReplicaId = usize;
 
+/// One event an engine reacts to: the labels of its transitions.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Input {
+    /// The replica's guest reached the end of `epoch`; `vclock` is its
+    /// clock snapshot at the boundary (the primary's `[Tme_p]`). Rules
+    /// P2 and P5.
+    Boundary {
+        /// The epoch that ended.
+        epoch: u64,
+        /// The guest's clock at the boundary.
+        vclock: VClock,
+    },
+    /// A protocol message arrived from replica `from` (P2/P4 and
+    /// acknowledgments).
+    ///
+    /// Sequenced messages are *resend-tolerant*: a message whose
+    /// sequence number was already received (a retransmission whose
+    /// original, or whose acknowledgment, the lossy network dropped) is
+    /// re-acknowledged but changes no protocol state, so a driver may
+    /// replay `[E, Int]`, `[Tme_p]` or `[end, E]` any number of times
+    /// without double-buffering an interrupt or re-assigning a clock.
+    Message {
+        /// The sender.
+        from: ReplicaId,
+        /// The message.
+        msg: Message,
+    },
+    /// Rule P1: a device interrupt was raised at the acting primary
+    /// while its guest is at epoch `guest_epoch`. It is buffered
+    /// locally and forwarded as `[E, Int]` to every live backup;
+    /// interrupts arriving while boundary processing for `E` is under
+    /// way belong to `E + 1`.
+    Interrupt {
+        /// The guest's epoch when the interrupt arrived.
+        guest_epoch: u64,
+        /// The interrupt and its device payload.
+        fwd: ForwardedInterrupt,
+    },
+    /// The acting primary's guest asked for an externally visible I/O.
+    /// [`Effect::ReleaseIo`] answers at once, or — under §4.3, while a
+    /// coordination message is unacknowledged — once the last
+    /// acknowledgment is in: I/O is the only way VM state is revealed.
+    Io,
+    /// A live peer failstopped or finished: it stops counting toward
+    /// the acknowledgment condition (which may resume a stalled
+    /// primary).
+    PeerLost(ReplicaId),
+    /// Reintegration: a repaired replica rejoins the chain as a live
+    /// backup of this primary. The driver feeds it at the epoch
+    /// boundary whose snapshot the rejoiner restores, *before* that
+    /// boundary's [`Input::Boundary`], so the new peer receives the
+    /// complete boundary sequence over a fresh sequence space.
+    ///
+    /// Interrupts currently buffered here were broadcast while the
+    /// rejoiner was dead; its restored state expects them (the snapshot
+    /// predates their delivery), so they are re-forwarded as freshly
+    /// sequenced `[E, Int]` messages — without this the rejoiner would
+    /// miss a delivery and diverge one epoch later.
+    PeerJoined(ReplicaId),
+    /// This replica becomes the acting primary, coordinating
+    /// `survivors` (the remaining live backups, in chain order).
+    ///
+    /// From a running replica (the round-synchronous chain promotes
+    /// between epochs) only the role switches. From a backup waiting at
+    /// an epoch boundary this is rules P6 + P7: `vclock` is the
+    /// replica's own clock snapshot and `outstanding_io` whether a
+    /// device operation is still in flight. With no survivors (the
+    /// paper's 1-fault prototype) everything buffered is delivered and
+    /// outstanding I/O gets a locally synthesized uncertain interrupt.
+    /// With survivors, the new primary instead *completes the failover
+    /// epoch as a primary*: the uncertain interrupt is forwarded like
+    /// any other so every replica retires it at the same
+    /// instruction-stream point, `[Tme_p]` is re-issued only if the dead
+    /// primary never sent it, and `[end, E]` closes the epoch.
+    Promote {
+        /// The replica's clock at its boundary.
+        vclock: VClock,
+        /// Whether a device operation is still in flight (rule P7).
+        outstanding_io: bool,
+        /// The live backups the new primary coordinates.
+        survivors: Vec<ReplicaId>,
+    },
+}
+
 /// What an engine asks its driver to do.
 ///
 /// Effects are emitted in the exact order they must be carried out;
@@ -99,32 +184,13 @@ pub enum Effect {
     SynthesizeUncertain,
     /// Re-arm the recovery counter: the next epoch begins.
     StartEpoch,
-    /// §4.3: acknowledgments completed; perform the held I/O now and
-    /// complete the guest's stalled MMIO instruction.
-    ResumeHeldIo,
-}
-
-/// Verdict of [`ReplicaEngine::io_requested`] (§4.3 gate).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum IoGate {
-    /// Perform the I/O immediately.
-    Proceed,
-    /// Hold the I/O; [`Effect::ResumeHeldIo`] will release it once all
-    /// acknowledgments are in.
-    Hold,
-}
-
-/// Details of a completed promotion (rules P6/P7).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct Promotion {
-    /// The failover epoch (P6's `E`).
-    pub epoch: u64,
-    /// Whether P7 synthesized an uncertain interrupt.
-    pub uncertain_synthesized: bool,
+    /// The answer to [`Input::Io`]: perform the I/O now and complete
+    /// the guest's stalled MMIO instruction.
+    ReleaseIo,
 }
 
 /// Protocol phase of one replica.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 enum Phase {
     /// Guest instructions are executing.
     Running,
@@ -153,7 +219,9 @@ enum Phase {
 ///
 /// A replica starts as the primary or as a backup and may switch role
 /// exactly once per promotion; a `t`-fault system drives `t + 1` of
-/// these, re-wiring roles as primaries failstop.
+/// these, re-wiring roles as primaries failstop. The engine is a plain
+/// value — it compares and hashes by its whole state — and
+/// [`ReplicaEngine::step`] is its one mutator.
 ///
 /// # Examples
 ///
@@ -162,30 +230,34 @@ enum Phase {
 ///
 /// ```
 /// use hvft_core::config::ProtocolVariant;
-/// use hvft_core::protocol::{Effect, ReplicaEngine};
+/// use hvft_core::protocol::{Effect, Input, ReplicaEngine};
 /// use hvft_hypervisor::vclock::VClock;
 ///
 /// let mut primary = ReplicaEngine::new_primary(0, vec![1], ProtocolVariant::Old);
 /// let mut backup = ReplicaEngine::new_backup(1, 0, ProtocolVariant::Old);
+/// let boundary = Input::Boundary { epoch: 0, vclock: VClock::new() };
+/// let mut out = Vec::new();
 ///
 /// // The primary's guest reaches the end of epoch 0: [Tme] goes out
 /// // and the boundary stalls awaiting its acknowledgment (rule P2).
-/// let effects = primary.boundary_reached(0, VClock::new());
-/// let Effect::Send { to: 1, msg } = &effects[0] else { unreachable!() };
+/// primary.step(boundary.clone(), &mut out);
+/// let Some(Effect::Send { to: 1, msg }) = out.pop() else { unreachable!() };
 /// assert!(!primary.is_running());
 ///
 /// // The backup waits at its own boundary for [Tme] (rule P5), then
 /// // assigns the clock and acknowledges.
-/// assert!(backup.boundary_reached(0, VClock::new()).is_empty());
-/// let replies = backup.message_received(0, msg.clone());
-/// let Effect::Send { msg: ack, .. } = &replies[0] else { unreachable!() };
+/// backup.step(boundary, &mut out);
+/// assert!(out.is_empty());
+/// backup.step(Input::Message { from: 0, msg }, &mut out);
+/// let Effect::Send { msg: ack, .. } = out[0].clone() else { unreachable!() };
 ///
 /// // The acknowledgment releases the primary into epoch 1.
-/// let released = primary.message_received(1, ack.clone());
+/// out.clear();
+/// primary.step(Input::Message { from: 1, msg: ack }, &mut out);
 /// assert!(primary.is_running());
-/// assert!(released.contains(&Effect::StartEpoch));
+/// assert!(out.contains(&Effect::StartEpoch));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct ReplicaEngine {
     id: ReplicaId,
     variant: ProtocolVariant,
@@ -216,18 +288,9 @@ impl ReplicaEngine {
     /// backups, in chain order).
     pub fn new_primary(id: ReplicaId, peers: Vec<ReplicaId>, variant: ProtocolVariant) -> Self {
         ReplicaEngine {
-            id,
-            variant,
             is_primary: true,
-            phase: Phase::Running,
             peers,
-            next_seq: BTreeMap::new(),
-            acked: BTreeMap::new(),
-            primary: id,
-            highest_recv: 0,
-            got_time: BTreeMap::new(),
-            got_end: BTreeSet::new(),
-            buffered: BTreeMap::new(),
+            ..ReplicaEngine::new_backup(id, id, variant)
         }
     }
 
@@ -280,6 +343,82 @@ impl ReplicaEngine {
         &self.peers
     }
 
+    /// Takes one input and appends the effects it causes to `out`, in
+    /// the order the driver must carry them out. `out` is the driver's
+    /// buffer: nothing in it is read or removed, so a driver that
+    /// drains and reuses one buffer makes warm epochs allocation-free.
+    pub fn step(&mut self, input: Input, out: &mut Vec<Effect>) {
+        match input {
+            Input::Boundary { epoch, vclock } => {
+                debug_assert_eq!(self.phase, Phase::Running, "boundary while not running");
+                if !self.is_primary {
+                    self.phase = Phase::AwaitTime { epoch };
+                    return self.try_advance(out);
+                }
+                self.broadcast(out, |seq| Message::Time { seq, epoch, vclock });
+                if self.variant == ProtocolVariant::Old && !self.all_acked() {
+                    self.phase = Phase::AwaitBoundaryAcks { epoch };
+                } else {
+                    self.finish_boundary(epoch, out);
+                }
+            }
+            Input::Message { from, msg } => self.receive(from, msg, out),
+            Input::Interrupt { guest_epoch, fwd } => {
+                debug_assert!(self.is_primary, "interrupts are buffered at the primary");
+                let epoch = match self.phase {
+                    Phase::AwaitBoundaryAcks { epoch } => epoch + 1,
+                    _ => guest_epoch,
+                };
+                self.broadcast(out, |seq| Message::Interrupt {
+                    seq,
+                    epoch,
+                    interrupt: fwd.clone(),
+                });
+                self.buffered.entry(epoch).or_default().push(fwd);
+            }
+            Input::Io => {
+                debug_assert!(self.is_primary, "only the primary performs I/O");
+                if self.variant == ProtocolVariant::New && !self.all_acked() {
+                    self.phase = Phase::AwaitIoAcks;
+                } else {
+                    out.push(Effect::ReleaseIo);
+                }
+            }
+            Input::PeerLost(peer) => {
+                self.peers.retain(|&p| p != peer);
+                self.resume_if_acked(out);
+            }
+            Input::PeerJoined(peer) => {
+                debug_assert!(self.is_primary, "only the acting primary admits peers");
+                if !self.peers.contains(&peer) {
+                    self.peers.push(peer);
+                    self.peers.sort_unstable();
+                }
+                self.acked.insert(peer, 0);
+                let mut seq = 0;
+                for (&epoch, fwds) in &self.buffered {
+                    for interrupt in fwds {
+                        seq += 1;
+                        out.push(Effect::Send {
+                            to: peer,
+                            msg: Message::Interrupt {
+                                seq,
+                                epoch,
+                                interrupt: interrupt.clone(),
+                            },
+                        });
+                    }
+                }
+                self.next_seq.insert(peer, seq);
+            }
+            Input::Promote {
+                vclock,
+                outstanding_io,
+                survivors,
+            } => self.promote(vclock, outstanding_io, survivors, out),
+        }
+    }
+
     fn all_acked(&self) -> bool {
         self.peers.iter().all(|p| {
             self.acked.get(p).copied().unwrap_or(0) >= self.next_seq.get(p).copied().unwrap_or(0)
@@ -287,136 +426,85 @@ impl ReplicaEngine {
     }
 
     /// Stamps and queues one sequenced message per live peer.
-    fn broadcast(&mut self, effects: &mut Vec<Effect>, make: impl Fn(u64) -> Message) {
+    fn broadcast(&mut self, out: &mut Vec<Effect>, make: impl Fn(u64) -> Message) {
         for &to in &self.peers {
             let seq = self.next_seq.entry(to).or_insert(0);
             *seq += 1;
-            effects.push(Effect::Send {
+            out.push(Effect::Send {
                 to,
                 msg: make(*seq),
             });
         }
     }
 
-    // -----------------------------------------------------------------
-    // Boundary processing (rules P2 and P5)
-    // -----------------------------------------------------------------
-
-    /// The replica's guest reached the end of `epoch`; `vclock` is its
-    /// clock snapshot at the boundary (used by the primary's `[Tme_p]`).
-    pub fn boundary_reached(&mut self, epoch: u64, vclock: VClock) -> Vec<Effect> {
-        debug_assert_eq!(self.phase, Phase::Running, "boundary while not running");
-        if self.is_primary {
-            let mut effects = Vec::new();
-            if !self.peers.is_empty() {
-                self.broadcast(&mut effects, |seq| Message::Time { seq, epoch, vclock });
-                if self.variant == ProtocolVariant::Old && !self.all_acked() {
-                    self.phase = Phase::AwaitBoundaryAcks { epoch };
-                    return effects;
-                }
-            }
-            self.finish_boundary(epoch, &mut effects);
-            effects
-        } else {
-            self.phase = Phase::AwaitTime { epoch };
-            self.try_advance()
-        }
+    /// Delivers the timer check and every interrupt buffered for `epoch`.
+    fn deliver(&mut self, epoch: u64, out: &mut Vec<Effect>) {
+        out.push(Effect::DeliverTimer);
+        let fwds = self.buffered.remove(&epoch).unwrap_or_default();
+        out.extend(fwds.into_iter().map(Effect::DeliverInterrupt));
     }
 
     /// Rule P2, second half: deliver, announce, start the next epoch.
-    fn finish_boundary(&mut self, epoch: u64, effects: &mut Vec<Effect>) {
-        effects.push(Effect::DeliverTimer);
-        for fwd in self.buffered.remove(&epoch).unwrap_or_default() {
-            effects.push(Effect::DeliverInterrupt(fwd));
-        }
-        if !self.peers.is_empty() {
-            self.broadcast(effects, |seq| Message::EpochEnd { seq, epoch });
-        }
-        effects.push(Effect::StartEpoch);
+    fn finish_boundary(&mut self, epoch: u64, out: &mut Vec<Effect>) {
+        self.deliver(epoch, out);
+        self.broadcast(out, |seq| Message::EpochEnd { seq, epoch });
+        out.push(Effect::StartEpoch);
         self.phase = Phase::Running;
     }
 
     /// Rule P5's waiting sequence, re-evaluated whenever state changes.
-    fn try_advance(&mut self) -> Vec<Effect> {
-        let mut effects = Vec::new();
-        loop {
-            match self.phase {
-                Phase::AwaitTime { epoch } => {
-                    let Some(vc) = self.got_time.remove(&epoch) else {
-                        return effects;
-                    };
-                    effects.push(Effect::AssignClock(vc));
-                    self.phase = Phase::AwaitEnd { epoch };
-                }
-                Phase::AwaitEnd { epoch } if self.got_end.remove(&epoch) => {
-                    effects.push(Effect::DeliverTimer);
-                    for fwd in self.buffered.remove(&epoch).unwrap_or_default() {
-                        effects.push(Effect::DeliverInterrupt(fwd));
-                    }
-                    effects.push(Effect::StartEpoch);
-                    self.phase = Phase::Running;
-                    return effects;
-                }
-                _ => return effects,
+    fn try_advance(&mut self, out: &mut Vec<Effect>) {
+        if let Phase::AwaitTime { epoch } = self.phase {
+            let Some(vc) = self.got_time.remove(&epoch) else {
+                return;
+            };
+            out.push(Effect::AssignClock(vc));
+            self.phase = Phase::AwaitEnd { epoch };
+        }
+        if let Phase::AwaitEnd { epoch } = self.phase {
+            if self.got_end.remove(&epoch) {
+                self.deliver(epoch, out);
+                out.push(Effect::StartEpoch);
+                self.phase = Phase::Running;
             }
         }
     }
 
-    // -----------------------------------------------------------------
-    // Messages (rules P2/P4 and acknowledgments)
-    // -----------------------------------------------------------------
-
-    /// A protocol message arrived from replica `from`.
-    ///
-    /// Sequenced messages are *resend-tolerant*: a message whose
-    /// sequence number was already received (a retransmission whose
-    /// original, or whose acknowledgment, the lossy network dropped) is
-    /// re-acknowledged but changes no protocol state, so a driver may
-    /// replay `[E, Int]`, `[Tme_p]` or `[end, E]` any number of times
-    /// without double-buffering an interrupt or re-assigning a clock.
-    pub fn message_received(&mut self, from: ReplicaId, msg: Message) -> Vec<Effect> {
+    fn receive(&mut self, from: ReplicaId, msg: Message, out: &mut Vec<Effect>) {
         if let Some(seq) = msg.seq() {
             if self.is_duplicate(from, seq) {
-                return vec![self.ack(from, seq)];
+                return self.ack(from, seq, out);
             }
         }
         match msg {
             Message::Ack { upto } => {
                 let slot = self.acked.entry(from).or_insert(0);
                 *slot = (*slot).max(upto);
-                self.resume_if_acked()
+                return self.resume_if_acked(out);
             }
             Message::Interrupt {
                 seq,
                 epoch,
                 interrupt,
             } => {
-                let mut effects = vec![self.ack(from, seq)];
+                self.ack(from, seq, out);
                 self.buffered.entry(epoch).or_default().push(interrupt);
-                effects.extend(self.try_advance());
-                effects
             }
             Message::Time { seq, epoch, vclock } => {
-                let mut effects = vec![self.ack(from, seq)];
+                self.ack(from, seq, out);
                 self.got_time.insert(epoch, vclock);
-                effects.extend(self.try_advance());
-                effects
             }
             Message::EpochEnd { seq, epoch } => {
-                let mut effects = vec![self.ack(from, seq)];
+                self.ack(from, seq, out);
                 self.got_end.insert(epoch);
-                effects.extend(self.try_advance());
-                effects
             }
-            Message::StateChunk { .. } => {
-                // State-transfer chunks are driver traffic: the driver
-                // intercepts them before the engine and restores the
-                // replica itself. A stray chunk (e.g. one still in
-                // flight from a primary that since died) is protocol
-                // no-op.
-                Vec::new()
-            }
+            // State-transfer chunks are driver traffic: the driver
+            // intercepts them before the engine and restores the replica
+            // itself. A stray chunk (e.g. one still in flight from a
+            // primary that since died) is a protocol no-op.
+            Message::StateChunk { .. } => return,
         }
+        self.try_advance(out);
     }
 
     /// Whether a sequenced message from `from` was already processed.
@@ -429,236 +517,102 @@ impl ReplicaEngine {
     /// Cumulatively acknowledges everything received from the sender;
     /// a sequenced message from a *new* sender means a new primary has
     /// taken over (its sequence space starts fresh).
-    fn ack(&mut self, from: ReplicaId, seq: u64) -> Effect {
+    fn ack(&mut self, from: ReplicaId, seq: u64, out: &mut Vec<Effect>) {
         if from != self.primary {
             self.primary = from;
             self.highest_recv = 0;
         }
         self.highest_recv = self.highest_recv.max(seq);
-        Effect::Send {
+        out.push(Effect::Send {
             to: self.primary,
             msg: Message::Ack {
                 upto: self.highest_recv,
             },
-        }
+        });
     }
 
     /// Resumes a primary stalled on acknowledgments, if they are in.
-    fn resume_if_acked(&mut self) -> Vec<Effect> {
+    fn resume_if_acked(&mut self, out: &mut Vec<Effect>) {
         if !self.all_acked() {
-            return Vec::new();
+            return;
         }
         match self.phase {
-            Phase::AwaitBoundaryAcks { epoch } => {
-                let mut effects = Vec::new();
-                self.finish_boundary(epoch, &mut effects);
-                effects
-            }
+            Phase::AwaitBoundaryAcks { epoch } => self.finish_boundary(epoch, out),
             Phase::AwaitIoAcks => {
                 self.phase = Phase::Running;
-                vec![Effect::ResumeHeldIo]
+                out.push(Effect::ReleaseIo);
             }
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
-    /// A live peer failstopped or finished: stop counting it toward the
-    /// acknowledgment condition (may resume a stalled primary).
-    pub fn remove_peer(&mut self, peer: ReplicaId) -> Vec<Effect> {
-        self.peers.retain(|&p| p != peer);
-        if self.is_primary {
-            self.resume_if_acked()
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Reintegration: a repaired replica rejoins the chain as a live
-    /// backup. Called by the driver at the epoch boundary whose
-    /// snapshot the rejoiner restores, *before* that boundary's
-    /// `[Tme]`/`[end]` broadcast, so the new peer receives the complete
-    /// boundary sequence over a fresh sequence space.
-    ///
-    /// Interrupts currently buffered at this primary were broadcast
-    /// while the rejoiner was dead; its restored state expects them
-    /// (the snapshot predates their delivery), so they are re-forwarded
-    /// as freshly sequenced `[E, Int]` messages — without this the
-    /// rejoiner would miss a delivery and diverge one epoch later.
-    pub fn add_peer(&mut self, peer: ReplicaId) -> Vec<Effect> {
-        debug_assert!(self.is_primary, "only the acting primary admits peers");
-        if !self.peers.contains(&peer) {
-            self.peers.push(peer);
-            self.peers.sort_unstable();
-        }
-        self.next_seq.insert(peer, 0);
-        self.acked.insert(peer, 0);
-        let mut effects = Vec::new();
-        let pending: Vec<(u64, Vec<ForwardedInterrupt>)> =
-            self.buffered.iter().map(|(&e, v)| (e, v.clone())).collect();
-        for (epoch, fwds) in pending {
-            for interrupt in fwds {
-                let seq = self.next_seq.entry(peer).or_insert(0);
-                *seq += 1;
-                effects.push(Effect::Send {
-                    to: peer,
-                    msg: Message::Interrupt {
-                        seq: *seq,
-                        epoch,
-                        interrupt,
-                    },
-                });
-            }
-        }
-        effects
-    }
-
-    // -----------------------------------------------------------------
-    // Interrupts (rule P1) and I/O (§4.3)
-    // -----------------------------------------------------------------
-
-    /// The epoch tag for an interrupt received now (P1's `E`):
-    /// interrupts arriving while boundary processing for `E` is under
-    /// way belong to `E + 1`.
-    fn interrupt_epoch(&self, guest_epoch: u64) -> u64 {
-        match self.phase {
-            Phase::AwaitBoundaryAcks { epoch } => epoch + 1,
-            _ => guest_epoch,
-        }
-    }
-
-    /// Rule P1: a device interrupt was raised at the acting primary
-    /// while its guest is at epoch `guest_epoch`. Buffers it locally
-    /// and forwards `[E, Int]` to every live backup.
-    pub fn interrupt_raised(&mut self, guest_epoch: u64, fwd: ForwardedInterrupt) -> Vec<Effect> {
-        debug_assert!(self.is_primary, "interrupts are buffered at the primary");
-        let epoch = self.interrupt_epoch(guest_epoch);
-        self.buffered.entry(epoch).or_default().push(fwd.clone());
-        let mut effects = Vec::new();
-        self.broadcast(&mut effects, |seq| Message::Interrupt {
-            seq,
-            epoch,
-            interrupt: fwd.clone(),
-        });
-        effects
-    }
-
-    /// §4.3: may the primary initiate an externally visible I/O right
-    /// now? Under the revised protocol every coordination message must
-    /// be acknowledged first — I/O is the only way VM state is revealed.
-    pub fn io_requested(&mut self) -> IoGate {
-        debug_assert!(self.is_primary, "only the primary performs I/O");
-        if self.variant == ProtocolVariant::New && !self.peers.is_empty() && !self.all_acked() {
-            self.phase = Phase::AwaitIoAcks;
-            IoGate::Hold
-        } else {
-            IoGate::Proceed
-        }
-    }
-
-    // -----------------------------------------------------------------
-    // Promotion (rules P6/P7)
-    // -----------------------------------------------------------------
-
-    /// Rules P6 + P7: the failure detector fired while this backup was
-    /// waiting at an epoch boundary. `vclock` is the replica's own
-    /// clock snapshot, `outstanding_io` whether a device operation is
-    /// still in flight, and `survivors` the remaining live backups in
-    /// chain order.
-    ///
-    /// With no survivors (the paper's 1-fault prototype) everything
-    /// buffered is delivered and outstanding I/O gets a locally
-    /// synthesized uncertain interrupt. With survivors, the new primary
-    /// instead *completes the failover epoch as a primary*: the
-    /// uncertain interrupt is forwarded like any other so every replica
-    /// retires it at the same instruction-stream point, `[Tme_p]` is
-    /// re-issued only if the dead primary never sent it, and `[end, E]`
-    /// closes the epoch.
-    pub fn promote_at_boundary(
+    /// [`Input::Promote`].
+    fn promote(
         &mut self,
         vclock: VClock,
         outstanding_io: bool,
         survivors: Vec<ReplicaId>,
-    ) -> (Vec<Effect>, Promotion) {
-        let (epoch, time_already_assigned) = match self.phase {
-            Phase::AwaitTime { epoch } => (epoch, false),
-            Phase::AwaitEnd { epoch } => (epoch, true),
+        out: &mut Vec<Effect>,
+    ) {
+        let waiting = match self.phase {
+            Phase::Running => None,
+            Phase::AwaitTime { epoch } => Some((epoch, false)),
+            Phase::AwaitEnd { epoch } => Some((epoch, true)),
             other => unreachable!("promotion outside a waiting state: {other:?}"),
         };
         self.is_primary = true;
         self.peers = survivors;
-        let mut effects = Vec::new();
-        let mut synthesized = false;
+        let Some((epoch, time_already_assigned)) = waiting else {
+            // Between epochs only the role switches; coordination
+            // resumes at the next boundary.
+            return;
+        };
         if self.peers.is_empty() {
             // No replica is left to stay in step with: deliver the
             // boundary epoch (with its timer check), then drain every
             // other buffered epoch — holding epoch-tagged completions
             // any longer would only delay the driver.
-            effects.push(Effect::DeliverTimer);
-            for fwd in self.buffered.remove(&epoch).unwrap_or_default() {
-                effects.push(Effect::DeliverInterrupt(fwd));
-            }
-            let later: Vec<u64> = self.buffered.keys().copied().collect();
-            for e in later {
-                for fwd in self.buffered.remove(&e).unwrap_or_default() {
-                    effects.push(Effect::DeliverInterrupt(fwd));
-                }
+            self.deliver(epoch, out);
+            while let Some((_, fwds)) = self.buffered.pop_first() {
+                out.extend(fwds.into_iter().map(Effect::DeliverInterrupt));
             }
             if outstanding_io {
-                effects.push(Effect::SynthesizeUncertain);
-                synthesized = true;
+                out.push(Effect::SynthesizeUncertain);
             }
-            effects.push(Effect::StartEpoch);
+            out.push(Effect::StartEpoch);
             self.phase = Phase::Running;
-        } else {
-            // Survivors remain: finish epoch `E` the way the dead
-            // primary would have. Every live backup received the same
-            // message prefix, so `[Tme_p]` is re-sent exactly when
-            // nobody has it.
-            if outstanding_io {
-                let fwd = ForwardedInterrupt {
-                    irq_bits: irq::DISK,
-                    disk: Some(DiskCompletion {
-                        status: mmio::disk_status::UNCERTAIN,
-                        data: None,
-                    }),
-                };
-                self.buffered.entry(epoch).or_default().push(fwd.clone());
-                self.broadcast(&mut effects, |seq| Message::Interrupt {
-                    seq,
-                    epoch,
-                    interrupt: fwd.clone(),
-                });
-                synthesized = true;
-            }
-            if !time_already_assigned {
-                effects.push(Effect::AssignClock(vclock));
-                self.broadcast(&mut effects, |seq| Message::Time { seq, epoch, vclock });
-            }
-            self.finish_boundary(epoch, &mut effects);
+            return;
         }
-        (
-            effects,
-            Promotion {
+        // Survivors remain: finish epoch `E` the way the dead primary
+        // would have. Every live backup received the same message
+        // prefix, so `[Tme_p]` is re-sent exactly when nobody has it.
+        if outstanding_io {
+            let fwd = ForwardedInterrupt {
+                irq_bits: irq::DISK,
+                disk: Some(DiskCompletion {
+                    status: mmio::disk_status::UNCERTAIN,
+                    data: None,
+                }),
+            };
+            self.broadcast(out, |seq| Message::Interrupt {
+                seq,
                 epoch,
-                uncertain_synthesized: synthesized,
-            },
-        )
-    }
-
-    /// Promotion between epochs (the round-synchronous chain): the
-    /// replica is not waiting at a boundary, so the role simply
-    /// switches and coordination resumes at the next boundary.
-    pub fn promote_running(&mut self, survivors: Vec<ReplicaId>) {
-        debug_assert_eq!(self.phase, Phase::Running, "promote_running mid-boundary");
-        self.is_primary = true;
-        self.peers = survivors;
+                interrupt: fwd.clone(),
+            });
+            self.buffered.entry(epoch).or_default().push(fwd);
+        }
+        if !time_already_assigned {
+            out.push(Effect::AssignClock(vclock));
+            self.broadcast(out, |seq| Message::Time { seq, epoch, vclock });
+        }
+        self.finish_boundary(epoch, out);
     }
 }
 
 /// Applies the guest-local part of an effect through the narrow
 /// [`GuestCtl`] surface. Driver-specific parts — transmitting
 /// [`Effect::Send`], device payloads of [`Effect::DeliverInterrupt`],
-/// performing held I/O — remain the driver's job.
+/// releasing I/O — remain the driver's job.
 pub fn apply_to_guest<G: GuestCtl>(effect: &Effect, guest: &mut G) {
     match effect {
         Effect::AssignClock(vc) => guest.vclock_assign(*vc),
@@ -669,7 +623,7 @@ pub fn apply_to_guest<G: GuestCtl>(effect: &Effect, guest: &mut G) {
         }
         Effect::DeliverInterrupt(fwd) => guest.assert_irq(fwd.irq_bits),
         Effect::StartEpoch => guest.begin_epoch(),
-        Effect::Send { .. } | Effect::SynthesizeUncertain | Effect::ResumeHeldIo => {}
+        Effect::Send { .. } | Effect::SynthesizeUncertain | Effect::ReleaseIo => {}
     }
 }
 
@@ -679,6 +633,32 @@ mod tests {
 
     fn vc() -> VClock {
         VClock::new()
+    }
+
+    /// One input, its effects in a buffer of their own.
+    fn step(engine: &mut ReplicaEngine, input: Input) -> Vec<Effect> {
+        let mut out = Vec::new();
+        engine.step(input, &mut out);
+        out
+    }
+
+    fn boundary(epoch: u64) -> Input {
+        Input::Boundary {
+            epoch,
+            vclock: vc(),
+        }
+    }
+
+    fn receive(engine: &mut ReplicaEngine, from: ReplicaId, msg: Message) -> Vec<Effect> {
+        step(engine, Input::Message { from, msg })
+    }
+
+    fn promote(outstanding_io: bool, survivors: Vec<ReplicaId>) -> Input {
+        Input::Promote {
+            vclock: vc(),
+            outstanding_io,
+            survivors,
+        }
     }
 
     fn sends(effects: &[Effect]) -> Vec<(ReplicaId, &Message)> {
@@ -704,7 +684,7 @@ mod tests {
         }
         while !queue.is_empty() {
             let (from, to, msg) = queue.remove(0);
-            for e in engines[to].message_received(from, msg) {
+            for e in receive(&mut engines[to], from, msg) {
                 match e {
                     Effect::Send { to: t2, msg } => queue.push((to, t2, msg)),
                     other => local[to].push(other),
@@ -721,13 +701,13 @@ mod tests {
 
         // Primary hits the boundary first: sends [Tme], then stalls on
         // the acknowledgment (rule P2, original protocol).
-        let pe = p.boundary_reached(0, vc());
+        let pe = step(&mut p, boundary(0));
         assert_eq!(sends(&pe).len(), 1);
         assert!(matches!(sends(&pe)[0].1, Message::Time { epoch: 0, .. }));
         assert!(!p.is_running(), "P2 waits for acks before finishing");
 
         // Backup reaches its boundary: waits for [Tme].
-        let be = b.boundary_reached(0, vc());
+        let be = step(&mut b, boundary(0));
         assert!(be.is_empty());
         assert!(b.is_waiting_backup());
 
@@ -735,7 +715,7 @@ mod tests {
         let [(_, time)] = sends(&pe)[..] else {
             panic!()
         };
-        let be = b.message_received(0, time.clone());
+        let be = receive(&mut b, 0, time.clone());
         assert!(matches!(
             be[0],
             Effect::Send {
@@ -750,7 +730,7 @@ mod tests {
             Effect::Send { msg, .. } => msg.clone(),
             _ => panic!(),
         };
-        let pe = p.message_received(1, ack);
+        let pe = receive(&mut p, 1, ack);
         assert!(pe.contains(&Effect::DeliverTimer));
         assert!(pe.contains(&Effect::StartEpoch));
         assert!(p.is_running());
@@ -762,7 +742,7 @@ mod tests {
             .clone();
 
         // [end] lets the backup start the next epoch.
-        let be = b.message_received(0, end);
+        let be = receive(&mut b, 0, end);
         assert!(be.iter().any(|e| matches!(e, Effect::StartEpoch)));
         assert!(b.is_running());
     }
@@ -771,30 +751,36 @@ mod tests {
     fn new_protocol_gates_io_not_boundaries() {
         let mut p = ReplicaEngine::new_primary(0, vec![1], ProtocolVariant::New);
         // The boundary does not wait even though nothing is acked yet.
-        let pe = p.boundary_reached(0, vc());
+        let pe = step(&mut p, boundary(0));
         assert!(p.is_running(), "§4.3 drops the boundary ack-wait");
         assert!(pe.contains(&Effect::StartEpoch));
         // But I/O is gated until the outstanding [Tme]/[end] are acked.
-        assert_eq!(p.io_requested(), IoGate::Hold);
+        assert!(step(&mut p, Input::Io).is_empty());
         assert!(p.holds_io());
         // The cumulative ack for both messages releases it.
-        let pe = p.message_received(1, Message::Ack { upto: 2 });
-        assert_eq!(pe, vec![Effect::ResumeHeldIo]);
+        let pe = receive(&mut p, 1, Message::Ack { upto: 2 });
+        assert_eq!(pe, vec![Effect::ReleaseIo]);
         assert!(p.is_running());
-        // With everything acked, further I/O proceeds immediately.
-        assert_eq!(p.io_requested(), IoGate::Proceed);
+        // With everything acked, further I/O is released immediately.
+        assert_eq!(step(&mut p, Input::Io), vec![Effect::ReleaseIo]);
     }
 
     #[test]
     fn boundary_interrupts_tag_the_next_epoch() {
         let mut p = ReplicaEngine::new_primary(0, vec![1], ProtocolVariant::Old);
-        let _ = p.boundary_reached(3, vc());
+        let _ = step(&mut p, boundary(3));
         assert!(!p.is_running(), "stalled on acks");
         let fwd = ForwardedInterrupt {
             irq_bits: irq::DISK,
             disk: None,
         };
-        let effects = p.interrupt_raised(3, fwd);
+        let effects = step(
+            &mut p,
+            Input::Interrupt {
+                guest_epoch: 3,
+                fwd,
+            },
+        );
         match sends(&effects)[0].1 {
             Message::Interrupt { epoch, .. } => assert_eq!(
                 *epoch, 4,
@@ -816,7 +802,8 @@ mod tests {
             irq_bits: irq::TIMER,
             disk: None,
         };
-        let _ = b.message_received(
+        let _ = receive(
+            &mut b,
             0,
             Message::Interrupt {
                 seq: 1,
@@ -824,7 +811,8 @@ mod tests {
                 interrupt: f0.clone(),
             },
         );
-        let _ = b.message_received(
+        let _ = receive(
+            &mut b,
             0,
             Message::Interrupt {
                 seq: 2,
@@ -832,16 +820,9 @@ mod tests {
                 interrupt: f1.clone(),
             },
         );
-        let _ = b.boundary_reached(2, vc());
-        let (effects, promo) = b.promote_at_boundary(vc(), true, Vec::new());
+        let _ = step(&mut b, boundary(2));
+        let effects = step(&mut b, promote(true, Vec::new()));
         assert!(b.is_primary() && b.is_running());
-        assert_eq!(
-            promo,
-            Promotion {
-                epoch: 2,
-                uncertain_synthesized: true
-            }
-        );
         // Both buffers delivered, uncertain synthesized, epoch started.
         assert!(effects.contains(&Effect::DeliverInterrupt(f0)));
         assert!(effects.contains(&Effect::DeliverInterrupt(f1)));
@@ -854,9 +835,8 @@ mod tests {
         // Case 1: promoted from AwaitTime — nobody got [Tme, E]; the new
         // primary must issue it.
         let mut b = ReplicaEngine::new_backup(1, 0, ProtocolVariant::Old);
-        let _ = b.boundary_reached(5, vc());
-        let (effects, promo) = b.promote_at_boundary(vc(), false, vec![2]);
-        assert_eq!(promo.epoch, 5);
+        let _ = step(&mut b, boundary(5));
+        let effects = step(&mut b, promote(false, vec![2]));
         let msgs: Vec<_> = sends(&effects);
         assert!(
             msgs.iter()
@@ -873,8 +853,9 @@ mod tests {
         // Case 2: promoted from AwaitEnd — [Tme, E] was already
         // broadcast by the dead primary; only [end] goes out.
         let mut c = ReplicaEngine::new_backup(1, 0, ProtocolVariant::Old);
-        let _ = c.boundary_reached(7, vc());
-        let _ = c.message_received(
+        let _ = step(&mut c, boundary(7));
+        let _ = receive(
+            &mut c,
             0,
             Message::Time {
                 seq: 1,
@@ -883,7 +864,7 @@ mod tests {
             },
         );
         assert!(c.is_waiting_backup());
-        let (effects, _) = c.promote_at_boundary(vc(), false, vec![2]);
+        let effects = step(&mut c, promote(false, vec![2]));
         let msgs = sends(&effects);
         assert!(
             !msgs.iter().any(|(_, m)| matches!(m, Message::Time { .. })),
@@ -897,9 +878,8 @@ mod tests {
     #[test]
     fn promotion_with_survivors_forwards_the_uncertain_interrupt() {
         let mut b = ReplicaEngine::new_backup(1, 0, ProtocolVariant::New);
-        let _ = b.boundary_reached(4, vc());
-        let (effects, promo) = b.promote_at_boundary(vc(), true, vec![2, 3]);
-        assert!(promo.uncertain_synthesized);
+        let _ = step(&mut b, boundary(4));
+        let effects = step(&mut b, promote(true, vec![2, 3]));
         // The uncertain completion travels as [E, Int] to every
         // survivor AND is delivered locally at the boundary.
         let ints: Vec<_> = sends(&effects)
@@ -915,20 +895,28 @@ mod tests {
     }
 
     #[test]
+    fn promotion_between_epochs_only_switches_the_role() {
+        let mut b = ReplicaEngine::new_backup(1, 0, ProtocolVariant::New);
+        assert!(step(&mut b, promote(true, vec![2])).is_empty());
+        assert!(b.is_primary() && b.is_running());
+        assert_eq!(b.peers(), &[2]);
+    }
+
+    #[test]
     fn t2_primary_needs_every_backup_ack() {
         let mut p = ReplicaEngine::new_primary(0, vec![1, 2], ProtocolVariant::Old);
         let mut b1 = ReplicaEngine::new_backup(1, 0, ProtocolVariant::Old);
         let mut b2 = ReplicaEngine::new_backup(2, 0, ProtocolVariant::Old);
-        let pe = p.boundary_reached(0, vc());
+        let pe = step(&mut p, boundary(0));
         assert_eq!(sends(&pe).len(), 2, "[Tme] broadcast to both backups");
         assert!(!p.is_running());
         // One ack is not enough.
-        let _ = b1.message_received(0, sends(&pe)[0].1.clone());
-        let pe2 = p.message_received(1, Message::Ack { upto: 1 });
+        let _ = receive(&mut b1, 0, sends(&pe)[0].1.clone());
+        let pe2 = receive(&mut p, 1, Message::Ack { upto: 1 });
         assert!(pe2.is_empty() && !p.is_running());
         // The second releases the boundary.
-        let _ = b2.message_received(0, sends(&pe)[1].1.clone());
-        let pe3 = p.message_received(2, Message::Ack { upto: 1 });
+        let _ = receive(&mut b2, 0, sends(&pe)[1].1.clone());
+        let pe3 = receive(&mut p, 2, Message::Ack { upto: 1 });
         assert!(pe3.contains(&Effect::StartEpoch));
         assert!(p.is_running());
     }
@@ -942,7 +930,7 @@ mod tests {
         ];
         let mut initial = Vec::new();
         for (i, engine) in engines.iter_mut().enumerate() {
-            for e in engine.boundary_reached(0, vc()) {
+            for e in step(engine, boundary(0)) {
                 initial.push((i, e));
             }
         }
@@ -968,9 +956,9 @@ mod tests {
                 disk: None,
             },
         };
-        let _ = b.message_received(0, int.clone());
+        let _ = receive(&mut b, 0, int.clone());
         // The retransmitted copy must be acked but not re-buffered.
-        let effects = b.message_received(0, int);
+        let effects = receive(&mut b, 0, int);
         assert_eq!(
             effects,
             vec![Effect::Send {
@@ -979,21 +967,21 @@ mod tests {
             }],
             "a duplicate produces exactly a re-ack"
         );
-        let _ = b.boundary_reached(0, vc());
+        let _ = step(&mut b, boundary(0));
         let time = Message::Time {
             seq: 2,
             epoch: 0,
             vclock: vc(),
         };
-        let first = b.message_received(0, time.clone());
+        let first = receive(&mut b, 0, time.clone());
         assert!(first.contains(&Effect::AssignClock(vc())));
-        let second = b.message_received(0, time);
+        let second = receive(&mut b, 0, time);
         assert!(
             !second.contains(&Effect::AssignClock(vc())),
             "a duplicate [Tme] must not re-assign the clock: {second:?}"
         );
         // Delivery of [end, 0] releases exactly one buffered interrupt.
-        let effects = b.message_received(0, Message::EpochEnd { seq: 3, epoch: 0 });
+        let effects = receive(&mut b, 0, Message::EpochEnd { seq: 3, epoch: 0 });
         let delivered = effects
             .iter()
             .filter(|e| matches!(e, Effect::DeliverInterrupt(_)))
@@ -1004,10 +992,10 @@ mod tests {
     #[test]
     fn backup_switches_allegiance_to_a_new_primary() {
         let mut b = ReplicaEngine::new_backup(2, 0, ProtocolVariant::Old);
-        let _ = b.message_received(0, Message::EpochEnd { seq: 9, epoch: 0 });
+        let _ = receive(&mut b, 0, Message::EpochEnd { seq: 9, epoch: 0 });
         assert_eq!(b.highest_recv, 9);
         // Replica 1 promoted and starts its own sequence space.
-        let effects = b.message_received(1, Message::EpochEnd { seq: 1, epoch: 1 });
+        let effects = receive(&mut b, 1, Message::EpochEnd { seq: 1, epoch: 1 });
         match &effects[0] {
             Effect::Send {
                 to,

@@ -9,6 +9,7 @@
 use crate::lockstep::Divergence;
 use crate::system::{FailoverInfo, ReintegrationInfo};
 use hvft_devices::disk::DiskLogEntry;
+use hvft_devices::environment::Environment;
 use hvft_hypervisor::hvguest::HvStats;
 use hvft_machine::ExecStats;
 use hvft_sim::stats::DurationHistogram;
@@ -98,6 +99,9 @@ pub struct RunReport {
     pub divergences: Vec<Divergence>,
     /// The disk's environment-visible operation log.
     pub disk_log: Vec<DiskLogEntry>,
+    /// [`hvft_devices::disk::Disk::medium_digest`] of the medium the run
+    /// left (0 for a driver without a disk).
+    pub disk_digest: u64,
     /// Disk-driver retries recorded by the guest kernel.
     pub guest_retries: u32,
     /// Guest-visible latency of each completed disk operation at the
@@ -130,6 +134,7 @@ impl RunReport {
             lockstep_clean: true,
             divergences: Vec::new(),
             disk_log: Vec::new(),
+            disk_digest: 0,
             guest_retries: 0,
             op_latencies: Vec::new(),
         }
@@ -143,6 +148,16 @@ impl RunReport {
             hist.record(d);
         }
         hist
+    }
+
+    /// What the outside world saw of the run: console, disk log and
+    /// final medium, for [`hvft_devices::environment_equivalent`].
+    pub fn environment(&self) -> Environment<'_> {
+        Environment {
+            console: &self.console,
+            disk_log: &self.disk_log,
+            medium: self.disk_digest,
+        }
     }
 
     /// The acting primary's execution-tier breakdown: instructions

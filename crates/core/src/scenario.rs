@@ -860,6 +860,7 @@ impl Runner {
                         ..HvStats::default()
                     },
                     disk_log: host.disk.log().to_vec(),
+                    disk_digest: host.disk.medium_digest(),
                     guest_retries: host
                         .mem
                         .read_u32(hvft_guest::layout::kdata::RETRIES)

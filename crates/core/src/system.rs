@@ -26,8 +26,8 @@
 //!   replica promotes even when detectors race;
 //! - on promotion with survivors, the new primary completes the
 //!   failover epoch for the whole chain (see
-//!   [`crate::protocol::ReplicaEngine::promote_at_boundary`]), and the
-//!   survivors' detectors are re-armed against the new primary.
+//!   [`crate::protocol::Input::Promote`]), and the survivors' detectors
+//!   are re-armed against the new primary.
 //!
 //! # One home for each thing
 //!
@@ -56,7 +56,7 @@ use crate::lockstep::LockstepChecker;
 use crate::messages::{DiskCompletion, ForwardedInterrupt, Message, ReplicaState};
 use crate::observer::{DropReason, Observer, RunStats};
 use crate::plan::{plan_step, EventTag, Planned, SlicePlan, StepPlan};
-use crate::protocol::{apply_to_guest, Effect, IoGate, ReplicaEngine};
+use crate::protocol::{apply_to_guest, Effect, Input, ReplicaEngine};
 use crate::report::{ExitStatus, RunReport};
 use hvft_devices::console::Console;
 use hvft_devices::disk::{Disk, DiskCommand, BLOCK_SIZE};
@@ -84,8 +84,8 @@ use std::rc::Rc;
 /// wire timing is identical to raw [`Message`] channels.
 pub type WireFrame = Frame<Message>;
 
-/// An I/O the revised protocol is holding until acknowledgments
-/// complete (§4.3).
+/// An externally visible I/O the guest asked for, held until the engine
+/// releases it: at once, or under §4.3 once acknowledgments complete.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum PendingIo {
     DiskGo(DiskGo),
@@ -167,7 +167,7 @@ struct Host {
     synced_elapsed: SimDuration,
     life: Life,
     promoted: bool,
-    /// §4.3 I/O held until the engine releases it.
+    /// The I/O awaiting the engine's [`Effect::ReleaseIo`].
     held_io: Option<PendingIo>,
     // The guest-visible disk controller (its status updated only at
     // delivery points, or by a refusal every replica makes alike, so all
@@ -532,6 +532,9 @@ pub struct FtSystem {
     /// run report's wire counters come from here, fed by the same hook
     /// sites user observers see (see [`RunStats`]).
     stats: RunStats,
+    /// The buffer every engine step appends its effects to, drained by
+    /// [`FtSystem::engine`] and reused from step to step.
+    effects: Vec<Effect>,
 }
 
 impl FtSystem {
@@ -665,6 +668,7 @@ impl FtSystem {
             acting_primary: 0,
             observers: Vec::new(),
             stats: RunStats::new(n),
+            effects: Vec::new(),
         };
         system.arm_detectors(SimTime::ZERO);
         system
@@ -732,8 +736,8 @@ impl FtSystem {
     /// the failure fires, this is equivalent to a primary failstop;
     /// otherwise the chain loses a backup: the acting primary stops
     /// counting it toward the acknowledgment condition
-    /// ([`crate::protocol::ReplicaEngine::remove_peer`]) and the run
-    /// continues with the survivors.
+    /// ([`crate::protocol::Input::PeerLost`]) and the run continues with
+    /// the survivors.
     ///
     /// # Panics
     ///
@@ -809,9 +813,15 @@ impl FtSystem {
     // Engine-effect execution
     // -----------------------------------------------------------------
 
-    /// Carries out the effects an engine emitted for host `i`, in order.
-    fn process_effects(&mut self, i: usize, effects: Vec<Effect>) {
-        for effect in effects {
+    /// Feeds `input` to host `i`'s engine and carries out the effects
+    /// it answers with, in order. The buffer is taken out of `self` for
+    /// the duration, so an effect whose handling steps the engine again
+    /// (a released disk GO the disk refuses raises an interrupt) drains
+    /// a buffer of its own.
+    fn engine(&mut self, i: usize, input: Input) {
+        let mut effects = std::mem::take(&mut self.effects);
+        self.hosts[i].engine.step(input, &mut effects);
+        for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => self.transmit(i, to, msg),
                 Effect::DeliverInterrupt(fwd) => {
@@ -821,8 +831,8 @@ impl FtSystem {
                     self.notify(|o| o.interrupt_delivered(i, fwd.irq_bits, at));
                 }
                 Effect::SynthesizeUncertain => self.synthesize_uncertain(i),
-                Effect::ResumeHeldIo => {
-                    let io = self.hosts[i].held_io.take().expect("held I/O to resume");
+                Effect::ReleaseIo => {
+                    let io = self.hosts[i].held_io.take().expect("I/O to release");
                     self.perform_io(i, io);
                     self.hosts[i].guest.finish_mmio_write();
                     self.hosts[i].sync_clock();
@@ -830,6 +840,7 @@ impl FtSystem {
                 guest_local => apply_to_guest(&guest_local, &mut *self.hosts[i].guest),
             }
         }
+        self.effects = effects;
     }
 
     fn transmit(&mut self, from: usize, to: usize, msg: Message) {
@@ -1010,8 +1021,7 @@ impl FtSystem {
             // state transfer reaching it is stale traffic.
             return;
         }
-        let effects = self.hosts[to].engine.message_received(from, payload);
-        self.process_effects(to, effects);
+        self.engine(to, Input::Message { from, msg: payload });
     }
 
     /// Earliest armed retransmit timer, with its link, considering only
@@ -1138,15 +1148,14 @@ impl FtSystem {
             self.maybe_start_transfer(i, epoch);
         }
         let vclock = self.hosts[i].guest.vclock.snapshot();
-        let effects = self.hosts[i].engine.boundary_reached(epoch, vclock);
-        self.process_effects(i, effects);
+        self.engine(i, Input::Boundary { epoch, vclock });
     }
 
     // -----------------------------------------------------------------
     // I/O at the acting primary
     // -----------------------------------------------------------------
 
-    /// Carries out a (possibly §4.3-deferred) externally visible I/O.
+    /// Carries out an externally visible I/O the engine released.
     fn perform_io(&mut self, i: usize, io: PendingIo) {
         match io {
             PendingIo::DiskGo(go) => self.disk_go(i, go),
@@ -1181,9 +1190,8 @@ impl FtSystem {
                 data: None,
             }),
         };
-        let epoch = host.guest.epoch();
-        let effects = host.engine.interrupt_raised(epoch, fwd);
-        self.process_effects(i, effects);
+        let guest_epoch = host.guest.epoch();
+        self.engine(i, Input::Interrupt { guest_epoch, fwd });
     }
 
     /// Rule P1: device completion arrives at the acting primary.
@@ -1216,9 +1224,8 @@ impl FtSystem {
                 data,
             }),
         };
-        let epoch = self.hosts[i].guest.epoch();
-        let effects = self.hosts[i].engine.interrupt_raised(epoch, fwd);
-        self.process_effects(i, effects);
+        let guest_epoch = self.hosts[i].guest.epoch();
+        self.engine(i, Input::Interrupt { guest_epoch, fwd });
     }
 
     // -----------------------------------------------------------------
@@ -1264,21 +1271,24 @@ impl FtSystem {
         let host = &mut self.hosts[i];
         host.now = host.now.max(at);
         host.promoted = true;
-        let (epoch, uncertain_synthesized) = if let Life::BackupDone(end) = host.life {
+        // The failover epoch is the boundary the backup waits at, and P7
+        // synthesizes an uncertain interrupt exactly for outstanding I/O.
+        let epoch = host.guest.epoch();
+        let mut uncertain_synthesized = false;
+        if let Life::BackupDone(end) = host.life {
             // The backup's guest already finished the whole workload;
             // the primary's failure makes that (suppressed) completion
             // real.
             host.life = Life::Done(end);
-            (host.guest.epoch(), false)
         } else {
-            let outstanding = host.inflight.is_some();
-            let vclock = host.guest.vclock.snapshot();
-            let (effects, promo) = host
-                .engine
-                .promote_at_boundary(vclock, outstanding, survivors);
-            self.process_effects(i, effects);
-            (promo.epoch, promo.uncertain_synthesized)
-        };
+            uncertain_synthesized = host.inflight.is_some();
+            let input = Input::Promote {
+                vclock: host.guest.vclock.snapshot(),
+                outstanding_io: uncertain_synthesized,
+                survivors,
+            };
+            self.engine(i, input);
+        }
         // Survivors re-arm against the new primary, ranks shifted up.
         let now = self.hosts[i].now;
         self.arm_detectors(now);
@@ -1322,12 +1332,9 @@ impl FtSystem {
                         h.guest.assert_irq(irq::DISK);
                     }
                     Go::Start(go) if is_primary => {
-                        let io = PendingIo::DiskGo(go);
-                        if h.engine.io_requested() == IoGate::Hold {
-                            h.held_io = Some(io);
-                            return; // MMIO completes after the acks arrive.
-                        }
-                        self.perform_io(i, io);
+                        // The MMIO completes when the engine releases it.
+                        h.held_io = Some(PendingIo::DiskGo(go));
+                        return self.engine(i, Input::Io);
                     }
                     Go::Start(go) => {
                         // Case (i) of §2.2: backup I/O is suppressed;
@@ -1342,12 +1349,8 @@ impl FtSystem {
                 }
             }
             mmio::CONSOLE_REG_TX if is_primary => {
-                let io = PendingIo::ConsoleTx { byte: value as u8 };
-                if self.hosts[i].engine.io_requested() == IoGate::Hold {
-                    self.hosts[i].held_io = Some(io);
-                    return;
-                }
-                self.perform_io(i, io);
+                self.hosts[i].held_io = Some(PendingIo::ConsoleTx { byte: value as u8 });
+                return self.engine(i, Input::Io);
             }
             // The block and address registers latch; backup console
             // output is suppressed entirely.
@@ -1415,8 +1418,7 @@ impl FtSystem {
             // and stops counting it toward the acknowledgment condition.
             let ap = self.acting_primary;
             if self.hosts[ap].alive() {
-                let effects = self.hosts[ap].engine.remove_peer(victim);
-                self.process_effects(ap, effects);
+                self.engine(ap, Input::PeerLost(victim));
             }
             // A repaired replica that dies again mid-reintegration
             // leaves the rejoin pipeline entirely.
@@ -1545,8 +1547,7 @@ impl FtSystem {
                 },
             );
         }
-        let effects = self.hosts[i].engine.add_peer(victim);
-        self.process_effects(i, effects);
+        self.engine(i, Input::PeerJoined(victim));
     }
 
     /// Captures the canonical state shipped during reintegration: the
@@ -1792,8 +1793,7 @@ impl FtSystem {
                 {
                     self.hosts[i].life = Life::Done(ExitStatus::InsnLimit);
                     if i != self.acting_primary {
-                        let effects = self.hosts[self.acting_primary].engine.remove_peer(i);
-                        self.process_effects(self.acting_primary, effects);
+                        self.engine(self.acting_primary, Input::PeerLost(i));
                     }
                 }
             }
@@ -1872,6 +1872,7 @@ impl FtSystem {
             lockstep_clean: divergences.is_empty(),
             divergences,
             disk_log: self.disk.log().to_vec(),
+            disk_digest: self.disk.medium_digest(),
             guest_retries: primary
                 .mem
                 .read_u32(hvft_guest::layout::kdata::RETRIES)

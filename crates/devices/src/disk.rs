@@ -61,6 +61,30 @@ pub struct DiskLogEntry {
     /// transferred (reads). Only meaningful for `Uncertain` outcomes,
     /// where IO2 leaves it ambiguous to the host.
     pub applied: bool,
+    /// [`block_digest`] of the block the operation moved, or would have
+    /// moved: the data a write offered, the medium's block a read
+    /// fetched. The log keeps the digest rather than the block, so a
+    /// kept log costs a word per operation. Zero until completion.
+    pub data: u64,
+}
+
+/// One step of the digests below: for fixed `w` it permutes `h`, and
+/// for fixed `h` it permutes `w`.
+fn mix(h: u64, w: u64) -> u64 {
+    let x = (h ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    x ^ (x >> 32)
+}
+
+/// Digest of the bytes one disk operation moved (see
+/// [`DiskLogEntry::data`]).
+pub fn block_digest(bytes: &[u8]) -> u64 {
+    let mut words = bytes.chunks_exact(8);
+    let h = words.by_ref().fold(mix(0, bytes.len() as u64), |h, w| {
+        mix(h, u64::from_le_bytes(w.try_into().expect("eight bytes")))
+    });
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    mix(h, u64::from_le_bytes(tail))
 }
 
 /// Errors from disk command submission.
@@ -235,6 +259,7 @@ impl Disk {
             block,
             status: DiskStatus::Complete, // patched at completion
             applied: false,
+            data: 0,
         });
         self.pending = Some(PendingOp {
             cmd,
@@ -264,9 +289,20 @@ impl Disk {
                 self.store(op.block, data);
             }
         }
+        let data = match (op.cmd, data_if_write) {
+            (DiskCommand::Write, Some(data)) => block_digest(data),
+            (DiskCommand::Write, None) => 0,
+            (DiskCommand::Read, _) => block_digest(self.fetch(op.block)),
+        };
+        self.log_outcome(&op, DiskStatus::Uncertain, applied, data);
+    }
+
+    /// Patches the log entry `submit` opened for `op`.
+    fn log_outcome(&mut self, op: &PendingOp, status: DiskStatus, applied: bool, data: u64) {
         let entry = &mut self.log[op.log_idx];
-        entry.status = DiskStatus::Uncertain;
+        entry.status = status;
         entry.applied = applied;
+        entry.data = data;
     }
 
     fn outcome(&mut self) -> (DiskStatus, bool) {
@@ -297,9 +333,7 @@ impl Disk {
         if applied {
             self.store(op.block, data);
         }
-        let entry = &mut self.log[op.log_idx];
-        entry.status = status;
-        entry.applied = applied;
+        self.log_outcome(&op, status, applied, block_digest(data));
         status
     }
 
@@ -314,14 +348,9 @@ impl Disk {
         let op = self.pending.take().expect("no pending operation");
         assert_eq!(op.cmd, DiskCommand::Read, "pending op is not a read");
         let (status, applied) = self.outcome();
-        let data = if applied {
-            Some(self.fetch(op.block).to_vec())
-        } else {
-            None
-        };
-        let entry = &mut self.log[op.log_idx];
-        entry.status = status;
-        entry.applied = applied;
+        let block = self.fetch(op.block);
+        let (digest, data) = (block_digest(block), applied.then(|| block.to_vec()));
+        self.log_outcome(&op, status, applied, digest);
         (status, data)
     }
 
@@ -361,6 +390,22 @@ impl Disk {
     /// The environment-visible operation log.
     pub fn log(&self) -> &[DiskLogEntry] {
         &self.log
+    }
+
+    /// Digest of the whole medium: equal for two disks exactly when
+    /// (up to digest collisions) every block holds the same bytes,
+    /// whichever blocks were ever written. A never-written medium
+    /// digests to 0.
+    pub fn medium_digest(&self) -> u64 {
+        let zero = block_digest(&[0; BLOCK_SIZE]);
+        let mut sum = 0u64;
+        for (i, block) in self.blocks.iter().enumerate() {
+            let digest = block.as_deref().map_or(zero, block_digest);
+            if digest != zero {
+                sum = sum.wrapping_add(mix(mix(0x4528_21E6_38D0_1377, i as u64), digest));
+            }
+        }
+        sum
     }
 
     /// Captures the complete disk state for a system checkpoint.
@@ -592,6 +637,7 @@ mod tests {
                 block: 1,
                 status: DiskStatus::Complete,
                 applied: true,
+                data: 0,
             };
             5
         ];
@@ -609,6 +655,7 @@ mod tests {
             block: 7,
             status,
             applied: true,
+            data: 0,
         };
         let log = vec![mk(0, DiskStatus::Uncertain), mk(1, DiskStatus::Complete)];
         assert!(check_single_processor_consistency(&log).is_ok());
@@ -625,6 +672,7 @@ mod tests {
             block: 7,
             status,
             applied: true,
+            data: 0,
         };
         let log = vec![mk(0, DiskStatus::Complete), mk(1, DiskStatus::Complete)];
         assert!(check_single_processor_consistency(&log).is_ok());
@@ -639,6 +687,7 @@ mod tests {
             block,
             status: DiskStatus::Complete,
             applied: true,
+            data: 0,
         };
         let log = vec![mk(0, 1), mk(1, 2), mk(0, 3)];
         assert!(check_single_processor_consistency(&log).is_err());
@@ -656,6 +705,7 @@ mod tests {
             block,
             status: DiskStatus::Complete,
             applied: true,
+            data: 0,
         };
         let ok = vec![mk(0, 1), mk(1, 2), mk(2, 3), mk(2, 4)];
         assert!(check_single_processor_consistency(&ok).is_ok());

@@ -12,7 +12,7 @@
 //! divergence detectable as a protocol bug.
 
 /// Virtual clock state; part of what the `[Tme]` message carries.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct VClock {
     /// Virtual nanoseconds accumulated up to `base_retired`.
     base_ns: u64,

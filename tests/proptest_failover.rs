@@ -7,13 +7,16 @@
 //! environment is unaware of the primary's failure". These properties
 //! sample that space: whenever the primary is killed, and whatever
 //! transient faults the disk injects, the promoted backup must finish
-//! with the reference checksum and the environment log must stay
-//! single-processor consistent.
+//! with the reference checksum and the environment must have seen what
+//! the same run without the fault shows it, up to IO2's re-issues
+//! (`environment_equivalent`).
 
-use hvft::core::scenario::{Protocol, Scenario};
-use hvft::devices::check_single_processor_consistency;
+use hvft::core::scenario::{Protocol, RunReport, Scenario, ScenarioBuilder};
+use hvft::devices::environment_equivalent;
+use hvft::devices::mmio::{self, disk_cmd};
 use hvft::guest::workload::{Dhrystone, IoBench};
 use hvft::guest::{IoMode, KernelConfig};
+use hvft::machine::mem::IO_BASE;
 use hvft::sim::time::SimTime;
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -40,19 +43,36 @@ fn io_workload() -> IoBench {
     }
 }
 
+/// The failure-free run of a workload, and its checksum.
 struct Reference {
     total_ns: u64,
     code: u32,
+    report: RunReport,
 }
 
 fn reference(slot: &'static OnceLock<Reference>, scenario: Scenario) -> &'static Reference {
     slot.get_or_init(|| {
-        let r = scenario.run();
+        let report = scenario.run();
         Reference {
-            total_ns: r.completion_time.as_nanos(),
-            code: r.exit.code().unwrap_or_else(|| panic!("{:?}", r.exit)),
+            total_ns: report.completion_time.as_nanos(),
+            code: report
+                .exit
+                .code()
+                .unwrap_or_else(|| panic!("{:?}", report.exit)),
+            report,
         }
     })
+}
+
+/// Fails the case unless `run` showed the environment what `reference`
+/// did.
+fn same_environment(
+    reference: &RunReport,
+    run: &RunReport,
+    case: &str,
+) -> Result<(), TestCaseError> {
+    environment_equivalent(&reference.environment(), &run.environment())
+        .map_err(|e| TestCaseError::fail(format!("{case}: {e}")))
 }
 
 fn cpu_reference() -> &'static Reference {
@@ -97,6 +117,7 @@ proptest! {
             Some(code) => prop_assert_eq!(code, reference.code),
             None => return Err(TestCaseError::fail(format!("fail at {t}: {:?}", r.exit))),
         }
+        same_environment(&reference.report, &r, &format!("fail at {t}"))?;
     }
 
     #[test]
@@ -118,14 +139,12 @@ proptest! {
             Some(code) => prop_assert_eq!(code, reference.code),
             None => return Err(TestCaseError::fail(format!("fail at {t}: {:?}", r.exit))),
         }
-        if let Err(e) = check_single_processor_consistency(&r.disk_log) {
-            return Err(TestCaseError::fail(format!("fail at {t}: {e}")));
-        }
+        same_environment(&reference.report, &r, &format!("fail at {t}"))?;
     }
 
     #[test]
     fn disk_faults_never_break_lockstep(fault_seed in 0u64..1_000, prob in 0.0f64..0.4) {
-        let r = Scenario::builder()
+        let run = |prob| Scenario::builder()
             .workload(IoBench { ops: 2, mode: IoMode::Write, num_blocks: 8, seed: 21,
                                 ..Default::default() })
             .functional_cost()
@@ -134,11 +153,10 @@ proptest! {
             .build()
             .unwrap()
             .run();
+        let r = run(prob);
         prop_assert!(r.exit.is_clean_exit(), "{:?}", r.exit);
         prop_assert!(r.lockstep_clean);
-        if let Err(e) = check_single_processor_consistency(&r.disk_log) {
-            return Err(TestCaseError::fail(e));
-        }
+        same_environment(&run(0.0), &r, &format!("fault probability {prob}"))?;
     }
 
     #[test]
@@ -158,4 +176,74 @@ proptest! {
         }
         prop_assert!(r.lockstep_clean);
     }
+}
+
+/// The busy-GO witness: a kernel-level image that writes the disk's GO
+/// register a second time while its first write is still in flight —
+/// block 1 from a buffer that starts `0xAAAA`, then block 2 from one that
+/// starts `0xBBBB` — then waits out the first write (about 40 ms at
+/// 50 MIPS against the disk's 26) and exits. The disk refuses the second
+/// GO as busy. One epoch holds the whole run, so nothing is delivered
+/// before the exit.
+fn busy_go_scenario(builder: ScenarioBuilder) -> RunReport {
+    let image = hvft::isa::asm::assemble(&format!(
+        ".org 0
+start:
+    li   r4, {IO_BASE}
+    li   r5, 0x10000
+    li   r6, 0xAAAA
+    sw   r6, 0(r5)
+    li   r7, 0x20000
+    li   r6, 0xBBBB
+    sw   r6, 0(r7)
+    addi r6, r0, {write}
+    addi r8, r0, 1
+    sw   r8, {reg_block}(r4)
+    sw   r5, {reg_addr}(r4)
+    sw   r6, {reg_cmd}(r4)
+    addi r8, r0, 2
+    sw   r8, {reg_block}(r4)
+    sw   r7, {reg_addr}(r4)
+    sw   r6, {reg_cmd}(r4)   ; the disk is busy with block 1
+    li   r9, 1000000
+wait:
+    addi r9, r9, -1
+    bne  r9, r0, wait
+    diag r9, 1
+    halt
+",
+        write = disk_cmd::WRITE,
+        reg_block = mmio::DISK_REG_BLOCK,
+        reg_addr = mmio::DISK_REG_ADDR,
+        reg_cmd = mmio::DISK_REG_CMD,
+    ))
+    .expect("asm");
+    builder
+        .image(image)
+        .functional_cost()
+        .epoch_len(1 << 22)
+        .build()
+        .expect("a valid scenario")
+        .run()
+}
+
+/// A GO the disk refuses as busy must leave the operation in flight
+/// alone: the bare machine writes block 1 from the first buffer. The
+/// replicated driver keeps one in-flight record per host and lets the
+/// refused GO overwrite it, so block 1 receives block 2's data. Pinned
+/// as failing until the one-record-per-operation fix lands (ROADMAP
+/// C1(a)); it then loses its `should_panic`.
+#[test]
+#[should_panic(expected = "disk log differs at standing op 0")]
+fn a_go_refused_as_busy_leaves_the_write_in_flight_alone() {
+    let bare = busy_go_scenario(Scenario::builder().bare());
+    let replicated = busy_go_scenario(Scenario::builder());
+    assert_eq!(bare.exit.code(), Some(0), "{:?}", bare.exit);
+    assert_eq!(replicated.exit.code(), Some(0), "{:?}", replicated.exit);
+    assert_eq!(
+        bare.disk_log.len(),
+        1,
+        "the second GO never reached the disk"
+    );
+    environment_equivalent(&bare.environment(), &replicated.environment()).unwrap();
 }

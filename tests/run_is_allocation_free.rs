@@ -1,5 +1,6 @@
 //! `Cpu::run` must not allocate once its caches are warm, and neither
-//! must the lockstep digest and its checker at an epoch boundary.
+//! must the lockstep digest and its checker at an epoch boundary, nor
+//! the protocol engines' epoch exchange (the engine allocation gate).
 //!
 //! A trap-and-emulate embedder re-enters `Cpu::run` after every
 //! privileged instruction of its guest — eight times per guest syscall
@@ -13,10 +14,13 @@
 //! count is per thread, so the harness's other threads cannot disturb
 //! it.
 
-use hvft::core::LockstepChecker;
+use hvft::core::messages::Message;
+use hvft::core::protocol::{Effect, Input, ReplicaEngine};
+use hvft::core::{LockstepChecker, ProtocolVariant};
 use hvft::guest::{build_image, dhrystone_source, KernelConfig};
 use hvft::hypervisor::cost::CostModel;
 use hvft::hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
+use hvft::hypervisor::vclock::VClock;
 use hvft::isa::asm::assemble;
 use hvft::machine::cpu::{Cpu, Exit, LoadProgram};
 use hvft::machine::exec::ExecTier;
@@ -27,6 +31,7 @@ use hvft::machine::trap::Trap;
 use hvft_sim::time::SimDuration;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 thread_local! {
     /// Allocations and reallocations made by this thread. `const`
@@ -218,4 +223,66 @@ fn epoch_boundary_digests_and_comparisons_do_not_allocate() {
     assert!(checker.is_clean());
     assert_eq!(checker.compared(), u64::from(WARM_UP + BOUNDARIES));
     assert!(replicas[0].stats().digest_bytes > 0, "the digests read RAM");
+}
+
+#[test]
+fn warm_engine_epochs_do_not_allocate() {
+    // `t + 1` engines driven through whole epochs by hand: every
+    // replica reaches its boundary, the primary asks for one I/O, and
+    // the messages are delivered in FIFO order until everyone runs
+    // again. Effects go to one reused buffer and the links to one
+    // reused queue, so what is left to allocate is the engines' own.
+    const WARM_UP: u64 = 64;
+    const EPOCHS: u64 = 1_000;
+    for t in [1, 2] {
+        for variant in [ProtocolVariant::Old, ProtocolVariant::New] {
+            let mut engines: Vec<ReplicaEngine> = (0..=t)
+                .map(|i| match i {
+                    0 => ReplicaEngine::new_primary(0, (1..=t).collect(), variant),
+                    _ => ReplicaEngine::new_backup(i, 0, variant),
+                })
+                .collect();
+            let mut out = Vec::new();
+            let mut wire: VecDeque<(usize, usize, Message)> = VecDeque::new();
+            let (mut started, mut released) = (0, 0);
+            // Steps engine `i`, then delivers what is on the wire until
+            // nothing is.
+            let mut step = |engines: &mut [ReplicaEngine], i: usize, input: Input| {
+                let mut next = Some((i, input));
+                while let Some((i, input)) = next {
+                    engines[i].step(input, &mut out);
+                    for effect in out.drain(..) {
+                        match effect {
+                            Effect::Send { to, msg } => wire.push_back((i, to, msg)),
+                            Effect::StartEpoch => started += 1,
+                            Effect::ReleaseIo => released += 1,
+                            _ => {}
+                        }
+                    }
+                    next = wire
+                        .pop_front()
+                        .map(|(from, to, msg)| (to, Input::Message { from, msg }));
+                }
+            };
+            let mut before = 0;
+            for epoch in 0..WARM_UP + EPOCHS {
+                if epoch == WARM_UP {
+                    before = allocations();
+                }
+                for i in 0..=t {
+                    let vclock = VClock::new();
+                    step(&mut engines, i, Input::Boundary { epoch, vclock });
+                }
+                step(&mut engines, 0, Input::Io);
+                assert!(engines.iter().all(ReplicaEngine::is_running));
+            }
+            assert_eq!(
+                allocations() - before,
+                0,
+                "t={t}, {variant:?}: {EPOCHS} warm engine epochs allocated"
+            );
+            assert_eq!(started, (WARM_UP + EPOCHS) * (t as u64 + 1));
+            assert_eq!(released, WARM_UP + EPOCHS);
+        }
+    }
 }
