@@ -3,11 +3,13 @@
 //! environment. All runs are assembled through the `Scenario` builder —
 //! the single front door since the legacy constructors were removed.
 
-use hvft_core::scenario::{ConfigError, ExitStatus, Scenario, ScenarioBuilder};
+use hvft_core::scenario::{ClusterScenario, ConfigError, ExitStatus, Scenario, ScenarioBuilder};
+use hvft_core::ProtocolVariant;
 use hvft_guest::{
     build_image, dhrystone_source, hello_source, io_bench_source, IoMode, KernelConfig,
 };
 use hvft_isa::program::Program;
+use hvft_net::link::LinkSpec;
 use hvft_sim::time::{SimDuration, SimTime};
 
 fn base(image: &Program) -> ScenarioBuilder {
@@ -126,4 +128,80 @@ fn loss_without_retransmission_is_rejected() {
     let image = build_image(&KernelConfig::default(), &hello_source("x", 1)).unwrap();
     let err = base(&image).lossy(0.1).build().unwrap_err();
     assert_eq!(err, ConfigError::LossWithoutRetransmit);
+}
+
+/// What a lossy run's wire did, in numbers that move with any change
+/// to a loss draw, a serialization clock or a retransmit timer:
+/// `(completion ns, messages per replica, retransmitted, suppressed)`.
+fn wire_pattern(r: &hvft_core::scenario::RunReport) -> (u64, Vec<u64>, u64, u64) {
+    (
+        r.completion_time.as_nanos(),
+        r.messages_per_replica.clone(),
+        r.frames_retransmitted,
+        r.frames_suppressed,
+    )
+}
+
+fn pinned_image() -> Program {
+    let kernel = KernelConfig {
+        tick_period_us: 2000,
+        tick_work: 3,
+        ..KernelConfig::default()
+    };
+    build_image(&kernel, &io_bench_source(6, IoMode::Write, 32, 4)).unwrap()
+}
+
+/// The exact loss pattern of a lossy `t = 2` solo run under each
+/// protocol. Every directed link draws its losses from its own RNG,
+/// seeded by the link's place among the `n × (n − 1)` links, and owns
+/// its serialization clock; a slip in either moves these numbers.
+#[test]
+fn solo_loss_pattern_is_pinned() {
+    let image = pinned_image();
+    let pinned = [
+        (
+            ProtocolVariant::Old,
+            (330_314_401, vec![334, 161, 155], 135, 52),
+        ),
+        (
+            ProtocolVariant::New,
+            (8_175_344_165, vec![39_102, 18_138, 18_972], 28_680, 20_659),
+        ),
+    ];
+    for (protocol, want) in pinned {
+        let r = lossy(&image, 0.2)
+            .backups(2)
+            .protocol(protocol)
+            .seed(7)
+            .build()
+            .unwrap()
+            .run();
+        assert!(r.exit.is_clean_exit(), "{protocol:?}: {:?}", r.exit);
+        assert_eq!(wire_pattern(&r), want, "{protocol:?}");
+    }
+}
+
+/// The exact loss pattern of a lossy two-shard cluster on one shared
+/// medium, whose one serialization clock couples the shards.
+#[test]
+fn cluster_loss_pattern_is_pinned() {
+    let image = pinned_image();
+    let mut cluster = ClusterScenario::new(LinkSpec::ethernet_10mbps(), 5);
+    for shard in 0..2u64 {
+        let scenario = lossy(&image, 0.2).seed(11 + shard).build().unwrap();
+        cluster.add(scenario).unwrap();
+    }
+    let (reports, lan) = cluster.run_with_lan_stats();
+    let want = [
+        (233_873_587, vec![187, 184], 64, 21),
+        (310_207_810, vec![204, 206], 79, 35),
+    ];
+    for (shard, (r, want)) in reports.iter().zip(want).enumerate() {
+        assert!(r.exit.is_clean_exit(), "shard {shard}: {:?}", r.exit);
+        assert_eq!(wire_pattern(r), want, "shard {shard}");
+    }
+    assert_eq!(
+        (lan.sent, lan.dropped, lan.delivered, lan.bytes),
+        (781, 161, 616, 37_402)
+    );
 }
