@@ -115,9 +115,10 @@
 //! ```
 
 use crate::config::FtConfig;
+use crate::net::WireFrame;
 use crate::plan::{Planned, StepPlan};
 use crate::report::RunReport;
-use crate::system::{FtSystem, SystemCheckpoint, WireFrame};
+use crate::system::{FtSystem, SystemCheckpoint};
 use hvft_hypervisor::hvguest::{HvEvent, HvGuest};
 use hvft_isa::program::Program;
 use hvft_net::lan::{Lan, LanStats};

@@ -50,6 +50,7 @@ pub mod cluster;
 pub mod config;
 pub mod lockstep;
 pub mod messages;
+mod net;
 pub mod observer;
 mod plan;
 pub mod protocol;
@@ -62,9 +63,10 @@ pub use cluster::{FtCluster, Parallelism, SliceStats};
 pub use config::{FtConfig, ProtocolVariant};
 pub use lockstep::{Divergence, LockstepChecker};
 pub use messages::{DiskCompletion, ForwardedInterrupt, Message};
+pub use net::WireFrame;
 pub use observer::{DropReason, Observer, RunStats};
 pub use protocol::{Effect, Input, ReplicaEngine, ReplicaId};
 pub use scenario::{
     ClusterScenario, ConfigError, Driver, ExitStatus, RunReport, Runner, Scenario, ScenarioBuilder,
 };
-pub use system::{FailoverInfo, FtSystem, WireFrame};
+pub use system::{FailoverInfo, FtSystem};

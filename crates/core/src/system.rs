@@ -54,6 +54,7 @@
 use crate::config::FtConfig;
 use crate::lockstep::LockstepChecker;
 use crate::messages::{DiskCompletion, ForwardedInterrupt, Message, ReplicaState};
+use crate::net::{NetBackend, WireFrame};
 use crate::observer::{DropReason, Observer, RunStats};
 use crate::plan::{plan_step, EventTag, Planned, SlicePlan, StepPlan};
 use crate::protocol::{apply_to_guest, Effect, Input, ReplicaEngine};
@@ -76,13 +77,6 @@ use hvft_sim::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
-
-/// What the coordination network actually carries: protocol messages
-/// wrapped in the reliable layer's envelope. Runs without
-/// retransmission ([`crate::config::FtConfig::retransmit`] `None`) send
-/// unsequenced `Data` frames and never generate `Ack` frames, so the
-/// wire timing is identical to raw [`Message`] channels.
-pub type WireFrame = Frame<Message>;
 
 /// An externally visible I/O the guest asked for, held until the engine
 /// releases it: at once, or under §4.3 once acknowledgments complete.
@@ -340,141 +334,6 @@ pub struct SystemCheckpoint {
     /// The canonical state, identical in kind to a reintegration
     /// transfer: guest snapshot plus driver-level device shadows.
     pub state: ReplicaState,
-}
-
-/// The coordination medium: either a private full mesh of
-/// point-to-point channels (the paper's dedicated coordination LAN) or
-/// a window onto a shared [`Lan`] carrying several fault-tolerant
-/// systems' traffic at once (the sharded [`crate::cluster::FtCluster`]).
-///
-/// Replica indices are system-local; the `Shared` variant maps replica
-/// `i` to LAN node `base + i`.
-enum NetBackend {
-    /// `chans[mesh_index(n, from, to)]` carries `from → to`.
-    Mesh {
-        chans: Vec<Channel<WireFrame>>,
-        n: usize,
-    },
-    Shared {
-        lan: Rc<RefCell<Lan<WireFrame>>>,
-        base: usize,
-        n: usize,
-    },
-}
-
-/// Where the directed link `from → to` sits among the `n × (n − 1)`
-/// links of an `n`-replica mesh: in `(from, to)` order, self-links left
-/// out.
-fn mesh_index(n: usize, from: usize, to: usize) -> usize {
-    from * (n - 1) + to - usize::from(to > from)
-}
-
-impl NetBackend {
-    /// Offers a frame for transmission; returns the instant its
-    /// serialization onto the medium completes (known to the sender's
-    /// NIC whether or not the frame is then lost), which anchors the
-    /// retransmit timer, plus whether the frame actually entered the
-    /// wire (false: loss injection or a severed link consumed it).
-    fn send(
-        &mut self,
-        now: SimTime,
-        from: usize,
-        to: usize,
-        bytes: usize,
-        frame: WireFrame,
-    ) -> (SimTime, bool) {
-        match self {
-            NetBackend::Mesh { chans, n } => {
-                let ch = &mut chans[mesh_index(*n, from, to)];
-                let accepted = ch.send(now, bytes, frame).is_some();
-                (ch.busy_until(), accepted)
-            }
-            NetBackend::Shared { lan, base, .. } => {
-                let mut lan = lan.borrow_mut();
-                let accepted = lan
-                    .send(now, *base + from, *base + to, bytes, frame)
-                    .is_some();
-                (lan.busy_until(), accepted)
-            }
-        }
-    }
-
-    /// Earliest pending delivery addressed to this system.
-    fn next_delivery(&self) -> Option<SimTime> {
-        match self {
-            NetBackend::Mesh { chans, .. } => {
-                chans.iter().filter_map(|ch| ch.next_delivery()).min()
-            }
-            NetBackend::Shared { lan, base, n } => {
-                lan.borrow().next_delivery_within(*base, *base + *n)
-            }
-        }
-    }
-
-    /// Pops the earliest delivery due at `t`; ties break in
-    /// `(from, to)` order for determinism.
-    fn pop_due(&mut self, t: SimTime) -> Option<(usize, usize, WireFrame)> {
-        match self {
-            NetBackend::Mesh { chans, n } => {
-                let k = chans.iter().position(|ch| ch.next_delivery() == Some(t))?;
-                let frame = chans[k].pop_ready(t).expect("due message");
-                let (from, rest) = (k / (*n - 1), k % (*n - 1));
-                Some((from, rest + usize::from(rest >= from), frame))
-            }
-            NetBackend::Shared { lan, base, n } => {
-                let (from, to, frame) = lan.borrow_mut().pop_ready_within(*base, *base + *n, t)?;
-                Some((from - *base, to - *base, frame))
-            }
-        }
-    }
-
-    /// Severs every link touching `victim` (its processor failstopped).
-    fn sever_all_of(&mut self, victim: usize) {
-        match self {
-            NetBackend::Mesh { chans, n } => {
-                for peer in (0..*n).filter(|&p| p != victim) {
-                    chans[mesh_index(*n, victim, peer)].sever();
-                    chans[mesh_index(*n, peer, victim)].sever();
-                }
-            }
-            NetBackend::Shared { lan, base, .. } => lan.borrow_mut().sever_node(*base + victim),
-        }
-    }
-
-    /// Reopens every link touching `victim` — the physical repair that
-    /// precedes reintegration. Frames offered while the links were down
-    /// stay lost.
-    fn unsever_all_of(&mut self, victim: usize) {
-        match self {
-            NetBackend::Mesh { chans, n } => {
-                for peer in (0..*n).filter(|&p| p != victim) {
-                    chans[mesh_index(*n, victim, peer)].unsever();
-                    chans[mesh_index(*n, peer, victim)].unsever();
-                }
-            }
-            NetBackend::Shared { lan, base, .. } => lan.borrow_mut().unsever_node(*base + victim),
-        }
-    }
-
-    fn is_severed(&self, from: usize, to: usize) -> bool {
-        match self {
-            NetBackend::Mesh { chans, n } => chans[mesh_index(*n, from, to)].is_severed(),
-            NetBackend::Shared { lan, base, .. } => {
-                lan.borrow().is_severed(*base + from, *base + to)
-            }
-        }
-    }
-
-    /// The instant the medium carrying `from → to` finishes serializing
-    /// everything accepted so far — the sender's NIC-queue horizon. For
-    /// the private mesh that is the directed channel's own clock; on a
-    /// shared LAN the whole medium is one queue.
-    fn busy_until_of(&self, from: usize, to: usize) -> SimTime {
-        match self {
-            NetBackend::Mesh { chans, n } => chans[mesh_index(*n, from, to)].busy_until(),
-            NetBackend::Shared { lan, .. } => lan.borrow().busy_until(),
-        }
-    }
 }
 
 /// One entry of the fault schedule: a processor failstops or comes
