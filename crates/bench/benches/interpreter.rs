@@ -17,7 +17,7 @@ use hvft_machine::statehash::{vm_state_hash, vm_state_hash_from_scratch};
 use hvft_machine::tlb::{pte, Tlb, TlbAccess, TlbReplacement};
 use hvft_machine::trap::Trap;
 use hvft_machine::ExecTier;
-use hvft_net::channel::Channel;
+use hvft_net::lan::Lan;
 use hvft_net::link::LinkSpec;
 use hvft_sim::time::SimDuration;
 use hvft_sim::time::SimTime;
@@ -529,10 +529,10 @@ fn bench_assembler(c: &mut Criterion) {
 fn bench_channel(c: &mut Criterion) {
     c.bench_function("channel_send_pop", |b| {
         b.iter(|| {
-            let mut ch: Channel<u64> = Channel::new(LinkSpec::ethernet_10mbps(), 0);
+            let mut ch: Lan<u64> = Lan::point_to_point(LinkSpec::ethernet_10mbps(), 2, 0);
             let mut t = SimTime::ZERO;
             for i in 0..100u64 {
-                if let Some(d) = ch.send(t, 64, i) {
+                if let Some(d) = ch.send(t, 0, 1, 64, i) {
                     t = d;
                 }
             }

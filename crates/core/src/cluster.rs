@@ -116,7 +116,7 @@
 
 use crate::config::FtConfig;
 use crate::net::WireFrame;
-use crate::plan::{Planned, StepPlan};
+use crate::plan::{Planned, SlicePlan};
 use crate::report::RunReport;
 use crate::system::{FtSystem, SystemCheckpoint};
 use hvft_hypervisor::hvguest::{HvEvent, HvGuest};
@@ -363,19 +363,23 @@ impl FtCluster {
     /// in [`pick`] order, re-plan the shard that committed. Every slice
     /// runs here, at its commit turn, unless a worker took it first.
     fn coordinate(&mut self, mut exposure: Option<Exposure<'_>>) -> Vec<RunReport> {
-        let mut plans: Vec<Option<Planned>> =
-            self.systems.iter_mut().map(|s| Some(s.plan())).collect();
+        // One wave buffer per shard, planned into and committed from.
+        let mut waves: Vec<Vec<SlicePlan>> = vec![Vec::new(); self.systems.len()];
+        let mut plans: Vec<Option<Planned>> = (self.systems.iter_mut().zip(&mut waves))
+            .map(|(s, wave)| Some(s.plan(wave)))
+            .collect();
         let mut reports: Vec<Option<RunReport>> = vec![None; plans.len()];
         while let Some(i) = pick(&plans) {
             let planned = plans[i].take().expect("picked shard is planned");
-            if let (Some(exposure), StepPlan::Slices(wave)) = (&mut exposure, &planned.step) {
+            if let Some(exposure) = &mut exposure {
                 // The surplus: everything planned except the slice
                 // about to run here — the rest of this wave, then the
-                // other shards' pending waves.
-                let pending = plans.iter().enumerate().flat_map(|(j, plan)| {
-                    plan.iter().flat_map(|p| p.slices()).map(move |s| (j, s))
-                });
-                for (j, s) in wave.iter().skip(1).map(|s| (i, s)).chain(pending) {
+                // other shards' pending waves. A buffer holds a wave
+                // only while its shard's held plan is one.
+                let pending = (plans.iter().zip(&waves).enumerate())
+                    .filter(|(_, (plan, _))| plan.is_some())
+                    .flat_map(|(j, (_, wave))| wave.iter().map(move |s| (j, s)));
+                for (j, s) in waves[i].iter().skip(1).map(|s| (i, s)).chain(pending) {
                     if !exposure.holds((j, s.host)) {
                         let guest = self.systems[j].detach_guest(s.host);
                         exposure.publish((j, s.host), guest, s.budget);
@@ -384,12 +388,12 @@ impl FtCluster {
                 }
             }
             let stats = &mut self.slice_stats;
-            reports[i] = self.systems[i].commit(planned.step, |s| {
+            reports[i] = self.systems[i].commit(planned.step, &waves[i], |s| {
                 stats.executed += 1;
                 exposure.as_mut()?.join((i, s.host))
             });
             if reports[i].is_none() {
-                plans[i] = Some(self.systems[i].plan());
+                plans[i] = Some(self.systems[i].plan(&mut waves[i]));
             }
         }
         reports
@@ -514,6 +518,7 @@ impl<'p> Exposure<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::StepPlan;
     use crate::report::ExitStatus;
     use hvft_guest::{build_image, dhrystone_source, hello_source, KernelConfig};
     use hvft_hypervisor::cost::CostModel;

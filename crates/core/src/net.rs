@@ -3,7 +3,6 @@
 //! driver reaches its links, with replica indices local to the system.
 
 use crate::messages::Message;
-use hvft_net::channel::Channel;
 use hvft_net::lan::Lan;
 use hvft_net::reliable::Frame;
 use hvft_sim::time::SimTime;
@@ -17,34 +16,46 @@ use std::rc::Rc;
 /// wire timing is identical to raw [`Message`] channels.
 pub type WireFrame = Frame<Message>;
 
-/// The coordination medium: either a private full mesh of
-/// point-to-point channels (the paper's dedicated coordination LAN) or
-/// a window onto a shared [`Lan`] carrying several fault-tolerant
-/// systems' traffic at once (the sharded [`crate::cluster::FtCluster`]).
-///
-/// Replica indices are system-local; the `Shared` variant maps replica
-/// `i` to LAN node `base + i`.
-pub(crate) enum NetBackend {
-    /// `chans[mesh_index(n, from, to)]` carries `from → to`.
-    Mesh {
-        chans: Vec<Channel<WireFrame>>,
-        n: usize,
-    },
-    Shared {
+/// One fault-tolerant system's window onto a [`Lan`]: replica `i` is
+/// station `base + i`, for the system's `n` replicas. A solo system
+/// owns a point-to-point LAN at base 0 (the paper's dedicated
+/// coordination network, each directed link serializing on its own);
+/// a shard of [`crate::cluster::FtCluster`] shares one medium with the
+/// other shards.
+pub(crate) struct Net {
+    lan: Rc<RefCell<Lan<WireFrame>>>,
+    base: usize,
+    n: usize,
+}
+
+impl Net {
+    /// Opens the window onto stations `base .. base + n` of `lan`,
+    /// which must already be registered, and sets each of its links'
+    /// loss probability to `loss_prob` (when positive).
+    pub(crate) fn new(
         lan: Rc<RefCell<Lan<WireFrame>>>,
         base: usize,
         n: usize,
-    },
-}
+        loss_prob: f64,
+    ) -> Self {
+        {
+            let mut l = lan.borrow_mut();
+            assert!(
+                base + n <= l.nodes(),
+                "LAN nodes {base}..{} not registered",
+                base + n
+            );
+            if loss_prob > 0.0 {
+                for from in base..base + n {
+                    for to in (base..base + n).filter(|&to| to != from) {
+                        l.set_loss_probability(from, to, loss_prob);
+                    }
+                }
+            }
+        }
+        Net { lan, base, n }
+    }
 
-/// Where the directed link `from → to` sits among the `n × (n − 1)`
-/// links of an `n`-replica mesh: in `(from, to)` order, self-links left
-/// out.
-fn mesh_index(n: usize, from: usize, to: usize) -> usize {
-    from * (n - 1) + to - usize::from(to > from)
-}
-
-impl NetBackend {
     /// Offers a frame for transmission; returns the instant its
     /// serialization onto the medium completes (known to the sender's
     /// NIC whether or not the frame is then lost), which anchors the
@@ -58,96 +69,54 @@ impl NetBackend {
         bytes: usize,
         frame: WireFrame,
     ) -> (SimTime, bool) {
-        match self {
-            NetBackend::Mesh { chans, n } => {
-                let ch = &mut chans[mesh_index(*n, from, to)];
-                let accepted = ch.send(now, bytes, frame).is_some();
-                (ch.busy_until(), accepted)
-            }
-            NetBackend::Shared { lan, base, .. } => {
-                let mut lan = lan.borrow_mut();
-                let accepted = lan
-                    .send(now, *base + from, *base + to, bytes, frame)
-                    .is_some();
-                (lan.busy_until(), accepted)
-            }
-        }
+        let (from, to) = (self.base + from, self.base + to);
+        let mut lan = self.lan.borrow_mut();
+        let accepted = lan.send(now, from, to, bytes, frame).is_some();
+        (lan.busy_until(from, to), accepted)
     }
 
     /// Earliest pending delivery addressed to this system.
     pub(crate) fn next_delivery(&self) -> Option<SimTime> {
-        match self {
-            NetBackend::Mesh { chans, .. } => {
-                chans.iter().filter_map(|ch| ch.next_delivery()).min()
-            }
-            NetBackend::Shared { lan, base, n } => {
-                lan.borrow().next_delivery_within(*base, *base + *n)
-            }
-        }
+        self.lan
+            .borrow()
+            .next_delivery_within(self.base, self.base + self.n)
     }
 
     /// Pops the earliest delivery due at `t`; ties break in
     /// `(from, to)` order for determinism.
     pub(crate) fn pop_due(&mut self, t: SimTime) -> Option<(usize, usize, WireFrame)> {
-        match self {
-            NetBackend::Mesh { chans, n } => {
-                let k = chans.iter().position(|ch| ch.next_delivery() == Some(t))?;
-                let frame = chans[k].pop_ready(t).expect("due message");
-                let (from, rest) = (k / (*n - 1), k % (*n - 1));
-                Some((from, rest + usize::from(rest >= from), frame))
-            }
-            NetBackend::Shared { lan, base, n } => {
-                let (from, to, frame) = lan.borrow_mut().pop_ready_within(*base, *base + *n, t)?;
-                Some((from - *base, to - *base, frame))
-            }
-        }
+        let (from, to, frame) =
+            self.lan
+                .borrow_mut()
+                .pop_ready_within(self.base, self.base + self.n, t)?;
+        Some((from - self.base, to - self.base, frame))
     }
 
     /// Severs every link touching `victim` (its processor failstopped).
     pub(crate) fn sever_all_of(&mut self, victim: usize) {
-        match self {
-            NetBackend::Mesh { chans, n } => {
-                for peer in (0..*n).filter(|&p| p != victim) {
-                    chans[mesh_index(*n, victim, peer)].sever();
-                    chans[mesh_index(*n, peer, victim)].sever();
-                }
-            }
-            NetBackend::Shared { lan, base, .. } => lan.borrow_mut().sever_node(*base + victim),
-        }
+        self.lan.borrow_mut().sever_node(self.base + victim);
     }
 
     /// Reopens every link touching `victim` — the physical repair that
     /// precedes reintegration. Frames offered while the links were down
     /// stay lost.
     pub(crate) fn unsever_all_of(&mut self, victim: usize) {
-        match self {
-            NetBackend::Mesh { chans, n } => {
-                for peer in (0..*n).filter(|&p| p != victim) {
-                    chans[mesh_index(*n, victim, peer)].unsever();
-                    chans[mesh_index(*n, peer, victim)].unsever();
-                }
-            }
-            NetBackend::Shared { lan, base, .. } => lan.borrow_mut().unsever_node(*base + victim),
-        }
+        self.lan.borrow_mut().unsever_node(self.base + victim);
     }
 
     pub(crate) fn is_severed(&self, from: usize, to: usize) -> bool {
-        match self {
-            NetBackend::Mesh { chans, n } => chans[mesh_index(*n, from, to)].is_severed(),
-            NetBackend::Shared { lan, base, .. } => {
-                lan.borrow().is_severed(*base + from, *base + to)
-            }
-        }
+        self.lan
+            .borrow()
+            .is_severed(self.base + from, self.base + to)
     }
 
     /// The instant the medium carrying `from → to` finishes serializing
-    /// everything accepted so far — the sender's NIC-queue horizon. For
-    /// the private mesh that is the directed channel's own clock; on a
-    /// shared LAN the whole medium is one queue.
+    /// everything accepted so far — the sender's NIC-queue horizon: the
+    /// directed link's own clock point to point, the whole medium's
+    /// when it is shared.
     pub(crate) fn busy_until_of(&self, from: usize, to: usize) -> SimTime {
-        match self {
-            NetBackend::Mesh { chans, n } => chans[mesh_index(*n, from, to)].busy_until(),
-            NetBackend::Shared { lan, .. } => lan.borrow().busy_until(),
-        }
+        self.lan
+            .borrow()
+            .busy_until(self.base + from, self.base + to)
     }
 }

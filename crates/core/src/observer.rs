@@ -133,15 +133,15 @@ pub trait Observer {
 /// This is what subsumed the drivers' bespoke counter plumbing: the run
 /// report's `messages_per_replica`, `frames_retransmitted` and
 /// `frames_suppressed` are accumulated here, from the same hooks any
-/// user [`Observer`] sees, instead of being scraped out of
-/// `ChannelStats` / `SendWindow` internals after the fact. One set of
-/// hooks, one accounting.
+/// user [`Observer`] sees, instead of being scraped out of the
+/// medium's per-link [`hvft_net::lan::LanStats`] or `SendWindow`
+/// internals after the fact. One set of hooks, one accounting.
 ///
 /// `frames_per_replica[i]` counts frames from replica `i` that
 /// *occupied the medium* — accepted transmissions plus loss-consumed
 /// ones (drops burn air time), but not sends into severed links, which
 /// never reach the wire. That is exactly the semantics the old
-/// channel-counter plumbing reported, so reports are unchanged.
+/// per-link counter plumbing reported, so reports are unchanged.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
     /// Medium-occupying frames offered per replica, in chain order.

@@ -46,22 +46,23 @@ pub(crate) struct SlicePlan {
 }
 
 /// The action of a scheduling decision.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum StepPlan {
     /// The run is over; committing yields the report.
     Finished,
     /// Fire this event — the agenda's earliest pick, held from plan
     /// time so the commit cannot pick a different one.
     Event(SimTime, EventTag),
-    /// A *wave* of guest slices planned from one state snapshot. They
-    /// touch only replica-local CPU and memory, so they may execute
-    /// concurrently; they commit in vec order (ascending start clock,
-    /// then host index) whoever ran them.
-    Slices(Vec<SlicePlan>),
+    /// A *wave* of guest slices planned from one state snapshot, held
+    /// in the buffer the driver planned into. They touch only
+    /// replica-local CPU and memory, so they may execute concurrently;
+    /// they commit in buffer order (ascending start clock, then host
+    /// index) whoever ran them.
+    Slices,
 }
 
 /// A system's next scheduling decision.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Planned {
     /// The earliest instant the system can do anything: its next
     /// pending event, or the clock of its laggiest runnable host.
@@ -72,19 +73,11 @@ pub(crate) struct Planned {
     pub step: StepPlan,
 }
 
-impl Planned {
-    /// The slices this decision would run (none unless it is a wave).
-    pub fn slices(&self) -> &[SlicePlan] {
-        match &self.step {
-            StepPlan::Slices(wave) => wave,
-            _ => &[],
-        }
-    }
-}
-
 /// The conservative scheduling rule. `runnable` holds the runnable
 /// hosts as `(clock, host)` in ascending order — the commit order —
-/// and `event` is the agenda's earliest pick.
+/// and `event` is the agenda's earliest pick. A wave is planned into
+/// `wave`, which is left empty for any other decision; the driver owns
+/// the buffer, so a warm step allocates nothing.
 ///
 /// - Nobody runnable: advance by events; with none left either, the
 ///   run is over (or deadlocked, a protocol bug).
@@ -103,7 +96,9 @@ pub(crate) fn plan_step(
     event: Option<(SimTime, EventTag)>,
     lookahead: SimDuration,
     insn: SimDuration,
+    wave: &mut Vec<SlicePlan>,
 ) -> Planned {
+    wave.clear();
     let ev_time = event.map(|(t, _)| t);
     let laggiest = runnable.first().map(|&(now, _)| now);
     let step = match (event, laggiest) {
@@ -111,25 +106,21 @@ pub(crate) fn plan_step(
         (Some((t, tag)), lag) if lag.is_none_or(|now| t <= now.saturating_add(insn)) => {
             StepPlan::Event(t, tag)
         }
-        _ => StepPlan::Slices(
-            runnable
-                .iter()
-                .enumerate()
-                .filter_map(|(k, &(now, host))| {
-                    // The clocks ascend, so everyone's nearest peer is
-                    // the laggiest host, and the laggiest's is the
-                    // runner-up.
-                    let peer = runnable.get(usize::from(k == 0));
-                    let peer_bound = peer.map(|p| p.0.saturating_add(lookahead));
-                    let budget = match peer_bound.into_iter().chain(ev_time).min() {
-                        None => IDLE_GRAIN,
-                        Some(h) if k == 0 || h > now.saturating_add(insn) => h - now,
-                        Some(_) => return None,
-                    };
-                    Some(SlicePlan { host, budget })
-                })
-                .collect(),
-        ),
+        _ => {
+            wave.extend(runnable.iter().enumerate().filter_map(|(k, &(now, host))| {
+                // The clocks ascend, so everyone's nearest peer is the
+                // laggiest host, and the laggiest's is the runner-up.
+                let peer = runnable.get(usize::from(k == 0));
+                let peer_bound = peer.map(|p| p.0.saturating_add(lookahead));
+                let budget = match peer_bound.into_iter().chain(ev_time).min() {
+                    None => IDLE_GRAIN,
+                    Some(h) if k == 0 || h > now.saturating_add(insn) => h - now,
+                    Some(_) => return None,
+                };
+                Some(SlicePlan { host, budget })
+            }));
+            StepPlan::Slices
+        }
     };
     Planned {
         at: ev_time.into_iter().chain(laggiest).min(),
@@ -147,20 +138,40 @@ mod tests {
         SimTime::from_nanos(ns)
     }
 
-    /// Plans `(clock, host)`s and an event time, all in ns.
-    fn plan(clocks: &[(u64, usize)], event: Option<u64>, lookahead: u64) -> Planned {
+    /// Plans `(clock, host)`s and an event time, all in ns, and
+    /// returns the decision with the wave it planned.
+    fn plan(
+        clocks: &[(u64, usize)],
+        event: Option<u64>,
+        lookahead: u64,
+    ) -> (Planned, Vec<SlicePlan>) {
         let runnable: Vec<_> = clocks.iter().map(|&(c, h)| (t(c), h)).collect();
         let event = event.map(|e| (t(e), EventTag::Delivery));
-        plan_step(&runnable, event, SimDuration::from_nanos(lookahead), INSN)
+        // A stale slice in the buffer must not survive any decision.
+        let mut wave = vec![SlicePlan {
+            host: 9,
+            budget: INSN,
+        }];
+        let p = plan_step(
+            &runnable,
+            event,
+            SimDuration::from_nanos(lookahead),
+            INSN,
+            &mut wave,
+        );
+        assert!(
+            p.step == StepPlan::Slices || wave.is_empty(),
+            "{p:?}: {wave:?}"
+        );
+        (p, wave)
     }
 
     /// The wave planned on a 1 µs lookahead, as `(host, budget in ns)`.
     fn wave(clocks: &[(u64, usize)], event: Option<u64>) -> Vec<(usize, u64)> {
-        let p = plan(clocks, event, 1_000);
-        assert!(matches!(p.step, StepPlan::Slices(_)), "not a wave: {p:?}");
+        let (p, wave) = plan(clocks, event, 1_000);
+        assert_eq!(p.step, StepPlan::Slices, "not a wave: {p:?}");
         assert_eq!(p.at, Some(t(clocks[0].0)), "due at the laggiest clock");
-        let slices = p.slices().iter();
-        slices.map(|s| (s.host, s.budget.as_nanos())).collect()
+        wave.iter().map(|s| (s.host, s.budget.as_nanos())).collect()
     }
 
     #[test]
@@ -168,9 +179,9 @@ mod tests {
         // Zero lookahead and a peer on the same clock leave no room at
         // all, yet host 0 is planned (with the zero budget its horizon
         // leaves): the wave is never empty.
-        let p = plan(&[(500, 0), (500, 1)], None, 0);
+        let (_, planned) = plan(&[(500, 0), (500, 1)], None, 0);
         let budget = SimDuration::ZERO;
-        assert_eq!(p.slices(), [SlicePlan { host: 0, budget }]);
+        assert_eq!(planned, [SlicePlan { host: 0, budget }]);
         // With room it gets the whole of it.
         assert_eq!(wave(&[(500, 1), (9_000, 0)], None), [(1, 9_500)]);
     }
@@ -190,16 +201,16 @@ mod tests {
     fn an_event_within_one_instruction_of_the_laggiest_clock_goes_first() {
         let fires = |e| StepPlan::Event(t(e), EventTag::Delivery);
         for event in [900, 1_000, 1_020] {
-            let p = plan(&[(1_000, 0), (1_200, 1)], Some(event), 1_000);
+            let (p, _) = plan(&[(1_000, 0), (1_200, 1)], Some(event), 1_000);
             assert_eq!((p.at, p.step), (Some(t(event.min(1_000))), fires(event)));
         }
         // One nanosecond later the laggiest guest runs first, up to the
         // event; host 1 is already past it.
         assert_eq!(wave(&[(1_000, 0), (1_200, 1)], Some(1_021)), [(0, 21)]);
         // Nobody runnable: advance by events, and end without them.
-        let p = plan(&[], Some(700), 1_000);
+        let (p, _) = plan(&[], Some(700), 1_000);
         assert_eq!((p.at, p.step), (Some(t(700)), fires(700)));
-        let p = plan(&[], None, 1_000);
+        let (p, _) = plan(&[], None, 1_000);
         assert_eq!((p.at, p.step), (None, StepPlan::Finished));
     }
 

@@ -54,7 +54,7 @@
 use crate::config::FtConfig;
 use crate::lockstep::LockstepChecker;
 use crate::messages::{DiskCompletion, ForwardedInterrupt, Message, ReplicaState};
-use crate::net::{NetBackend, WireFrame};
+use crate::net::{Net, WireFrame};
 use crate::observer::{DropReason, Observer, RunStats};
 use crate::plan::{plan_step, EventTag, Planned, SlicePlan, StepPlan};
 use crate::protocol::{apply_to_guest, Effect, Input, ReplicaEngine};
@@ -68,7 +68,6 @@ use hvft_isa::program::Program;
 use hvft_isa::reg::Reg;
 use hvft_machine::mem::IO_BASE;
 use hvft_machine::trap::irq;
-use hvft_net::channel::Channel;
 use hvft_net::detector::FailureDetector;
 use hvft_net::lan::Lan;
 use hvft_net::reliable::{Frame, RecvWindow, SendWindow};
@@ -356,7 +355,7 @@ pub struct FtSystem {
     hosts: Vec<Host>,
     /// The coordination medium carrying `[E, Int]`, `[Tme]`, `[end]`
     /// and acknowledgments between the replicas.
-    net: NetBackend,
+    net: Net,
     disk: Disk,
     console: Console,
     cfg: FtConfig,
@@ -394,15 +393,19 @@ pub struct FtSystem {
     /// The buffer every engine step appends its effects to, drained by
     /// [`FtSystem::engine`] and reused from step to step.
     effects: Vec<Effect>,
+    /// The runnable hosts as `(clock, host)`, rebuilt by every
+    /// [`FtSystem::plan`] in this reused buffer.
+    runnable: Vec<(SimTime, usize)>,
+    /// The wave [`FtSystem::step`] plans into and commits from.
+    wave: Vec<SlicePlan>,
 }
 
 impl FtSystem {
     /// Builds the system: all `1 + cfg.backups` replicas boot the
     /// identical image in the identical state, as §2.1 requires. The
-    /// coordination medium is a private full mesh of point-to-point
-    /// channels over `cfg.link`, with `cfg.loss_prob` loss injection
-    /// and, when `cfg.retransmit` is set, the link-level
-    /// ack/retransmission layer.
+    /// coordination medium is a private point-to-point [`Lan`] over
+    /// `cfg.link`, with `cfg.loss_prob` loss injection and, when
+    /// `cfg.retransmit` is set, the link-level ack/retransmission layer.
     ///
     /// This is the validated construction path used by the scenario
     /// layer — [`crate::scenario::Scenario::builder`] is the public
@@ -410,16 +413,8 @@ impl FtSystem {
     /// [`crate::scenario::ConfigError`] instead of panicking) before
     /// reaching this.
     pub(crate) fn from_config(image: &Program, cfg: FtConfig) -> Self {
-        let n = 1 + cfg.backups;
-        // Each channel's loss RNG is seeded by its position in the mesh.
-        let chans = (0..n * (n - 1))
-            .map(|pair| {
-                let mut ch = Channel::new(cfg.link, cfg.seed ^ (0xA + pair as u64));
-                ch.set_loss_probability(cfg.loss_prob);
-                ch
-            })
-            .collect();
-        Self::build(image, cfg, NetBackend::Mesh { chans, n })
+        let lan = Lan::point_to_point(cfg.link, 1 + cfg.backups, cfg.seed);
+        Self::new_on_lan(image, cfg, Rc::new(RefCell::new(lan)), 0)
     }
 
     /// Builds the system as one shard of a multi-system cluster: the
@@ -434,25 +429,8 @@ impl FtSystem {
         lan: Rc<RefCell<Lan<WireFrame>>>,
         base: usize,
     ) -> Self {
-        let n = 1 + cfg.backups;
-        {
-            let mut l = lan.borrow_mut();
-            assert!(
-                base + n <= l.nodes(),
-                "LAN nodes {base}..{} not registered",
-                base + n
-            );
-            if cfg.loss_prob > 0.0 {
-                for from in 0..n {
-                    for to in 0..n {
-                        if from != to {
-                            l.set_loss_probability(base + from, base + to, cfg.loss_prob);
-                        }
-                    }
-                }
-            }
-        }
-        Self::build(image, cfg, NetBackend::Shared { lan, base, n })
+        let net = Net::new(lan, base, 1 + cfg.backups, cfg.loss_prob);
+        Self::build(image, cfg, net)
     }
 
     /// Validates that a configuration can survive message loss:
@@ -485,7 +463,7 @@ impl FtSystem {
         );
     }
 
-    fn build(image: &Program, cfg: FtConfig, net: NetBackend) -> Self {
+    fn build(image: &Program, cfg: FtConfig, net: Net) -> Self {
         assert!(cfg.backups >= 1, "a fault-tolerant system needs a backup");
         if cfg.loss_prob > 0.0 {
             Self::assert_loss_tolerant(&cfg);
@@ -528,6 +506,8 @@ impl FtSystem {
             observers: Vec::new(),
             stats: RunStats::new(n),
             effects: Vec::new(),
+            runnable: Vec::new(),
+            wave: Vec::new(),
         };
         system.arm_detectors(SimTime::ZERO);
         system
@@ -1628,7 +1608,10 @@ impl FtSystem {
     /// the clock of its laggiest runnable host. `None` means finished
     /// (or deadlocked): the next step yields the report.
     pub fn next_action_time(&mut self) -> Option<SimTime> {
-        self.plan().at
+        let mut wave = std::mem::take(&mut self.wave);
+        let at = self.plan(&mut wave).at;
+        self.wave = wave;
+        at
     }
 
     /// Decides the system's next scheduling action and when it is due:
@@ -1640,8 +1623,10 @@ impl FtSystem {
     /// what other shards sharing a medium have done since this system
     /// last committed — which is what lets the cluster coordinator hold
     /// it, order shards by its `at` and execute its slices off-thread
-    /// while earlier-scheduled shards are still committing.
-    pub(crate) fn plan(&mut self) -> Planned {
+    /// while earlier-scheduled shards are still committing. A wave is
+    /// planned into `wave`, the caller's buffer, which is emptied for
+    /// any other decision.
+    pub(crate) fn plan(&mut self, wave: &mut Vec<SlicePlan>) -> Planned {
         let finished = matches!(self.hosts[self.acting_primary].life, Life::Done(_));
         if !finished {
             // Instruction-limit guard (idempotent: a tripped host is no
@@ -1657,21 +1642,24 @@ impl FtSystem {
                 }
             }
         }
-        let mut runnable: Vec<(SimTime, usize)> = (0..self.hosts.len())
-            .filter(|&i| self.hosts[i].runnable())
-            .map(|i| (self.hosts[i].now, i))
-            .collect();
+        let mut runnable = std::mem::take(&mut self.runnable);
+        runnable.clear();
+        let hosts = self.hosts.iter().enumerate();
+        runnable.extend(hosts.filter(|(_, h)| h.runnable()).map(|(i, h)| (h.now, i)));
         runnable.sort_unstable();
         let mut planned = plan_step(
             &runnable,
             self.event_agenda().into_earliest(),
             self.cfg.link.min_latency(),
             self.cfg.cost.insn,
+            wave,
         );
+        self.runnable = runnable;
         if finished {
             // The acting primary is done: whatever else is pending only
             // says when the report is due.
             planned.step = StepPlan::Finished;
+            wave.clear();
         }
         planned
     }
@@ -1743,7 +1731,8 @@ impl FtSystem {
 
     /// Carries out a planned decision — the one place the three kinds
     /// of step are told apart — and returns the run's report once the
-    /// run is over. A wave commits in plan order. `reclaim` gives back
+    /// run is over. A wave, the `wave` the decision was planned into,
+    /// commits in plan order. `reclaim` gives back
     /// the guest of a slice whose guest was detached, with the event its
     /// run ended in if a worker ran it; every other slice runs here, so
     /// every caller folds the identical sequence of (host, event) pairs
@@ -1751,13 +1740,14 @@ impl FtSystem {
     pub(crate) fn commit(
         &mut self,
         step: StepPlan,
+        wave: &[SlicePlan],
         mut reclaim: impl FnMut(SlicePlan) -> Option<(HvGuest, Option<HvEvent>)>,
     ) -> Option<RunReport> {
         match step {
             StepPlan::Finished => return Some(self.finish_run()),
             StepPlan::Event(t, tag) => self.fire_event(t, tag),
-            StepPlan::Slices(wave) => {
-                for s in wave {
+            StepPlan::Slices => {
+                for &s in wave {
                     let host = &mut self.hosts[s.host];
                     let ran_elsewhere = reclaim(s).and_then(|(guest, event)| {
                         host.guest.attach(guest);
@@ -1781,8 +1771,11 @@ impl FtSystem {
     /// The report is yielded **once**: its lists are moved out of the
     /// system, so stepping a finished system again reports them empty.
     pub fn step(&mut self) -> Option<RunReport> {
-        let step = self.plan().step;
-        self.commit(step, |_| None)
+        let mut wave = std::mem::take(&mut self.wave);
+        let step = self.plan(&mut wave).step;
+        let report = self.commit(step, &wave, |_| None);
+        self.wave = wave;
+        report
     }
 }
 

@@ -575,18 +575,17 @@ mod tests {
         let _: SendWindow<u8> = SendWindow::new(SimDuration::ZERO);
     }
 
-    /// End-to-end over a lossy `Channel`: every payload is eventually
-    /// delivered exactly once, in order, despite drops of data and acks.
+    /// End-to-end over a lossy point-to-point link pair: every payload
+    /// is eventually delivered exactly once, in order, despite drops of
+    /// data (`0 → 1`) and acks (`1 → 0`).
     #[test]
     fn survives_a_lossy_channel() {
-        use crate::channel::Channel;
+        use crate::lan::Lan;
         use crate::link::LinkSpec;
 
         let rto = ms(2);
-        let mut data_ch: Channel<Frame<u32>> = Channel::new(LinkSpec::ethernet_10mbps(), 7);
-        let mut ack_ch: Channel<Frame<u32>> = Channel::new(LinkSpec::ethernet_10mbps(), 8);
-        data_ch.set_loss_probability(0.4);
-        ack_ch.set_loss_probability(0.4);
+        let mut lan: Lan<Frame<u32>> = Lan::point_to_point(LinkSpec::ethernet_10mbps(), 2, 7);
+        lan.set_loss_probability_all(0.4);
         let mut tx: SendWindow<u32> = SendWindow::new(rto);
         let mut rx = RecvWindow::new();
 
@@ -596,43 +595,42 @@ mod tests {
         for p in 0..20 {
             let f = tx.wrap(64, p);
             let bytes = f.wire_bytes(64);
-            let _ = data_ch.send(now, bytes, f);
-            tx.arm(data_ch.busy_until());
+            let _ = lan.send(now, 0, 1, bytes, f);
+            tx.arm(lan.busy_until(0, 1));
         }
         // Drive the three event sources to quiescence.
         while tx.has_unacked() {
-            let next = [
-                data_ch.next_delivery(),
-                ack_ch.next_delivery(),
-                tx.deadline(),
-            ]
-            .into_iter()
-            .flatten()
-            .min()
-            .expect("retransmission keeps the system live");
+            let next = [lan.next_delivery(), tx.deadline()]
+                .into_iter()
+                .flatten()
+                .min()
+                .expect("retransmission keeps the system live");
             now = now.max(next);
-            while let Some(Frame::Data { seq, payload }) = data_ch.pop_ready(now) {
-                if rx.accept(seq) {
-                    delivered.push(payload);
-                } else {
-                    suppressed += 1;
+            while let Some((_, _, frame)) = lan.pop_ready(now) {
+                match frame {
+                    Frame::Data { seq, payload } => {
+                        if rx.accept(seq) {
+                            delivered.push(payload);
+                        } else {
+                            suppressed += 1;
+                        }
+                        let ack: Frame<u32> = Frame::Ack {
+                            cum: rx.cumulative_ack(),
+                        };
+                        let bytes = ack.wire_bytes(0);
+                        let _ = lan.send(now, 1, 0, bytes, ack);
+                    }
+                    Frame::Ack { cum } => tx.on_ack(now, cum),
+                    Frame::Heartbeat => unreachable!("no heartbeats here"),
                 }
-                let ack: Frame<u32> = Frame::Ack {
-                    cum: rx.cumulative_ack(),
-                };
-                let bytes = ack.wire_bytes(0);
-                let _ = ack_ch.send(now, bytes, ack);
-            }
-            while let Some(Frame::Ack { cum }) = ack_ch.pop_ready(now) {
-                tx.on_ack(now, cum);
             }
             if tx.deadline().is_some_and(|d| d <= now) {
                 for o in tx.retransmit() {
                     resent += 1;
                     let bytes = o.frame.wire_bytes(o.bytes);
-                    let _ = data_ch.send(now, bytes, o.frame);
+                    let _ = lan.send(now, 0, 1, bytes, o.frame);
                 }
-                tx.rearm(data_ch.busy_until());
+                tx.rearm(lan.busy_until(0, 1));
             }
         }
         assert_eq!(delivered, (0..20).collect::<Vec<u32>>());

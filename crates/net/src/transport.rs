@@ -1,10 +1,9 @@
 //! The round-synchronous chain's abstract coordination medium.
 //!
 //! The protocol engines in `hvft-core` are medium-agnostic: the same
-//! P1–P7 rule logic drives the realistic DES (whose
-//! [`crate::channel::Channel`]s and [`crate::lan::Lan`] model occupancy
-//! and propagation) and the t-fault chain, whose [`InstantLink`] reduces
-//! messages to their information content.
+//! P1–P7 rule logic drives the realistic DES (whose [`crate::lan::Lan`]
+//! models occupancy and propagation) and the t-fault chain, whose
+//! [`InstantLink`] reduces messages to their information content.
 
 use std::collections::VecDeque;
 

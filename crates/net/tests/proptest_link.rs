@@ -1,11 +1,16 @@
-//! Property tests for the FIFO channel — the §2 protocols assume FIFO
-//! delivery, so the channel must preserve send order under every
-//! schedule of message sizes and send times.
+//! Property tests for a point-to-point `Lan` link (`0 → 1`) — the §2
+//! protocols assume FIFO delivery, so the link must preserve send order
+//! under every schedule of message sizes and send times.
 
-use hvft_net::channel::Channel;
+use hvft_net::lan::Lan;
 use hvft_net::link::LinkSpec;
 use hvft_sim::time::SimTime;
 use proptest::prelude::*;
+
+/// What the link `0 → 1` hands over at `now`.
+fn pop<M>(ch: &mut Lan<M>, now: SimTime) -> Option<M> {
+    ch.pop_ready(now).map(|(_, _, m)| m)
+}
 
 fn arb_link() -> impl Strategy<Value = LinkSpec> {
     prop_oneof![
@@ -21,12 +26,12 @@ proptest! {
         link in arb_link(),
         sends in prop::collection::vec((0u64..1_000_000, 0usize..20_000), 1..60),
     ) {
-        let mut ch: Channel<usize> = Channel::new(link, 1);
+        let mut ch: Lan<usize> = Lan::point_to_point(link, 2, 1);
         let mut now = SimTime::ZERO;
         let mut deliveries = Vec::new();
         for (i, (dt, bytes)) in sends.iter().enumerate() {
             now += hvft_sim::time::SimDuration::from_nanos(*dt);
-            if let Some(t) = ch.send(now, *bytes, i) {
+            if let Some(t) = ch.send(now, 0, 1, *bytes, i) {
                 deliveries.push(t);
             }
         }
@@ -37,7 +42,7 @@ proptest! {
         // Draining yields ascending payload indices.
         let far = SimTime::from_nanos(u64::MAX / 2);
         let mut last = None;
-        while let Some(idx) = ch.pop_ready(far) {
+        while let Some(idx) = pop(&mut ch, far) {
             if let Some(prev) = last {
                 prop_assert!(idx > prev, "payload {idx} after {prev}");
             }
@@ -51,9 +56,9 @@ proptest! {
         bytes in 0usize..10_000,
         at_ns in 0u64..1_000_000,
     ) {
-        let mut ch: Channel<u8> = Channel::new(link, 2);
+        let mut ch: Lan<u8> = Lan::point_to_point(link, 2, 2);
         let at = SimTime::from_nanos(at_ns);
-        if let Some(t) = ch.send(at, bytes, 0) {
+        if let Some(t) = ch.send(at, 0, 1, bytes, 0) {
             prop_assert!(t >= at + link.min_latency() || bytes == 0,
                 "delivered at {t}, sent {at}, min latency {}", link.min_latency());
             prop_assert!(t >= at, "delivery {t} precedes send {at}");
@@ -65,20 +70,20 @@ proptest! {
         loss in 0.0f64..1.0,
         n in 1usize..100,
     ) {
-        let mut ch: Channel<usize> = Channel::new(LinkSpec::instant(), 3);
-        ch.set_loss_probability(loss);
+        let mut ch: Lan<usize> = Lan::point_to_point(LinkSpec::instant(), 2, 3);
+        ch.set_loss_probability(0, 1, loss);
         for i in 0..n {
-            let _ = ch.send(SimTime::ZERO, 8, i);
+            let _ = ch.send(SimTime::ZERO, 0, 1, 8, i);
         }
         let far = SimTime::from_nanos(u64::MAX / 2);
         let mut got = Vec::new();
-        while let Some(i) = ch.pop_ready(far) {
+        while let Some(i) = pop(&mut ch, far) {
             got.push(i);
         }
         // In-order subsequence of 0..n.
         prop_assert!(got.windows(2).all(|w| w[0] < w[1]));
         prop_assert!(got.iter().all(|&i| i < n));
-        let s = ch.stats();
+        let s = ch.link_stats(0, 1);
         prop_assert_eq!(s.sent, n as u64);
         prop_assert_eq!(s.delivered + s.dropped, n as u64);
     }

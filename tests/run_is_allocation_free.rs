@@ -16,7 +16,8 @@
 
 use hvft::core::messages::Message;
 use hvft::core::protocol::{Effect, Input, ReplicaEngine};
-use hvft::core::{LockstepChecker, ProtocolVariant};
+use hvft::core::scenario::Scenario;
+use hvft::core::{FtSystem, LockstepChecker, ProtocolVariant};
 use hvft::guest::{build_image, dhrystone_source, KernelConfig};
 use hvft::hypervisor::cost::CostModel;
 use hvft::hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
@@ -283,6 +284,54 @@ fn warm_engine_epochs_do_not_allocate() {
             );
             assert_eq!(started, (WARM_UP + EPOCHS) * (t as u64 + 1));
             assert_eq!(released, WARM_UP + EPOCHS);
+        }
+    }
+}
+
+/// Allocations over `EPOCHS` warm replica-epochs of a whole replicated
+/// system — Dhrystone (its syscalls, no I/O), `backups` backups, on the
+/// raw link or under the reliable layer — and the replica-epochs run.
+fn warm_system_allocations(backups: usize, reliable: bool) -> (u64, u64) {
+    // Per replica, long enough for the jit to have compiled every path
+    // the guest ever takes: until then, a late first compile allocates.
+    const WARM_UP: u64 = 16_384;
+    const EPOCHS: u64 = 8_192;
+    let image = build_image(&KernelConfig::default(), &dhrystone_source(1_000_000, 6))
+        .expect("image builds");
+    let mut builder = Scenario::builder()
+        .image(image)
+        .functional_cost()
+        .epoch_len(1_024)
+        .backups(backups);
+    if reliable {
+        builder = builder.retransmit(SimDuration::from_millis(5));
+    }
+    let mut runner = builder.build().expect("valid scenario").runner();
+    let system = runner.ft_mut().expect("a replicated run");
+    let step_to = |system: &mut FtSystem, epochs: u64| {
+        while system.run_stats().epoch_boundaries < epochs {
+            assert!(system.step().is_none(), "the run ended early");
+        }
+        system.run_stats().epoch_boundaries
+    };
+    let warm = step_to(system, WARM_UP * (1 + backups as u64));
+    let before = allocations();
+    let done = step_to(system, warm + EPOCHS);
+    (allocations() - before, done - warm)
+}
+
+#[test]
+fn warm_system_epochs_do_not_allocate() {
+    // The whole driver around the engines: planning each step into the
+    // system's own buffers, the medium's links and ready index, the
+    // reliable layer's windows, the lockstep digests and the observers.
+    for backups in [1, 2] {
+        for reliable in [false, true] {
+            let (allocated, epochs) = warm_system_allocations(backups, reliable);
+            assert_eq!(
+                allocated, 0,
+                "t={backups}, reliable={reliable}: {epochs} warm replica-epochs allocated"
+            );
         }
     }
 }
