@@ -56,7 +56,7 @@
 use crate::link::LinkSpec;
 use hvft_sim::rng::SimRng;
 use hvft_sim::time::SimTime;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Identifies a station on the LAN (assigned by [`Lan::add_node`], or
 /// `0 .. n` on [`Lan::point_to_point`]).
@@ -168,12 +168,14 @@ pub struct Lan<M> {
     slot: Vec<u32>,
     links: Vec<FifoCore<M>>,
     /// Ready-time index: one `(front delivery time, link)` entry per
-    /// link with pending deliveries, kept in sync with the links' FIFO
-    /// heads. `pop_ready*`/`next_delivery*` walk this set in time order
-    /// instead of scanning every link per call — the difference between
-    /// O(pending links) and O(registered links²) per pop once a cluster
-    /// grows past a few dozen nodes. Ties break in `(from, to)` order.
-    ready: BTreeSet<(SimTime, (NodeId, NodeId))>,
+    /// link with pending deliveries, sorted, kept in sync with the
+    /// links' FIFO heads. `pop_ready*`/`next_delivery*` walk it in time
+    /// order instead of scanning every link per call — the difference
+    /// between O(pending links) and O(registered links²) per pop once a
+    /// cluster grows past a few dozen nodes. Ties break in `(from, to)`
+    /// order. A sorted `Vec`: the pending links are few, and it stops
+    /// allocating once it has held the most there ever were.
+    ready: Vec<(SimTime, (NodeId, NodeId))>,
     severed_nodes: Vec<bool>,
 }
 
@@ -188,7 +190,7 @@ impl<M> Lan<M> {
             clocks: vec![SimTime::ZERO],
             slot: Vec::new(),
             links: Vec::new(),
-            ready: BTreeSet::new(),
+            ready: Vec::new(),
             severed_nodes: Vec::new(),
         }
     }
@@ -229,7 +231,7 @@ impl<M> Lan<M> {
             1,
             "a point-to-point LAN has fixed stations"
         );
-        let (old, id) = (self.nodes, self.nodes);
+        let old = self.nodes;
         self.nodes += 1;
         let mut slot = vec![NO_LINK; self.nodes * self.nodes];
         for from in 0..old {
@@ -238,7 +240,7 @@ impl<M> Lan<M> {
         }
         self.slot = slot;
         self.severed_nodes.push(false);
-        id
+        old
     }
 
     /// Number of registered stations.
@@ -256,31 +258,27 @@ impl<M> Lan<M> {
         (k != NO_LINK).then_some(k as usize)
     }
 
-    /// The link `from → to`, materialized on its first use (only a
-    /// shared medium has links that have not been).
-    fn link_mut(&mut self, from: NodeId, to: NodeId) -> &mut FifoCore<M> {
+    /// Where the link `from → to` sits in `links`, materialized on its
+    /// first use (only a shared medium has links that have not been).
+    fn materialize(&mut self, from: NodeId, to: NodeId) -> usize {
         assert!(
             from < self.nodes && to < self.nodes && from != to,
             "bad link ({from}, {to})"
         );
-        let k = match self.index(from, to) {
-            Some(k) => k,
-            None => {
-                let seed = self.seed ^ ((from as u64) << 32) ^ (to as u64);
-                let k = self.links.len();
-                self.slot[from * self.nodes + to] = k as u32;
-                self.links
-                    .push(FifoCore::new(SimRng::seed_from_label(seed, "lan-link"), 0));
-                k
-            }
-        };
-        &mut self.links[k]
+        if self.index(from, to).is_none() {
+            let seed = self.seed ^ ((from as u64) << 32) ^ (to as u64);
+            self.slot[from * self.nodes + to] = self.links.len() as u32;
+            let rng = SimRng::seed_from_label(seed, "lan-link");
+            self.links.push(FifoCore::new(rng, 0));
+        }
+        self.slot[from * self.nodes + to] as usize
     }
 
     /// Sets the per-message loss probability (clamped to `[0, 1]`) of
     /// the directed link `from → to`.
     pub fn set_loss_probability(&mut self, from: NodeId, to: NodeId, p: f64) {
-        self.link_mut(from, to).loss_prob = p.clamp(0.0, 1.0);
+        let k = self.materialize(from, to);
+        self.links[k].loss_prob = p.clamp(0.0, 1.0);
     }
 
     /// Sets the loss probability of every link between registered nodes.
@@ -297,7 +295,8 @@ impl<M> Lan<M> {
     /// Permanently severs the directed link `from → to`: future sends
     /// vanish, in-flight messages still arrive.
     pub fn sever_link(&mut self, from: NodeId, to: NodeId) {
-        self.link_mut(from, to).severed = true;
+        let k = self.materialize(from, to);
+        self.links[k].severed = true;
     }
 
     /// Sets the sever flag of `node` and of every link touching it.
@@ -351,8 +350,7 @@ impl<M> Lan<M> {
             return None;
         }
         let spec = self.link;
-        self.link_mut(from, to); // materialize the link
-        let k = self.index(from, to).expect("just materialized");
+        let k = self.materialize(from, to);
         let link = &mut self.links[k];
         let before = link.next_delivery();
         let delivery = link.offer(&spec, &mut self.clocks[link.medium], now, bytes, msg);
@@ -368,10 +366,12 @@ impl<M> Lan<M> {
             return;
         }
         if let Some(t) = before {
-            self.ready.remove(&(t, pair));
+            let at = self.ready.binary_search(&(t, pair)).expect("indexed head");
+            self.ready.remove(at);
         }
         if let Some(t) = after {
-            self.ready.insert((t, pair));
+            let at = self.ready.binary_search(&(t, pair)).unwrap_err();
+            self.ready.insert(at, (t, pair));
         }
     }
 
