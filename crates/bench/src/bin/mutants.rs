@@ -289,10 +289,13 @@ fn failures(output: &str) -> Vec<String> {
             listing = false;
         }
     }
+    // Properties (with their case) first, then pinned tests, each by
+    // name: the harness prints in whatever order its threads finish.
+    found.sort_by(|a, b| (a.1.is_none(), &a.0).cmp(&(b.1.is_none(), &b.0)));
     found
         .into_iter()
         .map(|(name, case)| match case {
-            Some(case) => format!("`{name}` {case}"),
+            Some(case) => format!("`{name}` (case {case})"),
             None => format!("`{name}`"),
         })
         .collect()
