@@ -433,12 +433,6 @@ impl<M> Lan<M> {
         self.clocks[medium]
     }
 
-    /// Number of messages in flight on `from → to`.
-    pub fn in_flight(&self, from: NodeId, to: NodeId) -> usize {
-        self.index(from, to)
-            .map_or(0, |k| self.links[k].queue.len())
-    }
-
     /// Medium-wide counters, aggregated over every link.
     pub fn stats(&self) -> LanStats {
         let mut total = LanStats::default();
@@ -706,7 +700,7 @@ mod tests {
         ch.sever_link(0, 1);
         assert_eq!(ch.send(d, 0, 1, 8, "late"), None);
         assert_eq!(pop(&mut ch, d), Some("in-flight"));
-        assert_eq!(ch.in_flight(0, 1), 0);
+        assert_eq!(ch.next_delivery(), None, "nothing left in flight");
     }
 
     #[test]

@@ -95,7 +95,7 @@ fn sever_keeps_draining_but_blocks_new_traffic() {
     assert_eq!(pop(&mut ch, d1), Some("first"));
     assert_eq!(pop(&mut ch, d1), None, "second not due yet");
     assert_eq!(pop(&mut ch, d2), Some("second"));
-    assert_eq!(ch.in_flight(0, 1), 0);
+    assert_eq!(ch.next_delivery(), None, "nothing left in flight");
 }
 
 #[test]
