@@ -116,7 +116,7 @@
 
 use crate::config::FtConfig;
 use crate::net::WireFrame;
-use crate::plan::{Planned, SlicePlan};
+use crate::plan::{Planned, SlicePlan, StepPlan};
 use crate::report::RunReport;
 use crate::system::{FtSystem, SystemCheckpoint};
 use hvft_hypervisor::hvguest::{HvEvent, HvGuest};
@@ -371,7 +371,7 @@ impl FtCluster {
         let mut reports: Vec<Option<RunReport>> = vec![None; plans.len()];
         while let Some(i) = pick(&plans) {
             let planned = plans[i].take().expect("picked shard is planned");
-            if let Some(exposure) = &mut exposure {
+            if let (Some(exposure), StepPlan::Slices) = (&mut exposure, planned.step) {
                 // The surplus: everything planned except the slice
                 // about to run here — the rest of this wave, then the
                 // other shards' pending waves. A buffer holds a wave
@@ -518,7 +518,6 @@ impl<'p> Exposure<'p> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::StepPlan;
     use crate::report::ExitStatus;
     use hvft_guest::{build_image, dhrystone_source, hello_source, KernelConfig};
     use hvft_hypervisor::cost::CostModel;

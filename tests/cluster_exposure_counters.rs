@@ -93,6 +93,9 @@ fn t1_shards_taking_turns_publish_almost_nothing() {
         "a t = 1 pair takes turns; more than 2 % surplus means slices \
          are being shipped before anyone waits for them: {stats:?}"
     );
+    // Which slices are exposed, pinned: a coordinator that publishes
+    // more (or less) than the surplus shows here first.
+    assert_eq!((stats.executed, stats.published), (2_717, 27));
     // Counts, not timings: the same again, and at any thread count.
     assert_eq!(run(&shards, Parallelism::Threads(2)).1, stats);
     assert_eq!(run(&shards, Parallelism::Threads(MAX_THREADS)).1, stats);
