@@ -20,6 +20,9 @@
 //!   cascading failover.
 //! - [`chain`] — [`chain::TChain`], the round-synchronous t-fault chain
 //!   on instantaneous links; same engines, different machinery.
+//! - [`cluster`] — [`cluster::FtCluster`], `N` systems contending for
+//!   one shared `Lan`, co-simulated on one schedule on the calling
+//!   thread.
 //! - [`messages`], [`config`], [`lockstep`] — the wire vocabulary, the
 //!   knobs, and the `n`-replica divergence checker.
 //! - [`scenario`], [`observer`] — the public front door: the typed,
@@ -59,7 +62,7 @@ pub mod scenario;
 pub mod system;
 
 pub use chain::TChain;
-pub use cluster::{FtCluster, Parallelism, SliceStats};
+pub use cluster::FtCluster;
 pub use config::{FtConfig, ProtocolVariant};
 pub use lockstep::{Divergence, LockstepChecker};
 pub use messages::{DiskCompletion, ForwardedInterrupt, Message};

@@ -55,9 +55,8 @@ pub(crate) enum StepPlan {
     Event(SimTime, EventTag),
     /// A *wave* of guest slices planned from one state snapshot, held
     /// in the buffer the driver planned into. They touch only
-    /// replica-local CPU and memory, so they may execute concurrently;
-    /// they commit in buffer order (ascending start clock, then host
-    /// index) whoever ran them.
+    /// replica-local CPU and memory, and commit in buffer order
+    /// (ascending start clock, then host index).
     Slices,
 }
 

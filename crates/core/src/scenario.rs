@@ -78,10 +78,20 @@ use std::fmt;
 
 // The knobs a builder user names directly and the result every run
 // yields, re-exported so scenario call sites need only this module.
-pub use crate::cluster::Parallelism;
 pub use crate::config::ProtocolVariant as Protocol;
 pub use crate::report::{ExitStatus, RunReport};
 pub use hvft_machine::{ExecStats, ExecTier};
+
+/// The argument of [`ClusterScenario::parallelism`], which ignores it:
+/// every cluster runs on the calling thread. Kept only because the
+/// frozen benchmark names both variants.
+#[derive(Clone, Copy, Debug)]
+pub enum Parallelism {
+    /// The one schedule.
+    Sequential,
+    /// Runs exactly as [`Parallelism::Sequential`] does.
+    Threads(usize),
+}
 
 /// Upper bound on the configurable disk size. The simulated medium is
 /// held in memory (8 KB per block); a configuration above this bound is
@@ -249,7 +259,6 @@ pub struct ScenarioBuilder {
     faults: Vec<(SimTime, Fault)>,
     chain_failures_at: Vec<u64>,
     max_epochs: u64,
-    parallelism: Parallelism,
 }
 
 impl Default for ScenarioBuilder {
@@ -262,7 +271,6 @@ impl Default for ScenarioBuilder {
             faults: Vec::new(),
             chain_failures_at: Vec::new(),
             max_epochs: 1_000_000,
-            parallelism: Parallelism::Sequential,
         }
     }
 }
@@ -338,24 +346,6 @@ impl ScenarioBuilder {
     /// unchanged. Replicated/cluster driver only.
     pub fn nic_queue_bound(mut self, bound: SimDuration) -> Self {
         self.cfg.nic_queue_bound = Some(bound);
-        self
-    }
-
-    /// How a sharded cluster run executes this scenario's guest
-    /// computations: under [`Parallelism::Threads`] the calling thread
-    /// runs every *replica slice* it would otherwise wait for and
-    /// exposes the surplus to the persistent worker pool, with
-    /// conservative synchronization, bit-identical to
-    /// [`Parallelism::Sequential`] (see
-    /// [`crate::cluster::FtCluster::run_with`]). The thread count —
-    /// the caller included — is clamped to the cluster's slice slots
-    /// (`shards × max replicas per shard`,
-    /// [`ClusterScenario::slice_slots`]): even a single-shard cluster
-    /// with `t` backups plans up to `t + 1` slices at once.
-    /// Applies when the scenario is added to a [`ClusterScenario`].
-    /// Replicated driver only.
-    pub fn parallelism(mut self, p: Parallelism) -> Self {
-        self.parallelism = p;
         self
     }
 
@@ -550,19 +540,11 @@ impl ScenarioBuilder {
                 return Err(ConfigError::RejoinWithoutRetransmit);
             }
         }
-        if self.driver != Driver::Replicated {
-            if self.cfg.nic_queue_bound.is_some() {
-                return Err(ConfigError::DriverMismatch(
-                    "the NIC queue bound shapes the replicated DES's timed \
-                     coordination network (bare and chain runs have none)",
-                ));
-            }
-            if self.parallelism != Parallelism::Sequential {
-                return Err(ConfigError::DriverMismatch(
-                    "parallel execution distributes replicated cluster shards \
-                     (bare and chain runs cannot shard onto a LAN)",
-                ));
-            }
+        if self.driver != Driver::Replicated && self.cfg.nic_queue_bound.is_some() {
+            return Err(ConfigError::DriverMismatch(
+                "the NIC queue bound shapes the replicated DES's timed \
+                 coordination network (bare and chain runs have none)",
+            ));
         }
         match self.driver {
             Driver::Bare => {
@@ -631,7 +613,6 @@ impl ScenarioBuilder {
             faults: self.faults,
             chain_failures_at: self.chain_failures_at,
             max_epochs: self.max_epochs,
-            parallelism: self.parallelism,
         })
     }
 }
@@ -649,7 +630,6 @@ pub struct Scenario {
     faults: Vec<(SimTime, Fault)>,
     chain_failures_at: Vec<u64>,
     max_epochs: u64,
-    parallelism: Parallelism,
 }
 
 impl fmt::Debug for Scenario {
@@ -683,12 +663,6 @@ impl Scenario {
     /// The assembled guest image.
     pub fn image(&self) -> &Program {
         &self.image
-    }
-
-    /// The parallelism this scenario requests when sharded into a
-    /// [`ClusterScenario`].
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
     }
 
     /// Instantiates the driver. Use this instead of [`Scenario::run`]
@@ -910,7 +884,6 @@ pub struct ClusterScenario {
     link: LinkSpec,
     seed: u64,
     shards: Vec<Scenario>,
-    parallelism: Option<Parallelism>,
 }
 
 impl ClusterScenario {
@@ -921,36 +894,13 @@ impl ClusterScenario {
             link,
             seed,
             shards: Vec::new(),
-            parallelism: None,
         }
     }
 
-    /// Overrides how the cluster executes: by default the run adopts
-    /// the widest [`Parallelism`] any shard requested through
-    /// [`ScenarioBuilder::parallelism`]; this forces a specific mode.
-    /// Either way the results are bit-identical to sequential (see
-    /// [`crate::cluster::FtCluster::run_with`]).
-    pub fn parallelism(&mut self, p: Parallelism) -> &mut Self {
-        self.parallelism = Some(p);
+    /// Takes a [`Parallelism`] and drops it: every cluster runs on the
+    /// calling thread. The name is kept only for the frozen benchmark.
+    pub fn parallelism(&mut self, _: Parallelism) -> &mut Self {
         self
-    }
-
-    /// The mode [`ClusterScenario::run`] will use: the explicit
-    /// override if set, else the widest shard request.
-    pub fn effective_parallelism(&self) -> Parallelism {
-        if let Some(p) = self.parallelism {
-            return p;
-        }
-        self.shards
-            .iter()
-            .map(|s| s.parallelism)
-            .fold(Parallelism::Sequential, |acc, p| match (acc, p) {
-                (Parallelism::Threads(a), Parallelism::Threads(b)) => {
-                    Parallelism::Threads(a.max(b))
-                }
-                (Parallelism::Threads(a), _) => Parallelism::Threads(a),
-                (_, p) => p,
-            })
     }
 
     /// Adds one shard. Only [`Driver::Replicated`] scenarios can share
@@ -972,20 +922,6 @@ impl ClusterScenario {
     /// Number of shards added so far.
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Upper bound on concurrently in-flight guest slices:
-    /// `shards × max replicas per shard` — each shard's plan step
-    /// yields up to one slice per replica, so this (not the shard
-    /// count) is what [`Parallelism::Threads`] is clamped against.
-    /// See [`crate::cluster::FtCluster::slice_slots`].
-    pub fn slice_slots(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| 1 + s.cfg.backups)
-            .max()
-            .unwrap_or(1)
-            * self.shards.len().max(1)
     }
 
     /// Runs every shard to completion over the shared medium and
@@ -1012,7 +948,7 @@ impl ClusterScenario {
             let i = cluster.add_system(&shard.image, shard.cfg);
             shard.schedule_faults(cluster.system_mut(i));
         }
-        let mut reports = cluster.run_with(self.effective_parallelism());
+        let mut reports = cluster.run();
         for (report, shard) in reports.iter_mut().zip(&self.shards) {
             report.label.clone_from(&shard.label);
         }

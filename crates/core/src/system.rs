@@ -74,7 +74,6 @@ use hvft_net::reliable::{Frame, RecvWindow, SendWindow};
 use hvft_sim::sched::Agenda;
 use hvft_sim::time::{SimDuration, SimTime};
 use std::cell::RefCell;
-use std::ops::{Deref, DerefMut};
 use std::rc::Rc;
 
 /// An externally visible I/O the guest asked for, held until the engine
@@ -114,46 +113,10 @@ struct InflightIo {
     issued_at: SimTime,
 }
 
-/// Holds a host's guest, allowing it to be temporarily detached while
-/// its planned slice is exposed to a worker thread (the parallel
-/// cluster executor). Everything in [`FtSystem`] that can run between a
-/// slice's planning and its commit — another shard's plan or commit,
-/// never this system's own — must not touch the guest; dereferencing an
-/// empty slot panics, which is the assertion of that invariant.
-struct GuestSlot(Option<HvGuest>);
-
-impl GuestSlot {
-    fn detach(&mut self) -> HvGuest {
-        self.0.take().expect("guest already detached")
-    }
-
-    fn attach(&mut self, guest: HvGuest) {
-        debug_assert!(self.0.is_none(), "guest already attached");
-        self.0 = Some(guest);
-    }
-}
-
-impl Deref for GuestSlot {
-    type Target = HvGuest;
-    fn deref(&self) -> &HvGuest {
-        self.0
-            .as_ref()
-            .expect("guest is detached to a slice worker")
-    }
-}
-
-impl DerefMut for GuestSlot {
-    fn deref_mut(&mut self) -> &mut HvGuest {
-        self.0
-            .as_mut()
-            .expect("guest is detached to a slice worker")
-    }
-}
-
 /// One replica's host: guest + clock + device shadows + its engine,
 /// its failure detector and its end of every link.
 struct Host {
-    guest: GuestSlot,
+    guest: HvGuest,
     engine: ReplicaEngine,
     now: SimTime,
     /// `guest.elapsed()` already folded into `now`.
@@ -186,7 +149,7 @@ struct Host {
 impl Host {
     fn new(guest: HvGuest, engine: ReplicaEngine, links: Vec<Link>) -> Self {
         Host {
-            guest: GuestSlot(Some(guest)),
+            guest,
             engine,
             now: SimTime::ZERO,
             synced_elapsed: SimDuration::ZERO,
@@ -314,9 +277,7 @@ pub struct ReintegrationInfo {
 /// quiescent point, and the same canonical [`ReplicaState`], that a
 /// reintegration transfer ships (see [`FtSystem::schedule_checkpoint`]).
 /// Capture is pure — no wire traffic, no engine interaction — so a
-/// checkpointed run is bit-identical to an uncheckpointed one, and the
-/// checkpoint itself is identical whichever
-/// [`crate::cluster::Parallelism`] mode produced it.
+/// checkpointed run is bit-identical to an uncheckpointed one.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SystemCheckpoint {
     /// The requested barrier instant.
@@ -608,10 +569,7 @@ impl FtSystem {
     /// ([`ReplicaState`]) is captured into a [`SystemCheckpoint`],
     /// retrievable via [`FtSystem::checkpoints`]. The capture is pure —
     /// no wire traffic, no engine interaction — so a checkpointed run
-    /// is observably identical to an uncheckpointed one, and under
-    /// [`crate::cluster::Parallelism::Threads`] the capture commits on
-    /// the coordinator in the same global order the sequential schedule
-    /// uses, keeping the checkpoint itself bit-identical across modes.
+    /// is observably identical to an uncheckpointed one.
     pub fn schedule_checkpoint(&mut self, at: SimTime) {
         self.checkpoint_schedule.push(at);
         self.checkpoint_schedule.sort();
@@ -676,7 +634,7 @@ impl FtSystem {
                     self.hosts[i].guest.finish_mmio_write();
                     self.hosts[i].sync_clock();
                 }
-                guest_local => apply_to_guest(&guest_local, &mut *self.hosts[i].guest),
+                guest_local => apply_to_guest(&guest_local, &mut self.hosts[i].guest),
             }
         }
         self.effects = effects;
@@ -1622,10 +1580,8 @@ impl FtSystem {
     /// The decision depends only on this system's own state — never on
     /// what other shards sharing a medium have done since this system
     /// last committed — which is what lets the cluster coordinator hold
-    /// it, order shards by its `at` and execute its slices off-thread
-    /// while earlier-scheduled shards are still committing. A wave is
-    /// planned into `wave`, the caller's buffer, which is emptied for
-    /// any other decision.
+    /// it and order shards by its `at`. A wave is planned into `wave`,
+    /// the caller's buffer, which is emptied for any other decision.
     pub(crate) fn plan(&mut self, wave: &mut Vec<SlicePlan>) -> Planned {
         let finished = matches!(self.hosts[self.acting_primary].life, Life::Done(_));
         if !finished {
@@ -1662,13 +1618,6 @@ impl FtSystem {
             wave.clear();
         }
         planned
-    }
-
-    /// Detaches a host's guest so that its planned slice can be
-    /// published to worker threads (the parallel cluster executor). The
-    /// slice's commit must give it back (see [`FtSystem::commit`]).
-    pub(crate) fn detach_guest(&mut self, host: usize) -> HvGuest {
-        self.hosts[host].guest.detach()
     }
 
     /// Produces the run's report after a [`StepPlan::Finished`] plan.
@@ -1732,28 +1681,15 @@ impl FtSystem {
     /// Carries out a planned decision — the one place the three kinds
     /// of step are told apart — and returns the run's report once the
     /// run is over. A wave, the `wave` the decision was planned into,
-    /// commits in plan order. `reclaim` gives back
-    /// the guest of a slice whose guest was detached, with the event its
-    /// run ended in if a worker ran it; every other slice runs here, so
-    /// every caller folds the identical sequence of (host, event) pairs
-    /// into state.
-    pub(crate) fn commit(
-        &mut self,
-        step: StepPlan,
-        wave: &[SlicePlan],
-        mut reclaim: impl FnMut(SlicePlan) -> Option<(HvGuest, Option<HvEvent>)>,
-    ) -> Option<RunReport> {
+    /// runs and commits in plan order.
+    pub(crate) fn commit(&mut self, step: StepPlan, wave: &[SlicePlan]) -> Option<RunReport> {
         match step {
             StepPlan::Finished => return Some(self.finish_run()),
             StepPlan::Event(t, tag) => self.fire_event(t, tag),
             StepPlan::Slices => {
                 for &s in wave {
                     let host = &mut self.hosts[s.host];
-                    let ran_elsewhere = reclaim(s).and_then(|(guest, event)| {
-                        host.guest.attach(guest);
-                        event
-                    });
-                    let event = ran_elsewhere.unwrap_or_else(|| host.guest.run(s.budget));
+                    let event = host.guest.run(s.budget);
                     host.sync_clock();
                     self.dispatch_guest_event(s.host, event);
                 }
@@ -1773,7 +1709,7 @@ impl FtSystem {
     pub fn step(&mut self) -> Option<RunReport> {
         let mut wave = std::mem::take(&mut self.wave);
         let step = self.plan(&mut wave).step;
-        let report = self.commit(step, &wave, |_| None);
+        let report = self.commit(step, &wave);
         self.wave = wave;
         report
     }

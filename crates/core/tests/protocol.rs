@@ -456,3 +456,54 @@ fn user_access_to_unmapped_page_is_fatal() {
         }
     }
 }
+
+/// P6 then P7 for one operation: a backup holds the dead primary's
+/// buffered disk completion `[E, Int]` for epoch `E` and is promoted
+/// at `E`'s boundary with the operation still counted as outstanding,
+/// as `FtSystem::failover` counts it (it reads its in-flight record
+/// before the engine delivers anything). P6 delivers the completion;
+/// P7 must not then synthesize an uncertain one for the same
+/// operation, or the guest re-issues a disk operation that completed.
+/// Today the engine emits both, so this witness panics; it stays
+/// pinned until survivor reconciliation (ROADMAP C1(a)) fixes it.
+#[test]
+#[should_panic(expected = "a delivered completion and an uncertain one")]
+fn a_buffered_completion_is_not_also_synthesized_uncertain() {
+    use hvft_core::messages::{DiskCompletion, ForwardedInterrupt, Message};
+    use hvft_core::protocol::{Effect, Input, ReplicaEngine};
+    use hvft_core::ProtocolVariant;
+    use hvft_devices::mmio::disk_status;
+    use hvft_hypervisor::vclock::VClock;
+    use hvft_machine::trap::irq;
+
+    let completion = ForwardedInterrupt {
+        irq_bits: irq::DISK,
+        disk: Some(DiskCompletion {
+            status: disk_status::DONE,
+            data: None,
+        }),
+    };
+    let mut backup = ReplicaEngine::new_backup(1, 0, ProtocolVariant::Old);
+    let mut out = Vec::new();
+    let msg = Message::Interrupt {
+        seq: 1,
+        epoch: 0,
+        interrupt: completion.clone(),
+    };
+    backup.step(Input::Message { from: 0, msg }, &mut out);
+    let vclock = VClock::new();
+    backup.step(Input::Boundary { epoch: 0, vclock }, &mut out);
+    out.clear();
+    let promote = Input::Promote {
+        vclock: VClock::new(),
+        outstanding_io: true,
+        survivors: vec![],
+    };
+    backup.step(promote, &mut out);
+    let delivered = out.contains(&Effect::DeliverInterrupt(completion));
+    assert!(delivered, "P6 delivers the buffered completion: {out:?}");
+    assert!(
+        !out.contains(&Effect::SynthesizeUncertain),
+        "P7 after P6: a delivered completion and an uncertain one for one operation"
+    );
+}

@@ -8,9 +8,9 @@
 //!   first, first-offered wins ties — that `hvft-core`'s discrete-event
 //!   driver takes its next event from (the loop itself lives with the
 //!   driver, which knows the event sources and the lookahead);
-//! - [`pool`]: a persistent work-stealing worker pool ([`pool::WorkPool`])
-//!   for off-thread guest-slice execution — per-worker deques with
-//!   stealing, parked idle workers, reused across runs;
+//! - [`pool`]: a persistent work-stealing worker pool ([`pool::WorkPool`]),
+//!   kept only for the repository benchmark, which still names it (no
+//!   simulation runs on it);
 //! - [`rng`]: seeded, fork-able pseudo-randomness so "non-deterministic"
 //!   hardware behaviour (TLB replacement, transient device faults) is
 //!   reproducible;

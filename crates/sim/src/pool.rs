@@ -1,42 +1,29 @@
-//! A persistent work-stealing worker pool for off-thread slice
-//! execution.
+//! A persistent work-stealing worker pool.
 //!
-//! The parallel cluster executor (PR 5) spawned a fresh set of worker
-//! threads behind one shared `mpsc` queue on every `run_with` call:
-//! thread spawn/join cost on every run, one contended queue for all
-//! workers, and no reuse across benchmark iterations. This module
-//! replaces that with a reusable pool:
+//! Nothing in the simulator runs on it any more: every cluster runs on
+//! the calling thread. Its last caller is the repository benchmark
+//! (`crates/bench/src/bin/benchmark`), which prices an empty job's
+//! submit and `wait_idle` on a private pool and reads
+//! [`WorkPool::global`]'s [`WorkPool::stats`] around its cluster
+//! workload; both read ≈ 0 work now. The pool goes when the benchmark
+//! stops naming it.
 //!
 //! - **per-worker deques with stealing** — a submitted job lands on one
 //!   worker's queue (round-robin); a worker that drains its own queue
-//!   steals from its peers, so a long slice on one worker never strands
-//!   runnable jobs behind it;
-//! - **parked idle workers** — a worker with nothing to run (own queue
-//!   and all peers empty) blocks on a condvar instead of spinning, and
-//!   is woken by the next submission;
+//!   steals from its peers;
+//! - **parked idle workers** — a worker with nothing to run blocks on a
+//!   condvar instead of spinning, and is woken by the next submission;
 //! - **persistence** — [`WorkPool::global`] returns a process-wide pool
-//!   that survives across `run_with` calls and bench iterations
 //!   ([`WorkPool::ensure_workers`] grows it on demand, workers are
-//!   never torn down), so steady-state parallel runs pay zero
-//!   spawn/join cost;
+//!   never torn down);
 //! - **panic containment** — a panicking job is caught on the worker,
 //!   its message recorded ([`WorkPool::take_panics`]), and the worker
 //!   survives to run the next job. Owned pools join every worker on
 //!   drop even when jobs panicked.
 //!
-//! **Scheduling freedom, result determinism.** Which worker runs which
-//! job, and in what order, is explicitly nondeterministic (it depends
-//! on stealing races). Determinism is the *submitter's* contract:
-//! simulation results must depend only on job outputs committed in a
-//! deterministic order, never on pool scheduling — which is exactly how
-//! the cluster executor uses it (slices are independent; commits happen
-//! on the coordinator in its own pick order; a job only *tries* to claim
-//! its slice, so nothing waits on a worker that is busy elsewhere).
-//!
-//! The observed-utilization counters ([`WorkPool::stats`]) are wall
-//! clock, not simulated time: they exist so benchmark artifacts can
-//! record how much of the pool the executor actually kept busy, making
-//! scaling-curve regressions attributable.
+//! Which worker runs which job, and in what order, is nondeterministic.
+//! The utilization counters ([`WorkPool::stats`]) are wall clock, not
+//! simulated time.
 //!
 //! # Examples
 //!

@@ -3,12 +3,9 @@
 //! variant — never a panic, never a wrong variant, and never a silent
 //! acceptance that would hang or OOM a run later.
 
-use hvft::core::scenario::{
-    ClusterScenario, ConfigError, Parallelism, Scenario, ScenarioBuilder, MAX_DISK_BLOCKS,
-};
+use hvft::core::scenario::{ConfigError, Scenario, ScenarioBuilder, MAX_DISK_BLOCKS};
 use hvft::hypervisor::hvguest::HvConfig;
 use hvft::machine::mem::{IO_BASE, PAGE_SIZE};
-use hvft::net::link::LinkSpec;
 use hvft::sim::time::{SimDuration, SimTime};
 
 /// Discriminant-level expectation (payloads are checked separately
@@ -110,16 +107,6 @@ fn every_invalid_combination_yields_its_config_error() {
         (
             "NIC queue bound on the chain driver",
             wl().chain().nic_queue_bound(SimDuration::from_millis(1)),
-            "DriverMismatch",
-        ),
-        (
-            "worker threads on the bare driver",
-            wl().bare().parallelism(Parallelism::Threads(4)),
-            "DriverMismatch",
-        ),
-        (
-            "worker threads on the chain driver",
-            wl().chain().parallelism(Parallelism::Threads(2)),
             "DriverMismatch",
         ),
         (
@@ -234,61 +221,7 @@ fn the_boundary_values_are_accepted() {
         wl().bare(),
         wl().chain().fail_primary_at_epoch(1),
         wl().nic_queue_bound(SimDuration::from_millis(1)),
-        wl().parallelism(Parallelism::Threads(8)),
-        // An explicit Sequential request is fine on any driver.
-        wl().bare().parallelism(Parallelism::Sequential),
     ] {
         builder.build().expect("legal boundary configuration");
     }
-}
-
-/// `Parallelism::Threads(n)` clamps to the cluster's *slice slots*
-/// (`shards × max replicas per shard`), not to the shard count: every
-/// replica of every shard is an independently schedulable guest slice.
-#[test]
-fn thread_clamp_is_slice_slots_not_shards() {
-    let cores = std::thread::available_parallelism()
-        .map(|c| c.get())
-        .unwrap_or(1);
-    // Boundary table: (mode, slots) → requested workers (no core
-    // clamp), with the degenerate forms pinned to 1.
-    let cases: Vec<(Parallelism, usize, usize)> = vec![
-        (Parallelism::Sequential, 10, 1),
-        (Parallelism::Threads(0), 10, 1),
-        (Parallelism::Threads(1), 10, 1),
-        // Below, at, and above the slot count.
-        (Parallelism::Threads(4), 10, 4),
-        (Parallelism::Threads(10), 10, 10),
-        (Parallelism::Threads(64), 10, 10),
-        // A single-shard t=4 system still exposes 5 slots.
-        (Parallelism::Threads(8), 5, 5),
-        // Degenerate slot counts never clamp to zero.
-        (Parallelism::Threads(3), 0, 1),
-    ];
-    for (par, slots, want) in cases {
-        assert_eq!(
-            par.requested_workers(slots),
-            want,
-            "{par:?} over {slots} slots"
-        );
-        assert_eq!(
-            par.effective_workers(slots),
-            want.min(cores).max(1),
-            "{par:?} over {slots} slots (effective)"
-        );
-    }
-}
-
-/// `ClusterScenario::slice_slots` is `shards × max(1 + backups)` —
-/// the widest shard sets the per-shard slice budget.
-#[test]
-fn cluster_scenario_reports_its_slice_slots() {
-    let mut c = ClusterScenario::new(LinkSpec::ethernet_10mbps(), 3);
-    assert_eq!(c.slice_slots(), 1, "an empty cluster has one slot");
-    c.add(wl().backups(1).build().unwrap()).unwrap();
-    assert_eq!(c.slice_slots(), 2, "one shard, primary + 1 backup");
-    c.add(wl().backups(4).build().unwrap()).unwrap();
-    assert_eq!(c.slice_slots(), 10, "2 shards x widest chain (t=4)");
-    c.add(wl().backups(2).build().unwrap()).unwrap();
-    assert_eq!(c.slice_slots(), 15, "3 shards x widest chain (t=4)");
 }
