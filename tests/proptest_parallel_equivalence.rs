@@ -1,100 +1,52 @@
-//! The parallel-execution determinism oracle: a sharded cluster run
-//! produces **bit-identical** `RunReport`s whether its shards execute
-//! sequentially or on worker threads with conservative synchronization.
+//! The frozen `ClusterScenario::parallelism` knob changes nothing: a
+//! cluster asked for `Parallelism::Threads(n)` produces **bit-identical**
+//! `RunReport`s to one asked for `Parallelism::Sequential`.
 //!
-//! This is the hard promise behind `Parallelism::Threads(n)`: the
-//! parallel executor only relocates guest computation onto workers —
-//! every shared-medium effect still commits in exact global-time order
-//! — so *nothing* the report can express may differ: exit codes,
-//! console streams, epoch counts, completion clocks, per-replica
-//! message counters, retransmission and suppression totals, failover
-//! records, operation latencies. The executor's unit of parallelism is
-//! the *replica slice* (each of a shard's t + 1 replicas runs its own
-//! guest slice per wave), so the sweep crosses registry workloads,
-//! shard counts (≥ 3), t ∈ {1..4}, LAN loss with retransmission,
-//! primary-failstop schedules, and backup failstops landing mid-slice;
-//! this retires the old legacy-vs-scenario workload-equivalence
-//! proptest, whose legacy path no longer exists.
+//! Every cluster runs its one plan/commit schedule on the calling
+//! thread; the knob survives only because the repository benchmark
+//! still calls it. This oracle keeps that promise honest on the
+//! adversarial end of the workload space: every shard runs an
+//! `hvft-lang` *generated* program (arbitrary gate/branch mix, so epoch
+//! boundaries land in arbitrary spots) through the full replication
+//! protocol, with LAN loss, retransmission and a mid-run backup failstop
+//! always on. Nothing the report can express may differ between the two
+//! requests: exit codes, console streams, epoch counts, completion
+//! clocks, per-replica message counters, retransmission and suppression
+//! totals, failover records, operation latencies.
 
-use hvft::core::scenario::{ClusterScenario, Parallelism, RunReport, Scenario, ScenarioBuilder};
-use hvft::guest::workload::{Dhrystone, IoBench};
-use hvft::guest::{CompiledWorkload, IoMode, KernelConfig};
+use hvft::core::scenario::{ClusterScenario, Parallelism, RunReport, Scenario};
+use hvft::guest::CompiledWorkload;
 use hvft::lang::genprog::GenConfig;
 use hvft::net::link::LinkSpec;
 use hvft::sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// Shard workloads rotate through registry names (small, by-name — the
-/// CLI path) and two value-configured heavyweights (CPU- and I/O-bound)
-/// so the mix always exercises both the streaming and the self-clocked
-/// protocol regimes.
-fn shard_builder(kind: usize) -> ScenarioBuilder {
-    let b = Scenario::builder().functional_cost();
-    match kind % 5 {
-        0 => b.workload(Dhrystone {
-            iters: 900,
-            syscall_every: 7,
-            kernel: KernelConfig {
-                tick_period_us: 2000,
-                tick_work: 2,
-                ..KernelConfig::default()
-            },
-        }),
-        1 => b.workload(IoBench {
-            ops: 3,
-            mode: IoMode::Write,
-            num_blocks: 16,
-            seed: 9,
-            ..Default::default()
-        }),
-        2 => b.workload_named("hello"),
-        3 => b.workload_named("sieve"),
-        _ => b.workload_named("pingpong"),
-    }
-}
-
-fn cluster(
-    shards: usize,
-    backups: usize,
-    seed: u64,
-    loss: bool,
-    fail_shard: Option<(usize, u64)>,
-    fail_backup: Option<(usize, usize, u64)>,
-) -> ClusterScenario {
+/// A cluster whose shards all run generated programs, each a different
+/// one (seed-offset), with loss and a mid-run backup failstop.
+fn lang_cluster(shards: usize, backups: usize, seed: u64) -> ClusterScenario {
     let mut cluster = ClusterScenario::new(LinkSpec::ethernet_10mbps(), seed);
     for i in 0..shards {
-        let mut b = shard_builder(i.wrapping_add(seed as usize))
+        let workload = CompiledWorkload::generated(
+            seed.wrapping_mul(31).wrapping_add(i as u64),
+            &GenConfig::default(),
+        );
+        let b = Scenario::builder()
+            .functional_cost()
+            .workload(workload)
             .backups(backups)
-            .seed(seed.wrapping_add(i as u64));
-        if loss {
-            b = b
-                .lossy(0.15)
-                .retransmit(SimDuration::from_millis(5))
-                .detector_timeout(SimDuration::from_millis(300));
-        }
-        if let Some((shard, at_ns)) = fail_shard {
-            if shard == i {
-                b = b.fail_primary_at(SimTime::from_nanos(at_ns));
-            }
-        }
-        // A backup failstop lands mid-slice: with intra-shard replica
-        // parallelism the victim's guest is typically in flight on a
-        // worker when its failure time arrives, so this exercises the
-        // plan/commit pipeline's failure path, not just the happy one.
-        if let Some((shard, replica, at_ns)) = fail_backup {
-            if shard == i {
-                b = b.fail_replica_at(SimTime::from_nanos(at_ns), 1 + replica % backups);
-            }
-        }
+            .seed(seed.wrapping_add(i as u64))
+            .lossy(0.15)
+            .retransmit(SimDuration::from_millis(5))
+            .detector_timeout(SimDuration::from_millis(300))
+            .fail_replica_at(SimTime::from_nanos(1_200_000), 1 + i % backups);
         cluster
-            .add(b.build().expect("valid shard scenario"))
+            .add(b.build().expect("valid generated-workload shard"))
             .expect("replicated shard");
     }
     cluster
 }
 
-/// Everything a `RunReport` can express that a schedule change could
-/// possibly disturb, flattened for exact comparison.
+/// Everything a `RunReport` can express, flattened for exact comparison.
 fn fingerprint(reports: &[RunReport]) -> Vec<String> {
     reports
         .iter()
@@ -120,185 +72,18 @@ fn fingerprint(reports: &[RunReport]) -> Vec<String> {
         .collect()
 }
 
-fn run_modes_agree(
-    shards: usize,
-    backups: usize,
-    seed: u64,
-    loss: bool,
-    fail_shard: Option<(usize, u64)>,
-    fail_backup: Option<(usize, usize, u64)>,
-    threads: usize,
-) {
-    let mut sequential = cluster(shards, backups, seed, loss, fail_shard, fail_backup);
-    sequential.parallelism(Parallelism::Sequential);
-    let seq = fingerprint(&sequential.run());
-
-    let mut parallel = cluster(shards, backups, seed, loss, fail_shard, fail_backup);
-    parallel.parallelism(Parallelism::Threads(threads));
-    let par = fingerprint(&parallel.run());
-
-    assert_eq!(
-        seq, par,
-        "Threads({threads}) diverged from sequential \
-         (shards={shards}, t={backups}, seed={seed}, loss={loss}, \
-         fail={fail_shard:?}, fail_backup={fail_backup:?})"
-    );
-    assert!(
-        seq.iter().any(|f| f.contains("Exit")),
-        "degenerate sweep: no shard exited (seed={seed})"
-    );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig { cases: 4, ..ProptestConfig::default() })]
-
-    // The acceptance oracle: ≥ 3 shards, t ∈ {1..4} (intra-shard
-    // replica parallelism means every backup is its own slice), loss,
-    // primary-failstop *and* mid-slice backup-failstop schedules
-    // sampled, 2–8 worker threads (beyond the shard count, so replica
-    // slots are what keeps the extra workers busy).
-    #[test]
-    fn parallel_equals_sequential(
-        seed in 0u64..1_000,
-        shards in 3usize..5,
-        backups in 1usize..5,
-        loss in prop::bool::weighted(0.5),
-        threads in 2usize..9,
-        // 0..3 failstops shard N's primary; 3 injects no failure.
-        fail_shard in 0usize..4,
-        fail_ns in 500_000u64..4_000_000,
-        // 0..3 failstops a backup replica of shard N mid-run.
-        fail_backup_shard in 0usize..4,
-        fail_backup_replica in 0usize..4,
-        fail_backup_ns in 500_000u64..4_000_000,
-    ) {
-        let fail = (fail_shard < 3).then_some((fail_shard, fail_ns));
-        let fail_backup = (fail_backup_shard < 3)
-            .then_some((fail_backup_shard, fail_backup_replica, fail_backup_ns));
-        run_modes_agree(shards, backups, seed, loss, fail, fail_backup, threads);
-    }
-}
-
-/// Deterministic pin of the acceptance criterion — 3 shards, both
-/// t ∈ {1, 2}, loss + a mid-run primary failstop + a mid-slice backup
-/// failstop on another shard — so the oracle holds even if sampling
-/// shifts.
-#[test]
-fn pinned_parallel_equivalence() {
-    for backups in [1usize, 2] {
-        run_modes_agree(
-            3,
-            backups,
-            42,
-            true,
-            Some((1, 2_000_000)),
-            Some((2, 0, 1_500_000)),
-            3,
-        );
-    }
-}
-
-/// Deterministic pin of *intra-shard* replica parallelism: a single
-/// shard with t = 4 backups exposes five replica slices per wave —
-/// parallelism the pre-wave executor (one slice per shard) could never
-/// express. Loss plus a mid-run primary failstop and a mid-slice
-/// backup failstop land while the victims' guests are in flight on
-/// workers; `Threads(5)` exceeds the shard count (1) and is only
-/// useful via replica slots.
-#[test]
-fn pinned_intra_shard_replica_parallelism() {
-    for threads in [2usize, 5] {
-        run_modes_agree(
-            1,
-            4,
-            42,
-            true,
-            Some((0, 2_000_000)),
-            Some((0, 2, 1_200_000)),
-            threads,
-        );
-    }
-}
-
-/// `ScenarioBuilder::parallelism` requests flow through the cluster:
-/// any shard asking for threads turns the parallel executor on, and the
-/// result is still bit-identical to a forced-sequential run.
-#[test]
-fn builder_level_parallelism_request_is_honoured() {
-    let build = |p: Option<Parallelism>| {
-        let mut c = ClusterScenario::new(LinkSpec::ethernet_10mbps(), 7);
-        for i in 0..3usize {
-            let mut b = shard_builder(i).seed(7 + i as u64);
-            if let (0, Some(p)) = (i, p) {
-                b = b.parallelism(p);
-            }
-            c.add(b.build().unwrap()).unwrap();
-        }
-        c
-    };
-    let requested = build(Some(Parallelism::Threads(2)));
-    assert_eq!(
-        requested.effective_parallelism(),
-        Parallelism::Threads(2),
-        "a shard's request must widen the cluster's mode"
-    );
-    let baseline = build(None);
-    assert_eq!(
-        baseline.effective_parallelism(),
-        Parallelism::Sequential,
-        "no request, no threads"
-    );
-    assert_eq!(
-        fingerprint(&requested.run()),
-        fingerprint(&baseline.run()),
-        "the requested mode must not change results"
-    );
-}
-
-// ---------------------------------------------------------------------
-// Generated workloads through the full protocol stack
-// ---------------------------------------------------------------------
-
-/// A cluster whose shards all run `hvft-lang` *generated* programs:
-/// the fuzz frontier pushed through the replication protocol itself.
-/// Each shard gets a different program (seed-offset), loss plus a
-/// mid-run backup failstop are always on, and the oracle is the same
-/// as above — `Threads(n)` must be bit-identical to `Sequential`.
-fn lang_cluster(shards: usize, backups: usize, seed: u64) -> ClusterScenario {
-    let mut cluster = ClusterScenario::new(LinkSpec::ethernet_10mbps(), seed);
-    for i in 0..shards {
-        let workload = CompiledWorkload::generated(
-            seed.wrapping_mul(31).wrapping_add(i as u64),
-            &GenConfig::default(),
-        );
-        let b = Scenario::builder()
-            .functional_cost()
-            .workload(workload)
-            .backups(backups)
-            .seed(seed.wrapping_add(i as u64))
-            .lossy(0.15)
-            .retransmit(SimDuration::from_millis(5))
-            .detector_timeout(SimDuration::from_millis(300))
-            .fail_replica_at(SimTime::from_nanos(1_200_000), 1 + i % backups);
-        cluster
-            .add(b.build().expect("valid generated-workload shard"))
-            .expect("replicated shard");
-    }
-    cluster
-}
-
 fn lang_modes_agree(shards: usize, backups: usize, seed: u64) {
     let mut sequential = lang_cluster(shards, backups, seed);
     sequential.parallelism(Parallelism::Sequential);
     let seq = fingerprint(&sequential.run());
 
-    let mut parallel = lang_cluster(shards, backups, seed);
-    parallel.parallelism(Parallelism::Threads(4));
-    let par = fingerprint(&parallel.run());
+    let mut threads = lang_cluster(shards, backups, seed);
+    threads.parallelism(Parallelism::Threads(4));
+    let thr = fingerprint(&threads.run());
 
     assert_eq!(
-        seq, par,
-        "generated workloads: Threads(4) diverged from sequential \
+        seq, thr,
+        "generated workloads: a Threads(4) request diverged from Sequential \
          (shards={shards}, t={backups}, seed={seed})"
     );
     assert!(
@@ -307,9 +92,6 @@ fn lang_modes_agree(shards: usize, backups: usize, seed: u64) {
     );
 }
 
-// Generated programs are adversarial in a way the registry set is not:
-// their gate/branch mix is arbitrary, so epoch boundaries land in
-// arbitrary spots. The protocol oracle must not care.
 proptest! {
     #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
     #[test]
@@ -319,15 +101,5 @@ proptest! {
         backups in 1usize..3,
     ) {
         lang_modes_agree(shards, backups, seed);
-    }
-}
-
-/// Deterministic pin of the generated-workload protocol oracle for
-/// both replication degrees the issue names (t = 1 and t = 2), with
-/// loss and a mid-run backup failstop always injected.
-#[test]
-fn pinned_generated_workload_cluster_equivalence() {
-    for backups in [1usize, 2] {
-        lang_modes_agree(3, backups, 1995);
     }
 }
