@@ -53,21 +53,17 @@
 
 use crate::config::FtConfig;
 use crate::lockstep::LockstepChecker;
-use crate::messages::{DiskCompletion, ForwardedInterrupt, Message, ReplicaState};
+use crate::messages::{Message, ReplicaState};
 use crate::net::{Net, WireFrame};
 use crate::observer::{DropReason, Observer, RunStats};
 use crate::plan::{plan_step, EventTag, Planned, SlicePlan, StepPlan};
 use crate::protocol::{apply_to_guest, Effect, Input, ReplicaEngine};
 use crate::report::{ExitStatus, RunReport};
 use hvft_devices::console::Console;
-use hvft_devices::disk::{Disk, DiskCommand, BLOCK_SIZE};
-use hvft_devices::mmio::{self, DiskController, DiskGo, Go};
+use hvft_devices::disk::Disk;
+use hvft_devices::mmio::{self, DiskController, DiskGo};
 use hvft_hypervisor::hvguest::{HvEvent, HvGuest};
-use hvft_isa::instruction::MemWidth;
 use hvft_isa::program::Program;
-use hvft_isa::reg::Reg;
-use hvft_machine::mem::IO_BASE;
-use hvft_machine::trap::irq;
 use hvft_net::detector::FailureDetector;
 use hvft_net::lan::Lan;
 use hvft_net::reliable::{Frame, RecvWindow, SendWindow};
@@ -75,6 +71,8 @@ use hvft_sim::sched::Agenda;
 use hvft_sim::time::{SimDuration, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
+
+mod io;
 
 /// An externally visible I/O the guest asked for, held until the engine
 /// releases it: at once, or under §4.3 once acknowledgments complete.
@@ -682,38 +680,6 @@ impl FtSystem {
         }
     }
 
-    /// The device half of interrupt delivery: status register, DMA data,
-    /// and operation-latency accounting.
-    fn apply_interrupt_payload(&mut self, i: usize, fwd: &ForwardedInterrupt) {
-        let host = &mut self.hosts[i];
-        if let Some(dc) = &fwd.disk {
-            host.controller.status = dc.status;
-            if let Some(inflight) = host.inflight.take() {
-                if let Some(data) = &dc.data {
-                    host.guest.mem.write_bytes(inflight.go.addr, data);
-                }
-                host.op_latencies.push(host.now - inflight.issued_at);
-            } else if let Some(data) = &dc.data {
-                // Delivery with no recorded GO can only mean a protocol
-                // bug; keep the memory effect anyway for debuggability.
-                host.guest.mem.write_bytes(host.controller.addr, data);
-            }
-        }
-    }
-
-    /// Rule P7 with no surviving backups: the uncertain interrupt is
-    /// applied locally, outside the message stream.
-    fn synthesize_uncertain(&mut self, i: usize) {
-        let host = &mut self.hosts[i];
-        host.controller.status = mmio::disk_status::UNCERTAIN;
-        host.guest.assert_irq(irq::DISK);
-        if let Some(inflight) = host.inflight.take() {
-            host.op_latencies.push(host.now - inflight.issued_at);
-        }
-        let at = self.hosts[i].now;
-        self.notify(|o| o.interrupt_delivered(i, irq::DISK, at));
-    }
-
     // -----------------------------------------------------------------
     // Messaging
     // -----------------------------------------------------------------
@@ -949,83 +915,6 @@ impl FtSystem {
     }
 
     // -----------------------------------------------------------------
-    // I/O at the acting primary
-    // -----------------------------------------------------------------
-
-    /// Carries out an externally visible I/O the engine released.
-    fn perform_io(&mut self, i: usize, io: PendingIo) {
-        match io {
-            PendingIo::DiskGo(go) => self.disk_go(i, go),
-            PendingIo::ConsoleTx { byte } => {
-                let now = self.hosts[i].now;
-                self.console.write(now, i as u8, byte);
-            }
-        }
-    }
-
-    fn disk_go(&mut self, i: usize, go: DiskGo) {
-        let host = &mut self.hosts[i];
-        let now = host.now;
-        let submitted = self.disk.submit(now, i as u8, go.cmd, go.block);
-        host.inflight = Some(InflightIo {
-            go,
-            write_data: (go.cmd == DiskCommand::Write)
-                .then(|| host.guest.mem.read_bytes(go.addr, BLOCK_SIZE).to_vec()),
-            issued_at: now,
-        });
-        if let Ok(dur) = submitted {
-            host.disk_done = Some(now + dur);
-            return;
-        }
-        // The disk refused (bad block / busy): surface as an immediate
-        // uncertain completion through the normal buffered path so all
-        // replicas see it identically.
-        let fwd = ForwardedInterrupt {
-            irq_bits: irq::DISK,
-            disk: Some(DiskCompletion {
-                status: mmio::disk_status::UNCERTAIN,
-                data: None,
-            }),
-        };
-        let guest_epoch = host.guest.epoch();
-        self.engine(i, Input::Interrupt { guest_epoch, fwd });
-    }
-
-    /// Rule P1: device completion arrives at the acting primary.
-    fn disk_completion(&mut self, i: usize) {
-        self.hosts[i].charge(self.cfg.cost.hv_entry_exit);
-        let cmd = self.hosts[i]
-            .inflight
-            .as_ref()
-            .map(|io| io.go.cmd)
-            .expect("completion without GO");
-        debug_assert_eq!(self.disk.pending().map(|p| p.cmd), Some(cmd));
-        let (status, data) = match cmd {
-            DiskCommand::Write => {
-                let data = self.hosts[i]
-                    .inflight
-                    .as_ref()
-                    .and_then(|io| io.write_data.clone())
-                    .expect("write completion without captured data");
-                (self.disk.complete_write(&data), None)
-            }
-            DiskCommand::Read => {
-                let (s, d) = self.disk.complete_read();
-                (s, d)
-            }
-        };
-        let fwd = ForwardedInterrupt {
-            irq_bits: irq::DISK,
-            disk: Some(DiskCompletion {
-                status: mmio::disk_status::of(status),
-                data,
-            }),
-        };
-        let guest_epoch = self.hosts[i].guest.epoch();
-        self.engine(i, Input::Interrupt { guest_epoch, fwd });
-    }
-
-    // -----------------------------------------------------------------
     // Failover (rules P6/P7)
     // -----------------------------------------------------------------
 
@@ -1096,65 +985,6 @@ impl FtSystem {
         };
         self.failovers.push(info);
         self.notify(|o| o.failover(&info));
-    }
-
-    // -----------------------------------------------------------------
-    // MMIO handling
-    // -----------------------------------------------------------------
-
-    fn handle_mmio_read(&mut self, i: usize, paddr: u32, width: MemWidth, rd: Reg) {
-        let value = match paddr.wrapping_sub(IO_BASE) {
-            mmio::CONSOLE_REG_STATUS => 1, // always ready
-            off => self.hosts[i].controller.read(off),
-        };
-        self.hosts[i].guest.finish_mmio_read(rd, width, value);
-        self.hosts[i].sync_clock();
-    }
-
-    fn handle_mmio_write(&mut self, i: usize, paddr: u32, value: u32) {
-        let off = paddr.wrapping_sub(IO_BASE);
-        let is_primary = self.hosts[i].engine.is_primary();
-        match off {
-            mmio::DISK_REG_CMD => {
-                let h = &mut self.hosts[i];
-                match h.controller.go(value, h.guest.mem.size()) {
-                    Go::Ignored => {}
-                    Go::Refused => {
-                        // The refusal depends only on the registers and
-                        // the RAM size, so every replica refuses the same
-                        // GO at the same instruction: each answers it
-                        // itself, outside the message stream, and nothing
-                        // is in flight.
-                        h.controller.status = mmio::disk_status::UNCERTAIN;
-                        h.guest.assert_irq(irq::DISK);
-                    }
-                    Go::Start(go) if is_primary => {
-                        // The MMIO completes when the engine releases it.
-                        h.held_io = Some(PendingIo::DiskGo(go));
-                        return self.engine(i, Input::Io);
-                    }
-                    Go::Start(go) => {
-                        // Case (i) of §2.2: backup I/O is suppressed;
-                        // record the attempt for P7's outstanding-I/O
-                        // bookkeeping.
-                        h.inflight = Some(InflightIo {
-                            go,
-                            write_data: None,
-                            issued_at: h.now,
-                        });
-                    }
-                }
-            }
-            mmio::CONSOLE_REG_TX if is_primary => {
-                self.hosts[i].held_io = Some(PendingIo::ConsoleTx { byte: value as u8 });
-                return self.engine(i, Input::Io);
-            }
-            // The block and address registers latch; backup console
-            // output is suppressed entirely.
-            _ => self.hosts[i].controller.write(off, value),
-        }
-        self.hosts[i].guest.finish_mmio_write();
-        self.hosts[i].sync_clock();
     }
 
     // -----------------------------------------------------------------
