@@ -8,7 +8,7 @@
 //! every epoch boundary, and the revised protocol of §4.3 waits for only
 //! before I/O operations.
 
-use hvft_devices::mmio::{DiskController, DiskGo};
+use hvft_devices::mmio::DiskController;
 use hvft_hypervisor::hvguest::HvGuestSnapshot;
 use hvft_hypervisor::vclock::VClock;
 use std::rc::Rc;
@@ -31,26 +31,24 @@ pub struct ForwardedInterrupt {
 pub struct DiskCompletion {
     /// Controller status the guest will read (`disk_status` values).
     pub status: u32,
-    /// Block contents for reads whose transfer happened.
-    pub data: Option<Vec<u8>>,
+    /// For a read whose transfer happened, the DMA address its GO
+    /// latched (from the disk's record of the operation) and the block
+    /// contents to write there: a backup needs no GO record of its own.
+    pub data: Option<(u32, Vec<u8>)>,
 }
 
 /// The canonical state of one replica, captured at an epoch boundary
 /// and shipped to a repaired processor during reintegration: the guest
-/// snapshot plus the guest-visible disk controller and the operation
-/// rule P3's suppression bookkeeping depends on. Derived caches (JIT
+/// snapshot plus the guest-visible disk controller. Derived caches (JIT
 /// superblocks, TLB front array) are never shipped — the receiver
 /// rebuilds them, invisibly to the VM.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplicaState {
     /// The whole virtual machine plus hypervisor bookkeeping.
     pub guest: HvGuestSnapshot,
-    /// The disk controller's registers.
+    /// The disk controller's registers and its count of outstanding
+    /// operations, which rule P7 reads if the receiver is promoted.
     pub controller: DiskController,
-    /// Guest-issued disk operation not yet completed at the snapshot.
-    /// The receiver records it backup-style (no captured write data) so
-    /// rule P7's outstanding-I/O bookkeeping survives the transfer.
-    pub inflight: Option<DiskGo>,
 }
 
 /// A protocol message.
@@ -124,7 +122,7 @@ impl Message {
                     .disk
                     .as_ref()
                     .and_then(|d| d.data.as_ref())
-                    .map_or(0, Vec::len);
+                    .map_or(0, |(_, block)| block.len());
                 64 + data
             }
             Message::Time { .. } => 150,
@@ -161,7 +159,7 @@ mod tests {
                 irq_bits: 2,
                 disk: Some(DiskCompletion {
                     status: 2,
-                    data: Some(vec![0; 8192]),
+                    data: Some((0, vec![0; 8192])),
                 }),
             },
         };
@@ -180,7 +178,7 @@ mod tests {
                 irq_bits: 2,
                 disk: Some(DiskCompletion {
                     status: 2,
-                    data: Some(vec![0; 8192]),
+                    data: Some((0, vec![0; 8192])),
                 }),
             },
         };

@@ -278,9 +278,10 @@ pub struct ReplicaEngine {
     got_time: BTreeMap<u64, VClock>,
     /// `[end, E]` notices received (backup role).
     got_end: BTreeSet<u64>,
-    /// Interrupts buffered for delivery, keyed by delivery epoch
-    /// (rules P1/P4).
-    buffered: BTreeMap<u64, Vec<ForwardedInterrupt>>,
+    /// Interrupts buffered for delivery, with their delivery epochs, in
+    /// (epoch, arrival) order (rules P1/P4). One buffer, drained in
+    /// place, so warm epochs reuse its capacity.
+    buffered: Vec<(u64, ForwardedInterrupt)>,
 }
 
 impl ReplicaEngine {
@@ -308,7 +309,7 @@ impl ReplicaEngine {
             highest_recv: 0,
             got_time: BTreeMap::new(),
             got_end: BTreeSet::new(),
-            buffered: BTreeMap::new(),
+            buffered: Vec::new(),
         }
     }
 
@@ -374,7 +375,7 @@ impl ReplicaEngine {
                     epoch,
                     interrupt: fwd.clone(),
                 });
-                self.buffered.entry(epoch).or_default().push(fwd);
+                self.buffer(epoch, fwd);
             }
             Input::Io => {
                 debug_assert!(self.is_primary, "only the primary performs I/O");
@@ -396,18 +397,16 @@ impl ReplicaEngine {
                 }
                 self.acked.insert(peer, 0);
                 let mut seq = 0;
-                for (&epoch, fwds) in &self.buffered {
-                    for interrupt in fwds {
-                        seq += 1;
-                        out.push(Effect::Send {
-                            to: peer,
-                            msg: Message::Interrupt {
-                                seq,
-                                epoch,
-                                interrupt: interrupt.clone(),
-                            },
-                        });
-                    }
+                for (epoch, interrupt) in &self.buffered {
+                    seq += 1;
+                    out.push(Effect::Send {
+                        to: peer,
+                        msg: Message::Interrupt {
+                            seq,
+                            epoch: *epoch,
+                            interrupt: interrupt.clone(),
+                        },
+                    });
                 }
                 self.next_seq.insert(peer, seq);
             }
@@ -437,11 +436,20 @@ impl ReplicaEngine {
         }
     }
 
+    /// Buffers `fwd` for delivery at the end of `epoch`, behind every
+    /// interrupt already buffered for it.
+    fn buffer(&mut self, epoch: u64, fwd: ForwardedInterrupt) {
+        let at = self.buffered.partition_point(|&(e, _)| e <= epoch);
+        self.buffered.insert(at, (epoch, fwd));
+    }
+
     /// Delivers the timer check and every interrupt buffered for `epoch`.
     fn deliver(&mut self, epoch: u64, out: &mut Vec<Effect>) {
         out.push(Effect::DeliverTimer);
-        let fwds = self.buffered.remove(&epoch).unwrap_or_default();
-        out.extend(fwds.into_iter().map(Effect::DeliverInterrupt));
+        let from = self.buffered.partition_point(|&(e, _)| e < epoch);
+        let to = self.buffered.partition_point(|&(e, _)| e <= epoch);
+        let due = self.buffered.drain(from..to);
+        out.extend(due.map(|(_, fwd)| Effect::DeliverInterrupt(fwd)));
     }
 
     /// Rule P2, second half: deliver, announce, start the next epoch.
@@ -488,7 +496,7 @@ impl ReplicaEngine {
                 interrupt,
             } => {
                 self.ack(from, seq, out);
-                self.buffered.entry(epoch).or_default().push(interrupt);
+                self.buffer(epoch, interrupt);
             }
             Message::Time { seq, epoch, vclock } => {
                 self.ack(from, seq, out);
@@ -573,9 +581,8 @@ impl ReplicaEngine {
             // other buffered epoch — holding epoch-tagged completions
             // any longer would only delay the driver.
             self.deliver(epoch, out);
-            while let Some((_, fwds)) = self.buffered.pop_first() {
-                out.extend(fwds.into_iter().map(Effect::DeliverInterrupt));
-            }
+            let rest = self.buffered.drain(..);
+            out.extend(rest.map(|(_, fwd)| Effect::DeliverInterrupt(fwd)));
             if outstanding_io {
                 out.push(Effect::SynthesizeUncertain);
             }
@@ -599,7 +606,7 @@ impl ReplicaEngine {
                 epoch,
                 interrupt: fwd.clone(),
             });
-            self.buffered.entry(epoch).or_default().push(fwd);
+            self.buffer(epoch, fwd);
         }
         if !time_already_assigned {
             out.push(Effect::AssignClock(vclock));

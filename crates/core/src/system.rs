@@ -31,12 +31,13 @@
 //!
 //! # One home for each thing
 //!
-//! A replica is one host record: guest, clock, engine, device shadows,
-//! the pending disk completion and the failure detector. A directed
-//! link is a link record at each of its ends, `hosts[h].links[p]`,
-//! reached by index: the reliable layer's windows and the instant the
-//! link last carried a frame. No per-link lookup can miss. Each
-//! recurring mechanism is one function:
+//! A replica is one host record: guest, clock, engine, device shadows
+//! and the failure detector; the disk operation in flight is the disk's
+//! own record, whoever issued it. A directed link is a link record at
+//! each of its ends, `hosts[h].links[p]`, reached by index: the
+//! reliable layer's windows and the instant the link last carried a
+//! frame. No per-link lookup can miss. Each recurring mechanism is one
+//! function:
 //!
 //! - **one wire path** — `FtSystem::put_on_wire` puts data frames,
 //!   acks, heartbeats and retransmit bursts on the medium: it stamps
@@ -47,9 +48,9 @@
 //!   boot, failover and reintegration each call it;
 //! - **one failstop path** — `FtSystem::failstop` kills the acting
 //!   primary or a backup through one prefix (clock, `Dead`, hook,
-//!   severed links, disarmed windows), then abandons a primary's disk
-//!   operation and state transfer, or takes a backup out of the
-//!   primary's peer set and the rejoin pipeline.
+//!   severed links, disarmed windows, the victim's disk operation),
+//!   then abandons a primary's state transfer, or takes a backup out of
+//!   the primary's peer set and the rejoin pipeline.
 
 use crate::config::FtConfig;
 use crate::lockstep::LockstepChecker;
@@ -102,15 +103,6 @@ enum Life {
     Rejoining,
 }
 
-/// An operation issued by the guest and not yet completed+delivered.
-#[derive(Clone, Debug)]
-struct InflightIo {
-    go: DiskGo,
-    /// Snapshot of the buffer for writes (captured at GO).
-    write_data: Option<Vec<u8>>,
-    issued_at: SimTime,
-}
-
 /// One replica's host: guest + clock + device shadows + its engine,
 /// its failure detector and its end of every link.
 struct Host {
@@ -123,16 +115,13 @@ struct Host {
     promoted: bool,
     /// The I/O awaiting the engine's [`Effect::ReleaseIo`].
     held_io: Option<PendingIo>,
-    // The guest-visible disk controller (its status updated only at
-    // delivery points, or by a refusal every replica makes alike, so all
-    // replicas read identical values).
+    // The guest-visible disk controller (its status and outstanding
+    // count updated only at GO and at delivery points, so all replicas
+    // read identical values). The disk itself keeps the operation.
     controller: DiskController,
-    inflight: Option<InflightIo>,
-    /// When the disk completes the operation this host submitted (only
-    /// an acting primary submits). Kept apart from `inflight`, which
-    /// every replica records and which a GO the disk refuses as busy
-    /// overwrites while the earlier operation is still pending here.
-    disk_done: Option<SimTime>,
+    /// When this host issued the disk operation `op_latencies` times
+    /// next: the primary's release of its GO, a backup's suppressed GO.
+    issued_at: Option<SimTime>,
     /// The timeout detector watching the acting primary: present only
     /// on a promotable backup (see `FtSystem::arm_detectors`).
     detector: Option<FailureDetector>,
@@ -155,8 +144,7 @@ impl Host {
             promoted: false,
             held_io: None,
             controller: DiskController::RESET,
-            inflight: None,
-            disk_done: None,
+            issued_at: None,
             detector: None,
             links,
             diags: Vec::new(),
@@ -967,7 +955,7 @@ impl FtSystem {
             // real.
             host.life = Life::Done(end);
         } else {
-            uncertain_synthesized = host.inflight.is_some();
+            uncertain_synthesized = host.controller.outstanding > 0;
             let input = Input::Promote {
                 vclock: host.guest.vclock.snapshot(),
                 outstanding_io: uncertain_synthesized,
@@ -1021,18 +1009,15 @@ impl FtSystem {
                 w.send.disarm();
             }
         });
+        // A disk operation in flight from the dead host, whatever its
+        // role, is abandoned: the medium may or may not have absorbed it,
+        // and no interrupt will ever be delivered for it — the §2.2
+        // two-generals corner.
+        let issuer = self.disk.due().map(|(_, by)| usize::from(by));
+        if issuer == Some(victim) {
+            self.disk.abandon();
+        }
         if primary {
-            // A disk operation in flight from the dead host is
-            // abandoned: the medium may or may not have absorbed it,
-            // and no interrupt will ever be delivered for it — the §2.2
-            // two-generals corner.
-            if self.hosts[victim].disk_done.take().is_some() {
-                let data = self.hosts[victim]
-                    .inflight
-                    .as_ref()
-                    .and_then(|io| io.write_data.clone());
-                self.disk.abandon(data.as_deref());
-            }
             // A state transfer in flight from the dead primary is
             // aborted; the rejoiner stays queued and the successor
             // restarts the transfer from its own boundary snapshot.
@@ -1090,7 +1075,7 @@ impl FtSystem {
         h.life = Life::Rejoining;
         h.now = h.now.max(at);
         h.held_io = None;
-        h.inflight = None;
+        h.issued_at = None;
         h.controller.status = mmio::disk_status::IDLE;
         self.pending_rejoins.push(victim);
         self.notify(|o| o.replica_repaired(victim, at));
@@ -1186,7 +1171,6 @@ impl FtSystem {
         ReplicaState {
             guest: h.guest.snapshot(),
             controller: h.controller,
-            inflight: h.inflight.as_ref().map(|io| io.go),
         }
     }
 
@@ -1237,13 +1221,7 @@ impl FtSystem {
             h.synced_elapsed = h.guest.elapsed();
             h.now = h.now.max(at);
             h.controller = state.controller;
-            h.inflight = state.inflight.map(|go| InflightIo {
-                go,
-                // Backup-style: rule P3 suppressed I/O never captures
-                // write data; P7 bookkeeping only needs the descriptor.
-                write_data: None,
-                issued_at: h.now,
-            });
+            h.issued_at = (state.controller.outstanding > 0).then_some(h.now);
             h.held_io = None;
             h.engine = ReplicaEngine::new_backup(victim, from, self.cfg.protocol);
             h.life = Life::Active;
@@ -1317,8 +1295,8 @@ impl FtSystem {
     }
 
     /// Builds this instant's event agenda: every pending event source,
-    /// offered in fixed priority order — the fault schedule, disk
-    /// completions (host order), deliveries, retransmit timers,
+    /// offered in fixed priority order — the fault schedule, the disk's
+    /// completion, deliveries, retransmit timers,
     /// heartbeat, detectors (backup order). The heartbeat precedes the
     /// detectors so a stalled-but-live primary beats suspicion to the
     /// same instant. [`FtSystem::plan`] takes the one pick per step that
@@ -1326,8 +1304,8 @@ impl FtSystem {
     fn event_agenda(&self) -> Agenda<EventTag> {
         let mut agenda = Agenda::new();
         agenda.offer(self.faults.last().map(|&(t, _)| t), EventTag::Fault);
-        for (i, host) in self.hosts.iter().enumerate() {
-            agenda.offer(host.disk_done, EventTag::DiskCompletion(i));
+        if let Some((due, issuer)) = self.disk.due() {
+            agenda.offer(Some(due), EventTag::DiskCompletion(issuer.into()));
         }
         agenda.offer(self.net.next_delivery(), EventTag::Delivery);
         if let Some((due, (from, to))) = self.next_retransmit() {
@@ -1352,7 +1330,6 @@ impl FtSystem {
             },
             EventTag::DiskCompletion(i) => {
                 let host = &mut self.hosts[i];
-                host.disk_done = None;
                 host.now = host.now.max(t);
                 self.disk_completion(i);
             }

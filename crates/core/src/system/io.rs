@@ -2,10 +2,10 @@
 //! device registers, the I/O the engine releases at the acting primary,
 //! the disk's completion, and the device half of interrupt delivery.
 
-use super::{FtSystem, InflightIo, PendingIo};
+use super::{FtSystem, PendingIo};
 use crate::messages::{DiskCompletion, ForwardedInterrupt};
 use crate::protocol::Input;
-use hvft_devices::disk::{DiskCommand, BLOCK_SIZE};
+use hvft_devices::disk::BLOCK_SIZE;
 use hvft_devices::mmio::{self, DiskGo, Go};
 use hvft_isa::instruction::MemWidth;
 use hvft_isa::reg::Reg;
@@ -30,21 +30,15 @@ impl FtSystem {
 
     fn disk_go(&mut self, i: usize, go: DiskGo) {
         let host = &mut self.hosts[i];
-        let now = host.now;
-        let submitted = self.disk.submit(now, i as u8, go.cmd, go.block);
-        host.inflight = Some(InflightIo {
-            go,
-            write_data: (go.cmd == DiskCommand::Write)
-                .then(|| host.guest.mem.read_bytes(go.addr, BLOCK_SIZE).to_vec()),
-            issued_at: now,
-        });
-        if let Ok(dur) = submitted {
-            host.disk_done = Some(now + dur);
+        host.issued_at = Some(host.now);
+        let dma = host.guest.mem.read_bytes(go.addr, BLOCK_SIZE);
+        if self.disk.submit(host.now, i as u8, go, dma).is_ok() {
             return;
         }
-        // The disk refused (bad block / busy): surface as an immediate
-        // uncertain completion through the normal buffered path so all
-        // replicas see it identically.
+        // The disk refused (bad block / busy) and left any operation in
+        // flight alone: surface as an immediate uncertain completion
+        // through the normal buffered path so all replicas see it
+        // identically.
         let fwd = ForwardedInterrupt {
             irq_bits: irq::DISK,
             disk: Some(DiskCompletion {
@@ -56,34 +50,15 @@ impl FtSystem {
         self.engine(i, Input::Interrupt { guest_epoch, fwd });
     }
 
-    /// Rule P1: device completion arrives at the acting primary.
+    /// Rule P1: the disk completes the operation host `i` issued.
     pub(super) fn disk_completion(&mut self, i: usize) {
         self.hosts[i].charge(self.cfg.cost.hv_entry_exit);
-        let cmd = self.hosts[i]
-            .inflight
-            .as_ref()
-            .map(|io| io.go.cmd)
-            .expect("completion without GO");
-        debug_assert_eq!(self.disk.pending().map(|p| p.cmd), Some(cmd));
-        let (status, data) = match cmd {
-            DiskCommand::Write => {
-                let data = self.hosts[i]
-                    .inflight
-                    .as_ref()
-                    .and_then(|io| io.write_data.clone())
-                    .expect("write completion without captured data");
-                (self.disk.complete_write(&data), None)
-            }
-            DiskCommand::Read => {
-                let (s, d) = self.disk.complete_read();
-                (s, d)
-            }
-        };
+        let (go, status, data) = self.disk.complete();
         let fwd = ForwardedInterrupt {
             irq_bits: irq::DISK,
             disk: Some(DiskCompletion {
                 status: mmio::disk_status::of(status),
-                data,
+                data: data.map(|block| (go.addr, block)),
             }),
         };
         let guest_epoch = self.hosts[i].guest.epoch();
@@ -117,7 +92,7 @@ impl FtSystem {
                         // GO at the same instruction: each answers it
                         // itself, outside the message stream, and nothing
                         // is in flight.
-                        h.controller.status = mmio::disk_status::UNCERTAIN;
+                        h.controller.deliver(mmio::disk_status::UNCERTAIN);
                         h.guest.assert_irq(irq::DISK);
                     }
                     Go::Start(go) if is_primary => {
@@ -125,16 +100,9 @@ impl FtSystem {
                         h.held_io = Some(PendingIo::DiskGo(go));
                         return self.engine(i, Input::Io);
                     }
-                    Go::Start(go) => {
-                        // Case (i) of §2.2: backup I/O is suppressed;
-                        // record the attempt for P7's outstanding-I/O
-                        // bookkeeping.
-                        h.inflight = Some(InflightIo {
-                            go,
-                            write_data: None,
-                            issued_at: h.now,
-                        });
-                    }
+                    // Case (i) of §2.2: backup I/O is suppressed; the
+                    // controller counts it for rule P7.
+                    Go::Start(_) => h.issued_at = Some(h.now),
                 }
             }
             mmio::CONSOLE_REG_TX if is_primary => {
@@ -158,16 +126,12 @@ impl FtSystem {
     pub(super) fn apply_interrupt_payload(&mut self, i: usize, fwd: &ForwardedInterrupt) {
         let host = &mut self.hosts[i];
         if let Some(dc) = &fwd.disk {
-            host.controller.status = dc.status;
-            if let Some(inflight) = host.inflight.take() {
-                if let Some(data) = &dc.data {
-                    host.guest.mem.write_bytes(inflight.go.addr, data);
-                }
-                host.op_latencies.push(host.now - inflight.issued_at);
-            } else if let Some(data) = &dc.data {
-                // Delivery with no recorded GO can only mean a protocol
-                // bug; keep the memory effect anyway for debuggability.
-                host.guest.mem.write_bytes(host.controller.addr, data);
+            host.controller.deliver(dc.status);
+            if let Some((addr, block)) = &dc.data {
+                host.guest.mem.write_bytes(*addr, block);
+            }
+            if let Some(at) = host.issued_at.take() {
+                host.op_latencies.push(host.now - at);
             }
         }
     }
@@ -176,10 +140,10 @@ impl FtSystem {
     /// applied locally, outside the message stream.
     pub(super) fn synthesize_uncertain(&mut self, i: usize) {
         let host = &mut self.hosts[i];
-        host.controller.status = mmio::disk_status::UNCERTAIN;
+        host.controller.deliver(mmio::disk_status::UNCERTAIN);
         host.guest.assert_irq(irq::DISK);
-        if let Some(inflight) = host.inflight.take() {
-            host.op_latencies.push(host.now - inflight.issued_at);
+        if let Some(at) = host.issued_at.take() {
+            host.op_latencies.push(host.now - at);
         }
         let at = self.hosts[i].now;
         self.notify(|o| o.interrupt_delivered(i, irq::DISK, at));

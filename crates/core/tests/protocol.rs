@@ -460,8 +460,8 @@ fn user_access_to_unmapped_page_is_fatal() {
 /// P6 then P7 for one operation: a backup holds the dead primary's
 /// buffered disk completion `[E, Int]` for epoch `E` and is promoted
 /// at `E`'s boundary with the operation still counted as outstanding,
-/// as `FtSystem::failover` counts it (it reads its in-flight record
-/// before the engine delivers anything). P6 delivers the completion;
+/// as `FtSystem::failover` counts it (it reads the controller's outstanding
+/// count before the engine delivers anything). P6 delivers the completion;
 /// P7 must not then synthesize an uncertain one for the same
 /// operation, or the guest re-issues a disk operation that completed.
 /// Today the engine emits both, so this witness panics; it stays

@@ -19,6 +19,7 @@
 //! and keeps an **operation log** so tests can verify that the
 //! environment observed a sequence consistent with a single processor.
 
+use crate::mmio::DiskGo;
 use hvft_sim::rng::SimRng;
 use hvft_sim::time::{SimDuration, SimTime};
 
@@ -110,16 +111,17 @@ impl core::fmt::Display for DiskError {
 
 impl std::error::Error for DiskError {}
 
-/// An in-flight operation.
+/// The operation in flight, from the GO that started it to its
+/// completion or abandonment: the one record of it anywhere.
 #[derive(Clone, Debug)]
-pub struct PendingOp {
-    /// The command.
-    pub cmd: DiskCommand,
-    /// Target block.
-    pub block: u32,
-    /// Issuing host.
-    pub host: u8,
-    /// Index into the log, filled at completion.
+struct Operation {
+    /// The host that issued it.
+    issuer: u8,
+    /// What the GO started: command, block and DMA address.
+    go: DiskGo,
+    /// When it completes.
+    due: SimTime,
+    /// Its entry in the log, patched when it ends.
     log_idx: usize,
 }
 
@@ -133,22 +135,25 @@ pub struct DiskSnapshot {
     num_blocks: u32,
     read_time: SimDuration,
     write_time: SimDuration,
-    pending: Option<PendingOp>,
+    pending: Option<Operation>,
+    write_data: Option<Box<[u8]>>,
     log: Vec<DiskLogEntry>,
     rng: SimRng,
     fault_prob: f64,
     force_uncertain: u32,
 }
 
-/// The shared disk: storage, timing, fault injection, and the
-/// environment log.
+/// The shared disk: storage, timing, fault injection, the environment
+/// log, and the one record of the operation in flight.
 ///
 /// The embedding host drives the protocol:
-/// 1. [`Disk::submit`] when the guest writes the GO register — returns the
-///    service time; the host schedules a completion event;
-/// 2. [`Disk::complete_write`] / [`Disk::complete_read`] when that event
-///    fires — applies the effect (subject to injected faults) and returns
-///    the [`DiskStatus`] to post with the interrupt.
+/// 1. [`Disk::submit`] when the guest writes the GO register — the disk
+///    takes a write's data then, and refuses a GO while busy without
+///    touching the operation in flight;
+/// 2. [`Disk::complete`] when [`Disk::due`] comes — applies the effect
+///    (subject to injected faults) and returns the GO, the
+///    [`DiskStatus`] to post with the interrupt and a read's data;
+/// 3. or [`Disk::abandon`] when the issuer dies first.
 pub struct Disk {
     /// The medium, one slot per block up to the highest ever written;
     /// a block is materialised by its first write and reads as zeros
@@ -163,7 +168,12 @@ pub struct Disk {
     num_blocks: u32,
     read_time: SimDuration,
     write_time: SimDuration,
-    pending: Option<PendingOp>,
+    pending: Option<Operation>,
+    /// The data of the write in flight, copied at GO into this buffer.
+    /// A write that reaches the medium trades it for the block it
+    /// overwrites, so the buffer is allocated by the first write (and
+    /// by the next after one that materialised a block) and reused.
+    write_data: Option<Box<[u8]>>,
     log: Vec<DiskLogEntry>,
     rng: SimRng,
     fault_prob: f64,
@@ -180,6 +190,7 @@ impl Disk {
             read_time: SimDuration::from_micros_f64(24_200.0),
             write_time: SimDuration::from_micros_f64(26_000.0),
             pending: None,
+            write_data: None,
             log: Vec::new(),
             rng: SimRng::seed_from_label(seed, "disk"),
             fault_prob: 0.0,
@@ -231,46 +242,73 @@ impl Disk {
         self.pending.is_some()
     }
 
-    /// The in-flight operation, if any.
-    pub fn pending(&self) -> Option<&PendingOp> {
-        self.pending.as_ref()
+    /// When the operation in flight completes, and which host issued it.
+    pub fn due(&self) -> Option<(SimTime, u8)> {
+        self.pending.as_ref().map(|op| (op.due, op.issuer))
     }
 
-    /// Submits a command; returns how long the operation will take.
-    /// The host must call the matching `complete_*` after that delay.
+    /// Starts the operation `go` for host `issuer`; returns how long it
+    /// will take. `dma` is the block at `go.addr` in the issuer's RAM: a
+    /// write copies it now, into the disk's own buffer. A refused GO
+    /// (busy, or a block off the medium) changes nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a write's `dma` is not one block.
     pub fn submit(
         &mut self,
         now: SimTime,
-        host: u8,
-        cmd: DiskCommand,
-        block: u32,
+        issuer: u8,
+        go: DiskGo,
+        dma: &[u8],
     ) -> Result<SimDuration, DiskError> {
         if self.pending.is_some() {
             return Err(DiskError::Busy);
         }
-        if block >= self.num_blocks {
-            return Err(DiskError::BadBlock { block });
+        if go.block >= self.num_blocks {
+            return Err(DiskError::BadBlock { block: go.block });
         }
-        let log_idx = self.log.len();
+        let took = match go.cmd {
+            DiskCommand::Read => self.read_time,
+            DiskCommand::Write => {
+                assert_eq!(dma.len(), BLOCK_SIZE, "writes are whole blocks");
+                match &mut self.write_data {
+                    Some(buffer) => buffer.copy_from_slice(dma),
+                    none => *none = Some(dma.into()),
+                }
+                self.write_time
+            }
+        };
+        self.pending = Some(Operation {
+            issuer,
+            go,
+            due: now + took,
+            log_idx: self.log.len(),
+        });
         self.log.push(DiskLogEntry {
             issued_at: now,
-            host,
-            cmd,
-            block,
-            status: DiskStatus::Complete, // patched at completion
+            host: issuer,
+            cmd: go.cmd,
+            block: go.block,
+            status: DiskStatus::Complete, // patched when it ends
             applied: false,
             data: 0,
         });
-        self.pending = Some(PendingOp {
-            cmd,
-            block,
-            host,
-            log_idx,
-        });
-        Ok(match cmd {
-            DiskCommand::Read => self.read_time,
-            DiskCommand::Write => self.write_time,
-        })
+        Ok(took)
+    }
+
+    /// Completes the operation in flight. Returns the GO that started
+    /// it, the status to deliver with the interrupt and, when a read's
+    /// transfer happened, the block for the issuer to DMA to `go.addr`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no operation is in flight.
+    pub fn complete(&mut self) -> (DiskGo, DiskStatus, Option<Vec<u8>>) {
+        let (status, applied) = self.outcome();
+        let go = self.settle(status, applied);
+        let read = (applied && go.cmd == DiskCommand::Read).then(|| self.fetch(go.block).to_vec());
+        (go, status, read)
     }
 
     /// Abandons the in-flight operation *without* completing it, as
@@ -278,31 +316,38 @@ impl Disk {
     /// operation's effect is decided now (it may have reached the medium
     /// or not — the essence of the two-generals situation of §2.2), but
     /// no interrupt is ever delivered for it.
-    pub fn abandon(&mut self, data_if_write: Option<&[u8]>) {
-        let Some(op) = self.pending.take() else {
-            return;
-        };
-        // The medium may have absorbed the write before the crash.
-        let applied = self.rng.gen_bool(0.5);
-        if applied {
-            if let (DiskCommand::Write, Some(data)) = (op.cmd, data_if_write) {
-                self.store(op.block, data);
-            }
+    pub fn abandon(&mut self) {
+        if self.pending.is_some() {
+            // The medium may have absorbed the write before the crash.
+            let applied = self.rng.gen_bool(0.5);
+            self.settle(DiskStatus::Uncertain, applied);
         }
-        let data = match (op.cmd, data_if_write) {
-            (DiskCommand::Write, Some(data)) => block_digest(data),
-            (DiskCommand::Write, None) => 0,
-            (DiskCommand::Read, _) => block_digest(self.fetch(op.block)),
-        };
-        self.log_outcome(&op, DiskStatus::Uncertain, applied, data);
     }
 
-    /// Patches the log entry `submit` opened for `op`.
-    fn log_outcome(&mut self, op: &PendingOp, status: DiskStatus, applied: bool, data: u64) {
+    /// Ends the operation in flight with `status`, a write reaching the
+    /// medium if `applied`, and patches its log entry; returns its GO.
+    fn settle(&mut self, status: DiskStatus, applied: bool) -> DiskGo {
+        let op = self.pending.take().expect("no operation in flight");
+        let data = match op.go.cmd {
+            DiskCommand::Write => {
+                let data = self
+                    .write_data
+                    .take()
+                    .expect("a write's data is taken at GO");
+                let digest = block_digest(&data);
+                self.write_data = match applied {
+                    true => self.slot(op.go.block).replace(data),
+                    false => Some(data),
+                };
+                digest
+            }
+            DiskCommand::Read => block_digest(self.fetch(op.go.block)),
+        };
         let entry = &mut self.log[op.log_idx];
         entry.status = status;
         entry.applied = applied;
         entry.data = data;
+        op.go
     }
 
     fn outcome(&mut self) -> (DiskStatus, bool) {
@@ -319,48 +364,18 @@ impl Disk {
         (DiskStatus::Complete, true)
     }
 
-    /// Completes an in-flight write with the data the host DMA'd from
-    /// guest memory. Returns the status to deliver with the interrupt.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no write is pending or `data` is not one block.
-    pub fn complete_write(&mut self, data: &[u8]) -> DiskStatus {
-        assert_eq!(data.len(), BLOCK_SIZE, "writes are whole blocks");
-        let op = self.pending.take().expect("no pending operation");
-        assert_eq!(op.cmd, DiskCommand::Write, "pending op is not a write");
-        let (status, applied) = self.outcome();
-        if applied {
-            self.store(op.block, data);
-        }
-        self.log_outcome(&op, status, applied, block_digest(data));
-        status
-    }
-
-    /// Completes an in-flight read. Returns the status and, when the data
-    /// transfer happened, the block contents for the host to DMA into
-    /// guest memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no read is pending.
-    pub fn complete_read(&mut self) -> (DiskStatus, Option<Vec<u8>>) {
-        let op = self.pending.take().expect("no pending operation");
-        assert_eq!(op.cmd, DiskCommand::Read, "pending op is not a read");
-        let (status, applied) = self.outcome();
-        let block = self.fetch(op.block);
-        let (digest, data) = (block_digest(block), applied.then(|| block.to_vec()));
-        self.log_outcome(&op, status, applied, digest);
-        (status, data)
-    }
-
-    fn store(&mut self, block: u32, data: &[u8]) {
+    /// The medium's slot for `block`, grown to hold it.
+    fn slot(&mut self, block: u32) -> &mut Option<Box<[u8]>> {
         assert!(block < self.num_blocks, "block {block} is off the medium");
         let at = block as usize;
         if self.blocks.len() <= at {
             self.blocks.resize(at + 1, None);
         }
-        match &mut self.blocks[at] {
+        &mut self.blocks[at]
+    }
+
+    fn store(&mut self, block: u32, data: &[u8]) {
+        match self.slot(block) {
             Some(held) => held.copy_from_slice(data),
             unwritten => *unwritten = Some(data.into()),
         }
@@ -416,6 +431,7 @@ impl Disk {
             read_time: self.read_time,
             write_time: self.write_time,
             pending: self.pending.clone(),
+            write_data: self.write_data.clone(),
             log: self.log.clone(),
             rng: self.rng.clone(),
             fault_prob: self.fault_prob,
@@ -432,6 +448,7 @@ impl Disk {
         self.read_time = snap.read_time;
         self.write_time = snap.write_time;
         self.pending = snap.pending.clone();
+        self.write_data.clone_from(&snap.write_data);
         self.log.clone_from(&snap.log);
         self.rng = snap.rng.clone();
         self.fault_prob = snap.fault_prob;
@@ -483,17 +500,43 @@ mod tests {
         vec![byte; BLOCK_SIZE]
     }
 
+    fn go(cmd: DiskCommand, block: u32) -> DiskGo {
+        DiskGo {
+            cmd,
+            block,
+            addr: 0x4000,
+        }
+    }
+
+    /// Starts a write of `byte`s to `block`.
+    fn write(d: &mut Disk, block: u32, byte: u8) -> Result<SimDuration, DiskError> {
+        d.submit(t0(), 0, go(DiskCommand::Write, block), &block_of(byte))
+    }
+
+    fn read(d: &mut Disk, block: u32) -> Result<SimDuration, DiskError> {
+        d.submit(t0(), 0, go(DiskCommand::Read, block), &[])
+    }
+
     #[test]
     fn write_then_read_round_trip() {
         let mut d = Disk::new(16, 7);
-        let dur = d.submit(t0(), 0, DiskCommand::Write, 3).unwrap();
+        let dur = write(&mut d, 3, 0xAA).unwrap();
         assert_eq!(dur, SimDuration::from_micros(26_000));
-        assert_eq!(d.complete_write(&block_of(0xAA)), DiskStatus::Complete);
+        assert_eq!(d.due(), Some((t0() + dur, 0)));
+        let (done, status, data) = d.complete();
+        assert_eq!(
+            (done, status, data),
+            (go(DiskCommand::Write, 3), DiskStatus::Complete, None)
+        );
 
-        d.submit(t0(), 0, DiskCommand::Read, 3).unwrap();
-        let (status, data) = d.complete_read();
-        assert_eq!(status, DiskStatus::Complete);
+        read(&mut d, 3).unwrap();
+        let (done, status, data) = d.complete();
+        assert_eq!(
+            (done, status),
+            (go(DiskCommand::Read, 3), DiskStatus::Complete)
+        );
         assert_eq!(data.unwrap(), block_of(0xAA));
+        assert_eq!(d.due(), None);
     }
 
     #[test]
@@ -520,23 +563,36 @@ mod tests {
     #[test]
     fn busy_while_pending() {
         let mut d = Disk::new(4, 0);
-        d.submit(t0(), 0, DiskCommand::Read, 0).unwrap();
+        read(&mut d, 0).unwrap();
+        assert_eq!(read(&mut d, 1), Err(DiskError::Busy));
+        assert!(d.is_busy());
+        let _ = d.complete();
+        assert!(!d.is_busy());
+    }
+
+    #[test]
+    fn a_go_refused_as_busy_leaves_the_write_in_flight_alone() {
+        let mut d = Disk::new(4, 0);
+        let dur = d
+            .submit(t0(), 1, go(DiskCommand::Write, 1), &block_of(0xAA))
+            .unwrap();
+        let later = SimTime::from_nanos(5);
         assert_eq!(
-            d.submit(t0(), 0, DiskCommand::Read, 1),
+            d.submit(later, 2, go(DiskCommand::Write, 2), &block_of(0xBB)),
             Err(DiskError::Busy)
         );
-        assert!(d.is_busy());
-        let _ = d.complete_read();
-        assert!(!d.is_busy());
+        assert_eq!(d.due(), Some((t0() + dur, 1)), "still the first write's");
+        assert_eq!(d.complete().0, go(DiskCommand::Write, 1));
+        assert_eq!(d.peek_block(1), block_of(0xAA).as_slice());
+        assert_eq!(d.peek_block(2), block_of(0).as_slice());
+        assert_eq!(d.log().len(), 1);
+        assert_eq!(d.log()[0].data, block_digest(&block_of(0xAA)));
     }
 
     #[test]
     fn bad_block_rejected() {
         let mut d = Disk::new(4, 0);
-        assert_eq!(
-            d.submit(t0(), 0, DiskCommand::Read, 4),
-            Err(DiskError::BadBlock { block: 4 })
-        );
+        assert_eq!(read(&mut d, 4), Err(DiskError::BadBlock { block: 4 }));
     }
 
     #[test]
@@ -549,8 +605,8 @@ mod tests {
             let mut d = Disk::new(2, seed);
             d.poke_block(1, &block_of(0x00));
             d.force_uncertain(1);
-            d.submit(t0(), 0, DiskCommand::Write, 1).unwrap();
-            let status = d.complete_write(&block_of(0xBB));
+            write(&mut d, 1, 0xBB).unwrap();
+            let (_, status, _) = d.complete();
             assert_eq!(status, DiskStatus::Uncertain);
             if d.peek_block(1) == block_of(0xBB).as_slice() {
                 applied += 1;
@@ -569,8 +625,8 @@ mod tests {
         for seed in 0..32 {
             let mut d = Disk::new(2, seed);
             d.force_uncertain(1);
-            d.submit(t0(), 0, DiskCommand::Read, 0).unwrap();
-            let (status, data) = d.complete_read();
+            read(&mut d, 0).unwrap();
+            let (_, status, data) = d.complete();
             assert_eq!(status, DiskStatus::Uncertain);
             match data {
                 Some(_) => saw_data = true,
@@ -586,19 +642,19 @@ mod tests {
         // medium must end up with the data exactly once.
         let mut d = Disk::new(2, 3);
         d.force_uncertain(1);
-        d.submit(t0(), 0, DiskCommand::Write, 0).unwrap();
-        assert_eq!(d.complete_write(&block_of(0x42)), DiskStatus::Uncertain);
+        write(&mut d, 0, 0x42).unwrap();
+        assert_eq!(d.complete().1, DiskStatus::Uncertain);
         // Retry.
-        d.submit(t0(), 0, DiskCommand::Write, 0).unwrap();
-        assert_eq!(d.complete_write(&block_of(0x42)), DiskStatus::Complete);
+        write(&mut d, 0, 0x42).unwrap();
+        assert_eq!(d.complete().1, DiskStatus::Complete);
         assert_eq!(d.peek_block(0), block_of(0x42).as_slice());
     }
 
     #[test]
     fn abandon_decides_effect_without_interrupt() {
         let mut d = Disk::new(2, 5);
-        d.submit(t0(), 0, DiskCommand::Write, 0).unwrap();
-        d.abandon(Some(&block_of(0x99)));
+        write(&mut d, 0, 0x99).unwrap();
+        d.abandon();
         assert!(!d.is_busy());
         let e = &d.log()[0];
         assert_eq!(e.status, DiskStatus::Uncertain);
@@ -614,12 +670,12 @@ mod tests {
     #[test]
     fn log_records_operations() {
         let mut d = Disk::new(4, 0);
-        d.submit(SimTime::from_nanos(10), 0, DiskCommand::Write, 2)
+        let at = SimTime::from_nanos;
+        d.submit(at(10), 0, go(DiskCommand::Write, 2), &block_of(1))
             .unwrap();
-        d.complete_write(&block_of(1));
-        d.submit(SimTime::from_nanos(20), 0, DiskCommand::Read, 2)
-            .unwrap();
-        d.complete_read();
+        d.complete();
+        d.submit(at(20), 0, go(DiskCommand::Read, 2), &[]).unwrap();
+        d.complete();
         let log = d.log();
         assert_eq!(log.len(), 2);
         assert_eq!(log[0].cmd, DiskCommand::Write);

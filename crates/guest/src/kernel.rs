@@ -67,7 +67,7 @@ pub fn kernel_source(cfg: &KernelConfig) -> String {
     s.push_str(&format!(
         "; ---- hvft guest kernel (generated) ----
 .equ KD_TICKS,      {ticks:#x}
-.equ KD_DISK_DONE,  {disk_done:#x}
+.equ KD_DISK_DONE,  {done_flag:#x}
 .equ KD_DISK_ST,    {disk_st:#x}
 .equ KD_SAVED_IPSW, {saved_ipsw:#x}
 .equ KD_SAVED_IIP,  {saved_iip:#x}
@@ -107,7 +107,7 @@ pub fn kernel_source(cfg: &KernelConfig) -> String {
 .org {ktext:#x}
 ",
         ticks = kdata::TICKS,
-        disk_done = kdata::DISK_DONE,
+        done_flag = kdata::DISK_DONE,
         disk_st = kdata::DISK_ST,
         saved_ipsw = kdata::SAVED_IPSW,
         saved_iip = kdata::SAVED_IIP,

@@ -28,8 +28,8 @@
 
 use crate::cost::CostModel;
 use hvft_devices::console::Console;
-use hvft_devices::disk::{Disk, DiskCommand, BLOCK_SIZE};
-use hvft_devices::mmio::{self, DiskController, DiskGo, Go};
+use hvft_devices::disk::{Disk, BLOCK_SIZE};
+use hvft_devices::mmio::{self, DiskController, Go};
 use hvft_isa::program::Program;
 use hvft_machine::cpu::{Assist, Cpu, EnvOp, Exit, LoadProgram, Resume};
 use hvft_machine::exec::{ExecStats, ExecTier};
@@ -84,16 +84,13 @@ pub struct BareHost {
     tlb: (usize, TlbReplacement),
 }
 
-/// The host's clock, its pending device events, the disk controller and
-/// the operation it started (with a write's data, read at GO), and what
-/// the guest reported: everything a run changes besides the CPU, memory,
-/// disk and console.
+/// The host's clock, its timer, the disk controller and what the guest
+/// reported: everything a run changes besides the CPU, memory, disk
+/// (which keeps the operation in flight) and console.
 struct Board {
     now: SimTime,
     timer_fires_at: Option<SimTime>,
-    disk_done_at: Option<SimTime>,
     controller: DiskController,
-    inflight: Option<(DiskGo, Option<Vec<u8>>)>,
     diags: Vec<(u32, u32)>,
     exit_code: Option<u32>,
 }
@@ -103,9 +100,7 @@ impl Board {
         Board {
             now: SimTime::ZERO,
             timer_fires_at: None,
-            disk_done_at: None,
             controller: DiskController::RESET,
-            inflight: None,
             diags: Vec::new(),
             exit_code: None,
         }
@@ -355,7 +350,8 @@ impl Firmware<'_> {
 
     /// The earliest pending timer/disk deadline.
     fn next_event(&self) -> Option<SimTime> {
-        [self.board.timer_fires_at, self.board.disk_done_at]
+        let disk_due = self.disk.due().map(|(t, _)| t);
+        [self.board.timer_fires_at, disk_due]
             .into_iter()
             .flatten()
             .min()
@@ -388,31 +384,14 @@ impl Firmware<'_> {
                 cpu.raise_irq(irq::TIMER);
             }
         }
-        if let Some(t) = b.disk_done_at {
-            if t <= b.now {
-                b.disk_done_at = None;
-                self.complete_disk(cpu, mem);
+        if self.disk.due().is_some_and(|(t, _)| t <= b.now) {
+            let (go, status, data) = self.disk.complete();
+            if let Some(d) = data {
+                mem.write_bytes(go.addr, &d);
             }
+            b.controller.deliver(mmio::disk_status::of(status));
+            cpu.raise_irq(irq::DISK);
         }
-    }
-
-    fn complete_disk(&mut self, cpu: &mut Cpu, mem: &mut Memory) {
-        let b = &mut *self.board;
-        let (go, data) = b.inflight.take().expect("disk completion without GO");
-        let status = match go.cmd {
-            DiskCommand::Write => self
-                .disk
-                .complete_write(&data.expect("a write's data is read at GO")),
-            DiskCommand::Read => {
-                let (status, data) = self.disk.complete_read();
-                if let Some(d) = data {
-                    mem.write_bytes(go.addr, &d);
-                }
-                status
-            }
-        };
-        b.controller.status = mmio::disk_status::of(status);
-        cpu.raise_irq(irq::DISK);
     }
 
     fn mmio_write(&mut self, cpu: &mut Cpu, mem: &Memory, paddr: u32, value: u32) {
@@ -422,24 +401,19 @@ impl Firmware<'_> {
             mmio::DISK_REG_CMD => {
                 let started = match b.controller.go(value, mem.size()) {
                     Go::Ignored => return,
-                    Go::Refused => None,
-                    Go::Start(go) => self
-                        .disk
-                        .submit(b.now, 0, go.cmd, go.block)
-                        .ok()
-                        .map(|dur| (go, dur)),
+                    Go::Refused => false,
+                    Go::Start(go) => {
+                        let dma = mem.read_bytes(go.addr, BLOCK_SIZE);
+                        self.disk.submit(b.now, 0, go, dma).is_ok()
+                    }
                 };
-                if let Some((go, dur)) = started {
-                    let data = (go.cmd == DiskCommand::Write)
-                        .then(|| mem.read_bytes(go.addr, BLOCK_SIZE).to_vec());
+                if started {
                     b.controller.status = mmio::disk_status::BUSY;
-                    b.disk_done_at = Some(b.now + dur);
-                    b.inflight = Some((go, data));
                 } else {
                     // Refused, by the controller or the disk: report
                     // uncertainty so the driver retries rather than
                     // wedging.
-                    b.controller.status = mmio::disk_status::UNCERTAIN;
+                    b.controller.deliver(mmio::disk_status::UNCERTAIN);
                     cpu.raise_irq(irq::DISK);
                 }
             }

@@ -10,10 +10,10 @@
 //! Workloads are small and the instruction limit bounds every run.
 //!
 //! A panic fails the property unless its message is one of `PINNED`:
-//! defects already known, each with a `#[should_panic]` witness below
-//! that stays until the defect is fixed. The configurations that reach
-//! them stay in the draw space, so a fix shows up as a witness that no
-//! longer panics.
+//! defects already known, each with a `#[should_panic]` witness that
+//! stays until the defect is fixed. The configurations that reach them
+//! stay in the draw space, so a fix shows up as a witness that no
+//! longer panics. None is pinned today.
 
 use hvft::core::scenario::{ClusterScenario, Protocol, Scenario, ScenarioBuilder};
 use hvft::guest::workload::{Dhrystone, Hello, IoBench};
@@ -23,12 +23,8 @@ use hvft::sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// Panic messages of known defects, each pinned by a witness below.
-const PINNED: &[&str] = &[
-    // C1(a): a disk completion reaches a host whose in-flight record a
-    // GO refused as busy has overwritten (see the witnesses).
-    "completion without GO",
-];
+/// Panic messages of known defects, each pinned by a witness.
+const PINNED: &[&str] = &[];
 
 /// One shard's (or the solo scenario's) drawn knobs.
 #[derive(Clone, Copy, Debug)]
@@ -306,9 +302,9 @@ proptest! {
     }
 }
 
-/// The C1(d) witness: four disk-bound shards at `t = backups` under the
-/// revised protocol, functional costs, on one 10 Mbps Ethernet with the
-/// default 60 ms detector.
+/// Four disk-bound shards at `t = backups` under the revised protocol,
+/// functional costs, on one 10 Mbps Ethernet with the default 60 ms
+/// detector.
 fn io_cluster(mode: IoMode, backups: usize) -> ClusterScenario {
     let mut cluster = ClusterScenario::new(LinkSpec::ethernet_10mbps(), 1);
     for _ in 0..4 {
@@ -329,25 +325,36 @@ fn io_cluster(mode: IoMode, backups: usize) -> ClusterScenario {
     cluster
 }
 
-// Contention on the shared wire delays a primary's messages past a
-// backup's detector, which promotes under a live primary; a disk
-// completion then reaches a host with no GO in flight. Pinned until
-// C1(a).
-
-#[test]
-#[should_panic(expected = "completion without GO")]
-fn four_write_shards_at_t2_complete_without_go() {
-    io_cluster(IoMode::Write, 2).run();
+/// Runs `cluster` and checks that every shard runs to a clean report,
+/// and that contention on the shared wire still delays a primary's
+/// messages past a backup's detector (C7): no failstop is scheduled, so
+/// every failover promoted a backup under a live primary. The disk's
+/// completion once reached such a split brain's host with no GO on
+/// record and panicked "completion without GO"; the disk now keeps the
+/// one record of its operation.
+fn runs_to_its_reports_despite_a_false_promotion(cluster: ClusterScenario) {
+    let reports = cluster.run();
+    for r in &reports {
+        assert!(r.exit.is_clean_exit(), "{:?}", r.exit);
+    }
+    assert!(
+        reports.iter().any(|r| !r.failovers.is_empty()),
+        "no shard failed over: {:?}",
+        reports.iter().map(|r| &r.failovers).collect::<Vec<_>>()
+    );
 }
 
 #[test]
-#[should_panic(expected = "completion without GO")]
-fn four_read_shards_at_t2_complete_without_go() {
-    io_cluster(IoMode::Read, 2).run();
+fn four_write_shards_at_t2_run_to_their_reports() {
+    runs_to_its_reports_despite_a_false_promotion(io_cluster(IoMode::Write, 2));
 }
 
 #[test]
-#[should_panic(expected = "completion without GO")]
-fn four_read_shards_at_t4_complete_without_go() {
-    io_cluster(IoMode::Read, 4).run();
+fn four_read_shards_at_t2_run_to_their_reports() {
+    runs_to_its_reports_despite_a_false_promotion(io_cluster(IoMode::Read, 2));
+}
+
+#[test]
+fn four_read_shards_at_t4_run_to_their_reports() {
+    runs_to_its_reports_despite_a_false_promotion(io_cluster(IoMode::Read, 4));
 }

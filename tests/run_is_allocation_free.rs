@@ -16,9 +16,10 @@
 
 use hvft::core::messages::Message;
 use hvft::core::protocol::{Effect, Input, ReplicaEngine};
-use hvft::core::scenario::Scenario;
+use hvft::core::scenario::{Scenario, ScenarioBuilder};
 use hvft::core::{FtSystem, LockstepChecker, ProtocolVariant};
-use hvft::guest::{build_image, dhrystone_source, KernelConfig};
+use hvft::guest::workload::IoBench;
+use hvft::guest::{build_image, dhrystone_source, IoMode, KernelConfig};
 use hvft::hypervisor::cost::CostModel;
 use hvft::hypervisor::hvguest::{HvConfig, HvEvent, HvGuest};
 use hvft::hypervisor::vclock::VClock;
@@ -288,21 +289,28 @@ fn warm_engine_epochs_do_not_allocate() {
     }
 }
 
-/// Allocations over `EPOCHS` warm replica-epochs of a whole replicated
-/// system — Dhrystone (its syscalls, no I/O), `backups` backups, on the
-/// raw link or under the reliable layer — and the replica-epochs run.
-fn warm_system_allocations(backups: usize, reliable: bool) -> (u64, u64) {
+/// What a window of warm replica-epochs of a whole replicated system
+/// cost: allocations, the replica-epochs run and the disk operations
+/// issued.
+struct Window {
+    allocated: u64,
+    epochs: u64,
+    disk_ops: u64,
+}
+
+/// Runs `builder`'s scenario with `backups` backups, on the raw link or
+/// under the reliable layer, and counts a window of `epochs` warm
+/// replica-epochs.
+fn warm_system_window(
+    builder: ScenarioBuilder,
+    backups: usize,
+    reliable: bool,
+    epochs: u64,
+) -> Window {
     // Per replica, long enough for the jit to have compiled every path
     // the guest ever takes: until then, a late first compile allocates.
     const WARM_UP: u64 = 16_384;
-    const EPOCHS: u64 = 8_192;
-    let image = build_image(&KernelConfig::default(), &dhrystone_source(1_000_000, 6))
-        .expect("image builds");
-    let mut builder = Scenario::builder()
-        .image(image)
-        .functional_cost()
-        .epoch_len(1_024)
-        .backups(backups);
+    let mut builder = builder.functional_cost().epoch_len(1_024).backups(backups);
     if reliable {
         builder = builder.retransmit(SimDuration::from_millis(5));
     }
@@ -312,12 +320,17 @@ fn warm_system_allocations(backups: usize, reliable: bool) -> (u64, u64) {
         while system.run_stats().epoch_boundaries < epochs {
             assert!(system.step().is_none(), "the run ended early");
         }
-        system.run_stats().epoch_boundaries
+        let disk_ops = system.disk_mut().log().len() as u64;
+        (system.run_stats().epoch_boundaries, disk_ops)
     };
-    let warm = step_to(system, WARM_UP * (1 + backups as u64));
+    let (warm, warm_ops) = step_to(system, WARM_UP * (1 + backups as u64));
     let before = allocations();
-    let done = step_to(system, warm + EPOCHS);
-    (allocations() - before, done - warm)
+    let (done, done_ops) = step_to(system, warm + epochs);
+    Window {
+        allocated: allocations() - before,
+        epochs: done - warm,
+        disk_ops: done_ops - warm_ops,
+    }
 }
 
 #[test]
@@ -325,12 +338,52 @@ fn warm_system_epochs_do_not_allocate() {
     // The whole driver around the engines: planning each step into the
     // system's own buffers, the medium's links and ready index, the
     // reliable layer's windows, the lockstep digests and the observers.
+    // Dhrystone: its syscalls, no I/O.
+    let image = build_image(&KernelConfig::default(), &dhrystone_source(1_000_000, 6))
+        .expect("image builds");
     for backups in [1, 2] {
         for reliable in [false, true] {
-            let (allocated, epochs) = warm_system_allocations(backups, reliable);
+            let builder = Scenario::builder().image(image.clone());
+            let w = warm_system_window(builder, backups, reliable, 8_192);
             assert_eq!(
-                allocated, 0,
-                "t={backups}, reliable={reliable}: {epochs} warm replica-epochs allocated"
+                w.allocated, 0,
+                "t={backups}, reliable={reliable}: {} warm replica-epochs allocated",
+                w.epochs
+            );
+        }
+    }
+}
+
+#[test]
+fn warm_write_io_allocates_less_than_once_per_four_disk_operations() {
+    // The disk path besides: a GO copies the write's block into the
+    // disk's own buffer, the completion is forwarded as `[E, Int]` and
+    // buffered in every engine's one reused buffer. What still
+    // allocates is amortised growth of two append-only records, the
+    // disk's operation log and the primary's `op_latencies`. (A read
+    // would also allocate its data's `Vec` in the `[E, Int]` message;
+    // that is not measured here.)
+    let io = IoBench {
+        ops: 1_000_000,
+        mode: IoMode::Write,
+        ..IoBench::default()
+    };
+    for backups in [1, 2] {
+        for reliable in [false, true] {
+            let builder = Scenario::builder().workload(io);
+            let w = warm_system_window(builder, backups, reliable, 65_536);
+            assert!(
+                w.disk_ops >= 32,
+                "t={backups}: {} disk operations",
+                w.disk_ops
+            );
+            assert!(
+                w.allocated * 4 < w.disk_ops,
+                "t={backups}, reliable={reliable}: {} allocations over {} disk operations \
+                 ({} warm replica-epochs)",
+                w.allocated,
+                w.disk_ops,
+                w.epochs
             );
         }
     }
