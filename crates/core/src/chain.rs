@@ -159,14 +159,7 @@ impl TChain {
                 let promoted = self.replicas[next].as_ref().expect("next is live");
                 let (vclock, at) = (promoted.guest.vclock.snapshot(), promoted.guest.elapsed());
                 // Between rounds the promotion only switches the role.
-                self.engine(
-                    next,
-                    Input::Promote {
-                        vclock,
-                        outstanding_io: false,
-                        survivors,
-                    },
-                );
+                self.engine(next, Input::Promote { vclock, survivors });
                 let info = FailoverInfo {
                     at: SimTime::ZERO + at,
                     epoch: self.epoch,
@@ -199,7 +192,7 @@ impl TChain {
                         link.send(msg);
                     }
                 }
-                Effect::SynthesizeUncertain | Effect::ReleaseIo => {
+                Effect::SynthesizeUncertain | Effect::ReleaseIo | Effect::SuppressIo => {
                     unreachable!("the chain performs no device I/O")
                 }
                 guest_local => apply_to_guest(&guest_local, &mut r.guest),

@@ -8,9 +8,10 @@
 //! every epoch boundary, and the revised protocol of §4.3 waits for only
 //! before I/O operations.
 
-use hvft_devices::mmio::DiskController;
+use hvft_devices::mmio::{disk_status, DiskController};
 use hvft_hypervisor::hvguest::HvGuestSnapshot;
 use hvft_hypervisor::vclock::VClock;
+use hvft_machine::trap::irq;
 use std::rc::Rc;
 
 /// A forwarded interrupt: what `[E, Int]` carries.
@@ -26,6 +27,19 @@ pub struct ForwardedInterrupt {
     pub disk: Option<DiskCompletion>,
 }
 
+impl ForwardedInterrupt {
+    /// The disk interrupt that answers an operation of unknown outcome
+    /// with [`disk_status::UNCERTAIN`], so the guest driver retries: a
+    /// GO the disk refused, and rule P7's.
+    pub const UNCERTAIN: ForwardedInterrupt = ForwardedInterrupt {
+        irq_bits: irq::DISK,
+        disk: Some(DiskCompletion {
+            status: disk_status::UNCERTAIN,
+            data: None,
+        }),
+    };
+}
+
 /// Payload of a forwarded disk-completion interrupt.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct DiskCompletion {
@@ -39,16 +53,21 @@ pub struct DiskCompletion {
 
 /// The canonical state of one replica, captured at an epoch boundary
 /// and shipped to a repaired processor during reintegration: the guest
-/// snapshot plus the guest-visible disk controller. Derived caches (JIT
+/// snapshot, the guest-visible disk controller, and the donor engine's
+/// count of outstanding disk operations. Derived caches (JIT
 /// superblocks, TLB front array) are never shipped — the receiver
 /// rebuilds them, invisibly to the VM.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ReplicaState {
     /// The whole virtual machine plus hypervisor bookkeeping.
     pub guest: HvGuestSnapshot,
-    /// The disk controller's registers and its count of outstanding
-    /// operations, which rule P7 reads if the receiver is promoted.
+    /// The disk controller's registers.
     pub controller: DiskController,
+    /// Disk GOs the guest started that no delivered disk interrupt has
+    /// answered ([`crate::protocol::ReplicaEngine::outstanding`]): the
+    /// receiver's engine starts from it, and rule P7 reads it if the
+    /// receiver is promoted.
+    pub outstanding: u32,
 }
 
 /// A protocol message.

@@ -31,8 +31,10 @@
 //!   delivers buffered interrupts, sends `[end, E]`, and starts `E + 1`
 //!   ([`Input::Boundary`]);
 //! - **P3**: interrupts destined for an unpromoted backup VM are
-//!   ignored — realized here by backup I/O suppression, which is the
-//!   driver's half of the contract;
+//!   ignored — realized by suppressing the backup's own I/O: its
+//!   guest's GO and console output are answered with
+//!   [`Effect::SuppressIo`], so its devices never start anything that
+//!   could interrupt it ([`Input::Io`]);
 //! - **P4**: the backup acknowledges and buffers `[E, Int]`
 //!   ([`Input::Message`]);
 //! - **P5**: at the end of its epoch `E` the backup awaits `[Tme_p]`,
@@ -40,8 +42,11 @@
 //!   starts `E + 1`;
 //! - **P6**: if instead the failure detector fires, the backup delivers
 //!   what it buffered and promotes itself ([`Input::Promote`]);
-//! - **P7**: I/O outstanding at the failover epoch gets a synthesized
-//!   *uncertain* interrupt so the replayed driver retries;
+//! - **P7**: a disk operation still outstanding once P6 has delivered
+//!   what the backup buffered gets a synthesized *uncertain* interrupt
+//!   so the replayed driver retries. The engine counts the disk GOs its
+//!   guest started less the disk interrupts it delivered, so it needs
+//!   no device to ask;
 //! - **§4.3 revision**: the boundary ack-wait of P2 is dropped;
 //!   acknowledgments must instead be complete before the primary
 //!   initiates any I/O ([`Input::Io`]).
@@ -59,16 +64,16 @@
 //! the dead primary never managed to send it (every live backup saw the
 //! same message prefix — FIFO channels deliver a crashed sender's
 //! in-flight messages), forwards a synthesized uncertain interrupt for
-//! outstanding I/O so *all* survivors retire it at the same stream
-//! point, and announces `[end, E]`.
+//! an outstanding disk operation so *all* survivors retire it at the
+//! same stream point, and announces `[end, E]`.
 
 use crate::config::ProtocolVariant;
-use crate::messages::{DiskCompletion, ForwardedInterrupt, Message};
-use hvft_devices::mmio;
+use crate::messages::{ForwardedInterrupt, Message};
 use hvft_hypervisor::guest_iface::GuestCtl;
 use hvft_hypervisor::vclock::VClock;
 use hvft_machine::trap::irq;
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
 
 /// Identifies a replica by its position in the chain order (0 is the
 /// initial primary; backups follow in promotion order).
@@ -112,11 +117,19 @@ pub enum Input {
         /// The interrupt and its device payload.
         fwd: ForwardedInterrupt,
     },
-    /// The acting primary's guest asked for an externally visible I/O.
+    /// The replica's guest asked for an externally visible I/O: a disk
+    /// GO (`disk`) or a console byte. Every replica's guest asks, at
+    /// the same point of its instruction stream. At the acting primary
     /// [`Effect::ReleaseIo`] answers at once, or — under §4.3, while a
     /// coordination message is unacknowledged — once the last
     /// acknowledgment is in: I/O is the only way VM state is revealed.
-    Io,
+    /// At a backup [`Effect::SuppressIo`] answers at once (rule P3).
+    /// Either way a disk GO counts as outstanding until a disk
+    /// interrupt is delivered (rule P7).
+    Io {
+        /// Whether the I/O is a disk GO.
+        disk: bool,
+    },
     /// A live peer failstopped or finished: it stops counting toward
     /// the acknowledgment condition (which may resume a stalled
     /// primary).
@@ -138,21 +151,19 @@ pub enum Input {
     ///
     /// From a running replica (the round-synchronous chain promotes
     /// between epochs) only the role switches. From a backup waiting at
-    /// an epoch boundary this is rules P6 + P7: `vclock` is the
-    /// replica's own clock snapshot and `outstanding_io` whether a
-    /// device operation is still in flight. With no survivors (the
-    /// paper's 1-fault prototype) everything buffered is delivered and
-    /// outstanding I/O gets a locally synthesized uncertain interrupt.
+    /// an epoch boundary this is rules P6 + P7, `vclock` being the
+    /// replica's own clock snapshot. With no survivors (the paper's
+    /// 1-fault prototype) everything buffered is delivered, and then a
+    /// disk operation still outstanding gets an uncertain interrupt.
     /// With survivors, the new primary instead *completes the failover
-    /// epoch as a primary*: the uncertain interrupt is forwarded like
-    /// any other so every replica retires it at the same
-    /// instruction-stream point, `[Tme_p]` is re-issued only if the dead
-    /// primary never sent it, and `[end, E]` closes the epoch.
+    /// epoch as a primary*: a disk operation that no buffered interrupt
+    /// answers gets an uncertain one, forwarded like any other so every
+    /// replica retires it at the same instruction-stream point,
+    /// `[Tme_p]` is re-issued only if the dead primary never sent it,
+    /// and `[end, E]` closes the epoch.
     Promote {
         /// The replica's clock at its boundary.
         vclock: VClock,
-        /// Whether a device operation is still in flight (rule P7).
-        outstanding_io: bool,
         /// The live backups the new primary coordinates.
         survivors: Vec<ReplicaId>,
     },
@@ -179,14 +190,18 @@ pub enum Effect {
     /// Deliver one buffered interrupt into the guest; the driver also
     /// applies any device payload (disk status/data) it carries.
     DeliverInterrupt(ForwardedInterrupt),
-    /// Rule P7 with no surviving backups: synthesize an uncertain
-    /// completion for the replica's outstanding I/O.
+    /// Rule P7: deliver a synthesized uncertain disk interrupt
+    /// ([`ForwardedInterrupt::UNCERTAIN`]) for the replica's outstanding
+    /// disk operation, after the failover epoch's buffered interrupts.
     SynthesizeUncertain,
     /// Re-arm the recovery counter: the next epoch begins.
     StartEpoch,
-    /// The answer to [`Input::Io`]: perform the I/O now and complete
-    /// the guest's stalled MMIO instruction.
+    /// The acting primary's answer to [`Input::Io`]: perform the I/O
+    /// now and complete the guest's stalled MMIO instruction.
     ReleaseIo,
+    /// A backup's answer to [`Input::Io`] (rule P3): complete the
+    /// guest's stalled MMIO instruction without performing the I/O.
+    SuppressIo,
 }
 
 /// Protocol phase of one replica.
@@ -282,6 +297,11 @@ pub struct ReplicaEngine {
     /// (epoch, arrival) order (rules P1/P4). One buffer, drained in
     /// place, so warm epochs reuse its capacity.
     buffered: Vec<(u64, ForwardedInterrupt)>,
+    /// Disk GOs the guest started less disk interrupts delivered
+    /// (rule P7). Saturating at 0: a replica fed by two acting
+    /// primaries (a false suspicion) can be delivered more than it
+    /// started.
+    outstanding: u32,
 }
 
 impl ReplicaEngine {
@@ -310,7 +330,16 @@ impl ReplicaEngine {
             got_time: BTreeMap::new(),
             got_end: BTreeSet::new(),
             buffered: Vec::new(),
+            outstanding: 0,
         }
+    }
+
+    /// This engine with `outstanding` disk operations counted as
+    /// started and unanswered: a rejoiner's engine takes its donor's
+    /// count with the donor's guest state.
+    pub fn with_outstanding(mut self, outstanding: u32) -> Self {
+        self.outstanding = outstanding;
+        self
     }
 
     /// This replica's chain position.
@@ -342,6 +371,12 @@ impl ReplicaEngine {
     /// Live backups this primary coordinates (empty for backups).
     pub fn peers(&self) -> &[ReplicaId] {
         &self.peers
+    }
+
+    /// Disk GOs the guest started that no delivered disk interrupt has
+    /// answered yet.
+    pub fn outstanding(&self) -> u32 {
+        self.outstanding
     }
 
     /// Takes one input and appends the effects it causes to `out`, in
@@ -377,9 +412,11 @@ impl ReplicaEngine {
                 });
                 self.buffer(epoch, fwd);
             }
-            Input::Io => {
-                debug_assert!(self.is_primary, "only the primary performs I/O");
-                if self.variant == ProtocolVariant::New && !self.all_acked() {
+            Input::Io { disk } => {
+                self.outstanding += u32::from(disk);
+                if !self.is_primary {
+                    out.push(Effect::SuppressIo);
+                } else if self.variant == ProtocolVariant::New && !self.all_acked() {
                     self.phase = Phase::AwaitIoAcks;
                 } else {
                     out.push(Effect::ReleaseIo);
@@ -410,11 +447,7 @@ impl ReplicaEngine {
                 }
                 self.next_seq.insert(peer, seq);
             }
-            Input::Promote {
-                vclock,
-                outstanding_io,
-                survivors,
-            } => self.promote(vclock, outstanding_io, survivors, out),
+            Input::Promote { vclock, survivors } => self.promote(vclock, survivors, out),
         }
     }
 
@@ -443,18 +476,25 @@ impl ReplicaEngine {
         self.buffered.insert(at, (epoch, fwd));
     }
 
-    /// Delivers the timer check and every interrupt buffered for `epoch`.
-    fn deliver(&mut self, epoch: u64, out: &mut Vec<Effect>) {
+    /// Delivers the timer check and every interrupt buffered for
+    /// `epochs`, in order; each disk interrupt answers one outstanding
+    /// disk operation.
+    fn deliver(&mut self, epochs: RangeInclusive<u64>, out: &mut Vec<Effect>) {
         out.push(Effect::DeliverTimer);
-        let from = self.buffered.partition_point(|&(e, _)| e < epoch);
-        let to = self.buffered.partition_point(|&(e, _)| e <= epoch);
-        let due = self.buffered.drain(from..to);
-        out.extend(due.map(|(_, fwd)| Effect::DeliverInterrupt(fwd)));
+        let from = self.buffered.partition_point(|&(e, _)| e < *epochs.start());
+        let to = self.buffered.partition_point(|&(e, _)| e <= *epochs.end());
+        let outstanding = &mut self.outstanding;
+        out.extend(self.buffered.drain(from..to).map(|(_, fwd)| {
+            if fwd.irq_bits & irq::DISK != 0 {
+                *outstanding = outstanding.saturating_sub(1);
+            }
+            Effect::DeliverInterrupt(fwd)
+        }));
     }
 
     /// Rule P2, second half: deliver, announce, start the next epoch.
     fn finish_boundary(&mut self, epoch: u64, out: &mut Vec<Effect>) {
-        self.deliver(epoch, out);
+        self.deliver(epoch..=epoch, out);
         self.broadcast(out, |seq| Message::EpochEnd { seq, epoch });
         out.push(Effect::StartEpoch);
         self.phase = Phase::Running;
@@ -471,7 +511,7 @@ impl ReplicaEngine {
         }
         if let Phase::AwaitEnd { epoch } = self.phase {
             if self.got_end.remove(&epoch) {
-                self.deliver(epoch, out);
+                self.deliver(epoch..=epoch, out);
                 out.push(Effect::StartEpoch);
                 self.phase = Phase::Running;
             }
@@ -555,13 +595,7 @@ impl ReplicaEngine {
     }
 
     /// [`Input::Promote`].
-    fn promote(
-        &mut self,
-        vclock: VClock,
-        outstanding_io: bool,
-        survivors: Vec<ReplicaId>,
-        out: &mut Vec<Effect>,
-    ) {
+    fn promote(&mut self, vclock: VClock, survivors: Vec<ReplicaId>, out: &mut Vec<Effect>) {
         let waiting = match self.phase {
             Phase::Running => None,
             Phase::AwaitTime { epoch } => Some((epoch, false)),
@@ -575,44 +609,43 @@ impl ReplicaEngine {
             // resumes at the next boundary.
             return;
         };
+        // Rule P7 asks whether a disk operation is outstanding that no
+        // buffered disk interrupt answers: P6 delivers every one of
+        // them, now or (with survivors) at its own epoch's boundary.
+        let held = self.buffered.iter();
+        let held = held.filter(|(_, f)| f.irq_bits & irq::DISK != 0).count();
+        let uncertain = self.outstanding as usize > held;
         if self.peers.is_empty() {
             // No replica is left to stay in step with: deliver the
-            // boundary epoch (with its timer check), then drain every
-            // other buffered epoch — holding epoch-tagged completions
-            // any longer would only delay the driver.
-            self.deliver(epoch, out);
-            let rest = self.buffered.drain(..);
-            out.extend(rest.map(|(_, fwd)| Effect::DeliverInterrupt(fwd)));
-            if outstanding_io {
-                out.push(Effect::SynthesizeUncertain);
+            // boundary epoch (with its timer check) and every later
+            // buffered epoch — holding epoch-tagged completions any
+            // longer would only delay the driver.
+            self.deliver(epoch..=u64::MAX, out);
+        } else {
+            // Survivors remain: finish epoch `E` the way the dead
+            // primary would have. Every live backup received the same
+            // message prefix, so `[Tme_p]` is re-sent exactly when
+            // nobody has it.
+            if uncertain {
+                self.broadcast(out, |seq| Message::Interrupt {
+                    seq,
+                    epoch,
+                    interrupt: ForwardedInterrupt::UNCERTAIN,
+                });
             }
-            out.push(Effect::StartEpoch);
-            self.phase = Phase::Running;
-            return;
+            if !time_already_assigned {
+                out.push(Effect::AssignClock(vclock));
+                self.broadcast(out, |seq| Message::Time { seq, epoch, vclock });
+            }
+            self.deliver(epoch..=epoch, out);
         }
-        // Survivors remain: finish epoch `E` the way the dead primary
-        // would have. Every live backup received the same message
-        // prefix, so `[Tme_p]` is re-sent exactly when nobody has it.
-        if outstanding_io {
-            let fwd = ForwardedInterrupt {
-                irq_bits: irq::DISK,
-                disk: Some(DiskCompletion {
-                    status: mmio::disk_status::UNCERTAIN,
-                    data: None,
-                }),
-            };
-            self.broadcast(out, |seq| Message::Interrupt {
-                seq,
-                epoch,
-                interrupt: fwd.clone(),
-            });
-            self.buffer(epoch, fwd);
+        if uncertain {
+            self.outstanding -= 1;
+            out.push(Effect::SynthesizeUncertain);
         }
-        if !time_already_assigned {
-            out.push(Effect::AssignClock(vclock));
-            self.broadcast(out, |seq| Message::Time { seq, epoch, vclock });
-        }
-        self.finish_boundary(epoch, out);
+        self.broadcast(out, |seq| Message::EpochEnd { seq, epoch });
+        out.push(Effect::StartEpoch);
+        self.phase = Phase::Running;
     }
 }
 
@@ -630,7 +663,10 @@ pub fn apply_to_guest<G: GuestCtl>(effect: &Effect, guest: &mut G) {
         }
         Effect::DeliverInterrupt(fwd) => guest.assert_irq(fwd.irq_bits),
         Effect::StartEpoch => guest.begin_epoch(),
-        Effect::Send { .. } | Effect::SynthesizeUncertain | Effect::ReleaseIo => {}
+        Effect::Send { .. }
+        | Effect::SynthesizeUncertain
+        | Effect::ReleaseIo
+        | Effect::SuppressIo => {}
     }
 }
 
@@ -660,13 +696,14 @@ mod tests {
         step(engine, Input::Message { from, msg })
     }
 
-    fn promote(outstanding_io: bool, survivors: Vec<ReplicaId>) -> Input {
+    fn promote(survivors: Vec<ReplicaId>) -> Input {
         Input::Promote {
             vclock: vc(),
-            outstanding_io,
             survivors,
         }
     }
+
+    const DISK_GO: Input = Input::Io { disk: true };
 
     fn sends(effects: &[Effect]) -> Vec<(ReplicaId, &Message)> {
         effects
@@ -762,14 +799,14 @@ mod tests {
         assert!(p.is_running(), "§4.3 drops the boundary ack-wait");
         assert!(pe.contains(&Effect::StartEpoch));
         // But I/O is gated until the outstanding [Tme]/[end] are acked.
-        assert!(step(&mut p, Input::Io).is_empty());
+        assert!(step(&mut p, DISK_GO).is_empty());
         assert!(p.holds_io());
         // The cumulative ack for both messages releases it.
         let pe = receive(&mut p, 1, Message::Ack { upto: 2 });
         assert_eq!(pe, vec![Effect::ReleaseIo]);
         assert!(p.is_running());
         // With everything acked, further I/O is released immediately.
-        assert_eq!(step(&mut p, Input::Io), vec![Effect::ReleaseIo]);
+        assert_eq!(step(&mut p, DISK_GO), vec![Effect::ReleaseIo]);
     }
 
     #[test]
@@ -798,8 +835,19 @@ mod tests {
     }
 
     #[test]
+    fn a_backup_suppresses_its_io_and_counts_its_disk_gos() {
+        let mut b = ReplicaEngine::new_backup(1, 0, ProtocolVariant::New);
+        assert_eq!(step(&mut b, DISK_GO), vec![Effect::SuppressIo]);
+        let console = step(&mut b, Input::Io { disk: false });
+        assert_eq!(console, vec![Effect::SuppressIo]);
+        assert_eq!(b.outstanding(), 1, "only the disk GO is outstanding");
+        assert!(b.is_running());
+    }
+
+    #[test]
     fn promotion_without_survivors_flushes_everything() {
         let mut b = ReplicaEngine::new_backup(1, 0, ProtocolVariant::Old);
+        let _ = step(&mut b, DISK_GO);
         // Buffer interrupts for the boundary epoch and a later epoch.
         let f0 = ForwardedInterrupt {
             irq_bits: irq::DISK,
@@ -828,13 +876,26 @@ mod tests {
             },
         );
         let _ = step(&mut b, boundary(2));
-        let effects = step(&mut b, promote(true, Vec::new()));
+        let effects = step(&mut b, promote(Vec::new()));
         assert!(b.is_primary() && b.is_running());
-        // Both buffers delivered, uncertain synthesized, epoch started.
+        // Both buffers delivered, epoch started; the disk interrupt
+        // answers the GO, so P7 synthesizes nothing after P6.
         assert!(effects.contains(&Effect::DeliverInterrupt(f0)));
         assert!(effects.contains(&Effect::DeliverInterrupt(f1)));
-        assert!(effects.contains(&Effect::SynthesizeUncertain));
+        assert!(!effects.contains(&Effect::SynthesizeUncertain));
+        assert_eq!(b.outstanding(), 0);
         assert_eq!(effects.last(), Some(&Effect::StartEpoch));
+    }
+
+    #[test]
+    fn promotion_without_survivors_answers_an_unanswered_go_uncertain() {
+        let mut b = ReplicaEngine::new_backup(1, 0, ProtocolVariant::Old);
+        let _ = step(&mut b, DISK_GO);
+        let _ = step(&mut b, boundary(2));
+        let effects = step(&mut b, promote(Vec::new()));
+        let tail = &effects[effects.len() - 2..];
+        assert_eq!(tail, [Effect::SynthesizeUncertain, Effect::StartEpoch]);
+        assert_eq!(b.outstanding(), 0);
     }
 
     #[test]
@@ -843,7 +904,7 @@ mod tests {
         // primary must issue it.
         let mut b = ReplicaEngine::new_backup(1, 0, ProtocolVariant::Old);
         let _ = step(&mut b, boundary(5));
-        let effects = step(&mut b, promote(false, vec![2]));
+        let effects = step(&mut b, promote(vec![2]));
         let msgs: Vec<_> = sends(&effects);
         assert!(
             msgs.iter()
@@ -871,7 +932,7 @@ mod tests {
             },
         );
         assert!(c.is_waiting_backup());
-        let effects = step(&mut c, promote(false, vec![2]));
+        let effects = step(&mut c, promote(vec![2]));
         let msgs = sends(&effects);
         assert!(
             !msgs.iter().any(|(_, m)| matches!(m, Message::Time { .. })),
@@ -885,26 +946,49 @@ mod tests {
     #[test]
     fn promotion_with_survivors_forwards_the_uncertain_interrupt() {
         let mut b = ReplicaEngine::new_backup(1, 0, ProtocolVariant::New);
+        let _ = step(&mut b, DISK_GO);
         let _ = step(&mut b, boundary(4));
-        let effects = step(&mut b, promote(true, vec![2, 3]));
+        let effects = step(&mut b, promote(vec![2, 3]));
         // The uncertain completion travels as [E, Int] to every
         // survivor AND is delivered locally at the boundary.
         let ints: Vec<_> = sends(&effects)
             .into_iter()
-            .filter(|(_, m)| matches!(m, Message::Interrupt { epoch: 4, .. }))
+            .filter(|(_, m)| {
+                matches!(m, Message::Interrupt { epoch: 4, interrupt, .. }
+                    if *interrupt == ForwardedInterrupt::UNCERTAIN)
+            })
             .collect();
         assert_eq!(ints.len(), 2, "one copy per survivor");
-        assert!(effects.iter().any(|e| matches!(
-            e,
-            Effect::DeliverInterrupt(f) if f.disk.as_ref().is_some_and(|d| d.status == mmio::disk_status::UNCERTAIN)
-        )));
+        assert!(effects.contains(&Effect::SynthesizeUncertain));
+    }
+
+    #[test]
+    fn a_disk_interrupt_held_for_a_later_epoch_answers_the_go() {
+        let mut b = ReplicaEngine::new_backup(1, 0, ProtocolVariant::New);
+        let _ = step(&mut b, DISK_GO);
+        let completion = ForwardedInterrupt {
+            irq_bits: irq::DISK,
+            disk: None,
+        };
+        let int = Message::Interrupt {
+            seq: 1,
+            epoch: 5,
+            interrupt: completion.clone(),
+        };
+        let _ = receive(&mut b, 0, int);
+        let _ = step(&mut b, boundary(4));
+        let effects = step(&mut b, promote(vec![2]));
         assert!(!effects.contains(&Effect::SynthesizeUncertain));
+        assert_eq!(b.outstanding(), 1, "answered at epoch 5's boundary");
+        let effects = step(&mut b, boundary(5));
+        assert!(effects.contains(&Effect::DeliverInterrupt(completion)));
+        assert_eq!(b.outstanding(), 0);
     }
 
     #[test]
     fn promotion_between_epochs_only_switches_the_role() {
         let mut b = ReplicaEngine::new_backup(1, 0, ProtocolVariant::New);
-        assert!(step(&mut b, promote(true, vec![2])).is_empty());
+        assert!(step(&mut b, promote(vec![2])).is_empty());
         assert!(b.is_primary() && b.is_running());
         assert_eq!(b.peers(), &[2]);
     }

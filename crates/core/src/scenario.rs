@@ -156,6 +156,10 @@ pub enum ConfigError {
     DriverMismatch(&'static str),
     /// A TLB needs at least one slot.
     EmptyTlb,
+    /// A one-slot TLB livelocks the guest: an instruction whose code
+    /// and data sit on different pages evicts one translation to fill
+    /// the other, forever.
+    OneSlotTlb,
     /// The machine's RAM must hold the guest image and end below the
     /// I/O window.
     RamSize {
@@ -211,6 +215,7 @@ impl fmt::Display for ConfigError {
             ),
             ConfigError::DriverMismatch(why) => write!(f, "driver mismatch: {why}"),
             ConfigError::EmptyTlb => write!(f, "a TLB needs at least one slot"),
+            ConfigError::OneSlotTlb => write!(f, "a one-slot TLB livelocks: it needs two"),
             ConfigError::RamSize {
                 ram_bytes,
                 min,
@@ -432,7 +437,7 @@ impl ScenarioBuilder {
         self
     }
 
-    /// TLB slots of the simulated machine (at least 1).
+    /// TLB slots of the simulated machine (at least 2).
     pub fn tlb_slots(mut self, slots: usize) -> Self {
         self.cfg.hv.tlb_slots = slots;
         self
@@ -506,8 +511,10 @@ impl ScenarioBuilder {
         if self.cfg.hv.epoch_len == 0 {
             return Err(ConfigError::ZeroEpochLen);
         }
-        if self.cfg.hv.tlb_slots == 0 {
-            return Err(ConfigError::EmptyTlb);
+        match self.cfg.hv.tlb_slots {
+            0 => return Err(ConfigError::EmptyTlb),
+            1 => return Err(ConfigError::OneSlotTlb),
+            _ => {}
         }
         let ram_bytes = self.cfg.hv.ram_bytes;
         let min = image.segments.iter().map(|s| s.end() as usize).max();

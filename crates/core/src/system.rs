@@ -54,7 +54,7 @@
 
 use crate::config::FtConfig;
 use crate::lockstep::LockstepChecker;
-use crate::messages::{Message, ReplicaState};
+use crate::messages::{ForwardedInterrupt, Message, ReplicaState};
 use crate::net::{Net, WireFrame};
 use crate::observer::{DropReason, Observer, RunStats};
 use crate::plan::{plan_step, EventTag, Planned, SlicePlan, StepPlan};
@@ -113,14 +113,16 @@ struct Host {
     synced_elapsed: SimDuration,
     life: Life,
     promoted: bool,
-    /// The I/O awaiting the engine's [`Effect::ReleaseIo`].
+    /// The I/O awaiting the engine's [`Effect::ReleaseIo`] or
+    /// [`Effect::SuppressIo`].
     held_io: Option<PendingIo>,
-    // The guest-visible disk controller (its status and outstanding
-    // count updated only at GO and at delivery points, so all replicas
-    // read identical values). The disk itself keeps the operation.
+    // The guest-visible disk controller (its status updated only at GO
+    // and at delivery points, so all replicas read identical values).
+    // The disk itself keeps the operation.
     controller: DiskController,
     /// When this host issued the disk operation `op_latencies` times
-    /// next: the primary's release of its GO, a backup's suppressed GO.
+    /// next: the disk's acceptance of the primary's GO, a backup's
+    /// suppressed GO.
     issued_at: Option<SimTime>,
     /// The timeout detector watching the acting primary: present only
     /// on a promotable backup (see `FtSystem::arm_detectors`).
@@ -597,33 +599,29 @@ impl FtSystem {
     // -----------------------------------------------------------------
 
     /// Feeds `input` to host `i`'s engine and carries out the effects
-    /// it answers with, in order. The buffer is taken out of `self` for
-    /// the duration, so an effect whose handling steps the engine again
-    /// (a released disk GO the disk refuses raises an interrupt) drains
-    /// a buffer of its own.
-    fn engine(&mut self, i: usize, input: Input) {
+    /// it answers with, in order. Returns whether the engine
+    /// synthesized an uncertain interrupt (rule P7). The buffer is
+    /// taken out of `self` for the duration, so an effect whose handling
+    /// steps the engine again (a released disk GO the disk refuses
+    /// raises an interrupt) drains a buffer of its own.
+    fn engine(&mut self, i: usize, input: Input) -> bool {
         let mut effects = std::mem::take(&mut self.effects);
         self.hosts[i].engine.step(input, &mut effects);
+        let synthesized = effects.contains(&Effect::SynthesizeUncertain);
         for effect in effects.drain(..) {
             match effect {
                 Effect::Send { to, msg } => self.transmit(i, to, msg),
-                Effect::DeliverInterrupt(fwd) => {
-                    self.hosts[i].guest.assert_irq(fwd.irq_bits);
-                    self.apply_interrupt_payload(i, &fwd);
-                    let at = self.hosts[i].now;
-                    self.notify(|o| o.interrupt_delivered(i, fwd.irq_bits, at));
+                Effect::DeliverInterrupt(fwd) => self.deliver_interrupt(i, &fwd),
+                Effect::SynthesizeUncertain => {
+                    self.deliver_interrupt(i, &ForwardedInterrupt::UNCERTAIN)
                 }
-                Effect::SynthesizeUncertain => self.synthesize_uncertain(i),
-                Effect::ReleaseIo => {
-                    let io = self.hosts[i].held_io.take().expect("I/O to release");
-                    self.perform_io(i, io);
-                    self.hosts[i].guest.finish_mmio_write();
-                    self.hosts[i].sync_clock();
-                }
+                Effect::ReleaseIo => self.answer_io(i, true),
+                Effect::SuppressIo => self.answer_io(i, false),
                 guest_local => apply_to_guest(&guest_local, &mut self.hosts[i].guest),
             }
         }
         self.effects = effects;
+        synthesized
     }
 
     fn transmit(&mut self, from: usize, to: usize, msg: Message) {
@@ -945,8 +943,7 @@ impl FtSystem {
         let host = &mut self.hosts[i];
         host.now = host.now.max(at);
         host.promoted = true;
-        // The failover epoch is the boundary the backup waits at, and P7
-        // synthesizes an uncertain interrupt exactly for outstanding I/O.
+        // The failover epoch is the boundary the backup waits at.
         let epoch = host.guest.epoch();
         let mut uncertain_synthesized = false;
         if let Life::BackupDone(end) = host.life {
@@ -955,13 +952,8 @@ impl FtSystem {
             // real.
             host.life = Life::Done(end);
         } else {
-            uncertain_synthesized = host.controller.outstanding > 0;
-            let input = Input::Promote {
-                vclock: host.guest.vclock.snapshot(),
-                outstanding_io: uncertain_synthesized,
-                survivors,
-            };
-            self.engine(i, input);
+            let vclock = host.guest.vclock.snapshot();
+            uncertain_synthesized = self.engine(i, Input::Promote { vclock, survivors });
         }
         // Survivors re-arm against the new primary, ranks shifted up.
         let now = self.hosts[i].now;
@@ -1163,14 +1155,16 @@ impl FtSystem {
     }
 
     /// Captures the canonical state shipped during reintegration: the
-    /// guest snapshot plus the driver-level device shadows. The shared
-    /// disk and console are environment, not replica state — they are
-    /// never shipped.
+    /// guest snapshot, the driver-level device shadows and the engine's
+    /// count of outstanding disk operations. The shared disk and
+    /// console are environment, not replica state — they are never
+    /// shipped.
     fn capture_replica_state(&self, i: usize) -> ReplicaState {
         let h = &self.hosts[i];
         ReplicaState {
             guest: h.guest.snapshot(),
             controller: h.controller,
+            outstanding: h.engine.outstanding(),
         }
     }
 
@@ -1221,9 +1215,10 @@ impl FtSystem {
             h.synced_elapsed = h.guest.elapsed();
             h.now = h.now.max(at);
             h.controller = state.controller;
-            h.issued_at = (state.controller.outstanding > 0).then_some(h.now);
+            h.issued_at = (state.outstanding > 0).then_some(h.now);
             h.held_io = None;
-            h.engine = ReplicaEngine::new_backup(victim, from, self.cfg.protocol);
+            let engine = ReplicaEngine::new_backup(victim, from, self.cfg.protocol);
+            h.engine = engine.with_outstanding(state.outstanding);
             h.life = Life::Active;
         }
         self.transfer = None;

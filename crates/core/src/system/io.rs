@@ -1,6 +1,7 @@
 //! The disk path of [`FtSystem`]: a guest's MMIO accesses to its
-//! device registers, the I/O the engine releases at the acting primary,
-//! the disk's completion, and the device half of interrupt delivery.
+//! device registers, the I/O the engine releases at the acting primary
+//! or suppresses at a backup, the disk's completion, and the device
+//! half of interrupt delivery.
 
 use super::{FtSystem, PendingIo};
 use crate::messages::{DiskCompletion, ForwardedInterrupt};
@@ -14,11 +15,28 @@ use hvft_machine::trap::irq;
 
 impl FtSystem {
     // -----------------------------------------------------------------
-    // I/O at the acting primary
+    // I/O the engine answered
     // -----------------------------------------------------------------
 
+    /// Completes the guest's held MMIO write once the engine answered
+    /// it: at the acting primary by performing the I/O (`release`), at
+    /// a backup by suppressing it (rule P3). A backup cannot see a GO
+    /// the disk refuses, so it times its operations from the first GO
+    /// that finds no clock running.
+    pub(super) fn answer_io(&mut self, i: usize, release: bool) {
+        let io = self.hosts[i].held_io.take().expect("I/O to answer");
+        if release {
+            self.perform_io(i, io);
+        } else if let PendingIo::DiskGo(_) = io {
+            let host = &mut self.hosts[i];
+            host.issued_at.get_or_insert(host.now);
+        }
+        self.hosts[i].guest.finish_mmio_write();
+        self.hosts[i].sync_clock();
+    }
+
     /// Carries out an externally visible I/O the engine released.
-    pub(super) fn perform_io(&mut self, i: usize, io: PendingIo) {
+    fn perform_io(&mut self, i: usize, io: PendingIo) {
         match io {
             PendingIo::DiskGo(go) => self.disk_go(i, go),
             PendingIo::ConsoleTx { byte } => {
@@ -30,22 +48,16 @@ impl FtSystem {
 
     fn disk_go(&mut self, i: usize, go: DiskGo) {
         let host = &mut self.hosts[i];
-        host.issued_at = Some(host.now);
         let dma = host.guest.mem.read_bytes(go.addr, BLOCK_SIZE);
         if self.disk.submit(host.now, i as u8, go, dma).is_ok() {
+            host.issued_at = Some(host.now);
             return;
         }
         // The disk refused (bad block / busy) and left any operation in
-        // flight alone: surface as an immediate uncertain completion
-        // through the normal buffered path so all replicas see it
-        // identically.
-        let fwd = ForwardedInterrupt {
-            irq_bits: irq::DISK,
-            disk: Some(DiskCompletion {
-                status: mmio::disk_status::UNCERTAIN,
-                data: None,
-            }),
-        };
+        // flight alone, its latency clock included: surface as an
+        // immediate uncertain completion through the normal buffered
+        // path so all replicas see it identically.
+        let fwd = ForwardedInterrupt::UNCERTAIN;
         let guest_epoch = host.guest.epoch();
         self.engine(i, Input::Interrupt { guest_epoch, fwd });
     }
@@ -80,72 +92,64 @@ impl FtSystem {
 
     pub(super) fn handle_mmio_write(&mut self, i: usize, paddr: u32, value: u32) {
         let off = paddr.wrapping_sub(IO_BASE);
-        let is_primary = self.hosts[i].engine.is_primary();
-        match off {
-            mmio::DISK_REG_CMD => {
-                let h = &mut self.hosts[i];
-                match h.controller.go(value, h.guest.mem.size()) {
-                    Go::Ignored => {}
-                    Go::Refused => {
-                        // The refusal depends only on the registers and
-                        // the RAM size, so every replica refuses the same
-                        // GO at the same instruction: each answers it
-                        // itself, outside the message stream, and nothing
-                        // is in flight.
-                        h.controller.deliver(mmio::disk_status::UNCERTAIN);
-                        h.guest.assert_irq(irq::DISK);
-                    }
-                    Go::Start(go) if is_primary => {
-                        // The MMIO completes when the engine releases it.
-                        h.held_io = Some(PendingIo::DiskGo(go));
-                        return self.engine(i, Input::Io);
-                    }
-                    // Case (i) of §2.2: backup I/O is suppressed; the
-                    // controller counts it for rule P7.
-                    Go::Start(_) => h.issued_at = Some(h.now),
+        let h = &mut self.hosts[i];
+        let io = match off {
+            mmio::DISK_REG_CMD => match h.controller.go(value, h.guest.mem.size()) {
+                Go::Ignored => None,
+                Go::Refused => {
+                    // The refusal depends only on the registers and the
+                    // RAM size, so every replica refuses the same GO at
+                    // the same instruction: each answers it itself,
+                    // outside the message stream, and nothing is in
+                    // flight.
+                    h.controller.status = mmio::disk_status::UNCERTAIN;
+                    h.guest.assert_irq(irq::DISK);
+                    None
                 }
+                Go::Start(go) => Some(PendingIo::DiskGo(go)),
+            },
+            mmio::CONSOLE_REG_TX => Some(PendingIo::ConsoleTx { byte: value as u8 }),
+            // The block and address registers latch.
+            _ => {
+                h.controller.write(off, value);
+                None
             }
-            mmio::CONSOLE_REG_TX if is_primary => {
-                self.hosts[i].held_io = Some(PendingIo::ConsoleTx { byte: value as u8 });
-                return self.engine(i, Input::Io);
-            }
-            // The block and address registers latch; backup console
-            // output is suppressed entirely.
-            _ => self.hosts[i].controller.write(off, value),
-        }
-        self.hosts[i].guest.finish_mmio_write();
-        self.hosts[i].sync_clock();
+        };
+        let Some(io) = io else {
+            h.guest.finish_mmio_write();
+            return h.sync_clock();
+        };
+        // Every replica's engine sees the GO or the byte; the MMIO
+        // completes when it answers (see `FtSystem::answer_io`).
+        h.held_io = Some(io);
+        let disk = matches!(io, PendingIo::DiskGo(_));
+        self.engine(i, Input::Io { disk });
     }
 
     // -----------------------------------------------------------------
     // Interrupt delivery
     // -----------------------------------------------------------------
 
-    /// The device half of interrupt delivery: status register, DMA data,
-    /// and operation-latency accounting.
-    pub(super) fn apply_interrupt_payload(&mut self, i: usize, fwd: &ForwardedInterrupt) {
+    /// Delivers one interrupt into host `i`'s guest, with its device
+    /// half: status register, DMA data, and operation-latency
+    /// accounting — an operation is timed until the disk interrupt that
+    /// leaves nothing outstanding, so a busy refusal's answer does not
+    /// stop the clock of the write in flight.
+    pub(super) fn deliver_interrupt(&mut self, i: usize, fwd: &ForwardedInterrupt) {
         let host = &mut self.hosts[i];
+        host.guest.assert_irq(fwd.irq_bits);
         if let Some(dc) = &fwd.disk {
-            host.controller.deliver(dc.status);
+            host.controller.status = dc.status;
             if let Some((addr, block)) = &dc.data {
                 host.guest.mem.write_bytes(*addr, block);
             }
-            if let Some(at) = host.issued_at.take() {
-                host.op_latencies.push(host.now - at);
+            if host.engine.outstanding() == 0 {
+                if let Some(at) = host.issued_at.take() {
+                    host.op_latencies.push(host.now - at);
+                }
             }
         }
-    }
-
-    /// Rule P7 with no surviving backups: the uncertain interrupt is
-    /// applied locally, outside the message stream.
-    pub(super) fn synthesize_uncertain(&mut self, i: usize) {
-        let host = &mut self.hosts[i];
-        host.controller.deliver(mmio::disk_status::UNCERTAIN);
-        host.guest.assert_irq(irq::DISK);
-        if let Some(at) = host.issued_at.take() {
-            host.op_latencies.push(host.now - at);
-        }
-        let at = self.hosts[i].now;
-        self.notify(|o| o.interrupt_delivered(i, irq::DISK, at));
+        let at = host.now;
+        self.notify(|o| o.interrupt_delivered(i, fwd.irq_bits, at));
     }
 }

@@ -1,8 +1,8 @@
 //! Exhaustive check of the protocol engine: every interleaving of the
 //! inputs `t + 1` engines can see, to a depth of two epochs, over FIFO
-//! links — at `t = 1` lossless and failure-free, and at `t ∈ {1, 2}`
-//! under an adversary that failstops a replica and loses what the dead
-//! replica sent.
+//! links — at `t ∈ {1, 2}` lossless and failure-free, and at
+//! `t ∈ {1, 2}` under an adversary that failstops a replica and loses
+//! what the dead replica sent.
 //!
 //! The engines are values with one entry point, so a state of the whole
 //! system is the engines, which replicas live, the directed links'
@@ -13,9 +13,15 @@
 //!
 //! - a boundary at a running replica below the depth;
 //! - delivery of the head of any non-empty link to a live replica;
-//! - one device interrupt at the primary, in whatever phase it is in —
-//!   mid-boundary included, where P1 tags it for the next epoch;
-//! - one I/O request at the primary while its guest runs.
+//! - one disk GO, started by the primary's guest while it runs, in an
+//!   epoch the search picks: every guest runs the same instructions, so
+//!   each backup's guest starts it too, and its engine is fed the
+//!   [`Input::Io`] when that guest passes the GO's epoch (at its
+//!   boundary, or at once if it already waits there); a replica
+//!   promoted before the GO's epoch starts it again as the primary;
+//! - the GO's completion, a device interrupt at the live primary that
+//!   released it, in whatever phase the primary is in — mid-boundary
+//!   included, where P1 tags it for the next epoch.
 //!
 //! With failures on, the adversary also may:
 //!
@@ -31,24 +37,26 @@
 //!   and retransmits only while their sender lives, so a dead sender's
 //!   link delivers a prefix of what it sent.
 //!
-//! Here the device interrupt is the completion of the one I/O, so it
-//! comes after the release and only from a live issuer, and P7's
-//! "outstanding" is the promoted backup's guest having passed the GO's
-//! epoch without a disk interrupt delivered.
+//! Rule P7 is the engine's alone: it counts the GOs its guest started
+//! and the disk interrupts it delivered, and the search only watches
+//! what the guests were given.
 //!
 //! At every state it asserts at most one live primary, that every two
 //! live replicas' guests were given the same clock and interrupts at
-//! every epoch both completed, that under §4.3 no I/O is released while
-//! a sequenced message to a peer is unacknowledged, and that a state
-//! with no enabled input has every live replica running at the depth
-//! (nothing waits forever). With failures on, a stall of the
-//! failure-free system is never such a state — the adversary can still
-//! failstop — so the failure-free searches are the ones that check it.
+//! every epoch both completed, that each live guest was given at most
+//! one disk interrupt for the GO it started and exactly one once the
+//! epoch that answers it is delivered (the completion's, or the
+//! failover epoch if the completion was never raised), that under
+//! §4.3 no I/O is released while a sequenced message to a peer is
+//! unacknowledged, and that a state with no enabled input has every
+//! live replica running at the depth (nothing waits forever). With
+//! failures on, a stall of the failure-free system is never such a
+//! state — the adversary can still failstop — so the failure-free
+//! searches are the ones that check it.
 
 use hvft_core::config::ProtocolVariant;
-use hvft_core::messages::{DiskCompletion, ForwardedInterrupt, Message};
+use hvft_core::messages::{ForwardedInterrupt, Message};
 use hvft_core::protocol::{Effect, Input, ReplicaEngine};
-use hvft_devices::mmio::disk_status;
 use hvft_hypervisor::vclock::VClock;
 use hvft_machine::trap::irq;
 use std::collections::{HashSet, VecDeque};
@@ -70,6 +78,19 @@ struct Model {
 /// with, and the interrupts it was given.
 type Boundary = (VClock, Vec<ForwardedInterrupt>);
 
+/// How far one replica's guest and engine are with the disk GO.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Go {
+    /// The guest has not reached the GO.
+    NotYet,
+    /// The engine was fed the GO.
+    Started,
+    /// The engine released it (an acting primary).
+    Released,
+    /// The disk completed it at this replica, the acting primary.
+    Completed,
+}
+
 /// The one state of the whole system the search moves between.
 #[derive(Clone)]
 struct State {
@@ -84,10 +105,14 @@ struct State {
     /// Per replica, what its guest was given at the end of each
     /// completed epoch; its length is the guest's epoch.
     delivered: Vec<Vec<Boundary>>,
-    interrupt_raised: bool,
-    io_requested: bool,
-    /// Who released the one I/O, and in which epoch.
-    io_released: Option<(usize, usize)>,
+    /// The epoch in which the guests start the disk GO, once one has.
+    go_epoch: Option<usize>,
+    /// Per replica, how far it is with the GO.
+    go: Vec<Go>,
+    /// The epoch whose boundary answers the GO: the completion's tag,
+    /// or the failover epoch of a promoter whose guest started the GO
+    /// that no completion was raised for.
+    due: Option<usize>,
     /// The replica the adversary failstopped, if it has.
     dead: Option<usize>,
     /// `sent[p][q]`: sequenced messages `p` sent `q`; `acked[p][q]`: the
@@ -120,18 +145,6 @@ fn own_clock(r: usize, epoch: usize) -> VClock {
     vc
 }
 
-/// The interrupt P7 synthesizes without survivors: what it forwards to
-/// survivors when there are some.
-fn uncertain() -> ForwardedInterrupt {
-    ForwardedInterrupt {
-        irq_bits: irq::DISK,
-        disk: Some(DiskCompletion {
-            status: disk_status::UNCERTAIN,
-            data: None,
-        }),
-    }
-}
-
 impl State {
     fn new(model: Model) -> Self {
         let n = model.replicas;
@@ -147,9 +160,9 @@ impl State {
             links: vec![vec![VecDeque::new(); n]; n],
             clock: vec![VClock::new(); n],
             delivered: vec![Vec::new(); n],
-            interrupt_raised: false,
-            io_requested: false,
-            io_released: None,
+            go_epoch: None,
+            go: vec![Go::NotYet; n],
+            due: None,
             dead: None,
             sent: vec![vec![0; n]; n],
             acked: vec![vec![0; n]; n],
@@ -166,12 +179,7 @@ impl State {
             }
         }
         (&self.clock, &self.delivered).hash(&mut h);
-        // Who released the I/O, and when, matters only to P7.
-        let released = match self.model.failures {
-            true => self.io_released,
-            false => self.io_released.map(|_| (0, 0)),
-        };
-        (self.interrupt_raised, self.io_requested, released).hash(&mut h);
+        (self.go_epoch, &self.go, self.due).hash(&mut h);
         h.finish()
     }
 
@@ -189,7 +197,12 @@ impl State {
         let n = self.engines.len();
         let mut moves = Vec::new();
         for r in (0..n).filter(|&r| self.alive[r]) {
-            if self.engines[r].is_running() && self.epoch(r) < DEPTH {
+            // A primary's guest starts the GO before it passes the GO's
+            // epoch, by a move of its own (its engine may hold it).
+            let go_ahead = self.engines[r].is_primary()
+                && self.go[r] == Go::NotYet
+                && self.go_epoch == Some(self.epoch(r));
+            if self.engines[r].is_running() && self.epoch(r) < DEPTH && !go_ahead {
                 let vclock = own_clock(r, self.epoch(r));
                 let epoch = self.epoch(r) as u64;
                 moves.push(Move::Step(r, Input::Boundary { epoch, vclock }));
@@ -202,10 +215,7 @@ impl State {
             }
         }
         if let Some(p) = self.primary() {
-            // With failures, the interrupt is the I/O's completion.
-            let completion_due =
-                !self.model.failures || self.io_released.is_some_and(|(issuer, _)| issuer == p);
-            if !self.interrupt_raised && completion_due && self.epoch(p) < DEPTH {
+            if self.go[p] == Go::Released && self.epoch(p) < DEPTH {
                 let fwd = ForwardedInterrupt {
                     irq_bits: irq::DISK,
                     disk: None,
@@ -213,8 +223,10 @@ impl State {
                 let guest_epoch = self.epoch(p) as u64;
                 moves.push(Move::Step(p, Input::Interrupt { guest_epoch, fwd }));
             }
-            if !self.io_requested && self.engines[p].is_running() && self.epoch(p) < DEPTH {
-                moves.push(Move::Step(p, Input::Io));
+            let now = self.go_epoch.is_none_or(|g| g == self.epoch(p));
+            let running = self.engines[p].is_running() && self.epoch(p) < DEPTH;
+            if self.go[p] == Go::NotYet && now && running {
+                moves.push(Move::Step(p, Input::Io { disk: true }));
             }
         }
         if !self.model.failures {
@@ -247,18 +259,10 @@ impl State {
         if !self.engines[next].is_waiting_backup() {
             return None;
         }
-        let given_disk_interrupt = self.delivered[next]
-            .iter()
-            .flat_map(|(_, fwds)| fwds)
-            .any(|fwd| fwd.irq_bits == irq::DISK);
-        let outstanding_io = self
-            .io_released
-            .is_some_and(|(_, at)| at <= self.epoch(next) && !given_disk_interrupt);
         Some(Move::Step(
             next,
             Input::Promote {
                 vclock: own_clock(next, self.epoch(next)),
-                outstanding_io,
                 survivors: (next + 1..n).filter(|&r| self.alive[r]).collect(),
             },
         ))
@@ -305,6 +309,7 @@ impl State {
         crash_after: Option<usize>,
         out: &mut Vec<Effect>,
     ) -> Result<(), String> {
+        let epoch = self.epoch(r);
         match &input {
             Input::Message { from, msg } => {
                 self.links[*from][r].pop_front();
@@ -313,11 +318,37 @@ impl State {
                     *acked = (*acked).max(*upto);
                 }
             }
-            Input::Boundary { vclock, .. } => self.clock[r] = *vclock,
-            Input::Interrupt { .. } => self.interrupt_raised = true,
-            Input::Io => self.io_requested = true,
-            _ => {}
+            Input::Boundary { vclock, .. } => {
+                // A backup's guest starts the GO on its way to the
+                // boundary of the GO's epoch.
+                if self.go[r] == Go::NotYet && self.go_epoch == Some(epoch) {
+                    self.step(r, Input::Io { disk: true }, None, out)?;
+                }
+                self.clock[r] = *vclock;
+            }
+            Input::Interrupt { .. } => {
+                // P1 tags an interrupt raised mid-boundary for the next
+                // epoch.
+                let engine = &self.engines[r];
+                let mid_boundary = !engine.is_running() && !engine.holds_io();
+                self.due = Some(epoch + usize::from(mid_boundary));
+                self.go[r] = Go::Completed;
+            }
+            Input::Io { .. } => {
+                self.go_epoch.get_or_insert(epoch);
+                self.go[r] = Go::Started;
+            }
+            Input::Promote { .. } => match self.go[r] {
+                // The promoter's guest starts the GO again, as the
+                // primary: the dead primary's answer is moot.
+                Go::NotYet => self.due = None,
+                _ => {
+                    self.due.get_or_insert(epoch);
+                }
+            },
+            Input::PeerLost(_) | Input::PeerJoined(_) => {}
         }
+        let started_go = matches!(input, Input::Io { .. }) && self.engines[r].is_primary();
         self.engines[r].step(input, out);
         if let Some(k) = crash_after {
             out.truncate(k);
@@ -335,13 +366,13 @@ impl State {
                 }
                 Effect::AssignClock(vc) => self.clock[r] = vc,
                 Effect::DeliverInterrupt(fwd) => boundary.push(fwd),
-                Effect::SynthesizeUncertain => boundary.push(uncertain()),
+                Effect::SynthesizeUncertain => boundary.push(ForwardedInterrupt::UNCERTAIN),
                 Effect::StartEpoch => {
                     let given = (self.clock[r], std::mem::take(&mut boundary));
                     self.delivered[r].push(given);
                 }
                 Effect::ReleaseIo => {
-                    if self.primary() != Some(r) || self.io_released.is_some() {
+                    if self.primary() != Some(r) || self.go[r] != Go::Started {
                         return Err(format!("replica {r} released an I/O nobody asked for"));
                     }
                     if self.model.variant == ProtocolVariant::New {
@@ -354,7 +385,12 @@ impl State {
                             }
                         }
                     }
-                    self.io_released = Some((r, self.epoch(r)));
+                    self.go[r] = Go::Released;
+                }
+                Effect::SuppressIo => {
+                    if self.primary() == Some(r) {
+                        return Err(format!("the primary {r} suppressed its own I/O"));
+                    }
                 }
                 Effect::DeliverTimer => {}
             }
@@ -366,6 +402,15 @@ impl State {
         }
         if !boundary.is_empty() {
             return Err(format!("replica {r} delivered outside a boundary"));
+        }
+        if started_go {
+            // Backups already waiting at the GO's boundary passed it.
+            for b in 0..self.engines.len() {
+                let passed = self.epoch(b) == epoch && !self.engines[b].is_running();
+                if self.alive[b] && self.go[b] == Go::NotYet && passed {
+                    self.step(b, Input::Io { disk: true }, None, out)?;
+                }
+            }
         }
         Ok(())
     }
@@ -389,6 +434,20 @@ impl State {
                 }
             }
         }
+        for r in live() {
+            let given = self.delivered[r].iter().flat_map(|(_, fwds)| fwds);
+            let given = given.filter(|fwd| fwd.irq_bits & irq::DISK != 0).count();
+            let started = usize::from(self.go[r] != Go::NotYet);
+            let answered = started == 1 && self.due.is_some_and(|due| self.epoch(r) > due);
+            if given > started || (answered && given != 1) {
+                return Err(format!(
+                    "replica {r}'s guest was given {given} disk interrupts for {started} GO \
+                     by the end of epoch {}, the GO answered at {:?}",
+                    self.epoch(r),
+                    self.due,
+                ));
+            }
+        }
         Ok(())
     }
 }
@@ -410,7 +469,7 @@ struct Explored {
     states: usize,
     terminal: usize,
     /// States whose primary waits out a boundary's acknowledgments with
-    /// the interrupt still to raise.
+    /// the GO's completion about to be raised.
     interrupt_mid_boundary: usize,
     /// States whose primary holds the I/O for acknowledgments.
     io_held: usize,
@@ -451,7 +510,8 @@ fn explore(model: Model) -> Result<Explored, String> {
             Some(p) if p != 0 => explored.promoted += 1,
             Some(p) => {
                 let primary = &state.engines[p];
-                if !primary.is_running() && !primary.holds_io() && !state.interrupt_raised {
+                let completion_due = state.go[p] == Go::Released;
+                if !primary.is_running() && !primary.holds_io() && completion_due {
                     explored.interrupt_mid_boundary += 1;
                 }
                 if primary.holds_io() {

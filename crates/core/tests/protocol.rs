@@ -457,17 +457,14 @@ fn user_access_to_unmapped_page_is_fatal() {
     }
 }
 
-/// P6 then P7 for one operation: a backup holds the dead primary's
-/// buffered disk completion `[E, Int]` for epoch `E` and is promoted
-/// at `E`'s boundary with the operation still counted as outstanding,
-/// as `FtSystem::failover` counts it (it reads the controller's outstanding
-/// count before the engine delivers anything). P6 delivers the completion;
-/// P7 must not then synthesize an uncertain one for the same
-/// operation, or the guest re-issues a disk operation that completed.
-/// Today the engine emits both, so this witness panics; it stays
-/// pinned until survivor reconciliation (ROADMAP C1(a)) fixes it.
+/// P6 then P7 for one operation: a backup whose guest started a disk
+/// GO holds the dead primary's buffered disk completion `[E, Int]` for
+/// epoch `E` and is promoted at `E`'s boundary. P6 delivers the
+/// completion; P7 must not then synthesize an uncertain one for the
+/// same operation, or the guest re-issues a disk operation that
+/// completed. The engine counts the operation itself and asks after
+/// P6's deliveries.
 #[test]
-#[should_panic(expected = "a delivered completion and an uncertain one")]
 fn a_buffered_completion_is_not_also_synthesized_uncertain() {
     use hvft_core::messages::{DiskCompletion, ForwardedInterrupt, Message};
     use hvft_core::protocol::{Effect, Input, ReplicaEngine};
@@ -485,6 +482,12 @@ fn a_buffered_completion_is_not_also_synthesized_uncertain() {
     };
     let mut backup = ReplicaEngine::new_backup(1, 0, ProtocolVariant::Old);
     let mut out = Vec::new();
+    backup.step(Input::Io { disk: true }, &mut out);
+    assert_eq!(
+        out,
+        [Effect::SuppressIo],
+        "P3: the backup's GO is suppressed"
+    );
     let msg = Message::Interrupt {
         seq: 1,
         epoch: 0,
@@ -496,7 +499,6 @@ fn a_buffered_completion_is_not_also_synthesized_uncertain() {
     out.clear();
     let promote = Input::Promote {
         vclock: VClock::new(),
-        outstanding_io: true,
         survivors: vec![],
     };
     backup.step(promote, &mut out);

@@ -58,22 +58,22 @@ pub mod disk_status {
 }
 
 /// The disk controller as a guest sees it: the block, DMA-address and
-/// status registers of one host's I/O window, and how many operations
-/// its GOs started that no delivered completion has answered yet. The
-/// bare machine keeps one, and so does every replica (a rejoining one
-/// is sent its donor's). It moves only at a GO and at a delivery, both
-/// points of the guest's instruction stream, so every replica's copy is
-/// the same, and rule P7's "is an operation outstanding?" is read here.
+/// status registers of one host's I/O window. The bare machine keeps
+/// one, and so does every replica (a rejoining one is sent its
+/// donor's). Its registers move only at guest writes, at a GO and at a
+/// delivery, all points of the guest's instruction stream, so every
+/// replica's copy is the same. Which operations are outstanding is not
+/// the controller's to say: the disk keeps the one in flight, and a
+/// replica's protocol engine counts what rule P7 asks about.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DiskController {
     /// [`DISK_REG_BLOCK`].
     pub block: u32,
     /// [`DISK_REG_ADDR`].
     pub addr: u32,
-    /// [`DISK_REG_STATUS`], a [`disk_status`] value.
+    /// [`DISK_REG_STATUS`], a [`disk_status`] value: a delivered
+    /// completion (or a refusal's UNCERTAIN answer) posts it.
     pub status: u32,
-    /// GOs started (refused ones included) less completions delivered.
-    pub outstanding: u32,
 }
 
 /// An operation a write of GO started: the command, and the block and
@@ -109,7 +109,6 @@ impl DiskController {
         block: 0,
         addr: 0,
         status: disk_status::IDLE,
-        outstanding: 0,
     };
 
     /// What a guest read of the disk register at offset `off` of the I/O
@@ -135,15 +134,13 @@ impl DiskController {
     }
 
     /// What a write of `value` to GO does on a host of `ram_bytes` of
-    /// RAM, with the registers latched now. Every GO that names a
-    /// command counts as outstanding until [`DiskController::deliver`].
-    pub fn go(&mut self, value: u32, ram_bytes: usize) -> Go {
+    /// RAM, with the registers latched now.
+    pub fn go(&self, value: u32, ram_bytes: usize) -> Go {
         let cmd = match value {
             disk_cmd::READ => DiskCommand::Read,
             disk_cmd::WRITE => DiskCommand::Write,
             _ => return Go::Ignored,
         };
-        self.outstanding += 1;
         let end = (self.addr as usize).checked_add(BLOCK_SIZE);
         if end.is_none_or(|end| end > ram_bytes) {
             return Go::Refused;
@@ -153,16 +150,6 @@ impl DiskController {
             block: self.block,
             addr: self.addr,
         })
-    }
-
-    /// A disk completion (or a refusal's UNCERTAIN answer) reaches the
-    /// guest: the status register takes `status`, and one operation
-    /// fewer is outstanding.
-    pub fn deliver(&mut self, status: u32) {
-        self.status = status;
-        // Saturating: a replica fed by two acting primaries (a false
-        // suspicion) can be delivered more than it started.
-        self.outstanding = self.outstanding.saturating_sub(1);
     }
 }
 
@@ -212,11 +199,5 @@ mod tests {
         }
         assert_eq!(regs.go(7, ram), Go::Ignored, "not a command");
         assert_eq!(regs.read(DISK_REG_ADDR), u32::MAX);
-        assert_eq!(
-            regs.outstanding, 4,
-            "a refused GO counts, an ignored one not"
-        );
-        regs.deliver(disk_status::UNCERTAIN);
-        assert_eq!((regs.status, regs.outstanding), (disk_status::UNCERTAIN, 3));
     }
 }

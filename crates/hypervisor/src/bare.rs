@@ -389,7 +389,7 @@ impl Firmware<'_> {
             if let Some(d) = data {
                 mem.write_bytes(go.addr, &d);
             }
-            b.controller.deliver(mmio::disk_status::of(status));
+            b.controller.status = mmio::disk_status::of(status);
             cpu.raise_irq(irq::DISK);
         }
     }
@@ -413,7 +413,7 @@ impl Firmware<'_> {
                     // Refused, by the controller or the disk: report
                     // uncertainty so the driver retries rather than
                     // wedging.
-                    b.controller.deliver(mmio::disk_status::UNCERTAIN);
+                    b.controller.status = mmio::disk_status::UNCERTAIN;
                     cpu.raise_irq(irq::DISK);
                 }
             }

@@ -180,11 +180,7 @@ fn builder(k: &Knobs, driver: u8, faults: &[FaultDraw]) -> ScenarioBuilder {
     if k.nic_bound_us < 750 {
         b = b.nic_queue_bound(SimDuration::from_micros(1 + k.nic_bound_us));
     }
-    // A one-slot TLB is left out: it builds, and its run livelocks (an
-    // instruction whose code and data sit on different pages evicts one
-    // translation to fill the other, forever), neither an error nor a
-    // report and not a panic a witness could pin.
-    if k.tlb_slots < 32 && k.tlb_slots != 1 {
+    if k.tlb_slots < 32 {
         b = b.tlb_slots(k.tlb_slots);
     }
     if k.disk_blocks > 0 {

@@ -18,7 +18,7 @@ use hvft::devices::mmio::{self, disk_cmd};
 use hvft::guest::workload::{Dhrystone, IoBench};
 use hvft::guest::{IoMode, KernelConfig};
 use hvft::machine::mem::IO_BASE;
-use hvft::sim::time::SimTime;
+use hvft::sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -184,9 +184,9 @@ proptest! {
 /// block 1 from a buffer that starts `0xAAAA`, then block 2 from one that
 /// starts `0xBBBB` — then waits out the first write (about 40 ms at
 /// 50 MIPS against the disk's 26) and exits. The disk refuses the second
-/// GO as busy. One epoch holds the whole run, so nothing is delivered
-/// before the exit.
-fn busy_go_scenario(builder: ScenarioBuilder) -> RunReport {
+/// GO as busy. At `epoch_len` `1 << 22` one epoch holds the whole run,
+/// so nothing is delivered before the exit.
+fn busy_go_scenario(builder: ScenarioBuilder, epoch_len: u32) -> RunReport {
     let image = hvft::isa::asm::assemble(&format!(
         ".org 0
 start:
@@ -222,7 +222,7 @@ wait:
     builder
         .image(image)
         .functional_cost()
-        .epoch_len(1 << 22)
+        .epoch_len(epoch_len)
         .build()
         .expect("a valid scenario")
         .run()
@@ -237,8 +237,8 @@ wait:
 /// too.)
 #[test]
 fn a_go_refused_as_busy_leaves_the_write_in_flight_alone() {
-    let bare = busy_go_scenario(Scenario::builder().bare());
-    let replicated = busy_go_scenario(Scenario::builder());
+    let bare = busy_go_scenario(Scenario::builder().bare(), 1 << 22);
+    let replicated = busy_go_scenario(Scenario::builder(), 1 << 22);
     assert_eq!(bare.exit.code(), Some(0), "{:?}", bare.exit);
     assert_eq!(replicated.exit.code(), Some(0), "{:?}", replicated.exit);
     let mut first_buffer = vec![0; BLOCK_SIZE];
@@ -248,4 +248,15 @@ fn a_go_refused_as_busy_leaves_the_write_in_flight_alone() {
     };
     assert_eq!((op.block, op.data), (1, block_digest(&first_buffer)));
     environment_equivalent(&bare.environment(), &replicated.environment()).unwrap();
+}
+
+/// A GO the disk refuses as busy must leave the latency clock of the
+/// write in flight alone: with short epochs the refusal's UNCERTAIN
+/// answer reaches the guest long before the write completes, and the
+/// run times the write — GO to completion — not the refusal.
+#[test]
+fn a_go_refused_as_busy_leaves_the_latency_clock_alone() {
+    let r = busy_go_scenario(Scenario::builder(), 1 << 12);
+    assert_eq!(r.exit.code(), Some(0), "{:?}", r.exit);
+    assert_eq!(r.op_latencies, [SimDuration::from_nanos(26_562_240)]);
 }

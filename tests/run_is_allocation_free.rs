@@ -275,7 +275,7 @@ fn warm_engine_epochs_do_not_allocate() {
                     let vclock = VClock::new();
                     step(&mut engines, i, Input::Boundary { epoch, vclock });
                 }
-                step(&mut engines, 0, Input::Io);
+                step(&mut engines, 0, Input::Io { disk: false });
                 assert!(engines.iter().all(ReplicaEngine::is_running));
             }
             assert_eq!(

@@ -25,6 +25,7 @@ fn variant(e: &ConfigError) -> &'static str {
         ConfigError::NoSuchReplica { .. } => "NoSuchReplica",
         ConfigError::DriverMismatch(_) => "DriverMismatch",
         ConfigError::EmptyTlb => "EmptyTlb",
+        ConfigError::OneSlotTlb => "OneSlotTlb",
         ConfigError::RamSize { .. } => "RamSize",
     }
 }
@@ -135,6 +136,11 @@ fn every_invalid_combination_yields_its_config_error() {
         ),
         ("a TLB of no slots", wl().tlb_slots(0), "EmptyTlb"),
         (
+            "a TLB of one slot, which livelocks",
+            wl().tlb_slots(1),
+            "OneSlotTlb",
+        ),
+        (
             "a TLB of no slots, through the hypervisor config",
             wl().chain().hv(HvConfig {
                 tlb_slots: 0,
@@ -212,7 +218,7 @@ fn the_boundary_values_are_accepted() {
         wl().disk_blocks(MAX_DISK_BLOCKS),
         wl().disk_blocks(1),
         wl().epoch_len(1),
-        wl().tlb_slots(1),
+        wl().tlb_slots(2),
         wl().backups(5),
         wl().lossy(0.0), // zero loss needs no retransmission
         wl().lossy(0.3)
