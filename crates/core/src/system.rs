@@ -121,8 +121,8 @@ struct Host {
     // The disk itself keeps the operation.
     controller: DiskController,
     /// When this host issued the disk operation `op_latencies` times
-    /// next: the disk's acceptance of the primary's GO, a backup's
-    /// suppressed GO.
+    /// next: the first GO, released or suppressed, that found no clock
+    /// running.
     issued_at: Option<SimTime>,
     /// The timeout detector watching the acting primary: present only
     /// on a promotable backup (see `FtSystem::arm_detectors`).

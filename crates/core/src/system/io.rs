@@ -21,15 +21,18 @@ impl FtSystem {
     /// Completes the guest's held MMIO write once the engine answered
     /// it: at the acting primary by performing the I/O (`release`), at
     /// a backup by suppressing it (rule P3). A backup cannot see a GO
-    /// the disk refuses, so it times its operations from the first GO
-    /// that finds no clock running.
+    /// the disk refuses, so every replica times its operations from the
+    /// first GO that finds no clock running: a busy refusal leaves the
+    /// clock of the write in flight alone, and a refusal with nothing in
+    /// flight is timed alike at the primary and the backups.
     pub(super) fn answer_io(&mut self, i: usize, release: bool) {
-        let io = self.hosts[i].held_io.take().expect("I/O to answer");
+        let host = &mut self.hosts[i];
+        let io = host.held_io.take().expect("I/O to answer");
+        if let PendingIo::DiskGo(_) = io {
+            host.issued_at.get_or_insert(host.now);
+        }
         if release {
             self.perform_io(i, io);
-        } else if let PendingIo::DiskGo(_) = io {
-            let host = &mut self.hosts[i];
-            host.issued_at.get_or_insert(host.now);
         }
         self.hosts[i].guest.finish_mmio_write();
         self.hosts[i].sync_clock();
@@ -50,13 +53,12 @@ impl FtSystem {
         let host = &mut self.hosts[i];
         let dma = host.guest.mem.read_bytes(go.addr, BLOCK_SIZE);
         if self.disk.submit(host.now, i as u8, go, dma).is_ok() {
-            host.issued_at = Some(host.now);
             return;
         }
         // The disk refused (bad block / busy) and left any operation in
-        // flight alone, its latency clock included: surface as an
-        // immediate uncertain completion through the normal buffered
-        // path so all replicas see it identically.
+        // flight alone: surface as an immediate uncertain completion
+        // through the normal buffered path so all replicas see it
+        // identically.
         let fwd = ForwardedInterrupt::UNCERTAIN;
         let guest_epoch = host.guest.epoch();
         self.engine(i, Input::Interrupt { guest_epoch, fwd });

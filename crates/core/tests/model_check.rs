@@ -21,7 +21,11 @@
 //!   promoted before the GO's epoch starts it again as the primary;
 //! - the GO's completion, a device interrupt at the live primary that
 //!   released it, in whatever phase the primary is in — mid-boundary
-//!   included, where P1 tags it for the next epoch.
+//!   included, where P1 tags it for the next epoch;
+//! - failure-free only, one console interrupt at the primary, in
+//!   whatever phase it is in and independent of the GO: before it, or
+//!   while §4.3 holds it, when the interrupt's `[E, Int]` is one more
+//!   message the release must wait out.
 //!
 //! With failures on, the adversary also may:
 //!
@@ -113,6 +117,8 @@ struct State {
     /// or the failover epoch of a promoter whose guest started the GO
     /// that no completion was raised for.
     due: Option<usize>,
+    /// Whether the primary raised the console interrupt.
+    console_raised: bool,
     /// The replica the adversary failstopped, if it has.
     dead: Option<usize>,
     /// `sent[p][q]`: sequenced messages `p` sent `q`; `acked[p][q]`: the
@@ -163,6 +169,7 @@ impl State {
             go_epoch: None,
             go: vec![Go::NotYet; n],
             due: None,
+            console_raised: false,
             dead: None,
             sent: vec![vec![0; n]; n],
             acked: vec![vec![0; n]; n],
@@ -179,7 +186,7 @@ impl State {
             }
         }
         (&self.clock, &self.delivered).hash(&mut h);
-        (self.go_epoch, &self.go, self.due).hash(&mut h);
+        (self.go_epoch, &self.go, self.due, self.console_raised).hash(&mut h);
         h.finish()
     }
 
@@ -190,6 +197,11 @@ impl State {
     /// The live replica acting as primary, if any.
     fn primary(&self) -> Option<usize> {
         (0..self.engines.len()).find(|&r| self.alive[r] && self.engines[r].is_primary())
+    }
+
+    /// Whether the primary may still raise the console interrupt.
+    fn console_due(&self) -> bool {
+        !self.model.failures && !self.console_raised
     }
 
     /// Every move the system can make next.
@@ -218,6 +230,14 @@ impl State {
             if self.go[p] == Go::Released && self.epoch(p) < DEPTH {
                 let fwd = ForwardedInterrupt {
                     irq_bits: irq::DISK,
+                    disk: None,
+                };
+                let guest_epoch = self.epoch(p) as u64;
+                moves.push(Move::Step(p, Input::Interrupt { guest_epoch, fwd }));
+            }
+            if self.console_due() && self.epoch(p) < DEPTH {
+                let fwd = ForwardedInterrupt {
+                    irq_bits: irq::CONSOLE,
                     disk: None,
                 };
                 let guest_epoch = self.epoch(p) as u64;
@@ -325,6 +345,9 @@ impl State {
                     self.step(r, Input::Io { disk: true }, None, out)?;
                 }
                 self.clock[r] = *vclock;
+            }
+            Input::Interrupt { fwd, .. } if fwd.irq_bits == irq::CONSOLE => {
+                self.console_raised = true;
             }
             Input::Interrupt { .. } => {
                 // P1 tags an interrupt raised mid-boundary for the next
@@ -469,10 +492,13 @@ struct Explored {
     states: usize,
     terminal: usize,
     /// States whose primary waits out a boundary's acknowledgments with
-    /// the GO's completion about to be raised.
+    /// an interrupt still to raise.
     interrupt_mid_boundary: usize,
     /// States whose primary holds the I/O for acknowledgments.
     io_held: usize,
+    /// States whose primary holds the I/O with the console interrupt
+    /// still to raise.
+    interrupt_while_io_held: usize,
     /// States after a promotion.
     promoted: usize,
 }
@@ -510,12 +536,13 @@ fn explore(model: Model) -> Result<Explored, String> {
             Some(p) if p != 0 => explored.promoted += 1,
             Some(p) => {
                 let primary = &state.engines[p];
-                let completion_due = state.go[p] == Go::Released;
-                if !primary.is_running() && !primary.holds_io() && completion_due {
+                let interrupt_due = state.go[p] == Go::Released || state.console_due();
+                if !primary.is_running() && !primary.holds_io() && interrupt_due {
                     explored.interrupt_mid_boundary += 1;
                 }
                 if primary.holds_io() {
                     explored.io_held += 1;
+                    explored.interrupt_while_io_held += usize::from(state.console_due());
                 }
             }
             None => {}
@@ -574,6 +601,10 @@ fn revised_protocol_is_safe_and_live_to_depth_two() {
     let explored = explore(model(ProtocolVariant::New, 2, false)).unwrap_or_else(|e| panic!("{e}"));
     assert!(explored.terminal > 0, "some run finished: {explored:?}");
     assert!(explored.io_held > 0, "§4.3 holds I/O: {explored:?}");
+    assert!(
+        explored.interrupt_while_io_held > 0,
+        "an interrupt can arrive while §4.3 holds I/O: {explored:?}"
+    );
     assert_eq!(
         explored.interrupt_mid_boundary, 0,
         "§4.3 never stalls a boundary: {explored:?}"
@@ -585,6 +616,11 @@ fn both_protocols_are_safe_and_live_at_t2_without_failures() {
     for variant in [ProtocolVariant::Old, ProtocolVariant::New] {
         let explored = explore(model(variant, 3, false)).unwrap_or_else(|e| panic!("{e}"));
         assert!(explored.terminal > 0, "some run finished: {explored:?}");
+        let held = explored.interrupt_while_io_held;
+        match variant {
+            ProtocolVariant::Old => assert_eq!(held, 0, "P2 never holds I/O: {explored:?}"),
+            ProtocolVariant::New => assert!(held > 0, "an interrupt while held: {explored:?}"),
+        }
     }
 }
 
@@ -599,12 +635,13 @@ fn both_protocols_survive_a_failstop_at_t1() {
 /// The survivor-disagreement defect (ROADMAP C1(a)): the engine
 /// assumes that every live backup saw the same prefix of the dead
 /// primary's messages, and the reliable layer does not promise it. The
-/// search finds it at once: the primary releases its I/O, the
+/// search finds it at once: the primary releases its GO, the
 /// completion arrives, and the primary dies after forwarding `[0, Int]`
-/// to backup 1 only. Backup 1 promotes at its boundary, delivers the
-/// completion and (P7) an uncertain interrupt; backup 2 is forwarded
-/// the uncertain one alone. Pinned until survivor reconciliation
-/// (C1(a)3) lands; each witness then loses its `should_panic`.
+/// to backup 1 only. Backup 1 promotes at its boundary and delivers the
+/// completion, which answers its GO, so P7 adds nothing and it forwards
+/// only `[Tme_p]` and `[end, 0]`; backup 2 is given no interrupt at
+/// epoch 0. Pinned until survivor reconciliation (C1(a)3) lands; each
+/// witness then loses its `should_panic`.
 #[test]
 #[should_panic(expected = "replicas 1 and 2 delivered differently at epoch 0")]
 fn original_protocol_at_t2_survivors_disagree_after_a_primary_failstop() {

@@ -17,6 +17,7 @@ use hvft::devices::environment_equivalent;
 use hvft::devices::mmio::{self, disk_cmd};
 use hvft::guest::workload::{Dhrystone, IoBench};
 use hvft::guest::{IoMode, KernelConfig};
+use hvft::isa::program::Program;
 use hvft::machine::mem::IO_BASE;
 use hvft::sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -219,6 +220,10 @@ wait:
         reg_cmd = mmio::DISK_REG_CMD,
     ))
     .expect("asm");
+    run_image(builder, image, epoch_len)
+}
+
+fn run_image(builder: ScenarioBuilder, image: Program, epoch_len: u32) -> RunReport {
     builder
         .image(image)
         .functional_cost()
@@ -226,6 +231,36 @@ wait:
         .build()
         .expect("a valid scenario")
         .run()
+}
+
+/// The bad-block witness: a kernel-level image that writes the disk's
+/// GO register for a block off the medium, so the disk refuses it with
+/// nothing in flight, then waits about 40 ms and exits.
+fn bad_block_scenario(builder: ScenarioBuilder) -> RunReport {
+    let image = hvft::isa::asm::assemble(&format!(
+        ".org 0
+start:
+    li   r4, {IO_BASE}
+    li   r5, 0x10000
+    li   r8, 0xFFFF
+    sw   r8, {reg_block}(r4)
+    sw   r5, {reg_addr}(r4)
+    addi r6, r0, {write}
+    sw   r6, {reg_cmd}(r4)   ; the disk has no such block
+    li   r9, 1000000
+wait:
+    addi r9, r9, -1
+    bne  r9, r0, wait
+    diag r9, 1
+    halt
+",
+        write = disk_cmd::WRITE,
+        reg_block = mmio::DISK_REG_BLOCK,
+        reg_addr = mmio::DISK_REG_ADDR,
+        reg_cmd = mmio::DISK_REG_CMD,
+    ))
+    .expect("asm");
+    run_image(builder, image, 1 << 12)
 }
 
 /// A GO the disk refuses as busy must leave the operation in flight
@@ -259,4 +294,20 @@ fn a_go_refused_as_busy_leaves_the_latency_clock_alone() {
     let r = busy_go_scenario(Scenario::builder(), 1 << 12);
     assert_eq!(r.exit.code(), Some(0), "{:?}", r.exit);
     assert_eq!(r.op_latencies, [SimDuration::from_nanos(26_562_240)]);
+}
+
+/// A GO the disk refuses with nothing in flight is timed alike at the
+/// primary and at a backup, which cannot see the refusal: each times it
+/// from its GO to the refusal's UNCERTAIN answer, so a failover after
+/// the answer reports the primary's entry and the promoted backup's.
+#[test]
+fn a_bad_block_refusal_is_timed_at_primary_and_backup_alike() {
+    let refusal = SimDuration::from_nanos(347_002);
+    let r = bad_block_scenario(Scenario::builder());
+    assert_eq!(r.exit.code(), Some(0), "{:?}", r.exit);
+    assert_eq!(r.op_latencies, [refusal]);
+    let failover = Scenario::builder().fail_primary_at(SimTime::from_nanos(20_000_000));
+    let r = bad_block_scenario(failover);
+    assert_eq!(r.exit.code(), Some(0), "{:?}", r.exit);
+    assert_eq!(r.op_latencies, [refusal, SimDuration::from_nanos(455_003)]);
 }
